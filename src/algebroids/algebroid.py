@@ -39,7 +39,7 @@ from .errors import (
     KindMismatch,
 )
 from .ring import Chart, Poly, parse_poly
-from .tensor import GradedTensor, Kind
+from .tensor import GradedTensor, Kind, _accumulate
 
 _StructureTable = Dict[Tuple[int, int], Dict[int, Poly]]
 
@@ -306,34 +306,25 @@ def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> G
     for t in (x, y):
         if t.owner != algebroid or t.kind is not Kind.MV or t.degree != 1:
             raise KindMismatch(f"section_bracket needs sections, got {t.describe()}")
-    acc: Dict[Tuple[int, ...], Poly] = {}
 
-    def _add(key, coeff):
-        prev = acc.get(key)
-        prev = coeff if prev is None else prev + coeff
-        if prev.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = prev
+    def pairs():
+        for (i,), f in x.terms.items():
+            for (j,), g in y.terms.items():
+                if i != j:
+                    fg = f * g
+                    for k in range(algebroid.rank):
+                        coeff = algebroid.c(i, j, k)
+                        if not coeff.is_zero():
+                            yield (k,), coeff * fg
+                # derivative terms: f·anchor(e_i)(g)·e_j − g·anchor(e_j)(f)·e_i
+                d = anchor_derivative(algebroid, i, g)
+                if not d.is_zero():
+                    yield (j,), f * d
+                d = anchor_derivative(algebroid, j, f)
+                if not d.is_zero():
+                    yield (i,), -(g * d)
 
-    for (i,), f in x.terms.items():
-        for (j,), g in y.terms.items():
-            if i != j:
-                fg = f * g
-                for k in range(algebroid.rank):
-                    coeff = algebroid.c(i, j, k)
-                    if not coeff.is_zero():
-                        _add((k,), coeff * fg)
-            # derivative terms: f·anchor(e_i)(g)·e_j − g·anchor(e_j)(f)·e_i
-            d = anchor_derivative(algebroid, i, g)
-            if not d.is_zero():
-                _add((j,), f * d)
-            d = anchor_derivative(algebroid, j, f)
-            if not d.is_zero():
-                _add((i,), -(g * d))
-    out = GradedTensor.zero(algebroid, Kind.MV, 1)
-    out.terms = acc
-    return out
+    return GradedTensor._make(algebroid, Kind.MV, 1, _accumulate(pairs()))
 
 
 def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
@@ -344,26 +335,26 @@ def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
     """
     if x.owner != algebroid or x.kind is not Kind.MV or x.degree != 1:
         raise KindMismatch(f"anchor_apply needs a section, got {x.describe()}")
-    target = _vector_fields(algebroid.base)
-    terms: Dict[Tuple[int, ...], Poly] = {}
-    for (i,), f in x.terms.items():
-        for a in range(algebroid.base.dim):
-            entry = algebroid.anchor[i][a]
-            if entry.is_zero():
-                continue
-            prev = terms.get((a,))
-            coeff = f * entry
-            prev = coeff if prev is None else prev + coeff
-            if prev.is_zero():
-                terms.pop((a,), None)
-            else:
-                terms[(a,)] = prev
-    out = GradedTensor.zero(target, Kind.MV, 1)
-    out.terms = terms
-    return out
+    pairs = (((a,), f * entry)
+             for (i,), f in x.terms.items()
+             for a, entry in enumerate(algebroid.anchor[i])
+             if not entry.is_zero())
+    return GradedTensor._make(_vector_fields(algebroid.base), Kind.MV, 1,
+                              _accumulate(pairs))
 
 
 # -- lifts -----------------------------------------------------------------------
+
+def velocity_derivative(coeff: Poly, target: Chart) -> Poly:
+    """The velocity derivative sum_a (d_a f)·a_dot of a function f, on the
+    velocity chart ``target`` that extends f's chart."""
+    acc = target.zero()
+    for name in coeff.chart.coords:
+        d = coeff.partial(name)
+        if not d.is_zero():
+            acc = acc + d.transport(target) * target.coordinate(f"{name}_dot")
+    return acc
+
 
 def tangent_lift(algebroid: Algebroid) -> Algebroid:
     """The tangent algebroid: rank doubles (bar fibers then dot fibers) over
@@ -382,22 +373,15 @@ def tangent_lift(algebroid: Algebroid) -> Algebroid:
     fibers = tuple(f"{f}_bar" for f in A.fiber_names) + \
         tuple(f"{f}_dot" for f in A.fiber_names)
     duals = A.dual_names + tuple(f"{d}_dot" for d in A.dual_names)
-    dots = [base.coordinate(f"{c}_dot") for c in A.base.coords]
     zero = base.zero()
 
     anchor = []
     for i in range(m):  # bar fibers: velocity directions only
         anchor.append(tuple([zero] * n + [lift(A.anchor[i][a]) for a in range(n)]))
     for i in range(m):  # dot fibers: base directions plus derivative correction
-        correction = []
-        for a in range(n):
-            acc = zero
-            for b, name in enumerate(A.base.coords):
-                d = A.anchor[i][a].partial(name)
-                if not d.is_zero():
-                    acc = acc + lift(d) * dots[b]
-            correction.append(acc)
-        anchor.append(tuple([lift(A.anchor[i][a]) for a in range(n)] + correction))
+        anchor.append(tuple([lift(A.anchor[i][a]) for a in range(n)]
+                            + [velocity_derivative(A.anchor[i][a], base)
+                               for a in range(n)]))
 
     structure: _StructureTable = {}
     for (i, j), entries in A.structure.items():
@@ -409,11 +393,7 @@ def tangent_lift(algebroid: Algebroid) -> Algebroid:
             bar_dot[k] = up
             dot_bar[k] = -up
             dot_dot[m + k] = up
-            drift = zero
-            for b, name in enumerate(A.base.coords):
-                d = coeff.partial(name)
-                if not d.is_zero():
-                    drift = drift + lift(d) * dots[b]
+            drift = velocity_derivative(coeff, base)
             if not drift.is_zero():
                 dot_dot[k] = dot_dot.get(k, zero) + drift
         structure[(i, m + j)] = bar_dot

@@ -148,28 +148,57 @@ def _term_factors(algebroid: Algebroid, key: Tuple[int, ...],
     return factors
 
 
-def _wedge_all(algebroid: Algebroid, factors: List[GradedTensor]) -> GradedTensor:
+def _product_all(algebroid: Algebroid, factors: List[GradedTensor],
+                 product) -> GradedTensor:
     out = GradedTensor.function(algebroid, 1)
     for f in factors:
-        out = wedge(out, f)
+        out = product(out, f)
     return out
 
 
-def _schouten_with_function(algebroid: Algebroid, x: GradedTensor,
-                            g: Poly) -> GradedTensor:
+def _bracket_with_function(algebroid: Algebroid, x: GradedTensor, g: Poly,
+                           alternating: bool) -> GradedTensor:
     """[X, g] for X of degree p ≥ 1:
-    sum_i (−1)^{p−i} (anchor X_i)(g) · X_1∧…X̂_i…∧X_p (1-based i)."""
+    sum_i s_i (anchor X_i)(g) · X_1…X̂_i…X_p (1-based i), with
+    s_i = (−1)^{p−i} for the alternating bracket and 1 for the symmetric one."""
     p = x.degree
-    out = GradedTensor.zero(algebroid, Kind.MV, p - 1)
+    terms = []
     for key, coeff in x.terms.items():
         for r, k in enumerate(key):
             dg = anchor_derivative(algebroid, k, g)
             if dg.is_zero():
                 continue
-            rest = key[:r] + key[r + 1:]
-            sign = 1 if (p - 1 - r) % 2 == 0 else -1
-            out = out + GradedTensor(algebroid, Kind.MV, p - 1,
-                                     {rest: coeff * dg * sign})
+            term = coeff * dg
+            if alternating and (p - 1 - r) % 2:
+                term = -term
+            terms.append((key[:r] + key[r + 1:], term))
+    return GradedTensor(algebroid, x.kind, p - 1, terms)
+
+
+def _expand(algebroid: Algebroid, x: GradedTensor, y: GradedTensor,
+            product, alternating: bool) -> GradedTensor:
+    """The factor-against-factor expansion of both Schouten brackets:
+
+        [X_1…X_p, Y_1…Y_q] = sum_{i,j} s_ij [X_i, Y_j]·X∖i·Y∖j
+
+    with ``product`` the algebra's product, and s_ij = (−1)^{i+j} for the
+    alternating bracket and 1 for the symmetric one.
+    """
+    a, b = x.degree, y.degree
+    out = GradedTensor.zero(algebroid, x.kind, a + b - 1)
+    for kx, cx in x.terms.items():
+        fx = _term_factors(algebroid, kx, cx)
+        for ky, cy in y.terms.items():
+            fy = _term_factors(algebroid, ky, cy)
+            for i in range(a):
+                rest_x = fx[:i] + fx[i + 1:]
+                for j in range(b):
+                    rest_y = fy[:j] + fy[j + 1:]
+                    head = section_bracket(algebroid, fx[i], fy[j])
+                    if head.is_zero():
+                        continue
+                    piece = _product_all(algebroid, [head] + rest_x + rest_y, product)
+                    out = out + (-piece if alternating and (i + j) % 2 else piece)
     return out
 
 
@@ -192,42 +221,14 @@ def schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTe
     if a == 0 and b == 0:
         return GradedTensor.zero(algebroid, Kind.MV, 0)
     if b == 0:
-        return _schouten_with_function(algebroid, x, y.as_function())
+        return _bracket_with_function(algebroid, x, y.as_function(), True)
     if a == 0:
-        flipped = _schouten_with_function(algebroid, y, x.as_function())
+        flipped = _bracket_with_function(algebroid, y, x.as_function(), True)
         return flipped if b % 2 == 0 else -flipped
-    out = GradedTensor.zero(algebroid, Kind.MV, a + b - 1)
-    for kx, cx in x.terms.items():
-        fx = _term_factors(algebroid, kx, cx)
-        for ky, cy in y.terms.items():
-            fy = _term_factors(algebroid, ky, cy)
-            for i in range(a):
-                rest_x = fx[:i] + fx[i + 1:]
-                for j in range(b):
-                    rest_y = fy[:j] + fy[j + 1:]
-                    head = section_bracket(algebroid, fx[i], fy[j])
-                    if head.is_zero():
-                        continue
-                    piece = _wedge_all(algebroid, [head] + rest_x + rest_y)
-                    out = out + (piece if (i + j) % 2 == 0 else -piece)
-    return out
+    return _expand(algebroid, x, y, wedge, True)
 
 
 # -- symmetric Schouten bracket ----------------------------------------------------
-
-
-def _sym_factors(algebroid: Algebroid, key: Tuple[int, ...],
-                 coeff: Poly) -> List[GradedTensor]:
-    factors = [algebroid.e(key[0]) * coeff]
-    factors.extend(algebroid.e(k) for k in key[1:])
-    return factors
-
-
-def _sym_all(algebroid: Algebroid, factors: List[GradedTensor]) -> GradedTensor:
-    out = as_sym(GradedTensor.function(algebroid, 1))
-    for f in factors:
-        out = sym_product(out, f)
-    return out
 
 
 def sym_schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
@@ -241,33 +242,10 @@ def sym_schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> Grad
     if a == 0 and b == 0:
         return GradedTensor.zero(algebroid, Kind.SYM, 0)
     if b == 0:
-        g = y.terms.get((), algebroid.base.zero())
-        out = GradedTensor.zero(algebroid, Kind.SYM, a - 1)
-        for key, coeff in x.terms.items():
-            for r, k in enumerate(key):
-                dg = anchor_derivative(algebroid, k, g)
-                if dg.is_zero():
-                    continue
-                rest = key[:r] + key[r + 1:]
-                out = out + GradedTensor(algebroid, Kind.SYM, a - 1,
-                                         {rest: coeff * dg})
-        return out
+        return _bracket_with_function(algebroid, x, y.as_function(), False)
     if a == 0:
         return -sym_schouten(algebroid, y, x)
-    out = GradedTensor.zero(algebroid, Kind.SYM, a + b - 1)
-    for kx, cx in x.terms.items():
-        fx = _sym_factors(algebroid, kx, cx)
-        for ky, cy in y.terms.items():
-            fy = _sym_factors(algebroid, ky, cy)
-            for i in range(a):
-                rest_x = fx[:i] + fx[i + 1:]
-                for j in range(b):
-                    rest_y = fy[:j] + fy[j + 1:]
-                    head = section_bracket(algebroid, fx[i], fy[j])
-                    if head.is_zero():
-                        continue
-                    out = out + _sym_all(algebroid, [as_sym(head)] + rest_x + rest_y)
-    return out
+    return _expand(algebroid, x, y, sym_product, False)
 
 
 # -- Nijenhuis–Richardson bracket ---------------------------------------------------
@@ -302,13 +280,9 @@ def nr_bracket(k: GradedTensor, l: GradedTensor) -> GradedTensor:
 
 def _tensor_form_section(theta: GradedTensor, z: GradedTensor) -> GradedTensor:
     """theta ⊗ Z for a form theta and a section Z, as a mixed tensor."""
-    owner = theta.owner
-    out = GradedTensor.zero(owner, Kind.MIXED, theta.degree)
-    for fkey, c in theta.terms.items():
-        for (j,), g in z.terms.items():
-            out = out + GradedTensor(owner, Kind.MIXED, theta.degree,
-                                     {(fkey, j): c * g})
-    return out
+    return GradedTensor(theta.owner, Kind.MIXED, theta.degree,
+                        [((fkey, j), c * g) for fkey, c in theta.terms.items()
+                         for (j,), g in z.terms.items()])
 
 
 def fn_bracket_simple(algebroid: Algebroid, mu: GradedTensor, x: GradedTensor,

@@ -7,7 +7,8 @@ suites, and ``eval`` evaluates a tensor's coefficients at a rational point.
 
 Every run prints a JSON report on stdout and a short human summary on stderr,
 and exits 0 when everything passed, 1 when some checked identity failed, and
-2 on input errors (unreadable models, unknown names, kind mismatches).
+2 on input errors (unreadable models, unknown names, kind mismatches, input
+nested too deeply for the interpreter stack).
 """
 
 from __future__ import annotations
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
     try:
         model = _load(args.model)
         items = _HANDLERS[args.command](model, args)
-    except AlgebroidError as exc:
+    except (AlgebroidError, RecursionError) as exc:
         elapsed = round(time.perf_counter() - started, 3)
         report = {
             "command": argv,

@@ -15,8 +15,9 @@ one fiber-linear coordinate per fiber.  Sections become functions there via
 forms become multivectors via ``vertical_pi``, and a degree-1 section has the
 complete lift ``cot_complete_G_vec`` — the negated bracket of the fiberwise
 -linear bivector with the section's linear function.  ``J_map`` and ``G_map``
-extend these to vector-valued forms; ``G_map`` computes its answer twice
-(bracket route and product-rule route) and refuses to return if they differ.
+extend these to vector-valued forms; ``G_map`` is the bracket of the
+fiberwise-linear bivector with ``J_map``, and the theorem-16 ``dual-routes``
+suite item checks it against its product-rule expansion.
 
 ``vertical_tau`` lifts vector-side tensor powers to the total space of the
 bundle itself, one ``y``-coordinate per fiber.
@@ -34,15 +35,16 @@ from __future__ import annotations
 
 from .errors import ChartMismatch, KindMismatch, WrongProvenance
 from .ring import Chart, Poly
-from .tensor import GradedTensor, Kind, equals, remap, wedge
+from .tensor import GradedTensor, Kind, remap
 from .algebroid import (
     Algebroid,
     canonical_algebroid,
     dual_chart,
     linear_poisson,
     tangent_lift,
+    velocity_derivative,
 )
-from .calculus import differential, schouten
+from .calculus import schouten
 from .poisson import h_p
 
 
@@ -134,16 +136,6 @@ def _lifted_key(kind: Kind, key, rank: int, dotted):
     return tuple(rank + i if r == dotted else i for r, i in enumerate(key))
 
 
-def _velocity_derivative(coeff: Poly, source: Chart, target: Chart) -> Poly:
-    """Sum of (∂_a f)·a_dot over the source coordinates, on the target chart."""
-    acc = target.zero()
-    for name in source.coords:
-        d = coeff.partial(name)
-        if not d.is_zero():
-            acc = acc + d.transport(target) * target.coordinate(f"{name}_dot")
-    return acc
-
-
 def vertical_lift_V(algebroid: Algebroid, s) -> LiftedSection:
     """The vertical lift: coefficients pulled back, every factor barred."""
     s = _unwrap(s)
@@ -167,7 +159,7 @@ def complete_lift_T(algebroid: Algebroid, s) -> LiftedSection:
     m = algebroid.rank
     terms = []
     for key, coeff in s.terms.items():
-        drift = _velocity_derivative(coeff, algebroid.base, target.base)
+        drift = velocity_derivative(coeff, target.base)
         if not drift.is_zero():
             terms.append((_lifted_key(s.kind, key, m, None), drift))
         pulled = coeff.transport(target.base)
@@ -212,10 +204,6 @@ def vertical_tau(algebroid: Algebroid, s) -> GradedTensor:
     return GradedTensor(target, s.kind, s.degree, terms)
 
 
-def _g_vec(ps, algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
-    return -schouten(ps.owner, ps.bivector, ps.owner.fn(iota(algebroid, x)))
-
-
 def cot_complete_G_vec(algebroid: Algebroid, x) -> GradedTensor:
     """The complete lift of a degree-1 section to the dual chart: minus the
     bracket of the fiberwise-linear bivector with the section's function
@@ -226,7 +214,8 @@ def cot_complete_G_vec(algebroid: Algebroid, x) -> GradedTensor:
             f"cot_complete_G_vec expects a degree-1 multivector, "
             f"got {x.describe()}")
     _require_over(algebroid, x)
-    return _g_vec(linear_poisson(algebroid), algebroid, x)
+    ps = linear_poisson(algebroid)
+    return -schouten(ps.owner, ps.bivector, ps.owner.fn(iota(algebroid, x)))
 
 
 def J_map(algebroid: Algebroid, k) -> GradedTensor:
@@ -254,8 +243,9 @@ def G_map(algebroid: Algebroid, k) -> GradedTensor:
     the fiberwise-linear bivector with ``J_map(k)``.
 
     The same value has a product-rule expansion on simple tensors,
-    G(X)∧V_π(μ) − iota(X)·V_π(dμ); both routes are computed and must agree,
-    which pins the overall sign against bookkeeping drift.
+    G(X)∧V_π(μ) − iota(X)·V_π(dμ), which pins the overall sign against
+    bookkeeping drift; the theorem-16 ``dual-routes`` suite item checks that
+    the two routes agree.
     """
     k = _unwrap(k)
     if k.kind is not Kind.MIXED:
@@ -263,19 +253,7 @@ def G_map(algebroid: Algebroid, k) -> GradedTensor:
             f"G_map expects a vector-valued form, got {k.describe()}")
     _require_over(algebroid, k)
     ps = linear_poisson(algebroid)
-    primary = schouten(ps.owner, ps.bivector, J_map(algebroid, k))
-    expanded = GradedTensor.zero(ps.owner, Kind.MV, k.degree + 1)
-    for (form_key, j), coeff in k.terms.items():
-        mu = GradedTensor(algebroid, Kind.FORM, k.degree, {form_key: coeff})
-        head = wedge(_g_vec(ps, algebroid, algebroid.e(j)),
-                     vertical_pi(algebroid, mu))
-        tail = vertical_pi(algebroid, differential(algebroid, mu)) \
-            * iota(algebroid, algebroid.e(j))
-        expanded = expanded + head - tail
-    if not equals(primary, expanded):
-        raise AssertionError(
-            "dual complete lift: bracket route and product-rule route disagree")
-    return primary
+    return schouten(ps.owner, ps.bivector, J_map(algebroid, k))
 
 
 # -- the canonical-chart transports ----------------------------------------------

@@ -43,6 +43,8 @@ from .tensor import GradedTensor, Kind
 _KINDS = {"mv": Kind.MV, "form": Kind.FORM, "mixed": Kind.MIXED, "sym": Kind.SYM}
 _KIND_NAMES = {kind: name for name, kind in _KINDS.items()}
 _SUITE_KEYS = ("seed", "trials", "max_degree")
+#: Smallest accepted value of each bounded suite setting.
+_SUITE_MINIMA = {"trials": 1, "max_degree": 0}
 
 
 class Model:
@@ -276,6 +278,10 @@ def _decode_suite(body):
             value = body[key]
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ParseError(f"suite.{key}: expected an integer")
+            minimum = _SUITE_MINIMA.get(key)
+            if minimum is not None and value < minimum:
+                raise ParseError(
+                    f"suite.{key}: expected at least {minimum}, got {value}")
             out[key] = value
     return out
 

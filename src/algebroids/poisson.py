@@ -287,18 +287,14 @@ def r_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
     k = mu.degree
     if k == 0:
         return GradedTensor.zero(ps.owner, Kind.MIXED, 0)
-    out = GradedTensor.zero(ps.owner, Kind.MIXED, k - 1)
+    terms = []
     for key, coeff in mu.terms.items():
         for r, u in enumerate(key):
-            row = ps.row(u)
-            if row.is_zero():
-                continue
             rest = key[:r] + key[r + 1:]
             signed = coeff if r % 2 == 0 else -coeff
-            for (v,), weight in row.terms.items():
-                out = out + GradedTensor(ps.owner, Kind.MIXED, k - 1,
-                                         {(rest, v): signed * weight})
-    return out
+            terms.extend(((rest, v), signed * weight)
+                         for (v,), weight in ps.row(u).terms.items())
+    return GradedTensor(ps.owner, Kind.MIXED, k - 1, terms)
 
 
 def h_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:

@@ -20,8 +20,9 @@ Expression syntax accepted by :func:`parse_poly`::
 Whitespace is ignored; there is *no* implicit multiplication (``2x`` and
 ``x y`` are syntax errors, write ``2*x``).  A leading ``-`` binds only to an
 integer literal, so ``-x`` must be written ``-1*x`` (the canonical printer
-does exactly that).  :func:`poly_to_string` emits a canonical form that
-:func:`parse_poly` maps back to the identical term dict.
+does exactly that).  Digits are ASCII only, and parentheses nest at most
+:data:`MAX_NESTING_DEPTH` deep.  :func:`poly_to_string` emits a canonical
+form that :func:`parse_poly` maps back to the identical term dict.
 """
 
 from __future__ import annotations
@@ -356,8 +357,13 @@ def eval_at(p: Poly, point: Mapping[str, Scalar]) -> Fraction:
 
 # -- parsing -----------------------------------------------------------------
 
+#: Deepest parenthesis nesting :func:`parse_poly` accepts.  The parser
+#: recurses once per level, so the bound keeps hostile input from exhausting
+#: the interpreter stack.
+MAX_NESTING_DEPTH = 100
+
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
 )
 
 
@@ -391,6 +397,7 @@ class _Parser:
         self.chart = chart
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -472,9 +479,14 @@ class _Parser:
                 )
             return self.chart.coordinate(value)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING_DEPTH:
+                raise PolySyntaxError(
+                    f"parentheses nest deeper than {MAX_NESTING_DEPTH}", position=at)
+            self.depth += 1
             self.advance()
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise PolySyntaxError("expected a rational, coordinate, or '('", position=at)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from functools import partial
 
 from . import tensor as _tensor_conventions
 from .algebroid import (
@@ -44,7 +45,7 @@ from .calculus import (
     schouten,
     sym_schouten,
 )
-from .errors import NotInvertible, UnknownName
+from .errors import NotInvertible, UnknownName, ValidationError
 from .lifts import (
     G_map,
     H_map,
@@ -213,8 +214,9 @@ class _Run:
 
     def identity(self, item_id, label, instances):
         """``instances`` yields (fixture, inputs, residual) — or a tuple of
-        residuals of unlike degrees; the item fails on the first nonzero
-        residual and freezes it as a witness."""
+        residuals, the components of one identity, each of which must vanish
+        on its own; the item fails on the first nonzero residual and freezes
+        it as a witness."""
         rng = self.rng(f"{item_id}/witness")
         checked = 0
         witness = None
@@ -258,6 +260,22 @@ class _Run:
         return {"suite": self.suite, "title": self.title, "seed": self.seed,
                 "trials": self.trials, "status": status,
                 "notes": self.notes, "items": self.items}
+
+
+def _tangent_lifts(A):
+    """The vertical and complete lifts over ``A`` as maps of plain tensors."""
+    return (lambda t: vertical_lift_V(A, t).tensor,
+            lambda t: complete_lift_T(A, t).tensor)
+
+
+def _vt_table(op, base, x, y, V, T):
+    """The V/T table of a bilinear ``op`` as its four residuals:
+    op(Vx, Vy) = 0, op(Vx, Ty) = op(Tx, Vy) = V(base), op(Tx, Ty) = T(base),
+    where ``op`` acts on the lift and ``base`` is the same op on x and y."""
+    vx, tx, vy, ty = V(x), T(x), V(y), T(y)
+    v_base = V(base)
+    return (op(vx, vy), op(vx, ty) - v_base, op(tx, vy) - v_base,
+            op(tx, ty) - T(base))
 
 
 def _velocity(coeff, source, target):
@@ -797,7 +815,7 @@ def _suite_theorem_8(run):
                 pulled = GradedTensor(TL, Kind.MV, 0, {(): f.transport(TL.base)})
                 drift = GradedTensor(TL, Kind.MV, 0,
                                      {(): _velocity(f, A.base, TL.base)})
-                yield name, {"V(f)": vf, "T(f)": tf}, (vf - pulled) + (tf - drift)
+                yield name, {"V(f)": vf, "T(f)": tf}, (vf - pulled, tf - drift)
 
     run.identity("function-lifts",
                  "V(f) is the pullback; T(f) is the velocity derivative",
@@ -817,7 +835,7 @@ def _suite_theorem_8(run):
                 residual_t = (complete_lift_T(A, fx).tensor
                               - vertical_lift_V(A, x).tensor * tf
                               - complete_lift_T(A, x).tensor * vf)
-                yield name, {"x": x}, residual_v + residual_t
+                yield name, {"x": x}, (residual_v, residual_t)
 
     run.identity("module-laws",
                  "V(fX) = V(f)V(X) and T(fX) = T(f)V(X) + V(f)T(X)",
@@ -844,7 +862,7 @@ def _suite_theorem_9(run):
                                         vertical_lift_V(A, t).tensor)
                               - product(vertical_lift_V(A, s).tensor,
                                         complete_lift_T(A, t).tensor))
-                yield name, {"s": s, "t": t}, residual_v + residual_t
+                yield name, {"s": s, "t": t}, (residual_v, residual_t)
 
     run.identity("wedge-leibniz", "V/T Leibniz pair on multivector wedges",
                  products(Kind.MV, wedge, "wedge-leibniz"))
@@ -873,7 +891,7 @@ def _suite_theorem_10(run):
                               - classical_vertical_lift(anchor_apply(A, x)))
                 residual_t = (anchor_apply(TL, complete_lift_T(A, x).tensor)
                               - classical_complete_lift(anchor_apply(A, x)))
-                yield name, {"x": x}, residual_v + residual_t
+                yield name, {"x": x}, (residual_v, residual_t)
 
     run.identity("anchor-intertwines",
                  "anchor∘V = v_T∘anchor and anchor∘T = d_T∘anchor",
@@ -889,19 +907,12 @@ def _suite_theorem_11(run):
         rng = run.rng(item_id)
         for name, A in fixtures:
             TL = tangent_lift(A)
+            V, T = _tangent_lifts(A)
             for _ in range(per):
                 x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
                 y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
-                vx = vertical_lift_V(A, x).tensor
-                vy = vertical_lift_V(A, y).tensor
-                tx = complete_lift_T(A, x).tensor
-                ty = complete_lift_T(A, y).tensor
-                br = schouten(A, x, y)
-                residual = (schouten(TL, vx, vy)
-                            + (schouten(TL, vx, ty) - vertical_lift_V(A, br).tensor)
-                            + (schouten(TL, tx, vy) - vertical_lift_V(A, br).tensor)
-                            + (schouten(TL, tx, ty) - complete_lift_T(A, br).tensor))
-                yield name, {"x": x, "y": y}, residual
+                yield name, {"x": x, "y": y}, _vt_table(
+                    partial(schouten, TL), schouten(A, x, y), x, y, V, T)
 
     run.identity("schouten-table",
                  "[VV]=0, [VT]=[TV]=V[,], [TT]=T[,]", table("schouten-table"))
@@ -910,22 +921,12 @@ def _suite_theorem_11(run):
         rng = run.rng(item_id)
         for name, A in fixtures:
             TL = tangent_lift(A)
+            V, T = _tangent_lifts(A)
             for _ in range(per):
                 x = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
                 y = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
-                vx = vertical_lift_V(A, x).tensor
-                vy = vertical_lift_V(A, y).tensor
-                tx = complete_lift_T(A, x).tensor
-                ty = complete_lift_T(A, y).tensor
-                br = sym_schouten(A, x, y)
-                residual = (sym_schouten(TL, vx, vy)
-                            + (sym_schouten(TL, tx, vy)
-                               - vertical_lift_V(A, br).tensor)
-                            + (sym_schouten(TL, vx, ty)
-                               - vertical_lift_V(A, br).tensor)
-                            + (sym_schouten(TL, tx, ty)
-                               - complete_lift_T(A, br).tensor))
-                yield name, {"x": x, "y": y}, residual
+                yield name, {"x": x, "y": y}, _vt_table(
+                    partial(sym_schouten, TL), sym_schouten(A, x, y), x, y, V, T)
 
     run.identity("sym-schouten-table",
                  "the same table for the symmetric bracket",
@@ -940,19 +941,12 @@ def _suite_theorem_12(run):
     def contraction(item_id):
         rng = run.rng(item_id)
         for name, A in fixtures:
+            V, T = _tangent_lifts(A)
             for _ in range(per):
                 x = run.draw(rng, A, Kind.MV, 1)
                 mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-                vx = vertical_lift_V(A, x).tensor
-                tx = complete_lift_T(A, x).tensor
-                vm = vertical_lift_V(A, mu).tensor
-                tm = complete_lift_T(A, mu).tensor
-                ix = contract(x, mu)
-                residual = (contract(vx, vm)
-                            + (contract(vx, tm) - vertical_lift_V(A, ix).tensor)
-                            + (contract(tx, vm) - vertical_lift_V(A, ix).tensor)
-                            + (contract(tx, tm) - complete_lift_T(A, ix).tensor))
-                yield name, {"x": x, "mu": mu}, residual
+                yield name, {"x": x, "mu": mu}, _vt_table(
+                    contract, contract(x, mu), x, mu, V, T)
 
     run.identity("contraction-table",
                  "i_{V/T} on V/T-lifted forms", contraction("contraction-table"))
@@ -966,11 +960,9 @@ def _suite_theorem_12(run):
                 vm = vertical_lift_V(A, mu).tensor
                 tm = complete_lift_T(A, mu).tensor
                 dmu = differential(A, mu)
-                residual = ((differential(TL, vm)
-                             - vertical_lift_V(A, dmu).tensor)
-                            + (differential(TL, tm)
-                               - complete_lift_T(A, dmu).tensor))
-                yield name, {"mu": mu}, residual
+                yield name, {"mu": mu}, (
+                    differential(TL, vm) - vertical_lift_V(A, dmu).tensor,
+                    differential(TL, tm) - complete_lift_T(A, dmu).tensor)
 
     run.identity("differential-table", "d∘V = V∘d and d∘T = T∘d",
                  differential_table("differential-table"))
@@ -979,22 +971,13 @@ def _suite_theorem_12(run):
         rng = run.rng(item_id)
         for name, A in fixtures:
             TL = tangent_lift(A)
+            V, T = _tangent_lifts(A)
             for _ in range(per):
                 x = run.draw(rng, A, Kind.MV, 1)
                 mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-                vx = vertical_lift_V(A, x).tensor
-                tx = complete_lift_T(A, x).tensor
-                vm = vertical_lift_V(A, mu).tensor
-                tm = complete_lift_T(A, mu).tensor
-                lx = lie_derivative(A, x, mu)
-                residual = (lie_derivative(TL, vx, vm)
-                            + (lie_derivative(TL, vx, tm)
-                               - vertical_lift_V(A, lx).tensor)
-                            + (lie_derivative(TL, tx, vm)
-                               - vertical_lift_V(A, lx).tensor)
-                            + (lie_derivative(TL, tx, tm)
-                               - complete_lift_T(A, lx).tensor))
-                yield name, {"x": x, "mu": mu}, residual
+                yield name, {"x": x, "mu": mu}, _vt_table(
+                    partial(lie_derivative, TL), lie_derivative(A, x, mu),
+                    x, mu, V, T)
 
     run.identity("lie-table", "L_{V/T} on V/T-lifted forms",
                  lie_table("lie-table"))
@@ -1008,19 +991,12 @@ def _suite_theorem_13(run):
     def table(item_id):
         rng = run.rng(item_id)
         for name, A in fixtures:
+            V, T = _tangent_lifts(A)
             for _ in range(per):
                 k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
                 l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                vk = vertical_lift_V(A, k).tensor
-                vl = vertical_lift_V(A, l).tensor
-                tk = complete_lift_T(A, k).tensor
-                tl = complete_lift_T(A, l).tensor
-                br = nr_bracket(k, l)
-                residual = (nr_bracket(vk, vl)
-                            + (nr_bracket(vk, tl) - vertical_lift_V(A, br).tensor)
-                            + (nr_bracket(tk, vl) - vertical_lift_V(A, br).tensor)
-                            + (nr_bracket(tk, tl) - complete_lift_T(A, br).tensor))
-                yield name, {"K": k, "L": l}, residual
+                yield name, {"K": k, "L": l}, _vt_table(
+                    nr_bracket, nr_bracket(k, l), k, l, V, T)
 
     run.identity("nr-table", "the V/T table for the N-R bracket",
                  table("nr-table"))
@@ -1035,22 +1011,12 @@ def _suite_theorem_14(run):
         rng = run.rng(item_id)
         for name, A in fixtures:
             TL = tangent_lift(A)
+            V, T = _tangent_lifts(A)
             for _ in range(per):
                 k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
                 l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                vk = vertical_lift_V(A, k).tensor
-                vl = vertical_lift_V(A, l).tensor
-                tk = complete_lift_T(A, k).tensor
-                tl = complete_lift_T(A, l).tensor
-                br = fn_bracket(A, k, l)
-                residual = (fn_bracket(TL, vk, vl)
-                            + (fn_bracket(TL, vk, tl)
-                               - vertical_lift_V(A, br).tensor)
-                            + (fn_bracket(TL, tk, vl)
-                               - vertical_lift_V(A, br).tensor)
-                            + (fn_bracket(TL, tk, tl)
-                               - complete_lift_T(A, br).tensor))
-                yield name, {"K": k, "L": l}, residual
+                yield name, {"K": k, "L": l}, _vt_table(
+                    partial(fn_bracket, TL), fn_bracket(A, k, l), k, l, V, T)
 
     run.identity("fn-table", "the V/T table for the F-N bracket",
                  table("fn-table"))
@@ -1353,11 +1319,11 @@ def _suite_theorem_19(run):
             chart = A.base
             for _ in range(per):
                 x = run.draw(rng, A, Kind.MV, 1)
-                residual = ((canonical_transport("kappa", vertical_lift_V(A, x))
-                             - _direct_vertical_vector(chart, x))
-                            + (canonical_transport("kappa", complete_lift_T(A, x))
-                               - _direct_complete_vector(chart, x)))
-                yield name, {"x": x}, residual
+                yield name, {"x": x}, (
+                    canonical_transport("kappa", vertical_lift_V(A, x))
+                    - _direct_vertical_vector(chart, x),
+                    canonical_transport("kappa", complete_lift_T(A, x))
+                    - _direct_complete_vector(chart, x))
 
     run.identity("vectors", "kappa∘V = v_T and kappa∘T = d_T on vector fields",
                  vectors("vectors"))
@@ -1370,11 +1336,11 @@ def _suite_theorem_19(run):
                 continue
             for _ in range(per):
                 p = run.draw(rng, A, Kind.MV, 2)
-                residual = ((canonical_transport("kappa", vertical_lift_V(A, p))
-                             - _direct_vertical_bivector(chart, p))
-                            + (canonical_transport("kappa", complete_lift_T(A, p))
-                               - _direct_complete_bivector(chart, p)))
-                yield name, {"p": p}, residual
+                yield name, {"p": p}, (
+                    canonical_transport("kappa", vertical_lift_V(A, p))
+                    - _direct_vertical_bivector(chart, p),
+                    canonical_transport("kappa", complete_lift_T(A, p))
+                    - _direct_complete_bivector(chart, p))
 
     run.identity("bivectors", "the same on bivectors", bivectors("bivectors"))
 
@@ -1385,11 +1351,11 @@ def _suite_theorem_19(run):
             for _ in range(per):
                 mu = run.draw(rng, A, Kind.FORM,
                               rng.choice([1, min(2, A.rank)]))
-                residual = ((canonical_transport("alpha", vertical_lift_V(A, mu))
-                             - _direct_vertical_form(chart, mu))
-                            + (canonical_transport("alpha", complete_lift_T(A, mu))
-                               - _direct_complete_form(chart, mu)))
-                yield name, {"mu": mu}, residual
+                yield name, {"mu": mu}, (
+                    canonical_transport("alpha", vertical_lift_V(A, mu))
+                    - _direct_vertical_form(chart, mu),
+                    canonical_transport("alpha", complete_lift_T(A, mu))
+                    - _direct_complete_form(chart, mu))
 
     run.identity("forms", "alpha∘V = v_T and alpha∘T = d_T on forms",
                  forms("forms"))
@@ -1469,6 +1435,7 @@ def _suite_theorem_21(run):
     """The classical-lift tables on the canonical case."""
     fixtures = run.canonical()
     per = run.share(len(fixtures) or 1)
+    V, T = classical_vertical_lift, classical_complete_lift
 
     def schouten_table(item_id):
         rng = run.rng(item_id)
@@ -1477,16 +1444,8 @@ def _suite_theorem_21(run):
             for _ in range(per):
                 x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
                 y = run.draw(rng, A, Kind.MV, 1)
-                br = schouten(A, x, y)
-                residual = (schouten(target, classical_vertical_lift(x),
-                                     classical_vertical_lift(y))
-                            + (schouten(target, classical_complete_lift(x),
-                                        classical_vertical_lift(y))
-                               - classical_vertical_lift(br))
-                            + (schouten(target, classical_complete_lift(x),
-                                        classical_complete_lift(y))
-                               - classical_complete_lift(br)))
-                yield name, {"x": x, "y": y}, residual
+                yield name, {"x": x, "y": y}, _vt_table(
+                    partial(schouten, target), schouten(A, x, y), x, y, V, T)
 
     run.identity("schouten-table", "the v_T/d_T Schouten table",
                  schouten_table("schouten-table"))
@@ -1498,25 +1457,10 @@ def _suite_theorem_21(run):
             for _ in range(per):
                 k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
                 l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                nr = nr_bracket(k, l)
-                fn = fn_bracket(A, k, l)
                 yield name, {"K": k, "L": l}, (
-                    nr_bracket(classical_vertical_lift(k),
-                               classical_vertical_lift(l)),
-                    nr_bracket(classical_complete_lift(k),
-                               classical_vertical_lift(l))
-                    - classical_vertical_lift(nr),
-                    nr_bracket(classical_complete_lift(k),
-                               classical_complete_lift(l))
-                    - classical_complete_lift(nr),
-                    fn_bracket(target, classical_vertical_lift(k),
-                               classical_vertical_lift(l)),
-                    fn_bracket(target, classical_complete_lift(k),
-                               classical_vertical_lift(l))
-                    - classical_vertical_lift(fn),
-                    fn_bracket(target, classical_complete_lift(k),
-                               classical_complete_lift(l))
-                    - classical_complete_lift(fn))
+                    _vt_table(nr_bracket, nr_bracket(k, l), k, l, V, T)
+                    + _vt_table(partial(fn_bracket, target), fn_bracket(A, k, l),
+                                k, l, V, T))
 
     run.identity("mixed-tables", "the v_T/d_T tables for N-R and F-N",
                  mixed_tables("mixed-tables"))
@@ -1528,30 +1472,13 @@ def _suite_theorem_21(run):
             for _ in range(per):
                 x = run.draw(rng, A, Kind.MV, 1)
                 mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-                ix = contract(x, mu)
                 dmu = differential(A, mu)
-                lx = lie_derivative(A, x, mu)
                 yield name, {"x": x, "mu": mu}, (
-                    contract(classical_vertical_lift(x),
-                             classical_vertical_lift(mu)),
-                    contract(classical_complete_lift(x),
-                             classical_vertical_lift(mu))
-                    - classical_vertical_lift(ix),
-                    contract(classical_complete_lift(x),
-                             classical_complete_lift(mu))
-                    - classical_complete_lift(ix),
-                    differential(target, classical_vertical_lift(mu))
-                    - classical_vertical_lift(dmu),
-                    differential(target, classical_complete_lift(mu))
-                    - classical_complete_lift(dmu),
-                    lie_derivative(target, classical_vertical_lift(x),
-                                   classical_vertical_lift(mu)),
-                    lie_derivative(target, classical_complete_lift(x),
-                                   classical_vertical_lift(mu))
-                    - classical_vertical_lift(lx),
-                    lie_derivative(target, classical_complete_lift(x),
-                                   classical_complete_lift(mu))
-                    - classical_complete_lift(lx))
+                    _vt_table(contract, contract(x, mu), x, mu, V, T)
+                    + (differential(target, V(mu)) - V(dmu),
+                       differential(target, T(mu)) - T(dmu))
+                    + _vt_table(partial(lie_derivative, target),
+                                lie_derivative(A, x, mu), x, mu, V, T))
 
     run.identity("cartan-tables", "the v_T/d_T tables for i, d and L",
                  cartan_tables("cartan-tables"))
@@ -1909,6 +1836,8 @@ def run_suite(name, model=None, seed=None, trials=None) -> dict:
         seed = model.suite.get("seed", DEFAULT_SEED)
     if trials is None:
         trials = model.suite.get("trials", DEFAULT_TRIALS)
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     coeff_degree = model.suite.get("max_degree", 2)
     title, runner = SUITES[name]
     run = _Run(name, title, model, seed, trials, coeff_degree)

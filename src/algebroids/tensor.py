@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import ChartMismatch, DimensionMismatch, KindMismatch
@@ -84,31 +84,26 @@ class GradedTensor:
         self.owner = owner
         self.kind = kind
         self.degree = degree
-        normalized: Dict[Key, Poly] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        self.terms = _accumulate(self._signed_terms(items))
+        self._hash = None
+
+    def _signed_terms(self, items):
+        """Coerce each coefficient onto the owner's base and each key to its
+        canonical form, folding the key's sign into the coefficient."""
         for key, coeff in items:
             if isinstance(coeff, str):
-                coeff = parse_poly(coeff, owner.base)
+                coeff = parse_poly(coeff, self.owner.base)
             elif isinstance(coeff, (int, Fraction)):
-                coeff = owner.base.const(coeff)
-            elif coeff.chart != owner.base:
+                coeff = self.owner.base.const(coeff)
+            elif coeff.chart != self.owner.base:
                 raise ChartMismatch(
                     f"coefficient over {coeff.chart.coords!r}, owner base is "
-                    f"{owner.base.coords!r}"
+                    f"{self.owner.base.coords!r}"
                 )
             key, sign = self._normalize_key(key)
-            if key is None or coeff.is_zero():
-                continue
-            if sign < 0:
-                coeff = -coeff
-            acc = normalized.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                normalized.pop(key, None)
-            else:
-                normalized[key] = acc
-        self.terms = normalized
-        self._hash = None
+            if key is not None:
+                yield key, (coeff if sign > 0 else -coeff)
 
     def _normalize_key(self, key):
         rank = self.owner.rank
@@ -139,6 +134,14 @@ class GradedTensor:
         return _sort_skew(key) or (None, 1)
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _make(cls, owner, kind: Kind, degree: int, terms: Dict[Key, Poly]) -> "GradedTensor":
+        # Internal fast path: `terms` must already be canonical and nonzero.
+        self = object.__new__(cls)
+        self.owner, self.kind, self.degree, self.terms, self._hash = (
+            owner, kind, degree, terms, None)
+        return self
 
     @classmethod
     def zero(cls, owner, kind: Kind, degree: int) -> "GradedTensor":
@@ -192,24 +195,12 @@ class GradedTensor:
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
         self._check_compatible(other)
         degree = self.degree if self.terms or not other.terms else other.degree
-        result = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = result.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                result.pop(key, None)
-            else:
-                result[key] = acc
-        out = GradedTensor.__new__(GradedTensor)
-        out.owner, out.kind, out.degree, out.terms, out._hash = (
-            self.owner, self.kind, degree, result, None)
-        return out
+        terms = _accumulate(chain(self.terms.items(), other.terms.items()))
+        return GradedTensor._make(self.owner, self.kind, degree, terms)
 
     def __neg__(self) -> "GradedTensor":
-        out = GradedTensor.__new__(GradedTensor)
-        out.owner, out.kind, out.degree, out._hash = self.owner, self.kind, self.degree, None
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return GradedTensor._make(self.owner, self.kind, self.degree,
+                                  {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "GradedTensor") -> "GradedTensor":
         return self + (-other)
@@ -227,10 +218,7 @@ class GradedTensor:
             acc = coeff * scalar
             if not acc.is_zero():
                 result[key] = acc
-        out = GradedTensor.__new__(GradedTensor)
-        out.owner, out.kind, out.degree, out.terms, out._hash = (
-            self.owner, self.kind, self.degree, result, None)
-        return out
+        return GradedTensor._make(self.owner, self.kind, self.degree, result)
 
     __rmul__ = __mul__
 
@@ -262,12 +250,62 @@ def equals(s: GradedTensor, t: GradedTensor) -> bool:
     return s == t
 
 
+def _accumulate(pairs: Iterable[Tuple[Key, Poly]]) -> Dict[Key, Poly]:
+    """Sum (key, coefficient) pairs into a term map, dropping every key whose
+    coefficients cancel to zero.  The one accumulation loop of the package."""
+    acc: Dict[Key, Poly] = {}
+    for key, coeff in pairs:
+        prev = acc.get(key)
+        prev = coeff if prev is None else prev + coeff
+        if prev.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = prev
+    return acc
+
+
 # -- products -----------------------------------------------------------------
+
+def _product(s: GradedTensor, t: GradedTensor, merge, kind: Kind,
+             degree: int) -> GradedTensor:
+    """The bilinear extension of a product of basis keys.
+
+    ``merge(ka, kb)`` returns the product key with its sign, or None when the
+    basis product vanishes.
+    """
+    def pairs():
+        for ka, ca in s.terms.items():
+            for kb, cb in t.terms.items():
+                hit = merge(ka, kb)
+                if hit is not None:
+                    key, sign = hit
+                    yield key, (ca * cb if sign > 0 else -(ca * cb))
+    return GradedTensor._make(s.owner, kind, degree, _accumulate(pairs()))
+
 
 def _merge_skew(a: Tuple[int, ...], b: Tuple[int, ...]):
     """Concatenate two strictly increasing tuples; (merged, sign) or None."""
-    merged = _sort_skew(a + b)
-    return merged
+    return _sort_skew(a + b)
+
+
+def _merge_form_mixed(a, b):
+    """mu ∧ (theta⊗X): the bundle factor of the right operand rides along."""
+    merged = _merge_skew(a, b[0])
+    return None if merged is None else ((merged[0], b[1]), merged[1])
+
+
+def _merge_mixed_form(a, b):
+    """(theta⊗X) ∧ mu: the bundle factor of the left operand rides along."""
+    merged = _merge_skew(a[0], b)
+    return None if merged is None else ((merged[0], a[1]), merged[1])
+
+
+_WEDGES = {
+    (Kind.MV, Kind.MV): (_merge_skew, Kind.MV),
+    (Kind.FORM, Kind.FORM): (_merge_skew, Kind.FORM),
+    (Kind.FORM, Kind.MIXED): (_merge_form_mixed, Kind.MIXED),
+    (Kind.MIXED, Kind.FORM): (_merge_mixed_form, Kind.MIXED),
+}
 
 
 def wedge(s: GradedTensor, t: GradedTensor) -> GradedTensor:
@@ -278,64 +316,15 @@ def wedge(s: GradedTensor, t: GradedTensor) -> GradedTensor:
     """
     if s.owner != t.owner:
         raise ChartMismatch("wedge operands live over different owners")
-    pair = (s.kind, t.kind)
-    if pair in ((Kind.MV, Kind.MV), (Kind.FORM, Kind.FORM)):
-        out = GradedTensor.zero(s.owner, s.kind, s.degree + t.degree)
-        acc: Dict[Key, Poly] = {}
-        for ka, ca in s.terms.items():
-            for kb, cb in t.terms.items():
-                merged = _merge_skew(ka, kb)
-                if merged is None:
-                    continue
-                key, sign = merged
-                coeff = ca * cb if sign > 0 else -(ca * cb)
-                prev = acc.get(key)
-                prev = coeff if prev is None else prev + coeff
-                if prev.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = prev
-        out.terms = acc
-        return out
-    if pair == (Kind.FORM, Kind.MIXED):
-        result = GradedTensor.zero(s.owner, Kind.MIXED, s.degree + t.degree)
-        acc = {}
-        for ka, ca in s.terms.items():
-            for (kb, fiber), cb in t.terms.items():
-                merged = _merge_skew(ka, kb)
-                if merged is None:
-                    continue
-                key, sign = merged
-                coeff = ca * cb if sign > 0 else -(ca * cb)
-                full = (key, fiber)
-                prev = acc.get(full)
-                prev = coeff if prev is None else prev + coeff
-                if prev.is_zero():
-                    acc.pop(full, None)
-                else:
-                    acc[full] = prev
-        result.terms = acc
-        return result
-    if pair == (Kind.MIXED, Kind.FORM):
-        result = GradedTensor.zero(s.owner, Kind.MIXED, s.degree + t.degree)
-        acc = {}
-        for (ka, fiber), ca in s.terms.items():
-            for kb, cb in t.terms.items():
-                merged = _merge_skew(ka, kb)
-                if merged is None:
-                    continue
-                key, sign = merged
-                coeff = ca * cb if sign > 0 else -(ca * cb)
-                full = (key, fiber)
-                prev = acc.get(full)
-                prev = coeff if prev is None else prev + coeff
-                if prev.is_zero():
-                    acc.pop(full, None)
-                else:
-                    acc[full] = prev
-        result.terms = acc
-        return result
-    raise KindMismatch(f"cannot wedge {s.describe()} with {t.describe()}")
+    rule = _WEDGES.get((s.kind, t.kind))
+    if rule is None:
+        raise KindMismatch(f"cannot wedge {s.describe()} with {t.describe()}")
+    merge, kind = rule
+    return _product(s, t, merge, kind, s.degree + t.degree)
+
+
+def _merge_sym(a: Tuple[int, ...], b: Tuple[int, ...]):
+    return tuple(sorted(a + b)), 1
 
 
 def sym_product(s: GradedTensor, t: GradedTensor) -> GradedTensor:
@@ -344,20 +333,7 @@ def sym_product(s: GradedTensor, t: GradedTensor) -> GradedTensor:
     s, t = as_sym(s), as_sym(t)
     if s.owner != t.owner:
         raise ChartMismatch("sym operands live over different owners")
-    out = GradedTensor.zero(s.owner, Kind.SYM, s.degree + t.degree)
-    acc: Dict[Key, Poly] = {}
-    for ka, ca in s.terms.items():
-        for kb, cb in t.terms.items():
-            key = tuple(sorted(ka + kb))
-            coeff = ca * cb
-            prev = acc.get(key)
-            prev = coeff if prev is None else prev + coeff
-            if prev.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = prev
-    out.terms = acc
-    return out
+    return _product(s, t, _merge_sym, Kind.SYM, s.degree + t.degree)
 
 
 # -- kind coercions -----------------------------------------------------------
@@ -429,24 +405,8 @@ def contract(x: GradedTensor, mu: GradedTensor, order: str | None = None) -> Gra
         raise KindMismatch(f"unknown contraction order {order!r}")
     if x.degree > mu.degree:
         return GradedTensor.zero(x.owner, Kind.FORM, 0)
-    out_degree = mu.degree - x.degree
-    acc: Dict[Key, Poly] = {}
-    for kx, cx in x.terms.items():
-        for km, cm in mu.terms.items():
-            hit = _contract_key(kx, km, order)
-            if hit is None:
-                continue
-            key, sign = hit
-            coeff = cx * cm if sign > 0 else -(cx * cm)
-            prev = acc.get(key)
-            prev = coeff if prev is None else prev + coeff
-            if prev.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = prev
-    out = GradedTensor.zero(x.owner, Kind.FORM, out_degree)
-    out.terms = acc
-    return out
+    return _product(x, mu, lambda kx, km: _contract_key(kx, km, order),
+                    Kind.FORM, mu.degree - x.degree)
 
 
 def contract_mixed(k: GradedTensor, t: GradedTensor) -> GradedTensor:
@@ -458,56 +418,25 @@ def contract_mixed(k: GradedTensor, t: GradedTensor) -> GradedTensor:
         raise KindMismatch(f"expected a mixed tensor, got {k.describe()}")
     if k.owner != t.owner:
         raise ChartMismatch("contract operands live over different owners")
-    if t.kind is Kind.FORM:
-        if t.degree == 0:
-            return GradedTensor.zero(t.owner, Kind.FORM, 0)
-        acc: Dict[Key, Poly] = {}
-        for (km, fiber), ck in k.terms.items():
-            for kt, ct in t.terms.items():
-                step = _insert_index(kt, fiber)
-                if step is None:
-                    continue
-                reduced, s1 = step
-                merged = _merge_skew(km, reduced)
-                if merged is None:
-                    continue
-                key, s2 = merged
-                coeff = ck * ct * (s1 * s2)
-                prev = acc.get(key)
-                prev = coeff if prev is None else prev + coeff
-                if prev.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = prev
-        out = GradedTensor.zero(t.owner, Kind.FORM, t.degree + k.degree - 1)
-        out.terms = acc
-        return out
-    if t.kind is Kind.MIXED:
-        if t.degree == 0:
-            return GradedTensor.zero(t.owner, Kind.MIXED, 0)
-        acc = {}
-        for (km, fiber), ck in k.terms.items():
-            for (kt, tf), ct in t.terms.items():
-                step = _insert_index(kt, fiber)
-                if step is None:
-                    continue
-                reduced, s1 = step
-                merged = _merge_skew(km, reduced)
-                if merged is None:
-                    continue
-                key, s2 = merged
-                coeff = ck * ct * (s1 * s2)
-                full = (key, tf)
-                prev = acc.get(full)
-                prev = coeff if prev is None else prev + coeff
-                if prev.is_zero():
-                    acc.pop(full, None)
-                else:
-                    acc[full] = prev
-        out = GradedTensor.zero(t.owner, Kind.MIXED, t.degree + k.degree - 1)
-        out.terms = acc
-        return out
-    raise KindMismatch(f"cannot contract a mixed tensor into {t.describe()}")
+    if t.kind not in (Kind.FORM, Kind.MIXED):
+        raise KindMismatch(f"cannot contract a mixed tensor into {t.describe()}")
+    if t.degree == 0:
+        return GradedTensor.zero(t.owner, t.kind, 0)
+    mixed_target = t.kind is Kind.MIXED
+
+    def merge(kk, kt):
+        km, fiber = kk
+        step = _insert_index(kt[0] if mixed_target else kt, fiber)
+        if step is None:
+            return None
+        reduced, s1 = step
+        merged = _merge_skew(km, reduced)
+        if merged is None:
+            return None
+        key, s2 = merged
+        return ((key, kt[1]) if mixed_target else key), s1 * s2
+
+    return _product(k, t, merge, t.kind, t.degree + k.degree - 1)
 
 
 def evaluate(mu: GradedTensor, sections: Sequence[GradedTensor]) -> Poly:
@@ -538,15 +467,14 @@ def remap(t: GradedTensor, new_owner, fiber_map: Mapping[int, int],
     coordinate name → new name, identity by default).  Skew keys re-sort and
     pick up signs as usual.
     """
-    out = GradedTensor.zero(new_owner, t.kind, t.degree)
-    for key, coeff in t.terms.items():
-        moved = coeff.transport(new_owner.base, coord_map)
+    def moved(key):
         if t.kind is Kind.MIXED:
-            new_key = (tuple(fiber_map[i] for i in key[0]), fiber_map[key[1]])
-        else:
-            new_key = tuple(fiber_map[i] for i in key)
-        out = out + GradedTensor(new_owner, t.kind, t.degree, {new_key: moved})
-    return out
+            return (tuple(fiber_map[i] for i in key[0]), fiber_map[key[1]])
+        return tuple(fiber_map[i] for i in key)
+
+    return GradedTensor(new_owner, t.kind, t.degree,
+                        [(moved(key), coeff.transport(new_owner.base, coord_map))
+                         for key, coeff in t.terms.items()])
 
 
 # -- enumeration / randomness -------------------------------------------------

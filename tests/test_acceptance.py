@@ -12,6 +12,7 @@ Each test asserts its wall-clock budget, so a pathological slowdown fails
 the gate rather than just dragging it out.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -245,9 +246,21 @@ def test_criterion_11_dual_route_lift():
     _finish(11, "both routes to the dual complete lift agree", started, 60)
 
 
+#: SHA-256 of each shipped model's `suite --name all` report with its
+#: `timing` field removed, re-serialized the way the CLI prints it.  A change
+#: that alters any suite's items, labels, counts or draws changes a digest;
+#: record new digests only for a deliberate change to the reports.
+REPORT_DIGESTS = {
+    "fixtures/standard.json":
+        "f1c23520804e38521bb6a68cffcf575682c02193897a82099797cec963bde758",
+    "fixtures/so3.json":
+        "1e044e551f4c0e9b120755e0360ef503df708622d6b80be422e4823fc6132d12",
+}
+
+
 def test_criterion_12_cli_full_run():
     started = time.perf_counter()
-    for path in ("fixtures/standard.json", "fixtures/so3.json"):
+    for path, digest in REPORT_DIGESTS.items():
         proc = subprocess.run(
             [sys.executable, "-m", "algebroids", "suite", "--name", "all",
              "--model", path],
@@ -256,5 +269,8 @@ def test_criterion_12_cli_full_run():
         report = json.loads(proc.stdout)
         assert report["status"] == "pass"
         assert len(report["items"]) == 28
-    _finish(12, "`suite --name all` over the shipped models exits 0",
-            started, 900)
+        del report["timing"]
+        text = json.dumps(report, indent=2, ensure_ascii=False)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, path
+    _finish(12, "`suite --name all` over the shipped models exits 0 with "
+            "the recorded reports", started, 900)

@@ -81,6 +81,36 @@ def test_broken_model_file_is_an_input_error(capsys):
     assert "error" in err
 
 
+def test_nonpositive_trials_are_an_input_error(capsys):
+    code, report, _ = run_cli(capsys, "suite", "--name", "theorem-24",
+                              "--trials", "-5")
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("anchor, document", [
+    # a polynomial nested past the parser's bound
+    ("(" * 3000 + "x" + ")" * 3000, None),
+    # JSON nested past the interpreter's recursion limit
+    (None, "[" * 100000 + "]" * 100000),
+], ids=["polynomial", "json"])
+def test_deep_nesting_is_an_input_error(tmp_path, anchor, document):
+    if document is None:
+        document = json.dumps({
+            "charts": {"line": ["x"]},
+            "algebroids": {"deep": {"chart": "line", "fibers": ["e1"],
+                                    "anchor": [[anchor]]}}})
+    path = tmp_path / "deep.json"
+    path.write_text(document, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroids", "validate", "--model", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["status"] == "error"
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_tensor_is_an_input_error(capsys):
     code, report, _ = run_cli(capsys, "bracket", "--kind", "schouten",
                               "--a", "nope", "--b", "P")

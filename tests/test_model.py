@@ -111,6 +111,11 @@ def test_parse_error_locations():
                     '{"owner": "c", "kind": "vector", "degree": 1, '
                     '"terms": {}}}}')
 
+    for key, value in (("trials", 0), ("max_degree", -1)):
+        with pytest.raises(ParseError) as err:
+            loads_model(f'{{"suite": {{"{key}": {value}}}}}')
+        assert f"suite.{key}" in str(err.value)
+
 
 def test_unresolved_names():
     with pytest.raises(ParseError):

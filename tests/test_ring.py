@@ -13,7 +13,15 @@ from algebroids.errors import (
     PolySyntaxError,
     UnknownVariable,
 )
-from algebroids.ring import Chart, Poly, eval_at, parse_poly, partial, poly_to_string
+from algebroids.ring import (
+    MAX_NESTING_DEPTH,
+    Chart,
+    Poly,
+    eval_at,
+    parse_poly,
+    partial,
+    poly_to_string,
+)
 
 XY = Chart(["x", "y"])
 X = Chart(["x"])
@@ -83,6 +91,16 @@ def test_parse_error_classes():
         p("x/2")  # '/' only joins integer literals
     with pytest.raises(PolySyntaxError):
         p("")
+    with pytest.raises(PolySyntaxError):
+        p("٣*x", X)  # digits are ASCII only
+
+
+def test_parenthesis_nesting_is_bounded():
+    deep = MAX_NESTING_DEPTH
+    assert p("(" * deep + "x" + ")" * deep) == p("x")
+    with pytest.raises(PolySyntaxError) as err:
+        p("(" * 3000 + "x" + ")" * 3000)
+    assert err.value.position == deep
 
 
 def test_empty_chart_constants_only():
