@@ -36,17 +36,17 @@ s = A.e(0) * A.base.coordinate("x")          # x·e_1
 vert = vertical_lift_V(A, s)
 comp = complete_lift_T(A, s)
 print("\nsection       s   =", pretty(s))
-print("vertical lift V(s) =", pretty(vert.tensor))
-print("complete lift T(s) =", pretty(comp.tensor))
+print("vertical lift V(s) =", pretty(vert))
+print("complete lift T(s) =", pretty(comp))
 
 # bracket compatibility: [T(s), T(t)] = T([s, t]) and [T(s), V(t)] = V([s, t])
 t = A.e(1)
 st = schouten(A, s, t)
-assert schouten(TA, comp.tensor, complete_lift_T(A, t).tensor) == \
-    complete_lift_T(A, st).tensor
-assert schouten(TA, comp.tensor, vertical_lift_V(A, t).tensor) == \
-    vertical_lift_V(A, st).tensor
-assert schouten(TA, vert.tensor, vertical_lift_V(A, t).tensor).is_zero()
+assert schouten(TA, comp, complete_lift_T(A, t)) == \
+    complete_lift_T(A, st)
+assert schouten(TA, comp, vertical_lift_V(A, t)) == \
+    vertical_lift_V(A, st)
+assert schouten(TA, vert, vertical_lift_V(A, t)).is_zero()
 print("\nlift/bracket table verified on s = x·e_1, t = e_2")
 
 # the fiberwise-linear Poisson structure of the lifted algebroid

@@ -40,6 +40,7 @@ from .tensor import (
     contract_mixed,
     mixed_from_vector,
     sym_product,
+    tensor_sum,
     vector_from_mixed,
     wedge,
 )
@@ -83,10 +84,10 @@ def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
     if mu.degree == 0:
         return _d_function(algebroid, mu.as_function())
     duals = _d_dual_generators(algebroid)
-    out = GradedTensor.zero(algebroid, Kind.FORM, mu.degree + 1)
+    pieces = []
     for key, coeff in mu.terms.items():
         basis_form = GradedTensor.basis(algebroid, Kind.FORM, key)
-        out = out + wedge(_d_function(algebroid, coeff), basis_form)
+        pieces.append(wedge(_d_function(algebroid, coeff), basis_form))
         for r, k in enumerate(key):
             dek = duals[k]
             if dek.is_zero():
@@ -94,8 +95,8 @@ def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
             prefix = GradedTensor.basis(algebroid, Kind.FORM, key[:r])
             suffix = GradedTensor.basis(algebroid, Kind.FORM, key[r + 1:])
             piece = wedge(prefix, wedge(dek, suffix)) * coeff
-            out = out + (piece if r % 2 == 0 else -piece)
-    return out
+            pieces.append(piece if r % 2 == 0 else -piece)
+    return tensor_sum(algebroid, Kind.FORM, mu.degree + 1, pieces)
 
 
 # -- Lie differentials ----------------------------------------------------------
@@ -185,7 +186,7 @@ def _expand(algebroid: Algebroid, x: GradedTensor, y: GradedTensor,
     alternating bracket and 1 for the symmetric one.
     """
     a, b = x.degree, y.degree
-    out = GradedTensor.zero(algebroid, x.kind, a + b - 1)
+    pieces = []
     for kx, cx in x.terms.items():
         fx = _term_factors(algebroid, kx, cx)
         for ky, cy in y.terms.items():
@@ -198,8 +199,8 @@ def _expand(algebroid: Algebroid, x: GradedTensor, y: GradedTensor,
                     if head.is_zero():
                         continue
                     piece = _product_all(algebroid, [head] + rest_x + rest_y, product)
-                    out = out + (-piece if alternating and (i + j) % 2 else piece)
-    return out
+                    pieces.append(-piece if alternating and (i + j) % 2 else piece)
+    return tensor_sum(algebroid, x.kind, a + b - 1, pieces)
 
 
 def schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
@@ -316,12 +317,12 @@ def fn_bracket(algebroid: Algebroid, k: GradedTensor, l: GradedTensor) -> Graded
     and Jacobi use (−1)^{ab}, and L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K."""
     _require_owner(algebroid, k, l)
     k, l = _as_mixed(k), _as_mixed(l)
-    out = GradedTensor.zero(algebroid, Kind.MIXED, k.degree + l.degree)
+    pieces = []
     for (fk, i), ck in k.terms.items():
         mu = GradedTensor(algebroid, Kind.FORM, len(fk), {fk: ck})
         x = algebroid.e(i)
         for (fl, j), cl in l.terms.items():
             nu = GradedTensor(algebroid, Kind.FORM, len(fl), {fl: cl})
             y = algebroid.e(j)
-            out = out + fn_bracket_simple(algebroid, mu, x, nu, y)
-    return out
+            pieces.append(fn_bracket_simple(algebroid, mu, x, nu, y))
+    return tensor_sum(algebroid, Kind.MIXED, k.degree + l.degree, pieces)

@@ -173,8 +173,8 @@ def _cmd_lift(model, args):
     t = _resolve_tensor(model, args.t, args.algebroid)
     A = t.owner
     ops = {
-        "V": lambda: vertical_lift_V(A, t).tensor,
-        "T": lambda: complete_lift_T(A, t).tensor,
+        "V": lambda: vertical_lift_V(A, t),
+        "T": lambda: complete_lift_T(A, t),
         "Vpi": lambda: vertical_pi(A, t),
         "Vtau": lambda: vertical_tau(A, t),
         "G": lambda: cot_complete_G_vec(A, t),
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     try:
         model = _load(args.model)
         items = _HANDLERS[args.command](model, args)
-    except (AlgebroidError, RecursionError) as exc:
+    except (AlgebroidError, RecursionError, MemoryError) as exc:
         elapsed = round(time.perf_counter() - started, 3)
         report = {
             "command": argv,

@@ -48,36 +48,6 @@ from .calculus import schouten
 from .poisson import h_p
 
 
-class LiftedSection:
-    """A tensor over a lift target, tagged with the lift that produced it.
-
-    The lifted charts all look alike (doubled fibers over a velocity chart),
-    so the tag — ``"V"`` or ``"T"`` plus the algebroid the section came from
-    — is what stops a complete lift being fed where a vertical lift is
-    expected.  The underlying :class:`GradedTensor` is ``.tensor``.
-    """
-
-    __slots__ = ("tensor", "lift", "origin")
-
-    def __init__(self, tensor: GradedTensor, lift: str, origin: Algebroid):
-        self.tensor = tensor
-        self.lift = lift
-        self.origin = origin
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LiftedSection):
-            return NotImplemented
-        return (self.lift == other.lift and self.origin == other.origin
-                and self.tensor == other.tensor)
-
-    def __repr__(self) -> str:
-        return f"<LiftedSection {self.lift} of {self.tensor.describe()}>"
-
-
-def _unwrap(s):
-    return s.tensor if isinstance(s, LiftedSection) else s
-
-
 def _require_over(algebroid: Algebroid, s: GradedTensor) -> None:
     if s.owner != algebroid:
         raise ChartMismatch(
@@ -93,7 +63,6 @@ def iota(algebroid: Algebroid, x) -> Poly:
     f^i ξ_i; a symmetric power becomes the product of its factors' functions
     (so degree k gives a fiberwise degree-k polynomial).
     """
-    x = _unwrap(x)
     _require_over(algebroid, x)
     chart = dual_chart(algebroid)
     xi = [chart.coordinate(name) for name in algebroid.dual_names]
@@ -136,24 +105,25 @@ def _lifted_key(kind: Kind, key, rank: int, dotted):
     return tuple(rank + i if r == dotted else i for r, i in enumerate(key))
 
 
-def vertical_lift_V(algebroid: Algebroid, s) -> LiftedSection:
-    """The vertical lift: coefficients pulled back, every factor barred."""
-    s = _unwrap(s)
+def vertical_lift_V(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
+    """The vertical lift: coefficients pulled back, every factor barred.
+
+    The result is a tensor over ``tangent_lift(algebroid)``."""
     _require_over(algebroid, s)
     target = tangent_lift(algebroid)
     m = algebroid.rank
     terms = [(_lifted_key(s.kind, key, m, None), coeff.transport(target.base))
              for key, coeff in s.terms.items()]
-    return LiftedSection(GradedTensor(target, s.kind, s.degree, terms),
-                         "V", algebroid)
+    return GradedTensor(target, s.kind, s.degree, terms)
 
 
-def complete_lift_T(algebroid: Algebroid, s) -> LiftedSection:
+def complete_lift_T(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
     """The complete lift: the velocity derivative of each coefficient on the
     all-barred key, plus the pulled-back coefficient on each single-dotted
     key.  Together with the vertical lift this satisfies the product rule
-    T(s⊗t) = T(s)⊗V(t) + V(s)⊗T(t) factor by factor."""
-    s = _unwrap(s)
+    T(s⊗t) = T(s)⊗V(t) + V(s)⊗T(t) factor by factor.
+
+    The result is a tensor over ``tangent_lift(algebroid)``."""
     _require_over(algebroid, s)
     target = tangent_lift(algebroid)
     m = algebroid.rank
@@ -166,8 +136,7 @@ def complete_lift_T(algebroid: Algebroid, s) -> LiftedSection:
         slots = s.degree + (1 if s.kind is Kind.MIXED else 0)
         for r in range(slots):
             terms.append((_lifted_key(s.kind, key, m, r), pulled))
-    return LiftedSection(GradedTensor(target, s.kind, s.degree, terms),
-                         "T", algebroid)
+    return GradedTensor(target, s.kind, s.degree, terms)
 
 
 # -- lifts to the dual chart ------------------------------------------------------
@@ -175,7 +144,6 @@ def complete_lift_T(algebroid: Algebroid, s) -> LiftedSection:
 def vertical_pi(algebroid: Algebroid, mu) -> GradedTensor:
     """The vertical lift of a form to a multivector on the dual chart:
     e*_i ↦ the fiber direction of ξ_i, coefficients pulled back."""
-    mu = _unwrap(mu)
     if mu.kind is not Kind.FORM:
         raise KindMismatch(f"vertical_pi expects a form, got {mu.describe()}")
     _require_over(algebroid, mu)
@@ -190,7 +158,6 @@ def vertical_tau(algebroid: Algebroid, s) -> GradedTensor:
     """The vertical lift to the bundle's own total space: e_j ↦ the fiber
     direction of y_j on the chart that adjoins one y-coordinate per fiber.
     Factor-wise, so it applies to plain and symmetric multivectors."""
-    s = _unwrap(s)
     if s.kind not in (Kind.MV, Kind.SYM):
         raise KindMismatch(
             f"vertical_tau lifts vector-side tensor powers, got {s.describe()}")
@@ -208,7 +175,6 @@ def cot_complete_G_vec(algebroid: Algebroid, x) -> GradedTensor:
     """The complete lift of a degree-1 section to the dual chart: minus the
     bracket of the fiberwise-linear bivector with the section's function
     (the hamiltonian vector field of ``iota(x)``)."""
-    x = _unwrap(x)
     if x.kind is not Kind.MV or x.degree != 1:
         raise KindMismatch(
             f"cot_complete_G_vec expects a degree-1 multivector, "
@@ -223,7 +189,6 @@ def J_map(algebroid: Algebroid, k) -> GradedTensor:
     μ⊗X ↦ −iota(X)·vertical_pi(μ), extended by linearity.  The result on a
     basis term e*_{i_1}∧…∧e*_{i_k}⊗e_j is −ξ_j times the corresponding
     fiber-direction multivector, which makes the map injective."""
-    k = _unwrap(k)
     if k.kind is not Kind.MIXED:
         raise KindMismatch(
             f"J_map expects a vector-valued form, got {k.describe()}")
@@ -247,7 +212,6 @@ def G_map(algebroid: Algebroid, k) -> GradedTensor:
     bookkeeping drift; the theorem-16 ``dual-routes`` suite item checks that
     the two routes agree.
     """
-    k = _unwrap(k)
     if k.kind is not Kind.MIXED:
         raise KindMismatch(
             f"G_map expects a vector-valued form, got {k.describe()}")
@@ -269,7 +233,7 @@ def _velocity_half(chart: Chart):
     return None
 
 
-def canonical_transport(direction: str, t) -> GradedTensor:
+def canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
     """Swap the two fiber blocks between the tangent lift of a canonical
     algebroid and the canonical algebroid of its velocity chart.
 
@@ -279,7 +243,6 @@ def canonical_transport(direction: str, t) -> GradedTensor:
     and vector-valued forms).  Each direction detects which side its input
     lives on, so applying it twice returns the input.
     """
-    tensor = _unwrap(t)
     if direction == "kappa":
         allowed = (Kind.MV, Kind.SYM)
     elif direction == "alpha":
@@ -318,8 +281,7 @@ def classical_complete_lift(t) -> GradedTensor:
     return _classical(t, complete_lift_T)
 
 
-def _classical(t, lift) -> GradedTensor:
-    tensor = _unwrap(t)
+def _classical(tensor, lift) -> GradedTensor:
     if not tensor.owner.is_canonical:
         raise WrongProvenance(
             f"classical lifts act on sections over a canonical algebroid, "
@@ -334,7 +296,6 @@ def Jstar(k) -> GradedTensor:
     """μ⊗X ↦ iota(X)·(pullback of μ): a vector-valued form over a canonical
     algebroid becomes a plain form on the dual chart, the form part pulled
     back and the vector part turned into its fiberwise-linear function."""
-    k = _unwrap(k)
     if k.kind is not Kind.MIXED:
         raise KindMismatch(
             f"Jstar expects a vector-valued form, got {k.describe()}")
@@ -356,7 +317,6 @@ def H_map(k) -> GradedTensor:
     algebroid: ``Jstar`` followed by the hamiltonian operator of the dual
     chart's canonical bivector.  Degree is preserved and the map is
     injective, embedding the source bracket geometry into the dual chart's."""
-    k = _unwrap(k)
     if k.kind is not Kind.MIXED:
         raise KindMismatch(
             f"H_map expects a vector-valued form, got {k.describe()}")

@@ -34,7 +34,7 @@ from .algebroid import Algebroid, build_algebroid, canonical_algebroid
 from .calculus import differential, lie_derivative, schouten
 from .errors import ChartMismatch, KindMismatch, NotInvertible, NotPoisson
 from .ring import Chart, Poly
-from .tensor import GradedTensor, Kind, contract, pretty, wedge
+from .tensor import GradedTensor, Kind, contract, pretty, tensor_sum, wedge
 
 
 class PoissonStructure:
@@ -92,10 +92,8 @@ class PoissonStructure:
             raise ChartMismatch("form does not live over the Poisson chart")
         if mu.kind is not Kind.FORM or mu.degree != 1:
             raise KindMismatch(f"P̃ acts on 1-forms, got {mu.describe()}")
-        out = GradedTensor.zero(self.owner, Kind.MV, 1)
-        for (u,), coeff in mu.terms.items():
-            out = out + self.row(u) * coeff
-        return out
+        return tensor_sum(self.owner, Kind.MV, 1,
+                          (self.row(u) * coeff for (u,), coeff in mu.terms.items()))
 
 
 def build_poisson(chart: Chart, bivector: GradedTensor) -> PoissonStructure:
@@ -239,15 +237,15 @@ def _lambda_inverse(ps: PoissonStructure, x: GradedTensor) -> GradedTensor:
         raise KindMismatch(f"inverse mode maps multivectors to forms, got "
                            f"{x.describe()}")
     inv = _inverse_matrix(ps)
-    out = GradedTensor.zero(ps.owner, Kind.FORM, x.degree)
+    pieces = []
     for key, coeff in x.terms.items():
         piece = GradedTensor(ps.owner, Kind.FORM, 0, {(): coeff})
         for u in key:
             row = GradedTensor(ps.owner, Kind.FORM, 1,
                                {(v,): c for v, c in enumerate(inv[u]) if c})
             piece = wedge(piece, row)
-        out = out + piece
-    return out
+        pieces.append(piece)
+    return tensor_sum(ps.owner, Kind.FORM, x.degree, pieces)
 
 
 def lambda_p(ps: PoissonStructure, t: GradedTensor, mode: str = "plain") -> GradedTensor:
@@ -263,12 +261,13 @@ def lambda_p(ps: PoissonStructure, t: GradedTensor, mode: str = "plain") -> Grad
     if mode not in ("plain", "star"):
         raise KindMismatch(f"unknown mode {mode!r} (plain, star or inverse)")
     mu = _as_form(ps, t)
-    out = GradedTensor.zero(ps.owner, Kind.MV, mu.degree)
+    pieces = []
     for key, coeff in mu.terms.items():
         piece = GradedTensor.function(ps.owner, coeff)
         for u in key:
             piece = wedge(piece, ps.row(u))
-        out = out + piece
+        pieces.append(piece)
+    out = tensor_sum(ps.owner, Kind.MV, mu.degree, pieces)
     if mode == "star" and mu.degree % 2:
         out = -out
     return out

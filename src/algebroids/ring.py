@@ -20,13 +20,16 @@ Expression syntax accepted by :func:`parse_poly`::
 Whitespace is ignored; there is *no* implicit multiplication (``2x`` and
 ``x y`` are syntax errors, write ``2*x``).  A leading ``-`` binds only to an
 integer literal, so ``-x`` must be written ``-1*x`` (the canonical printer
-does exactly that).  Digits are ASCII only, and parentheses nest at most
-:data:`MAX_NESTING_DEPTH` deep.  :func:`poly_to_string` emits a canonical
-form that :func:`parse_poly` maps back to the identical term dict.
+does exactly that).  Digits are ASCII only, parentheses nest at most
+:data:`MAX_NESTING_DEPTH` deep, and the bounds :data:`MAX_EXPONENT`,
+:data:`MAX_TERMS` and :data:`MAX_COEFFICIENT_BITS` stop a short expression
+from expanding into a huge polynomial.  :func:`poly_to_string` emits a
+canonical form that :func:`parse_poly` maps back to the identical term dict.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
@@ -247,8 +250,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -362,6 +366,19 @@ def eval_at(p: Poly, point: Mapping[str, Scalar]) -> Fraction:
 #: the interpreter stack.
 MAX_NESTING_DEPTH = 100
 
+#: Largest exponent literal :func:`parse_poly` accepts.
+MAX_EXPONENT = 100
+
+#: Most terms a product or power in an expression may expand to, counted
+#: before expanding: ``len(a) * len(b)`` for a product and
+#: ``comb(e + t - 1, t - 1)`` for a ``t``-term base to the power ``e``.
+MAX_TERMS = 500
+
+#: Most bits a power may raise its base's largest numerator or denominator
+#: to (``e`` times that bit length); nested powers of a constant would
+#: otherwise grow without bound under the exponent limit.
+MAX_COEFFICIENT_BITS = 10000
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
 )
@@ -437,8 +454,13 @@ class _Parser:
     def term(self) -> Poly:
         result = self.factor()
         while self.at_op("*"):
-            self.advance()
-            result = result * self.factor()
+            at = self.advance()[2]
+            rhs = self.factor()
+            if len(result.terms) * len(rhs.terms) > MAX_TERMS:
+                raise PolySyntaxError(
+                    f"product may expand to more than {MAX_TERMS} terms",
+                    position=at)
+            result = result * rhs
         return result
 
     def factor(self) -> Poly:
@@ -453,8 +475,24 @@ class _Parser:
             if kind != "num":
                 raise PolySyntaxError("expected a nonnegative integer exponent", position=at)
             self.advance()
-            return base ** int(value)
+            return self.power(base, int(value), at)
         return base
+
+    def power(self, base: Poly, e: int, at: int) -> Poly:
+        if e > MAX_EXPONENT:
+            raise PolySyntaxError(
+                f"exponent {e} exceeds {MAX_EXPONENT}", position=at)
+        t = max(1, len(base.terms))
+        if math.comb(e + t - 1, t - 1) > MAX_TERMS:
+            raise PolySyntaxError(
+                f"power may expand to more than {MAX_TERMS} terms", position=at)
+        bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for c in base.terms.values()), default=0)
+        if e * bits > MAX_COEFFICIENT_BITS:
+            raise PolySyntaxError(
+                f"power may grow a coefficient past {MAX_COEFFICIENT_BITS} "
+                f"bits", position=at)
+        return base ** e
 
     def base(self) -> Poly:
         kind, value, at = self.peek()

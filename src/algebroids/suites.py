@@ -17,7 +17,12 @@ term values at that point, and the one-line ``eval`` command that reproduces
 them.
 
 Instances are drawn from a per-(seed, suite, item) generator, so results are
-deterministic for a given seed and independent of item order.
+deterministic for a given seed and independent of item order.  One method,
+``_Run.check``, holds that draw policy: the item's generator, the trial share
+per fixture, the fixture order.  A standard item supplies only a function
+that draws one instance; the few items whose draw count is not the share
+(several instances per draw, an invertibility probe, ``trials`` on one
+fixture, a skipped fixture) write their own instance stream.
 """
 
 from __future__ import annotations
@@ -212,11 +217,24 @@ class _Run:
     def note(self, text):
         self.notes.append(text)
 
+    def check(self, item_id, label, fixtures, instance):
+        """The one draw loop: record the identity item ``item_id`` over
+        ``share(len(fixtures))`` draws per fixture, fixtures in the order
+        given, all from the item's own generator.  ``instance(name, fixture,
+        rng)`` draws one instance and returns (inputs, residual)."""
+        rng = self.rng(item_id)
+        per = self.share(len(fixtures))
+        self.identity(item_id, label, ((name, *instance(name, fixture, rng))
+                                       for name, fixture in fixtures
+                                       for _ in range(per)))
+
     def identity(self, item_id, label, instances):
         """``instances`` yields (fixture, inputs, residual) — or a tuple of
         residuals, the components of one identity, each of which must vanish
         on its own; the item fails on the first nonzero residual and freezes
-        it as a witness."""
+        it as a witness.  Items drawn by the standard loop come here through
+        :meth:`check`; only items whose draw count is not the share write
+        their own instance stream."""
         rng = self.rng(f"{item_id}/witness")
         checked = 0
         witness = None
@@ -235,7 +253,10 @@ class _Run:
 
     def predicate(self, item_id, label, instances):
         """``instances`` yields (fixture, inputs, ok) for checks that are not
-        residual-shaped (injectivity, error paths)."""
+        residual-shaped (injectivity, error paths).  Every predicate item
+        has a draw count of its own (an invertibility probe, ``trials`` on
+        one fixture, one fixed instance), so none goes through
+        :meth:`check`."""
         checked = 0
         failure = None
         for fixture, inputs, ok in instances:
@@ -262,12 +283,6 @@ class _Run:
                 "notes": self.notes, "items": self.items}
 
 
-def _tangent_lifts(A):
-    """The vertical and complete lifts over ``A`` as maps of plain tensors."""
-    return (lambda t: vertical_lift_V(A, t).tensor,
-            lambda t: complete_lift_T(A, t).tensor)
-
-
 def _vt_table(op, base, x, y, V, T):
     """The V/T table of a bilinear ``op`` as its four residuals:
     op(Vx, Vy) = 0, op(Vx, Ty) = op(Tx, Vy) = V(base), op(Tx, Ty) = T(base),
@@ -292,19 +307,12 @@ def _velocity(coeff, source, target):
 def _suite_theorem_1(run):
     """d² = 0 and the Leibniz / commutator laws of i_X and L_X."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
-
-    def instances(item_id, residual_of):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                yield residual_of(name, A, rng)
 
     def d_squared(name, A, rng):
         mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
-        return name, {"mu": mu}, differential(A, differential(A, mu))
+        return {"mu": mu}, differential(A, differential(A, mu))
 
-    run.identity("d-squared", "d∘d = 0", instances("d-squared", d_squared))
+    run.check("d-squared", "d∘d = 0", fixtures, d_squared)
 
     def d_leibniz(name, A, rng):
         k = rng.choice([0, 1])
@@ -314,10 +322,10 @@ def _suite_theorem_1(run):
         residual = (differential(A, wedge(mu, nu))
                     - wedge(differential(A, mu), nu)
                     - wedge(mu, differential(A, nu)) * sign)
-        return name, {"mu": mu, "nu": nu}, residual
+        return {"mu": mu, "nu": nu}, residual
 
-    run.identity("d-leibniz", "d(mu∧nu) = d(mu)∧nu + (−1)^k mu∧d(nu)",
-                 instances("d-leibniz", d_leibniz))
+    run.check("d-leibniz", "d(mu∧nu) = d(mu)∧nu + (−1)^k mu∧d(nu)",
+              fixtures, d_leibniz)
 
     def i_leibniz(name, A, rng):
         k = rng.choice([1, min(2, A.rank)])
@@ -328,10 +336,10 @@ def _suite_theorem_1(run):
         residual = (contract(x, wedge(mu, nu))
                     - wedge(contract(x, mu), nu)
                     - wedge(mu, contract(x, nu)) * sign)
-        return name, {"x": x, "mu": mu, "nu": nu}, residual
+        return {"x": x, "mu": mu, "nu": nu}, residual
 
-    run.identity("i-leibniz", "i_X(mu∧nu) = i_X(mu)∧nu + (−1)^k mu∧i_X(nu)",
-                 instances("i-leibniz", i_leibniz))
+    run.check("i-leibniz", "i_X(mu∧nu) = i_X(mu)∧nu + (−1)^k mu∧i_X(nu)",
+              fixtures, i_leibniz)
 
     def lie_leibniz(name, A, rng):
         mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1]))
@@ -340,10 +348,10 @@ def _suite_theorem_1(run):
         residual = (lie_derivative(A, x, wedge(mu, nu))
                     - wedge(lie_derivative(A, x, mu), nu)
                     - wedge(mu, lie_derivative(A, x, nu)))
-        return name, {"x": x, "mu": mu, "nu": nu}, residual
+        return {"x": x, "mu": mu, "nu": nu}, residual
 
-    run.identity("lie-leibniz", "L_X(mu∧nu) = L_X(mu)∧nu + mu∧L_X(nu)",
-                 instances("lie-leibniz", lie_leibniz))
+    run.check("lie-leibniz", "L_X(mu∧nu) = L_X(mu)∧nu + mu∧L_X(nu)",
+              fixtures, lie_leibniz)
 
     def lie_commutator(name, A, rng):
         mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
@@ -352,10 +360,10 @@ def _suite_theorem_1(run):
         residual = (lie_derivative(A, x, lie_derivative(A, y, mu))
                     - lie_derivative(A, y, lie_derivative(A, x, mu))
                     - lie_derivative(A, section_bracket(A, x, y), mu))
-        return name, {"x": x, "y": y, "mu": mu}, residual
+        return {"x": x, "y": y, "mu": mu}, residual
 
-    run.identity("lie-commutator", "L_X∘L_Y − L_Y∘L_X = L_[X,Y]",
-                 instances("lie-commutator", lie_commutator))
+    run.check("lie-commutator", "L_X∘L_Y − L_Y∘L_X = L_[X,Y]",
+              fixtures, lie_commutator)
 
     def lie_insertion(name, A, rng):
         mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
@@ -364,10 +372,10 @@ def _suite_theorem_1(run):
         residual = (lie_derivative(A, x, contract(y, mu))
                     - contract(y, lie_derivative(A, x, mu))
                     - contract(section_bracket(A, x, y), mu))
-        return name, {"x": x, "y": y, "mu": mu}, residual
+        return {"x": x, "y": y, "mu": mu}, residual
 
-    run.identity("lie-insertion", "L_X∘i_Y − i_Y∘L_X = i_[X,Y]",
-                 instances("lie-insertion", lie_insertion))
+    run.check("lie-insertion", "L_X∘i_Y − i_Y∘L_X = i_[X,Y]",
+              fixtures, lie_insertion)
 
 
 def _suite_theorem_2(run):
@@ -400,161 +408,123 @@ def _suite_theorem_2(run):
                  "L_Y∘i_X − (−1)^{a(b−1)} i_X∘L_Y = −i_[X,Y] on basis forms",
                  operator("operator-identity"))
 
-    def on_functions_residual(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(draws):
-                x = run.draw(rng, A, Kind.MV, 1)
-                f = random_coefficient(rng, A.base, run.coeff_degree)
-                fx = GradedTensor(A, Kind.MV, 0, {(): f})
-                applied = A.base.zero()
-                for (i,), c in x.terms.items():
-                    for a, coord in enumerate(A.base.coords):
-                        applied = applied + c * A.anchor[i][a] * f.partial(coord)
-                residual = schouten(A, x, fx) - GradedTensor(
-                    A, Kind.MV, 0, {(): applied})
-                yield name, {"x": x, "f": fx}, residual
+    def on_functions(name, A, rng):
+        x = run.draw(rng, A, Kind.MV, 1)
+        f = random_coefficient(rng, A.base, run.coeff_degree)
+        fx = GradedTensor(A, Kind.MV, 0, {(): f})
+        applied = A.base.zero()
+        for (i,), c in x.terms.items():
+            for a, coord in enumerate(A.base.coords):
+                applied = applied + c * A.anchor[i][a] * f.partial(coord)
+        residual = schouten(A, x, fx) - GradedTensor(A, Kind.MV, 0, {(): applied})
+        return {"x": x, "f": fx}, residual
 
-    run.identity("bracket-on-functions", "[X, f] = anchor(X)(f)",
-                 on_functions_residual("bracket-on-functions"))
+    run.check("bracket-on-functions", "[X, f] = anchor(X)(f)",
+              fixtures, on_functions)
 
-    def derivation(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(draws):
-                a = rng.choice([1, 2])
-                x = run.draw(rng, A, Kind.MV, a)
-                y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
-                z = run.draw(rng, A, Kind.MV, 1)
-                sign = -1 if ((a - 1) * y.degree) % 2 else 1
-                residual = (schouten(A, x, wedge(y, z))
-                            - wedge(schouten(A, x, y), z)
-                            - wedge(y, schouten(A, x, z)) * sign)
-                yield name, {"x": x, "y": y, "z": z}, residual
+    def derivation(name, A, rng):
+        a = rng.choice([1, 2])
+        x = run.draw(rng, A, Kind.MV, a)
+        y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
+        z = run.draw(rng, A, Kind.MV, 1)
+        sign = -1 if ((a - 1) * y.degree) % 2 else 1
+        residual = (schouten(A, x, wedge(y, z))
+                    - wedge(schouten(A, x, y), z)
+                    - wedge(y, schouten(A, x, z)) * sign)
+        return {"x": x, "y": y, "z": z}, residual
 
-    run.identity("adjoint-derivation",
-                 "[X, Y∧Z] = [X,Y]∧Z + (−1)^{(a−1)b} Y∧[X,Z]",
-                 derivation("adjoint-derivation"))
+    run.check("adjoint-derivation",
+              "[X, Y∧Z] = [X,Y]∧Z + (−1)^{(a−1)b} Y∧[X,Z]",
+              fixtures, derivation)
 
 
 def _suite_theorem_3(run):
     """The Nijenhuis–Richardson bracket is a graded Lie bracket."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
 
-    def antisymmetry(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-                l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                sign = -1 if ((k.degree - 1) * (l.degree - 1)) % 2 else 1
-                residual = nr_bracket(k, l) + nr_bracket(l, k) * sign
-                yield name, {"K": k, "L": l}, residual
+    def antisymmetry(name, A, rng):
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        sign = -1 if ((k.degree - 1) * (l.degree - 1)) % 2 else 1
+        return {"K": k, "L": l}, nr_bracket(k, l) + nr_bracket(l, k) * sign
 
-    run.identity("antisymmetry", "[K,L] = −(−1)^{(a−1)(b−1)} [L,K]",
-                 antisymmetry("antisymmetry"))
+    run.check("antisymmetry", "[K,L] = −(−1)^{(a−1)(b−1)} [L,K]",
+              fixtures, antisymmetry)
 
-    def jacobi(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                ks = [run.draw(rng, A, Kind.MIXED,
-                               rng.choice([0, 1, min(2, A.rank)]))
-                      for _ in range(3)]
-                a, b, c = (t.degree - 1 for t in ks)
-                residual = (
-                    nr_bracket(nr_bracket(ks[0], ks[1]), ks[2])
-                    * (-1 if (a * c) % 2 else 1)
-                    + nr_bracket(nr_bracket(ks[1], ks[2]), ks[0])
-                    * (-1 if (b * a) % 2 else 1)
-                    + nr_bracket(nr_bracket(ks[2], ks[0]), ks[1])
-                    * (-1 if (c * b) % 2 else 1))
-                yield name, {"K": ks[0], "L": ks[1], "M": ks[2]}, residual
+    def jacobi(name, A, rng):
+        ks = [run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+              for _ in range(3)]
+        a, b, c = (t.degree - 1 for t in ks)
+        residual = (
+            nr_bracket(nr_bracket(ks[0], ks[1]), ks[2])
+            * (-1 if (a * c) % 2 else 1)
+            + nr_bracket(nr_bracket(ks[1], ks[2]), ks[0])
+            * (-1 if (b * a) % 2 else 1)
+            + nr_bracket(nr_bracket(ks[2], ks[0]), ks[1])
+            * (-1 if (c * b) % 2 else 1))
+        return {"K": ks[0], "L": ks[1], "M": ks[2]}, residual
 
-    run.identity("graded-jacobi", "graded Jacobi identity",
-                 jacobi("graded-jacobi"))
+    run.check("graded-jacobi", "graded Jacobi identity", fixtures, jacobi)
 
 
 def _suite_theorem_4(run):
     """The Frölicher–Nijenhuis bracket: the Lie-differential operator
     identity and the graded Lie laws."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
 
-    def operator(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-                l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                omega = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-                sign = -1 if (k.degree * l.degree) % 2 else 1
-                residual = (lie_derivative(A, fn_bracket(A, k, l), omega)
-                            - lie_derivative(A, k, lie_derivative(A, l, omega))
-                            + lie_derivative(A, l, lie_derivative(A, k, omega))
-                            * sign)
-                yield name, {"K": k, "L": l, "omega": omega}, residual
+    def operator(name, A, rng):
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        omega = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
+        sign = -1 if (k.degree * l.degree) % 2 else 1
+        residual = (lie_derivative(A, fn_bracket(A, k, l), omega)
+                    - lie_derivative(A, k, lie_derivative(A, l, omega))
+                    + lie_derivative(A, l, lie_derivative(A, k, omega)) * sign)
+        return {"K": k, "L": l, "omega": omega}, residual
 
-    run.identity("operator-identity", "L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K",
-                 operator("operator-identity"))
+    run.check("operator-identity", "L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K",
+              fixtures, operator)
 
-    def antisymmetry(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-                l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                sign = -1 if (k.degree * l.degree) % 2 else 1
-                residual = fn_bracket(A, k, l) + fn_bracket(A, l, k) * sign
-                yield name, {"K": k, "L": l}, residual
+    def antisymmetry(name, A, rng):
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        sign = -1 if (k.degree * l.degree) % 2 else 1
+        return {"K": k, "L": l}, fn_bracket(A, k, l) + fn_bracket(A, l, k) * sign
 
-    run.identity("antisymmetry", "[K,L] = −(−1)^{ab} [L,K]",
-                 antisymmetry("antisymmetry"))
+    run.check("antisymmetry", "[K,L] = −(−1)^{ab} [L,K]", fixtures, antisymmetry)
 
-    def jacobi(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                ks = [run.draw(rng, A, Kind.MIXED,
-                               rng.choice([0, 1, min(2, A.rank)]))
-                      for _ in range(3)]
-                a, b, c = (t.degree for t in ks)
-                residual = (
-                    fn_bracket(A, fn_bracket(A, ks[0], ks[1]), ks[2])
-                    * (-1 if (a * c) % 2 else 1)
-                    + fn_bracket(A, fn_bracket(A, ks[1], ks[2]), ks[0])
-                    * (-1 if (b * a) % 2 else 1)
-                    + fn_bracket(A, fn_bracket(A, ks[2], ks[0]), ks[1])
-                    * (-1 if (c * b) % 2 else 1))
-                yield name, {"K": ks[0], "L": ks[1], "M": ks[2]}, residual
+    def jacobi(name, A, rng):
+        ks = [run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+              for _ in range(3)]
+        a, b, c = (t.degree for t in ks)
+        residual = (
+            fn_bracket(A, fn_bracket(A, ks[0], ks[1]), ks[2])
+            * (-1 if (a * c) % 2 else 1)
+            + fn_bracket(A, fn_bracket(A, ks[1], ks[2]), ks[0])
+            * (-1 if (b * a) % 2 else 1)
+            + fn_bracket(A, fn_bracket(A, ks[2], ks[0]), ks[1])
+            * (-1 if (c * b) % 2 else 1))
+        return {"K": ks[0], "L": ks[1], "M": ks[2]}, residual
 
-    run.identity("graded-jacobi", "graded Jacobi identity",
-                 jacobi("graded-jacobi"))
+    run.check("graded-jacobi", "graded Jacobi identity", fixtures, jacobi)
 
 
 def _suite_eq_1_12(run):
     """Insertion operators compose to the Nijenhuis–Richardson bracket."""
-    fixtures = run.algebroids()
-    per = run.share(len(fixtures))
+    def operator(name, A, rng):
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+        omega = run.draw(rng, A, Kind.FORM,
+                         rng.choice([1, min(2, A.rank), A.rank]))
+        sign = -1 if ((k.degree - 1) * (l.degree - 1)) % 2 else 1
+        residual = (contract_mixed(nr_bracket(k, l), omega)
+                    - contract_mixed(k, contract_mixed(l, omega))
+                    + contract_mixed(l, contract_mixed(k, omega)) * sign)
+        return {"K": k, "L": l, "omega": omega}, residual
 
-    def operator(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-                l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-                omega = run.draw(rng, A, Kind.FORM,
-                                 rng.choice([1, min(2, A.rank), A.rank]))
-                sign = -1 if ((k.degree - 1) * (l.degree - 1)) % 2 else 1
-                residual = (contract_mixed(nr_bracket(k, l), omega)
-                            - contract_mixed(k, contract_mixed(l, omega))
-                            + contract_mixed(l, contract_mixed(k, omega)) * sign)
-                yield name, {"K": k, "L": l, "omega": omega}, residual
-
-    run.identity("insertion-identity",
-                 "i_[K,L] = i_K∘i_L − (−1)^{(a−1)(b−1)} i_L∘i_K",
-                 operator("insertion-identity"))
+    run.check("insertion-identity",
+              "i_[K,L] = i_K∘i_L − (−1)^{(a−1)(b−1)} i_L∘i_K",
+              run.algebroids(), operator)
 
 
 # -- Poisson structures ------------------------------------------------------
@@ -565,19 +535,16 @@ def _suite_theorem_5(run):
     fixtures = run.poisson()
     per = run.share(len(fixtures))
 
-    def homomorphism(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
-            for _ in range(per):
-                mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
-                nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
-                residual = (lambda_p(ps, koszul_schouten(ps, mu, nu))
-                            - schouten(O, lambda_p(ps, mu), lambda_p(ps, nu)))
-                yield name, {"mu": mu, "nu": nu}, residual
+    def homomorphism(name, ps, rng):
+        O = ps.owner
+        mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
+        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
+        residual = (lambda_p(ps, koszul_schouten(ps, mu, nu))
+                    - schouten(O, lambda_p(ps, mu), lambda_p(ps, nu)))
+        return {"mu": mu, "nu": nu}, residual
 
-    run.identity("lambda-homomorphism",
-                 "Λ[mu,nu]_P = [Λmu, Λnu]", homomorphism("lambda-homomorphism"))
+    run.check("lambda-homomorphism", "Λ[mu,nu]_P = [Λmu, Λnu]",
+              fixtures, homomorphism)
 
     def inverse(item_id):
         rng = run.rng(item_id)
@@ -605,196 +572,156 @@ def _suite_theorem_6(run):
     """The extended bracket is a graded Lie bracket restricting to the
     Poisson bracket on functions and compatible with d."""
     fixtures = run.poisson()
-    per = run.share(len(fixtures))
 
-    def on_functions(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
-            for _ in range(per):
-                f = random_coefficient(rng, ps.chart, run.coeff_degree)
-                g = random_coefficient(rng, ps.chart, run.coeff_degree)
-                residual = (extended_bracket(ps, O.fn(f), O.fn(g))
-                            - GradedTensor(O, Kind.FORM, 0,
-                                           {(): poisson_bracket(ps, f, g)}))
-                yield name, {"f": O.fn(f), "g": O.fn(g)}, residual
+    def on_functions(name, ps, rng):
+        O = ps.owner
+        f = random_coefficient(rng, ps.chart, run.coeff_degree)
+        g = random_coefficient(rng, ps.chart, run.coeff_degree)
+        residual = (extended_bracket(ps, O.fn(f), O.fn(g))
+                    - GradedTensor(O, Kind.FORM, 0,
+                                   {(): poisson_bracket(ps, f, g)}))
+        return {"f": O.fn(f), "g": O.fn(g)}, residual
 
-    run.identity("poisson-on-functions", "{f, g}_P is the Poisson bracket",
-                 on_functions("poisson-on-functions"))
+    run.check("poisson-on-functions", "{f, g}_P is the Poisson bracket",
+              fixtures, on_functions)
 
-    def antisymmetry(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
-            for _ in range(per):
-                ka, kb = rng.choice([0, 1, 2]), rng.choice([0, 1])
-                mu = run.draw(rng, O, Kind.FORM, ka)
-                nu = run.draw(rng, O, Kind.FORM, kb)
-                sign = -1 if (ka * kb) % 2 else 1
-                residual = (extended_bracket(ps, mu, nu)
-                            + extended_bracket(ps, nu, mu) * sign)
-                yield name, {"mu": mu, "nu": nu}, residual
+    def antisymmetry(name, ps, rng):
+        O = ps.owner
+        ka, kb = rng.choice([0, 1, 2]), rng.choice([0, 1])
+        mu = run.draw(rng, O, Kind.FORM, ka)
+        nu = run.draw(rng, O, Kind.FORM, kb)
+        sign = -1 if (ka * kb) % 2 else 1
+        residual = (extended_bracket(ps, mu, nu)
+                    + extended_bracket(ps, nu, mu) * sign)
+        return {"mu": mu, "nu": nu}, residual
 
-    run.identity("antisymmetry", "graded antisymmetry of {,}_P",
-                 antisymmetry("antisymmetry"))
+    run.check("antisymmetry", "graded antisymmetry of {,}_P",
+              fixtures, antisymmetry)
 
-    def jacobi(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
-            for _ in range(per):
-                ms = [run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]), keys=1)
-                      for _ in range(3)]
-                a, b, c = (t.degree for t in ms)
-                residual = (
-                    extended_bracket(ps, ms[0], extended_bracket(ps, ms[1], ms[2]))
-                    * (-1 if (a * c) % 2 else 1)
-                    + extended_bracket(ps, ms[1], extended_bracket(ps, ms[2], ms[0]))
-                    * (-1 if (b * a) % 2 else 1)
-                    + extended_bracket(ps, ms[2], extended_bracket(ps, ms[0], ms[1]))
-                    * (-1 if (c * b) % 2 else 1))
-                yield name, {"mu": ms[0], "nu": ms[1], "rho": ms[2]}, residual
+    def jacobi(name, ps, rng):
+        O = ps.owner
+        ms = [run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]), keys=1)
+              for _ in range(3)]
+        a, b, c = (t.degree for t in ms)
+        residual = (
+            extended_bracket(ps, ms[0], extended_bracket(ps, ms[1], ms[2]))
+            * (-1 if (a * c) % 2 else 1)
+            + extended_bracket(ps, ms[1], extended_bracket(ps, ms[2], ms[0]))
+            * (-1 if (b * a) % 2 else 1)
+            + extended_bracket(ps, ms[2], extended_bracket(ps, ms[0], ms[1]))
+            * (-1 if (c * b) % 2 else 1))
+        return {"mu": ms[0], "nu": ms[1], "rho": ms[2]}, residual
 
-    run.identity("graded-jacobi", "graded Jacobi identity of {,}_P",
-                 jacobi("graded-jacobi"))
+    run.check("graded-jacobi", "graded Jacobi identity of {,}_P",
+              fixtures, jacobi)
 
-    def d_compat(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
-            for _ in range(per):
-                mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-                nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
-                residual = (extended_bracket(ps, differential(O, mu), nu)
-                            - differential(O, extended_bracket(ps, mu, nu)))
-                yield name, {"mu": mu, "nu": nu}, residual
+    def d_compat(name, ps, rng):
+        O = ps.owner
+        mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
+        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
+        residual = (extended_bracket(ps, differential(O, mu), nu)
+                    - differential(O, extended_bracket(ps, mu, nu)))
+        return {"mu": mu, "nu": nu}, residual
 
-    run.identity("d-compatibility", "{d mu, nu}_P = d{mu, nu}_P",
-                 d_compat("d-compatibility"))
+    run.check("d-compatibility", "{d mu, nu}_P = d{mu, nu}_P",
+              fixtures, d_compat)
 
-    def term_expansion_01(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
+    def term_expansion_01(name, ps, rng):
+        O = ps.owner
 
-            def d0(f):
-                return differential(O, O.fn(f))
+        def d0(f):
+            return differential(O, O.fn(f))
 
-            for _ in range(per):
-                g0, f0, f1 = (random_coefficient(rng, ps.chart, run.coeff_degree)
-                              for _ in range(3))
-                lhs = extended_bracket(ps, O.fn(g0), d0(f1) * f0)
-                rhs = (d0(f1) * poisson_bracket(ps, g0, f0)
-                       + d0(poisson_bracket(ps, g0, f1)) * f0)
-                yield name, {"g0": O.fn(g0), "f0": O.fn(f0), "f1": O.fn(f1)}, \
-                    lhs - rhs
+        g0, f0, f1 = (random_coefficient(rng, ps.chart, run.coeff_degree)
+                      for _ in range(3))
+        lhs = extended_bracket(ps, O.fn(g0), d0(f1) * f0)
+        rhs = (d0(f1) * poisson_bracket(ps, g0, f0)
+               + d0(poisson_bracket(ps, g0, f1)) * f0)
+        return {"g0": O.fn(g0), "f0": O.fn(f0), "f1": O.fn(f1)}, lhs - rhs
 
-    run.identity("term-expansion-0-1",
-                 "{g0, f0 df1}_P = {g0,f0} df1 + f0 d{g0,f1}",
-                 term_expansion_01("term-expansion-0-1"))
+    run.check("term-expansion-0-1",
+              "{g0, f0 df1}_P = {g0,f0} df1 + f0 d{g0,f1}",
+              fixtures, term_expansion_01)
 
-    def term_expansion_11(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
+    def term_expansion_11(name, ps, rng):
+        O = ps.owner
 
-            def d0(f):
-                return differential(O, O.fn(f))
+        def d0(f):
+            return differential(O, O.fn(f))
 
-            def pb(a, b):
-                return poisson_bracket(ps, a, b)
+        def pb(a, b):
+            return poisson_bracket(ps, a, b)
 
-            for _ in range(per):
-                g0, g1, f0, f1 = (
-                    random_coefficient(rng, ps.chart, run.coeff_degree)
-                    for _ in range(4))
-                lhs = extended_bracket(ps, d0(g1) * g0, d0(f1) * f0)
-                rhs = (wedge(d0(g1), d0(f1)) * pb(g0, f0)
-                       + wedge(d0(pb(g1, f0)), d0(f1)) * g0
-                       - wedge(d0(pb(g1, f1)), d0(f0)) * g0
-                       - wedge(d0(pb(g0, f1)), d0(g1)) * f0
-                       + wedge(d0(pb(g1, f1)), d0(g0)) * f0
-                       - wedge(d0(g0), d0(f0)) * pb(g1, f1))
-                yield name, {"g0": O.fn(g0), "g1": O.fn(g1),
-                             "f0": O.fn(f0), "f1": O.fn(f1)}, lhs - rhs
+        g0, g1, f0, f1 = (random_coefficient(rng, ps.chart, run.coeff_degree)
+                          for _ in range(4))
+        lhs = extended_bracket(ps, d0(g1) * g0, d0(f1) * f0)
+        rhs = (wedge(d0(g1), d0(f1)) * pb(g0, f0)
+               + wedge(d0(pb(g1, f0)), d0(f1)) * g0
+               - wedge(d0(pb(g1, f1)), d0(f0)) * g0
+               - wedge(d0(pb(g0, f1)), d0(g1)) * f0
+               + wedge(d0(pb(g1, f1)), d0(g0)) * f0
+               - wedge(d0(g0), d0(f0)) * pb(g1, f1))
+        return {"g0": O.fn(g0), "g1": O.fn(g1),
+                "f0": O.fn(f0), "f1": O.fn(f1)}, lhs - rhs
 
-    run.identity("term-expansion-1-1",
-                 "six-term expansion of {g0 dg1, f0 df1}_P",
-                 term_expansion_11("term-expansion-1-1"))
+    run.check("term-expansion-1-1", "six-term expansion of {g0 dg1, f0 df1}_P",
+              fixtures, term_expansion_11)
 
 
 def _suite_theorem_7(run):
     """d, H and G intertwine the extended bracket with the Koszul–Schouten,
     Frölicher–Nijenhuis and Schouten brackets."""
     fixtures = run.poisson()
-    per = run.share(len(fixtures))
 
-    def d_homomorphism(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
-            for _ in range(per):
-                mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-                nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-                residual = (koszul_schouten(ps, differential(O, mu),
-                                            differential(O, nu))
-                            - differential(O, extended_bracket(ps, mu, nu)))
-                yield name, {"mu": mu, "nu": nu}, residual
+    def d_homomorphism(name, ps, rng):
+        O = ps.owner
+        mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
+        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
+        residual = (koszul_schouten(ps, differential(O, mu), differential(O, nu))
+                    - differential(O, extended_bracket(ps, mu, nu)))
+        return {"mu": mu, "nu": nu}, residual
 
-    run.identity("d-homomorphism", "[d mu, d nu]_P = d{mu, nu}_P",
-                 d_homomorphism("d-homomorphism"))
+    run.check("d-homomorphism", "[d mu, d nu]_P = d{mu, nu}_P",
+              fixtures, d_homomorphism)
 
-    def h_homomorphism(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
-            for _ in range(per):
-                mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-                nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-                residual = (h_p(ps, extended_bracket(ps, mu, nu))
-                            - fn_bracket(O, h_p(ps, mu), h_p(ps, nu)))
-                yield name, {"mu": mu, "nu": nu}, residual
+    def h_homomorphism(name, ps, rng):
+        O = ps.owner
+        mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
+        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
+        residual = (h_p(ps, extended_bracket(ps, mu, nu))
+                    - fn_bracket(O, h_p(ps, mu), h_p(ps, nu)))
+        return {"mu": mu, "nu": nu}, residual
 
-    run.identity("h-homomorphism", "H{mu,nu}_P = [H mu, H nu]^{F-N}",
-                 h_homomorphism("h-homomorphism"))
+    run.check("h-homomorphism", "H{mu,nu}_P = [H mu, H nu]^{F-N}",
+              fixtures, h_homomorphism)
 
-    def g_homomorphism(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
-            for _ in range(per):
-                mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
-                nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-                residual = (g_p(ps, extended_bracket(ps, mu, nu))
-                            - schouten(O, g_p(ps, mu), g_p(ps, nu)))
-                yield name, {"mu": mu, "nu": nu}, residual
+    def g_homomorphism(name, ps, rng):
+        O = ps.owner
+        mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
+        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
+        residual = (g_p(ps, extended_bracket(ps, mu, nu))
+                    - schouten(O, g_p(ps, mu), g_p(ps, nu)))
+        return {"mu": mu, "nu": nu}, residual
 
-    run.identity("g-homomorphism", "G{mu,nu}_P = [G mu, G nu]",
-                 g_homomorphism("g-homomorphism"))
+    run.check("g-homomorphism", "G{mu,nu}_P = [G mu, G nu]",
+              fixtures, g_homomorphism)
 
 
 def _suite_eq_2_6(run):
     """The Koszul–Schouten bracket agrees with its insertion/Lie expansion."""
-    fixtures = run.poisson()
-    per = run.share(len(fixtures))
+    def expansion(name, ps, rng):
+        O = ps.owner
+        ka = rng.choice([0, 1, 2])
+        mu = run.draw(rng, O, Kind.FORM, ka)
+        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
+        sign = -1 if ka % 2 else 1
+        residual = (koszul_schouten(ps, mu, nu)
+                    - contract_mixed(h_p(ps, mu), nu)
+                    + lie_derivative(O, r_p(ps, mu), nu) * sign)
+        return {"mu": mu, "nu": nu}, residual
 
-    def expansion(item_id):
-        rng = run.rng(item_id)
-        for name, ps in fixtures:
-            O = ps.owner
-            for _ in range(per):
-                ka = rng.choice([0, 1, 2])
-                mu = run.draw(rng, O, Kind.FORM, ka)
-                nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
-                sign = -1 if ka % 2 else 1
-                residual = (koszul_schouten(ps, mu, nu)
-                            - contract_mixed(h_p(ps, mu), nu)
-                            + lie_derivative(O, r_p(ps, mu), nu) * sign)
-                yield name, {"mu": mu, "nu": nu}, residual
-
-    run.identity("h-r-expansion",
-                 "[mu,nu]_P = i_{H mu} nu − (−1)^k L_{R mu} nu",
-                 expansion("h-r-expansion"))
+    run.check("h-r-expansion", "[mu,nu]_P = i_{H mu} nu − (−1)^k L_{R mu} nu",
+              run.poisson(), expansion)
 
 
 # -- lifts to the tangent algebroid ------------------------------------------
@@ -802,74 +729,59 @@ def _suite_eq_2_6(run):
 def _suite_theorem_8(run):
     """Vertical and complete lifts: function laws and module structure."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
+    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
-    def function_laws(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            for _ in range(per):
-                f = random_coefficient(rng, A.base, run.coeff_degree)
-                vf = vertical_lift_V(A, A.fn(f)).tensor
-                tf = complete_lift_T(A, A.fn(f)).tensor
-                pulled = GradedTensor(TL, Kind.MV, 0, {(): f.transport(TL.base)})
-                drift = GradedTensor(TL, Kind.MV, 0,
-                                     {(): _velocity(f, A.base, TL.base)})
-                yield name, {"V(f)": vf, "T(f)": tf}, (vf - pulled, tf - drift)
+    def function_laws(name, A, rng):
+        TL = tangent[name]
+        f = random_coefficient(rng, A.base, run.coeff_degree)
+        vf = vertical_lift_V(A, A.fn(f))
+        tf = complete_lift_T(A, A.fn(f))
+        pulled = GradedTensor(TL, Kind.MV, 0, {(): f.transport(TL.base)})
+        drift = GradedTensor(TL, Kind.MV, 0, {(): _velocity(f, A.base, TL.base)})
+        return {"V(f)": vf, "T(f)": tf}, (vf - pulled, tf - drift)
 
-    run.identity("function-lifts",
-                 "V(f) is the pullback; T(f) is the velocity derivative",
-                 function_laws("function-lifts"))
+    run.check("function-lifts",
+              "V(f) is the pullback; T(f) is the velocity derivative",
+              fixtures, function_laws)
 
-    def module_laws(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                f = random_coefficient(rng, A.base, run.coeff_degree)
-                x = run.draw(rng, A, Kind.MV, 1)
-                fx = x * f
-                vf = vertical_lift_V(A, A.fn(f)).tensor.as_function()
-                tf = complete_lift_T(A, A.fn(f)).tensor.as_function()
-                residual_v = (vertical_lift_V(A, fx).tensor
-                              - vertical_lift_V(A, x).tensor * vf)
-                residual_t = (complete_lift_T(A, fx).tensor
-                              - vertical_lift_V(A, x).tensor * tf
-                              - complete_lift_T(A, x).tensor * vf)
-                yield name, {"x": x}, (residual_v, residual_t)
+    def module_laws(name, A, rng):
+        f = random_coefficient(rng, A.base, run.coeff_degree)
+        x = run.draw(rng, A, Kind.MV, 1)
+        fx = x * f
+        vf = vertical_lift_V(A, A.fn(f)).as_function()
+        tf = complete_lift_T(A, A.fn(f)).as_function()
+        residual_v = vertical_lift_V(A, fx) - vertical_lift_V(A, x) * vf
+        residual_t = (complete_lift_T(A, fx)
+                      - vertical_lift_V(A, x) * tf
+                      - complete_lift_T(A, x) * vf)
+        return {"x": x}, (residual_v, residual_t)
 
-    run.identity("module-laws",
-                 "V(fX) = V(f)V(X) and T(fX) = T(f)V(X) + V(f)T(X)",
-                 module_laws("module-laws"))
+    run.check("module-laws",
+              "V(fX) = V(f)V(X) and T(fX) = T(f)V(X) + V(f)T(X)",
+              fixtures, module_laws)
 
 
 def _suite_theorem_9(run):
     """V and T form a Leibniz pair for wedge and symmetric products."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
 
-    def products(kind, product, item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                degrees = [1, min(2, A.rank)]
-                s = run.draw(rng, A, kind, rng.choice(degrees))
-                t = run.draw(rng, A, kind, rng.choice(degrees))
-                residual_v = (vertical_lift_V(A, product(s, t)).tensor
-                              - product(vertical_lift_V(A, s).tensor,
-                                        vertical_lift_V(A, t).tensor))
-                residual_t = (complete_lift_T(A, product(s, t)).tensor
-                              - product(complete_lift_T(A, s).tensor,
-                                        vertical_lift_V(A, t).tensor)
-                              - product(vertical_lift_V(A, s).tensor,
-                                        complete_lift_T(A, t).tensor))
-                yield name, {"s": s, "t": t}, (residual_v, residual_t)
+    def products(kind, product, name, A, rng):
+        degrees = [1, min(2, A.rank)]
+        s = run.draw(rng, A, kind, rng.choice(degrees))
+        t = run.draw(rng, A, kind, rng.choice(degrees))
+        residual_v = (vertical_lift_V(A, product(s, t))
+                      - product(vertical_lift_V(A, s), vertical_lift_V(A, t)))
+        residual_t = (complete_lift_T(A, product(s, t))
+                      - product(complete_lift_T(A, s), vertical_lift_V(A, t))
+                      - product(vertical_lift_V(A, s), complete_lift_T(A, t)))
+        return {"s": s, "t": t}, (residual_v, residual_t)
 
-    run.identity("wedge-leibniz", "V/T Leibniz pair on multivector wedges",
-                 products(Kind.MV, wedge, "wedge-leibniz"))
-    run.identity("sym-leibniz", "V/T Leibniz pair on symmetric products",
-                 products(Kind.SYM, sym_product, "sym-leibniz"))
-    run.identity("form-leibniz", "V/T Leibniz pair on form wedges",
-                 products(Kind.FORM, wedge, "form-leibniz"))
+    run.check("wedge-leibniz", "V/T Leibniz pair on multivector wedges",
+              fixtures, partial(products, Kind.MV, wedge))
+    run.check("sym-leibniz", "V/T Leibniz pair on symmetric products",
+              fixtures, partial(products, Kind.SYM, sym_product))
+    run.check("form-leibniz", "V/T Leibniz pair on form wedges",
+              fixtures, partial(products, Kind.FORM, wedge))
 
 
 def _suite_theorem_10(run):
@@ -879,147 +791,111 @@ def _suite_theorem_10(run):
     if skipped:
         run.note("skipped over a point (no vector fields to lift): "
                  + ", ".join(skipped))
-    per = run.share(len(fixtures) or 1)
+    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
-    def anchor(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            for _ in range(per):
-                x = run.draw(rng, A, Kind.MV, 1)
-                residual_v = (anchor_apply(TL, vertical_lift_V(A, x).tensor)
-                              - classical_vertical_lift(anchor_apply(A, x)))
-                residual_t = (anchor_apply(TL, complete_lift_T(A, x).tensor)
-                              - classical_complete_lift(anchor_apply(A, x)))
-                yield name, {"x": x}, (residual_v, residual_t)
+    def anchor(name, A, rng):
+        TL = tangent[name]
+        x = run.draw(rng, A, Kind.MV, 1)
+        residual_v = (anchor_apply(TL, vertical_lift_V(A, x))
+                      - classical_vertical_lift(anchor_apply(A, x)))
+        residual_t = (anchor_apply(TL, complete_lift_T(A, x))
+                      - classical_complete_lift(anchor_apply(A, x)))
+        return {"x": x}, (residual_v, residual_t)
 
-    run.identity("anchor-intertwines",
-                 "anchor∘V = v_T∘anchor and anchor∘T = d_T∘anchor",
-                 anchor("anchor-intertwines"))
+    run.check("anchor-intertwines",
+              "anchor∘V = v_T∘anchor and anchor∘T = d_T∘anchor",
+              fixtures, anchor)
 
 
 def _suite_theorem_11(run):
     """The V/T multiplication table for the Schouten brackets."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
+    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
-    def table(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            V, T = _tangent_lifts(A)
-            for _ in range(per):
-                x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
-                y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
-                yield name, {"x": x, "y": y}, _vt_table(
-                    partial(schouten, TL), schouten(A, x, y), x, y, V, T)
+    def table(name, A, rng):
+        x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
+        y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
+        return {"x": x, "y": y}, _vt_table(
+            partial(schouten, tangent[name]), schouten(A, x, y), x, y,
+            partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
-    run.identity("schouten-table",
-                 "[VV]=0, [VT]=[TV]=V[,], [TT]=T[,]", table("schouten-table"))
+    run.check("schouten-table", "[VV]=0, [VT]=[TV]=V[,], [TT]=T[,]",
+              fixtures, table)
 
-    def sym_table(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            V, T = _tangent_lifts(A)
-            for _ in range(per):
-                x = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
-                y = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
-                yield name, {"x": x, "y": y}, _vt_table(
-                    partial(sym_schouten, TL), sym_schouten(A, x, y), x, y, V, T)
+    def sym_table(name, A, rng):
+        x = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
+        y = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
+        return {"x": x, "y": y}, _vt_table(
+            partial(sym_schouten, tangent[name]), sym_schouten(A, x, y), x, y,
+            partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
-    run.identity("sym-schouten-table",
-                 "the same table for the symmetric bracket",
-                 sym_table("sym-schouten-table"))
+    run.check("sym-schouten-table", "the same table for the symmetric bracket",
+              fixtures, sym_table)
 
 
 def _suite_theorem_12(run):
     """Contraction, differential and Lie derivative against V/T lifts."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
+    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
-    def contraction(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            V, T = _tangent_lifts(A)
-            for _ in range(per):
-                x = run.draw(rng, A, Kind.MV, 1)
-                mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-                yield name, {"x": x, "mu": mu}, _vt_table(
-                    contract, contract(x, mu), x, mu, V, T)
+    def contraction(name, A, rng):
+        x = run.draw(rng, A, Kind.MV, 1)
+        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
+        return {"x": x, "mu": mu}, _vt_table(
+            contract, contract(x, mu), x, mu,
+            partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
-    run.identity("contraction-table",
-                 "i_{V/T} on V/T-lifted forms", contraction("contraction-table"))
+    run.check("contraction-table", "i_{V/T} on V/T-lifted forms",
+              fixtures, contraction)
 
-    def differential_table(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            for _ in range(per):
-                mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
-                vm = vertical_lift_V(A, mu).tensor
-                tm = complete_lift_T(A, mu).tensor
-                dmu = differential(A, mu)
-                yield name, {"mu": mu}, (
-                    differential(TL, vm) - vertical_lift_V(A, dmu).tensor,
-                    differential(TL, tm) - complete_lift_T(A, dmu).tensor)
+    def differential_table(name, A, rng):
+        TL = tangent[name]
+        mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
+        dmu = differential(A, mu)
+        return {"mu": mu}, (
+            differential(TL, vertical_lift_V(A, mu)) - vertical_lift_V(A, dmu),
+            differential(TL, complete_lift_T(A, mu)) - complete_lift_T(A, dmu))
 
-    run.identity("differential-table", "d∘V = V∘d and d∘T = T∘d",
-                 differential_table("differential-table"))
+    run.check("differential-table", "d∘V = V∘d and d∘T = T∘d",
+              fixtures, differential_table)
 
-    def lie_table(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            V, T = _tangent_lifts(A)
-            for _ in range(per):
-                x = run.draw(rng, A, Kind.MV, 1)
-                mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-                yield name, {"x": x, "mu": mu}, _vt_table(
-                    partial(lie_derivative, TL), lie_derivative(A, x, mu),
-                    x, mu, V, T)
+    def lie_table(name, A, rng):
+        x = run.draw(rng, A, Kind.MV, 1)
+        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
+        return {"x": x, "mu": mu}, _vt_table(
+            partial(lie_derivative, tangent[name]), lie_derivative(A, x, mu),
+            x, mu, partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
-    run.identity("lie-table", "L_{V/T} on V/T-lifted forms",
-                 lie_table("lie-table"))
+    run.check("lie-table", "L_{V/T} on V/T-lifted forms", fixtures, lie_table)
 
 
 def _suite_theorem_13(run):
     """The V/T table for the Nijenhuis–Richardson bracket."""
-    fixtures = run.algebroids()
-    per = run.share(len(fixtures))
+    def table(name, A, rng):
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        return {"K": k, "L": l}, _vt_table(
+            nr_bracket, nr_bracket(k, l), k, l,
+            partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
-    def table(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            V, T = _tangent_lifts(A)
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                yield name, {"K": k, "L": l}, _vt_table(
-                    nr_bracket, nr_bracket(k, l), k, l, V, T)
-
-    run.identity("nr-table", "the V/T table for the N-R bracket",
-                 table("nr-table"))
+    run.check("nr-table", "the V/T table for the N-R bracket",
+              run.algebroids(), table)
 
 
 def _suite_theorem_14(run):
     """The V/T table for the Frölicher–Nijenhuis bracket."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
+    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
-    def table(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            V, T = _tangent_lifts(A)
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                yield name, {"K": k, "L": l}, _vt_table(
-                    partial(fn_bracket, TL), fn_bracket(A, k, l), k, l, V, T)
+    def table(name, A, rng):
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        return {"K": k, "L": l}, _vt_table(
+            partial(fn_bracket, tangent[name]), fn_bracket(A, k, l), k, l,
+            partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
-    run.identity("fn-table", "the V/T table for the F-N bracket",
-                 table("fn-table"))
+    run.check("fn-table", "the V/T table for the F-N bracket", fixtures, table)
+
 
 
 # -- lifts to the dual bundle ------------------------------------------------
@@ -1027,98 +903,78 @@ def _suite_theorem_14(run):
 def _suite_theorem_15(run):
     """The dual-chart Schouten identities tying iota, V_pi and G together."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
+    linear = {name: linear_poisson(A) for name, A in fixtures}
 
-    def an_instance(name, A, rng):
-        ps = linear_poisson(A)
-        D = ps.owner
+    def an_instance(A, rng):
+        """Every item draws x, y, mu and nu, whichever of them it uses."""
         x = run.draw(rng, A, Kind.MV, 1)
         y = run.draw(rng, A, Kind.MV, 1)
         mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
         nu = run.draw(rng, A, Kind.FORM, 1)
-        return ps, D, x, y, mu, nu
+        return x, y, mu, nu
 
-    def wedge_mult(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                _, _, _, _, mu, nu = an_instance(name, A, rng)
-                residual = (vertical_pi(A, wedge(mu, nu))
-                            - wedge(vertical_pi(A, mu), vertical_pi(A, nu)))
-                yield name, {"mu": mu, "nu": nu}, residual
+    def wedge_mult(name, A, rng):
+        _, _, mu, nu = an_instance(A, rng)
+        residual = (vertical_pi(A, wedge(mu, nu))
+                    - wedge(vertical_pi(A, mu), vertical_pi(A, nu)))
+        return {"mu": mu, "nu": nu}, residual
 
-    run.identity("a-multiplicative", "V_pi(mu∧nu) = V_pi(mu)∧V_pi(nu)",
-                 wedge_mult("a-multiplicative"))
+    run.check("a-multiplicative", "V_pi(mu∧nu) = V_pi(mu)∧V_pi(nu)",
+              fixtures, wedge_mult)
 
-    def commute(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                _, D, _, _, mu, nu = an_instance(name, A, rng)
-                residual = schouten(D, vertical_pi(A, mu), vertical_pi(A, nu))
-                yield name, {"mu": mu, "nu": nu}, residual
+    def commute(name, A, rng):
+        _, _, mu, nu = an_instance(A, rng)
+        D = linear[name].owner
+        return {"mu": mu, "nu": nu}, schouten(D, vertical_pi(A, mu),
+                                              vertical_pi(A, nu))
 
-    run.identity("b-commuting", "[V_pi mu, V_pi nu] = 0", commute("b-commuting"))
+    run.check("b-commuting", "[V_pi mu, V_pi nu] = 0", fixtures, commute)
 
-    def iota_bracket(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                _, D, x, _, mu, _ = an_instance(name, A, rng)
-                residual = (schouten(D, D.fn(iota(A, x)), vertical_pi(A, mu))
-                            + vertical_pi(A, contract(x, mu)))
-                yield name, {"x": x, "mu": mu}, residual
+    def iota_bracket(name, A, rng):
+        x, _, mu, _ = an_instance(A, rng)
+        D = linear[name].owner
+        residual = (schouten(D, D.fn(iota(A, x)), vertical_pi(A, mu))
+                    + vertical_pi(A, contract(x, mu)))
+        return {"x": x, "mu": mu}, residual
 
-    run.identity("c-iota", "[iota(X), V_pi mu] = −V_pi(i_X mu)",
-                 iota_bracket("c-iota"))
+    run.check("c-iota", "[iota(X), V_pi mu] = −V_pi(i_X mu)",
+              fixtures, iota_bracket)
 
-    def p_bracket(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                ps, D, _, _, mu, _ = an_instance(name, A, rng)
-                residual = (schouten(D, ps.bivector, vertical_pi(A, mu))
-                            - vertical_pi(A, differential(A, mu)))
-                yield name, {"mu": mu}, residual
+    def p_bracket(name, A, rng):
+        _, _, mu, _ = an_instance(A, rng)
+        ps = linear[name]
+        residual = (schouten(ps.owner, ps.bivector, vertical_pi(A, mu))
+                    - vertical_pi(A, differential(A, mu)))
+        return {"mu": mu}, residual
 
-    run.identity("d-differential", "[P, V_pi mu] = V_pi(d mu)",
-                 p_bracket("d-differential"))
+    run.check("d-differential", "[P, V_pi mu] = V_pi(d mu)", fixtures, p_bracket)
 
-    def g_lie(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                _, D, x, _, mu, _ = an_instance(name, A, rng)
-                residual = (schouten(D, cot_complete_G_vec(A, x),
-                                     vertical_pi(A, mu))
-                            - vertical_pi(A, lie_derivative(A, x, mu)))
-                yield name, {"x": x, "mu": mu}, residual
+    def g_lie(name, A, rng):
+        x, _, mu, _ = an_instance(A, rng)
+        D = linear[name].owner
+        residual = (schouten(D, cot_complete_G_vec(A, x), vertical_pi(A, mu))
+                    - vertical_pi(A, lie_derivative(A, x, mu)))
+        return {"x": x, "mu": mu}, residual
 
-    run.identity("e-lie", "[G(X), V_pi mu] = V_pi(L_X mu)", g_lie("e-lie"))
+    run.check("e-lie", "[G(X), V_pi mu] = V_pi(L_X mu)", fixtures, g_lie)
 
-    def g_g(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                _, D, x, y, _, _ = an_instance(name, A, rng)
-                residual = (schouten(D, cot_complete_G_vec(A, x),
-                                     cot_complete_G_vec(A, y))
-                            - cot_complete_G_vec(A, section_bracket(A, x, y)))
-                yield name, {"x": x, "y": y}, residual
+    def g_g(name, A, rng):
+        x, y, _, _ = an_instance(A, rng)
+        D = linear[name].owner
+        residual = (schouten(D, cot_complete_G_vec(A, x), cot_complete_G_vec(A, y))
+                    - cot_complete_G_vec(A, section_bracket(A, x, y)))
+        return {"x": x, "y": y}, residual
 
-    run.identity("f-bracket", "[G(X), G(Y)] = G([X, Y])", g_g("f-bracket"))
+    run.check("f-bracket", "[G(X), G(Y)] = G([X, Y])", fixtures, g_g)
 
-    def g_iota(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                _, D, x, y, _, _ = an_instance(name, A, rng)
-                residual = (schouten(D, cot_complete_G_vec(A, x),
-                                     D.fn(iota(A, y)))
-                            - D.fn(iota(A, section_bracket(A, x, y))))
-                yield name, {"x": x, "y": y}, residual
+    def g_iota(name, A, rng):
+        x, y, _, _ = an_instance(A, rng)
+        D = linear[name].owner
+        residual = (schouten(D, cot_complete_G_vec(A, x), D.fn(iota(A, y)))
+                    - D.fn(iota(A, section_bracket(A, x, y))))
+        return {"x": x, "y": y}, residual
 
-    run.identity("g-iota", "[G(X), iota(Y)] = iota([X, Y])", g_iota("g-iota"))
+    run.check("g-iota", "[G(X), iota(Y)] = iota([X, Y])", fixtures, g_iota)
 
 
 def _g_expanded(A, k):
@@ -1136,55 +992,44 @@ def _suite_theorem_16(run):
     """The mixed-tensor maps J and G extend −iota and the vector lift, and
     the two routes to G agree."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
+    linear = {name: linear_poisson(A) for name, A in fixtures}
 
-    def degree_zero(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            D = canonical_algebroid(dual_chart(A))
-            for _ in range(per):
-                x = run.draw(rng, A, Kind.MV, 1)
-                k = mixed_from_vector(x)
-                yield name, {"x": x}, (
-                    J_map(A, k) + D.fn(iota(A, x)),
-                    G_map(A, k) - cot_complete_G_vec(A, x))
+    def degree_zero(name, A, rng):
+        D = canonical_algebroid(dual_chart(A))
+        x = run.draw(rng, A, Kind.MV, 1)
+        k = mixed_from_vector(x)
+        return {"x": x}, (J_map(A, k) + D.fn(iota(A, x)),
+                          G_map(A, k) - cot_complete_G_vec(A, x))
 
-    run.identity("degree-zero", "J(X) = −iota(X) and G(X) = G_vec(X)",
-                 degree_zero("degree-zero"))
+    run.check("degree-zero", "J(X) = −iota(X) and G(X) = G_vec(X)",
+              fixtures, degree_zero)
 
-    def dual_routes(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            ps = linear_poisson(A)
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-                residual = (schouten(ps.owner, ps.bivector, J_map(A, k))
-                            - _g_expanded(A, k))
-                yield name, {"K": k}, residual
+    def dual_routes(name, A, rng):
+        ps = linear[name]
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+        residual = (schouten(ps.owner, ps.bivector, J_map(A, k))
+                    - _g_expanded(A, k))
+        return {"K": k}, residual
 
-    run.identity("dual-routes",
-                 "[P, J(K)] equals the product-rule expansion of G(K)",
-                 dual_routes("dual-routes"))
+    run.check("dual-routes",
+              "[P, J(K)] equals the product-rule expansion of G(K)",
+              fixtures, dual_routes)
 
 
 def _suite_theorem_17(run):
     """J is an injective homomorphism of the N-R bracket."""
     fixtures = run.algebroids()
-    per = run.share(len(fixtures))
 
-    def homomorphism(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            D = canonical_algebroid(dual_chart(A))
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                residual = (schouten(D, J_map(A, k), J_map(A, l))
-                            - J_map(A, nr_bracket(k, l)))
-                yield name, {"K": k, "L": l}, residual
+    def homomorphism(name, A, rng):
+        D = canonical_algebroid(dual_chart(A))
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        residual = (schouten(D, J_map(A, k), J_map(A, l))
+                    - J_map(A, nr_bracket(k, l)))
+        return {"K": k, "L": l}, residual
 
-    run.identity("nr-homomorphism", "[J(K), J(L)] = J([K,L]^{N-R})",
-                 homomorphism("nr-homomorphism"))
+    run.check("nr-homomorphism", "[J(K), J(L)] = J([K,L]^{N-R})",
+              fixtures, homomorphism)
 
     def injectivity(item_id):
         rng = run.rng(item_id)
@@ -1218,22 +1063,16 @@ def _suite_theorem_17(run):
 
 def _suite_theorem_18(run):
     """The dual complete lift G is a homomorphism of the F-N bracket."""
-    fixtures = run.algebroids()
-    per = run.share(len(fixtures))
+    def homomorphism(name, A, rng):
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        residual = (schouten(canonical_algebroid(dual_chart(A)),
+                             G_map(A, k), G_map(A, l))
+                    - G_map(A, fn_bracket(A, k, l)))
+        return {"K": k, "L": l}, residual
 
-    def homomorphism(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                residual = (schouten(canonical_algebroid(dual_chart(A)),
-                                     G_map(A, k), G_map(A, l))
-                            - G_map(A, fn_bracket(A, k, l)))
-                yield name, {"K": k, "L": l}, residual
-
-    run.identity("fn-homomorphism", "[G(K), G(L)] = G([K,L]^{F-N})",
-                 homomorphism("fn-homomorphism"))
+    run.check("fn-homomorphism", "[G(K), G(L)] = G([K,L]^{F-N})",
+              run.algebroids(), homomorphism)
 
 
 # -- the canonical case ------------------------------------------------------
@@ -1311,22 +1150,19 @@ def _suite_theorem_19(run):
     fixtures = run.canonical()
     if not fixtures:
         run.note("no canonical algebroids in the model")
-    per = run.share(len(fixtures) or 1)
+    per = run.share(len(fixtures))
+    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
-    def vectors(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            chart = A.base
-            for _ in range(per):
-                x = run.draw(rng, A, Kind.MV, 1)
-                yield name, {"x": x}, (
-                    canonical_transport("kappa", vertical_lift_V(A, x))
-                    - _direct_vertical_vector(chart, x),
-                    canonical_transport("kappa", complete_lift_T(A, x))
-                    - _direct_complete_vector(chart, x))
+    def vectors(name, A, rng):
+        x = run.draw(rng, A, Kind.MV, 1)
+        return {"x": x}, (
+            canonical_transport("kappa", vertical_lift_V(A, x))
+            - _direct_vertical_vector(A.base, x),
+            canonical_transport("kappa", complete_lift_T(A, x))
+            - _direct_complete_vector(A.base, x))
 
-    run.identity("vectors", "kappa∘V = v_T and kappa∘T = d_T on vector fields",
-                 vectors("vectors"))
+    run.check("vectors", "kappa∘V = v_T and kappa∘T = d_T on vector fields",
+              fixtures, vectors)
 
     def bivectors(item_id):
         rng = run.rng(item_id)
@@ -1344,74 +1180,56 @@ def _suite_theorem_19(run):
 
     run.identity("bivectors", "the same on bivectors", bivectors("bivectors"))
 
-    def forms(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            chart = A.base
-            for _ in range(per):
-                mu = run.draw(rng, A, Kind.FORM,
-                              rng.choice([1, min(2, A.rank)]))
-                yield name, {"mu": mu}, (
-                    canonical_transport("alpha", vertical_lift_V(A, mu))
-                    - _direct_vertical_form(chart, mu),
-                    canonical_transport("alpha", complete_lift_T(A, mu))
-                    - _direct_complete_form(chart, mu))
+    def forms(name, A, rng):
+        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
+        return {"mu": mu}, (
+            canonical_transport("alpha", vertical_lift_V(A, mu))
+            - _direct_vertical_form(A.base, mu),
+            canonical_transport("alpha", complete_lift_T(A, mu))
+            - _direct_complete_form(A.base, mu))
 
-    run.identity("forms", "alpha∘V = v_T and alpha∘T = d_T on forms",
-                 forms("forms"))
+    run.check("forms", "alpha∘V = v_T and alpha∘T = d_T on forms",
+              fixtures, forms)
 
-    def involution(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            for _ in range(per):
-                s = run.draw(rng, TL, Kind.MV, rng.choice([1, 2]))
-                mu = run.draw(rng, TL, Kind.FORM, rng.choice([1, 2]))
-                yield name, {"s": s, "mu": mu}, (
-                    canonical_transport(
-                        "kappa", canonical_transport("kappa", s)) - s,
-                    canonical_transport(
-                        "alpha", canonical_transport("alpha", mu)) - mu)
+    def involution(name, A, rng):
+        TL = tangent[name]
+        s = run.draw(rng, TL, Kind.MV, rng.choice([1, 2]))
+        mu = run.draw(rng, TL, Kind.FORM, rng.choice([1, 2]))
+        return {"s": s, "mu": mu}, (
+            canonical_transport("kappa", canonical_transport("kappa", s)) - s,
+            canonical_transport("alpha", canonical_transport("alpha", mu)) - mu)
 
-    run.identity("involution", "kappa∘kappa = id and alpha∘alpha = id",
-                 involution("involution"))
+    run.check("involution", "kappa∘kappa = id and alpha∘alpha = id",
+              fixtures, involution)
 
 
 def _suite_theorem_20(run):
     """The flip is the tangent-lift anchor and an algebroid isomorphism; the
     two routes to the tangent Poisson structure agree."""
     fixtures = run.canonical()
-    per = run.share(len(fixtures) or 1)
+    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
-    def anchor(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            for _ in range(per):
-                s = run.draw(rng, TL, Kind.MV, 1)
-                residual = anchor_apply(TL, s) - canonical_transport("kappa", s)
-                yield name, {"s": s}, residual
+    def anchor(name, A, rng):
+        TL = tangent[name]
+        s = run.draw(rng, TL, Kind.MV, 1)
+        return {"s": s}, anchor_apply(TL, s) - canonical_transport("kappa", s)
 
-    run.identity("anchor-is-kappa", "the tangent-lift anchor is the flip",
-                 anchor("anchor-is-kappa"))
+    run.check("anchor-is-kappa", "the tangent-lift anchor is the flip",
+              fixtures, anchor)
 
-    def bracket_iso(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            target = canonical_algebroid(dotted_chart(A.base))
-            for _ in range(per):
-                s = run.draw(rng, TL, Kind.MV, 1)
-                t = run.draw(rng, TL, Kind.MV, 1)
-                residual = (canonical_transport("kappa", section_bracket(TL, s, t))
-                            - section_bracket(target,
-                                              canonical_transport("kappa", s),
-                                              canonical_transport("kappa", t)))
-                yield name, {"s": s, "t": t}, residual
+    def bracket_iso(name, A, rng):
+        TL = tangent[name]
+        target = canonical_algebroid(dotted_chart(A.base))
+        s = run.draw(rng, TL, Kind.MV, 1)
+        t = run.draw(rng, TL, Kind.MV, 1)
+        residual = (canonical_transport("kappa", section_bracket(TL, s, t))
+                    - section_bracket(target,
+                                      canonical_transport("kappa", s),
+                                      canonical_transport("kappa", t)))
+        return {"s": s, "t": t}, residual
 
-    run.identity("bracket-isomorphism",
-                 "kappa intertwines the section brackets",
-                 bracket_iso("bracket-isomorphism"))
+    run.check("bracket-isomorphism", "kappa intertwines the section brackets",
+              fixtures, bracket_iso)
 
     def poisson_routes(item_id):
         for name, A in run.algebroids():
@@ -1434,54 +1252,44 @@ def _suite_theorem_20(run):
 def _suite_theorem_21(run):
     """The classical-lift tables on the canonical case."""
     fixtures = run.canonical()
-    per = run.share(len(fixtures) or 1)
     V, T = classical_vertical_lift, classical_complete_lift
 
-    def schouten_table(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            target = canonical_algebroid(dotted_chart(A.base))
-            for _ in range(per):
-                x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
-                y = run.draw(rng, A, Kind.MV, 1)
-                yield name, {"x": x, "y": y}, _vt_table(
-                    partial(schouten, target), schouten(A, x, y), x, y, V, T)
+    def schouten_table(name, A, rng):
+        target = canonical_algebroid(dotted_chart(A.base))
+        x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
+        y = run.draw(rng, A, Kind.MV, 1)
+        return {"x": x, "y": y}, _vt_table(
+            partial(schouten, target), schouten(A, x, y), x, y, V, T)
 
-    run.identity("schouten-table", "the v_T/d_T Schouten table",
-                 schouten_table("schouten-table"))
+    run.check("schouten-table", "the v_T/d_T Schouten table",
+              fixtures, schouten_table)
 
-    def mixed_tables(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            target = canonical_algebroid(dotted_chart(A.base))
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                yield name, {"K": k, "L": l}, (
-                    _vt_table(nr_bracket, nr_bracket(k, l), k, l, V, T)
-                    + _vt_table(partial(fn_bracket, target), fn_bracket(A, k, l),
-                                k, l, V, T))
+    def mixed_tables(name, A, rng):
+        target = canonical_algebroid(dotted_chart(A.base))
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        return {"K": k, "L": l}, (
+            _vt_table(nr_bracket, nr_bracket(k, l), k, l, V, T)
+            + _vt_table(partial(fn_bracket, target), fn_bracket(A, k, l),
+                        k, l, V, T))
 
-    run.identity("mixed-tables", "the v_T/d_T tables for N-R and F-N",
-                 mixed_tables("mixed-tables"))
+    run.check("mixed-tables", "the v_T/d_T tables for N-R and F-N",
+              fixtures, mixed_tables)
 
-    def cartan_tables(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            target = canonical_algebroid(dotted_chart(A.base))
-            for _ in range(per):
-                x = run.draw(rng, A, Kind.MV, 1)
-                mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-                dmu = differential(A, mu)
-                yield name, {"x": x, "mu": mu}, (
-                    _vt_table(contract, contract(x, mu), x, mu, V, T)
-                    + (differential(target, V(mu)) - V(dmu),
-                       differential(target, T(mu)) - T(dmu))
-                    + _vt_table(partial(lie_derivative, target),
-                                lie_derivative(A, x, mu), x, mu, V, T))
+    def cartan_tables(name, A, rng):
+        target = canonical_algebroid(dotted_chart(A.base))
+        x = run.draw(rng, A, Kind.MV, 1)
+        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
+        dmu = differential(A, mu)
+        return {"x": x, "mu": mu}, (
+            _vt_table(contract, contract(x, mu), x, mu, V, T)
+            + (differential(target, V(mu)) - V(dmu),
+               differential(target, T(mu)) - T(dmu))
+            + _vt_table(partial(lie_derivative, target),
+                        lie_derivative(A, x, mu), x, mu, V, T))
 
-    run.identity("cartan-tables", "the v_T/d_T tables for i, d and L",
-                 cartan_tables("cartan-tables"))
+    run.check("cartan-tables", "the v_T/d_T tables for i, d and L",
+              fixtures, cartan_tables)
 
 
 def _pullback(A, owner, mu):
@@ -1494,81 +1302,59 @@ def _suite_theorem_22(run):
     """The degreewise-signed bundle map of the fiberwise-linear bivector
     recovers the dual lifts of forms and mixed tensors."""
     fixtures = run.canonical()
-    per = run.share(len(fixtures) or 1)
+    linear = {name: linear_poisson(A) for name, A in fixtures}
 
-    def pullbacks(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            ps = linear_poisson(A)
-            for _ in range(per):
-                mu = run.draw(rng, A, Kind.FORM,
-                              rng.choice([0, 1, min(2, A.rank)]))
-                residual = (lambda_p(ps, _pullback(A, ps.owner, mu), "star")
-                            - vertical_pi(A, mu))
-                yield name, {"mu": mu}, residual
+    def pullbacks(name, A, rng):
+        ps = linear[name]
+        mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
+        residual = (lambda_p(ps, _pullback(A, ps.owner, mu), "star")
+                    - vertical_pi(A, mu))
+        return {"mu": mu}, residual
 
-    run.identity("pullbacks", "Λ*(pullback mu) = V_pi(mu)",
-                 pullbacks("pullbacks"))
+    run.check("pullbacks", "Λ*(pullback mu) = V_pi(mu)", fixtures, pullbacks)
 
-    def contracted(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            ps = linear_poisson(A)
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-                residual = lambda_p(ps, Jstar(k), "star") + J_map(A, k)
-                yield name, {"K": k}, residual
+    def contracted(name, A, rng):
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+        return {"K": k}, lambda_p(linear[name], Jstar(k), "star") + J_map(A, k)
 
-    run.identity("contracted-pullbacks", "Λ*(J*(K)) = −J(K)",
-                 contracted("contracted-pullbacks"))
+    run.check("contracted-pullbacks", "Λ*(J*(K)) = −J(K)",
+              fixtures, contracted)
 
-    def differentials(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            ps = linear_poisson(A)
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                residual = (lambda_p(ps, differential(ps.owner, Jstar(k)), "star")
-                            + G_map(A, k))
-                yield name, {"K": k}, residual
+    def differentials(name, A, rng):
+        ps = linear[name]
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        residual = (lambda_p(ps, differential(ps.owner, Jstar(k)), "star")
+                    + G_map(A, k))
+        return {"K": k}, residual
 
-    run.identity("differentials", "Λ*(d J*(K)) = −G(K)",
-                 differentials("differentials"))
+    run.check("differentials", "Λ*(d J*(K)) = −G(K)", fixtures, differentials)
 
-    def d_intertwine(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            ps = linear_poisson(A)
-            D = ps.owner
-            for _ in range(per):
-                nu = run.draw(rng, D, Kind.FORM, rng.choice([1, 2]))
-                residual = (lambda_p(ps, differential(D, nu), "star")
-                            - schouten(D, ps.bivector, lambda_p(ps, nu, "star")))
-                yield name, {"nu": nu}, residual
+    def d_intertwine(name, A, rng):
+        ps = linear[name]
+        D = ps.owner
+        nu = run.draw(rng, D, Kind.FORM, rng.choice([1, 2]))
+        residual = (lambda_p(ps, differential(D, nu), "star")
+                    - schouten(D, ps.bivector, lambda_p(ps, nu, "star")))
+        return {"nu": nu}, residual
 
-    run.identity("d-intertwine", "Λ*(d nu) = [P, Λ*(nu)]",
-                 d_intertwine("d-intertwine"))
+    run.check("d-intertwine", "Λ*(d nu) = [P, Λ*(nu)]", fixtures, d_intertwine)
 
 
 def _suite_theorem_23(run):
     """J* maps the F-N bracket to the extended bracket."""
     fixtures = run.canonical()
-    per = run.share(len(fixtures) or 1)
+    linear = {name: linear_poisson(A) for name, A in fixtures}
 
-    def homomorphism(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            ps = linear_poisson(A)
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                l = run.draw(rng, A, Kind.MIXED,
-                             rng.choice([0, 1, min(2, A.rank)]))
-                residual = (extended_bracket(ps, Jstar(k), Jstar(l))
-                            - Jstar(fn_bracket(A, k, l)))
-                yield name, {"K": k, "L": l}, residual
+    def homomorphism(name, A, rng):
+        ps = linear[name]
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+        residual = (extended_bracket(ps, Jstar(k), Jstar(l))
+                    - Jstar(fn_bracket(A, k, l)))
+        return {"K": k, "L": l}, residual
 
-    run.identity("extended-homomorphism", "{J*K, J*L}_P = J*([K,L]^{F-N})",
-                 homomorphism("extended-homomorphism"))
+    run.check("extended-homomorphism", "{J*K, J*L}_P = J*([K,L]^{F-N})",
+              fixtures, homomorphism)
 
 
 def _literal_h(A, k):
@@ -1633,45 +1419,33 @@ def _suite_theorem_24(run):
              "global sign of G is a consistent alternative and is recorded "
              "by the literal-expansion item")
     fixtures = run.canonical()
-    per = run.share(len(fixtures) or 1)
 
-    def homomorphism(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            D = canonical_algebroid(dual_chart(A))
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-                residual = (fn_bracket(D, H_map(k), H_map(l))
-                            - H_map(fn_bracket(A, k, l)))
-                yield name, {"K": k, "L": l}, residual
+    def homomorphism(name, A, rng):
+        D = canonical_algebroid(dual_chart(A))
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
+        residual = (fn_bracket(D, H_map(k), H_map(l))
+                    - H_map(fn_bracket(A, k, l)))
+        return {"K": k, "L": l}, residual
 
-    run.identity("fn-homomorphism", "[H(K), H(L)]^{F-N} = H([K,L]^{F-N})",
-                 homomorphism("fn-homomorphism"))
+    run.check("fn-homomorphism", "[H(K), H(L)]^{F-N} = H([K,L]^{F-N})",
+              fixtures, homomorphism)
 
-    def h_expansion(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-                residual = H_map(k) - _literal_h(A, k)
-                yield name, {"K": k}, residual
+    def h_expansion(name, A, rng):
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+        return {"K": k}, H_map(k) - _literal_h(A, k)
 
-    run.identity("h-expansion", "H agrees with its momentum expansion",
-                 h_expansion("h-expansion"))
+    run.check("h-expansion", "H agrees with its momentum expansion",
+              fixtures, h_expansion)
 
-    def g_expansion(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            for _ in range(per):
-                k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-                residual = G_map(A, k) + _literal_g(A, k)
-                yield name, {"K": k}, residual
+    def g_expansion(name, A, rng):
+        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+        return {"K": k}, G_map(A, k) + _literal_g(A, k)
 
-    run.identity("g-expansion",
-                 "G agrees with its momentum expansion up to the recorded "
-                 "global sign",
-                 g_expansion("g-expansion"))
+    run.check("g-expansion",
+              "G agrees with its momentum expansion up to the recorded "
+              "global sign",
+              fixtures, g_expansion)
 
     def injectivity(item_id):
         rng = run.rng(item_id)
@@ -1710,21 +1484,17 @@ def _suite_theorem_24(run):
 def _suite_eq_7_12(run):
     """The dual flip intertwines the two exterior derivatives."""
     fixtures = run.canonical()
-    per = run.share(len(fixtures) or 1)
+    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
-    def intertwine(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            target = canonical_algebroid(dotted_chart(A.base))
-            for _ in range(per):
-                mu = run.draw(rng, TL, Kind.FORM, rng.choice([0, 1, 2]))
-                residual = (canonical_transport("alpha", differential(TL, mu))
-                            - differential(target,
-                                           canonical_transport("alpha", mu)))
-                yield name, {"mu": mu}, residual
+    def intertwine(name, A, rng):
+        TL = tangent[name]
+        target = canonical_algebroid(dotted_chart(A.base))
+        mu = run.draw(rng, TL, Kind.FORM, rng.choice([0, 1, 2]))
+        residual = (canonical_transport("alpha", differential(TL, mu))
+                    - differential(target, canonical_transport("alpha", mu)))
+        return {"mu": mu}, residual
 
-    run.identity("alpha-d", "alpha∘d = d∘alpha", intertwine("alpha-d"))
+    run.check("alpha-d", "alpha∘d = d∘alpha", fixtures, intertwine)
 
 
 def _tangent_anchor_map(A, s):
@@ -1763,20 +1533,17 @@ def _suite_eq_7_13(run):
     if skipped:
         run.note("skipped over a point (the tangent of the base is trivial): "
                  + ", ".join(skipped))
-    per = run.share(len(fixtures) or 1)
+    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
-    def intertwine(item_id):
-        rng = run.rng(item_id)
-        for name, A in fixtures:
-            TL = tangent_lift(A)
-            for _ in range(per):
-                s = run.draw(rng, TL, Kind.MV, 1)
-                residual = (canonical_transport("kappa", anchor_apply(TL, s))
-                            - _tangent_anchor_map(A, s))
-                yield name, {"s": s}, residual
+    def intertwine(name, A, rng):
+        TL = tangent[name]
+        s = run.draw(rng, TL, Kind.MV, 1)
+        residual = (canonical_transport("kappa", anchor_apply(TL, s))
+                    - _tangent_anchor_map(A, s))
+        return {"s": s}, residual
 
-    run.identity("kappa-anchor", "kappa∘(tangent-lift anchor) = T(anchor)",
-                 intertwine("kappa-anchor"))
+    run.check("kappa-anchor", "kappa∘(tangent-lift anchor) = T(anchor)",
+              fixtures, intertwine)
 
 
 # -- registry ----------------------------------------------------------------

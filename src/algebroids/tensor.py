@@ -264,6 +264,15 @@ def _accumulate(pairs: Iterable[Tuple[Key, Poly]]) -> Dict[Key, Poly]:
     return acc
 
 
+def tensor_sum(owner, kind: Kind, degree: int,
+               pieces: Iterable[GradedTensor]) -> GradedTensor:
+    """The sum of ``pieces``, all of ``kind`` and ``degree`` over ``owner``,
+    in one pass of the accumulation kernel (a chain of ``+`` re-walks the
+    running sum on every addition)."""
+    return GradedTensor._make(owner, kind, degree, _accumulate(
+        chain.from_iterable(p.terms.items() for p in pieces)))
+
+
 # -- products -----------------------------------------------------------------
 
 def _product(s: GradedTensor, t: GradedTensor, merge, kind: Kind,

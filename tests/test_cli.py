@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from algebroids import cli
 from algebroids.cli import main
 
 
@@ -109,6 +110,30 @@ def test_deep_nesting_is_an_input_error(tmp_path, anchor, document):
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "error"
     assert "Traceback" not in proc.stderr
+
+
+def test_polynomial_blow_up_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "blow-up.json"
+    path.write_text(json.dumps({
+        "charts": {"space": ["x", "y", "z"]},
+        "algebroids": {"big": {"chart": "space", "fibers": ["e1"],
+                               "anchor": [["(x+y+z+1)^20", "0", "0"]]}}}),
+        encoding="utf-8")
+    code, report, _ = run_cli(capsys, "validate", "--model", str(path))
+    assert code == 2
+    assert report["status"] == "error"
+    assert "terms" in report["error"]["message"]
+
+
+def test_memory_error_is_an_input_error(capsys, monkeypatch):
+    def exhausted(model, args):
+        raise MemoryError
+    monkeypatch.setitem(cli._HANDLERS, "validate", exhausted)
+    code, report, err = run_cli(capsys, "validate")
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "MemoryError"
+    assert "Traceback" not in err
 
 
 def test_unknown_tensor_is_an_input_error(capsys):

@@ -41,7 +41,6 @@ from algebroids.lifts import (
     H_map,
     J_map,
     Jstar,
-    LiftedSection,
     canonical_transport,
     classical_complete_lift,
     classical_vertical_lift,
@@ -116,15 +115,12 @@ def test_vertical_lift_examples():
     line = canonical_line()
     TL = tangent_lift(line)
     lifted = vertical_lift_V(line, line.e(0))
-    assert isinstance(lifted, LiftedSection)
-    assert lifted.lift == "V"
-    assert lifted.origin == line
-    assert lifted.tensor == GradedTensor(TL, Kind.MV, 1, {(0,): 1})
-    assert vertical_lift_V(line, line.fn("x^2 + 1")).tensor == GradedTensor(
+    assert lifted == GradedTensor(TL, Kind.MV, 1, {(0,): 1})
+    assert vertical_lift_V(line, line.fn("x^2 + 1")) == GradedTensor(
         TL, Kind.MV, 0, {(): "x^2 + 1"}
     )
     plane = canonical_plane()
-    assert vertical_lift_V(plane, wedge(plane.e(0), plane.e(1))).tensor == GradedTensor(
+    assert vertical_lift_V(plane, wedge(plane.e(0), plane.e(1))) == GradedTensor(
         tangent_lift(plane), Kind.MV, 2, {(0, 1): 1}
     )
 
@@ -133,19 +129,18 @@ def test_complete_lift_examples():
     line = canonical_line()
     TL = tangent_lift(line)
     lifted = complete_lift_T(line, GradedTensor(line, Kind.MV, 1, {(0,): "x"}))
-    assert lifted.lift == "T"
-    assert lifted.tensor == GradedTensor(TL, Kind.MV, 1, {(0,): "x_dot", (1,): "x"})
-    assert complete_lift_T(line, line.fn("x^2 + 1")).tensor == GradedTensor(
+    assert lifted == GradedTensor(TL, Kind.MV, 1, {(0,): "x_dot", (1,): "x"})
+    assert complete_lift_T(line, line.fn("x^2 + 1")) == GradedTensor(
         TL, Kind.MV, 0, {(): "2*x*x_dot"}
     )
     e = GradedTensor(line, Kind.SYM, 1, {(0,): 1})
-    assert complete_lift_T(line, sym_product(e, e)).tensor == GradedTensor(
+    assert complete_lift_T(line, sym_product(e, e)) == GradedTensor(
         TL, Kind.SYM, 2, {(0, 1): 2}
     )
     # mixed: the velocity slot walks the form indices and the fiber slot
     assert complete_lift_T(
         line, GradedTensor(line, Kind.MIXED, 1, {((0,), 0): 1})
-    ).tensor == GradedTensor(TL, Kind.MIXED, 1, {((0,), 0): 1, ((1,), 1): 1})
+    ) == GradedTensor(TL, Kind.MIXED, 1, {((0,), 0): 1, ((1,), 1): 1})
 
 
 def test_lifts_form_a_leibniz_pair():
@@ -155,19 +150,19 @@ def test_lifts_form_a_leibniz_pair():
         for _ in range(3):
             x = rand_mv(rng, A, 1)
             y = rand_mv(rng, A, rng.choice([1, 2]))
-            assert vertical_lift_V(A, wedge(x, y)).tensor == wedge(
-                vertical_lift_V(A, x).tensor, vertical_lift_V(A, y).tensor
+            assert vertical_lift_V(A, wedge(x, y)) == wedge(
+                vertical_lift_V(A, x), vertical_lift_V(A, y)
             )
-            assert complete_lift_T(A, wedge(x, y)).tensor == (
-                wedge(complete_lift_T(A, x).tensor, vertical_lift_V(A, y).tensor)
-                + wedge(vertical_lift_V(A, x).tensor, complete_lift_T(A, y).tensor)
+            assert complete_lift_T(A, wedge(x, y)) == (
+                wedge(complete_lift_T(A, x), vertical_lift_V(A, y))
+                + wedge(vertical_lift_V(A, x), complete_lift_T(A, y))
             )
             s = random_tensor(rng, A, Kind.SYM, 1, max_keys=2)
             u = random_tensor(rng, A, Kind.SYM, 2, max_keys=2)
-            assert complete_lift_T(A, sym_product(s, u)).tensor == (
-                sym_product(complete_lift_T(A, s).tensor, vertical_lift_V(A, u).tensor)
+            assert complete_lift_T(A, sym_product(s, u)) == (
+                sym_product(complete_lift_T(A, s), vertical_lift_V(A, u))
                 + sym_product(
-                    vertical_lift_V(A, s).tensor, complete_lift_T(A, u).tensor
+                    vertical_lift_V(A, s), complete_lift_T(A, u)
                 )
             )
 
@@ -179,10 +174,10 @@ def test_lifted_anchor_matches_classical_lift_of_anchor():
         TL = tangent_lift(A)
         for _ in range(3):
             x = rand_mv(rng, A, 1)
-            assert anchor_apply(TL, vertical_lift_V(A, x).tensor) == (
+            assert anchor_apply(TL, vertical_lift_V(A, x)) == (
                 classical_vertical_lift(anchor_apply(A, x))
             )
-            assert anchor_apply(TL, complete_lift_T(A, x).tensor) == (
+            assert anchor_apply(TL, complete_lift_T(A, x)) == (
                 classical_complete_lift(anchor_apply(A, x))
             )
 
@@ -195,15 +190,15 @@ def test_schouten_table_for_lifts():
         for _ in range(3):
             x = rand_mv(rng, A, rng.choice([1, 2]))
             y = rand_mv(rng, A, rng.choice([1, 2]))
-            Vx = vertical_lift_V(A, x).tensor
-            Vy = vertical_lift_V(A, y).tensor
-            Tx = complete_lift_T(A, x).tensor
-            Ty = complete_lift_T(A, y).tensor
+            Vx = vertical_lift_V(A, x)
+            Vy = vertical_lift_V(A, y)
+            Tx = complete_lift_T(A, x)
+            Ty = complete_lift_T(A, y)
             br = schouten(A, x, y)
             assert schouten(TL, Vx, Vy).is_zero()
-            assert schouten(TL, Vx, Ty) == vertical_lift_V(A, br).tensor
-            assert schouten(TL, Tx, Vy) == vertical_lift_V(A, br).tensor
-            assert schouten(TL, Tx, Ty) == complete_lift_T(A, br).tensor
+            assert schouten(TL, Vx, Ty) == vertical_lift_V(A, br)
+            assert schouten(TL, Tx, Vy) == vertical_lift_V(A, br)
+            assert schouten(TL, Tx, Ty) == complete_lift_T(A, br)
 
 
 def test_sym_schouten_table_for_lifts():
@@ -216,14 +211,14 @@ def test_sym_schouten_table_for_lifts():
             y = random_tensor(rng, A, Kind.SYM, rng.choice([1, 2]), max_keys=2)
             br = sym_schouten(A, x, y)
             assert sym_schouten(
-                TL, vertical_lift_V(A, x).tensor, vertical_lift_V(A, y).tensor
+                TL, vertical_lift_V(A, x), vertical_lift_V(A, y)
             ).is_zero()
             assert sym_schouten(
-                TL, complete_lift_T(A, x).tensor, vertical_lift_V(A, y).tensor
-            ) == vertical_lift_V(A, br).tensor
+                TL, complete_lift_T(A, x), vertical_lift_V(A, y)
+            ) == vertical_lift_V(A, br)
             assert sym_schouten(
-                TL, complete_lift_T(A, x).tensor, complete_lift_T(A, y).tensor
-            ) == complete_lift_T(A, br).tensor
+                TL, complete_lift_T(A, x), complete_lift_T(A, y)
+            ) == complete_lift_T(A, br)
 
 
 def test_contraction_differential_and_lie_commute_with_lifts():
@@ -234,22 +229,22 @@ def test_contraction_differential_and_lie_commute_with_lifts():
         for _ in range(3):
             x = rand_mv(rng, A, 1)
             mu = rand_form(rng, A, rng.choice([1, min(2, A.rank)]))
-            Vx = vertical_lift_V(A, x).tensor
-            Tx = complete_lift_T(A, x).tensor
-            Vm = vertical_lift_V(A, mu).tensor
-            Tm = complete_lift_T(A, mu).tensor
+            Vx = vertical_lift_V(A, x)
+            Tx = complete_lift_T(A, x)
+            Vm = vertical_lift_V(A, mu)
+            Tm = complete_lift_T(A, mu)
             ix = contract(x, mu)
             assert contract(Vx, Vm).is_zero()
-            assert contract(Vx, Tm) == vertical_lift_V(A, ix).tensor
-            assert contract(Tx, Vm) == vertical_lift_V(A, ix).tensor
-            assert contract(Tx, Tm) == complete_lift_T(A, ix).tensor
-            assert differential(TL, Vm) == vertical_lift_V(A, differential(A, mu)).tensor
-            assert differential(TL, Tm) == complete_lift_T(A, differential(A, mu)).tensor
+            assert contract(Vx, Tm) == vertical_lift_V(A, ix)
+            assert contract(Tx, Vm) == vertical_lift_V(A, ix)
+            assert contract(Tx, Tm) == complete_lift_T(A, ix)
+            assert differential(TL, Vm) == vertical_lift_V(A, differential(A, mu))
+            assert differential(TL, Tm) == complete_lift_T(A, differential(A, mu))
             lx = lie_derivative(A, x, mu)
             assert lie_derivative(TL, Vx, Vm).is_zero()
-            assert lie_derivative(TL, Vx, Tm) == vertical_lift_V(A, lx).tensor
-            assert lie_derivative(TL, Tx, Vm) == vertical_lift_V(A, lx).tensor
-            assert lie_derivative(TL, Tx, Tm) == complete_lift_T(A, lx).tensor
+            assert lie_derivative(TL, Vx, Tm) == vertical_lift_V(A, lx)
+            assert lie_derivative(TL, Tx, Vm) == vertical_lift_V(A, lx)
+            assert lie_derivative(TL, Tx, Tm) == complete_lift_T(A, lx)
 
 
 def test_nr_and_fn_tables_for_lifted_mixed_tensors():
@@ -260,20 +255,20 @@ def test_nr_and_fn_tables_for_lifted_mixed_tensors():
         for _ in range(2):
             K = rand_mixed(rng, A, rng.choice([0, 1]))
             L = rand_mixed(rng, A, rng.choice([0, 1]))
-            VK = vertical_lift_V(A, K).tensor
-            VL = vertical_lift_V(A, L).tensor
-            TK = complete_lift_T(A, K).tensor
-            TLt = complete_lift_T(A, L).tensor
+            VK = vertical_lift_V(A, K)
+            VL = vertical_lift_V(A, L)
+            TK = complete_lift_T(A, K)
+            TLt = complete_lift_T(A, L)
             nr = nr_bracket(K, L)
             assert nr_bracket(VK, VL).is_zero()
-            assert nr_bracket(VK, TLt) == vertical_lift_V(A, nr).tensor
-            assert nr_bracket(TK, VL) == vertical_lift_V(A, nr).tensor
-            assert nr_bracket(TK, TLt) == complete_lift_T(A, nr).tensor
+            assert nr_bracket(VK, TLt) == vertical_lift_V(A, nr)
+            assert nr_bracket(TK, VL) == vertical_lift_V(A, nr)
+            assert nr_bracket(TK, TLt) == complete_lift_T(A, nr)
             fn = fn_bracket(A, K, L)
             assert fn_bracket(TL, VK, VL).is_zero()
-            assert fn_bracket(TL, VK, TLt) == vertical_lift_V(A, fn).tensor
-            assert fn_bracket(TL, TK, VL) == vertical_lift_V(A, fn).tensor
-            assert fn_bracket(TL, TK, TLt) == complete_lift_T(A, fn).tensor
+            assert fn_bracket(TL, VK, TLt) == vertical_lift_V(A, fn)
+            assert fn_bracket(TL, TK, VL) == vertical_lift_V(A, fn)
+            assert fn_bracket(TL, TK, TLt) == complete_lift_T(A, fn)
 
 
 # -- dual-side lifts: V_pi, V_tau, and the cotangent complete lift -----------------
@@ -553,7 +548,7 @@ def test_kappa_example_and_involution():
     moved = canonical_transport("kappa", lifted)
     assert moved == GradedTensor(dc, Kind.MV, 1, {(0,): "x", (1,): "x_dot"})
     # the reverse direction is detected from the dotted-chart shape
-    assert canonical_transport("kappa", moved) == lifted.tensor
+    assert canonical_transport("kappa", moved) == lifted
 
 
 def test_alpha_example_and_involution():
@@ -568,7 +563,7 @@ def test_alpha_example_and_involution():
     lifted = complete_lift_T(line, line.estar(0))
     assert canonical_transport(
         "alpha", canonical_transport("alpha", lifted)
-    ) == lifted.tensor
+    ) == lifted
 
 
 def classical_complete_of_form(chart, mu):

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroids.errors import (
+    AlgebroidError,
     MissingCoordinate,
     NegativeExponent,
     PolySyntaxError,
     UnknownVariable,
 )
 from algebroids.ring import (
+    MAX_EXPONENT,
     MAX_NESTING_DEPTH,
+    MAX_TERMS,
     Chart,
     Poly,
     eval_at,
@@ -101,6 +104,43 @@ def test_parenthesis_nesting_is_bounded():
     with pytest.raises(PolySyntaxError) as err:
         p("(" * 3000 + "x" + ")" * 3000)
     assert err.value.position == deep
+
+
+def test_expansion_is_bounded():
+    # "(x+y+1)^30" expands to 496 terms, "(x+y+1)^31" to 528
+    assert len(p("(x+y+1)^30").terms) == 496 <= MAX_TERMS
+    cases = {
+        "(x+y+1)^31": 8,              # comb(33, 2) terms
+        f"x^{MAX_EXPONENT + 1}": 2,   # the exponent literal alone
+        "9^1000000": 2,
+        "((9^100)^100)^100": 9,       # coefficient bits, not terms
+        "(x+y+1)^20*(x+y+1)^20": 10,  # 231 * 231 product terms
+    }
+    for text, position in cases.items():
+        with pytest.raises(PolySyntaxError) as err:
+            p(text)
+        assert err.value.position == position, text
+    with pytest.raises(PolySyntaxError):
+        parse_poly("(x+y+z+1)^20", Chart(["x", "y", "z"]))
+
+
+#: Pieces of the expression alphabet: integer literals up to 10^7 (so
+#: exponents and coefficients can be large), coordinates of XY, one
+#: identifier that is not, whitespace and every operator.
+_PIECES = st.one_of(
+    st.integers(min_value=0, max_value=10**7).map(str),
+    st.sampled_from(["x", "y", "q", " ", "+", "-", "*", "/", "^", "(", ")"]),
+)
+
+
+@settings(max_examples=300, deadline=5000)
+@given(st.lists(_PIECES, max_size=40).map("".join))
+def test_parse_fails_closed(text):
+    try:
+        result = parse_poly(text, XY)
+    except AlgebroidError:
+        return
+    assert isinstance(result, Poly)
 
 
 def test_empty_chart_constants_only():
