@@ -27,7 +27,6 @@ structure data as a fiberwise-linear bivector on the dual chart.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -38,8 +37,8 @@ from .errors import (
     JacobiViolation,
     KindMismatch,
 )
-from .ring import Chart, Poly, parse_poly
-from .tensor import GradedTensor, Kind, _accumulate
+from .ring import Chart, Poly, accumulate, poly_sum
+from .tensor import GradedTensor, Kind, tensor_sum
 
 _StructureTable = Dict[Tuple[int, int], Dict[int, Poly]]
 
@@ -176,16 +175,6 @@ def canonical_algebroid(chart: Chart) -> Algebroid:
 
 # -- construction with validation ----------------------------------------------
 
-def _coerce_poly(value, chart: Chart) -> Poly:
-    if isinstance(value, Poly):
-        if value.chart != chart:
-            return value.transport(chart)
-        return value
-    if isinstance(value, str):
-        return parse_poly(value, chart)
-    return chart.const(value)
-
-
 def build_algebroid(base: Chart, fiber_names: Sequence[str],
                     anchor: Sequence[Sequence[object]],
                     structure: Mapping[Tuple[int, int], Mapping[int, object]] | None = None,
@@ -196,7 +185,8 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
     """Assemble and (by default) validate an algebroid.
 
     ``anchor`` is a rank×dim matrix (rows indexed by fiber) of polynomials
-    over ``base``; entries may be strings or rationals.  ``structure`` maps
+    over ``base``; entries may be anything :meth:`Chart.coerce` accepts
+    (polynomials over ``base``, strings or rationals).  ``structure`` maps
     ``(i, j)`` with ``i < j`` (0-based) to ``{k: c_ij^k}``.  Validation
     checks the Jacobi identity on every basis triple and that the anchor is
     a bracket morphism on every basis pair; failures raise
@@ -218,7 +208,7 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
         if len(row) != base.dim:
             raise DimensionMismatch(
                 f"anchor row has {len(row)} entries, expected {base.dim}")
-        rows.append(tuple(_coerce_poly(v, base) for v in row))
+        rows.append(tuple(base.coerce(v) for v in row))
 
     table: _StructureTable = {}
     for (i, j), entries in (structure or {}).items():
@@ -229,7 +219,7 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
         for k, value in entries.items():
             if not 0 <= k < rank:
                 raise DimensionMismatch(f"structure target {k} out of range")
-            coeff = _coerce_poly(value, base)
+            coeff = base.coerce(value)
             if not coeff.is_zero():
                 cleaned[k] = coeff
         if cleaned:
@@ -257,18 +247,21 @@ def validate(algebroid: Algebroid) -> None:
     """Check the anchor-morphism and Jacobi conditions; raise on failure."""
     base = algebroid.base
     m = algebroid.rank
+    anchor = algebroid.anchor
+
+    def morphism_terms(i, j, b, table):
+        """Coordinate b of [anchor e_i, anchor e_j] − anchor [e_i, e_j]."""
+        for a, name in enumerate(base.coords):
+            yield anchor[i][a] * anchor[j][b].partial(name)
+            yield -(anchor[j][a] * anchor[i][b].partial(name))
+        for k, coeff in table.items():
+            yield -(coeff * anchor[k][b])
+
     # anchor is a bracket morphism: [anchor e_i, anchor e_j] = anchor [e_i, e_j]
     for i, j in combinations(range(m), 2):
         table = algebroid.structure.get((i, j), {})
         for b in range(base.dim):
-            lhs = base.zero()
-            for a, name in enumerate(base.coords):
-                lhs = lhs + algebroid.anchor[i][a] * algebroid.anchor[j][b].partial(name)
-                lhs = lhs - algebroid.anchor[j][a] * algebroid.anchor[i][b].partial(name)
-            rhs = base.zero()
-            for k, coeff in table.items():
-                rhs = rhs + coeff * algebroid.anchor[k][b]
-            residual = lhs - rhs
+            residual = poly_sum(base, morphism_terms(i, j, b, table))
             if not residual.is_zero():
                 names = algebroid.fiber_names
                 raise AnchorNotMorphism(
@@ -278,9 +271,9 @@ def validate(algebroid: Algebroid) -> None:
                              "residual": str(residual)})
     # Jacobi identity on basis triples
     for i, j, k in combinations(range(m), 3):
-        jac = section_bracket(algebroid, algebroid.bracket_basis(i, j), algebroid.e(k))
-        jac = jac + section_bracket(algebroid, algebroid.bracket_basis(j, k), algebroid.e(i))
-        jac = jac + section_bracket(algebroid, algebroid.bracket_basis(k, i), algebroid.e(j))
+        jac = tensor_sum(algebroid, Kind.MV, 1, (
+            section_bracket(algebroid, algebroid.bracket_basis(p, q), algebroid.e(r))
+            for p, q, r in ((i, j, k), (j, k, i), (k, i, j))))
         if not jac.is_zero():
             names = algebroid.fiber_names
             raise JacobiViolation(
@@ -293,12 +286,9 @@ def validate(algebroid: Algebroid) -> None:
 
 def anchor_derivative(algebroid: Algebroid, i: int, f: Poly) -> Poly:
     """The anchor of e_i applied to a function: sum_a anchor[i][a] d_a f."""
-    acc = algebroid.base.zero()
-    for a, name in enumerate(algebroid.base.coords):
-        d = f.partial(name)
-        if not d.is_zero():
-            acc = acc + algebroid.anchor[i][a] * d
-    return acc
+    row, base = algebroid.anchor[i], algebroid.base
+    return poly_sum(base, (row[a] * d for a, name in enumerate(base.coords)
+                           if (d := f.partial(name))))
 
 
 def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
@@ -324,7 +314,7 @@ def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> G
                 if not d.is_zero():
                     yield (i,), -(g * d)
 
-    return GradedTensor._make(algebroid, Kind.MV, 1, _accumulate(pairs()))
+    return GradedTensor._make(algebroid, Kind.MV, 1, accumulate(pairs()))
 
 
 def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
@@ -340,7 +330,7 @@ def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
              for a, entry in enumerate(algebroid.anchor[i])
              if not entry.is_zero())
     return GradedTensor._make(_vector_fields(algebroid.base), Kind.MV, 1,
-                              _accumulate(pairs))
+                              accumulate(pairs))
 
 
 # -- lifts -----------------------------------------------------------------------
@@ -348,12 +338,9 @@ def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
 def velocity_derivative(coeff: Poly, target: Chart) -> Poly:
     """The velocity derivative sum_a (d_a f)·a_dot of a function f, on the
     velocity chart ``target`` that extends f's chart."""
-    acc = target.zero()
-    for name in coeff.chart.coords:
-        d = coeff.partial(name)
-        if not d.is_zero():
-            acc = acc + d.transport(target) * target.coordinate(f"{name}_dot")
-    return acc
+    return poly_sum(target, (
+        d.transport(target) * target.coordinate(f"{name}_dot")
+        for name in coeff.chart.coords if (d := coeff.partial(name))))
 
 
 def tangent_lift(algebroid: Algebroid) -> Algebroid:
@@ -394,13 +381,11 @@ def tangent_lift(algebroid: Algebroid) -> Algebroid:
             dot_bar[k] = -up
             dot_dot[m + k] = up
             drift = velocity_derivative(coeff, base)
-            if not drift.is_zero():
-                dot_dot[k] = dot_dot.get(k, zero) + drift
+            if drift:
+                dot_dot[k] = drift
         structure[(i, m + j)] = bar_dot
         structure[(j, m + i)] = dot_bar
-        structure[(m + i, m + j)] = {k: v for k, v in dot_dot.items() if not v.is_zero()}
-        if not structure[(m + i, m + j)]:
-            del structure[(m + i, m + j)]
+        structure[(m + i, m + j)] = dot_dot
 
     return build_algebroid(base, fibers, anchor, structure, dual_names=duals,
                            provenance="tangent-lift", parent=A)
@@ -438,12 +423,8 @@ def cotangent_lift(algebroid: Algebroid) -> Algebroid:
     for i in range(m):  # rows for d xi_i
         row = [lift(A.anchor[i][a]) for a in range(n)]
         for j in range(m):
-            acc = zero
-            for k in range(m):
-                coeff = A.c(i, j, k)
-                if not coeff.is_zero():
-                    acc = acc + lift(coeff) * xi[k]
-            row.append(acc)
+            row.append(poly_sum(base, (lift(coeff) * xi[k] for k in range(m)
+                                       if (coeff := A.c(i, j, k)))))
         anchor.append(tuple(row))
 
     structure: _StructureTable = {}
@@ -461,11 +442,8 @@ def cotangent_lift(algebroid: Algebroid) -> Algebroid:
         for k, coeff in table.items():
             entries[n + k] = lift(coeff)
         for b, name in enumerate(A.base.coords):
-            acc = zero
-            for k, coeff in table.items():
-                d = coeff.partial(name)
-                if not d.is_zero():
-                    acc = acc + lift(d) * xi[k]
+            acc = poly_sum(base, (lift(d) * xi[k] for k, coeff in table.items()
+                                  if (d := coeff.partial(name))))
             if not acc.is_zero():
                 entries[b] = acc
         if entries:
@@ -487,9 +465,7 @@ def linear_poisson(algebroid: Algebroid):
     xi = [chart.coordinate(name) for name in A.dual_names]
     terms: Dict[Tuple[int, int], Poly] = {}
     for (i, j), table in A.structure.items():
-        acc = chart.zero()
-        for k, coeff in table.items():
-            acc = acc + coeff.transport(chart) * xi[k]
+        acc = poly_sum(chart, (coeff.transport(chart) * xi[k] for k, coeff in table.items()))
         if not acc.is_zero():
             terms[(n + i, n + j)] = acc
     for i in range(A.rank):

@@ -299,16 +299,14 @@ def fn_bracket_simple(algebroid: Algebroid, mu: GradedTensor, x: GradedTensor,
     """
     _require_owner(algebroid, mu, x, nu, y)
     sign = -1 if mu.degree % 2 else 1
-    out = _tensor_form_section(wedge(mu, nu), section_bracket(algebroid, x, y))
-    out = out + _tensor_form_section(
-        wedge(mu, lie_derivative(algebroid, x, nu)), y)
-    out = out - _tensor_form_section(
-        wedge(lie_derivative(algebroid, y, mu), nu), x)
-    out = out + _tensor_form_section(
-        wedge(differential(algebroid, mu), contract(x, nu)), y) * sign
-    out = out + _tensor_form_section(
-        wedge(contract(y, mu), differential(algebroid, nu)), x) * sign
-    return out
+    return tensor_sum(algebroid, Kind.MIXED, mu.degree + nu.degree, (
+        _tensor_form_section(wedge(mu, nu), section_bracket(algebroid, x, y)),
+        _tensor_form_section(wedge(mu, lie_derivative(algebroid, x, nu)), y),
+        -_tensor_form_section(wedge(lie_derivative(algebroid, y, mu), nu), x),
+        _tensor_form_section(
+            wedge(differential(algebroid, mu), contract(x, nu)), y) * sign,
+        _tensor_form_section(
+            wedge(contract(y, mu), differential(algebroid, nu)), x) * sign))
 
 
 def fn_bracket(algebroid: Algebroid, k: GradedTensor, l: GradedTensor) -> GradedTensor:

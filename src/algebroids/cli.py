@@ -23,7 +23,7 @@ from fractions import Fraction
 from .algebroid import cotangent_lift, linear_poisson, tangent_lift
 from .calculus import (differential, fn_bracket, lie_derivative, nr_bracket,
                        schouten, sym_schouten)
-from .errors import AlgebroidError, KindMismatch, UnknownName
+from .errors import AlgebroidError, UnknownName, ValidationError
 from .lifts import (G_map, H_map, J_map, Jstar, canonical_transport,
                     complete_lift_T, cot_complete_G_vec, vertical_lift_V,
                     vertical_pi, vertical_tau)
@@ -35,6 +35,11 @@ from .suites import SUITE_NAMES, run_suite
 from .tensor import GradedTensor, Kind, contract, contract_mixed, pretty
 
 _BASIS_NAME = re.compile(r"^(e|estar)([1-9][0-9]*)$")
+
+#: Most digits the numerator or the denominator of an ``--at`` value may have.
+_POINT_DIGITS = 100
+_POINT_VALUE = re.compile(
+    rf"(?P<num>-?[0-9]{{1,{_POINT_DIGITS}}})(?:/(?P<den>[0-9]{{1,{_POINT_DIGITS}}}))?")
 
 
 def _load(path):
@@ -206,6 +211,8 @@ def _cmd_suite(model, args):
 
 
 def _parse_point(text, chart):
+    """``coord=rational,...`` with the model grammar's rationals: ASCII
+    ``-?[0-9]+(/[0-9]+)?``, at most :data:`_POINT_DIGITS` digits a part."""
     point = {name: Fraction(0) for name in chart.coords}
     if not text:
         return point
@@ -217,18 +224,24 @@ def _parse_point(text, chart):
         if name not in point:
             raise UnknownName(f"--at: {name!r} is not a coordinate of the "
                               f"tensor's chart {tuple(chart.coords)}")
-        try:
-            point[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UnknownName(f"--at: bad rational for {name!r}: {exc}") from exc
+        match = _POINT_VALUE.fullmatch(value.strip())
+        if match is None or (match["den"] and int(match["den"]) == 0):
+            raise UnknownName(
+                f"--at: bad rational for {name!r}: expected -?n or -?n/d with "
+                f"ASCII digits, at most {_POINT_DIGITS} each, and d > 0")
+        point[name] = Fraction(int(match["num"]), int(match["den"] or 1))
     return point
 
 
 def _cmd_eval(model, args):
     t = _resolve_tensor(model, args.tensor, args.algebroid)
     point = _parse_point(args.at, t.owner.base)
-    values = {tensor_key_string(t.kind, key): str(coeff.eval_at(point))
-              for key, coeff in sorted(t.terms.items(), key=repr)}
+    try:
+        values = {tensor_key_string(t.kind, key): str(coeff.eval_at(point))
+                  for key, coeff in sorted(t.terms.items(), key=repr)}
+    except ValueError as exc:  # past the interpreter's int-to-str digit limit
+        raise ValidationError(f"eval: a value at this point is too long to "
+                              f"print: {exc}") from exc
     payload = {
         "kind": t.kind.value,
         "degree": t.degree,

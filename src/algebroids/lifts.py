@@ -33,8 +33,11 @@ transports of V and T, which keeps a single source of sign conventions.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
+
 from .errors import ChartMismatch, KindMismatch, WrongProvenance
-from .ring import Chart, Poly
+from .ring import Chart, Poly, poly_sum
 from .tensor import GradedTensor, Kind, remap
 from .algebroid import (
     Algebroid,
@@ -66,18 +69,10 @@ def iota(algebroid: Algebroid, x) -> Poly:
     _require_over(algebroid, x)
     chart = dual_chart(algebroid)
     xi = [chart.coordinate(name) for name in algebroid.dual_names]
-    acc = chart.zero()
-    if x.kind is Kind.MV and x.degree == 1:
-        for (i,), coeff in x.terms.items():
-            acc = acc + coeff.transport(chart) * xi[i]
-        return acc
-    if x.kind is Kind.SYM:
-        for key, coeff in x.terms.items():
-            prod = coeff.transport(chart)
-            for i in key:
-                prod = prod * xi[i]
-            acc = acc + prod
-        return acc
+    if (x.kind is Kind.MV and x.degree == 1) or x.kind is Kind.SYM:
+        return poly_sum(chart, (
+            reduce(mul, (xi[i] for i in key), coeff.transport(chart))
+            for key, coeff in x.terms.items()))
     raise KindMismatch(
         f"iota expects a degree-1 multivector or a symmetric power, "
         f"got {x.describe()}")

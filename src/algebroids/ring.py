@@ -9,6 +9,10 @@ exponent tuples fully determined by the chart), structural equality of the
 term maps decides equality of polynomials — which is what makes "this bracket
 is literally zero" a decidable statement everywhere else in the package.
 
+:func:`accumulate` is the package's one accumulate-and-drop-zero loop (every
+term map, of a polynomial or a tensor, is summed by it) and
+:meth:`Chart.coerce` its one rule for turning a value into a coefficient.
+
 Expression syntax accepted by :func:`parse_poly`::
 
     expr     := term (('+' | '-') term)*
@@ -22,20 +26,23 @@ Whitespace is ignored; there is *no* implicit multiplication (``2x`` and
 integer literal, so ``-x`` must be written ``-1*x`` (the canonical printer
 does exactly that).  Digits are ASCII only, parentheses nest at most
 :data:`MAX_NESTING_DEPTH` deep, and the bounds :data:`MAX_EXPONENT`,
-:data:`MAX_TERMS` and :data:`MAX_COEFFICIENT_BITS` stop a short expression
-from expanding into a huge polynomial.  :func:`poly_to_string` emits a
-canonical form that :func:`parse_poly` maps back to the identical term dict.
+:data:`MAX_TERMS`, :data:`MAX_EXPANSION` and :data:`MAX_COEFFICIENT_BITS`
+stop a short expression from expanding into a huge polynomial.
+:func:`poly_to_string` emits a canonical form that :func:`parse_poly` maps
+back to the identical term dict.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import (
-    EmptyChart,
+    ChartMismatch,
     MissingCoordinate,
     NegativeExponent,
     PolySyntaxError,
@@ -101,11 +108,29 @@ class Chart:
     def one(self) -> "Poly":
         return self.const(1)
 
-    def const(self, value: Scalar) -> "Poly":
-        c = Fraction(value)
-        if c == 0:
-            return Poly._make(self, {})
-        return Poly._make(self, {(0,) * self.dim: c})
+    def coerce(self, value) -> "Poly":
+        """The one rule that turns a value into a coefficient over this chart.
+
+        A ``Poly`` over this chart is returned as is and one over another
+        chart raises ``ChartMismatch``; an ``int`` or ``Fraction`` becomes a
+        constant and a ``str`` goes through :func:`parse_poly`.  Anything
+        else (a float, None, a list) raises ``PolySyntaxError``.
+        """
+        if isinstance(value, Poly):
+            if value.chart is not self and value.chart != self:
+                raise ChartMismatch(
+                    f"polynomial over {value.chart.coords!r} used over chart "
+                    f"{self.coords!r}")
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Poly._make(self, {(0,) * self.dim: Fraction(value)} if value else {})
+        if isinstance(value, str):
+            return parse_poly(value, self)
+        raise PolySyntaxError(
+            f"a coefficient is a Poly, an int, a Fraction or an expression "
+            f"string, not a {type(value).__name__}")
+
+    const = coerce
 
     def coordinate(self, name: str) -> "Poly":
         i = self.index(name)
@@ -121,23 +146,24 @@ class Poly:
 
     __slots__ = ("chart", "terms", "_hash")
 
-    def __init__(self, chart: Chart, terms: Mapping[Exponent, Scalar]):
-        normalized: Dict[Exponent, Fraction] = {}
-        for exp, coeff in terms.items():
-            exp = tuple(exp)
-            if len(exp) != chart.dim:
-                raise PolySyntaxError(
-                    f"exponent tuple {exp!r} has wrong length for chart {chart.coords!r}"
-                )
-            if any(e < 0 for e in exp):
-                raise NegativeExponent(f"negative exponent in {exp!r}")
-            c = Fraction(coeff)
-            if c != 0:
-                normalized[exp] = normalized.get(exp, Fraction(0)) + c
-        for exp in [e for e, c in normalized.items() if c == 0]:
-            del normalized[exp]
+    def __init__(self, chart: Chart, terms: Mapping[Exponent, object] | Iterable):
+        """The sum of ``coefficient * x^exponent`` over ``terms`` (a mapping
+        or (exponent, coefficient) pairs); each coefficient goes through
+        :meth:`Chart.coerce`."""
+        def shifted():
+            items = terms.items() if isinstance(terms, Mapping) else terms
+            for exp, coeff in items:
+                exp = tuple(exp)
+                if len(exp) != chart.dim:
+                    raise PolySyntaxError(
+                        f"exponent tuple {exp!r} has wrong length for chart {chart.coords!r}"
+                    )
+                if any(e < 0 for e in exp):
+                    raise NegativeExponent(f"negative exponent in {exp!r}")
+                for e, c in chart.coerce(coeff).terms.items():
+                    yield tuple(map(operator.add, exp, e)), c
         self.chart = chart
-        self.terms = normalized
+        self.terms = accumulate(shifted())
         self._hash = None
 
     @classmethod
@@ -171,33 +197,18 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.chart != self.chart:
-                raise PolySyntaxError(
-                    f"cannot combine polynomials over charts "
-                    f"{self.chart.coords!r} and {other.chart.coords!r}"
-                )
+        if isinstance(other, Poly) and (other.chart is self.chart
+                                         or other.chart == self.chart):
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.chart.const(other)
+        if isinstance(other, (Poly, int, Fraction)):
+            return self.chart.coerce(other)
         return NotImplemented
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        result = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = result.get(exp)
-            if acc is None:
-                result[exp] = coeff
-            else:
-                acc = acc + coeff
-                if acc == 0:
-                    del result[exp]
-                else:
-                    result[exp] = acc
-        return Poly._make(self.chart, result)
+        return Poly._make(self.chart, accumulate(other.terms.items(), self.terms))
 
     __radd__ = __add__
 
@@ -208,7 +219,8 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return Poly._make(self.chart, accumulate(
+            ((e, -c) for e, c in other.terms.items()), self.terms))
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
@@ -217,28 +229,17 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly._make(self.chart, {})
-            c = Fraction(other)
-            return Poly._make(self.chart, {e: v * c for e, v in self.terms.items()})
+            return Poly._make(self.chart, {e: v * other for e, v in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        result: Dict[Exponent, Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                acc = result.get(exp)
-                if acc is None:
-                    result[exp] = ca * cb
-                else:
-                    acc = acc + ca * cb
-                    if acc == 0:
-                        del result[exp]
-                    else:
-                        result[exp] = acc
-        return Poly._make(self.chart, result)
+        add = operator.add
+        return Poly._make(self.chart, accumulate(
+            (tuple(map(add, ea, eb)), ca * cb)
+            for ea, ca in a.items() for eb, cb in b.items()))
 
     __rmul__ = __mul__
 
@@ -281,18 +282,11 @@ class Poly:
     def partial(self, name: str) -> "Poly":
         """Formal partial derivative with respect to a chart coordinate."""
         i = self.chart.index(name)
-        result: Dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[i]
-            if e == 0:
-                continue
-            new_exp = exp[:i] + (e - 1,) + exp[i + 1:]
-            acc = result.get(new_exp, Fraction(0)) + coeff * e
-            if acc == 0:
-                result.pop(new_exp, None)
-            else:
-                result[new_exp] = acc
-        return Poly._make(self.chart, result)
+        # lowering one exponent is injective on the terms it keeps, and
+        # c * e is never zero there, so nothing needs accumulating
+        return Poly._make(self.chart, {
+            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: coeff * exp[i]
+            for exp, coeff in self.terms.items() if exp[i]})
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a rational point given as ``{coordinate: value}``.
@@ -328,23 +322,46 @@ class Poly:
         charts) and when permuting coordinate order between equivalent charts.
         """
         rename = rename or {}
-        column = []
-        for name in self.chart.coords:
-            target = rename.get(name, name)
-            column.append(new_chart.index(target))
+        column = [new_chart.index(rename.get(name, name)) for name in self.chart.coords]
         n = new_chart.dim
-        result: Dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            new_exp = [0] * n
-            for j, e in zip(column, exp):
-                new_exp[j] += e
-            key = tuple(new_exp)
-            acc = result.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                result.pop(key, None)
-            else:
-                result[key] = acc
-        return Poly._make(new_chart, result)
+
+        def moved():
+            for exp, coeff in self.terms.items():
+                new_exp = [0] * n
+                for j, e in zip(column, exp):
+                    new_exp[j] += e
+                yield tuple(new_exp), coeff
+
+        return Poly._make(new_chart, accumulate(moved()))
+
+
+# -- the accumulation kernel ---------------------------------------------------
+
+def accumulate(pairs: Iterable[Tuple[object, object]],
+               start: Mapping = ()) -> Dict:
+    """Sum (key, coefficient) pairs into a copy of the term map ``start``,
+    dropping every key whose coefficients cancel to zero.  The one
+    accumulation loop of the package: coefficients are ``Fraction`` (the
+    terms of a polynomial) or ``Poly`` (the terms of a tensor), and both are
+    falsy exactly at zero."""
+    acc = dict(start)
+    for key, coeff in pairs:
+        prev = acc.get(key)
+        if prev is not None:
+            coeff = prev + coeff
+        if coeff:
+            acc[key] = coeff
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def poly_sum(chart: Chart, pieces: Iterable[Poly]) -> Poly:
+    """The sum of ``pieces``, all over ``chart``, in one pass of the
+    accumulation kernel (a chain of ``+`` copies the running sum on every
+    addition)."""
+    return Poly._make(chart, accumulate(
+        chain.from_iterable(p.terms.items() for p in pieces)))
 
 
 # -- module-level operation names used throughout the package ---------------
@@ -373,6 +390,13 @@ MAX_EXPONENT = 100
 #: before expanding: ``len(a) * len(b)`` for a product and
 #: ``comb(e + t - 1, t - 1)`` for a ``t``-term base to the power ``e``.
 MAX_TERMS = 500
+
+#: Most terms all the products and powers of one :func:`parse_poly` call may
+#: expand to together, each charged as counted for :data:`MAX_TERMS`, so
+#: repeating an accepted power does not repeat its cost without bound.  A
+#: product or power of single terms is free: its cost is linear in the text,
+#: and every printed polynomial (a sum of such monomials) stays parseable.
+MAX_EXPANSION = 2000
 
 #: Most bits a power may raise its base's largest numerator or denominator
 #: to (``e`` times that bit length); nested powers of a constant would
@@ -415,6 +439,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.expansion = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -432,6 +457,16 @@ class _Parser:
             raise PolySyntaxError(f"expected {op!r}", position=at)
         self.advance()
 
+    def charge(self, terms: int, at: int) -> None:
+        """Count ``terms`` against the expression's :data:`MAX_EXPANSION`."""
+        if terms < 2:
+            return
+        self.expansion += terms
+        if self.expansion > MAX_EXPANSION:
+            raise PolySyntaxError(
+                f"expression may expand to more than {MAX_EXPANSION} terms in "
+                f"all", position=at)
+
     def at_op(self, *ops: str) -> bool:
         kind, value, _ = self.peek()
         return kind == "op" and value in ops
@@ -444,22 +479,24 @@ class _Parser:
         return result
 
     def expr(self) -> Poly:
-        result = self.term()
+        pieces = [self.term()]
         while self.at_op("+", "-"):
             op = self.advance()[1]
             rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
+            pieces.append(rhs if op == "+" else -rhs)
+        return poly_sum(self.chart, pieces)
 
     def term(self) -> Poly:
         result = self.factor()
         while self.at_op("*"):
             at = self.advance()[2]
             rhs = self.factor()
-            if len(result.terms) * len(rhs.terms) > MAX_TERMS:
+            terms = len(result.terms) * len(rhs.terms)
+            if terms > MAX_TERMS:
                 raise PolySyntaxError(
                     f"product may expand to more than {MAX_TERMS} terms",
                     position=at)
+            self.charge(terms, at)
             result = result * rhs
         return result
 
@@ -483,7 +520,8 @@ class _Parser:
             raise PolySyntaxError(
                 f"exponent {e} exceeds {MAX_EXPONENT}", position=at)
         t = max(1, len(base.terms))
-        if math.comb(e + t - 1, t - 1) > MAX_TERMS:
+        terms = math.comb(e + t - 1, t - 1)
+        if terms > MAX_TERMS:
             raise PolySyntaxError(
                 f"power may expand to more than {MAX_TERMS} terms", position=at)
         bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
@@ -492,6 +530,7 @@ class _Parser:
             raise PolySyntaxError(
                 f"power may grow a coefficient past {MAX_COEFFICIENT_BITS} "
                 f"bits", position=at)
+        self.charge(terms, at)
         return base ** e
 
     def base(self) -> Poly:

@@ -76,6 +76,7 @@ from .poisson import (
     r_p,
     tangent_poisson,
 )
+from .ring import poly_sum
 from .tensor import (
     GradedTensor,
     Kind,
@@ -232,18 +233,22 @@ class _Run:
         """``instances`` yields (fixture, inputs, residual) — or a tuple of
         residuals, the components of one identity, each of which must vanish
         on its own; the item fails on the first nonzero residual and freezes
-        it as a witness.  Items drawn by the standard loop come here through
-        :meth:`check`; only items whose draw count is not the share write
-        their own instance stream."""
+        it as a witness whose ``component`` is that residual's 1-based
+        position (1 for a single residual).  Items drawn by the standard loop
+        come here through :meth:`check`; only items whose draw count is not
+        the share write their own instance stream."""
         rng = self.rng(f"{item_id}/witness")
         checked = 0
         witness = None
         for fixture, inputs, residual in instances:
             checked += 1
             residuals = residual if isinstance(residual, tuple) else (residual,)
-            offender = next((r for r in residuals if not r.is_zero()), None)
+            offender = next(((k, r) for k, r in enumerate(residuals, 1)
+                             if not r.is_zero()), None)
             if offender is not None:
-                witness = _witness(fixture, label, inputs, offender, rng)
+                component, nonzero = offender
+                witness = _witness(fixture, label, inputs, nonzero, rng)
+                witness["component"] = component
                 break
         item = {"id": item_id, "label": label,
                 "status": "fail" if witness else "pass", "checked": checked}
@@ -412,10 +417,9 @@ def _suite_theorem_2(run):
         x = run.draw(rng, A, Kind.MV, 1)
         f = random_coefficient(rng, A.base, run.coeff_degree)
         fx = GradedTensor(A, Kind.MV, 0, {(): f})
-        applied = A.base.zero()
-        for (i,), c in x.terms.items():
-            for a, coord in enumerate(A.base.coords):
-                applied = applied + c * A.anchor[i][a] * f.partial(coord)
+        applied = poly_sum(A.base, (c * A.anchor[i][a] * f.partial(coord)
+                                    for (i,), c in x.terms.items()
+                                    for a, coord in enumerate(A.base.coords)))
         residual = schouten(A, x, fx) - GradedTensor(A, Kind.MV, 0, {(): applied})
         return {"x": x, "f": fx}, residual
 

@@ -19,8 +19,10 @@ Chart), ``rank`` and ``fiber_names`` — in practice an
     symmetric multivector sections; keys are nondecreasing tuples.
 
 Keys are normalized on construction (skew kinds sort their indices and pick
-up the permutation sign, repeated indices vanish), and zero coefficients are
-dropped, so equality of term maps is equality of tensors.
+up the permutation sign, repeated indices vanish), coefficients go through
+:meth:`~algebroids.ring.Chart.coerce` of the owner's base, and every term map
+is summed by :func:`~algebroids.ring.accumulate`, which drops zero
+coefficients, so equality of term maps is equality of tensors.
 
 Contraction of a decomposable multivector ``X_1∧…∧X_k`` into a form composes
 the degree-1 insertions ``i_{X_r}`` in one of two orders.  The package-wide
@@ -35,12 +37,11 @@ bracket conventions; only one of the two is compatible with them.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import ChartMismatch, DimensionMismatch, KindMismatch
-from .ring import Chart, Poly, parse_poly
+from .ring import Chart, Poly, accumulate
 
 Key = Union[Tuple[int, ...], Tuple[Tuple[int, ...], int]]
 
@@ -85,22 +86,15 @@ class GradedTensor:
         self.kind = kind
         self.degree = degree
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms = _accumulate(self._signed_terms(items))
+        self.terms = accumulate(self._signed_terms(items))
         self._hash = None
 
     def _signed_terms(self, items):
         """Coerce each coefficient onto the owner's base and each key to its
         canonical form, folding the key's sign into the coefficient."""
+        coerce = self.owner.base.coerce
         for key, coeff in items:
-            if isinstance(coeff, str):
-                coeff = parse_poly(coeff, self.owner.base)
-            elif isinstance(coeff, (int, Fraction)):
-                coeff = self.owner.base.const(coeff)
-            elif coeff.chart != self.owner.base:
-                raise ChartMismatch(
-                    f"coefficient over {coeff.chart.coords!r}, owner base is "
-                    f"{self.owner.base.coords!r}"
-                )
+            coeff = coerce(coeff)
             key, sign = self._normalize_key(key)
             if key is not None:
                 yield key, (coeff if sign > 0 else -coeff)
@@ -195,7 +189,7 @@ class GradedTensor:
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
         self._check_compatible(other)
         degree = self.degree if self.terms or not other.terms else other.degree
-        terms = _accumulate(chain(self.terms.items(), other.terms.items()))
+        terms = accumulate(other.terms.items(), self.terms)
         return GradedTensor._make(self.owner, self.kind, degree, terms)
 
     def __neg__(self) -> "GradedTensor":
@@ -206,19 +200,13 @@ class GradedTensor:
         return self + (-other)
 
     def __mul__(self, scalar) -> "GradedTensor":
-        """Multiply by a Poly over the owner's base (or a rational)."""
-        if isinstance(scalar, (int, Fraction)):
-            scalar = self.owner.base.const(scalar)
-        elif isinstance(scalar, str):
-            scalar = parse_poly(scalar, self.owner.base)
-        if scalar.chart != self.owner.base:
-            raise ChartMismatch("scalar lives over a different chart")
-        result = {}
-        for key, coeff in self.terms.items():
-            acc = coeff * scalar
-            if not acc.is_zero():
-                result[key] = acc
-        return GradedTensor._make(self.owner, self.kind, self.degree, result)
+        """Multiply by a coefficient over the owner's base (anything
+        :meth:`~algebroids.ring.Chart.coerce` accepts).  The ring has no zero
+        divisors, so only a zero scalar gives zero products."""
+        scalar = self.owner.base.coerce(scalar)
+        terms = ({key: coeff * scalar for key, coeff in self.terms.items()}
+                 if scalar else {})
+        return GradedTensor._make(self.owner, self.kind, self.degree, terms)
 
     __rmul__ = __mul__
 
@@ -250,26 +238,12 @@ def equals(s: GradedTensor, t: GradedTensor) -> bool:
     return s == t
 
 
-def _accumulate(pairs: Iterable[Tuple[Key, Poly]]) -> Dict[Key, Poly]:
-    """Sum (key, coefficient) pairs into a term map, dropping every key whose
-    coefficients cancel to zero.  The one accumulation loop of the package."""
-    acc: Dict[Key, Poly] = {}
-    for key, coeff in pairs:
-        prev = acc.get(key)
-        prev = coeff if prev is None else prev + coeff
-        if prev.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = prev
-    return acc
-
-
 def tensor_sum(owner, kind: Kind, degree: int,
                pieces: Iterable[GradedTensor]) -> GradedTensor:
     """The sum of ``pieces``, all of ``kind`` and ``degree`` over ``owner``,
     in one pass of the accumulation kernel (a chain of ``+`` re-walks the
     running sum on every addition)."""
-    return GradedTensor._make(owner, kind, degree, _accumulate(
+    return GradedTensor._make(owner, kind, degree, accumulate(
         chain.from_iterable(p.terms.items() for p in pieces)))
 
 
@@ -289,7 +263,7 @@ def _product(s: GradedTensor, t: GradedTensor, merge, kind: Kind,
                 if hit is not None:
                     key, sign = hit
                     yield key, (ca * cb if sign > 0 else -(ca * cb))
-    return GradedTensor._make(s.owner, kind, degree, _accumulate(pairs()))
+    return GradedTensor._make(s.owner, kind, degree, accumulate(pairs()))
 
 
 def _merge_skew(a: Tuple[int, ...], b: Tuple[int, ...]):
@@ -503,15 +477,13 @@ def random_coefficient(rng, chart: Chart, degree: int = 2, bound: int = 3,
                        max_monomials: int = 2) -> Poly:
     """A small random polynomial: integer coefficients in [-bound, bound],
     total degree at most ``degree``."""
-    terms = {}
+    terms = []
     for _ in range(rng.randint(1, max_monomials)):
         exp = [0] * chart.dim
         for _ in range(rng.randint(0, degree)):
             if chart.dim:
                 exp[rng.randrange(chart.dim)] += 1
-        c = rng.randint(-bound, bound)
-        if c:
-            terms[tuple(exp)] = terms.get(tuple(exp), 0) + c
+        terms.append((tuple(exp), rng.randint(-bound, bound)))
     return Poly(chart, terms)
 
 
@@ -522,11 +494,8 @@ def random_tensor(rng, owner, kind: Kind, degree: int, coeff_degree: int = 2,
     if not keys:
         return GradedTensor.zero(owner, kind, degree)
     chosen = rng.sample(keys, min(len(keys), rng.randint(1, max_keys)))
-    terms = {}
-    for key in chosen:
-        coeff = random_coefficient(rng, owner.base, coeff_degree, bound)
-        if not coeff.is_zero():
-            terms[key] = coeff
+    terms = [(key, random_coefficient(rng, owner.base, coeff_degree, bound))
+             for key in chosen]
     return GradedTensor(owner, kind, degree, terms)
 
 

@@ -16,7 +16,9 @@ from algebroids.algebroid import (
     validate,
 )
 from algebroids.errors import (
+    AlgebroidError,
     AnchorNotMorphism,
+    ChartMismatch,
     DimensionMismatch,
     EmptyChart,
     JacobiViolation,
@@ -31,7 +33,7 @@ from algebroids.fixtures import (
     so3,
 )
 from algebroids.ring import Chart, parse_poly
-from algebroids.tensor import Kind, random_tensor
+from algebroids.tensor import GradedTensor, Kind, random_tensor
 
 
 def test_canonical_algebroid():
@@ -67,6 +69,36 @@ def test_build_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
         build_algebroid(chart, ("a", "b"), anchor=(("1",), ("1",)),
                         structure={(1, 0): {0: 1}})
+
+
+@pytest.mark.parametrize("value", [1.5, 0.1, None, float("nan"), [1]])
+def test_coefficients_fail_closed(value):
+    """A float, None or a list is never a coefficient, on any route."""
+    A = canonical_plane()
+    with pytest.raises(AlgebroidError):
+        GradedTensor(A, Kind.MV, 1, {(0,): value})
+    with pytest.raises(AlgebroidError):
+        A.e(0) * value
+    with pytest.raises(AlgebroidError):
+        value * A.e(0)
+    with pytest.raises(AlgebroidError):
+        build_algebroid(Chart(("x",)), ("e",), anchor=((value,),))
+    with pytest.raises(AlgebroidError):
+        build_algebroid(Chart(("x",)), ("e", "f"), anchor=((1,), (0,)),
+                        structure={(0, 1): {0: value}})
+
+
+def test_polynomials_over_another_chart_are_rejected():
+    chart = Chart(("x",))
+    foreign = parse_poly("x", Chart(("x", "y")))
+    with pytest.raises(ChartMismatch):
+        build_algebroid(chart, ("e",), anchor=((foreign,),))
+    with pytest.raises(ChartMismatch):
+        GradedTensor(canonical_line(), Kind.MV, 1, {(0,): foreign})
+    with pytest.raises(ChartMismatch):
+        canonical_line().e(0) * foreign
+    with pytest.raises(ChartMismatch):
+        parse_poly("x", chart) + foreign
 
 
 def test_broken_jacobi_witness():

@@ -249,6 +249,45 @@ def test_eval_at_rational_point(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", [
+    "1e5000", "\u0663", "1.5", "1/0", "0x10", "--1", "1/-2", "",
+    "9" * 101, "1/" + "9" * 101])
+def test_eval_point_takes_only_bounded_ascii_rationals(capsys, value):
+    code, report, err = run_cli(capsys, "eval", "--tensor", "P",
+                                "--at", f"x={value}")
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "UnknownName"
+    assert "Traceback" not in err
+
+
+def test_eval_point_accepts_the_model_rationals(capsys):
+    big = "9" * 100
+    code, report, _ = run_cli(capsys, "eval", "--tensor", "P",
+                              "--at", f"x=-{big}/7{big[1:]},y= 3 ")
+    assert code == 0
+    assert report["items"][0]["result"]["point"]["x"] == f"-{big}/7{big[1:]}"
+    assert report["items"][0]["result"]["point"]["y"] == "3"
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="no int-to-str digit limit in this interpreter")
+def test_eval_value_too_long_to_print_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps({
+        "charts": {"line": ["x"]},
+        "algebroids": {"line": {"chart": "line", "fibers": ["e"],
+                                "anchor": [["1"]]}},
+        "tensors": {"t": {"owner": "line", "kind": "mv", "degree": 0,
+                          "terms": {"": "x^100"}}},
+    }), encoding="utf-8")
+    code, report, err = run_cli(capsys, "eval", "--model", str(path),
+                                "--tensor", "t", "--at", "x=" + "9" * 100)
+    assert code == 2
+    assert report["error"]["type"] == "ValidationError"
+    assert "Traceback" not in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "algebroids", "contract", "--algebroid", "so3",

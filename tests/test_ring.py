@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 
 from algebroids.errors import (
     AlgebroidError,
+    ChartMismatch,
     MissingCoordinate,
     NegativeExponent,
     PolySyntaxError,
     UnknownVariable,
 )
 from algebroids.ring import (
+    MAX_EXPANSION,
     MAX_EXPONENT,
     MAX_NESTING_DEPTH,
     MAX_TERMS,
     Chart,
     Poly,
+    accumulate,
     eval_at,
     parse_poly,
     partial,
@@ -115,6 +118,8 @@ def test_expansion_is_bounded():
         "9^1000000": 2,
         "((9^100)^100)^100": 9,       # coefficient bits, not terms
         "(x+y+1)^20*(x+y+1)^20": 10,  # 231 * 231 product terms
+        # 496 terms a power: the fifth power passes the expression's budget
+        "+".join(["(x+y+1)^30"] * 20): 4 * 11 + 8,
     }
     for text, position in cases.items():
         with pytest.raises(PolySyntaxError) as err:
@@ -122,6 +127,14 @@ def test_expansion_is_bounded():
         assert err.value.position == position, text
     with pytest.raises(PolySyntaxError):
         parse_poly("(x+y+z+1)^20", Chart(["x", "y", "z"]))
+    assert 4 * 496 <= MAX_EXPANSION < 5 * 496
+    assert len(p("+".join(["(x+y+1)^30"] * 4)).terms) == 496
+    # products and powers of single terms are free, so a printed polynomial
+    # of any size parses back
+    q = p("(x+y+1)^30")
+    big = q * q.partial("x") * Fraction(3, 7)
+    assert len(big.terms) > MAX_EXPANSION // 4
+    assert p(poly_to_string(big)) == big
 
 
 #: Pieces of the expression alphabet: integer literals up to 10^7 (so
@@ -165,6 +178,45 @@ def test_ring_smoke():
     assert (x * y) ** 3 == x ** 3 * y ** 3
     assert 2 * x == x + x
     assert Fraction(1, 2) * (x + x) == x
+
+
+@pytest.mark.parametrize("value", [1.5, 0.1, None, float("nan"), [1]])
+def test_coefficients_are_rationals_polys_or_strings(value):
+    with pytest.raises(AlgebroidError):
+        XY.const(value)
+    with pytest.raises(AlgebroidError):
+        Poly(XY, {(1, 0): value})
+    with pytest.raises(AlgebroidError):
+        XY.coerce(value)
+
+
+def test_coercion_rule():
+    x = XY.coordinate("x")
+    assert XY.coerce(x) is x
+    assert XY.coerce(Fraction(3, 2)) == p("3/2")
+    assert XY.coerce(0) == XY.zero() and not XY.coerce(0).terms
+    assert XY.coerce("x*y - 1") == p("x*y - 1")
+    # a term map's coefficients go through the same rule
+    assert Poly(XY, {(1, 0): "y", (0, 0): Fraction(1, 2)}) == p("x*y + 1/2")
+    other = X.coordinate("x")
+    with pytest.raises(ChartMismatch):
+        XY.coerce(other)
+    with pytest.raises(ChartMismatch):
+        x + other
+    with pytest.raises(ChartMismatch):
+        x * other
+    # other types stay with Python's protocol
+    assert x != "x" and x != other
+    with pytest.raises(TypeError):
+        x + "x"
+
+
+def test_accumulate_drops_cancelled_keys():
+    one = Fraction(1)
+    assert accumulate([("a", one), ("b", one), ("a", -one)]) == {"b": one}
+    start = {"a": one}
+    assert accumulate([("a", -one)], start) == {}
+    assert start == {"a": one}
 
 
 def _random_poly(rng, chart, degree=3, max_terms=4):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from algebroids import suites
 from algebroids import tensor as tensor_conventions
 from algebroids.cli import main as cli_main
 from algebroids.errors import UnknownName
@@ -120,3 +121,23 @@ def test_model_suite_block_supplies_defaults():
     model.suite = {"seed": 9, "trials": 4}
     result = run_suite("theorem-3", model)
     assert result["seed"] == 9 and result["trials"] == 4
+
+
+def test_witness_names_the_nonzero_component(monkeypatch):
+    """theorem-8 function-lifts checks (V(f) - pullback, T(f) - velocity
+    derivative); a T that is really V breaks the second component only."""
+    monkeypatch.setattr(suites, "complete_lift_T", suites.vertical_lift_V)
+    result = run_suite("theorem-8", trials=4)
+    item = next(i for i in result["items"] if i["id"] == "function-lifts")
+    assert item["status"] == "fail"
+    assert item["witness"]["component"] == 2
+
+
+def test_single_residual_witness_is_component_one():
+    tensor_conventions.CONTRACTION_ORDER = "last-factor-innermost"
+    try:
+        result = run_suite("theorem-6", trials=8)
+    finally:
+        tensor_conventions.CONTRACTION_ORDER = "first-factor-innermost"
+    failing = [i for i in result["items"] if i["status"] == "fail"]
+    assert failing and all(i["witness"]["component"] == 1 for i in failing)
