@@ -23,11 +23,16 @@ The lifts at the bottom of the module produce new algebroids from old:
 ``cotangent_lift`` turns the dual bundle's chart into a base whose fibers
 are the coordinate differentials, and ``linear_poisson`` packages the same
 structure data as a fiberwise-linear bivector on the dual chart.
+Algebroids are immutable and hashable, so these lifts and the canonical
+algebroid of a chart are memoized on their (structurally compared) source,
+in LRU caches of :data:`CACHE_SIZE` entries each.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -46,13 +51,15 @@ _StructureTable = Dict[Tuple[int, int], Dict[int, Poly]]
 class Algebroid:
     """Structure data for an anchored bracket bundle.
 
-    Instances compare structurally: two algebroids are equal when they have
-    the same base chart, fiber names, anchor matrix, structure table and dual
-    fiber names, regardless of how they were constructed.
+    Instances are immutable and compare structurally: two algebroids are
+    equal, and hash alike, when they have the same base chart, fiber names,
+    anchor matrix, structure table and dual fiber names, regardless of how
+    they were constructed (``provenance`` and ``parent`` are not compared).
+    ``structure`` and each of its columns are read-only mappings.
     """
 
     __slots__ = ("base", "rank", "fiber_names", "anchor", "structure",
-                 "dual_names", "provenance", "parent")
+                 "dual_names", "provenance", "parent", "_hash")
 
     def __init__(self, base: Chart, fiber_names: Sequence[str],
                  anchor: Sequence[Sequence[Poly]], structure: _StructureTable,
@@ -62,12 +69,24 @@ class Algebroid:
         self.rank = len(fiber_names)
         self.fiber_names = tuple(fiber_names)
         self.anchor = tuple(tuple(row) for row in anchor)
-        self.structure = structure
+        self.structure = MappingProxyType({
+            pair: MappingProxyType(dict(column)) for pair, column in structure.items()})
         self.dual_names = tuple(dual_names)
         self.provenance = provenance
         self.parent = parent
+        self._hash = None  # assigned last: from here on the instance is frozen
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "_hash"):
+            raise AttributeError(f"Algebroid is immutable; cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Algebroid is immutable; cannot delete {name!r}")
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Algebroid):
             return NotImplemented
         return (self.base == other.base
@@ -75,6 +94,14 @@ class Algebroid:
                 and self.anchor == other.anchor
                 and self.structure == other.structure
                 and self.dual_names == other.dual_names)
+
+    def __hash__(self) -> int:
+        if self._hash is None:  # computed once, on first use as a cache key
+            object.__setattr__(self, "_hash", hash((
+                self.base, self.fiber_names, self.anchor, self.dual_names,
+                frozenset((pair, frozenset(column.items()))
+                          for pair, column in self.structure.items()))))
+        return self._hash
 
     def __repr__(self) -> str:
         return (f"<Algebroid rank {self.rank} over {self.base.coords!r} "
@@ -104,16 +131,9 @@ class Algebroid:
     def is_canonical(self) -> bool:
         """True for the tangent-style algebroid of a chart: fibers are the
         coordinates, the anchor is the identity, all brackets vanish."""
-        if self.rank != self.base.dim or self.fiber_names != self.base.coords:
-            return False
-        if self.structure:
-            return False
-        one, zero = self.base.one(), self.base.zero()
-        for i, row in enumerate(self.anchor):
-            for a, entry in enumerate(row):
-                if entry != (one if a == i else zero):
-                    return False
-        return True
+        canonical = _vector_fields(self.base)
+        return (self.fiber_names == canonical.fiber_names and not self.structure
+                and self.anchor == canonical.anchor)
 
     # -- section builders ----------------------------------------------------
 
@@ -152,11 +172,20 @@ def dual_chart(algebroid: Algebroid) -> Chart:
     return Chart(algebroid.base.coords + algebroid.dual_names)
 
 
+#: Entries kept by each construction cache.  A ``suite --name all`` round over
+#: both shipped models reaches 22 distinct keys in the largest one (charts).
+#: The three lifts are plain functions over cached builders, so a profiler or
+#: tracer wrapping a public name sees every call, cache hits included.
+CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _vector_fields(chart: Chart) -> Algebroid:
     """The canonical algebroid of a chart, allowing the empty chart (rank 0).
 
-    Only used internally as the landing space of :func:`anchor_apply`; the
-    public constructor :func:`canonical_algebroid` rejects empty charts.
+    Used directly as the landing space of :func:`anchor_apply` and as the
+    reference of :attr:`Algebroid.is_canonical`; the public constructor
+    :func:`canonical_algebroid` rejects empty charts.
     """
     n = chart.dim
     one, zero = chart.one(), chart.zero()
@@ -227,10 +256,8 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
 
     if dual_names is None:
         probe = Algebroid(base, fiber_names, rows, table, [""] * rank)
-        if probe.is_canonical:
-            dual_names = tuple(f"p_{name}" for name in fiber_names)
-        else:
-            dual_names = tuple(f"xi_{name}" for name in fiber_names)
+        prefix = "p_" if probe.is_canonical else "xi_"
+        dual_names = tuple(prefix + name for name in fiber_names)
     else:
         dual_names = tuple(dual_names)
         if len(dual_names) != rank or len(set(dual_names)) != rank:
@@ -351,9 +378,14 @@ def tangent_lift(algebroid: Algebroid) -> Algebroid:
                [e_i bar, e_j dot] = c_ij^k e_k bar,
                [e_i dot, e_j dot] = c_ij^k e_k dot + (d_a c_ij^k) x_a dot e_k bar;
     the anchor sends bar fibers to velocity directions and dot fibers to the
-    original directions plus the derivative correction.
+    original directions plus the derivative correction.  Memoized: equal
+    sources share one lift, whose ``parent`` is the first of them lifted.
     """
-    A = algebroid
+    return _tangent_lift(algebroid)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _tangent_lift(A: Algebroid) -> Algebroid:
     n, m = A.base.dim, A.rank
     base = dotted_chart(A.base)
     lift = lambda p: p.transport(base)  # noqa: E731 - tiny local embedding
@@ -402,9 +434,14 @@ def cotangent_lift(algebroid: Algebroid) -> Algebroid:
         [d x^a, d x^b]   = 0;
 
     the anchor sends dx^a to -delta_i^a d/d xi_i and d xi_i to
-    delta_i^a d/d x^a + c_ij^k xi_k d/d xi_j.
+    delta_i^a d/d x^a + c_ij^k xi_k d/d xi_j.  Memoized like
+    :func:`tangent_lift`.
     """
-    A = algebroid
+    return _cotangent_lift(algebroid)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _cotangent_lift(A: Algebroid) -> Algebroid:
     n, m = A.base.dim, A.rank
     base = dual_chart(A)
     lift = lambda p: p.transport(base)  # noqa: E731
@@ -455,10 +492,15 @@ def cotangent_lift(algebroid: Algebroid) -> Algebroid:
 
 def linear_poisson(algebroid: Algebroid):
     """The fiberwise-linear bivector on the dual chart encoding the same
-    structure data.  Returns a validated Poisson structure."""
+    structure data.  Returns a validated Poisson structure, memoized like
+    :func:`tangent_lift`."""
+    return _linear_poisson(algebroid)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _linear_poisson(A: Algebroid):
     from .poisson import build_poisson
 
-    A = algebroid
     n = A.base.dim
     chart = dual_chart(A)
     owner = canonical_algebroid(chart)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .algebroid import cotangent_lift, linear_poisson, tangent_lift
 from .calculus import (differential, fn_bracket, lie_derivative, nr_bracket,
                        schouten, sym_schouten)
-from .errors import AlgebroidError, UnknownName, ValidationError
+from .errors import AlgebroidError, BadPoint, UnknownName, ValidationError
 from .lifts import (G_map, H_map, J_map, Jstar, canonical_transport,
                     complete_lift_T, cot_complete_G_vec, vertical_lift_V,
                     vertical_pi, vertical_tau)
@@ -220,13 +220,13 @@ def _parse_point(text, chart):
         name, sep, value = piece.partition("=")
         name = name.strip()
         if not sep:
-            raise UnknownName(f"--at expects coord=rational, got {piece!r}")
+            raise BadPoint(f"--at expects coord=rational, got {piece!r}")
         if name not in point:
             raise UnknownName(f"--at: {name!r} is not a coordinate of the "
                               f"tensor's chart {tuple(chart.coords)}")
         match = _POINT_VALUE.fullmatch(value.strip())
         if match is None or (match["den"] and int(match["den"]) == 0):
-            raise UnknownName(
+            raise BadPoint(
                 f"--at: bad rational for {name!r}: expected -?n or -?n/d with "
                 f"ASCII digits, at most {_POINT_DIGITS} each, and d > 0")
         point[name] = Fraction(int(match["num"]), int(match["den"] or 1))

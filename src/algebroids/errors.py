@@ -95,5 +95,10 @@ class UnknownName(AlgebroidError):
     """A name referenced on the command line is not defined in the model."""
 
 
+class BadPoint(AlgebroidError):
+    """A point given on the command line (``eval --at``) is not a list of
+    ``coord=rational`` pairs with bounded ASCII rationals."""
+
+
 class ValidationError(AlgebroidError):
     """A loaded model fails semantic validation."""

@@ -223,7 +223,8 @@ class Poly:
             ((e, -c) for e, c in other.terms.items()), self.terms))
 
     def __rsub__(self, other) -> "Poly":
-        return (-self) + other
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):

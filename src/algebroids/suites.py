@@ -131,30 +131,23 @@ def _witness_model(tensors):
     """A self-contained model holding the named input tensors (and the
     residual), inventing names for their charts and owners."""
     model = Model()
-    charts = []      # (Chart, name)
-    owners = []      # (Algebroid, name)
+    charts = {}      # Chart -> name
+    owners = {}      # Algebroid -> name
 
     def chart_name(chart):
-        for known, name in charts:
-            if known == chart:
-                return name
-        name = "chart" if not charts else f"chart{len(charts) + 1}"
-        charts.append((chart, name))
-        model.charts[name] = chart
-        return name
+        if chart not in charts:
+            charts[chart] = f"chart{len(charts) + 1}" if charts else "chart"
+            model.charts[charts[chart]] = chart
+        return charts[chart]
 
     def owner_name(owner):
-        for known, name in owners:
-            if known == owner:
-                return name
-        if owner.is_canonical:
+        if owner not in owners:
             name = chart_name(owner.base)
-        else:
-            chart_name(owner.base)
-            name = f"A{sum(1 for _, n in owners if n.startswith('A')) + 1}"
-            model.algebroids[name] = owner
-        owners.append((owner, name))
-        return name
+            if not owner.is_canonical:
+                name = f"A{len(model.algebroids) + 1}"
+                model.algebroids[name] = owner
+            owners[owner] = name
+        return owners[owner]
 
     for name, tensor in tensors.items():
         model.tensors[name] = tensor
@@ -733,10 +726,9 @@ def _suite_eq_2_6(run):
 def _suite_theorem_8(run):
     """Vertical and complete lifts: function laws and module structure."""
     fixtures = run.algebroids()
-    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
     def function_laws(name, A, rng):
-        TL = tangent[name]
+        TL = tangent_lift(A)
         f = random_coefficient(rng, A.base, run.coeff_degree)
         vf = vertical_lift_V(A, A.fn(f))
         tf = complete_lift_T(A, A.fn(f))
@@ -795,10 +787,9 @@ def _suite_theorem_10(run):
     if skipped:
         run.note("skipped over a point (no vector fields to lift): "
                  + ", ".join(skipped))
-    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
     def anchor(name, A, rng):
-        TL = tangent[name]
+        TL = tangent_lift(A)
         x = run.draw(rng, A, Kind.MV, 1)
         residual_v = (anchor_apply(TL, vertical_lift_V(A, x))
                       - classical_vertical_lift(anchor_apply(A, x)))
@@ -814,13 +805,12 @@ def _suite_theorem_10(run):
 def _suite_theorem_11(run):
     """The V/T multiplication table for the Schouten brackets."""
     fixtures = run.algebroids()
-    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
     def table(name, A, rng):
         x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
         y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
         return {"x": x, "y": y}, _vt_table(
-            partial(schouten, tangent[name]), schouten(A, x, y), x, y,
+            partial(schouten, tangent_lift(A)), schouten(A, x, y), x, y,
             partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
     run.check("schouten-table", "[VV]=0, [VT]=[TV]=V[,], [TT]=T[,]",
@@ -830,7 +820,7 @@ def _suite_theorem_11(run):
         x = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
         y = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
         return {"x": x, "y": y}, _vt_table(
-            partial(sym_schouten, tangent[name]), sym_schouten(A, x, y), x, y,
+            partial(sym_schouten, tangent_lift(A)), sym_schouten(A, x, y), x, y,
             partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
     run.check("sym-schouten-table", "the same table for the symmetric bracket",
@@ -840,7 +830,6 @@ def _suite_theorem_11(run):
 def _suite_theorem_12(run):
     """Contraction, differential and Lie derivative against V/T lifts."""
     fixtures = run.algebroids()
-    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
     def contraction(name, A, rng):
         x = run.draw(rng, A, Kind.MV, 1)
@@ -853,7 +842,7 @@ def _suite_theorem_12(run):
               fixtures, contraction)
 
     def differential_table(name, A, rng):
-        TL = tangent[name]
+        TL = tangent_lift(A)
         mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
         dmu = differential(A, mu)
         return {"mu": mu}, (
@@ -867,7 +856,7 @@ def _suite_theorem_12(run):
         x = run.draw(rng, A, Kind.MV, 1)
         mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
         return {"x": x, "mu": mu}, _vt_table(
-            partial(lie_derivative, tangent[name]), lie_derivative(A, x, mu),
+            partial(lie_derivative, tangent_lift(A)), lie_derivative(A, x, mu),
             x, mu, partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
     run.check("lie-table", "L_{V/T} on V/T-lifted forms", fixtures, lie_table)
@@ -889,13 +878,12 @@ def _suite_theorem_13(run):
 def _suite_theorem_14(run):
     """The V/T table for the Frölicher–Nijenhuis bracket."""
     fixtures = run.algebroids()
-    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
     def table(name, A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         return {"K": k, "L": l}, _vt_table(
-            partial(fn_bracket, tangent[name]), fn_bracket(A, k, l), k, l,
+            partial(fn_bracket, tangent_lift(A)), fn_bracket(A, k, l), k, l,
             partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
     run.check("fn-table", "the V/T table for the F-N bracket", fixtures, table)
@@ -907,7 +895,6 @@ def _suite_theorem_14(run):
 def _suite_theorem_15(run):
     """The dual-chart Schouten identities tying iota, V_pi and G together."""
     fixtures = run.algebroids()
-    linear = {name: linear_poisson(A) for name, A in fixtures}
 
     def an_instance(A, rng):
         """Every item draws x, y, mu and nu, whichever of them it uses."""
@@ -928,7 +915,7 @@ def _suite_theorem_15(run):
 
     def commute(name, A, rng):
         _, _, mu, nu = an_instance(A, rng)
-        D = linear[name].owner
+        D = linear_poisson(A).owner
         return {"mu": mu, "nu": nu}, schouten(D, vertical_pi(A, mu),
                                               vertical_pi(A, nu))
 
@@ -936,7 +923,7 @@ def _suite_theorem_15(run):
 
     def iota_bracket(name, A, rng):
         x, _, mu, _ = an_instance(A, rng)
-        D = linear[name].owner
+        D = linear_poisson(A).owner
         residual = (schouten(D, D.fn(iota(A, x)), vertical_pi(A, mu))
                     + vertical_pi(A, contract(x, mu)))
         return {"x": x, "mu": mu}, residual
@@ -946,7 +933,7 @@ def _suite_theorem_15(run):
 
     def p_bracket(name, A, rng):
         _, _, mu, _ = an_instance(A, rng)
-        ps = linear[name]
+        ps = linear_poisson(A)
         residual = (schouten(ps.owner, ps.bivector, vertical_pi(A, mu))
                     - vertical_pi(A, differential(A, mu)))
         return {"mu": mu}, residual
@@ -955,7 +942,7 @@ def _suite_theorem_15(run):
 
     def g_lie(name, A, rng):
         x, _, mu, _ = an_instance(A, rng)
-        D = linear[name].owner
+        D = linear_poisson(A).owner
         residual = (schouten(D, cot_complete_G_vec(A, x), vertical_pi(A, mu))
                     - vertical_pi(A, lie_derivative(A, x, mu)))
         return {"x": x, "mu": mu}, residual
@@ -964,7 +951,7 @@ def _suite_theorem_15(run):
 
     def g_g(name, A, rng):
         x, y, _, _ = an_instance(A, rng)
-        D = linear[name].owner
+        D = linear_poisson(A).owner
         residual = (schouten(D, cot_complete_G_vec(A, x), cot_complete_G_vec(A, y))
                     - cot_complete_G_vec(A, section_bracket(A, x, y)))
         return {"x": x, "y": y}, residual
@@ -973,7 +960,7 @@ def _suite_theorem_15(run):
 
     def g_iota(name, A, rng):
         x, y, _, _ = an_instance(A, rng)
-        D = linear[name].owner
+        D = linear_poisson(A).owner
         residual = (schouten(D, cot_complete_G_vec(A, x), D.fn(iota(A, y)))
                     - D.fn(iota(A, section_bracket(A, x, y))))
         return {"x": x, "y": y}, residual
@@ -996,7 +983,6 @@ def _suite_theorem_16(run):
     """The mixed-tensor maps J and G extend −iota and the vector lift, and
     the two routes to G agree."""
     fixtures = run.algebroids()
-    linear = {name: linear_poisson(A) for name, A in fixtures}
 
     def degree_zero(name, A, rng):
         D = canonical_algebroid(dual_chart(A))
@@ -1009,7 +995,7 @@ def _suite_theorem_16(run):
               fixtures, degree_zero)
 
     def dual_routes(name, A, rng):
-        ps = linear[name]
+        ps = linear_poisson(A)
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         residual = (schouten(ps.owner, ps.bivector, J_map(A, k))
                     - _g_expanded(A, k))
@@ -1155,7 +1141,6 @@ def _suite_theorem_19(run):
     if not fixtures:
         run.note("no canonical algebroids in the model")
     per = run.share(len(fixtures))
-    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
     def vectors(name, A, rng):
         x = run.draw(rng, A, Kind.MV, 1)
@@ -1196,7 +1181,7 @@ def _suite_theorem_19(run):
               fixtures, forms)
 
     def involution(name, A, rng):
-        TL = tangent[name]
+        TL = tangent_lift(A)
         s = run.draw(rng, TL, Kind.MV, rng.choice([1, 2]))
         mu = run.draw(rng, TL, Kind.FORM, rng.choice([1, 2]))
         return {"s": s, "mu": mu}, (
@@ -1211,10 +1196,9 @@ def _suite_theorem_20(run):
     """The flip is the tangent-lift anchor and an algebroid isomorphism; the
     two routes to the tangent Poisson structure agree."""
     fixtures = run.canonical()
-    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
     def anchor(name, A, rng):
-        TL = tangent[name]
+        TL = tangent_lift(A)
         s = run.draw(rng, TL, Kind.MV, 1)
         return {"s": s}, anchor_apply(TL, s) - canonical_transport("kappa", s)
 
@@ -1222,7 +1206,7 @@ def _suite_theorem_20(run):
               fixtures, anchor)
 
     def bracket_iso(name, A, rng):
-        TL = tangent[name]
+        TL = tangent_lift(A)
         target = canonical_algebroid(dotted_chart(A.base))
         s = run.draw(rng, TL, Kind.MV, 1)
         t = run.draw(rng, TL, Kind.MV, 1)
@@ -1306,10 +1290,9 @@ def _suite_theorem_22(run):
     """The degreewise-signed bundle map of the fiberwise-linear bivector
     recovers the dual lifts of forms and mixed tensors."""
     fixtures = run.canonical()
-    linear = {name: linear_poisson(A) for name, A in fixtures}
 
     def pullbacks(name, A, rng):
-        ps = linear[name]
+        ps = linear_poisson(A)
         mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
         residual = (lambda_p(ps, _pullback(A, ps.owner, mu), "star")
                     - vertical_pi(A, mu))
@@ -1319,13 +1302,13 @@ def _suite_theorem_22(run):
 
     def contracted(name, A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        return {"K": k}, lambda_p(linear[name], Jstar(k), "star") + J_map(A, k)
+        return {"K": k}, lambda_p(linear_poisson(A), Jstar(k), "star") + J_map(A, k)
 
     run.check("contracted-pullbacks", "Λ*(J*(K)) = −J(K)",
               fixtures, contracted)
 
     def differentials(name, A, rng):
-        ps = linear[name]
+        ps = linear_poisson(A)
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         residual = (lambda_p(ps, differential(ps.owner, Jstar(k)), "star")
                     + G_map(A, k))
@@ -1334,7 +1317,7 @@ def _suite_theorem_22(run):
     run.check("differentials", "Λ*(d J*(K)) = −G(K)", fixtures, differentials)
 
     def d_intertwine(name, A, rng):
-        ps = linear[name]
+        ps = linear_poisson(A)
         D = ps.owner
         nu = run.draw(rng, D, Kind.FORM, rng.choice([1, 2]))
         residual = (lambda_p(ps, differential(D, nu), "star")
@@ -1347,10 +1330,9 @@ def _suite_theorem_22(run):
 def _suite_theorem_23(run):
     """J* maps the F-N bracket to the extended bracket."""
     fixtures = run.canonical()
-    linear = {name: linear_poisson(A) for name, A in fixtures}
 
     def homomorphism(name, A, rng):
-        ps = linear[name]
+        ps = linear_poisson(A)
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         residual = (extended_bracket(ps, Jstar(k), Jstar(l))
@@ -1488,10 +1470,9 @@ def _suite_theorem_24(run):
 def _suite_eq_7_12(run):
     """The dual flip intertwines the two exterior derivatives."""
     fixtures = run.canonical()
-    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
     def intertwine(name, A, rng):
-        TL = tangent[name]
+        TL = tangent_lift(A)
         target = canonical_algebroid(dotted_chart(A.base))
         mu = run.draw(rng, TL, Kind.FORM, rng.choice([0, 1, 2]))
         residual = (canonical_transport("alpha", differential(TL, mu))
@@ -1537,10 +1518,9 @@ def _suite_eq_7_13(run):
     if skipped:
         run.note("skipped over a point (the tangent of the base is trivial): "
                  + ", ".join(skipped))
-    tangent = {name: tangent_lift(A) for name, A in fixtures}
 
     def intertwine(name, A, rng):
-        TL = tangent[name]
+        TL = tangent_lift(A)
         s = run.draw(rng, TL, Kind.MV, 1)
         residual = (canonical_transport("kappa", anchor_apply(TL, s))
                     - _tangent_anchor_map(A, s))

@@ -178,26 +178,28 @@ class GradedTensor:
 
     # -- linear structure -----------------------------------------------------
 
-    def _check_compatible(self, other: "GradedTensor") -> None:
+    def _plus(self, other: "GradedTensor", pairs) -> "GradedTensor":
+        """``self`` plus ``pairs``, the (possibly negated) terms of a
+        compatible ``other``, in one pass of the accumulation kernel."""
         if self.owner != other.owner:
             raise ChartMismatch("tensors live over different owners")
         if self.kind is not other.kind:
             raise KindMismatch(f"cannot combine {self.describe()} with {other.describe()}")
         if self.degree != other.degree and self.terms and other.terms:
             raise KindMismatch(f"cannot add degree {self.degree} to degree {other.degree}")
+        degree = self.degree if self.terms or not other.terms else other.degree
+        return GradedTensor._make(self.owner, self.kind, degree,
+                                  accumulate(pairs, self.terms))
 
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
-        self._check_compatible(other)
-        degree = self.degree if self.terms or not other.terms else other.degree
-        terms = accumulate(other.terms.items(), self.terms)
-        return GradedTensor._make(self.owner, self.kind, degree, terms)
+        return self._plus(other, other.terms.items())
 
     def __neg__(self) -> "GradedTensor":
         return GradedTensor._make(self.owner, self.kind, self.degree,
                                   {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "GradedTensor") -> "GradedTensor":
-        return self + (-other)
+        return self._plus(other, ((k, -c) for k, c in other.terms.items()))
 
     def __mul__(self, scalar) -> "GradedTensor":
         """Multiply by a coefficient over the owner's base (anything

@@ -1,0 +1,120 @@
+"""Algebroids are immutable and hashable, and the canonical algebroid of a
+chart and the three lifts are built once per source structure."""
+
+import pytest
+
+from algebroids import algebroid
+from algebroids.algebroid import (
+    CACHE_SIZE,
+    build_algebroid,
+    canonical_algebroid,
+    cotangent_lift,
+    dual_chart,
+    linear_poisson,
+    tangent_lift,
+)
+from algebroids.fixtures import nonconstant_rank2, so3
+from algebroids.model import builtin_model
+from algebroids.ring import Chart
+from algebroids.suites import run_suite
+
+CACHES = (algebroid._vector_fields, algebroid._tangent_lift,
+          algebroid._cotangent_lift, algebroid._linear_poisson)
+
+
+@pytest.fixture(autouse=True)
+def empty_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+    yield
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """Every algebroid passed to ``validate`` while the test runs."""
+    seen = []
+    original = algebroid.validate
+
+    def counted(A):
+        seen.append(A)
+        return original(A)
+
+    monkeypatch.setattr(algebroid, "validate", counted)
+    return seen
+
+
+@pytest.mark.parametrize("make", [so3, nonconstant_rank2])
+def test_each_construction_is_built_once(make):
+    A = make()
+    for construct in (tangent_lift, cotangent_lift, linear_poisson):
+        assert construct(A) is construct(A)
+    chart = dual_chart(A)
+    assert canonical_algebroid(chart) is canonical_algebroid(Chart(chart.coords))
+
+
+def test_equal_sources_share_one_lift():
+    first, second = nonconstant_rank2(), nonconstant_rank2()
+    assert first is not second and first == second
+    lifted = tangent_lift(first)
+    assert tangent_lift(second) is lifted
+    assert lifted.parent is first
+    assert cotangent_lift(second) is cotangent_lift(first)
+    assert linear_poisson(second) is linear_poisson(first)
+
+
+def test_hash_agrees_with_equality():
+    A = nonconstant_rank2()
+    args = (A.base, A.fiber_names, A.anchor, A.structure)
+    same = build_algebroid(*args, dual_names=A.dual_names,
+                           provenance="elsewhere", parent=so3())
+    assert same == A and hash(same) == hash(A)
+    assert same.provenance != A.provenance and same.parent is not A.parent
+    renamed = build_algebroid(*args, dual_names=("u", "v"))
+    assert renamed != A
+    assert len({A, same, renamed, so3(), so3()}) == 3
+
+
+def test_algebroids_are_immutable():
+    A = so3()
+    with pytest.raises(TypeError):
+        A.structure[(0, 1)] = {}
+    with pytest.raises(TypeError):
+        A.structure[(0, 1)][2] = A.base.one()
+    with pytest.raises(TypeError):
+        del A.structure[(0, 1)][2]
+    for name in ("structure", "anchor", "provenance", "parent", "rank"):
+        with pytest.raises(AttributeError):
+            setattr(A, name, None)
+        with pytest.raises(AttributeError):
+            delattr(A, name)
+    assert A == so3() and hash(A) == hash(so3())
+
+
+def test_each_new_structure_is_validated_once(validated):
+    A, again = nonconstant_rank2(), nonconstant_rank2()
+    assert len(validated) == 2  # loading validates each copy
+    for _ in range(3):
+        tangent_lift(A), cotangent_lift(A), linear_poisson(A)
+        tangent_lift(again), cotangent_lift(again)
+    assert validated[2:] == [tangent_lift(A), cotangent_lift(A)]
+
+
+def test_caches_are_bounded():
+    line = Chart(("x",))
+    for k in range(1, CACHE_SIZE + 6):
+        A = build_algebroid(line, ("e",), [[k]])
+        tangent_lift(A), cotangent_lift(A), linear_poisson(A)
+        canonical_algebroid(Chart((f"x{k}",)))
+    for cache in CACHES:
+        assert cache.cache_info().currsize == CACHE_SIZE
+
+
+def test_a_suite_validates_each_lift_once(validated):
+    model = builtin_model()
+    validated.clear()
+    result = run_suite("theorem-11", model)
+    assert result["status"] == "pass"
+    assert validated and len(validated) == len(set(validated))
+    assert len(validated) <= len(model.algebroids)  # one tangent lift each

@@ -247,6 +247,7 @@ def test_eval_at_rational_point(capsys):
     # unknown coordinates are input errors
     code, report, _ = run_cli(capsys, "eval", "--tensor", "P", "--at", "q=1")
     assert code == 2
+    assert report["error"]["type"] == "UnknownName"
 
 
 @pytest.mark.parametrize("value", [
@@ -257,7 +258,7 @@ def test_eval_point_takes_only_bounded_ascii_rationals(capsys, value):
                                 "--at", f"x={value}")
     assert code == 2
     assert report["status"] == "error"
-    assert report["error"]["type"] == "UnknownName"
+    assert report["error"]["type"] == "BadPoint"
     assert "Traceback" not in err
 
 
