@@ -65,16 +65,14 @@ class Algebroid:
                  anchor: Sequence[Sequence[Poly]], structure: _StructureTable,
                  dual_names: Sequence[str], provenance: str = "built",
                  parent: Optional["Algebroid"] = None):
-        self.base = base
-        self.rank = len(fiber_names)
-        self.fiber_names = tuple(fiber_names)
-        self.anchor = tuple(tuple(row) for row in anchor)
-        self.structure = MappingProxyType({
-            pair: MappingProxyType(dict(column)) for pair, column in structure.items()})
-        self.dual_names = tuple(dual_names)
-        self.provenance = provenance
-        self.parent = parent
-        self._hash = None  # assigned last: from here on the instance is frozen
+        # filled past the guard below; _hash, set last, freezes the instance
+        for name, value in zip(self.__slots__, (
+                base, len(fiber_names), tuple(fiber_names),
+                tuple(tuple(row) for row in anchor),
+                MappingProxyType({pair: MappingProxyType(dict(column))
+                                  for pair, column in structure.items()}),
+                tuple(dual_names), provenance, parent, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         if hasattr(self, "_hash"):
@@ -311,11 +309,15 @@ def validate(algebroid: Algebroid) -> None:
 
 # -- the bracket on sections ----------------------------------------------------
 
-def anchor_derivative(algebroid: Algebroid, i: int, f: Poly) -> Poly:
-    """The anchor of e_i applied to a function: sum_a anchor[i][a] d_a f."""
-    row, base = algebroid.anchor[i], algebroid.base
-    return poly_sum(base, (row[a] * d for a, name in enumerate(base.coords)
-                           if (d := f.partial(name))))
+def anchor_derivative(algebroid: Algebroid, i: int, f: Poly,
+                      gradient: Optional[Sequence[Tuple[int, Poly]]] = None) -> Poly:
+    """The anchor of e_i applied to a function: sum_a anchor[i][a] d_a f.
+    ``gradient`` is ``f.gradient()``, passed by callers that apply several
+    anchors to the same ``f`` so its partials are taken once."""
+    row = algebroid.anchor[i]
+    if gradient is None:
+        gradient = f.gradient()
+    return poly_sum(algebroid.base, (row[a] * d for a, d in gradient if row[a]))
 
 
 def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
@@ -324,9 +326,12 @@ def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> G
         if t.owner != algebroid or t.kind is not Kind.MV or t.degree != 1:
             raise KindMismatch(f"section_bracket needs sections, got {t.describe()}")
 
+    xs = [(i, f, f.gradient()) for (i,), f in x.terms.items()]
+    ys = [(j, g, g.gradient()) for (j,), g in y.terms.items()]
+
     def pairs():
-        for (i,), f in x.terms.items():
-            for (j,), g in y.terms.items():
+        for i, f, df in xs:
+            for j, g, dg in ys:
                 if i != j:
                     fg = f * g
                     for k in range(algebroid.rank):
@@ -334,10 +339,10 @@ def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> G
                         if not coeff.is_zero():
                             yield (k,), coeff * fg
                 # derivative terms: f·anchor(e_i)(g)·e_j − g·anchor(e_j)(f)·e_i
-                d = anchor_derivative(algebroid, i, g)
+                d = anchor_derivative(algebroid, i, g, dg)
                 if not d.is_zero():
                     yield (j,), f * d
-                d = anchor_derivative(algebroid, j, f)
+                d = anchor_derivative(algebroid, j, f, df)
                 if not d.is_zero():
                     yield (i,), -(g * d)
 
@@ -365,9 +370,9 @@ def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
 def velocity_derivative(coeff: Poly, target: Chart) -> Poly:
     """The velocity derivative sum_a (d_a f)·a_dot of a function f, on the
     velocity chart ``target`` that extends f's chart."""
-    return poly_sum(target, (
-        d.transport(target) * target.coordinate(f"{name}_dot")
-        for name in coeff.chart.coords if (d := coeff.partial(name))))
+    names = coeff.chart.coords
+    return poly_sum(target, (d.transport(target) * target.coordinate(f"{names[a]}_dot")
+                             for a, d in coeff.gradient()))
 
 
 def tangent_lift(algebroid: Algebroid) -> Algebroid:
@@ -467,11 +472,7 @@ def _cotangent_lift(A: Algebroid) -> Algebroid:
     structure: _StructureTable = {}
     for i in range(m):  # [d x^a, d xi_i] = -(d_b delta_i^a) dx^b
         for a in range(n):
-            entries = {}
-            for b, name in enumerate(A.base.coords):
-                d = A.anchor[i][a].partial(name)
-                if not d.is_zero():
-                    entries[b] = -lift(d)
+            entries = {b: -lift(d) for b, d in A.anchor[i][a].gradient()}
             if entries:
                 structure[(a, n + i)] = entries
     for (i, j), table in A.structure.items():

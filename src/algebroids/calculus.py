@@ -5,7 +5,10 @@ Everything here is generated by the structure data of the owning algebroid:
 * the exterior differential acts on generators by
   ``d f = sum_i (anchor e_i)(f) e*_i`` and
   ``d e*_k = -sum_{i<j} c_ij^k e*_i∧e*_j``,
-  extended as a graded derivation;
+  extended as a graded derivation, and emitted term by term as merged,
+  signed basis keys;
+* every function is differentiated once: the anchors applied to it share
+  its :meth:`~algebroids.ring.Poly.gradient`;
 * Lie differentials are graded commutators of contraction with d — with a
   minus sign for multivector actors and a plus sign for vector-valued forms
   (the two conventions are deliberately kept distinct, since the simple-
@@ -27,14 +30,13 @@ matching convention.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from .algebroid import Algebroid, anchor_derivative, section_bracket
 from .errors import ChartMismatch, KindMismatch
-from .ring import Poly
+from .ring import Poly, accumulate
 from .tensor import (
     GradedTensor,
     Kind,
+    _sort_skew,
     as_sym,
     contract,
     contract_mixed,
@@ -56,21 +58,10 @@ def _require_owner(algebroid: Algebroid, *tensors: GradedTensor) -> None:
 
 
 def _d_function(algebroid: Algebroid, f: Poly) -> GradedTensor:
-    terms = {}
-    for i in range(algebroid.rank):
-        df = anchor_derivative(algebroid, i, f)
-        if not df.is_zero():
-            terms[(i,)] = df
-    return GradedTensor(algebroid, Kind.FORM, 1, terms)
-
-
-def _d_dual_generators(algebroid: Algebroid) -> List[GradedTensor]:
-    """d of each dual basis form: d e*_k = -sum_{i<j} c_ij^k e*_i∧e*_j."""
-    tables: List[dict] = [{} for _ in range(algebroid.rank)]
-    for (i, j), entries in algebroid.structure.items():
-        for k, coeff in entries.items():
-            tables[k][(i, j)] = -coeff
-    return [GradedTensor(algebroid, Kind.FORM, 2, t) for t in tables]
+    gradient = f.gradient()
+    return GradedTensor._make(algebroid, Kind.FORM, 1, {
+        (i,): df for i in range(algebroid.rank)
+        if (df := anchor_derivative(algebroid, i, f, gradient))})
 
 
 def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
@@ -83,20 +74,25 @@ def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
         raise KindMismatch(f"cannot differentiate {mu.describe()}")
     if mu.degree == 0:
         return _d_function(algebroid, mu.as_function())
-    duals = _d_dual_generators(algebroid)
-    pieces = []
-    for key, coeff in mu.terms.items():
-        basis_form = GradedTensor.basis(algebroid, Kind.FORM, key)
-        pieces.append(wedge(_d_function(algebroid, coeff), basis_form))
-        for r, k in enumerate(key):
-            dek = duals[k]
-            if dek.is_zero():
-                continue
-            prefix = GradedTensor.basis(algebroid, Kind.FORM, key[:r])
-            suffix = GradedTensor.basis(algebroid, Kind.FORM, key[r + 1:])
-            piece = wedge(prefix, wedge(dek, suffix)) * coeff
-            pieces.append(piece if r % 2 == 0 else -piece)
-    return tensor_sum(algebroid, Kind.FORM, mu.degree + 1, pieces)
+
+    def terms():
+        # d(f e*_K) = df∧e*_K + f·sum_r (−1)^r e*_{K[:r]}∧d e*_{k_r}∧e*_{K[r+1:]}
+        for key, coeff in mu.terms.items():
+            gradient = coeff.gradient()
+            for i in range(algebroid.rank):
+                hit = _sort_skew((i,) + key)
+                if hit and (df := anchor_derivative(algebroid, i, coeff, gradient)):
+                    yield hit[0], df if hit[1] > 0 else -df
+            for r, k in enumerate(key):
+                for pair, column in algebroid.structure.items():
+                    # d e*_k = −sum_{i<j} c_ij^k e*_i∧e*_j
+                    hit = k in column and _sort_skew(key[:r] + pair + key[r + 1:])
+                    if hit:
+                        term = column[k] * coeff
+                        yield hit[0], term if hit[1] * (-1) ** r < 0 else -term
+
+    return GradedTensor._make(algebroid, Kind.FORM, mu.degree + 1,
+                              accumulate(terms()))
 
 
 # -- Lie differentials ----------------------------------------------------------
@@ -140,40 +136,24 @@ def _as_multivector(t: GradedTensor) -> GradedTensor:
     raise KindMismatch(f"expected a multivector, got {t.describe()}")
 
 
-def _term_factors(algebroid: Algebroid, key: Tuple[int, ...],
-                  coeff: Poly) -> List[GradedTensor]:
-    """Split a term f·e_{k_1}∧…∧e_{k_p} into section factors, absorbing the
-    coefficient into the first factor."""
-    factors = [algebroid.e(key[0]) * coeff]
-    factors.extend(algebroid.e(k) for k in key[1:])
-    return factors
-
-
-def _product_all(algebroid: Algebroid, factors: List[GradedTensor],
-                 product) -> GradedTensor:
-    out = GradedTensor.function(algebroid, 1)
-    for f in factors:
-        out = product(out, f)
-    return out
-
-
 def _bracket_with_function(algebroid: Algebroid, x: GradedTensor, g: Poly,
                            alternating: bool) -> GradedTensor:
     """[X, g] for X of degree p ≥ 1:
     sum_i s_i (anchor X_i)(g) · X_1…X̂_i…X_p (1-based i), with
     s_i = (−1)^{p−i} for the alternating bracket and 1 for the symmetric one."""
     p = x.degree
-    terms = []
-    for key, coeff in x.terms.items():
-        for r, k in enumerate(key):
-            dg = anchor_derivative(algebroid, k, g)
-            if dg.is_zero():
-                continue
-            term = coeff * dg
-            if alternating and (p - 1 - r) % 2:
-                term = -term
-            terms.append((key[:r] + key[r + 1:], term))
-    return GradedTensor(algebroid, x.kind, p - 1, terms)
+    gradient = g.gradient()
+
+    def terms():
+        for key, coeff in x.terms.items():
+            for r, k in enumerate(key):
+                dg = anchor_derivative(algebroid, k, g, gradient)
+                if dg:
+                    term = coeff * dg
+                    yield key[:r] + key[r + 1:], (
+                        -term if alternating and (p - 1 - r) % 2 else term)
+
+    return GradedTensor._make(algebroid, x.kind, p - 1, accumulate(terms()))
 
 
 def _expand(algebroid: Algebroid, x: GradedTensor, y: GradedTensor,
@@ -183,23 +163,41 @@ def _expand(algebroid: Algebroid, x: GradedTensor, y: GradedTensor,
         [X_1…X_p, Y_1…Y_q] = sum_{i,j} s_ij [X_i, Y_j]·X∖i·Y∖j
 
     with ``product`` the algebra's product, and s_ij = (−1)^{i+j} for the
-    alternating bracket and 1 for the symmetric one.
+    alternating bracket and 1 for the symmetric one.  A term f·e_K splits
+    into the sections f·e_{k_1}, e_{k_2}, …; the factors left out of the head
+    [X_i, Y_j] fold into one basis key whose coefficient is whichever of the
+    two term coefficients the head did not absorb.
     """
     a, b = x.degree, y.degree
+    one = algebroid.base.one()
+
+    def split(key, coeff):
+        return ([GradedTensor._make(algebroid, Kind.MV, 1, {(k,): one if r else coeff})
+                 for r, k in enumerate(key)],
+                [key[:r] + key[r + 1:] for r in range(len(key))])
+
+    ys = [(cy, *split(ky, cy)) for ky, cy in y.terms.items()]
     pieces = []
     for kx, cx in x.terms.items():
-        fx = _term_factors(algebroid, kx, cx)
-        for ky, cy in y.terms.items():
-            fy = _term_factors(algebroid, ky, cy)
+        fx, rest_x = split(kx, cx)
+        for cy, fy, rest_y in ys:
+            cxy = None
             for i in range(a):
-                rest_x = fx[:i] + fx[i + 1:]
                 for j in range(b):
-                    rest_y = fy[:j] + fy[j + 1:]
+                    rest = rest_x[i] + rest_y[j]
+                    hit = _sort_skew(rest) if alternating else (tuple(sorted(rest)), 1)
+                    if not hit:
+                        continue
                     head = section_bracket(algebroid, fx[i], fy[j])
                     if head.is_zero():
                         continue
-                    piece = _product_all(algebroid, [head] + rest_x + rest_y, product)
-                    pieces.append(-piece if alternating and (i + j) % 2 else piece)
+                    if i and j:
+                        cxy = cxy or cx * cy
+                    coeff = cxy if i and j else cx if i else cy if j else one
+                    sign = -hit[1] if alternating and (i + j) % 2 else hit[1]
+                    pieces.append(product(head, GradedTensor._make(
+                        algebroid, x.kind, a + b - 2,
+                        {hit[0]: coeff if sign > 0 else -coeff})))
     return tensor_sum(algebroid, x.kind, a + b - 1, pieces)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 
-from .algebroid import Algebroid, build_algebroid, canonical_algebroid
+from .algebroid import Algebroid, build_algebroid, canonical_algebroid, linear_poisson
 from .errors import AlgebroidError, ParseError, StructureViolation, UnknownName, ValidationError
 from .poisson import PoissonStructure, build_poisson
 from .ring import Chart, parse_poly
@@ -435,8 +435,12 @@ def builtin_model() -> Model:
         "so3-dual": Chart(("xi_1", "xi_2", "xi_3")),
         "nc-dual": Chart(("x", "xi_e1", "xi_e2")),
     }
-    model.algebroids = {name: make() for name, make in fixtures.ALGEBROIDS.items()}
-    model.poisson = {name: make() for name, make in fixtures.POISSON.items()}
+    algebroids = model.algebroids = {name: make() for name, make in fixtures.ALGEBROIDS.items()}
+    # the linear fixtures reuse the algebroids above: new copies would be validated again
+    model.poisson = {"poisson-plane": fixtures.poisson_plane(),
+                     "poisson-four": fixtures.poisson_four(),
+                     "poisson-so3": linear_poisson(algebroids["so3"]),
+                     "poisson-nonconstant": linear_poisson(algebroids["nonconstant-rank2"])}
     four = model.poisson["poisson-four"]
     model.tensors = {"P": four.bivector}
     model.tensor_owners = {"P": "four"}

@@ -28,8 +28,9 @@ extending P^ antisymmetrically, P̃(dz^u) = Σ_v P^{uv} ∂_v.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from . import tensor as _tensor_conventions
 from .algebroid import Algebroid, build_algebroid, canonical_algebroid
 from .calculus import differential, lie_derivative, schouten
 from .errors import ChartMismatch, KindMismatch, NotInvertible, NotPoisson
@@ -47,7 +48,7 @@ class PoissonStructure:
         self.bivector = bivector
         self.validated = validated
         self._rows: Optional[Tuple[GradedTensor, ...]] = None
-        self._cotangent: Optional[Algebroid] = None
+        self._cotangent: Dict[str, Algebroid] = {}  # by contraction order
 
     @property
     def chart(self) -> Chart:
@@ -152,10 +153,12 @@ def cotangent_algebroid(ps: PoissonStructure) -> Algebroid:
 
     on every coordinate pair (no transcribed closed form — the defining
     expression is evaluated by the calculus itself).  The result is validated
-    like any other algebroid.
+    like any other algebroid.  Memoized per contraction order, since the
+    expansion contracts.
     """
-    if ps._cotangent is not None:
-        return ps._cotangent
+    order = _tensor_conventions.CONTRACTION_ORDER
+    if order in ps._cotangent:
+        return ps._cotangent[order]
     owner = ps.owner
     chart = ps.chart
     structure = {}
@@ -168,14 +171,14 @@ def cotangent_algebroid(ps: PoissonStructure) -> Algebroid:
             entries = {k: coeff for (k,), coeff in bracket.terms.items()}
             if entries:
                 structure[(u, v)] = entries
-    ps._cotangent = build_algebroid(
+    ps._cotangent[order] = build_algebroid(
         chart,
         tuple(f"d_{c}" for c in chart.coords),
         ps.matrix(),
         structure,
         dual_names=tuple(f"{c}_dot" for c in chart.coords),
         provenance="cotangent-algebroid")
-    return ps._cotangent
+    return ps._cotangent[order]
 
 
 def koszul_schouten(ps: PoissonStructure, mu: GradedTensor,

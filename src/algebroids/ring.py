@@ -39,7 +39,7 @@ import operator
 import re
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import (
     ChartMismatch,
@@ -288,6 +288,13 @@ class Poly:
         return Poly._make(self.chart, {
             exp[:i] + (exp[i] - 1,) + exp[i + 1:]: coeff * exp[i]
             for exp, coeff in self.terms.items() if exp[i]})
+
+    def gradient(self) -> List[Tuple[int, "Poly"]]:
+        """The nonzero first partials, as (coordinate index, partial) pairs:
+        one :meth:`partial` per coordinate, for callers that apply several
+        vector fields to the same function."""
+        return [(a, d) for a, name in enumerate(self.chart.coords)
+                if (d := self.partial(name))]
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a rational point given as ``{coordinate: value}``.

@@ -101,6 +101,29 @@ def test_each_new_structure_is_validated_once(validated):
     assert validated[2:] == [tangent_lift(A), cotangent_lift(A)]
 
 
+def test_builtin_model_validates_each_structure_once(validated):
+    model = builtin_model()
+    assert len(validated) == len(set(validated))
+    assert set(validated) == {model.algebroids["so3"],
+                              model.algebroids["nonconstant-rank2"]}
+
+
+def test_construction_bypasses_the_write_guard(monkeypatch):
+    writes = []
+    guard = algebroid.Algebroid.__setattr__
+
+    def counted(self, name, value):
+        writes.append(name)
+        return guard(self, name, value)
+
+    monkeypatch.setattr(algebroid.Algebroid, "__setattr__", counted)
+    A = so3()
+    assert writes == []
+    with pytest.raises(AttributeError):
+        A.rank = 4
+    assert writes == ["rank"]
+
+
 def test_caches_are_bounded():
     line = Chart(("x",))
     for k in range(1, CACHE_SIZE + 6):

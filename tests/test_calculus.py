@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 import algebroids.tensor
-from algebroids.algebroid import section_bracket
+from algebroids.algebroid import section_bracket, tangent_lift
 from algebroids.calculus import (
     differential,
     fn_bracket,
@@ -21,6 +21,7 @@ from algebroids.calculus import (
     sym_schouten,
 )
 from algebroids.errors import KindMismatch
+from algebroids.ring import Poly, poly_sum
 from algebroids.fixtures import (
     ALGEBROIDS,
     canonical_line,
@@ -38,6 +39,7 @@ from algebroids.tensor import (
     mixed_from_vector,
     random_tensor,
     sym_product,
+    tensor_sum,
     wedge,
 )
 
@@ -432,3 +434,182 @@ def test_fn_graded_jacobi():
             + fn_bracket(A, fn_bracket(A, ks[1], ks[2]), ks[0]) * ((-1) ** (l * k)) \
             + fn_bracket(A, fn_bracket(A, ks[2], ks[0]), ks[1]) * ((-1) ** (m * l))
         assert jac.is_zero()
+
+
+# -- the rewritten kernels against their earlier forms ---------------------------
+#
+# The references below are the differential, the section bracket and the
+# Schouten expansion as they were written before d was emitted by key merge
+# and before partials were shared: every partial is taken per fiber, and
+# every product goes through basis tensors and ``wedge`` / ``sym_product``.
+
+
+def reference_anchor_derivative(A, i, f):
+    row, base = A.anchor[i], A.base
+    return poly_sum(base, (row[a] * d for a, name in enumerate(base.coords)
+                           if (d := f.partial(name))))
+
+
+def reference_d_function(A, f):
+    terms = {}
+    for i in range(A.rank):
+        df = reference_anchor_derivative(A, i, f)
+        if not df.is_zero():
+            terms[(i,)] = df
+    return GradedTensor(A, Kind.FORM, 1, terms)
+
+
+def reference_differential(A, mu):
+    if mu.degree == 0:
+        return reference_d_function(A, mu.as_function())
+    tables = [{} for _ in range(A.rank)]
+    for (i, j), entries in A.structure.items():
+        for k, coeff in entries.items():
+            tables[k][(i, j)] = -coeff
+    duals = [GradedTensor(A, Kind.FORM, 2, t) for t in tables]
+    pieces = []
+    for key, coeff in mu.terms.items():
+        basis_form = GradedTensor.basis(A, Kind.FORM, key)
+        pieces.append(wedge(reference_d_function(A, coeff), basis_form))
+        for r, k in enumerate(key):
+            dek = duals[k]
+            if dek.is_zero():
+                continue
+            prefix = GradedTensor.basis(A, Kind.FORM, key[:r])
+            suffix = GradedTensor.basis(A, Kind.FORM, key[r + 1:])
+            piece = wedge(prefix, wedge(dek, suffix)) * coeff
+            pieces.append(piece if r % 2 == 0 else -piece)
+    return tensor_sum(A, Kind.FORM, mu.degree + 1, pieces)
+
+
+def reference_section_bracket(A, x, y):
+    def pairs():
+        for (i,), f in x.terms.items():
+            for (j,), g in y.terms.items():
+                if i != j:
+                    fg = f * g
+                    for k in range(A.rank):
+                        coeff = A.c(i, j, k)
+                        if not coeff.is_zero():
+                            yield (k,), coeff * fg
+                d = reference_anchor_derivative(A, i, g)
+                if not d.is_zero():
+                    yield (j,), f * d
+                d = reference_anchor_derivative(A, j, f)
+                if not d.is_zero():
+                    yield (i,), -(g * d)
+    return GradedTensor(A, Kind.MV, 1, list(pairs()))
+
+
+def reference_bracket_with_function(A, x, g, alternating):
+    p = x.degree
+    terms = []
+    for key, coeff in x.terms.items():
+        for r, k in enumerate(key):
+            term = coeff * reference_anchor_derivative(A, k, g)
+            if alternating and (p - 1 - r) % 2:
+                term = -term
+            terms.append((key[:r] + key[r + 1:], term))
+    return GradedTensor(A, x.kind, p - 1, terms)
+
+
+def reference_product_all(A, factors, product):
+    out = GradedTensor.function(A, 1)
+    for f in factors:
+        out = product(out, f)
+    return out
+
+
+def reference_expand(A, x, y, product, alternating):
+    def term_factors(key, coeff):
+        return [A.e(key[0]) * coeff] + [A.e(k) for k in key[1:]]
+
+    a, b = x.degree, y.degree
+    pieces = []
+    for kx, cx in x.terms.items():
+        fx = term_factors(kx, cx)
+        for ky, cy in y.terms.items():
+            fy = term_factors(ky, cy)
+            for i in range(a):
+                for j in range(b):
+                    head = reference_section_bracket(A, fx[i], fy[j])
+                    if head.is_zero():
+                        continue
+                    piece = reference_product_all(
+                        A, [head] + fx[:i] + fx[i + 1:] + fy[:j] + fy[j + 1:], product)
+                    pieces.append(-piece if alternating and (i + j) % 2 else piece)
+    return tensor_sum(A, x.kind, a + b - 1, pieces)
+
+
+def reference_schouten(A, x, y):
+    a, b = x.degree, y.degree
+    if a == 0 and b == 0:
+        return GradedTensor.zero(A, Kind.MV, 0)
+    if b == 0:
+        return reference_bracket_with_function(A, x, y.as_function(), True)
+    if a == 0:
+        flipped = reference_bracket_with_function(A, y, x.as_function(), True)
+        return flipped if b % 2 == 0 else -flipped
+    return reference_expand(A, x, y, wedge, True)
+
+
+def reference_sym_schouten(A, x, y):
+    x, y = as_sym(x), as_sym(y)
+    a, b = x.degree, y.degree
+    if a == 0 and b == 0:
+        return GradedTensor.zero(A, Kind.SYM, 0)
+    if b == 0:
+        return reference_bracket_with_function(A, x, y.as_function(), False)
+    if a == 0:
+        return -reference_sym_schouten(A, y, x)
+    return reference_expand(A, x, y, sym_product, False)
+
+
+def _every_builtin_and_its_tangent_lift():
+    for name in sorted(ALGEBROIDS):
+        yield name
+        yield f"{name}/tangent-lift"
+
+
+def _built(case):
+    name, _, lifted = case.partition("/")
+    A = ALGEBROIDS[name]()
+    return tangent_lift(A) if lifted else A
+
+
+@pytest.mark.parametrize("case", list(_every_builtin_and_its_tangent_lift()))
+def test_rewritten_kernels_match_references(case):
+    A = _built(case)
+    rng = random.Random(f"kernels/{case}")
+    for _ in range(8):
+        mu = random_tensor(rng, A, Kind.FORM, rng.randint(0, min(3, A.rank)))
+        assert differential(A, mu).terms == reference_differential(A, mu).terms
+        f = random_tensor(rng, A, Kind.MV, 0)
+        assert differential(A, f).terms == reference_differential(A, f).terms
+        x, y = (random_tensor(rng, A, Kind.MV, rng.randint(0, min(3, A.rank)))
+                for _ in range(2))
+        assert schouten(A, x, y).terms == reference_schouten(A, x, y).terms
+        s, t = (random_tensor(rng, A, Kind.SYM, rng.randint(0, 2)) for _ in range(2))
+        assert sym_schouten(A, s, t).terms == reference_sym_schouten(A, s, t).terms
+        u, v = (random_tensor(rng, A, Kind.MV, 1) for _ in range(2))
+        assert section_bracket(A, u, v).terms == reference_section_bracket(A, u, v).terms
+
+
+@pytest.mark.parametrize("case", ["canonical-space", "nonconstant-rank2/tangent-lift",
+                                  "nonconstant-rank2"])
+def test_differential_of_a_function_takes_each_partial_once(case, monkeypatch):
+    A = _built(case)
+    f = A.base.const(1)
+    for name in A.base.coords:
+        f = f * (A.base.coordinate(name) + 1) ** 2
+    calls = []
+    original = Poly.partial
+
+    def counted(p, name):
+        calls.append(name)
+        return original(p, name)
+
+    monkeypatch.setattr(Poly, "partial", counted)
+    df = differential(A, A.fn(f))
+    assert A.rank > 1 and not df.is_zero()
+    assert len(calls) <= A.base.dim  # rank * dim before the partials were shared

@@ -9,9 +9,11 @@ import random
 
 import pytest
 
+import algebroids.tensor
 from algebroids.algebroid import cotangent_lift, linear_poisson
 from algebroids.calculus import differential, fn_bracket, lie_derivative, schouten
 from algebroids.errors import (
+    AnchorNotMorphism,
     ChartMismatch,
     KindMismatch,
     NotInvertible,
@@ -162,6 +164,20 @@ def test_cotangent_algebroid_agrees_with_cotangent_lift(make):
     # the same object built by two unrelated routes must coincide exactly
     A = make()
     assert cotangent_algebroid(linear_poisson(A)) == cotangent_lift(A)
+
+
+def test_cotangent_algebroid_follows_the_contraction_order():
+    # the memo on a Poisson structure must not hand out an algebroid built
+    # under another contraction order: only the default one is compatible
+    cotangent_algebroid(poisson_so3())
+    saved = algebroids.tensor.CONTRACTION_ORDER
+    algebroids.tensor.CONTRACTION_ORDER = "last-factor-innermost"
+    try:
+        with pytest.raises(AnchorNotMorphism):
+            cotangent_algebroid(poisson_so3())
+    finally:
+        algebroids.tensor.CONTRACTION_ORDER = saved
+    assert cotangent_algebroid(poisson_so3()) == cotangent_lift(so3())
 
 
 def test_cotangent_differential_is_schouten_with_p():
