@@ -3,10 +3,15 @@
 An :class:`Algebroid` is a rank-m bundle over a polynomial chart, described
 by an anchor matrix (one row of chart-polynomials per fiber generator) and an
 antisymmetric table of structure functions ``c[i][j][k]`` stored sparsely for
-``i < j``.  Together these determine a bracket on sections:
+``i < j``; :meth:`Algebroid.column` is the one signed read of that table for
+any pair.  Together these determine a bracket on sections:
 
     [e_i, e_j] = sum_k c_ij^k e_k
     [X, f·Y]   = f·[X, Y] + (anchor X)(f)·Y
+
+One kernel extends it, with the anchor, as a biderivation to multivectors:
+it is :func:`section_bracket` on sections and the alternating and symmetric
+Schouten brackets of :mod:`algebroids.calculus` on higher degrees.
 
 :func:`build_algebroid` checks the two compatibility conditions that make
 such data an honest bracket geometry — the Jacobi identity on all basis
@@ -43,9 +48,10 @@ from .errors import (
     KindMismatch,
 )
 from .ring import Chart, Poly, accumulate, poly_sum
-from .tensor import GradedTensor, Kind, tensor_sum
+from .tensor import GradedTensor, Kind, _sort_skew, tensor_sum
 
 _StructureTable = Dict[Tuple[int, int], Dict[int, Poly]]
+_NO_COLUMN: Mapping[int, Poly] = MappingProxyType({})
 
 
 class Algebroid:
@@ -107,23 +113,25 @@ class Algebroid:
 
     # -- structure access ----------------------------------------------------
 
+    def column(self, i: int, j: int) -> Tuple[Mapping[int, Poly], int]:
+        """The stored structure column {k: c^k} of the pair (i, j) and the
+        sign (±1) that turns it into c_ij^k; an empty column when i == j or
+        the pair's bracket vanishes.  0-based."""
+        if i > j:
+            return self.structure.get((j, i), _NO_COLUMN), -1
+        return self.structure.get((i, j), _NO_COLUMN), 1
+
     def c(self, i: int, j: int, k: int) -> Poly:
         """Structure function c_ij^k, antisymmetric in (i, j); 0-based."""
-        if i == j:
-            return self.base.zero()
-        flip = i > j
-        table = self.structure.get((j, i) if flip else (i, j), {})
-        coeff = table.get(k, self.base.zero())
-        return -coeff if flip else coeff
+        column, sign = self.column(i, j)
+        coeff = column.get(k, self.base.zero())
+        return coeff if sign > 0 else -coeff
 
     def bracket_basis(self, i: int, j: int) -> GradedTensor:
         """The bracket [e_i, e_j] of two basis sections."""
-        if i == j:
-            return GradedTensor.zero(self, Kind.MV, 1)
-        flip = i > j
-        table = self.structure.get((j, i) if flip else (i, j), {})
-        terms = {(k,): (-c if flip else c) for k, c in table.items()}
-        return GradedTensor(self, Kind.MV, 1, terms)
+        column, sign = self.column(i, j)
+        return GradedTensor._make(self, Kind.MV, 1, {
+            (k,): c if sign > 0 else -c for k, c in column.items()})
 
     @property
     def is_canonical(self) -> bool:
@@ -284,7 +292,7 @@ def validate(algebroid: Algebroid) -> None:
 
     # anchor is a bracket morphism: [anchor e_i, anchor e_j] = anchor [e_i, e_j]
     for i, j in combinations(range(m), 2):
-        table = algebroid.structure.get((i, j), {})
+        table, _ = algebroid.column(i, j)  # i < j: the stored sign
         for b in range(base.dim):
             residual = poly_sum(base, morphism_terms(i, j, b, table))
             if not residual.is_zero():
@@ -325,28 +333,73 @@ def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> G
     for t in (x, y):
         if t.owner != algebroid or t.kind is not Kind.MV or t.degree != 1:
             raise KindMismatch(f"section_bracket needs sections, got {t.describe()}")
+    return _bracket(algebroid, x, y)
 
-    xs = [(i, f, f.gradient()) for (i,), f in x.terms.items()]
-    ys = [(j, g, g.gradient()) for (j,), g in y.terms.items()]
 
-    def pairs():
-        for i, f, df in xs:
-            for j, g, dg in ys:
-                if i != j:
-                    fg = f * g
-                    for k in range(algebroid.rank):
-                        coeff = algebroid.c(i, j, k)
-                        if not coeff.is_zero():
-                            yield (k,), coeff * fg
-                # derivative terms: f·anchor(e_i)(g)·e_j − g·anchor(e_j)(f)·e_i
-                d = anchor_derivative(algebroid, i, g, dg)
-                if not d.is_zero():
-                    yield (j,), f * d
-                d = anchor_derivative(algebroid, j, f, df)
-                if not d.is_zero():
-                    yield (i,), -(g * d)
+def _bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
+    """The section bracket and the anchor extended as a biderivation to two
+    multivectors of one kind: alternating (``Kind.MV``, the Schouten
+    bracket: ε = −1 and · is ∧) or symmetric (``Kind.SYM``: ε = 1 and · is
+    the symmetric product).  For terms f e_K of x and g e_L of y, p = |K|,
+    0-based r and s, and ρ the anchor:
 
-    return GradedTensor._make(algebroid, Kind.MV, 1, accumulate(pairs()))
+        [f e_K, g e_L] = sum_{r,s} ε^{r+s} fg c_{k_r l_s}^m e_m·e_{K∖r}·e_{L∖s}
+                         + sum_r ε^{r+p−1} f ρ_{k_r}(g) e_{K∖r}·e_L
+                         − sum_s ε^s g ρ_{l_s}(f) e_K·e_{L∖s}
+
+    emitted as signed basis keys into one accumulation pass.  Sections give
+    the section bracket, an empty K or L the anchor acting on a function,
+    and two functions the zero of degree 0.  Each coefficient is
+    differentiated at most once.
+    """
+    skew = x.kind is Kind.MV
+    merge = _sort_skew if skew else (lambda key: (tuple(sorted(key)), 1))
+    p, q = x.degree, y.degree
+
+    def eps(n: int) -> int:
+        return -1 if skew and n % 2 else 1
+
+    def prepared(t: GradedTensor, fibers):
+        """Each term as (key, coefficient, key less each factor, the anchor
+        of each fiber in ``fibers`` applied to the coefficient)."""
+        out = []
+        for key, coeff in t.terms.items():
+            gradient = coeff.gradient() if fibers else ()
+            rho = {k: d for k in fibers if gradient
+                   and (d := anchor_derivative(algebroid, k, coeff, gradient))}
+            out.append((key, coeff, [key[:r] + key[r + 1:] for r in range(len(key))], rho))
+        return out
+
+    xs = prepared(x, {k for key in y.terms for k in key})
+    ys = prepared(y, {k for key in x.terms for k in key})
+
+    def terms():
+        for kx, f, rests_x, rho_f in xs:
+            for ky, g, rests_y, rho_g in ys:
+                fg = None
+                for r, k in enumerate(kx):
+                    for s, l in enumerate(ky):
+                        column, sign = algebroid.column(k, l)
+                        if not column:
+                            continue
+                        fg = fg or f * g
+                        rest = rests_x[r] + rests_y[s]
+                        sign *= eps(r + s)
+                        for m, c in column.items():
+                            if hit := merge((m,) + rest):
+                                term = c * fg
+                                yield hit[0], term if sign * hit[1] > 0 else -term
+                for r, k in enumerate(kx):
+                    if (d := rho_g.get(k)) and (hit := merge(rests_x[r] + ky)):
+                        term = f * d
+                        yield hit[0], term if eps(r + p - 1) * hit[1] > 0 else -term
+                for s, l in enumerate(ky):
+                    if (d := rho_f.get(l)) and (hit := merge(kx + rests_y[s])):
+                        term = g * d
+                        yield hit[0], -term if eps(s) * hit[1] > 0 else term
+
+    return GradedTensor._make(algebroid, x.kind, p + q - 1 if p + q else 0,
+                              accumulate(terms()))
 
 
 def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
@@ -465,8 +518,9 @@ def _cotangent_lift(A: Algebroid) -> Algebroid:
     for i in range(m):  # rows for d xi_i
         row = [lift(A.anchor[i][a]) for a in range(n)]
         for j in range(m):
-            row.append(poly_sum(base, (lift(coeff) * xi[k] for k in range(m)
-                                       if (coeff := A.c(i, j, k)))))
+            column, sign = A.column(i, j)
+            entry = poly_sum(base, (lift(coeff) * xi[k] for k, coeff in column.items()))
+            row.append(entry if sign > 0 else -entry)
         anchor.append(tuple(row))
 
     structure: _StructureTable = {}

@@ -13,10 +13,11 @@ Everything here is generated by the structure data of the owning algebroid:
   minus sign for multivector actors and a plus sign for vector-valued forms
   (the two conventions are deliberately kept distinct, since the simple-
   tensor expansion of the mixed one depends on the plus);
-* the generalized Schouten bracket is defined by bilinear recursion from the
-  section bracket and the anchor, expanding decomposables factor against
-  factor with alternating signs; its symmetric sibling does the same without
-  signs on the symmetric algebra;
+* the generalized Schouten bracket is the section bracket and the anchor
+  extended as a biderivation, with alternating signs; its symmetric sibling
+  is the same rule without signs on the symmetric algebra.  Both are one
+  call to the bracket kernel of :mod:`algebroids.algebroid`, which also
+  computes the section bracket and emits every term as a signed basis key;
 * the Nijenhuis–Richardson bracket is the purely algebraic commutator of
   insertions of vector-valued forms (no algebroid structure involved), and
   the Frölicher–Nijenhuis bracket combines it with Lie differentials on
@@ -30,7 +31,7 @@ matching convention.
 
 from __future__ import annotations
 
-from .algebroid import Algebroid, anchor_derivative, section_bracket
+from .algebroid import Algebroid, _bracket, anchor_derivative, section_bracket
 from .errors import ChartMismatch, KindMismatch
 from .ring import Poly, accumulate
 from .tensor import (
@@ -41,7 +42,6 @@ from .tensor import (
     contract,
     contract_mixed,
     mixed_from_vector,
-    sym_product,
     tensor_sum,
     vector_from_mixed,
     wedge,
@@ -136,115 +136,34 @@ def _as_multivector(t: GradedTensor) -> GradedTensor:
     raise KindMismatch(f"expected a multivector, got {t.describe()}")
 
 
-def _bracket_with_function(algebroid: Algebroid, x: GradedTensor, g: Poly,
-                           alternating: bool) -> GradedTensor:
-    """[X, g] for X of degree p ≥ 1:
-    sum_i s_i (anchor X_i)(g) · X_1…X̂_i…X_p (1-based i), with
-    s_i = (−1)^{p−i} for the alternating bracket and 1 for the symmetric one."""
-    p = x.degree
-    gradient = g.gradient()
-
-    def terms():
-        for key, coeff in x.terms.items():
-            for r, k in enumerate(key):
-                dg = anchor_derivative(algebroid, k, g, gradient)
-                if dg:
-                    term = coeff * dg
-                    yield key[:r] + key[r + 1:], (
-                        -term if alternating and (p - 1 - r) % 2 else term)
-
-    return GradedTensor._make(algebroid, x.kind, p - 1, accumulate(terms()))
-
-
-def _expand(algebroid: Algebroid, x: GradedTensor, y: GradedTensor,
-            product, alternating: bool) -> GradedTensor:
-    """The factor-against-factor expansion of both Schouten brackets:
-
-        [X_1…X_p, Y_1…Y_q] = sum_{i,j} s_ij [X_i, Y_j]·X∖i·Y∖j
-
-    with ``product`` the algebra's product, and s_ij = (−1)^{i+j} for the
-    alternating bracket and 1 for the symmetric one.  A term f·e_K splits
-    into the sections f·e_{k_1}, e_{k_2}, …; the factors left out of the head
-    [X_i, Y_j] fold into one basis key whose coefficient is whichever of the
-    two term coefficients the head did not absorb.
-    """
-    a, b = x.degree, y.degree
-    one = algebroid.base.one()
-
-    def split(key, coeff):
-        return ([GradedTensor._make(algebroid, Kind.MV, 1, {(k,): one if r else coeff})
-                 for r, k in enumerate(key)],
-                [key[:r] + key[r + 1:] for r in range(len(key))])
-
-    ys = [(cy, *split(ky, cy)) for ky, cy in y.terms.items()]
-    pieces = []
-    for kx, cx in x.terms.items():
-        fx, rest_x = split(kx, cx)
-        for cy, fy, rest_y in ys:
-            cxy = None
-            for i in range(a):
-                for j in range(b):
-                    rest = rest_x[i] + rest_y[j]
-                    hit = _sort_skew(rest) if alternating else (tuple(sorted(rest)), 1)
-                    if not hit:
-                        continue
-                    head = section_bracket(algebroid, fx[i], fy[j])
-                    if head.is_zero():
-                        continue
-                    if i and j:
-                        cxy = cxy or cx * cy
-                    coeff = cxy if i and j else cx if i else cy if j else one
-                    sign = -hit[1] if alternating and (i + j) % 2 else hit[1]
-                    pieces.append(product(head, GradedTensor._make(
-                        algebroid, x.kind, a + b - 2,
-                        {hit[0]: coeff if sign > 0 else -coeff})))
-    return tensor_sum(algebroid, x.kind, a + b - 1, pieces)
-
-
 def schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
     """The generalized Schouten bracket on multivectors.
 
-    Base cases: the section bracket on degree 1, the anchor action
-    [X, f] = (anchor X)(f) against degree 0, zero on two functions.  Higher
-    degrees expand factor against factor:
+    The section bracket on degree 1, the anchor action
+    [X, f] = (anchor X)(f) against degree 0, zero on two functions, and on
+    decomposables
 
         [X_1∧…∧X_p, Y_1∧…∧Y_q] =
-            sum_{i,j} (−1)^{i+j} [X_i, Y_j] ∧ X∖i ∧ Y∖j.
+            sum_{i,j} (−1)^{i+j} [X_i, Y_j] ∧ X∖i ∧ Y∖j,
+
+    computed term by term by the bracket kernel.
 
     Antisymmetry and Jacobi hold in the shifted grading (degree a sits in
     slot a−1).
     """
     _require_owner(algebroid, x, y)
-    x, y = _as_multivector(x), _as_multivector(y)
-    a, b = x.degree, y.degree
-    if a == 0 and b == 0:
-        return GradedTensor.zero(algebroid, Kind.MV, 0)
-    if b == 0:
-        return _bracket_with_function(algebroid, x, y.as_function(), True)
-    if a == 0:
-        flipped = _bracket_with_function(algebroid, y, x.as_function(), True)
-        return flipped if b % 2 == 0 else -flipped
-    return _expand(algebroid, x, y, wedge, True)
+    return _bracket(algebroid, _as_multivector(x), _as_multivector(y))
 
 
 # -- symmetric Schouten bracket ----------------------------------------------------
 
 
 def sym_schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
-    """The symmetric Schouten bracket: the same factor-against-factor
-    expansion as the alternating one but on the symmetric algebra and with
-    no signs.  An (ungraded) Lie bracket and a biderivation — the abstract
+    """The symmetric Schouten bracket: the same bracket kernel as the
+    alternating one, on the symmetric algebra and with no signs.  An (ungraded) Lie bracket and a biderivation — the abstract
     Poisson algebra structure on symmetric multivectors."""
     _require_owner(algebroid, x, y)
-    x, y = as_sym(x), as_sym(y)
-    a, b = x.degree, y.degree
-    if a == 0 and b == 0:
-        return GradedTensor.zero(algebroid, Kind.SYM, 0)
-    if b == 0:
-        return _bracket_with_function(algebroid, x, y.as_function(), False)
-    if a == 0:
-        return -sym_schouten(algebroid, y, x)
-    return _expand(algebroid, x, y, sym_product, False)
+    return _bracket(algebroid, as_sym(x), as_sym(y))
 
 
 # -- Nijenhuis–Richardson bracket ---------------------------------------------------

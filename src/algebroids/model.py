@@ -25,8 +25,8 @@ A tensor's ``owner`` may name either an algebroid or a chart; a chart name
 stands for the canonical algebroid over that chart (which is how bivectors of
 Poisson structures are owned).
 
-``load_model`` is strict: malformed JSON or schema violations raise
-``ParseError`` with a location; an algebroid or bivector that fails its
+``load_model`` is strict: a path that cannot be read as UTF-8 text,
+malformed JSON or schema violations raise ``ParseError`` with a location; an algebroid or bivector that fails its
 axioms raises ``ValidationError`` carrying the structured witness.
 """
 
@@ -317,9 +317,14 @@ def loads_model(text: str) -> Model:
 
 
 def load_model(path) -> Model:
-    """Load a model file; see the module docstring for the schema."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_model(handle.read())
+    """Load a model file; see the module docstring for the schema.  A path
+    that cannot be read as UTF-8 text raises ``ParseError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read the model file: {exc}") from exc
+    return loads_model(text)
 
 
 # -- encoding ----------------------------------------------------------------

@@ -137,9 +137,6 @@ class Chart:
         exp = tuple(1 if j == i else 0 for j in range(self.dim))
         return Poly._make(self, {exp: Fraction(1)})
 
-    def coordinate_polys(self) -> Tuple["Poly", ...]:
-        return tuple(self.coordinate(name) for name in self.coords)
-
 
 class Poly:
     """A polynomial over a fixed chart, with exact rational coefficients."""
@@ -181,18 +178,12 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant monomial."""
         zero_exp = (0,) * self.chart.dim
         return self.terms.get(zero_exp, Fraction(0))
-
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial has degree 0 by convention."""
-        if not self.terms:
-            return 0
-        return max(sum(exp) for exp in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -292,7 +283,10 @@ class Poly:
     def gradient(self) -> List[Tuple[int, "Poly"]]:
         """The nonzero first partials, as (coordinate index, partial) pairs:
         one :meth:`partial` per coordinate, for callers that apply several
-        vector fields to the same function."""
+        vector fields to the same function.  A constant has none and takes
+        no partials."""
+        if self.is_constant():
+            return []
         return [(a, d) for a, name in enumerate(self.chart.coords)
                 if (d := self.partial(name))]
 
@@ -372,7 +366,7 @@ def poly_sum(chart: Chart, pieces: Iterable[Poly]) -> Poly:
         chain.from_iterable(p.terms.items() for p in pieces)))
 
 
-# -- module-level operation names used throughout the package ---------------
+# -- function spellings of Poly.partial and Poly.eval_at ----------------------
 
 def partial(p: Poly, var: str) -> Poly:
     """Partial derivative of ``p`` with respect to coordinate ``var``."""

@@ -10,7 +10,9 @@ from itertools import combinations
 import pytest
 
 import algebroids.tensor
-from algebroids.algebroid import section_bracket, tangent_lift
+import algebroids.algebroid
+import algebroids.calculus
+from algebroids.algebroid import cotangent_lift, section_bracket, tangent_lift
 from algebroids.calculus import (
     differential,
     fn_bracket,
@@ -565,19 +567,23 @@ def reference_sym_schouten(A, x, y):
     return reference_expand(A, x, y, sym_product, False)
 
 
-def _every_builtin_and_its_tangent_lift():
+_LIFTS = {"tangent-lift": tangent_lift, "cotangent-lift": cotangent_lift}
+
+
+def _every_builtin_and_its_lifts():
     for name in sorted(ALGEBROIDS):
         yield name
-        yield f"{name}/tangent-lift"
+        for lift in _LIFTS:
+            yield f"{name}/{lift}"
 
 
 def _built(case):
-    name, _, lifted = case.partition("/")
+    name, _, lift = case.partition("/")
     A = ALGEBROIDS[name]()
-    return tangent_lift(A) if lifted else A
+    return _LIFTS[lift](A) if lift else A
 
 
-@pytest.mark.parametrize("case", list(_every_builtin_and_its_tangent_lift()))
+@pytest.mark.parametrize("case", list(_every_builtin_and_its_lifts()))
 def test_rewritten_kernels_match_references(case):
     A = _built(case)
     rng = random.Random(f"kernels/{case}")
@@ -613,3 +619,32 @@ def test_differential_of_a_function_takes_each_partial_once(case, monkeypatch):
     df = differential(A, A.fn(f))
     assert A.rank > 1 and not df.is_zero()
     assert len(calls) <= A.base.dim  # rank * dim before the partials were shared
+
+
+def test_schouten_brackets_call_no_section_bracket(monkeypatch):
+    A = nonconstant_rank2()
+    x = GradedTensor(A, Kind.MV, 2, {(0, 1): "x^2 + 1"})
+    y = GradedTensor(A, Kind.MV, 2, {(0, 1): "3*x - 2"})
+    s = GradedTensor(A, Kind.SYM, 2, {(0, 0): "x", (0, 1): "x^3", (1, 1): "1"})
+    t = GradedTensor(A, Kind.SYM, 2, {(0, 1): "x^2 - x", (1, 1): "2*x"})
+    expected = [(schouten(A, x, y), x, y), (sym_schouten(A, s, t), s, t)]
+    assert not expected[1][0].is_zero()  # the degree-3 multivector is 0 at rank 2
+    brackets, gradients = [], []
+    original = Poly.gradient
+
+    def counted(p):
+        gradients.append(p)
+        return original(p)
+
+    def forbidden(*args):
+        brackets.append(args)
+        return section_bracket(*args)
+
+    monkeypatch.setattr(Poly, "gradient", counted)
+    for module in (algebroids.algebroid, algebroids.calculus):
+        monkeypatch.setattr(module, "section_bracket", forbidden)
+    for bracket, (value, u, v) in zip((schouten, sym_schouten), expected):
+        gradients.clear()
+        assert bracket(A, u, v) == value
+        assert len(gradients) <= len(u.terms) + len(v.terms)
+    assert brackets == []

@@ -112,6 +112,22 @@ def test_deep_nesting_is_an_input_error(tmp_path, anchor, document):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_model_is_an_input_error(tmp_path, case):
+    path = tmp_path if case == "directory" else tmp_path / "model.json"
+    if case == "not-utf8":
+        path.write_bytes(b'{"charts": {"line": ["\xe9"]}}')  # Latin-1, not UTF-8
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroids", "validate", "--model", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "ParseError"
+    assert str(path) in report["error"]["message"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_polynomial_blow_up_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "blow-up.json"
     path.write_text(json.dumps({

@@ -253,6 +253,22 @@ def test_partial_is_a_derivation():
             assert partial(a + b, v) == partial(a, v) + partial(b, v)
 
 
+def test_gradient_of_a_constant_takes_no_partials(monkeypatch):
+    calls = []
+    original = Poly.partial
+
+    def counted(poly, name):
+        calls.append(name)
+        return original(poly, name)
+
+    monkeypatch.setattr(Poly, "partial", counted)
+    for constant in (p("0"), p("-3/2"), Chart(["x", "y", "z"]).const(7)):
+        assert constant.gradient() == []
+    assert calls == []
+    assert p("x^2*y + y").gradient() == [(0, p("2*x*y")), (1, p("x^2 + 1"))]
+    assert calls == ["x", "y"]
+
+
 def test_partials_commute():
     rng = random.Random(8)
     for _ in range(100):
