@@ -17,7 +17,10 @@ Schouten brackets of :mod:`algebroids.calculus` on higher degrees.
 such data an honest bracket geometry — the Jacobi identity on all basis
 triples and the anchor being a bracket morphism into vector fields — and the
 errors carry an explicit witness (which triple or pair failed, and the
-residual) so a failing model is diagnosable.
+residual) so a failing model is diagnosable.  The morphism is checked with
+the same kernel: per basis pair, the section bracket of the vector fields
+``anchor_apply(e_i)`` and ``anchor_apply(e_j)`` minus
+``anchor_apply([e_i, e_j])``.
 
 A chart with no coordinates is allowed as a base: the anchor is then forced
 to vanish and the structure functions are rational constants (the classical
@@ -280,28 +283,21 @@ def validate(algebroid: Algebroid) -> None:
     """Check the anchor-morphism and Jacobi conditions; raise on failure."""
     base = algebroid.base
     m = algebroid.rank
-    anchor = algebroid.anchor
-
-    def morphism_terms(i, j, b, table):
-        """Coordinate b of [anchor e_i, anchor e_j] − anchor [e_i, e_j]."""
-        for a, name in enumerate(base.coords):
-            yield anchor[i][a] * anchor[j][b].partial(name)
-            yield -(anchor[j][a] * anchor[i][b].partial(name))
-        for k, coeff in table.items():
-            yield -(coeff * anchor[k][b])
-
-    # anchor is a bracket morphism: [anchor e_i, anchor e_j] = anchor [e_i, e_j]
+    # anchor is a bracket morphism: [anchor e_i, anchor e_j] = anchor [e_i, e_j],
+    # the left side the section bracket of the vector fields over the base
+    fields = _vector_fields(base)
+    images = [anchor_apply(algebroid, algebroid.e(i)) for i in range(m)]
     for i, j in combinations(range(m), 2):
-        table, _ = algebroid.column(i, j)  # i < j: the stored sign
-        for b in range(base.dim):
-            residual = poly_sum(base, morphism_terms(i, j, b, table))
-            if not residual.is_zero():
-                names = algebroid.fiber_names
-                raise AnchorNotMorphism(
-                    f"anchor fails to intertwine brackets on ({names[i]}, {names[j]})",
-                    witness={"pair": [names[i], names[j]],
-                             "coordinate": base.coords[b],
-                             "residual": str(residual)})
+        residual = (section_bracket(fields, images[i], images[j])
+                    - anchor_apply(algebroid, algebroid.bracket_basis(i, j)))
+        if not residual.is_zero():
+            names = algebroid.fiber_names
+            (b,) = min(residual.terms)
+            raise AnchorNotMorphism(
+                f"anchor fails to intertwine brackets on ({names[i]}, {names[j]})",
+                witness={"pair": [names[i], names[j]],
+                         "coordinate": base.coords[b],
+                         "residual": str(residual.terms[(b,)])})
     # Jacobi identity on basis triples
     for i, j, k in combinations(range(m), 3):
         jac = tensor_sum(algebroid, Kind.MV, 1, (
@@ -530,14 +526,10 @@ def _cotangent_lift(A: Algebroid) -> Algebroid:
             if entries:
                 structure[(a, n + i)] = entries
     for (i, j), table in A.structure.items():
-        entries = {}
-        for k, coeff in table.items():
-            entries[n + k] = lift(coeff)
-        for b, name in enumerate(A.base.coords):
-            acc = poly_sum(base, (lift(d) * xi[k] for k, coeff in table.items()
-                                  if (d := coeff.partial(name))))
-            if not acc.is_zero():
-                entries[b] = acc
+        entries = {n + k: lift(coeff) for k, coeff in table.items()}
+        drift = accumulate((b, lift(d) * xi[k]) for k, coeff in table.items()
+                           for b, d in coeff.gradient())
+        entries.update(sorted(drift.items()))
         if entries:
             structure[(n + i, n + j)] = entries
 

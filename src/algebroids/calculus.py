@@ -6,9 +6,10 @@ Everything here is generated by the structure data of the owning algebroid:
   ``d f = sum_i (anchor e_i)(f) e*_i`` and
   ``d e*_k = -sum_{i<j} c_ij^k e*_i∧e*_j``,
   extended as a graded derivation, and emitted term by term as merged,
-  signed basis keys;
+  signed basis keys, in one loop for functions and forms of every degree;
 * every function is differentiated once: the anchors applied to it share
-  its :meth:`~algebroids.ring.Poly.gradient`;
+  its :meth:`~algebroids.ring.Poly.gradient`, and a constant, whose
+  gradient is empty, has no anchor applied to it;
 * Lie differentials are graded commutators of contraction with d — with a
   minus sign for multivector actors and a plus sign for vector-valued forms
   (the two conventions are deliberately kept distinct, since the simple-
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from .algebroid import Algebroid, _bracket, anchor_derivative, section_bracket
 from .errors import ChartMismatch, KindMismatch
-from .ring import Poly, accumulate
+from .ring import accumulate
 from .tensor import (
     GradedTensor,
     Kind,
@@ -57,29 +58,18 @@ def _require_owner(algebroid: Algebroid, *tensors: GradedTensor) -> None:
 # -- exterior differential ------------------------------------------------------
 
 
-def _d_function(algebroid: Algebroid, f: Poly) -> GradedTensor:
-    gradient = f.gradient()
-    return GradedTensor._make(algebroid, Kind.FORM, 1, {
-        (i,): df for i in range(algebroid.rank)
-        if (df := anchor_derivative(algebroid, i, f, gradient))})
-
-
 def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
     """The exterior differential of a form (degree-0 multivectors count as
     forms of degree 0).  Squares to zero and is a graded derivation."""
     _require_owner(algebroid, mu)
-    if mu.kind is Kind.MV and mu.degree == 0:
-        return _d_function(algebroid, mu.as_function())
-    if mu.kind is not Kind.FORM:
+    if mu.kind is not Kind.FORM and not (mu.kind is Kind.MV and mu.degree == 0):
         raise KindMismatch(f"cannot differentiate {mu.describe()}")
-    if mu.degree == 0:
-        return _d_function(algebroid, mu.as_function())
 
     def terms():
         # d(f e*_K) = df∧e*_K + f·sum_r (−1)^r e*_{K[:r]}∧d e*_{k_r}∧e*_{K[r+1:]}
         for key, coeff in mu.terms.items():
-            gradient = coeff.gradient()
-            for i in range(algebroid.rank):
+            gradient = coeff.gradient()  # empty, and df = 0, for a constant
+            for i in range(algebroid.rank) if gradient else ():
                 hit = _sort_skew((i,) + key)
                 if hit and (df := anchor_derivative(algebroid, i, coeff, gradient)):
                     yield hit[0], df if hit[1] > 0 else -df

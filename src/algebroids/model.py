@@ -25,9 +25,11 @@ A tensor's ``owner`` may name either an algebroid or a chart; a chart name
 stands for the canonical algebroid over that chart (which is how bivectors of
 Poisson structures are owned).
 
-``load_model`` is strict: a path that cannot be read as UTF-8 text,
-malformed JSON or schema violations raise ``ParseError`` with a location; an algebroid or bivector that fails its
-axioms raises ``ValidationError`` carrying the structured witness.
+``load_model`` is strict: a path that cannot be read as UTF-8 text, a file
+longer than :data:`MAX_MODEL_CHARS` characters, malformed JSON or schema
+violations raise ``ParseError`` with a location; an algebroid or bivector
+that fails its axioms raises ``ValidationError`` carrying the structured
+witness.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ _KIND_NAMES = {kind: name for name, kind in _KINDS.items()}
 _SUITE_KEYS = ("seed", "trials", "max_degree")
 #: Smallest accepted value of each bounded suite setting.
 _SUITE_MINIMA = {"trials": 1, "max_degree": 0}
+#: Longest model file :func:`load_model` reads, in characters (about 400
+#: times the shipped ``standard.json``); a longer one is a ``ParseError``.
+MAX_MODEL_CHARS = 1_000_000
 
 
 class Model:
@@ -318,12 +323,16 @@ def loads_model(text: str) -> Model:
 
 def load_model(path) -> Model:
     """Load a model file; see the module docstring for the schema.  A path
-    that cannot be read as UTF-8 text raises ``ParseError`` naming it."""
+    that cannot be read as UTF-8 text, or whose text is longer than
+    :data:`MAX_MODEL_CHARS`, raises ``ParseError`` naming it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(MAX_MODEL_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read the model file: {exc}") from exc
+    if len(text) > MAX_MODEL_CHARS:
+        raise ParseError(f"{path}: the model file is longer than "
+                         f"{MAX_MODEL_CHARS} characters")
     return loads_model(text)
 
 

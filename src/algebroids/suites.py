@@ -65,7 +65,7 @@ from .lifts import (
     vertical_lift_V,
     vertical_pi,
 )
-from .model import Model, builtin_model, dumps_model
+from .model import Model, builtin_model, dumps_model, tensor_key_string
 from .poisson import (
     extended_bracket,
     g_p,
@@ -121,12 +121,6 @@ def _witness_point(residual, rng):
     return None, {}
 
 
-def _key_string(kind, key):
-    from .model import tensor_key_string
-
-    return tensor_key_string(kind, key)
-
-
 def _witness_model(tensors):
     """A self-contained model holding the named input tensors (and the
     residual), inventing names for their charts and owners."""
@@ -167,7 +161,7 @@ def _witness(fixture, label, inputs, residual, rng):
         "model": json.loads(dumps_model(model)),
         "point": {name: str(value) for name, value in (point or {}).items()},
         "residual_at_point": {
-            _key_string(residual.kind, key): str(value)
+            tensor_key_string(residual.kind, key): str(value)
             for key, value in sorted(evaluated.items(), key=repr)},
         "replay": ("save the 'model' object as witness.json, then: "
                    f"algebroids eval --model witness.json --tensor residual"

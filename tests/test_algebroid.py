@@ -1,6 +1,7 @@
 """Algebroid construction, validation, the section bracket, and lifts."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -113,6 +114,72 @@ def test_broken_anchor_witness():
         validate(broken_anchor())
     assert err.value.witness["pair"] == ["e1", "e2"]
     assert err.value.witness["coordinate"] == "x"
+
+
+def reference_morphism_witness(A):
+    """The anchor-morphism condition written out per basis pair i < j and
+    coordinate b, with no bracket kernel:
+
+        sum_a rho_i^a d_a rho_j^b - rho_j^a d_a rho_i^b - sum_k c_ij^k rho_k^b,
+
+    the first nonzero one as a witness (None when the anchor is a morphism)."""
+    names, coords = A.fiber_names, A.base.coords
+    for i, j in combinations(range(A.rank), 2):
+        for b in range(A.base.dim):
+            residual = A.base.zero()
+            for a, name in enumerate(coords):
+                residual += (A.anchor[i][a] * A.anchor[j][b].partial(name)
+                             - A.anchor[j][a] * A.anchor[i][b].partial(name))
+            for k in range(A.rank):
+                residual -= A.c(i, j, k) * A.anchor[k][b]
+            if residual:
+                return {"pair": [names[i], names[j]], "coordinate": coords[b],
+                        "residual": str(residual)}
+    return None
+
+
+def _perturbed(name, anchor=None, structure=None):
+    """A built-in algebroid with some anchor rows or structure columns
+    replaced, unvalidated."""
+    A = ALGEBROIDS[name]()
+    rows = [list(row) for row in A.anchor]
+    for i, row in (anchor or {}).items():
+        rows[i] = [A.base.coerce(v) for v in row]
+    table = {pair: dict(column) for pair, column in A.structure.items()}
+    table.update(structure or {})
+    return build_algebroid(A.base, A.fiber_names, rows, table,
+                           dual_names=A.dual_names, check=False)
+
+
+#: Unvalidated algebroids whose anchor is not a morphism, each with the pair
+#: and coordinate the witness must name: past the first coordinate, or on
+#: the last pair.
+MORPHISM_FAILURES = {
+    # [d/dx, (1+x) d/dy + x^2 d/dz] = d/dy + 2x d/dz: fails on y and z, not x
+    "anchor-y-and-z": (lambda: _perturbed(
+        "canonical-space", anchor={1: ("0", "1 + x", "x^2")}), ["x", "y"], "y"),
+    # [d/dx, (1+xy) d/dy] = y d/dy: fails on the plane's second coordinate only
+    "anchor-y": (lambda: _perturbed(
+        "canonical-plane", anchor={1: ("0", "1 + x*y")}), ["x", "y"], "y"),
+    # the last pair (y, z) gets [e_y, e_z] = x e_x + e_z: fails on x and z
+    "structure-last-pair": (lambda: _perturbed(
+        "canonical-space", structure={(1, 2): {0: "x", 2: 1}}), ["y", "z"], "x"),
+    # the only pair of nonconstant-rank2, with c^1 doubled and c^2 added
+    "structure-nonconstant": (lambda: _perturbed(
+        "nonconstant-rank2", structure={(0, 1): {0: "4*x", 1: "x^3 - 1"}}),
+        ["e1", "e2"], "x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MORPHISM_FAILURES))
+def test_anchor_morphism_witness_matches_the_reference(case):
+    build, pair, coordinate = MORPHISM_FAILURES[case]
+    A = build()
+    expected = reference_morphism_witness(A)
+    assert (expected["pair"], expected["coordinate"]) == (pair, coordinate)
+    with pytest.raises(AnchorNotMorphism) as err:
+        validate(A)
+    assert {key: err.value.witness[key] for key in expected} == expected
 
 
 def test_section_bracket_commutator():

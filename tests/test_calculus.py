@@ -12,7 +12,12 @@ import pytest
 import algebroids.tensor
 import algebroids.algebroid
 import algebroids.calculus
-from algebroids.algebroid import cotangent_lift, section_bracket, tangent_lift
+from algebroids.algebroid import (
+    anchor_derivative,
+    cotangent_lift,
+    section_bracket,
+    tangent_lift,
+)
 from algebroids.calculus import (
     differential,
     fn_bracket,
@@ -619,6 +624,29 @@ def test_differential_of_a_function_takes_each_partial_once(case, monkeypatch):
     df = differential(A, A.fn(f))
     assert A.rank > 1 and not df.is_zero()
     assert len(calls) <= A.base.dim  # rank * dim before the partials were shared
+
+
+@pytest.mark.parametrize("case", ["canonical-space", "nonconstant-rank2/tangent-lift",
+                                  "nonconstant-rank2"])
+def test_differential_of_constant_coefficients_applies_no_anchor(case, monkeypatch):
+    """A constant has an empty gradient, so d f = 0 and d(c e*_K) is the
+    structure part alone; neither applies an anchor."""
+    A = _built(case)
+    forms = [A.fn(3), GradedTensor(A, Kind.FORM, 0, {(): -2})]
+    for degree in (1, 2):
+        keys = combinations(range(A.rank), degree)
+        forms.append(GradedTensor(A, Kind.FORM, degree,
+                                  {key: n + 1 for n, key in enumerate(keys)}))
+    expected = [reference_differential(A, mu) for mu in forms]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return anchor_derivative(*args)
+
+    monkeypatch.setattr(algebroids.calculus, "anchor_derivative", counted)
+    assert [differential(A, mu) for mu in forms] == expected
+    assert calls == []
 
 
 def test_schouten_brackets_call_no_section_bracket(monkeypatch):

@@ -128,6 +128,23 @@ def test_unreadable_model_is_an_input_error(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+def test_oversized_model_is_an_input_error(tmp_path):
+    # one character past the documented 1,000,000, trailing spaces only
+    with open("fixtures/standard.json", encoding="utf-8") as handle:
+        text = handle.read().ljust(1_000_001)
+    path = tmp_path / "oversized.json"
+    path.write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroids", "validate", "--model", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "ParseError"
+    assert str(path) in report["error"]["message"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_polynomial_blow_up_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "blow-up.json"
     path.write_text(json.dumps({

@@ -1,11 +1,16 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
-A stand-in for a linter's unused-import rule: each ``src/algebroids``
-module except ``__init__.py`` (which re-exports) is parsed with ``ast``,
-and every name bound by an ``import`` must be read somewhere in it.
+Stand-ins for a linter's unused-import and dead-code rules: each
+``src/algebroids`` module except ``__init__.py`` (which re-exports) is
+parsed with ``ast``, and every name bound by an ``import`` must be read
+somewhere in it.  Every private (``_x``) function, class or assignment at
+the top level of any package module must be named by some code of the
+package outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,3 +42,57 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_reported():
     source = "import os\nfrom itertools import chain, count\nprint(chain)\n"
     assert _unused_imports(source) == [(1, "os"), (2, "count")]
+
+
+def _private_definitions(tree):
+    """The module-level ``_x`` (not dunder) functions, classes and
+    assignments of a module, as {name: defining node}."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node
+    return found
+
+
+def _references(node):
+    """Every name read, attribute taken or name imported inside ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def _unreferenced_private_names(sources):
+    """(module, name) for each module-level private name of ``sources``
+    ({module: source}) that no code outside its own definition names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = Counter(name for tree in trees.values() for name in _references(tree))
+    return sorted((module, name) for module, tree in trees.items()
+                  for name, node in _private_definitions(tree).items()
+                  if everywhere[name] <= Counter(_references(node))[name])
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_an_unreferenced_private_name_is_reported():
+    sources = {
+        "a.py": "_used = 1\n_dead = 2\n\ndef _recursive(n):\n    return _recursive(n)\n"
+                "\nclass _Shape:\n    pass\n",
+        "b.py": "from .a import _used\nprint(_used)\n",
+    }
+    assert _unreferenced_private_names(sources) == [
+        ("a.py", "_Shape"), ("a.py", "_dead"), ("a.py", "_recursive")]

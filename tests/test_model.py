@@ -77,6 +77,38 @@ def test_broken_fixture_files_fail_validation():
     assert err.value.witness["triple"] == ["1", "2", "3"]
 
 
+#: The longest model file ``load_model`` reads, as README "Input limits" states.
+MODEL_BOUND = 1_000_000
+
+
+def padded_model(tmp_path, length):
+    """``fixtures/standard.json`` padded with trailing spaces to ``length``
+    characters."""
+    with open("fixtures/standard.json", encoding="utf-8") as handle:
+        text = handle.read().ljust(length)
+    path = tmp_path / f"padded-{length}.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_model_bound_is_the_documented_one():
+    from algebroids import model
+
+    assert model.MAX_MODEL_CHARS == MODEL_BOUND
+
+
+def test_model_at_the_size_bound_loads(tmp_path):
+    loaded = load_model(padded_model(tmp_path, MODEL_BOUND))
+    assert loaded.algebroids == load_model("fixtures/standard.json").algebroids
+
+
+def test_model_past_the_size_bound_is_a_parse_error(tmp_path):
+    path = padded_model(tmp_path, MODEL_BOUND + 1)
+    with pytest.raises(ParseError) as err:
+        load_model(path)
+    assert str(path) in str(err.value) and str(MODEL_BOUND) in str(err.value)
+
+
 def test_unchecked_structures_still_dump():
     # the broken files were produced by dumping unvalidated builders
     model = Model(charts={"line": Chart(("x",))},
