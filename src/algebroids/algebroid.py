@@ -28,9 +28,9 @@ finite-dimensional Lie-algebra case).
 
 The lifts at the bottom of the module produce new algebroids from old:
 ``tangent_lift`` doubles the fibers and adjoins velocity coordinates,
-``cotangent_lift`` turns the dual bundle's chart into a base whose fibers
-are the coordinate differentials, and ``linear_poisson`` packages the same
-structure data as a fiberwise-linear bivector on the dual chart.
+``linear_poisson`` packages the structure data as a fiberwise-linear
+bivector on the dual bundle's chart, and ``cotangent_lift`` is the cotangent
+algebroid of that bivector, whose fibers are the coordinate differentials.
 Algebroids are immutable and hashable, so these lifts and the canonical
 algebroid of a chart are memoized on their (structurally compared) source,
 in LRU caches of :data:`CACHE_SIZE` entries each.
@@ -478,10 +478,13 @@ def _tangent_lift(A: Algebroid) -> Algebroid:
 
 
 def cotangent_lift(algebroid: Algebroid) -> Algebroid:
-    """The cotangent algebroid over the dual bundle's chart.
+    """The cotangent algebroid over the dual bundle's chart, built as the
+    cotangent algebroid of :func:`linear_poisson` (see
+    :func:`algebroids.poisson.cotangent_algebroid`).
 
     Fibers are the differentials of the dual chart's coordinates (base
-    coordinates first, then the fiber-linear ones).  Brackets:
+    coordinates first, then the fiber-linear ones), and [dz^u, dz^v] = d P^{uv}
+    gives the brackets
 
         [d xi_i, d xi_j] = c_ij^k d xi_k + (d_b c_ij^k) xi_k dx^b,
         [d xi_i, d x^a]  = (d_b delta_i^a) dx^b,
@@ -496,45 +499,9 @@ def cotangent_lift(algebroid: Algebroid) -> Algebroid:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _cotangent_lift(A: Algebroid) -> Algebroid:
-    n, m = A.base.dim, A.rank
-    base = dual_chart(A)
-    lift = lambda p: p.transport(base)  # noqa: E731
-    xi = [base.coordinate(name) for name in A.dual_names]
-    zero = base.zero()
-    fibers = tuple(f"d_{c}" for c in A.base.coords) + \
-        tuple(f"d_{d}" for d in A.dual_names)
-    duals = tuple(f"{c}_dot" for c in base.coords)
+    from .poisson import _cotangent_algebroid
 
-    anchor = []
-    for a in range(n):  # rows for dx^a
-        row = [zero] * n
-        for i in range(m):
-            row.append(-lift(A.anchor[i][a]))
-        anchor.append(tuple(row))
-    for i in range(m):  # rows for d xi_i
-        row = [lift(A.anchor[i][a]) for a in range(n)]
-        for j in range(m):
-            column, sign = A.column(i, j)
-            entry = poly_sum(base, (lift(coeff) * xi[k] for k, coeff in column.items()))
-            row.append(entry if sign > 0 else -entry)
-        anchor.append(tuple(row))
-
-    structure: _StructureTable = {}
-    for i in range(m):  # [d x^a, d xi_i] = -(d_b delta_i^a) dx^b
-        for a in range(n):
-            entries = {b: -lift(d) for b, d in A.anchor[i][a].gradient()}
-            if entries:
-                structure[(a, n + i)] = entries
-    for (i, j), table in A.structure.items():
-        entries = {n + k: lift(coeff) for k, coeff in table.items()}
-        drift = accumulate((b, lift(d) * xi[k]) for k, coeff in table.items()
-                           for b, d in coeff.gradient())
-        entries.update(sorted(drift.items()))
-        if entries:
-            structure[(n + i, n + j)] = entries
-
-    return build_algebroid(base, fibers, anchor, structure, dual_names=duals,
-                           provenance="cotangent-lift", parent=A)
+    return _cotangent_algebroid(_linear_poisson(A), "cotangent-lift", parent=A)
 
 
 def linear_poisson(algebroid: Algebroid):

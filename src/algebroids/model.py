@@ -18,8 +18,8 @@ omitted when empty)::
 Index keys are comma-joined and 1-based ("1,3"); a mixed-tensor key appends
 its fiber index after a bar ("1,2|3", degree zero is "|3").  Polynomials are
 strings in the grammar of :func:`algebroids.ring.parse_poly` and are dumped in
-canonical form, so ``dump_model(load_model(path))`` reproduces a canonical
-file byte for byte.
+canonical form, so ``dumps_model(load_model(path))`` returns the text of a
+canonical file byte for byte.
 
 A tensor's ``owner`` may name either an algebroid or a chart; a chart name
 stands for the canonical algebroid over that chart (which is how bivectors of
@@ -424,11 +424,6 @@ def dumps_model(model: Model) -> str:
         doc["suite"] = {key: model.suite[key] for key in _SUITE_KEYS
                         if key in model.suite}
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def dump_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_model(model))
 
 
 # -- the built-in model ------------------------------------------------------

@@ -5,7 +5,9 @@ of a chart whose self-bracket [P, P] vanishes.  From it the module builds:
 
 * the function bracket {f, g} = i_P(df∧dg);
 * an algebroid on the chart whose fibers are the coordinate differentials,
-  with anchor P̃ and bracket [μ, ν] = L_{P̃μ}ν − L_{P̃ν}μ − d(i_P(μ∧ν));
+  with anchor P̃ and bracket [μ, ν] = L_{P̃μ}ν − L_{P̃ν}μ − d(i_P(μ∧ν)),
+  built from its closed form [dz^u, dz^v] = d P^{uv} on coordinate
+  differentials;
 * the Koszul–Schouten bracket of forms — the generalized Schouten bracket of
   that algebroid, reading forms as its multivector sections;
 * the multiplicative extension Λ_P (P̃ factor by factor, with a starred and a
@@ -28,9 +30,8 @@ extending P^ antisymmetrically, P̃(dz^u) = Σ_v P^{uv} ∂_v.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from . import tensor as _tensor_conventions
 from .algebroid import Algebroid, build_algebroid, canonical_algebroid
 from .calculus import differential, lie_derivative, schouten
 from .errors import ChartMismatch, KindMismatch, NotInvertible, NotPoisson
@@ -41,14 +42,16 @@ from .tensor import GradedTensor, Kind, contract, pretty, tensor_sum, wedge
 class PoissonStructure:
     """A validated Poisson bivector over the canonical algebroid of a chart."""
 
-    __slots__ = ("owner", "bivector", "validated", "_rows", "_cotangent")
+    __slots__ = ("owner", "bivector", "_rows", "_cotangent")
 
-    def __init__(self, owner: Algebroid, bivector: GradedTensor, validated: bool):
+    #: Only :func:`build_poisson` constructs one, after checking [P, P] = 0.
+    validated = True
+
+    def __init__(self, owner: Algebroid, bivector: GradedTensor):
         self.owner = owner
         self.bivector = bivector
-        self.validated = validated
         self._rows: Optional[Tuple[GradedTensor, ...]] = None
-        self._cotangent: Dict[str, Algebroid] = {}  # by contraction order
+        self._cotangent: Optional[Algebroid] = None
 
     @property
     def chart(self) -> Chart:
@@ -93,8 +96,7 @@ class PoissonStructure:
             raise ChartMismatch("form does not live over the Poisson chart")
         if mu.kind is not Kind.FORM or mu.degree != 1:
             raise KindMismatch(f"P̃ acts on 1-forms, got {mu.describe()}")
-        return tensor_sum(self.owner, Kind.MV, 1,
-                          (self.row(u) * coeff for (u,), coeff in mu.terms.items()))
+        return _factorwise(mu, Kind.MV, self.row)
 
 
 def build_poisson(chart: Chart, bivector: GradedTensor) -> PoissonStructure:
@@ -115,7 +117,7 @@ def build_poisson(chart: Chart, bivector: GradedTensor) -> PoissonStructure:
     if not residual.is_zero():
         raise NotPoisson("the self-bracket [P, P] does not vanish",
                          witness={"residual": pretty(residual)})
-    return PoissonStructure(bivector.owner, bivector, True)
+    return PoissonStructure(bivector.owner, bivector)
 
 
 def _as_form(ps: PoissonStructure, t: GradedTensor) -> GradedTensor:
@@ -143,42 +145,36 @@ def poisson_bracket(ps: PoissonStructure, f, g) -> Poly:
 # -- the cotangent algebroid and the Koszul–Schouten bracket ------------------------
 
 
+def _cotangent_algebroid(ps: PoissonStructure, provenance: str,
+                         parent: Optional[Algebroid] = None) -> Algebroid:
+    """Build the cotangent algebroid of ``ps`` from its closed form
+    [dz^u, dz^v] = d P^{uv}, validated like any other algebroid."""
+    chart = ps.chart
+    return build_algebroid(
+        chart,
+        tuple(f"d_{c}" for c in chart.coords),
+        ps.matrix(),
+        {pair: dict(coeff.gradient()) for pair, coeff in ps.bivector.terms.items()},
+        dual_names=tuple(f"{c}_dot" for c in chart.coords),
+        provenance=provenance, parent=parent)
+
+
 def cotangent_algebroid(ps: PoissonStructure) -> Algebroid:
     """The algebroid the bivector induces on coordinate differentials.
 
     Fibers are d_z for each chart coordinate z, the anchor matrix is P̃, and
-    the structure functions come from symbolically expanding
+    the bracket [μ, ν] = L_{P̃μ}ν − L_{P̃ν}μ − d(i_P(μ∧ν)) sends exact forms
+    to [df, dg] = d{f, g}; on coordinate differentials that is
 
-        [dz^u, dz^v] = L_{P̃ dz^u} dz^v − L_{P̃ dz^v} dz^u − d(i_P(dz^u∧dz^v))
+        [dz^u, dz^v] = d P^{uv},
 
-    on every coordinate pair (no transcribed closed form — the defining
-    expression is evaluated by the calculus itself).  The result is validated
-    like any other algebroid.  Memoized per contraction order, since the
-    expansion contracts.
+    so the structure functions are the partials of the bivector's
+    coefficients (constant coefficients give vanishing brackets).  The result
+    is validated like any other algebroid and memoized on ``ps``.
     """
-    order = _tensor_conventions.CONTRACTION_ORDER
-    if order in ps._cotangent:
-        return ps._cotangent[order]
-    owner = ps.owner
-    chart = ps.chart
-    structure = {}
-    for u in range(chart.dim):
-        for v in range(u + 1, chart.dim):
-            pair = wedge(owner.estar(u), owner.estar(v))
-            bracket = (lie_derivative(owner, ps.row(u), owner.estar(v))
-                       - lie_derivative(owner, ps.row(v), owner.estar(u))
-                       - differential(owner, contract(ps.bivector, pair)))
-            entries = {k: coeff for (k,), coeff in bracket.terms.items()}
-            if entries:
-                structure[(u, v)] = entries
-    ps._cotangent[order] = build_algebroid(
-        chart,
-        tuple(f"d_{c}" for c in chart.coords),
-        ps.matrix(),
-        structure,
-        dual_names=tuple(f"{c}_dot" for c in chart.coords),
-        provenance="cotangent-algebroid")
-    return ps._cotangent[order]
+    if ps._cotangent is None:
+        ps._cotangent = _cotangent_algebroid(ps, "cotangent-algebroid")
+    return ps._cotangent
 
 
 def koszul_schouten(ps: PoissonStructure, mu: GradedTensor,
@@ -233,22 +229,28 @@ def _inverse_matrix(ps: PoissonStructure) -> List[List[Fraction]]:
     return inverse
 
 
+def _factorwise(t: GradedTensor, kind: Kind, row) -> GradedTensor:
+    """Σ f·row(k_1)∧…∧row(k_p) over the terms f·e_K of ``t``: the
+    multiplicative extension to ``kind`` of the map whose value on the u-th
+    basis factor is ``row(u)``."""
+    pieces = []
+    for key, coeff in t.terms.items():
+        piece = GradedTensor(t.owner, kind, 0, {(): coeff})
+        for u in key:
+            piece = wedge(piece, row(u))
+        pieces.append(piece)
+    return tensor_sum(t.owner, kind, t.degree, pieces)
+
+
 def _lambda_inverse(ps: PoissonStructure, x: GradedTensor) -> GradedTensor:
     if x.owner != ps.owner:
         raise ChartMismatch("tensor does not live over the Poisson chart")
     if x.kind is not Kind.MV:
         raise KindMismatch(f"inverse mode maps multivectors to forms, got "
                            f"{x.describe()}")
-    inv = _inverse_matrix(ps)
-    pieces = []
-    for key, coeff in x.terms.items():
-        piece = GradedTensor(ps.owner, Kind.FORM, 0, {(): coeff})
-        for u in key:
-            row = GradedTensor(ps.owner, Kind.FORM, 1,
-                               {(v,): c for v, c in enumerate(inv[u]) if c})
-            piece = wedge(piece, row)
-        pieces.append(piece)
-    return tensor_sum(ps.owner, Kind.FORM, x.degree, pieces)
+    rows = [GradedTensor(ps.owner, Kind.FORM, 1, {(v,): c for v, c in enumerate(row) if c})
+            for row in _inverse_matrix(ps)]
+    return _factorwise(x, Kind.FORM, rows.__getitem__)
 
 
 def lambda_p(ps: PoissonStructure, t: GradedTensor, mode: str = "plain") -> GradedTensor:
@@ -264,13 +266,7 @@ def lambda_p(ps: PoissonStructure, t: GradedTensor, mode: str = "plain") -> Grad
     if mode not in ("plain", "star"):
         raise KindMismatch(f"unknown mode {mode!r} (plain, star or inverse)")
     mu = _as_form(ps, t)
-    pieces = []
-    for key, coeff in mu.terms.items():
-        piece = GradedTensor.function(ps.owner, coeff)
-        for u in key:
-            piece = wedge(piece, ps.row(u))
-        pieces.append(piece)
-    out = tensor_sum(ps.owner, Kind.MV, mu.degree, pieces)
+    out = _factorwise(mu, Kind.MV, ps.row)
     if mode == "star" and mu.degree % 2:
         out = -out
     return out

@@ -142,12 +142,12 @@ class GradedTensor:
         return cls(owner, kind, degree, {})
 
     @classmethod
-    def basis(cls, owner, kind: Kind, key, coeff=1) -> "GradedTensor":
+    def basis(cls, owner, kind: Kind, key) -> "GradedTensor":
         if kind is Kind.MIXED:
             degree = len(key[0])
         else:
             degree = len(key)
-        return cls(owner, kind, degree, {key: coeff})
+        return cls(owner, kind, degree, {key: 1})
 
     @classmethod
     def function(cls, owner, value) -> "GradedTensor":
@@ -223,7 +223,7 @@ class GradedTensor:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.kind, tuple(sorted(self.terms.items(), key=repr))))
+            self._hash = hash((self.kind, frozenset(self.terms.items())))
         return self._hash
 
     def __str__(self) -> str:
@@ -475,28 +475,27 @@ def basis_keys(owner, kind: Kind, degree: int) -> Iterable[Key]:
     return list(combinations(range(rank), degree))
 
 
-def random_coefficient(rng, chart: Chart, degree: int = 2, bound: int = 3,
-                       max_monomials: int = 2) -> Poly:
-    """A small random polynomial: integer coefficients in [-bound, bound],
-    total degree at most ``degree``."""
+def random_coefficient(rng, chart: Chart, degree: int = 2) -> Poly:
+    """A small random polynomial: one or two monomials of total degree at
+    most ``degree``, with integer coefficients in [-3, 3]."""
     terms = []
-    for _ in range(rng.randint(1, max_monomials)):
+    for _ in range(rng.randint(1, 2)):
         exp = [0] * chart.dim
         for _ in range(rng.randint(0, degree)):
             if chart.dim:
                 exp[rng.randrange(chart.dim)] += 1
-        terms.append((tuple(exp), rng.randint(-bound, bound)))
+        terms.append((tuple(exp), rng.randint(-3, 3)))
     return Poly(chart, terms)
 
 
 def random_tensor(rng, owner, kind: Kind, degree: int, coeff_degree: int = 2,
-                  bound: int = 3, max_keys: int = 3) -> GradedTensor:
+                  max_keys: int = 3) -> GradedTensor:
     """A sparse random tensor with small exact coefficients (seeded rng)."""
     keys = list(basis_keys(owner, kind, degree))
     if not keys:
         return GradedTensor.zero(owner, kind, degree)
     chosen = rng.sample(keys, min(len(keys), rng.randint(1, max_keys)))
-    terms = [(key, random_coefficient(rng, owner.base, coeff_degree, bound))
+    terms = [(key, random_coefficient(rng, owner.base, coeff_degree))
              for key in chosen]
     return GradedTensor(owner, kind, degree, terms)
 

@@ -33,7 +33,7 @@ from algebroids.fixtures import (
     nonconstant_rank2,
     so3,
 )
-from algebroids.ring import Chart, parse_poly
+from algebroids.ring import Chart, accumulate, parse_poly, poly_sum
 from algebroids.tensor import GradedTensor, Kind, random_tensor
 
 
@@ -322,6 +322,65 @@ def test_cotangent_lift_nonconstant():
     assert C.bracket_basis(0, 2) == C.e(0) * "-2*x"
     # [d xi_e1, d xi_e2] = 2x d xi_e1 + 2 xi_e1 d_x
     assert C.bracket_basis(1, 2) == C.e(1) * "2*x" + C.e(0) * "2*xi_e1"
+
+
+def reference_cotangent_lift(A):
+    """The cotangent lift from its hand-written anchor rows and bracket
+    tables: an independent route to the cotangent algebroid of
+    ``linear_poisson(A)``."""
+    n, m = A.base.dim, A.rank
+    base = dual_chart(A)
+    lift = lambda p: p.transport(base)  # noqa: E731
+    xi = [base.coordinate(name) for name in A.dual_names]
+    zero = base.zero()
+    fibers = tuple(f"d_{c}" for c in A.base.coords) + \
+        tuple(f"d_{d}" for d in A.dual_names)
+    duals = tuple(f"{c}_dot" for c in base.coords)
+
+    anchor = []
+    for a in range(n):  # rows for dx^a
+        row = [zero] * n
+        for i in range(m):
+            row.append(-lift(A.anchor[i][a]))
+        anchor.append(tuple(row))
+    for i in range(m):  # rows for d xi_i
+        row = [lift(A.anchor[i][a]) for a in range(n)]
+        for j in range(m):
+            column, sign = A.column(i, j)
+            entry = poly_sum(base, (lift(coeff) * xi[k] for k, coeff in column.items()))
+            row.append(entry if sign > 0 else -entry)
+        anchor.append(tuple(row))
+
+    structure = {}
+    for i in range(m):  # [d x^a, d xi_i] = -(d_b delta_i^a) dx^b
+        for a in range(n):
+            entries = {b: -lift(d) for b, d in A.anchor[i][a].gradient()}
+            if entries:
+                structure[(a, n + i)] = entries
+    for (i, j), table in A.structure.items():
+        entries = {n + k: lift(coeff) for k, coeff in table.items()}
+        drift = accumulate((b, lift(d) * xi[k]) for k, coeff in table.items()
+                           for b, d in coeff.gradient())
+        entries.update(sorted(drift.items()))
+        if entries:
+            structure[(n + i, n + j)] = entries
+
+    return build_algebroid(base, fibers, anchor, structure, dual_names=duals,
+                           provenance="cotangent-lift", parent=A, check=False)
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["fixture", "tangent lift"])
+@pytest.mark.parametrize("name", sorted(ALGEBROIDS))
+def test_cotangent_lift_matches_the_bracket_tables(name, lifted):
+    A = ALGEBROIDS[name]()
+    if lifted:
+        A = tangent_lift(A)
+    C = cotangent_lift(A)
+    reference = reference_cotangent_lift(A)
+    assert C.structure == reference.structure
+    assert C.anchor == reference.anchor
+    assert C == reference and C.provenance == reference.provenance
+    assert C.parent == A  # the first equal source lifted
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBROIDS))

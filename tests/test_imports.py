@@ -6,7 +6,9 @@ Stand-ins for a linter's unused-import and dead-code rules: each
 parsed with ``ast``, and every name bound by an ``import`` must be read
 somewhere in it.  Every private (``_x``) function, class or assignment at
 the top level of any package module must be named by some code of the
-package outside its own definition.
+package outside its own definition.  Only ``tensor.py``, which defines
+it, and the theorem-2 suite, which reports it, name the package-wide
+``CONTRACTION_ORDER``: no other construction may depend on it.
 """
 
 import ast
@@ -96,3 +98,31 @@ def test_an_unreferenced_private_name_is_reported():
     }
     assert _unreferenced_private_names(sources) == [
         ("a.py", "_Shape"), ("a.py", "_dead"), ("a.py", "_recursive")]
+
+
+def _contraction_order_readers(sources):
+    """{module: the top-level definitions naming ``CONTRACTION_ORDER``, with
+    ``None`` for a use at module level} over ``sources`` ({module: source})."""
+    readers = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if "CONTRACTION_ORDER" in _references(node):
+                readers.setdefault(module, set()).add(getattr(node, "name", None))
+    return readers
+
+
+def test_only_tensor_and_the_theorem_2_note_name_the_contraction_order():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    readers = _contraction_order_readers(sources)
+    assert sorted(readers) == ["suites.py", "tensor.py"]
+    assert readers["suites.py"] == {"_suite_theorem_2"}
+
+
+def test_a_contraction_order_reader_is_reported():
+    sources = {
+        "a.py": "from . import tensor\n\ndef build():\n"
+                "    return tensor.CONTRACTION_ORDER\n",
+        "b.py": "from .tensor import CONTRACTION_ORDER\n",
+        "c.py": "def order(contract):\n    return contract('CONTRACTION_ORDER')\n",
+    }
+    assert _contraction_order_readers(sources) == {"a.py": {"build"}, "b.py": {None}}

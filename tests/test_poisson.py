@@ -10,16 +10,16 @@ import random
 import pytest
 
 import algebroids.tensor
-from algebroids.algebroid import cotangent_lift, linear_poisson
+from algebroids.algebroid import cotangent_lift, linear_poisson, tangent_lift
 from algebroids.calculus import differential, fn_bracket, lie_derivative, schouten
 from algebroids.errors import (
-    AnchorNotMorphism,
     ChartMismatch,
     KindMismatch,
     NotInvertible,
     NotPoisson,
 )
 from algebroids.fixtures import (
+    ALGEBROIDS,
     POISSON,
     nonconstant_rank2,
     poisson_four,
@@ -44,12 +44,13 @@ from algebroids.ring import Chart
 from algebroids.tensor import (
     GradedTensor,
     Kind,
+    contract,
     contract_mixed,
     random_coefficient,
     random_tensor,
     wedge,
 )
-from algebroids.algebroid import canonical_algebroid
+from algebroids.algebroid import build_algebroid, canonical_algebroid
 
 
 def d(ps, f):
@@ -127,8 +128,6 @@ def test_ptilde_rows_canonical():
 
 def test_ptilde_pairing_identity():
     # <P~mu, nu> = <P, mu∧nu> on random 1-forms
-    from algebroids.tensor import contract
-
     ps = poisson_so3()
     O = ps.owner
     rng = random.Random(11)
@@ -166,18 +165,95 @@ def test_cotangent_algebroid_agrees_with_cotangent_lift(make):
     assert cotangent_algebroid(linear_poisson(A)) == cotangent_lift(A)
 
 
-def test_cotangent_algebroid_follows_the_contraction_order():
-    # the memo on a Poisson structure must not hand out an algebroid built
-    # under another contraction order: only the default one is compatible
-    cotangent_algebroid(poisson_so3())
+def reference_cotangent_algebroid(ps):
+    """The cotangent algebroid by symbolically expanding the defining bracket
+
+        [dz^u, dz^v] = L_{P̃ dz^u} dz^v − L_{P̃ dz^v} dz^u − d(i_P(dz^u∧dz^v))
+
+    on every coordinate pair, under the default contraction order: an
+    independent route to the closed form [dz^u, dz^v] = d P^{uv}."""
+    owner = ps.owner
+    chart = ps.chart
+    structure = {}
+    for u in range(chart.dim):
+        for v in range(u + 1, chart.dim):
+            pair = wedge(owner.estar(u), owner.estar(v))
+            bracket = (lie_derivative(owner, ps.row(u), owner.estar(v))
+                       - lie_derivative(owner, ps.row(v), owner.estar(u))
+                       - differential(owner, contract(ps.bivector, pair)))
+            entries = {k: coeff for (k,), coeff in bracket.terms.items()}
+            if entries:
+                structure[(u, v)] = entries
+    return build_algebroid(
+        chart,
+        tuple(f"d_{c}" for c in chart.coords),
+        ps.matrix(),
+        structure,
+        dual_names=tuple(f"{c}_dot" for c in chart.coords),
+        provenance="cotangent-algebroid",
+        check=False)
+
+
+#: The Poisson fixtures, the linear Poisson structures of the algebroid
+#: fixtures and of their tangent lifts, and two complete lifts.
+REFERENCE_CASES = (
+    list(POISSON)
+    + [f"linear {name}" for name in ALGEBROIDS]
+    + [f"linear tangent {name}" for name in ALGEBROIDS]
+    + ["tangent poisson-four", "tangent poisson-so3"])
+
+
+def _reference_case(name):
+    if name.startswith("linear tangent "):
+        return linear_poisson(tangent_lift(ALGEBROIDS[name[15:]]()))
+    if name.startswith("linear "):
+        return linear_poisson(ALGEBROIDS[name[7:]]())
+    if name.startswith("tangent "):
+        return tangent_poisson(POISSON[name[8:]]())
+    return POISSON[name]()
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_cotangent_algebroid_matches_the_expanded_bracket(name):
+    ps = _reference_case(name)
+    cot = cotangent_algebroid(ps)
+    reference = reference_cotangent_algebroid(ps)
+    assert cot.structure == reference.structure
+    assert cot.anchor == reference.anchor
+    assert cot == reference and cot.provenance == reference.provenance
+
+
+def test_cotangent_algebroid_does_not_depend_on_the_contraction_order():
+    # the closed form contracts nothing, so one memo serves both orders and a
+    # structure built under the other order is the same algebroid
+    ps = poisson_so3()
+    fresh = build_poisson(ps.chart, ps.bivector)
+    cot = cotangent_algebroid(ps)
     saved = algebroids.tensor.CONTRACTION_ORDER
     algebroids.tensor.CONTRACTION_ORDER = "last-factor-innermost"
     try:
-        with pytest.raises(AnchorNotMorphism):
-            cotangent_algebroid(poisson_so3())
+        assert cotangent_algebroid(ps) is cot
+        flipped = cotangent_algebroid(fresh)
     finally:
         algebroids.tensor.CONTRACTION_ORDER = saved
-    assert cotangent_algebroid(poisson_so3()) == cotangent_lift(so3())
+    assert flipped is not cot and flipped == cot
+    assert cotangent_algebroid(fresh) is flipped
+    assert cot == cotangent_lift(so3())
+
+
+def test_hashing_a_poisson_structure_prints_nothing(monkeypatch):
+    from algebroids import ring
+
+    ps = poisson_four()
+    terms = list(ps.bivector.terms.items())
+    reordered = GradedTensor(ps.owner, Kind.MV, 2, terms[::-1])
+    assert list(reordered.terms) != list(ps.bivector.terms)
+    again = build_poisson(ps.chart, reordered)
+    printed = []
+    real = ring.poly_to_string
+    monkeypatch.setattr(ring, "poly_to_string", lambda p: printed.append(p) or real(p))
+    assert hash(again) == hash(ps) and again == ps
+    assert printed == []
 
 
 def test_cotangent_differential_is_schouten_with_p():
@@ -505,8 +581,6 @@ def test_tangent_poisson_matches_velocity_expansion():
 def test_tangent_poisson_commutes_with_linearization():
     # lifting the linear Poisson structure of an algebroid matches linearizing
     # its tangent algebroid, up to the chart reordering between the two routes
-    from algebroids.algebroid import tangent_lift
-    from algebroids.fixtures import ALGEBROIDS
     from algebroids.tensor import remap
 
     for make in ALGEBROIDS.values():

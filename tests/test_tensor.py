@@ -228,6 +228,22 @@ def test_remap_permutes_and_renames():
     assert renamed == D.e(0) * "u"
 
 
+def test_hash_ignores_term_order_and_prints_nothing(monkeypatch):
+    from algebroids import ring
+
+    A = canonical_space()
+    terms = [((0, 1), "x*y - 1"), ((1, 2), "3/2*z"), ((0, 2), 2)]
+    s = GradedTensor(A, Kind.MV, 2, terms)
+    t = GradedTensor(A, Kind.MV, 2, terms[::-1])
+    assert list(s.terms) != list(t.terms)
+    printed = []
+    real = ring.poly_to_string
+    monkeypatch.setattr(ring, "poly_to_string", lambda p: printed.append(p) or real(p))
+    assert s == t and hash(s) == hash(t)
+    assert len({s, t, s * 2}) == 2
+    assert printed == []
+
+
 def test_basis_keys_enumeration():
     A = canonical_plane()
     assert list(basis_keys(A, Kind.MV, 2)) == [(0, 1)]
