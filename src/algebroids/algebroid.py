@@ -20,7 +20,9 @@ errors carry an explicit witness (which triple or pair failed, and the
 residual) so a failing model is diagnosable.  The morphism is checked with
 the same kernel: per basis pair, the section bracket of the vector fields
 ``anchor_apply(e_i)`` and ``anchor_apply(e_j)`` minus
-``anchor_apply([e_i, e_j])``.
+``anchor_apply([e_i, e_j])``.  :func:`validate` prepares each anchor image,
+each structure column and each unit section for the kernel once, so each is
+differentiated once however many pairs and triples it enters.
 
 A chart with no coordinates is allowed as a base: the anchor is then forced
 to vanish and the structure functions are rational constants (the classical
@@ -41,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     AnchorNotMorphism,
@@ -280,31 +282,43 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
 
 
 def validate(algebroid: Algebroid) -> None:
-    """Check the anchor-morphism and Jacobi conditions; raise on failure."""
+    """Check the anchor-morphism and Jacobi conditions; raise on failure.
+
+    Each anchor image, structure column and unit section is prepared for
+    the bracket kernel once, so its coefficients are differentiated once
+    however many pairs and triples it enters."""
     base = algebroid.base
     m = algebroid.rank
+    names = algebroid.fiber_names
     # anchor is a bracket morphism: [anchor e_i, anchor e_j] = anchor [e_i, e_j],
     # the left side the section bracket of the vector fields over the base
     fields = _vector_fields(base)
-    images = [anchor_apply(algebroid, algebroid.e(i)) for i in range(m)]
+    images = [_prepare(fields, anchor_apply(algebroid, algebroid.e(i)), range(base.dim))
+              for i in range(m)]
     for i, j in combinations(range(m), 2):
-        residual = (section_bracket(fields, images[i], images[j])
+        residual = (_bracket(fields, images[i], images[j])
                     - anchor_apply(algebroid, algebroid.bracket_basis(i, j)))
         if not residual.is_zero():
-            names = algebroid.fiber_names
             (b,) = min(residual.terms)
             raise AnchorNotMorphism(
                 f"anchor fails to intertwine brackets on ({names[i]}, {names[j]})",
                 witness={"pair": [names[i], names[j]],
                          "coordinate": base.coords[b],
                          "residual": str(residual.terms[(b,)])})
-    # Jacobi identity on basis triples
-    for i, j, k in combinations(range(m), 3):
+    if m < 3:  # no basis triples
+        return
+    # Jacobi identity on basis triples, reading [[e_k, e_i], e_j] as
+    # -[[e_i, e_k], e_j] so that only the columns of pairs i < j are prepared
+    fibers = range(m)
+    columns = {(i, j): _prepare(algebroid, algebroid.bracket_basis(i, j), fibers)
+               for i, j in combinations(fibers, 2)}
+    units = [_prepare(algebroid, algebroid.e(r), fibers) for r in fibers]
+    for i, j, k in combinations(fibers, 3):
         jac = tensor_sum(algebroid, Kind.MV, 1, (
-            section_bracket(algebroid, algebroid.bracket_basis(p, q), algebroid.e(r))
-            for p, q, r in ((i, j, k), (j, k, i), (k, i, j))))
+            _bracket(algebroid, columns[i, j], units[k]),
+            _bracket(algebroid, columns[j, k], units[i]),
+            -_bracket(algebroid, columns[i, k], units[j])))
         if not jac.is_zero():
-            names = algebroid.fiber_names
             raise JacobiViolation(
                 f"Jacobi identity fails on ({names[i]}, {names[j]}, {names[k]})",
                 witness={"triple": [names[i], names[j], names[k]],
@@ -329,15 +343,43 @@ def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> G
     for t in (x, y):
         if t.owner != algebroid or t.kind is not Kind.MV or t.degree != 1:
             raise KindMismatch(f"section_bracket needs sections, got {t.describe()}")
-    return _bracket(algebroid, x, y)
+    return _bracket_tensors(algebroid, x, y)
 
 
-def _bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
+def _bracket_tensors(algebroid: Algebroid, x: GradedTensor,
+                     y: GradedTensor) -> GradedTensor:
+    """:func:`_bracket` of two multivectors of one kind, each prepared
+    against the fibers of the other's keys."""
+    return _bracket(algebroid, _prepare(algebroid, x, {k for key in y.terms for k in key}),
+                    _prepare(algebroid, y, {k for key in x.terms for k in key}))
+
+
+#: A bracket operand from :func:`_prepare`: kind, degree and prepared terms.
+_Operand = Tuple[Kind, int, list]
+
+
+def _prepare(algebroid: Algebroid, t: GradedTensor, fibers: Collection[int]) -> _Operand:
+    """``t`` as an operand of :func:`_bracket`: each term as (key,
+    coefficient, key less each factor, the anchor of each fiber in
+    ``fibers`` applied to the coefficient).  ``fibers`` must hold every
+    fiber of the other operand's keys.  Each coefficient is differentiated
+    here once, so an operand prepared once enters any number of brackets
+    without being differentiated again."""
+    terms = []
+    for key, coeff in t.terms.items():
+        gradient = coeff.gradient() if fibers else ()
+        rho = {k: d for k in fibers if gradient
+               and (d := anchor_derivative(algebroid, k, coeff, gradient))}
+        terms.append((key, coeff, [key[:r] + key[r + 1:] for r in range(len(key))], rho))
+    return t.kind, t.degree, terms
+
+
+def _bracket(algebroid: Algebroid, x: _Operand, y: _Operand) -> GradedTensor:
     """The section bracket and the anchor extended as a biderivation to two
-    multivectors of one kind: alternating (``Kind.MV``, the Schouten
-    bracket: ε = −1 and · is ∧) or symmetric (``Kind.SYM``: ε = 1 and · is
-    the symmetric product).  For terms f e_K of x and g e_L of y, p = |K|,
-    0-based r and s, and ρ the anchor:
+    prepared multivectors of one kind: alternating (``Kind.MV``, the
+    Schouten bracket: ε = −1 and · is ∧) or symmetric (``Kind.SYM``: ε = 1
+    and · is the symmetric product).  For terms f e_K of x and g e_L of y,
+    p = |K|, 0-based r and s, and ρ the anchor:
 
         [f e_K, g e_L] = sum_{r,s} ε^{r+s} fg c_{k_r l_s}^m e_m·e_{K∖r}·e_{L∖s}
                          + sum_r ε^{r+p−1} f ρ_{k_r}(g) e_{K∖r}·e_L
@@ -345,29 +387,16 @@ def _bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTe
 
     emitted as signed basis keys into one accumulation pass.  Sections give
     the section bracket, an empty K or L the anchor acting on a function,
-    and two functions the zero of degree 0.  Each coefficient is
-    differentiated at most once.
+    and two functions the zero of degree 0.  The operands come from
+    :func:`_prepare`, so nothing is differentiated here.
     """
-    skew = x.kind is Kind.MV
+    kind, p, xs = x
+    _, q, ys = y
+    skew = kind is Kind.MV
     merge = _sort_skew if skew else (lambda key: (tuple(sorted(key)), 1))
-    p, q = x.degree, y.degree
 
     def eps(n: int) -> int:
         return -1 if skew and n % 2 else 1
-
-    def prepared(t: GradedTensor, fibers):
-        """Each term as (key, coefficient, key less each factor, the anchor
-        of each fiber in ``fibers`` applied to the coefficient)."""
-        out = []
-        for key, coeff in t.terms.items():
-            gradient = coeff.gradient() if fibers else ()
-            rho = {k: d for k in fibers if gradient
-                   and (d := anchor_derivative(algebroid, k, coeff, gradient))}
-            out.append((key, coeff, [key[:r] + key[r + 1:] for r in range(len(key))], rho))
-        return out
-
-    xs = prepared(x, {k for key in y.terms for k in key})
-    ys = prepared(y, {k for key in x.terms for k in key})
 
     def terms():
         for kx, f, rests_x, rho_f in xs:
@@ -394,7 +423,7 @@ def _bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTe
                         term = g * d
                         yield hit[0], -term if eps(s) * hit[1] > 0 else term
 
-    return GradedTensor._make(algebroid, x.kind, p + q - 1 if p + q else 0,
+    return GradedTensor._make(algebroid, kind, p + q - 1 if p + q else 0,
                               accumulate(terms()))
 
 

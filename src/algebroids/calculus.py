@@ -32,7 +32,7 @@ matching convention.
 
 from __future__ import annotations
 
-from .algebroid import Algebroid, _bracket, anchor_derivative, section_bracket
+from .algebroid import Algebroid, _bracket_tensors, anchor_derivative, section_bracket
 from .errors import ChartMismatch, KindMismatch
 from .ring import accumulate
 from .tensor import (
@@ -142,7 +142,7 @@ def schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTe
     slot a−1).
     """
     _require_owner(algebroid, x, y)
-    return _bracket(algebroid, _as_multivector(x), _as_multivector(y))
+    return _bracket_tensors(algebroid, _as_multivector(x), _as_multivector(y))
 
 
 # -- symmetric Schouten bracket ----------------------------------------------------
@@ -153,7 +153,7 @@ def sym_schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> Grad
     alternating one, on the symmetric algebra and with no signs.  An (ungraded) Lie bracket and a biderivation — the abstract
     Poisson algebra structure on symmetric multivectors."""
     _require_owner(algebroid, x, y)
-    return _bracket(algebroid, as_sym(x), as_sym(y))
+    return _bracket_tensors(algebroid, as_sym(x), as_sym(y))
 
 
 # -- Nijenhuis–Richardson bracket ---------------------------------------------------

@@ -96,8 +96,10 @@ class UnknownName(AlgebroidError):
 
 
 class BadPoint(AlgebroidError):
-    """A point given on the command line (``eval --at``) is not a list of
-    ``coord=rational`` pairs with bounded ASCII rationals."""
+    """A malformed point: on the command line (``eval --at``), not a list
+    of ``coord=rational`` pairs with bounded ASCII rationals; in the library
+    (:meth:`~algebroids.ring.Poly.eval_at`), a coordinate value that is not
+    an ``int`` or a ``Fraction``."""
 
 
 class ValidationError(AlgebroidError):

@@ -42,6 +42,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import (
+    BadPoint,
     ChartMismatch,
     MissingCoordinate,
     NegativeExponent,
@@ -69,7 +70,7 @@ class Chart:
     def __init__(self, coords: Iterable[str]):
         coords = tuple(coords)
         for name in coords:
-            if not _IDENT_RE.match(name):
+            if not isinstance(name, str) or not _IDENT_RE.match(name):
                 raise PolySyntaxError(f"invalid coordinate name {name!r}")
         if len(set(coords)) != len(coords):
             raise PolySyntaxError(f"duplicate coordinate in chart {coords!r}")
@@ -155,6 +156,9 @@ class Poly:
                     raise PolySyntaxError(
                         f"exponent tuple {exp!r} has wrong length for chart {chart.coords!r}"
                     )
+                if not all(isinstance(e, int) for e in exp):
+                    raise PolySyntaxError(f"exponent tuple {exp!r} has an entry "
+                                          f"that is not an int")
                 if any(e < 0 for e in exp):
                     raise NegativeExponent(f"negative exponent in {exp!r}")
                 for e, c in chart.coerce(coeff).terms.items():
@@ -294,8 +298,9 @@ class Poly:
         """Evaluate at a rational point given as ``{coordinate: value}``.
 
         Every chart coordinate must be present (``MissingCoordinate``
-        otherwise); extra keys are ignored so a point on a larger chart can be
-        reused on its subcharts.
+        otherwise) and its value an ``int`` or a ``Fraction``, the scalars
+        of :meth:`Chart.coerce` (``BadPoint`` otherwise); extra keys are
+        ignored so a point on a larger chart can be reused on its subcharts.
         """
         values = []
         for name in self.chart.coords:
@@ -303,7 +308,11 @@ class Poly:
                 raise MissingCoordinate(
                     f"point does not assign a value to coordinate {name!r}"
                 )
-            values.append(Fraction(point[name]))
+            value = point[name]
+            if not isinstance(value, (int, Fraction)):
+                raise BadPoint(f"the value of {name!r} is a {type(value).__name__}, "
+                               f"not an int or a Fraction")
+            values.append(Fraction(value))
         total = Fraction(0)
         for exp, coeff in self.terms.items():
             term = coeff

@@ -1,6 +1,7 @@
 """Algebroid construction, validation, the section bracket, and lifts."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -33,8 +34,8 @@ from algebroids.fixtures import (
     nonconstant_rank2,
     so3,
 )
-from algebroids.ring import Chart, accumulate, parse_poly, poly_sum
-from algebroids.tensor import GradedTensor, Kind, random_tensor
+from algebroids.ring import Chart, Poly, accumulate, parse_poly, poly_sum
+from algebroids.tensor import GradedTensor, Kind, random_tensor, tensor_sum
 
 
 def test_canonical_algebroid():
@@ -138,10 +139,10 @@ def reference_morphism_witness(A):
     return None
 
 
-def _perturbed(name, anchor=None, structure=None):
-    """A built-in algebroid with some anchor rows or structure columns
-    replaced, unvalidated."""
-    A = ALGEBROIDS[name]()
+def _perturbed(source, anchor=None, structure=None):
+    """An algebroid (or the built-in one of that name) with some anchor rows
+    or structure columns replaced, unvalidated."""
+    A = ALGEBROIDS[source]() if isinstance(source, str) else source
     rows = [list(row) for row in A.anchor]
     for i, row in (anchor or {}).items():
         rows[i] = [A.base.coerce(v) for v in row]
@@ -180,6 +181,88 @@ def test_anchor_morphism_witness_matches_the_reference(case):
     with pytest.raises(AnchorNotMorphism) as err:
         validate(A)
     assert {key: err.value.witness[key] for key in expected} == expected
+
+
+def reference_jacobi_witness(A):
+    """The Jacobi condition per basis triple as three section brackets,
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], each of a
+    column read through ``bracket_basis``; the first nonzero sum as a
+    witness (None when the identity holds)."""
+    names = A.fiber_names
+    for i, j, k in combinations(range(A.rank), 3):
+        jac = tensor_sum(A, Kind.MV, 1, (
+            section_bracket(A, A.bracket_basis(p, q), A.e(r))
+            for p, q, r in ((i, j, k), (j, k, i), (k, i, j))))
+        if not jac.is_zero():
+            return {"triple": [names[i], names[j], names[k]], "residual": str(jac)}
+    return None
+
+
+#: Unvalidated rank-3+ algebroids with one structure column perturbed so that
+#: the anchor stays a morphism and Jacobi fails, each with the triple the
+#: witness must name.  The tangent lift of nonconstant-rank2 has the
+#: anchor-free combination x^2 e1_bar - e2_bar to perturb by.
+JACOBI_FAILURES = {
+    "so3": (lambda: _perturbed("so3", structure={(1, 2): {0: 1, 2: 3}}),
+            ["1", "2", "3"]),
+    # [1_dot, 2_dot] = 3_dot + 1_bar
+    "tangent-so3": (lambda: _perturbed(
+        tangent_lift(so3()), structure={(3, 4): {5: 1, 0: 1}}),
+        ["1_dot", "2_dot", "3_dot"]),
+    # [e1_dot, e2_dot] gains x_dot (x^2 e1_bar - e2_bar): the third triple
+    "tangent-nonconstant-last-column": (lambda: _perturbed(
+        tangent_lift(nonconstant_rank2()),
+        structure={(2, 3): {2: "2*x", 0: "2*x_dot + x^2*x_dot", 1: "-1*x_dot"}}),
+        ["e1_bar", "e1_dot", "e2_dot"]),
+    # [e2_bar, e1_dot] gains x (x^2 e1_bar - e2_bar): the last triple
+    "tangent-nonconstant-last-triple": (lambda: _perturbed(
+        tangent_lift(nonconstant_rank2()),
+        structure={(1, 2): {0: "-2*x + x^3", 1: "-1*x"}}),
+        ["e2_bar", "e1_dot", "e2_dot"]),
+    # [e1_bar, e2_dot] gains x_dot (x^2 e1_bar - e2_bar): the second triple
+    "tangent-nonconstant-second-triple": (lambda: _perturbed(
+        tangent_lift(nonconstant_rank2()),
+        structure={(0, 3): {0: "2*x + x^2*x_dot", 1: "-1*x_dot"}}),
+        ["e1_bar", "e2_bar", "e2_dot"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JACOBI_FAILURES))
+def test_jacobi_witness_matches_the_reference(case):
+    build, triple = JACOBI_FAILURES[case]
+    A = build()
+    expected = reference_jacobi_witness(A)
+    assert expected["triple"] == triple
+    with pytest.raises(JacobiViolation) as err:
+        validate(A)
+    assert err.value.witness == expected
+
+
+#: Validated lifts of rank 3 and up: each anchor image enters several basis
+#: pairs and each structure column several triples, so an operand
+#: differentiated once per pair or triple shows.
+DIFFERENTIATED_ONCE = {
+    "tangent-so3": lambda: tangent_lift(so3()),
+    "cotangent-so3": lambda: cotangent_lift(so3()),
+    "cotangent-nonconstant-rank2": lambda: cotangent_lift(nonconstant_rank2()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIATED_ONCE))
+def test_validate_differentiates_each_polynomial_once(case, monkeypatch):
+    A = DIFFERENTIATED_ONCE[case]()  # built, and validated, before counting
+    calls = []
+    gradient = Poly.gradient
+
+    def counted(self):
+        calls.append(self)  # kept alive, so no two calls share an id by reuse
+        return gradient(self)
+
+    monkeypatch.setattr(Poly, "gradient", counted)
+    validate(A)
+    assert calls
+    repeated = Counter(id(p) for p in calls if not p.is_constant())
+    assert [str(p) for p in calls if repeated[id(p)] > 1] == []
 
 
 def test_section_bracket_commutator():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from algebroids.errors import (
     AlgebroidError,
+    BadPoint,
     ChartMismatch,
     MissingCoordinate,
     NegativeExponent,
@@ -169,6 +170,24 @@ def test_chart_validation():
         Chart(["2bad"])
 
 
+@pytest.mark.parametrize("name", [5, None, b"x", 1.5])
+def test_a_coordinate_name_that_is_not_a_string_is_rejected(name):
+    with pytest.raises(PolySyntaxError):
+        Chart([name])
+    with pytest.raises(PolySyntaxError):
+        Chart(["x", name])
+
+
+@pytest.mark.parametrize("exponent", [(1.5, 0), (1, "a"), (None, 0), (1, 1.0)])
+def test_an_exponent_that_is_not_an_int_is_rejected(exponent):
+    """Non-integer exponents would print as x^1.5, which the parser rejects;
+    the exact-polynomial contract takes nonnegative ints only."""
+    with pytest.raises(PolySyntaxError):
+        Poly(XY, {exponent: 1})
+    with pytest.raises(PolySyntaxError):
+        Poly(XY, [(exponent, 1)])
+
+
 # --- arithmetic -------------------------------------------------------------
 
 def test_ring_smoke():
@@ -292,6 +311,21 @@ def test_eval_requires_full_point():
         eval_at(p("x + y"), {"x": 1})
     # Extra coordinates are tolerated so one point serves several charts.
     assert eval_at(parse_poly("x^2", X), {"x": 2, "zz": 9}) == 4
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", "1/2", None, [1], 0.1, 1.5,
+                                   float("nan")])
+def test_eval_at_fails_closed(value):
+    """A point's values follow the coefficient rule: an int or a Fraction.
+    A float is not silently read as its binary value."""
+    for target in (p("x + y"), p("3")):
+        with pytest.raises(BadPoint):
+            eval_at(target, {"x": 1, "y": value})
+        with pytest.raises(BadPoint):
+            target.eval_at({"x": value, "y": Fraction(1, 2)})
+    # a key outside the chart is still ignored, whatever its value
+    assert eval_at(parse_poly("x^2", X), {"x": Fraction(1, 2), "y": value}) \
+        == Fraction(1, 4)
 
 
 # --- parse/eval oracle ------------------------------------------------------
