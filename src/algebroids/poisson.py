@@ -201,7 +201,8 @@ def _constant_matrix(ps: PoissonStructure) -> List[List[Fraction]]:
             if not entry.is_constant():
                 raise NotInvertible(
                     "inverse mode needs a constant-coefficient bivector")
-            values.append(entry.constant_value())
+            # a Fraction, so that elimination divides exactly
+            values.append(Fraction(entry.constant_value()))
         rows.append(values)
     return rows
 

@@ -2,16 +2,22 @@
 
 A :class:`Chart` is an ordered tuple of coordinate names.  A :class:`Poly`
 over a chart is stored sparsely as a dictionary mapping exponent tuples (one
-nonnegative int per coordinate, in chart order) to nonzero ``Fraction``
-coefficients.  The empty dict is the zero polynomial.  Because coefficients
-are exact rationals and the representation is canonical (no zero terms,
-exponent tuples fully determined by the chart), structural equality of the
-term maps decides equality of polynomials — which is what makes "this bracket
-is literally zero" a decidable statement everywhere else in the package.
+nonnegative int per coordinate, in chart order) to nonzero coefficients.  A
+coefficient is a nonzero ``int`` or a non-integral ``Fraction``: an integral
+value is always stored as an ``int``, so the common case costs no ``Fraction``
+arithmetic.  The two types compare and hash alike, so equality and hashing
+do not see the split.  The empty dict is the zero polynomial, and each chart
+holds one shared zero.  Because coefficients are exact rationals and the
+representation is canonical (no zero terms, exponent tuples fully determined
+by the chart), structural equality of the term maps decides equality of
+polynomials — which is what makes "this bracket is literally zero" a
+decidable statement everywhere else in the package.
 
 :func:`accumulate` is the package's one accumulate-and-drop-zero loop (every
 term map, of a polynomial or a tensor, is summed by it) and
 :meth:`Chart.coerce` its one rule for turning a value into a coefficient.
+A product with a constant or the zero, and a sum with the zero, take no
+pass of the kernel.
 
 Expression syntax accepted by :func:`parse_poly`::
 
@@ -65,10 +71,14 @@ class Chart:
     algebroids over a point.
     """
 
-    __slots__ = ("coords", "_index")
+    __slots__ = ("coords", "_index", "_origin", "_zero")
 
     def __init__(self, coords: Iterable[str]):
-        coords = tuple(coords)
+        try:
+            coords = tuple(coords)
+        except TypeError:
+            raise PolySyntaxError(f"a chart is an iterable of coordinate names, "
+                                  f"not a {type(coords).__name__}") from None
         for name in coords:
             if not isinstance(name, str) or not _IDENT_RE.match(name):
                 raise PolySyntaxError(f"invalid coordinate name {name!r}")
@@ -76,6 +86,8 @@ class Chart:
             raise PolySyntaxError(f"duplicate coordinate in chart {coords!r}")
         self.coords = coords
         self._index = {name: i for i, name in enumerate(coords)}
+        self._origin = (0,) * len(coords)
+        self._zero = Poly._make(self, {})
 
     @property
     def dim(self) -> int:
@@ -104,7 +116,8 @@ class Chart:
     # -- ring elements ------------------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly._make(self, {})
+        """The chart's one zero polynomial (the same object every time)."""
+        return self._zero
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -114,8 +127,10 @@ class Chart:
 
         A ``Poly`` over this chart is returned as is and one over another
         chart raises ``ChartMismatch``; an ``int`` or ``Fraction`` becomes a
-        constant and a ``str`` goes through :func:`parse_poly`.  Anything
-        else (a float, None, a list) raises ``PolySyntaxError``.
+        constant (zero becomes the chart's shared zero, and an integral value,
+        ``Fraction(4, 2)`` or ``True`` say, is stored as an ``int``) and a
+        ``str`` goes through :func:`parse_poly`.  Anything else (a float,
+        None, a list) raises ``PolySyntaxError``.
         """
         if isinstance(value, Poly):
             if value.chart is not self and value.chart != self:
@@ -124,7 +139,9 @@ class Chart:
                     f"{self.coords!r}")
             return value
         if isinstance(value, (int, Fraction)):
-            return Poly._make(self, {(0,) * self.dim: Fraction(value)} if value else {})
+            if not value:
+                return self._zero
+            return Poly._make(self, {self._origin: _exact(value)})
         if isinstance(value, str):
             return parse_poly(value, self)
         raise PolySyntaxError(
@@ -136,7 +153,7 @@ class Chart:
     def coordinate(self, name: str) -> "Poly":
         i = self.index(name)
         exp = tuple(1 if j == i else 0 for j in range(self.dim))
-        return Poly._make(self, {exp: Fraction(1)})
+        return Poly._make(self, {exp: 1})
 
 
 class Poly:
@@ -148,10 +165,23 @@ class Poly:
         """The sum of ``coefficient * x^exponent`` over ``terms`` (a mapping
         or (exponent, coefficient) pairs); each coefficient goes through
         :meth:`Chart.coerce`."""
+        items = terms.items() if hasattr(terms, "items") else terms
+        try:
+            items = iter(items)
+        except TypeError:
+            raise PolySyntaxError(f"polynomial terms are a mapping or (exponent, "
+                                  f"coefficient) pairs, not a "
+                                  f"{type(terms).__name__}") from None
+
         def shifted():
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for exp, coeff in items:
-                exp = tuple(exp)
+            for term in items:
+                try:
+                    exp, coeff = term
+                    exp = tuple(exp)
+                except (TypeError, ValueError):
+                    raise PolySyntaxError(f"a polynomial term is an (exponent "
+                                          f"tuple, coefficient) pair, not "
+                                          f"{term!r}") from None
                 if len(exp) != chart.dim:
                     raise PolySyntaxError(
                         f"exponent tuple {exp!r} has wrong length for chart {chart.coords!r}"
@@ -168,8 +198,9 @@ class Poly:
         self._hash = None
 
     @classmethod
-    def _make(cls, chart: Chart, terms: Dict[Exponent, Fraction]) -> "Poly":
-        # Internal fast path: `terms` must already be normalized.
+    def _make(cls, chart: Chart, terms: Dict[Exponent, Scalar]) -> "Poly":
+        # Internal fast path: `terms` must already be normalized (nonzero
+        # coefficients, each integral one an int).
         self = object.__new__(cls)
         self.chart = chart
         self.terms = terms
@@ -184,10 +215,10 @@ class Poly:
     def is_constant(self) -> bool:
         return not any(map(any, self.terms))
 
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant monomial."""
-        zero_exp = (0,) * self.chart.dim
-        return self.terms.get(zero_exp, Fraction(0))
+    def constant_value(self) -> Scalar:
+        """The coefficient of the constant monomial: an ``int`` when it is
+        integral (``0`` when there is none), otherwise a ``Fraction``."""
+        return self.terms.get(self.chart._origin, 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -203,6 +234,10 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return Poly._make(self.chart, accumulate(other.terms.items(), self.terms))
 
     __radd__ = __add__
@@ -222,16 +257,20 @@ class Poly:
         return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly._make(self.chart, {})
-            return Poly._make(self.chart, {e: v * other for e, v in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.terms, other.terms
-        if len(a) > len(b):
+        if not a or not b:
+            return self.chart._zero
+        origin = self.chart._origin
+        # `a` is the constant side if there is one, else the shorter side
+        if len(a) > len(b) or len(b) == 1 and origin in b:
             a, b = b, a
+        if len(a) == 1 and origin in a:
+            # scaling by a nonzero constant keeps every term and every key
+            c = a[origin]
+            return Poly._make(self.chart, {e: _exact(v * c) for e, v in b.items()})
         add = operator.add
         return Poly._make(self.chart, accumulate(
             (tuple(map(add, ea, eb)), ca * cb)
@@ -281,7 +320,7 @@ class Poly:
         # lowering one exponent is injective on the terms it keeps, and
         # c * e is never zero there, so nothing needs accumulating
         return Poly._make(self.chart, {
-            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: coeff * exp[i]
+            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: _exact(coeff * exp[i])
             for exp, coeff in self.terms.items() if exp[i]})
 
     def gradient(self) -> List[Tuple[int, "Poly"]]:
@@ -295,7 +334,8 @@ class Poly:
                 if (d := self.partial(name))]
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at a rational point given as ``{coordinate: value}``.
+        """Evaluate at a rational point given as ``{coordinate: value}``; the
+        value is always a ``Fraction``, integral or not.
 
         Every chart coordinate must be present (``MissingCoordinate``
         otherwise) and its value an ``int`` or a ``Fraction``, the scalars
@@ -348,12 +388,18 @@ class Poly:
 
 # -- the accumulation kernel ---------------------------------------------------
 
+def _exact(c: Scalar) -> Scalar:
+    """A rational in the stored form: an integral one as an ``int``."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def accumulate(pairs: Iterable[Tuple[object, object]],
                start: Mapping = ()) -> Dict:
     """Sum (key, coefficient) pairs into a copy of the term map ``start``,
     dropping every key whose coefficients cancel to zero.  The one
-    accumulation loop of the package: coefficients are ``Fraction`` (the
-    terms of a polynomial) or ``Poly`` (the terms of a tensor), and both are
+    accumulation loop of the package: coefficients are ``int`` or
+    ``Fraction`` (the terms of a polynomial; an integral ``Fraction`` is
+    stored as its ``int``) or ``Poly`` (the terms of a tensor), and all are
     falsy exactly at zero."""
     acc = dict(start)
     for key, coeff in pairs:
@@ -361,6 +407,8 @@ def accumulate(pairs: Iterable[Tuple[object, object]],
         if prev is not None:
             coeff = prev + coeff
         if coeff:
+            if coeff.__class__ is Fraction:
+                coeff = _exact(coeff)
             acc[key] = coeff
         else:
             acc.pop(key, None)

@@ -85,7 +85,7 @@ class GradedTensor:
         self.owner = owner
         self.kind = kind
         self.degree = degree
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms
         self.terms = accumulate(self._signed_terms(items))
         self._hash = None
 

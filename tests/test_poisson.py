@@ -6,6 +6,7 @@ lives in the identity suites.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,7 @@ from algebroids.fixtures import (
     so3,
 )
 from algebroids.poisson import (
+    _inverse_matrix,
     build_poisson,
     cotangent_algebroid,
     extended_bracket,
@@ -364,6 +366,19 @@ def test_lambda_inverse_roundtrip():
         x = random_tensor(rng, ps.owner, Kind.MV, deg)
         there = lambda_p(ps, lambda_p(ps, x, mode="inverse"))
         assert dict(there.terms) == dict(x.terms)
+
+
+def test_lambda_inverse_is_exact_on_an_integral_bivector():
+    """With integer-first coefficients every matrix entry is an int, and
+    int / int is a float: the elimination must still run on Fractions."""
+    chart = Chart(["a", "b", "c", "d"])
+    ps = build_poisson(chart, GradedTensor(canonical_algebroid(chart), Kind.MV, 2,
+                                           {(0, 1): 2, (0, 2): 3, (1, 3): 5, (2, 3): 7}))
+    inverse = _inverse_matrix(ps)
+    assert all(type(entry) is Fraction for row in inverse for entry in row)
+    for u in range(chart.dim):
+        x = ps.owner.e(u)
+        assert lambda_p(ps, lambda_p(ps, x, mode="inverse")) == x
 
 
 def test_lambda_inverse_restrictions():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algebroids.ring
 from algebroids.errors import (
     AlgebroidError,
     BadPoint,
@@ -186,6 +187,112 @@ def test_an_exponent_that_is_not_an_int_is_rejected(exponent):
         Poly(XY, {exponent: 1})
     with pytest.raises(PolySyntaxError):
         Poly(XY, [(exponent, 1)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly(X, {5: 1}),
+    lambda: Poly(X, 5),
+    lambda: Chart(5),
+], ids=["exponent-not-a-tuple", "terms-not-iterable", "chart-not-iterable"])
+def test_input_that_is_not_iterable_is_rejected(build):
+    with pytest.raises(PolySyntaxError):
+        build()
+
+
+# --- the stored representation ------------------------------------------------
+
+def _stored_exactly(q):
+    """Every coefficient is a nonzero int, or a Fraction that is not one."""
+    return all(c and (type(c) is int if c.denominator == 1 else type(c) is Fraction)
+               for c in q.terms.values())
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    x, y = XY.coordinate("x"), XY.coordinate("y")
+    half_x = XY.coerce(Fraction(1, 2)) * x
+    built = {
+        "coerce": XY.coerce(Fraction(4, 2)),
+        "coordinate": x,
+        "parse_poly": p("4/2*x + 6/3*y^2 - 5 + 1/2 + 1/2"),
+        "scalar *": half_x * 2,
+        "constant *": XY.coerce(2) * half_x,
+        "product": (half_x + y) * (2 * x),
+        "+": half_x + half_x,
+        "partial": (half_x * x).partial("x"),
+    }
+    for how, q in built.items():
+        assert q.terms and _stored_exactly(q), how
+        assert all(type(c) is int for c in q.terms.values()), how
+    assert _stored_exactly(half_x) and half_x.terms[(1, 0)] == Fraction(1, 2)
+
+
+def test_a_bool_coefficient_is_stored_as_an_int():
+    one = XY.coerce(True)
+    assert type(one.terms[(0, 0)]) is int and str(one) == "1"
+    assert str(Poly(XY, {(1, 0): True})) == "x"
+    assert not XY.coerce(False).terms
+
+
+def test_each_chart_has_one_zero():
+    assert XY.zero() is XY.zero()
+    assert XY.coerce(0) is XY.zero() and XY.coerce(Fraction(0)) is XY.zero()
+    x = XY.coordinate("x")
+    assert x * 0 is XY.zero() and x - x == XY.zero()
+
+
+def test_constant_products_and_zero_sums_take_no_accumulate_pass(monkeypatch):
+    q = p("x^2 + 3*x*y - 1/2")
+    triple, minus_half = p("3*x^2 + 9*x*y - 3/2"), p("-1/2*x^2 - 3/2*x*y + 1/4")
+    calls = []
+    original = algebroids.ring.accumulate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(algebroids.ring, "accumulate", counted)
+    zero = XY.zero()
+    assert q * 3 == 3 * q == q * XY.coerce(3) == XY.coerce(3) * q == triple
+    assert q * Fraction(-1, 2) == minus_half
+    assert q * 0 is zero and zero * q is zero and q * zero is zero
+    assert q + zero is q and zero + q is q and q + 0 is q and 0 + q is q
+    assert calls == []
+    q * q
+    assert len(calls) == 1
+
+
+#: A coefficient of either stored type: a nonzero int, or a Fraction whose
+#: denominator is not 1.
+_COEFFICIENTS = st.one_of(
+    st.integers(-10**6, 10**6).filter(bool),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(2, 60))
+    .filter(lambda c: c.denominator != 1),
+)
+_TERM_MAPS = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                             _COEFFICIENTS, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERM_MAPS)
+def test_parse_print_parse_keeps_the_stored_term_map(terms):
+    q = Poly(XY, terms)
+    first = parse_poly(poly_to_string(q), XY)
+    second = parse_poly(poly_to_string(first), XY)
+    for r in (first, second):
+        assert r.terms == q.terms
+        assert {e: type(c) for e, c in r.terms.items()} == \
+            {e: type(c) for e, c in q.terms.items()}
+        assert _stored_exactly(r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERM_MAPS)
+def test_int_and_fraction_coefficients_print_alike(terms):
+    as_ints = Poly(XY, terms)
+    as_fractions = Poly(XY, {e: Fraction(2 * c) / 2 for e, c in terms.items()})
+    assert poly_to_string(as_ints).encode() == poly_to_string(as_fractions).encode()
+    assert {e: type(c) for e, c in as_ints.terms.items()} == \
+        {e: type(c) for e, c in as_fractions.terms.items()}
 
 
 # --- arithmetic -------------------------------------------------------------
