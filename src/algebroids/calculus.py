@@ -20,9 +20,15 @@ Everything here is generated by the structure data of the owning algebroid:
   call to the bracket kernel of :mod:`algebroids.algebroid`, which also
   computes the section bracket and emits every term as a signed basis key;
 * the Nijenhuis–Richardson bracket is the purely algebraic commutator of
-  insertions of vector-valued forms (no algebroid structure involved), and
-  the Frölicher–Nijenhuis bracket combines it with Lie differentials on
-  simple split terms.
+  insertions of vector-valued forms (no algebroid structure involved);
+* the Frölicher–Nijenhuis bracket is computed in one pass: each operand is
+  split by bundle factor, K = sum_i mu_i⊗e_i and L = sum_j nu_j⊗e_j (every
+  term of the simple-tensor formula is additive in the form for a fixed
+  section, so the split is exact), each mu_i is differentiated once and,
+  for every fiber j of the other operand, contracted with e_j and Lie-
+  differentiated along it once (and likewise each nu_j), [e_i, e_j] is read
+  from the structure table, and the five pieces of every block (mu_i,
+  nu_j) are emitted as signed keys into one accumulation.
 
 Degrees are graded with a shift for the Schouten and N-R brackets (a
 degree-a multivector sits in graded slot a-1), and unshifted (raw form
@@ -38,6 +44,7 @@ from .ring import accumulate
 from .tensor import (
     GradedTensor,
     Kind,
+    _insert_index,
     _sort_skew,
     as_sym,
     contract,
@@ -216,18 +223,83 @@ def fn_bracket_simple(algebroid: Algebroid, mu: GradedTensor, x: GradedTensor,
             wedge(contract(y, mu), differential(algebroid, nu)), x) * sign))
 
 
+def _split(t: GradedTensor):
+    """The forms mu_i of t = sum_i mu_i⊗e_i, as term maps keyed by fiber i."""
+    split = {}
+    for (fkey, i), c in t.terms.items():
+        split.setdefault(i, {})[fkey] = c
+    return split
+
+
+def _insert(terms, j: int):
+    """The term map of i_{e_j} of a form; inserting e_j is injective on the
+    keys that hold it, so nothing needs accumulating."""
+    out = {}
+    for key, c in terms.items():
+        hit = _insert_index(key, j)
+        if hit:
+            out[hit[0]] = c if hit[1] > 0 else -c
+    return out
+
+
+def _prepare_forms(algebroid: Algebroid, split, degree: int, fibers):
+    """For each form mu_i of a split operand: mu_i, d mu_i, and for every
+    fiber j of the other operand i_{e_j} mu_i and
+    L_{e_j} mu_i = i_{e_j} d mu_i + d i_{e_j} mu_i, each differentiated once."""
+    def d(terms, deg):
+        form = GradedTensor._make(algebroid, Kind.FORM, deg, terms)
+        return differential(algebroid, form).terms
+
+    prepared = {}
+    for i, mu in split.items():
+        dmu = d(mu, degree)
+        inserted = {j: _insert(mu, j) for j in fibers}
+        lie = {j: accumulate(_insert(dmu, j).items(),
+                             d(imu, degree - 1) if imu else ())
+               for j, imu in inserted.items()}
+        prepared[i] = mu, dmu, inserted, lie
+    return prepared
+
+
+def _wedge_into(a, b, fiber, sign: int):
+    """The terms of sign·(a∧b)⊗e_fiber for the term maps a, b of two forms."""
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            hit = _sort_skew(ka + kb)
+            if hit:
+                p = ca * cb
+                yield (hit[0], fiber), p if hit[1] * sign > 0 else -p
+
+
 def fn_bracket(algebroid: Algebroid, k: GradedTensor, l: GradedTensor) -> GradedTensor:
-    """The Frölicher–Nijenhuis bracket, extended bilinearly over the simple
-    split of each term.  Graded by raw form degree (no shift): antisymmetry
-    and Jacobi use (−1)^{ab}, and L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K."""
+    """The Frölicher–Nijenhuis bracket, extended bilinearly over the split
+    K = sum_i mu_i⊗e_i, L = sum_j nu_j⊗e_j by bundle factor: the simple-
+    tensor formula of :func:`fn_bracket_simple` on each pair (mu_i⊗e_i,
+    nu_j⊗e_j), with [e_i, e_j] read from the structure table.  Graded by raw
+    form degree (no shift): antisymmetry and Jacobi use (−1)^{ab}, and
+    L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K."""
     _require_owner(algebroid, k, l)
     k, l = _as_mixed(k), _as_mixed(l)
-    pieces = []
-    for (fk, i), ck in k.terms.items():
-        mu = GradedTensor(algebroid, Kind.FORM, len(fk), {fk: ck})
-        x = algebroid.e(i)
-        for (fl, j), cl in l.terms.items():
-            nu = GradedTensor(algebroid, Kind.FORM, len(fl), {fl: cl})
-            y = algebroid.e(j)
-            pieces.append(fn_bracket_simple(algebroid, mu, x, nu, y))
-    return tensor_sum(algebroid, Kind.MIXED, k.degree + l.degree, pieces)
+    k_split, l_split = _split(k), _split(l)
+    k_forms = _prepare_forms(algebroid, k_split, k.degree, l_split)
+    l_forms = _prepare_forms(algebroid, l_split, l.degree, k_split)
+    s = -1 if k.degree % 2 else 1
+
+    def terms():
+        for i, (mu, dmu, i_mu, lie_mu) in k_forms.items():
+            for j, (nu, dnu, i_nu, lie_nu) in l_forms.items():
+                # mu∧nu⊗[e_i, e_j]
+                column, sign = algebroid.column(i, j)
+                if column:
+                    for (key, _), p in _wedge_into(mu, nu, None, sign):
+                        for m, c in column.items():
+                            yield (key, m), p * c
+                # + mu∧L_{e_i}nu⊗e_j − L_{e_j}mu∧nu⊗e_i
+                yield from _wedge_into(mu, lie_nu[i], j, 1)
+                yield from _wedge_into(lie_mu[j], nu, i, -1)
+                # + (−1)^{deg mu} (d mu∧i_{e_i}nu⊗e_j + i_{e_j}mu∧d nu⊗e_i)
+                yield from _wedge_into(dmu, i_nu[i], j, s)
+                yield from _wedge_into(i_mu[j], dnu, i, s)
+
+    return GradedTensor._make(algebroid, Kind.MIXED, k.degree + l.degree,
+                              accumulate(terms()))

@@ -7,11 +7,12 @@ coefficient is a nonzero ``int`` or a non-integral ``Fraction``: an integral
 value is always stored as an ``int``, so the common case costs no ``Fraction``
 arithmetic.  The two types compare and hash alike, so equality and hashing
 do not see the split.  The empty dict is the zero polynomial, and each chart
-holds one shared zero.  Because coefficients are exact rationals and the
-representation is canonical (no zero terms, exponent tuples fully determined
-by the chart), structural equality of the term maps decides equality of
-polynomials — which is what makes "this bracket is literally zero" a
-decidable statement everywhere else in the package.
+holds one shared zero, which every kernel result without terms (a sum that
+cancels, a partial that vanishes) returns.  Because coefficients are exact
+rationals and the representation is canonical (no zero terms, exponent
+tuples fully determined by the chart), structural equality of the term maps
+decides equality of polynomials — which is what makes "this bracket is
+literally zero" a decidable statement everywhere else in the package.
 
 :func:`accumulate` is the package's one accumulate-and-drop-zero loop (every
 term map, of a polynomial or a tensor, is summed by it) and
@@ -74,6 +75,10 @@ class Chart:
     __slots__ = ("coords", "_index", "_origin", "_zero")
 
     def __init__(self, coords: Iterable[str]):
+        if isinstance(coords, str):
+            # tuple("xy") would silently be the two coordinates x and y
+            raise PolySyntaxError(f"a chart is an iterable of coordinate names, "
+                                  f"not the string {coords!r}")
         try:
             coords = tuple(coords)
         except TypeError:
@@ -87,7 +92,9 @@ class Chart:
         self.coords = coords
         self._index = {name: i for i, name in enumerate(coords)}
         self._origin = (0,) * len(coords)
-        self._zero = Poly._make(self, {})
+        zero = object.__new__(Poly)  # Poly._make of no terms returns this one
+        zero.chart, zero.terms, zero._hash = self, {}, None
+        self._zero = zero
 
     @property
     def dim(self) -> int:
@@ -200,7 +207,10 @@ class Poly:
     @classmethod
     def _make(cls, chart: Chart, terms: Dict[Exponent, Scalar]) -> "Poly":
         # Internal fast path: `terms` must already be normalized (nonzero
-        # coefficients, each integral one an int).
+        # coefficients, each integral one an int).  No terms is the chart's
+        # shared zero.
+        if not terms:
+            return chart._zero
         self = object.__new__(cls)
         self.chart = chart
         self.terms = terms

@@ -74,6 +74,14 @@ def _sort_skew(indices: Tuple[int, ...]):
     return tuple(idx), sign
 
 
+def _check_indices(indices: Tuple[int, ...], rank: int) -> None:
+    for i in indices:
+        if i.__class__ is not int:
+            raise KindMismatch(f"a fiber index is an int, not {i!r}")
+        if not 0 <= i < rank:
+            raise DimensionMismatch(f"index {i} out of range for rank {rank}")
+
+
 class GradedTensor:
     """A graded section with polynomial coefficients (see module docstring)."""
 
@@ -86,6 +94,11 @@ class GradedTensor:
         self.kind = kind
         self.degree = degree
         items = terms.items() if hasattr(terms, "items") else terms
+        try:
+            items = iter(items)
+        except TypeError:
+            raise KindMismatch(f"tensor terms are a mapping or (key, coefficient) "
+                               f"pairs, not a {type(terms).__name__}") from None
         self.terms = accumulate(self._signed_terms(items))
         self._hash = None
 
@@ -93,7 +106,12 @@ class GradedTensor:
         """Coerce each coefficient onto the owner's base and each key to its
         canonical form, folding the key's sign into the coefficient."""
         coerce = self.owner.base.coerce
-        for key, coeff in items:
+        for term in items:
+            try:
+                key, coeff = term
+            except (TypeError, ValueError):
+                raise KindMismatch(f"a tensor term is a (key, coefficient) pair, "
+                                   f"not {term!r}") from None
             coeff = coerce(coeff)
             key, sign = self._normalize_key(key)
             if key is not None:
@@ -102,27 +120,29 @@ class GradedTensor:
     def _normalize_key(self, key):
         rank = self.owner.rank
         if self.kind is Kind.MIXED:
-            form_key, fiber = key
-            form_key = tuple(form_key)
+            try:
+                form_key, fiber = key
+                form_key = tuple(form_key)
+            except (TypeError, ValueError):
+                raise KindMismatch(f"a mixed key is a (form key, fiber) pair, "
+                                   f"not {key!r}") from None
             if len(form_key) != self.degree:
                 raise KindMismatch(
                     f"mixed key {key!r} has form degree {len(form_key)}, expected {self.degree}"
                 )
-            if not 0 <= fiber < rank:
-                raise DimensionMismatch(f"fiber index {fiber} out of range for rank {rank}")
-            for i in form_key:
-                if not 0 <= i < rank:
-                    raise DimensionMismatch(f"index {i} out of range for rank {rank}")
+            _check_indices(form_key + (fiber,), rank)
             sorted_key = _sort_skew(form_key)
             if sorted_key is None:
                 return None, 1
             return (sorted_key[0], fiber), sorted_key[1]
-        key = tuple(key)
+        try:
+            key = tuple(key)
+        except TypeError:
+            raise KindMismatch(f"a {self.kind.value} key is a tuple of fiber "
+                               f"indices, not {key!r}") from None
         if len(key) != self.degree:
             raise KindMismatch(f"key {key!r} has length {len(key)}, expected degree {self.degree}")
-        for i in key:
-            if not 0 <= i < rank:
-                raise DimensionMismatch(f"index {i} out of range for rank {rank}")
+        _check_indices(key, rank)
         if self.kind is Kind.SYM:
             return tuple(sorted(key)), 1
         return _sort_skew(key) or (None, 1)

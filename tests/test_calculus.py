@@ -5,7 +5,7 @@ fixture with witness reporting lives in the identity suites.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -19,6 +19,8 @@ from algebroids.algebroid import (
     tangent_lift,
 )
 from algebroids.calculus import (
+    _as_mixed,
+    _require_owner,
     differential,
     fn_bracket,
     fn_bracket_simple,
@@ -676,3 +678,92 @@ def test_schouten_brackets_call_no_section_bracket(monkeypatch):
         assert bracket(A, u, v) == value
         assert len(gradients) <= len(u.terms) + len(v.terms)
     assert brackets == []
+
+
+# -- the Frölicher–Nijenhuis kernel against its earlier form ---------------------
+
+
+def reference_fn_bracket(algebroid, k, l):
+    """``fn_bracket`` as it was written before operands were split by bundle
+    factor: ``fn_bracket_simple`` summed over every pair of terms."""
+    _require_owner(algebroid, k, l)
+    k, l = _as_mixed(k), _as_mixed(l)
+    pieces = []
+    for (fk, i), ck in k.terms.items():
+        mu = GradedTensor(algebroid, Kind.FORM, len(fk), {fk: ck})
+        x = algebroid.e(i)
+        for (fl, j), cl in l.terms.items():
+            nu = GradedTensor(algebroid, Kind.FORM, len(fl), {fl: cl})
+            y = algebroid.e(j)
+            pieces.append(fn_bracket_simple(algebroid, mu, x, nu, y))
+    return tensor_sum(algebroid, Kind.MIXED, k.degree + l.degree, pieces)
+
+
+def _random_mixed(rng, A, degree, one_fiber):
+    """A random vector-valued form; with ``one_fiber`` all its terms share
+    one bundle factor."""
+    if not one_fiber:
+        return random_tensor(rng, A, Kind.MIXED, degree, max_keys=4)
+    form = random_tensor(rng, A, Kind.FORM, degree, max_keys=3)
+    fiber = rng.randrange(A.rank)
+    return GradedTensor(A, Kind.MIXED, degree,
+                        {(key, fiber): c for key, c in form.terms.items()})
+
+
+def _fn_operand_pairs(A, rng):
+    """Operand pairs of form degree 0-2, each degree pair once with terms
+    spread over fibers and once with each operand's terms on one fiber, plus
+    a pair of sections given as degree-1 multivectors."""
+    for a, b in product(range(3), repeat=2):
+        for one_fiber in (False, True):
+            yield (_random_mixed(rng, A, a, one_fiber),
+                   _random_mixed(rng, A, b, one_fiber))
+    yield random_tensor(rng, A, Kind.MV, 1), random_tensor(rng, A, Kind.MV, 1)
+
+
+@pytest.mark.parametrize("case", list(_every_builtin_and_its_lifts()))
+def test_fn_bracket_matches_the_reference(case):
+    A = _built(case)
+    rng = random.Random(f"fn-bracket/{case}")
+    shared = 0
+    for k, l in _fn_operand_pairs(A, rng):
+        expected = reference_fn_bracket(A, k, l)
+        value = fn_bracket(A, k, l)
+        assert value.terms == expected.terms
+        assert value.degree == expected.degree
+        shared += any(len({i for _, i in t.terms}) < len(t.terms)
+                      for t in (_as_mixed(k), _as_mixed(l)))
+    assert shared or A.rank == 1  # a rank-1 operand has one term per degree
+
+
+@pytest.mark.parametrize("case", ["so3", "nonconstant-rank2", "so3/tangent-lift",
+                                  "canonical-plane/cotangent-lift"])
+def test_fn_bracket_differentiates_each_form_once(case, monkeypatch):
+    """One call takes d mu_i and d nu_j once each, and d i_{e_j} mu_i and
+    d i_{e_i} nu_j once per pair of fibers: at most a(1+b) + b(1+a)
+    differentials for a fibers of K and b fibers of L, and no Lie
+    derivative, section bracket or simple-tensor bracket."""
+    A = _built(case)
+    rng = random.Random(f"fn-count/{case}")
+    pairs = list(_fn_operand_pairs(A, rng))
+    expected = [reference_fn_bracket(A, k, l) for k, l in pairs]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return differential(*args)
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"fn_bracket called {name}")
+        return call
+
+    monkeypatch.setattr(algebroids.calculus, "differential", counted)
+    for name in ("lie_derivative", "section_bracket", "fn_bracket_simple"):
+        monkeypatch.setattr(algebroids.calculus, name, refuse(name))
+    for (k, l), value in zip(pairs, expected):
+        calls.clear()
+        assert fn_bracket(A, k, l) == value
+        a = len({i for _, i in _as_mixed(k).terms})
+        b = len({j for _, j in _as_mixed(l).terms})
+        assert len(calls) <= a * (1 + b) + b * (1 + a)

@@ -171,6 +171,15 @@ def test_chart_validation():
         Chart(["2bad"])
 
 
+@pytest.mark.parametrize("coords", ["xy", "x", ""])
+def test_a_string_is_not_a_coordinate_list(coords):
+    """``tuple("xy")`` is two coordinates; a caller meaning one named ``xy``
+    must get an error, not a chart of a different dimension."""
+    with pytest.raises(PolySyntaxError):
+        Chart(coords)
+    assert Chart(["xy"]).dim == 1
+
+
 @pytest.mark.parametrize("name", [5, None, b"x", 1.5])
 def test_a_coordinate_name_that_is_not_a_string_is_rejected(name):
     with pytest.raises(PolySyntaxError):
@@ -238,6 +247,19 @@ def test_each_chart_has_one_zero():
     assert XY.coerce(0) is XY.zero() and XY.coerce(Fraction(0)) is XY.zero()
     x = XY.coordinate("x")
     assert x * 0 is XY.zero() and x - x == XY.zero()
+
+
+def test_kernel_results_without_terms_are_the_shared_zero():
+    """A sum that cancels, a vanishing partial, the negated or transported
+    zero and an empty product all return the chart's one zero object."""
+    zero, q = XY.zero(), p("x^2 + 3*x*y - 1/2")
+    y_only = p("y^2 - 1")
+    assert q - q is zero and q + (-q) is zero
+    assert y_only.partial("x") is zero and p("7").partial("y") is zero
+    assert -zero is zero and zero.transport(XY) is zero
+    assert (p("x + y") * p("x - y") - p("x^2 - y^2")) is zero
+    assert X.zero().transport(XY) is zero
+    assert not zero.terms and zero == 0
 
 
 def test_constant_products_and_zero_sums_take_no_accumulate_pass(monkeypatch):

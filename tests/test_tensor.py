@@ -52,6 +52,28 @@ def test_key_validation():
         GradedTensor(A, Kind.MV, -1, {})
 
 
+@pytest.mark.parametrize("kind, degree, terms", [
+    (Kind.MV, 1, 5),
+    (Kind.MV, 1, {5: 1}),
+    (Kind.MV, 1, [5]),
+    (Kind.MV, 1, [((0,), 1, 2)]),
+    (Kind.SYM, 1, {5: 1}),
+    (Kind.MIXED, 1, {5: 1}),
+    (Kind.MIXED, 1, {((0,),): 1}),
+    (Kind.MIXED, 1, {(5, 0): 1}),
+    (Kind.MV, 1, {("a",): 1}),
+    (Kind.MV, 1, {(0.5,): 1}),
+    (Kind.FORM, 1, {(True,): 1}),
+    (Kind.MIXED, 1, {((0,), "a"): 1}),
+], ids=["terms-not-iterable", "key-not-a-tuple", "term-not-a-pair",
+        "term-a-triple", "sym-key-not-a-tuple", "mixed-key-not-a-pair",
+        "mixed-key-a-1-tuple", "mixed-form-key-not-a-tuple", "index-a-string",
+        "index-a-float", "index-a-bool", "fiber-a-string"])
+def test_malformed_terms_raise_kind_mismatch(kind, degree, terms):
+    with pytest.raises(KindMismatch):
+        GradedTensor(so3(), kind, degree, terms)
+
+
 def test_linear_structure():
     A = canonical_plane()
     x = A.e(0) * "x"
