@@ -27,7 +27,7 @@ from .errors import AlgebroidError, BadPoint, UnknownName, ValidationError
 from .lifts import (G_map, H_map, J_map, Jstar, canonical_transport,
                     complete_lift_T, cot_complete_G_vec, vertical_lift_V,
                     vertical_pi, vertical_tau)
-from .model import (Model, builtin_model, dumps_model, load_model,
+from .model import (Model, builtin_model, load_model, model_document,
                     tensor_key_string)
 from .poisson import extended_bracket, koszul_schouten, tangent_poisson
 from .ring import poly_to_string
@@ -86,7 +86,7 @@ def _encode_structure(kind: str, value) -> dict:
         shell = Model(charts={"chart": value.base}, algebroids={"out": value})
     else:
         shell = Model(charts={"chart": value.chart}, poisson={"out": value})
-    encoded = json.loads(dumps_model(shell))
+    encoded = model_document(shell)
     body = encoded["algebroids" if kind == "algebroid" else "poisson"]["out"]
     body["chart"] = list(value.base.coords if kind == "algebroid"
                          else value.chart.coords)

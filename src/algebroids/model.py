@@ -42,8 +42,7 @@ from .poisson import PoissonStructure, build_poisson
 from .ring import Chart, parse_poly
 from .tensor import GradedTensor, Kind
 
-_KINDS = {"mv": Kind.MV, "form": Kind.FORM, "mixed": Kind.MIXED, "sym": Kind.SYM}
-_KIND_NAMES = {kind: name for name, kind in _KINDS.items()}
+_KINDS = {kind.value: kind for kind in Kind}
 _SUITE_KEYS = ("seed", "trials", "max_degree")
 #: Smallest accepted value of each bounded suite setting.
 _SUITE_MINIMA = {"trials": 1, "max_degree": 0}
@@ -396,16 +395,16 @@ def _encode_tensor(model, name, tensor):
                                          f"tensor {name!r}")
     return {
         "owner": owner_name,
-        "kind": _KIND_NAMES[tensor.kind],
+        "kind": tensor.kind.value,
         "degree": tensor.degree,
         "terms": {tensor_key_string(tensor.kind, key): str(coeff)
                   for key, coeff in sorted(tensor.terms.items(), key=repr)},
     }
 
 
-def dumps_model(model: Model) -> str:
-    """Canonical JSON text: sorted names, 1-based keys, canonical
-    polynomials, two-space indent, trailing newline."""
+def model_document(model: Model) -> dict:
+    """The JSON document of a model: sorted names, 1-based keys, canonical
+    polynomials."""
     doc = {}
     if model.charts:
         doc["charts"] = {name: list(model.charts[name].coords)
@@ -423,7 +422,13 @@ def dumps_model(model: Model) -> str:
     if model.suite:
         doc["suite"] = {key: model.suite[key] for key in _SUITE_KEYS
                         if key in model.suite}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return doc
+
+
+def dumps_model(model: Model) -> str:
+    """Canonical JSON text: :func:`model_document` with a two-space indent
+    and a trailing newline."""
+    return json.dumps(model_document(model), indent=2, ensure_ascii=False) + "\n"
 
 
 # -- the built-in model ------------------------------------------------------

@@ -17,18 +17,21 @@ term values at that point, and the one-line ``eval`` command that reproduces
 them.
 
 Instances are drawn from a per-(seed, suite, item) generator, so results are
-deterministic for a given seed and independent of item order.  One method,
-``_Run.check``, holds that draw policy: the item's generator, the trial share
-per fixture, the fixture order.  A standard item supplies only a function
-that draws one instance; the few items whose draw count is not the share
-(several instances per draw, an invertibility probe, ``trials`` on one
-fixture, a skipped fixture) write their own instance stream.
+deterministic for a given seed and independent of item order.  One loop,
+``_Run._record``, records every item: it builds the item's generator, hands
+it to the item's instance stream, counts instances up to the first witness
+and appends the item.  ``_Run.identity`` and ``_Run.predicate`` are its two
+judges (a residual must vanish; a predicate must hold), and ``_Run.check``
+is ``identity`` over the standard stream: the trial share per fixture, in
+fixture order, each instance drawn by a function of ``(fixture, rng)``.  The
+few items whose draw count is not the share (several instances per draw, an
+invertibility probe, ``trials`` on one fixture, a skipped fixture) pass their
+own stream, a function of ``rng``.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from functools import partial
 
@@ -65,7 +68,7 @@ from .lifts import (
     vertical_lift_V,
     vertical_pi,
 )
-from .model import Model, builtin_model, dumps_model, tensor_key_string
+from .model import Model, builtin_model, model_document, tensor_key_string
 from .poisson import (
     extended_bracket,
     g_p,
@@ -158,7 +161,7 @@ def _witness(fixture, label, inputs, residual, rng):
     payload = {
         "fixture": fixture,
         "identity": label,
-        "model": json.loads(dumps_model(model)),
+        "model": model_document(model),
         "point": {name: str(value) for name, value in (point or {}).items()},
         "residual_at_point": {
             tensor_key_string(residual.kind, key): str(value)
@@ -206,66 +209,61 @@ class _Run:
         self.notes.append(text)
 
     def check(self, item_id, label, fixtures, instance):
-        """The one draw loop: record the identity item ``item_id`` over
-        ``share(len(fixtures))`` draws per fixture, fixtures in the order
-        given, all from the item's own generator.  ``instance(name, fixture,
-        rng)`` draws one instance and returns (inputs, residual)."""
-        rng = self.rng(item_id)
+        """The standard draw policy: ``share(len(fixtures))`` draws per
+        fixture, fixtures in the order given.  ``instance(fixture, rng)``
+        draws one instance and returns (inputs, residual)."""
         per = self.share(len(fixtures))
-        self.identity(item_id, label, ((name, *instance(name, fixture, rng))
-                                       for name, fixture in fixtures
-                                       for _ in range(per)))
+        self.identity(item_id, label, lambda rng: (
+            (name, *instance(fixture, rng))
+            for name, fixture in fixtures for _ in range(per)))
 
-    def identity(self, item_id, label, instances):
-        """``instances`` yields (fixture, inputs, residual) — or a tuple of
-        residuals, the components of one identity, each of which must vanish
-        on its own; the item fails on the first nonzero residual and freezes
-        it as a witness whose ``component`` is that residual's 1-based
-        position (1 for a single residual).  Items drawn by the standard loop
-        come here through :meth:`check`; only items whose draw count is not
-        the share write their own instance stream."""
-        rng = self.rng(f"{item_id}/witness")
-        checked = 0
-        witness = None
-        for fixture, inputs, residual in instances:
-            checked += 1
+    def identity(self, item_id, label, stream):
+        """``stream(rng)`` yields (fixture, inputs, residual) — or a tuple
+        of residuals, the components of one identity, each of which must
+        vanish on its own.  The witness of the first nonzero residual
+        carries its 1-based position as ``component`` (1 for a single
+        residual)."""
+        def witness(fixture, inputs, residual):
             residuals = residual if isinstance(residual, tuple) else (residual,)
-            offender = next(((k, r) for k, r in enumerate(residuals, 1)
-                             if not r.is_zero()), None)
-            if offender is not None:
-                component, nonzero = offender
-                witness = _witness(fixture, label, inputs, nonzero, rng)
-                witness["component"] = component
-                break
-        item = {"id": item_id, "label": label,
-                "status": "fail" if witness else "pass", "checked": checked}
-        if witness:
-            item["witness"] = witness
-        self.items.append(item)
+            for component, nonzero in enumerate(residuals, 1):
+                if not nonzero.is_zero():
+                    found = _witness(fixture, label, inputs, nonzero,
+                                     self.rng(f"{item_id}/witness"))
+                    found["component"] = component
+                    return found
+            return None
 
-    def predicate(self, item_id, label, instances):
-        """``instances`` yields (fixture, inputs, ok) for checks that are not
-        residual-shaped (injectivity, error paths).  Every predicate item
-        has a draw count of its own (an invertibility probe, ``trials`` on
-        one fixture, one fixed instance), so none goes through
-        :meth:`check`."""
+        self._record(item_id, label, stream, witness)
+
+    def predicate(self, item_id, label, stream):
+        """``stream(rng)`` yields (fixture, inputs, ok) for checks that are
+        not residual-shaped (injectivity, error paths); the witness of the
+        first false ``ok`` holds the inputs that are tensors."""
+        def witness(fixture, inputs, ok):
+            if ok:
+                return None
+            named = {name: t for name, t in inputs.items()
+                     if isinstance(t, GradedTensor)}
+            return {"fixture": fixture, "identity": label,
+                    "model": model_document(_witness_model(named))}
+
+        self._record(item_id, label, stream, witness)
+
+    def _record(self, item_id, label, stream, witness):
+        """The one recording loop: run ``stream`` on the item's own
+        generator, count instances up to the first one ``witness`` turns
+        into a witness, and append the item."""
         checked = 0
-        failure = None
-        for fixture, inputs, ok in instances:
+        found = None
+        for fixture, inputs, outcome in stream(self.rng(item_id)):
             checked += 1
-            if not ok:
-                named = {name: t for name, t in inputs.items()
-                         if isinstance(t, GradedTensor)}
-                failure = {
-                    "fixture": fixture,
-                    "identity": label,
-                    "model": json.loads(dumps_model(_witness_model(named))),
-                }
+            found = witness(fixture, inputs, outcome)
+            if found is not None:
                 break
         item = {"id": item_id, "label": label,
-                "status": "fail" if failure else "pass", "checked": checked}
-        if failure:
-            item["witness"] = failure
+                "status": "fail" if found else "pass", "checked": checked}
+        if found:
+            item["witness"] = found
         self.items.append(item)
 
     def result(self):
@@ -300,13 +298,13 @@ def _suite_theorem_1(run):
     """d² = 0 and the Leibniz / commutator laws of i_X and L_X."""
     fixtures = run.algebroids()
 
-    def d_squared(name, A, rng):
+    def d_squared(A, rng):
         mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
         return {"mu": mu}, differential(A, differential(A, mu))
 
     run.check("d-squared", "d∘d = 0", fixtures, d_squared)
 
-    def d_leibniz(name, A, rng):
+    def d_leibniz(A, rng):
         k = rng.choice([0, 1])
         mu = run.draw(rng, A, Kind.FORM, k)
         nu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1]))
@@ -319,7 +317,7 @@ def _suite_theorem_1(run):
     run.check("d-leibniz", "d(mu∧nu) = d(mu)∧nu + (−1)^k mu∧d(nu)",
               fixtures, d_leibniz)
 
-    def i_leibniz(name, A, rng):
+    def i_leibniz(A, rng):
         k = rng.choice([1, min(2, A.rank)])
         mu = run.draw(rng, A, Kind.FORM, k)
         nu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
@@ -333,7 +331,7 @@ def _suite_theorem_1(run):
     run.check("i-leibniz", "i_X(mu∧nu) = i_X(mu)∧nu + (−1)^k mu∧i_X(nu)",
               fixtures, i_leibniz)
 
-    def lie_leibniz(name, A, rng):
+    def lie_leibniz(A, rng):
         mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1]))
         nu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
         x = run.draw(rng, A, Kind.MV, 1)
@@ -345,7 +343,7 @@ def _suite_theorem_1(run):
     run.check("lie-leibniz", "L_X(mu∧nu) = L_X(mu)∧nu + mu∧L_X(nu)",
               fixtures, lie_leibniz)
 
-    def lie_commutator(name, A, rng):
+    def lie_commutator(A, rng):
         mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
         x = run.draw(rng, A, Kind.MV, 1)
         y = run.draw(rng, A, Kind.MV, 1)
@@ -357,7 +355,7 @@ def _suite_theorem_1(run):
     run.check("lie-commutator", "L_X∘L_Y − L_Y∘L_X = L_[X,Y]",
               fixtures, lie_commutator)
 
-    def lie_insertion(name, A, rng):
+    def lie_insertion(A, rng):
         mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
         x = run.draw(rng, A, Kind.MV, 1)
         y = run.draw(rng, A, Kind.MV, 1)
@@ -378,8 +376,7 @@ def _suite_theorem_2(run):
     fixtures = run.algebroids()
     draws = run.share(len(fixtures))
 
-    def operator(item_id):
-        rng = run.rng(item_id)
+    def operator(rng):
         for name, A in fixtures:
             degrees = range(1, min(3, A.rank) + 1)
             for _ in range(draws):
@@ -398,9 +395,9 @@ def _suite_theorem_2(run):
 
     run.identity("operator-identity",
                  "L_Y∘i_X − (−1)^{a(b−1)} i_X∘L_Y = −i_[X,Y] on basis forms",
-                 operator("operator-identity"))
+                 operator)
 
-    def on_functions(name, A, rng):
+    def on_functions(A, rng):
         x = run.draw(rng, A, Kind.MV, 1)
         f = random_coefficient(rng, A.base, run.coeff_degree)
         fx = GradedTensor(A, Kind.MV, 0, {(): f})
@@ -413,7 +410,7 @@ def _suite_theorem_2(run):
     run.check("bracket-on-functions", "[X, f] = anchor(X)(f)",
               fixtures, on_functions)
 
-    def derivation(name, A, rng):
+    def derivation(A, rng):
         a = rng.choice([1, 2])
         x = run.draw(rng, A, Kind.MV, a)
         y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
@@ -433,7 +430,7 @@ def _suite_theorem_3(run):
     """The Nijenhuis–Richardson bracket is a graded Lie bracket."""
     fixtures = run.algebroids()
 
-    def antisymmetry(name, A, rng):
+    def antisymmetry(A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         sign = -1 if ((k.degree - 1) * (l.degree - 1)) % 2 else 1
@@ -442,7 +439,7 @@ def _suite_theorem_3(run):
     run.check("antisymmetry", "[K,L] = −(−1)^{(a−1)(b−1)} [L,K]",
               fixtures, antisymmetry)
 
-    def jacobi(name, A, rng):
+    def jacobi(A, rng):
         ks = [run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
               for _ in range(3)]
         a, b, c = (t.degree - 1 for t in ks)
@@ -463,7 +460,7 @@ def _suite_theorem_4(run):
     identity and the graded Lie laws."""
     fixtures = run.algebroids()
 
-    def operator(name, A, rng):
+    def operator(A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         omega = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
@@ -476,7 +473,7 @@ def _suite_theorem_4(run):
     run.check("operator-identity", "L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K",
               fixtures, operator)
 
-    def antisymmetry(name, A, rng):
+    def antisymmetry(A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         sign = -1 if (k.degree * l.degree) % 2 else 1
@@ -484,7 +481,7 @@ def _suite_theorem_4(run):
 
     run.check("antisymmetry", "[K,L] = −(−1)^{ab} [L,K]", fixtures, antisymmetry)
 
-    def jacobi(name, A, rng):
+    def jacobi(A, rng):
         ks = [run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
               for _ in range(3)]
         a, b, c = (t.degree for t in ks)
@@ -502,7 +499,7 @@ def _suite_theorem_4(run):
 
 def _suite_eq_1_12(run):
     """Insertion operators compose to the Nijenhuis–Richardson bracket."""
-    def operator(name, A, rng):
+    def operator(A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         omega = run.draw(rng, A, Kind.FORM,
@@ -526,7 +523,7 @@ def _suite_theorem_5(run):
     fixtures = run.poisson()
     per = run.share(len(fixtures))
 
-    def homomorphism(name, ps, rng):
+    def homomorphism(ps, rng):
         O = ps.owner
         mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
         nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
@@ -537,26 +534,21 @@ def _suite_theorem_5(run):
     run.check("lambda-homomorphism", "Λ[mu,nu]_P = [Λmu, Λnu]",
               fixtures, homomorphism)
 
-    def inverse(item_id):
-        rng = run.rng(item_id)
+    def inverse(rng):
         for name, ps in fixtures:
             O = ps.owner
-            invertible = True
             try:
                 lambda_p(ps, O.e(0), "inverse")
             except NotInvertible:
-                invertible = False
-            for _ in range(per if invertible else 1):
-                if not invertible:
-                    yield name, {}, True
-                    break
+                yield name, {}, True
+                continue
+            for _ in range(per):
                 mu = run.draw(rng, O, Kind.FORM, rng.choice([1, 2]))
                 back = lambda_p(ps, lambda_p(ps, mu), "inverse")
                 yield name, {"mu": mu}, back == mu
 
     run.predicate("lambda-inverse",
-                  "Λ⁻¹∘Λ = id wherever the bundle map inverts",
-                  inverse("lambda-inverse"))
+                  "Λ⁻¹∘Λ = id wherever the bundle map inverts", inverse)
 
 
 def _suite_theorem_6(run):
@@ -564,7 +556,7 @@ def _suite_theorem_6(run):
     Poisson bracket on functions and compatible with d."""
     fixtures = run.poisson()
 
-    def on_functions(name, ps, rng):
+    def on_functions(ps, rng):
         O = ps.owner
         f = random_coefficient(rng, ps.chart, run.coeff_degree)
         g = random_coefficient(rng, ps.chart, run.coeff_degree)
@@ -576,7 +568,7 @@ def _suite_theorem_6(run):
     run.check("poisson-on-functions", "{f, g}_P is the Poisson bracket",
               fixtures, on_functions)
 
-    def antisymmetry(name, ps, rng):
+    def antisymmetry(ps, rng):
         O = ps.owner
         ka, kb = rng.choice([0, 1, 2]), rng.choice([0, 1])
         mu = run.draw(rng, O, Kind.FORM, ka)
@@ -589,7 +581,7 @@ def _suite_theorem_6(run):
     run.check("antisymmetry", "graded antisymmetry of {,}_P",
               fixtures, antisymmetry)
 
-    def jacobi(name, ps, rng):
+    def jacobi(ps, rng):
         O = ps.owner
         ms = [run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]), keys=1)
               for _ in range(3)]
@@ -606,7 +598,7 @@ def _suite_theorem_6(run):
     run.check("graded-jacobi", "graded Jacobi identity of {,}_P",
               fixtures, jacobi)
 
-    def d_compat(name, ps, rng):
+    def d_compat(ps, rng):
         O = ps.owner
         mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
         nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
@@ -617,7 +609,7 @@ def _suite_theorem_6(run):
     run.check("d-compatibility", "{d mu, nu}_P = d{mu, nu}_P",
               fixtures, d_compat)
 
-    def term_expansion_01(name, ps, rng):
+    def term_expansion_01(ps, rng):
         O = ps.owner
 
         def d0(f):
@@ -634,7 +626,7 @@ def _suite_theorem_6(run):
               "{g0, f0 df1}_P = {g0,f0} df1 + f0 d{g0,f1}",
               fixtures, term_expansion_01)
 
-    def term_expansion_11(name, ps, rng):
+    def term_expansion_11(ps, rng):
         O = ps.owner
 
         def d0(f):
@@ -664,7 +656,7 @@ def _suite_theorem_7(run):
     Frölicher–Nijenhuis and Schouten brackets."""
     fixtures = run.poisson()
 
-    def d_homomorphism(name, ps, rng):
+    def d_homomorphism(ps, rng):
         O = ps.owner
         mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
         nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
@@ -675,7 +667,7 @@ def _suite_theorem_7(run):
     run.check("d-homomorphism", "[d mu, d nu]_P = d{mu, nu}_P",
               fixtures, d_homomorphism)
 
-    def h_homomorphism(name, ps, rng):
+    def h_homomorphism(ps, rng):
         O = ps.owner
         mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
         nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
@@ -686,7 +678,7 @@ def _suite_theorem_7(run):
     run.check("h-homomorphism", "H{mu,nu}_P = [H mu, H nu]^{F-N}",
               fixtures, h_homomorphism)
 
-    def g_homomorphism(name, ps, rng):
+    def g_homomorphism(ps, rng):
         O = ps.owner
         mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
         nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
@@ -700,7 +692,7 @@ def _suite_theorem_7(run):
 
 def _suite_eq_2_6(run):
     """The Koszul–Schouten bracket agrees with its insertion/Lie expansion."""
-    def expansion(name, ps, rng):
+    def expansion(ps, rng):
         O = ps.owner
         ka = rng.choice([0, 1, 2])
         mu = run.draw(rng, O, Kind.FORM, ka)
@@ -721,7 +713,7 @@ def _suite_theorem_8(run):
     """Vertical and complete lifts: function laws and module structure."""
     fixtures = run.algebroids()
 
-    def function_laws(name, A, rng):
+    def function_laws(A, rng):
         TL = tangent_lift(A)
         f = random_coefficient(rng, A.base, run.coeff_degree)
         vf = vertical_lift_V(A, A.fn(f))
@@ -734,7 +726,7 @@ def _suite_theorem_8(run):
               "V(f) is the pullback; T(f) is the velocity derivative",
               fixtures, function_laws)
 
-    def module_laws(name, A, rng):
+    def module_laws(A, rng):
         f = random_coefficient(rng, A.base, run.coeff_degree)
         x = run.draw(rng, A, Kind.MV, 1)
         fx = x * f
@@ -755,7 +747,7 @@ def _suite_theorem_9(run):
     """V and T form a Leibniz pair for wedge and symmetric products."""
     fixtures = run.algebroids()
 
-    def products(kind, product, name, A, rng):
+    def products(kind, product, A, rng):
         degrees = [1, min(2, A.rank)]
         s = run.draw(rng, A, kind, rng.choice(degrees))
         t = run.draw(rng, A, kind, rng.choice(degrees))
@@ -782,7 +774,7 @@ def _suite_theorem_10(run):
         run.note("skipped over a point (no vector fields to lift): "
                  + ", ".join(skipped))
 
-    def anchor(name, A, rng):
+    def anchor(A, rng):
         TL = tangent_lift(A)
         x = run.draw(rng, A, Kind.MV, 1)
         residual_v = (anchor_apply(TL, vertical_lift_V(A, x))
@@ -800,7 +792,7 @@ def _suite_theorem_11(run):
     """The V/T multiplication table for the Schouten brackets."""
     fixtures = run.algebroids()
 
-    def table(name, A, rng):
+    def table(A, rng):
         x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
         y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
         return {"x": x, "y": y}, _vt_table(
@@ -810,7 +802,7 @@ def _suite_theorem_11(run):
     run.check("schouten-table", "[VV]=0, [VT]=[TV]=V[,], [TT]=T[,]",
               fixtures, table)
 
-    def sym_table(name, A, rng):
+    def sym_table(A, rng):
         x = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
         y = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
         return {"x": x, "y": y}, _vt_table(
@@ -825,7 +817,7 @@ def _suite_theorem_12(run):
     """Contraction, differential and Lie derivative against V/T lifts."""
     fixtures = run.algebroids()
 
-    def contraction(name, A, rng):
+    def contraction(A, rng):
         x = run.draw(rng, A, Kind.MV, 1)
         mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
         return {"x": x, "mu": mu}, _vt_table(
@@ -835,7 +827,7 @@ def _suite_theorem_12(run):
     run.check("contraction-table", "i_{V/T} on V/T-lifted forms",
               fixtures, contraction)
 
-    def differential_table(name, A, rng):
+    def differential_table(A, rng):
         TL = tangent_lift(A)
         mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
         dmu = differential(A, mu)
@@ -846,7 +838,7 @@ def _suite_theorem_12(run):
     run.check("differential-table", "d∘V = V∘d and d∘T = T∘d",
               fixtures, differential_table)
 
-    def lie_table(name, A, rng):
+    def lie_table(A, rng):
         x = run.draw(rng, A, Kind.MV, 1)
         mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
         return {"x": x, "mu": mu}, _vt_table(
@@ -858,7 +850,7 @@ def _suite_theorem_12(run):
 
 def _suite_theorem_13(run):
     """The V/T table for the Nijenhuis–Richardson bracket."""
-    def table(name, A, rng):
+    def table(A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         return {"K": k, "L": l}, _vt_table(
@@ -873,7 +865,7 @@ def _suite_theorem_14(run):
     """The V/T table for the Frölicher–Nijenhuis bracket."""
     fixtures = run.algebroids()
 
-    def table(name, A, rng):
+    def table(A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         return {"K": k, "L": l}, _vt_table(
@@ -898,7 +890,7 @@ def _suite_theorem_15(run):
         nu = run.draw(rng, A, Kind.FORM, 1)
         return x, y, mu, nu
 
-    def wedge_mult(name, A, rng):
+    def wedge_mult(A, rng):
         _, _, mu, nu = an_instance(A, rng)
         residual = (vertical_pi(A, wedge(mu, nu))
                     - wedge(vertical_pi(A, mu), vertical_pi(A, nu)))
@@ -907,7 +899,7 @@ def _suite_theorem_15(run):
     run.check("a-multiplicative", "V_pi(mu∧nu) = V_pi(mu)∧V_pi(nu)",
               fixtures, wedge_mult)
 
-    def commute(name, A, rng):
+    def commute(A, rng):
         _, _, mu, nu = an_instance(A, rng)
         D = linear_poisson(A).owner
         return {"mu": mu, "nu": nu}, schouten(D, vertical_pi(A, mu),
@@ -915,7 +907,7 @@ def _suite_theorem_15(run):
 
     run.check("b-commuting", "[V_pi mu, V_pi nu] = 0", fixtures, commute)
 
-    def iota_bracket(name, A, rng):
+    def iota_bracket(A, rng):
         x, _, mu, _ = an_instance(A, rng)
         D = linear_poisson(A).owner
         residual = (schouten(D, D.fn(iota(A, x)), vertical_pi(A, mu))
@@ -925,7 +917,7 @@ def _suite_theorem_15(run):
     run.check("c-iota", "[iota(X), V_pi mu] = −V_pi(i_X mu)",
               fixtures, iota_bracket)
 
-    def p_bracket(name, A, rng):
+    def p_bracket(A, rng):
         _, _, mu, _ = an_instance(A, rng)
         ps = linear_poisson(A)
         residual = (schouten(ps.owner, ps.bivector, vertical_pi(A, mu))
@@ -934,7 +926,7 @@ def _suite_theorem_15(run):
 
     run.check("d-differential", "[P, V_pi mu] = V_pi(d mu)", fixtures, p_bracket)
 
-    def g_lie(name, A, rng):
+    def g_lie(A, rng):
         x, _, mu, _ = an_instance(A, rng)
         D = linear_poisson(A).owner
         residual = (schouten(D, cot_complete_G_vec(A, x), vertical_pi(A, mu))
@@ -943,7 +935,7 @@ def _suite_theorem_15(run):
 
     run.check("e-lie", "[G(X), V_pi mu] = V_pi(L_X mu)", fixtures, g_lie)
 
-    def g_g(name, A, rng):
+    def g_g(A, rng):
         x, y, _, _ = an_instance(A, rng)
         D = linear_poisson(A).owner
         residual = (schouten(D, cot_complete_G_vec(A, x), cot_complete_G_vec(A, y))
@@ -952,7 +944,7 @@ def _suite_theorem_15(run):
 
     run.check("f-bracket", "[G(X), G(Y)] = G([X, Y])", fixtures, g_g)
 
-    def g_iota(name, A, rng):
+    def g_iota(A, rng):
         x, y, _, _ = an_instance(A, rng)
         D = linear_poisson(A).owner
         residual = (schouten(D, cot_complete_G_vec(A, x), D.fn(iota(A, y)))
@@ -978,7 +970,7 @@ def _suite_theorem_16(run):
     the two routes to G agree."""
     fixtures = run.algebroids()
 
-    def degree_zero(name, A, rng):
+    def degree_zero(A, rng):
         D = canonical_algebroid(dual_chart(A))
         x = run.draw(rng, A, Kind.MV, 1)
         k = mixed_from_vector(x)
@@ -988,7 +980,7 @@ def _suite_theorem_16(run):
     run.check("degree-zero", "J(X) = −iota(X) and G(X) = G_vec(X)",
               fixtures, degree_zero)
 
-    def dual_routes(name, A, rng):
+    def dual_routes(A, rng):
         ps = linear_poisson(A)
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         residual = (schouten(ps.owner, ps.bivector, J_map(A, k))
@@ -1004,7 +996,7 @@ def _suite_theorem_17(run):
     """J is an injective homomorphism of the N-R bracket."""
     fixtures = run.algebroids()
 
-    def homomorphism(name, A, rng):
+    def homomorphism(A, rng):
         D = canonical_algebroid(dual_chart(A))
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
@@ -1015,13 +1007,9 @@ def _suite_theorem_17(run):
     run.check("nr-homomorphism", "[J(K), J(L)] = J([K,L]^{N-R})",
               fixtures, homomorphism)
 
-    def injectivity(item_id):
-        rng = run.rng(item_id)
-        plane = None
-        for name, A in fixtures:
-            if A.is_canonical and A.rank == 2:
-                plane = (name, A)
-                break
+    def injectivity(rng):
+        plane = next(((name, A) for name, A in fixtures
+                      if A.is_canonical and A.rank == 2), None)
         if plane is None:
             return
         name, A = plane
@@ -1041,13 +1029,12 @@ def _suite_theorem_17(run):
 
     run.predicate("injectivity",
                   "J(K) = 0 only for K = 0 on a spanning set of mixed "
-                  "tensors of form degree ≤ 2",
-                  injectivity("injectivity"))
+                  "tensors of form degree ≤ 2", injectivity)
 
 
 def _suite_theorem_18(run):
     """The dual complete lift G is a homomorphism of the F-N bracket."""
-    def homomorphism(name, A, rng):
+    def homomorphism(A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         residual = (schouten(canonical_algebroid(dual_chart(A)),
@@ -1136,7 +1123,7 @@ def _suite_theorem_19(run):
         run.note("no canonical algebroids in the model")
     per = run.share(len(fixtures))
 
-    def vectors(name, A, rng):
+    def vectors(A, rng):
         x = run.draw(rng, A, Kind.MV, 1)
         return {"x": x}, (
             canonical_transport("kappa", vertical_lift_V(A, x))
@@ -1147,8 +1134,7 @@ def _suite_theorem_19(run):
     run.check("vectors", "kappa∘V = v_T and kappa∘T = d_T on vector fields",
               fixtures, vectors)
 
-    def bivectors(item_id):
-        rng = run.rng(item_id)
+    def bivectors(rng):
         for name, A in fixtures:
             chart = A.base
             if A.rank < 2:
@@ -1161,9 +1147,9 @@ def _suite_theorem_19(run):
                     canonical_transport("kappa", complete_lift_T(A, p))
                     - _direct_complete_bivector(chart, p))
 
-    run.identity("bivectors", "the same on bivectors", bivectors("bivectors"))
+    run.identity("bivectors", "the same on bivectors", bivectors)
 
-    def forms(name, A, rng):
+    def forms(A, rng):
         mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
         return {"mu": mu}, (
             canonical_transport("alpha", vertical_lift_V(A, mu))
@@ -1174,7 +1160,7 @@ def _suite_theorem_19(run):
     run.check("forms", "alpha∘V = v_T and alpha∘T = d_T on forms",
               fixtures, forms)
 
-    def involution(name, A, rng):
+    def involution(A, rng):
         TL = tangent_lift(A)
         s = run.draw(rng, TL, Kind.MV, rng.choice([1, 2]))
         mu = run.draw(rng, TL, Kind.FORM, rng.choice([1, 2]))
@@ -1191,7 +1177,7 @@ def _suite_theorem_20(run):
     two routes to the tangent Poisson structure agree."""
     fixtures = run.canonical()
 
-    def anchor(name, A, rng):
+    def anchor(A, rng):
         TL = tangent_lift(A)
         s = run.draw(rng, TL, Kind.MV, 1)
         return {"s": s}, anchor_apply(TL, s) - canonical_transport("kappa", s)
@@ -1199,7 +1185,7 @@ def _suite_theorem_20(run):
     run.check("anchor-is-kappa", "the tangent-lift anchor is the flip",
               fixtures, anchor)
 
-    def bracket_iso(name, A, rng):
+    def bracket_iso(A, rng):
         TL = tangent_lift(A)
         target = canonical_algebroid(dotted_chart(A.base))
         s = run.draw(rng, TL, Kind.MV, 1)
@@ -1213,7 +1199,7 @@ def _suite_theorem_20(run):
     run.check("bracket-isomorphism", "kappa intertwines the section brackets",
               fixtures, bracket_iso)
 
-    def poisson_routes(item_id):
+    def poisson_routes(_rng):
         for name, A in run.algebroids():
             lifted = tangent_poisson(linear_poisson(A))
             relinearized = linear_poisson(tangent_lift(A))
@@ -1227,8 +1213,7 @@ def _suite_theorem_20(run):
 
     run.identity("poisson-routes",
                  "lifting the fiberwise-linear bivector matches linearizing "
-                 "the tangent lift",
-                 poisson_routes("poisson-routes"))
+                 "the tangent lift", poisson_routes)
 
 
 def _suite_theorem_21(run):
@@ -1236,7 +1221,7 @@ def _suite_theorem_21(run):
     fixtures = run.canonical()
     V, T = classical_vertical_lift, classical_complete_lift
 
-    def schouten_table(name, A, rng):
+    def schouten_table(A, rng):
         target = canonical_algebroid(dotted_chart(A.base))
         x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
         y = run.draw(rng, A, Kind.MV, 1)
@@ -1246,7 +1231,7 @@ def _suite_theorem_21(run):
     run.check("schouten-table", "the v_T/d_T Schouten table",
               fixtures, schouten_table)
 
-    def mixed_tables(name, A, rng):
+    def mixed_tables(A, rng):
         target = canonical_algebroid(dotted_chart(A.base))
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
@@ -1258,7 +1243,7 @@ def _suite_theorem_21(run):
     run.check("mixed-tables", "the v_T/d_T tables for N-R and F-N",
               fixtures, mixed_tables)
 
-    def cartan_tables(name, A, rng):
+    def cartan_tables(A, rng):
         target = canonical_algebroid(dotted_chart(A.base))
         x = run.draw(rng, A, Kind.MV, 1)
         mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
@@ -1285,7 +1270,7 @@ def _suite_theorem_22(run):
     recovers the dual lifts of forms and mixed tensors."""
     fixtures = run.canonical()
 
-    def pullbacks(name, A, rng):
+    def pullbacks(A, rng):
         ps = linear_poisson(A)
         mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
         residual = (lambda_p(ps, _pullback(A, ps.owner, mu), "star")
@@ -1294,14 +1279,14 @@ def _suite_theorem_22(run):
 
     run.check("pullbacks", "Λ*(pullback mu) = V_pi(mu)", fixtures, pullbacks)
 
-    def contracted(name, A, rng):
+    def contracted(A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         return {"K": k}, lambda_p(linear_poisson(A), Jstar(k), "star") + J_map(A, k)
 
     run.check("contracted-pullbacks", "Λ*(J*(K)) = −J(K)",
               fixtures, contracted)
 
-    def differentials(name, A, rng):
+    def differentials(A, rng):
         ps = linear_poisson(A)
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         residual = (lambda_p(ps, differential(ps.owner, Jstar(k)), "star")
@@ -1310,7 +1295,7 @@ def _suite_theorem_22(run):
 
     run.check("differentials", "Λ*(d J*(K)) = −G(K)", fixtures, differentials)
 
-    def d_intertwine(name, A, rng):
+    def d_intertwine(A, rng):
         ps = linear_poisson(A)
         D = ps.owner
         nu = run.draw(rng, D, Kind.FORM, rng.choice([1, 2]))
@@ -1325,7 +1310,7 @@ def _suite_theorem_23(run):
     """J* maps the F-N bracket to the extended bracket."""
     fixtures = run.canonical()
 
-    def homomorphism(name, A, rng):
+    def homomorphism(A, rng):
         ps = linear_poisson(A)
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
@@ -1400,7 +1385,7 @@ def _suite_theorem_24(run):
              "by the literal-expansion item")
     fixtures = run.canonical()
 
-    def homomorphism(name, A, rng):
+    def homomorphism(A, rng):
         D = canonical_algebroid(dual_chart(A))
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
         l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
@@ -1411,14 +1396,14 @@ def _suite_theorem_24(run):
     run.check("fn-homomorphism", "[H(K), H(L)]^{F-N} = H([K,L]^{F-N})",
               fixtures, homomorphism)
 
-    def h_expansion(name, A, rng):
+    def h_expansion(A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         return {"K": k}, H_map(k) - _literal_h(A, k)
 
     run.check("h-expansion", "H agrees with its momentum expansion",
               fixtures, h_expansion)
 
-    def g_expansion(name, A, rng):
+    def g_expansion(A, rng):
         k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
         return {"K": k}, G_map(A, k) + _literal_g(A, k)
 
@@ -1427,8 +1412,7 @@ def _suite_theorem_24(run):
               "global sign",
               fixtures, g_expansion)
 
-    def injectivity(item_id):
-        rng = run.rng(item_id)
+    def injectivity(rng):
         for name, A in fixtures:
             if A.rank != 2:
                 continue
@@ -1444,9 +1428,9 @@ def _suite_theorem_24(run):
                 yield name, {"K": k}, H_map(k).is_zero() == k.is_zero()
 
     run.predicate("injectivity", "H(K) = 0 only for K = 0 on basis sums",
-                  injectivity("injectivity"))
+                  injectivity)
 
-    def nijenhuis(item_id):
+    def nijenhuis(_rng):
         for name, A in fixtures:
             if A.rank != 1:
                 continue
@@ -1458,14 +1442,14 @@ def _suite_theorem_24(run):
 
     run.predicate("nijenhuis-instance",
                   "[N,N]^{F-N} = 0 and [G(N), G(N)] = 0 for N = dx⊗e_x",
-                  nijenhuis("nijenhuis-instance"))
+                  nijenhuis)
 
 
 def _suite_eq_7_12(run):
     """The dual flip intertwines the two exterior derivatives."""
     fixtures = run.canonical()
 
-    def intertwine(name, A, rng):
+    def intertwine(A, rng):
         TL = tangent_lift(A)
         target = canonical_algebroid(dotted_chart(A.base))
         mu = run.draw(rng, TL, Kind.FORM, rng.choice([0, 1, 2]))
@@ -1513,7 +1497,7 @@ def _suite_eq_7_13(run):
         run.note("skipped over a point (the tangent of the base is trivial): "
                  + ", ".join(skipped))
 
-    def intertwine(name, A, rng):
+    def intertwine(A, rng):
         TL = tangent_lift(A)
         s = run.draw(rng, TL, Kind.MV, 1)
         residual = (canonical_transport("kappa", anchor_apply(TL, s))

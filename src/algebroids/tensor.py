@@ -393,19 +393,19 @@ def _contract_key(mv_key: Tuple[int, ...], form_key: Tuple[int, ...], order: str
     return form_key, sign
 
 
-def contract(x: GradedTensor, mu: GradedTensor, order: str | None = None) -> GradedTensor:
-    """Interior product ``i_x mu`` of a multivector into a form.
+def contract(x: GradedTensor, mu: GradedTensor) -> GradedTensor:
+    """Interior product ``i_x mu`` of a multivector into a form, in the
+    order :data:`CONTRACTION_ORDER` names.
 
     Degree-0 multivectors multiply; when ``deg x > deg mu`` the result is the
-    zero tensor.  ``order`` overrides the module contraction order and exists
-    for the calibration suite only.
+    zero tensor.
     """
     if x.kind is not Kind.MV or mu.kind is not Kind.FORM:
         raise KindMismatch(f"contract needs (multivector, form), got "
                            f"({x.describe()}, {mu.describe()})")
     if x.owner != mu.owner:
         raise ChartMismatch("contract operands live over different owners")
-    order = order or CONTRACTION_ORDER
+    order = CONTRACTION_ORDER
     if order not in _ORDERS:
         raise KindMismatch(f"unknown contraction order {order!r}")
     if x.degree > mu.degree:
@@ -457,7 +457,7 @@ def evaluate(mu: GradedTensor, sections: Sequence[GradedTensor]) -> Poly:
     for x in sections:
         if x.kind is not Kind.MV or x.degree != 1:
             raise KindMismatch(f"evaluate arguments must be sections, got {x.describe()}")
-        current = contract(x, current, order="first-factor-innermost")
+        current = contract(x, current)
     return current.as_function()
 
 
@@ -505,7 +505,7 @@ def random_coefficient(rng, chart: Chart, degree: int = 2) -> Poly:
             if chart.dim:
                 exp[rng.randrange(chart.dim)] += 1
         terms.append((tuple(exp), rng.randint(-3, 3)))
-    return Poly(chart, terms)
+    return Poly._make(chart, accumulate(terms))
 
 
 def random_tensor(rng, owner, kind: Kind, degree: int, coeff_degree: int = 2,

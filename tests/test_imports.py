@@ -8,7 +8,9 @@ somewhere in it.  Every private (``_x``) function, class or assignment at
 the top level of any package module must be named by some code of the
 package outside its own definition.  Only ``tensor.py``, which defines
 it, and the theorem-2 suite, which reports it, name the package-wide
-``CONTRACTION_ORDER``: no other construction may depend on it.
+``CONTRACTION_ORDER``: no other construction may depend on it.  In
+``suites.py`` only the methods of the runner ``_Run`` call ``.rng(``: a
+stream receives its item's generator and never builds one.
 """
 
 import ast
@@ -126,3 +128,35 @@ def test_a_contraction_order_reader_is_reported():
         "c.py": "def order(contract):\n    return contract('CONTRACTION_ORDER')\n",
     }
     assert _contraction_order_readers(sources) == {"a.py": {"build"}, "b.py": {None}}
+
+
+def _rng_callers(source):
+    """The top-level definitions of ``source`` outside class ``_Run`` that
+    call a ``.rng(...)`` method, with ``None`` for a call at module level."""
+    callers = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == "_Run":
+            continue
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr == "rng"):
+                callers.add(getattr(node, "name", None))
+    return callers
+
+
+def test_only_the_suite_runner_builds_item_generators():
+    assert _rng_callers((PACKAGE / "suites.py").read_text(encoding="utf-8")) == set()
+
+
+def test_a_stream_building_its_own_generator_is_reported():
+    source = (
+        "class _Run:\n"
+        "    def rng(self, item_id):\n        return item_id\n"
+        "    def check(self, item_id):\n        return self.rng(item_id)\n"
+        "\ndef _suite_x(run):\n"
+        "    def stream(item_id):\n        rng = run.rng(item_id)\n"
+        "        yield rng.random()\n"
+        "    run.identity('x', 'x', stream('x'))\n"
+        "\nSEED = _Run().rng('seed')\n"
+    )
+    assert _rng_callers(source) == {"_suite_x", None}

@@ -3,18 +3,22 @@ and the failure path — a broken convention must surface as a witness that
 replays to the same nonzero values through a single ``eval`` command.
 """
 
+import itertools
 import json
+import random
 
 import pytest
 
 from algebroids import suites
 from algebroids import tensor as tensor_conventions
+from algebroids.algebroid import canonical_algebroid, dual_chart
 from algebroids.cli import main as cli_main
 from algebroids.errors import UnknownName
 from algebroids.fixtures import so3
 from algebroids.model import Model, builtin_model, loads_model
 from algebroids.ring import Chart
 from algebroids.suites import SUITE_NAMES, SUITES, run_all, run_suite
+from algebroids.tensor import GradedTensor
 
 EXPECTED_NAMES = tuple(f"theorem-{n}" for n in range(1, 25)) + (
     "eq-1-12", "eq-2-6", "eq-7-12", "eq-7-13")
@@ -141,3 +145,35 @@ def test_single_residual_witness_is_component_one():
         tensor_conventions.CONTRACTION_ORDER = "first-factor-innermost"
     failing = [i for i in result["items"] if i["status"] == "fail"]
     assert failing and all(i["witness"]["component"] == 1 for i in failing)
+
+
+def _first_nonzero_injectivity_draw(seed):
+    """The 1-based position of the first nonzero K among the draws of
+    theorem-24's injectivity item on canonical-plane, the built-in model's
+    one canonical algebroid of rank 2: each K has 2 x 2 coefficients, one
+    per (form key, fiber) slot, drawn from [-2, 2]."""
+    rng = random.Random(f"{seed}:theorem-24:injectivity")
+    for position in itertools.count(1):
+        if any([rng.randint(-2, 2) for _ in range(4)]):
+            return position
+
+
+def test_a_failing_predicate_stops_at_its_first_witness(monkeypatch):
+    """With H sending every K to zero, theorem-24 injectivity fails on the
+    first nonzero K.  Seed 787 draws K = 0 first, which passes, so the item
+    checks two instances."""
+    def zero_h(k):
+        owner = canonical_algebroid(dual_chart(k.owner))
+        return GradedTensor.zero(owner, k.kind, k.degree)
+
+    monkeypatch.setattr(suites, "H_map", zero_h)
+    result = run_suite("theorem-24", seed=787, trials=5)
+    item = next(i for i in result["items"] if i["id"] == "injectivity")
+    assert item["status"] == "fail"
+    assert _first_nonzero_injectivity_draw(787) == 2
+    assert item["checked"] == 2
+    witness = item["witness"]
+    assert set(witness) == {"fixture", "identity", "model"}
+    assert witness["fixture"] == "canonical-plane"
+    replay = loads_model(json.dumps(witness["model"]))
+    assert not replay.tensors["K"].is_zero()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from algebroids import tensor
 from algebroids.errors import ChartMismatch, DimensionMismatch, KindMismatch
 from algebroids.fixtures import canonical_plane, canonical_space, so3
 from algebroids.ring import Chart, parse_poly
@@ -156,20 +157,22 @@ def test_contract_single_insertion():
     assert contract(wedge(A.e(0), A.e(1)), A.estar(0)).is_zero()
 
 
-def test_contraction_order_is_first_factor_innermost():
+def test_contraction_order_is_first_factor_innermost(monkeypatch):
     """Pins down the composition order both ways.
 
     With the first wedge factor inserted innermost, pairing e_0∧e_1 with
     e*_0∧e*_1 gives +1 (the determinant convention); the opposite order
-    gives -1.
+    gives -1, and an unknown order is rejected.
     """
     A = canonical_plane()
     p = wedge(A.e(0), A.e(1))
     mu = wedge(A.estar(0), A.estar(1))
     assert contract(p, mu).as_function() == 1
-    assert contract(p, mu, order="last-factor-innermost").as_function() == -1
+    monkeypatch.setattr(tensor, "CONTRACTION_ORDER", "last-factor-innermost")
+    assert contract(p, mu).as_function() == -1
+    monkeypatch.setattr(tensor, "CONTRACTION_ORDER", "sideways")
     with pytest.raises(KindMismatch):
-        contract(p, mu, order="sideways")
+        contract(p, mu)
 
 
 def test_contract_composition_law():
