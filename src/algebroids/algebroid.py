@@ -43,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Collection, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     AnchorNotMorphism,
@@ -52,7 +52,7 @@ from .errors import (
     JacobiViolation,
     KindMismatch,
 )
-from .ring import Chart, Poly, accumulate, poly_sum
+from .ring import Chart, Poly, poly_sum, products
 from .tensor import GradedTensor, Kind, _sort_skew, tensor_sum
 
 _StructureTable = Dict[Tuple[int, int], Dict[int, Poly]]
@@ -327,21 +327,32 @@ def validate(algebroid: Algebroid) -> None:
 
 # -- the bracket on sections ----------------------------------------------------
 
+def anchor_terms(algebroid: Algebroid, i: int,
+                 gradient: Sequence[Tuple[int, Poly]]) -> Iterable[Tuple[Poly, Poly]]:
+    """The factor pairs (anchor[i][a], d_a f) whose products sum to the
+    anchor of e_i applied to a function f with ``gradient`` ``f.gradient()``:
+    the one read of the anchor rows acting on functions."""
+    row = algebroid.anchor[i]
+    return ((row[a], d) for a, d in gradient if row[a])
+
+
 def anchor_derivative(algebroid: Algebroid, i: int, f: Poly,
                       gradient: Optional[Sequence[Tuple[int, Poly]]] = None) -> Poly:
     """The anchor of e_i applied to a function: sum_a anchor[i][a] d_a f.
     ``gradient`` is ``f.gradient()``, passed by callers that apply several
     anchors to the same ``f`` so its partials are taken once."""
-    row = algebroid.anchor[i]
     if gradient is None:
         gradient = f.gradient()
-    return poly_sum(algebroid.base, (row[a] * d for a, d in gradient if row[a]))
+    base = algebroid.base
+    return products(base, ((None, 1, r, d) for r, d in anchor_terms(
+        algebroid, i, gradient))).get(None, base.zero())
 
 
 def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
     """The bracket of two sections (degree-1 multivectors over the algebroid)."""
     for t in (x, y):
-        if t.owner != algebroid or t.kind is not Kind.MV or t.degree != 1:
+        if (t.owner is not algebroid and t.owner != algebroid
+                or t.kind is not Kind.MV or t.degree != 1):
             raise KindMismatch(f"section_bracket needs sections, got {t.describe()}")
     return _bracket_tensors(algebroid, x, y)
 
@@ -385,9 +396,10 @@ def _bracket(algebroid: Algebroid, x: _Operand, y: _Operand) -> GradedTensor:
                          + sum_r ε^{r+p−1} f ρ_{k_r}(g) e_{K∖r}·e_L
                          − sum_s ε^s g ρ_{l_s}(f) e_K·e_{L∖s}
 
-    emitted as signed basis keys into one accumulation pass.  Sections give
-    the section bracket, an empty K or L the anchor acting on a function,
-    and two functions the zero of degree 0.  The operands come from
+    emitted as signed basis keys with their two coefficient factors into
+    one pass of :func:`~algebroids.ring.products`.  Sections give the
+    section bracket, an empty K or L the anchor acting on a function, and
+    two functions the zero of degree 0.  The operands come from
     :func:`_prepare`, so nothing is differentiated here.
     """
     kind, p, xs = x
@@ -398,7 +410,7 @@ def _bracket(algebroid: Algebroid, x: _Operand, y: _Operand) -> GradedTensor:
     def eps(n: int) -> int:
         return -1 if skew and n % 2 else 1
 
-    def terms():
+    def items():
         for kx, f, rests_x, rho_f in xs:
             for ky, g, rests_y, rho_g in ys:
                 fg = None
@@ -412,19 +424,16 @@ def _bracket(algebroid: Algebroid, x: _Operand, y: _Operand) -> GradedTensor:
                         sign *= eps(r + s)
                         for m, c in column.items():
                             if hit := merge((m,) + rest):
-                                term = c * fg
-                                yield hit[0], term if sign * hit[1] > 0 else -term
+                                yield hit[0], sign * hit[1], c, fg
                 for r, k in enumerate(kx):
                     if (d := rho_g.get(k)) and (hit := merge(rests_x[r] + ky)):
-                        term = f * d
-                        yield hit[0], term if eps(r + p - 1) * hit[1] > 0 else -term
+                        yield hit[0], eps(r + p - 1) * hit[1], f, d
                 for s, l in enumerate(ky):
                     if (d := rho_f.get(l)) and (hit := merge(kx + rests_y[s])):
-                        term = g * d
-                        yield hit[0], -term if eps(s) * hit[1] > 0 else term
+                        yield hit[0], -eps(s) * hit[1], g, d
 
     return GradedTensor._make(algebroid, kind, p + q - 1 if p + q else 0,
-                              accumulate(terms()))
+                              products(algebroid.base, items()))
 
 
 def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
@@ -433,14 +442,14 @@ def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
     The result lives over the canonical algebroid of the base chart (the
     rank-0 version of it when the base chart is empty).
     """
-    if x.owner != algebroid or x.kind is not Kind.MV or x.degree != 1:
+    if (x.owner is not algebroid and x.owner != algebroid
+            or x.kind is not Kind.MV or x.degree != 1):
         raise KindMismatch(f"anchor_apply needs a section, got {x.describe()}")
-    pairs = (((a,), f * entry)
+    items = (((a,), 1, f, entry)
              for (i,), f in x.terms.items()
-             for a, entry in enumerate(algebroid.anchor[i])
-             if not entry.is_zero())
+             for a, entry in enumerate(algebroid.anchor[i]) if entry)
     return GradedTensor._make(_vector_fields(algebroid.base), Kind.MV, 1,
-                              accumulate(pairs))
+                              products(algebroid.base, items))
 
 
 # -- lifts -----------------------------------------------------------------------

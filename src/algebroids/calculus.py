@@ -5,11 +5,16 @@ Everything here is generated by the structure data of the owning algebroid:
 * the exterior differential acts on generators by
   ``d f = sum_i (anchor e_i)(f) e*_i`` and
   ``d e*_k = -sum_{i<j} c_ij^k e*_i∧e*_j``,
-  extended as a graded derivation, and emitted term by term as merged,
-  signed basis keys, in one loop for functions and forms of every degree;
+  extended as a graded derivation, in one loop for functions and forms of
+  every degree.  Every term is emitted as a merged, signed basis key with
+  its two coefficient factors (``rho_i^a`` and ``d_a f`` for the anchor
+  part, ``c_ij^k`` and ``f`` for the structure part) into the product
+  kernel :func:`~algebroids.ring.products`, so no polynomial is built per
+  term or per fiber;
 * every function is differentiated once: the anchors applied to it share
-  its :meth:`~algebroids.ring.Poly.gradient`, and a constant, whose
-  gradient is empty, has no anchor applied to it;
+  its :meth:`~algebroids.ring.Poly.gradient`, which a polynomial keeps
+  once taken, and a constant, whose gradient is empty, has no anchor
+  applied to it;
 * Lie differentials are graded commutators of contraction with d — with a
   minus sign for multivector actors and a plus sign for vector-valued forms
   (the two conventions are deliberately kept distinct, since the simple-
@@ -28,7 +33,8 @@ Everything here is generated by the structure data of the owning algebroid:
   for every fiber j of the other operand, contracted with e_j and Lie-
   differentiated along it once (and likewise each nu_j), [e_i, e_j] is read
   from the structure table, and the five pieces of every block (mu_i,
-  nu_j) are emitted as signed keys into one accumulation.
+  nu_j) are emitted as signed keys with their coefficient factors into one
+  pass of the product kernel.
 
 Degrees are graded with a shift for the Schouten and N-R brackets (a
 degree-a multivector sits in graded slot a-1), and unshifted (raw form
@@ -38,9 +44,9 @@ matching convention.
 
 from __future__ import annotations
 
-from .algebroid import Algebroid, _bracket_tensors, anchor_derivative, section_bracket
+from .algebroid import Algebroid, _bracket_tensors, anchor_terms, section_bracket
 from .errors import ChartMismatch, KindMismatch
-from .ring import accumulate
+from .ring import accumulate, products
 from .tensor import (
     GradedTensor,
     Kind,
@@ -58,7 +64,7 @@ from .tensor import (
 
 def _require_owner(algebroid: Algebroid, *tensors: GradedTensor) -> None:
     for t in tensors:
-        if t.owner != algebroid:
+        if t.owner is not algebroid and t.owner != algebroid:
             raise ChartMismatch("tensor does not live over the given algebroid")
 
 
@@ -72,24 +78,25 @@ def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
     if mu.kind is not Kind.FORM and not (mu.kind is Kind.MV and mu.degree == 0):
         raise KindMismatch(f"cannot differentiate {mu.describe()}")
 
-    def terms():
+    def items():
         # d(f e*_K) = df∧e*_K + f·sum_r (−1)^r e*_{K[:r]}∧d e*_{k_r}∧e*_{K[r+1:]}
         for key, coeff in mu.terms.items():
             gradient = coeff.gradient()  # empty, and df = 0, for a constant
             for i in range(algebroid.rank) if gradient else ():
                 hit = _sort_skew((i,) + key)
-                if hit and (df := anchor_derivative(algebroid, i, coeff, gradient)):
-                    yield hit[0], df if hit[1] > 0 else -df
+                if hit:
+                    # (anchor e_i)(f) = sum_a rho_i^a d_a f
+                    for rho, d in anchor_terms(algebroid, i, gradient):
+                        yield hit[0], hit[1], rho, d
             for r, k in enumerate(key):
                 for pair, column in algebroid.structure.items():
                     # d e*_k = −sum_{i<j} c_ij^k e*_i∧e*_j
                     hit = k in column and _sort_skew(key[:r] + pair + key[r + 1:])
                     if hit:
-                        term = column[k] * coeff
-                        yield hit[0], term if hit[1] * (-1) ** r < 0 else -term
+                        yield hit[0], -hit[1] if r % 2 == 0 else hit[1], column[k], coeff
 
     return GradedTensor._make(algebroid, Kind.FORM, mu.degree + 1,
-                              accumulate(terms()))
+                              products(algebroid.base, items()))
 
 
 # -- Lie differentials ----------------------------------------------------------
@@ -182,7 +189,7 @@ def nr_bracket(k: GradedTensor, l: GradedTensor) -> GradedTensor:
     with a, b the form degrees.  Purely algebraic — it never touches the
     anchor or the structure functions."""
     k, l = _as_mixed(k), _as_mixed(l)
-    if k.owner != l.owner:
+    if k.owner is not l.owner and k.owner != l.owner:
         raise ChartMismatch("bracket operands live over different owners")
     first = contract_mixed(k, l)
     second = contract_mixed(l, k)
@@ -262,13 +269,13 @@ def _prepare_forms(algebroid: Algebroid, split, degree: int, fibers):
 
 
 def _wedge_into(a, b, fiber, sign: int):
-    """The terms of sign·(a∧b)⊗e_fiber for the term maps a, b of two forms."""
+    """The product items (key, sign, factor, factor) of sign·(a∧b)⊗e_fiber
+    for the term maps a, b of two forms."""
     for ka, ca in a.items():
         for kb, cb in b.items():
             hit = _sort_skew(ka + kb)
             if hit:
-                p = ca * cb
-                yield (hit[0], fiber), p if hit[1] * sign > 0 else -p
+                yield (hit[0], fiber), hit[1] * sign, ca, cb
 
 
 def fn_bracket(algebroid: Algebroid, k: GradedTensor, l: GradedTensor) -> GradedTensor:
@@ -285,15 +292,16 @@ def fn_bracket(algebroid: Algebroid, k: GradedTensor, l: GradedTensor) -> Graded
     l_forms = _prepare_forms(algebroid, l_split, l.degree, k_split)
     s = -1 if k.degree % 2 else 1
 
-    def terms():
+    def items():
         for i, (mu, dmu, i_mu, lie_mu) in k_forms.items():
             for j, (nu, dnu, i_nu, lie_nu) in l_forms.items():
                 # mu∧nu⊗[e_i, e_j]
                 column, sign = algebroid.column(i, j)
                 if column:
-                    for (key, _), p in _wedge_into(mu, nu, None, sign):
+                    for (key, _), key_sign, f, g in _wedge_into(mu, nu, None, sign):
+                        fg = f * g
                         for m, c in column.items():
-                            yield (key, m), p * c
+                            yield (key, m), key_sign, c, fg
                 # + mu∧L_{e_i}nu⊗e_j − L_{e_j}mu∧nu⊗e_i
                 yield from _wedge_into(mu, lie_nu[i], j, 1)
                 yield from _wedge_into(lie_mu[j], nu, i, -1)
@@ -302,4 +310,4 @@ def fn_bracket(algebroid: Algebroid, k: GradedTensor, l: GradedTensor) -> Graded
                 yield from _wedge_into(i_mu[j], dnu, i, s)
 
     return GradedTensor._make(algebroid, Kind.MIXED, k.degree + l.degree,
-                              accumulate(terms()))
+                              products(algebroid.base, items()))

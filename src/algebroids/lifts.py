@@ -52,7 +52,7 @@ from .poisson import h_p
 
 
 def _require_over(algebroid: Algebroid, s: GradedTensor) -> None:
-    if s.owner != algebroid:
+    if s.owner is not algebroid and s.owner != algebroid:
         raise ChartMismatch(
             f"section belongs to {s.owner!r}, not to {algebroid!r}")
 

@@ -92,7 +92,7 @@ class PoissonStructure:
 
     def ptilde(self, mu: GradedTensor) -> GradedTensor:
         """The bundle map P̃ on a 1-form, fixed by ⟨P̃μ, ν⟩ = ⟨P, μ∧ν⟩."""
-        if mu.owner != self.owner:
+        if mu.owner is not self.owner and mu.owner != self.owner:
             raise ChartMismatch("form does not live over the Poisson chart")
         if mu.kind is not Kind.FORM or mu.degree != 1:
             raise KindMismatch(f"P̃ acts on 1-forms, got {mu.describe()}")
@@ -106,7 +106,7 @@ def build_poisson(chart: Chart, bivector: GradedTensor) -> PoissonStructure:
     :class:`NotPoisson` error carries the trivector residual as a witness.
     """
     owner = canonical_algebroid(chart)
-    if bivector.owner != owner:
+    if bivector.owner is not owner and bivector.owner != owner:
         raise ChartMismatch(
             "bivector does not live over the canonical algebroid of the chart")
     if bivector.kind is not Kind.MV or bivector.degree != 2:
@@ -122,7 +122,7 @@ def build_poisson(chart: Chart, bivector: GradedTensor) -> PoissonStructure:
 
 def _as_form(ps: PoissonStructure, t: GradedTensor) -> GradedTensor:
     """Coerce functions (degree-0 multivectors) into degree-0 forms."""
-    if t.owner != ps.owner:
+    if t.owner is not ps.owner and t.owner != ps.owner:
         raise ChartMismatch("tensor does not live over the Poisson chart")
     if t.kind is Kind.MV and t.degree == 0:
         return GradedTensor(ps.owner, Kind.FORM, 0, dict(t.terms))
@@ -244,7 +244,7 @@ def _factorwise(t: GradedTensor, kind: Kind, row) -> GradedTensor:
 
 
 def _lambda_inverse(ps: PoissonStructure, x: GradedTensor) -> GradedTensor:
-    if x.owner != ps.owner:
+    if x.owner is not ps.owner and x.owner != ps.owner:
         raise ChartMismatch("tensor does not live over the Poisson chart")
     if x.kind is not Kind.MV:
         raise KindMismatch(f"inverse mode maps multivectors to forms, got "

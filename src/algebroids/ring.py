@@ -18,7 +18,13 @@ literally zero" a decidable statement everywhere else in the package.
 term map, of a polynomial or a tensor, is summed by it) and
 :meth:`Chart.coerce` its one rule for turning a value into a coefficient.
 A product with a constant or the zero, and a sum with the zero, take no
-pass of the kernel.
+pass of the kernel.  :func:`products` is the one product kernel of the
+bilinear operations (wedge, contraction, the brackets, ``d``): it sums
+signed products ``sign·a·b`` of polynomials, keyed by basis key, straight
+into one term map per key, with no polynomial built per product.  Monomial
+exponents are added in one private generator, which ``Poly.__mul__``
+shares.  :meth:`Poly.gradient` keeps its partials in a slot, so each
+polynomial object is differentiated once.
 
 Expression syntax accepted by :func:`parse_poly`::
 
@@ -93,7 +99,7 @@ class Chart:
         self._index = {name: i for i, name in enumerate(coords)}
         self._origin = (0,) * len(coords)
         zero = object.__new__(Poly)  # Poly._make of no terms returns this one
-        zero.chart, zero.terms, zero._hash = self, {}, None
+        zero.chart, zero.terms, zero._hash, zero._gradient = self, {}, None, ()
         self._zero = zero
 
     @property
@@ -166,7 +172,7 @@ class Chart:
 class Poly:
     """A polynomial over a fixed chart, with exact rational coefficients."""
 
-    __slots__ = ("chart", "terms", "_hash")
+    __slots__ = ("chart", "terms", "_hash", "_gradient")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, object] | Iterable):
         """The sum of ``coefficient * x^exponent`` over ``terms`` (a mapping
@@ -198,11 +204,10 @@ class Poly:
                                           f"that is not an int")
                 if any(e < 0 for e in exp):
                     raise NegativeExponent(f"negative exponent in {exp!r}")
-                for e, c in chart.coerce(coeff).terms.items():
-                    yield tuple(map(operator.add, exp, e)), c
+                yield from _monomial_products({exp: 1}, chart.coerce(coeff).terms)
         self.chart = chart
         self.terms = accumulate(shifted())
-        self._hash = None
+        self._hash = self._gradient = None
 
     @classmethod
     def _make(cls, chart: Chart, terms: Dict[Exponent, Scalar]) -> "Poly":
@@ -214,7 +219,7 @@ class Poly:
         self = object.__new__(cls)
         self.chart = chart
         self.terms = terms
-        self._hash = None
+        self._hash = self._gradient = None
         return self
 
     # -- basic queries -------------------------------------------------------
@@ -281,10 +286,7 @@ class Poly:
             # scaling by a nonzero constant keeps every term and every key
             c = a[origin]
             return Poly._make(self.chart, {e: _exact(v * c) for e, v in b.items()})
-        add = operator.add
-        return Poly._make(self.chart, accumulate(
-            (tuple(map(add, ea, eb)), ca * cb)
-            for ea, ca in a.items() for eb, cb in b.items()))
+        return Poly._make(self.chart, accumulate(_monomial_products(a, b)))
 
     __rmul__ = __mul__
 
@@ -337,11 +339,13 @@ class Poly:
         """The nonzero first partials, as (coordinate index, partial) pairs:
         one :meth:`partial` per coordinate, for callers that apply several
         vector fields to the same function.  A constant has none and takes
-        no partials."""
-        if self.is_constant():
-            return []
-        return [(a, d) for a, name in enumerate(self.chart.coords)
-                if (d := self.partial(name))]
+        no partials.  The partials are taken on the first call and kept in
+        a slot, as the hash is; each call returns a new list of them."""
+        if self._gradient is None:
+            self._gradient = () if self.is_constant() else tuple(
+                (a, d) for a, name in enumerate(self.chart.coords)
+                if (d := self.partial(name)))
+        return list(self._gradient)
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a rational point given as ``{coordinate: value}``; the
@@ -423,6 +427,54 @@ def accumulate(pairs: Iterable[Tuple[object, object]],
         else:
             acc.pop(key, None)
     return acc
+
+
+def _monomial_products(a: Mapping[Exponent, Scalar], b: Mapping[Exponent, Scalar]):
+    """The (exponent, coefficient) pairs of the term-by-term product of the
+    term maps ``a`` and ``b``, unsummed: the one place monomial exponents
+    are added."""
+    add = operator.add
+    return ((tuple(map(add, ea, eb)), ca * cb)
+            for ea, ca in a.items() for eb, cb in b.items())
+
+
+def _signed_products(items: Iterable[Tuple[object, int, Poly, Poly]], origin: Exponent):
+    """The ((key, exponent), coefficient) pairs of every ``sign·a·b`` over
+    :func:`products` items, unsummed."""
+    for key, sign, a, b in items:
+        a, b = a.terms, b.terms
+        # `a` is the constant side if there is one, as in Poly.__mul__
+        if len(a) > len(b) or len(b) == 1 and origin in b:
+            a, b = b, a
+        if len(a) == 1 and origin in a:
+            c = a[origin] if sign > 0 else -a[origin]
+            for e, v in b.items():
+                yield (key, e), v * c
+        else:
+            if sign < 0:  # negate the shorter factor, once
+                a = {e: -c for e, c in a.items()}
+            for e, v in _monomial_products(a, b):
+                yield (key, e), v
+
+
+def products(chart: Chart, items: Iterable[Tuple[object, int, Poly, Poly]]) -> Dict:
+    """The term map ``{key: sum of sign·a·b}`` over ``(key, sign, a, b)``
+    items, ``a`` and ``b`` polynomials over ``chart`` and ``sign`` ±1.
+
+    Every monomial product is summed straight into the result, keyed by
+    (key, exponent), in one pass of :func:`accumulate` and then grouped by
+    key: no polynomial is built per item.  A key whose products cancel is
+    left out, so the result is a canonical tensor term map."""
+    grouped: Dict = {}
+    for (key, e), c in accumulate(_signed_products(items, chart._origin)).items():
+        terms = grouped.get(key)
+        if terms is None:
+            grouped[key] = {e: c}
+        else:
+            terms[e] = c
+    for key, terms in grouped.items():  # replaces values only: no resize
+        grouped[key] = Poly._make(chart, terms)
+    return grouped
 
 
 def poly_sum(chart: Chart, pieces: Iterable[Poly]) -> Poly:

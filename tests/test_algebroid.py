@@ -265,6 +265,32 @@ def test_validate_differentiates_each_polynomial_once(case, monkeypatch):
     assert [str(p) for p in calls if repeated[id(p)] > 1] == []
 
 
+def test_a_polynomial_in_two_tangent_lift_columns_is_differentiated_once(monkeypatch):
+    """The tangent lift stores one object, the lifted c_ij^k, in the columns
+    (i, m+j) and (m+i, m+j); validating the lift takes its partials once,
+    counted on the object's identity."""
+    import algebroids.algebroid
+
+    A = nonconstant_rank2()
+    calls = []
+    partial = Poly.partial
+
+    def counted(self, name):
+        calls.append((self, name))  # kept alive, so no two share an id by reuse
+        return partial(self, name)
+
+    monkeypatch.setattr(Poly, "partial", counted)
+    # built past the lift cache, so every polynomial of the lift is new
+    lift = algebroids.algebroid._tangent_lift.__wrapped__(A)
+    m = A.rank
+    shared = lift.structure[(0, m + 1)][0]
+    assert str(shared) == "2*x" and lift.structure[(m, m + 1)][m] is shared
+    validate(lift)  # a second validation takes no partial of it
+    taken = Counter((id(q), name) for q, name in calls)
+    assert [(str(q), name) for q, name in calls if taken[id(q), name] > 1] == []
+    assert [name for q, name in calls if q is shared] == ["x", "x_dot"]
+
+
 def test_section_bracket_commutator():
     # over a canonical algebroid the bracket is the vector-field commutator
     A = canonical_plane()

@@ -10,7 +10,9 @@ package outside its own definition.  Only ``tensor.py``, which defines
 it, and the theorem-2 suite, which reports it, name the package-wide
 ``CONTRACTION_ORDER``: no other construction may depend on it.  In
 ``suites.py`` only the methods of the runner ``_Run`` call ``.rng(``: a
-stream receives its item's generator and never builds one.
+stream receives its item's generator and never builds one.  In ``ring.py``
+one function adds monomial exponents (names ``operator.add``), so every
+product of polynomials goes through it.
 """
 
 import ast
@@ -160,3 +162,40 @@ def test_a_stream_building_its_own_generator_is_reported():
         "\nSEED = _Run().rng('seed')\n"
     )
     assert _rng_callers(source) == {"_suite_x", None}
+
+
+def _exponent_adders(source):
+    """The functions of ``source`` (methods as ``Class.method``) that name
+    ``operator.add`` or a bare ``add``, the elementwise addition of exponent
+    tuples that multiplies monomials, with ``None`` for a use at module
+    level."""
+    units = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            units += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                      if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        else:
+            units.append((getattr(node, "name", None), node))
+    return {name for name, node in units
+            if any(isinstance(sub, ast.Name) and sub.id == "add"
+                   or isinstance(sub, ast.Attribute) and sub.attr == "add"
+                   and isinstance(sub.value, ast.Name) and sub.value.id == "operator"
+                   for sub in ast.walk(node))}
+
+
+def test_monomial_exponents_are_added_in_one_function():
+    source = (PACKAGE / "ring.py").read_text(encoding="utf-8")
+    assert _exponent_adders(source) == {"_monomial_products"}
+
+
+def test_a_second_exponent_adder_is_reported():
+    source = (
+        "import operator\nfrom operator import add\n\n"
+        "class Poly:\n"
+        "    def __mul__(self, other):\n"
+        "        return tuple(map(operator.add, self.e, other.e))\n"
+        "    def seen(self, names):\n        names.add(self)\n"
+        "\ndef shift(e, f):\n    return tuple(map(add, e, f))\n"
+        "\nONE = add(0, 1)\n"
+    )
+    assert _exponent_adders(source) == {"Poly.__mul__", "shift", None}

@@ -29,6 +29,7 @@ from algebroids.ring import (
     parse_poly,
     partial,
     poly_to_string,
+    products,
 )
 
 XY = Chart(["x", "y"])
@@ -415,6 +416,78 @@ def test_gradient_of_a_constant_takes_no_partials(monkeypatch):
     assert calls == []
     assert p("x^2*y + y").gradient() == [(0, p("2*x*y")), (1, p("x^2 + 1"))]
     assert calls == ["x", "y"]
+
+
+def test_a_second_gradient_takes_no_partials(monkeypatch):
+    calls = []
+    original = Poly.partial
+
+    def counted(poly, name):
+        calls.append(name)
+        return original(poly, name)
+
+    monkeypatch.setattr(Poly, "partial", counted)
+    q = p("x^2*y + y")
+    first = q.gradient()
+    assert calls == ["x", "y"]
+    first.clear()  # a caller's list is its own: the kept partials stay
+    for _ in range(3):
+        assert q.gradient() == [(0, p("2*x*y")), (1, p("x^2 + 1"))]
+    assert calls == ["x", "y"]
+    # an equal polynomial is another object, differentiated once itself
+    assert p("x^2*y + y").gradient() == q.gradient()
+    assert calls == ["x", "y", "x", "y"]
+
+
+#: Product items over XY: a basis key, a sign and two term maps with small
+#: coefficients, so that products of different items often cancel.
+_SMALL = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3)),
+)
+_SMALL_MAPS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              _SMALL, max_size=3)
+_PRODUCT_ITEMS = st.lists(st.tuples(st.sampled_from(["a", "b", (0, 1)]),
+                                    st.sampled_from([1, -1]),
+                                    _SMALL_MAPS, _SMALL_MAPS), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PRODUCT_ITEMS)
+def test_product_kernel_is_the_sum_of_the_signed_products(items):
+    items = [(key, sign, Poly(XY, a), Poly(XY, b)) for key, sign, a, b in items]
+    # each item mirrored with the other sign: every key cancels
+    mirrored = items + [(key, -sign, b, a) for key, sign, a, b in items]
+    assert products(XY, mirrored) == {}
+    expected = accumulate((key, a * b if sign > 0 else -(a * b))
+                          for key, sign, a, b in items)
+    result = products(XY, iter(items))
+    assert result == expected
+    assert all(q.terms and q.chart is XY and _stored_exactly(q)
+               for q in result.values())
+
+
+def test_product_kernel_cancels_and_demotes_like_the_ring():
+    x, y = XY.coordinate("x"), XY.coordinate("y")
+    half, third = XY.coerce(Fraction(1, 2)), XY.coerce(Fraction(1, 3))
+    # a key whose products cancel is left out, as a zero tensor term is
+    assert products(XY, [("k", 1, x, y), ("k", -1, y, x), ("j", 1, x, x)]) == \
+        {"j": x * x}
+    assert products(XY, [("k", 1, x, XY.zero())]) == {}
+    # an integral Fraction product, or sum of products, is stored as an int
+    two_thirds_y = Poly(XY, {(0, 1): Fraction(2, 3)})
+    three_halves_x = Poly(XY, {(1, 0): Fraction(3, 2)})
+    for items in ([("k", 1, three_halves_x, two_thirds_y)],
+                  [("k", 1, half, x * y), ("k", 1, x, half * y)],
+                  [("k", -1, third * x, y + x), ("k", -1, x * Fraction(2, 3), y + x)]):
+        (q,) = products(XY, items).values()
+        assert _stored_exactly(q) and all(type(c) is int for c in q.terms.values())
+    # products that cancel leave the chart's shared zero: the rotation field
+    # y d/dx - x d/dy kills x^2 + y^2
+    from algebroids.algebroid import anchor_derivative, build_algebroid
+
+    A = build_algebroid(XY, ["e"], [["y", "-1*x"]])
+    assert anchor_derivative(A, 0, p("x^2 + y^2")) is XY.zero()
 
 
 def test_partials_commute():

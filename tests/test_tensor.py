@@ -1,13 +1,15 @@
 """Graded tensor arithmetic: normalization, products, contraction."""
 
 import random
+from itertools import product
 
 import pytest
 
 from algebroids import tensor
+from algebroids.algebroid import cotangent_lift, tangent_lift
 from algebroids.errors import ChartMismatch, DimensionMismatch, KindMismatch
-from algebroids.fixtures import canonical_plane, canonical_space, so3
-from algebroids.ring import Chart, parse_poly
+from algebroids.fixtures import ALGEBROIDS, canonical_plane, canonical_space, so3
+from algebroids.ring import Chart, Poly, accumulate, parse_poly
 from algebroids.tensor import (
     GradedTensor,
     Kind,
@@ -283,3 +285,72 @@ def test_pretty_rendering():
     assert pretty(A.estar(1) * -1) == "-e*y"
     k = GradedTensor(A, Kind.MIXED, 1, {((0,), 1): "x + 1"})
     assert "⊗e_y" in pretty(k) and "(" in pretty(k)
+
+
+# -- the skew-merge table and the random draws against their earlier forms -------
+
+
+def reference_sort_skew(indices):
+    """``tensor._sort_skew`` as it was before it answered from a table."""
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for i in range(1, len(idx)):
+        if idx[i - 1] == idx[i]:
+            return None
+    return tuple(idx), sign
+
+
+def test_the_skew_table_answers_as_the_insertion_sort():
+    tuples = [t for n in range(6) for t in product(range(7), repeat=n)]
+    assert len(tuples) > tensor._SKEW_TABLE_SIZE  # misses and evictions too
+    for _ in range(2):  # filled, then read back
+        assert [tensor._sort_skew(t) for t in tuples] == \
+            [reference_sort_skew(t) for t in tuples]
+
+
+def reference_random_coefficient(rng, chart, degree=2):
+    """``random_coefficient`` as it was written before it summed its draws."""
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        exp = [0] * chart.dim
+        for _ in range(rng.randint(0, degree)):
+            if chart.dim:
+                exp[rng.randrange(chart.dim)] += 1
+        terms.append((tuple(exp), rng.randint(-3, 3)))
+    return Poly._make(chart, accumulate(terms))
+
+
+def reference_random_tensor(rng, owner, kind, degree, coeff_degree=2, max_keys=3):
+    """``random_tensor`` as it was written before it built with ``_make``."""
+    keys = list(basis_keys(owner, kind, degree))
+    if not keys:
+        return GradedTensor.zero(owner, kind, degree)
+    chosen = rng.sample(keys, min(len(keys), rng.randint(1, max_keys)))
+    terms = [(key, reference_random_coefficient(rng, owner.base, coeff_degree))
+             for key in chosen]
+    return GradedTensor(owner, kind, degree, terms)
+
+
+def test_random_draws_match_their_earlier_form():
+    """Same terms, in the same key order, and the generator left in the same
+    state, over the built-in algebroids and their lifts, every kind and
+    degrees 0-3 (a passing suite report holds no drawn value)."""
+    owners = [make() for make in ALGEBROIDS.values()]
+    owners += [lift(A) for lift in (tangent_lift, cotangent_lift) for A in owners]
+    for seed in range(300):
+        new, old = random.Random(seed), random.Random(seed)
+        for A in owners:
+            for kind in Kind:
+                for degree in range(4):
+                    t = random_tensor(new, A, kind, degree)
+                    r = reference_random_tensor(old, A, kind, degree)
+                    assert list(t.terms.items()) == list(r.terms.items())
+                    assert all(list(c.terms.items()) == list(r.terms[k].terms.items())
+                               for k, c in t.terms.items())
+            assert new.getstate() == old.getstate()
