@@ -8,13 +8,15 @@ suites, and ``eval`` evaluates a tensor's coefficients at a rational point.
 Every run prints a JSON report on stdout and a short human summary on stderr,
 and exits 0 when everything passed, 1 when some checked identity failed, and
 2 on input errors (unreadable models, unknown names, kind mismatches, input
-nested too deeply for the interpreter stack).
+nested too deeply for the interpreter stack) and when the reader closes
+stdout before the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -352,6 +354,20 @@ def _summarize(report, stream):
           f"({report['timing']['seconds']}s)", file=stream)
 
 
+def _write_report(report) -> bool:
+    """Print ``report`` on stdout; False when the reader has closed it."""
+    try:
+        print(json.dumps(report, indent=2, ensure_ascii=False))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -372,8 +388,8 @@ def main(argv=None) -> int:
         witness = getattr(exc, "witness", None)
         if witness:
             report["error"]["witness"] = {k: str(v) for k, v in witness.items()}
-        print(json.dumps(report, indent=2, ensure_ascii=False))
-        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
+        if _write_report(report):
+            print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     elapsed = round(time.perf_counter() - started, 3)
     status = "pass" if all(i["status"] == "pass" for i in items) else "fail"
@@ -383,7 +399,8 @@ def main(argv=None) -> int:
         "items": items,
         "timing": {"seconds": elapsed},
     }
-    print(json.dumps(report, indent=2, ensure_ascii=False))
+    if not _write_report(report):
+        return 2
     _summarize(report, sys.stderr)
     return 0 if status == "pass" else 1
 

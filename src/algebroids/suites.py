@@ -23,10 +23,19 @@ it to the item's instance stream, counts instances up to the first witness
 and appends the item.  ``_Run.identity`` and ``_Run.predicate`` are its two
 judges (a residual must vanish; a predicate must hold), and ``_Run.check``
 is ``identity`` over the standard stream: the trial share per fixture, in
-fixture order, each instance drawn by a function of ``(fixture, rng)``.  The
-few items whose draw count is not the share (several instances per draw, an
-invertibility probe, ``trials`` on one fixture, a skipped fixture) pass their
-own stream, a function of ``rng``.
+fixture order, each instance drawn by a function of ``(fixture, rng)``.
+
+Most items are declared (``_Run.declare``): an id, a label, the fixtures,
+each argument as ``(kind, degrees[, keys])`` and a residual function of
+``(fixture, **arguments)`` that never sees the generator.  One enumerator,
+``_Run.arguments``, draws the arguments in declaration order: a degree
+chosen from the declared list (an int is taken as is), then the tensor.
+Items that draw random coefficients, theorem-6's antisymmetry (both
+degrees chosen before either draw) and theorem-15 (seven items over one
+shared instance) keep instance functions of ``(fixture, rng)``.  The few
+items whose draw count is not the share (several instances per draw, an
+invertibility probe, ``trials`` on one fixture, a skipped fixture) pass
+their own stream, a function of ``rng``.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import partial
+from operator import attrgetter
 
 from . import tensor as _tensor_conventions
 from .algebroid import (
@@ -208,6 +218,35 @@ class _Run:
     def note(self, text):
         self.notes.append(text)
 
+    def arguments(self, rng, owner, args):
+        """The enumerator: draw ``args`` ({name: (kind, degrees[, keys])})
+        on ``owner`` in declaration order.  An int degree is drawn as is,
+        with no ``rng.choice``; a sequence is one ``rng.choice`` over its
+        entries exactly as listed, duplicates included, each entry an int
+        or a function of the owner (``_upto2``, ``_rank``)."""
+        drawn = {}
+        for name, (kind, degrees, *keys) in args.items():
+            if not isinstance(degrees, int):
+                degrees = rng.choice([d(owner) if callable(d) else d
+                                      for d in degrees])
+            drawn[name] = self.draw(rng, owner, kind, degrees, *keys)
+        return drawn
+
+    def declare(self, item_id, label, fixtures, owner=None, **args):
+        """Decorate ``residual(fixture, **args)`` into an item over the
+        standard stream: each instance draws ``args`` on ``owner(fixture)``
+        (the fixture itself by default) and returns the residual, or a
+        tuple of residuals, of them."""
+        def declared(residual):
+            def instance(fixture, rng):
+                on = fixture if owner is None else owner(fixture)
+                drawn = self.arguments(rng, on, args)
+                return drawn, residual(fixture, **drawn)
+
+            self.check(item_id, label, fixtures, instance)
+            return residual
+        return declared
+
     def check(self, item_id, label, fixtures, instance):
         """The standard draw policy: ``share(len(fixtures))`` draws per
         fixture, fixtures in the order given.  ``instance(fixture, rng)``
@@ -273,6 +312,32 @@ class _Run:
                 "notes": self.notes, "items": self.items}
 
 
+def _upto2(owner):
+    """The degree entry ``min(2, rank)`` of the draw owner."""
+    return min(2, owner.rank)
+
+
+#: The degree entry ``rank`` of the draw owner.
+_rank = attrgetter("rank")
+#: A Poisson structure's cotangent algebroid, the owner its forms draw on.
+_cotangent = attrgetter("owner")
+
+
+def _sign(n):
+    """(−1)^n."""
+    return -1 if n % 2 else 1
+
+
+def _graded_jacobi(bracket, x, y, z, shift=0, right=False):
+    """The cyclic graded-Jacobi sum of ``x, y, z``: Σ (−1)^{|p||r|}
+    [[p, q], r] over (p, q, r) = (x, y, z), (y, z, x), (z, x, y), nesting
+    as [p, [q, r]] when ``right``; |t| is the degree of t minus ``shift``."""
+    def term(p, q, r):
+        nested = bracket(p, bracket(q, r)) if right else bracket(bracket(p, q), r)
+        return nested * _sign((p.degree - shift) * (r.degree - shift))
+    return term(x, y, z) + term(y, z, x) + term(z, x, y)
+
+
 def _vt_table(op, base, x, y, V, T):
     """The V/T table of a bilinear ``op`` as its four residuals:
     op(Vx, Vy) = 0, op(Vx, Ty) = op(Tx, Vy) = V(base), op(Tx, Ty) = T(base),
@@ -281,6 +346,15 @@ def _vt_table(op, base, x, y, V, T):
     v_base = V(base)
     return (op(vx, vy), op(vx, ty) - v_base, op(tx, vy) - v_base,
             op(tx, ty) - T(base))
+
+
+def _lift_table(A, op, x, y, owned=True):
+    """The V/T table of ``op`` over ``A`` and its tangent lift; ``op``
+    takes the owner first when ``owned``."""
+    def on(owner):
+        return partial(op, owner) if owned else op
+    return _vt_table(on(tangent_lift(A)), on(A)(x, y), x, y,
+                     partial(vertical_lift_V, A), partial(complete_lift_T, A))
 
 
 def _velocity(coeff, source, target):
@@ -298,74 +372,47 @@ def _suite_theorem_1(run):
     """d² = 0 and the Leibniz / commutator laws of i_X and L_X."""
     fixtures = run.algebroids()
 
-    def d_squared(A, rng):
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
-        return {"mu": mu}, differential(A, differential(A, mu))
+    @run.declare("d-squared", "d∘d = 0", fixtures,
+                 mu=(Kind.FORM, (0, 1, _upto2)))
+    def d_squared(A, mu):
+        return differential(A, differential(A, mu))
 
-    run.check("d-squared", "d∘d = 0", fixtures, d_squared)
+    @run.declare("d-leibniz", "d(mu∧nu) = d(mu)∧nu + (−1)^k mu∧d(nu)",
+                 fixtures, mu=(Kind.FORM, (0, 1)), nu=(Kind.FORM, (0, 1)))
+    def d_leibniz(A, mu, nu):
+        return (differential(A, wedge(mu, nu))
+                - wedge(differential(A, mu), nu)
+                - wedge(mu, differential(A, nu)) * _sign(mu.degree))
 
-    def d_leibniz(A, rng):
-        k = rng.choice([0, 1])
-        mu = run.draw(rng, A, Kind.FORM, k)
-        nu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1]))
-        sign = -1 if k % 2 else 1
-        residual = (differential(A, wedge(mu, nu))
-                    - wedge(differential(A, mu), nu)
-                    - wedge(mu, differential(A, nu)) * sign)
-        return {"mu": mu, "nu": nu}, residual
+    @run.declare("i-leibniz", "i_X(mu∧nu) = i_X(mu)∧nu + (−1)^k mu∧i_X(nu)",
+                 fixtures, mu=(Kind.FORM, (1, _upto2)),
+                 nu=(Kind.FORM, (1, _upto2)), x=(Kind.MV, 1))
+    def i_leibniz(A, mu, nu, x):
+        return (contract(x, wedge(mu, nu))
+                - wedge(contract(x, mu), nu)
+                - wedge(mu, contract(x, nu)) * _sign(mu.degree))
 
-    run.check("d-leibniz", "d(mu∧nu) = d(mu)∧nu + (−1)^k mu∧d(nu)",
-              fixtures, d_leibniz)
+    @run.declare("lie-leibniz", "L_X(mu∧nu) = L_X(mu)∧nu + mu∧L_X(nu)",
+                 fixtures, mu=(Kind.FORM, (0, 1)),
+                 nu=(Kind.FORM, (0, 1, _upto2)), x=(Kind.MV, 1))
+    def lie_leibniz(A, mu, nu, x):
+        return (lie_derivative(A, x, wedge(mu, nu))
+                - wedge(lie_derivative(A, x, mu), nu)
+                - wedge(mu, lie_derivative(A, x, nu)))
 
-    def i_leibniz(A, rng):
-        k = rng.choice([1, min(2, A.rank)])
-        mu = run.draw(rng, A, Kind.FORM, k)
-        nu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-        x = run.draw(rng, A, Kind.MV, 1)
-        sign = -1 if k % 2 else 1
-        residual = (contract(x, wedge(mu, nu))
-                    - wedge(contract(x, mu), nu)
-                    - wedge(mu, contract(x, nu)) * sign)
-        return {"x": x, "mu": mu, "nu": nu}, residual
+    @run.declare("lie-commutator", "L_X∘L_Y − L_Y∘L_X = L_[X,Y]", fixtures,
+                 mu=(Kind.FORM, (1, _upto2)), x=(Kind.MV, 1), y=(Kind.MV, 1))
+    def lie_commutator(A, mu, x, y):
+        return (lie_derivative(A, x, lie_derivative(A, y, mu))
+                - lie_derivative(A, y, lie_derivative(A, x, mu))
+                - lie_derivative(A, section_bracket(A, x, y), mu))
 
-    run.check("i-leibniz", "i_X(mu∧nu) = i_X(mu)∧nu + (−1)^k mu∧i_X(nu)",
-              fixtures, i_leibniz)
-
-    def lie_leibniz(A, rng):
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1]))
-        nu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
-        x = run.draw(rng, A, Kind.MV, 1)
-        residual = (lie_derivative(A, x, wedge(mu, nu))
-                    - wedge(lie_derivative(A, x, mu), nu)
-                    - wedge(mu, lie_derivative(A, x, nu)))
-        return {"x": x, "mu": mu, "nu": nu}, residual
-
-    run.check("lie-leibniz", "L_X(mu∧nu) = L_X(mu)∧nu + mu∧L_X(nu)",
-              fixtures, lie_leibniz)
-
-    def lie_commutator(A, rng):
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-        x = run.draw(rng, A, Kind.MV, 1)
-        y = run.draw(rng, A, Kind.MV, 1)
-        residual = (lie_derivative(A, x, lie_derivative(A, y, mu))
-                    - lie_derivative(A, y, lie_derivative(A, x, mu))
-                    - lie_derivative(A, section_bracket(A, x, y), mu))
-        return {"x": x, "y": y, "mu": mu}, residual
-
-    run.check("lie-commutator", "L_X∘L_Y − L_Y∘L_X = L_[X,Y]",
-              fixtures, lie_commutator)
-
-    def lie_insertion(A, rng):
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-        x = run.draw(rng, A, Kind.MV, 1)
-        y = run.draw(rng, A, Kind.MV, 1)
-        residual = (lie_derivative(A, x, contract(y, mu))
-                    - contract(y, lie_derivative(A, x, mu))
-                    - contract(section_bracket(A, x, y), mu))
-        return {"x": x, "y": y, "mu": mu}, residual
-
-    run.check("lie-insertion", "L_X∘i_Y − i_Y∘L_X = i_[X,Y]",
-              fixtures, lie_insertion)
+    @run.declare("lie-insertion", "L_X∘i_Y − i_Y∘L_X = i_[X,Y]", fixtures,
+                 mu=(Kind.FORM, (1, _upto2)), x=(Kind.MV, 1), y=(Kind.MV, 1))
+    def lie_insertion(A, mu, x, y):
+        return (lie_derivative(A, x, contract(y, mu))
+                - contract(y, lie_derivative(A, x, mu))
+                - contract(section_bracket(A, x, y), mu))
 
 
 def _suite_theorem_2(run):
@@ -384,7 +431,7 @@ def _suite_theorem_2(run):
                 b = rng.choice(list(degrees))
                 x = run.draw(rng, A, Kind.MV, a)
                 y = run.draw(rng, A, Kind.MV, b)
-                sign = -1 if (a * (b - 1)) % 2 else 1
+                sign = _sign(a * (b - 1))
                 for degree in range(1, min(3, A.rank) + 1):
                     for key in basis_keys(A, Kind.FORM, degree):
                         mu = GradedTensor(A, Kind.FORM, degree, {key: 1})
@@ -410,109 +457,73 @@ def _suite_theorem_2(run):
     run.check("bracket-on-functions", "[X, f] = anchor(X)(f)",
               fixtures, on_functions)
 
-    def derivation(A, rng):
-        a = rng.choice([1, 2])
-        x = run.draw(rng, A, Kind.MV, a)
-        y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
-        z = run.draw(rng, A, Kind.MV, 1)
-        sign = -1 if ((a - 1) * y.degree) % 2 else 1
-        residual = (schouten(A, x, wedge(y, z))
-                    - wedge(schouten(A, x, y), z)
-                    - wedge(y, schouten(A, x, z)) * sign)
-        return {"x": x, "y": y, "z": z}, residual
-
-    run.check("adjoint-derivation",
-              "[X, Y∧Z] = [X,Y]∧Z + (−1)^{(a−1)b} Y∧[X,Z]",
-              fixtures, derivation)
+    @run.declare("adjoint-derivation",
+                 "[X, Y∧Z] = [X,Y]∧Z + (−1)^{(a−1)b} Y∧[X,Z]", fixtures,
+                 x=(Kind.MV, (1, 2)), y=(Kind.MV, (1, _upto2)), z=(Kind.MV, 1))
+    def derivation(A, x, y, z):
+        return (schouten(A, x, wedge(y, z))
+                - wedge(schouten(A, x, y), z)
+                - wedge(y, schouten(A, x, z)) * _sign((x.degree - 1) * y.degree))
 
 
 def _suite_theorem_3(run):
     """The Nijenhuis–Richardson bracket is a graded Lie bracket."""
     fixtures = run.algebroids()
 
-    def antisymmetry(A, rng):
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        sign = -1 if ((k.degree - 1) * (l.degree - 1)) % 2 else 1
-        return {"K": k, "L": l}, nr_bracket(k, l) + nr_bracket(l, k) * sign
+    @run.declare("antisymmetry", "[K,L] = −(−1)^{(a−1)(b−1)} [L,K]", fixtures,
+                 K=(Kind.MIXED, (0, 1, _upto2)), L=(Kind.MIXED, (0, 1)))
+    def antisymmetry(A, K, L):
+        return (nr_bracket(K, L)
+                + nr_bracket(L, K) * _sign((K.degree - 1) * (L.degree - 1)))
 
-    run.check("antisymmetry", "[K,L] = −(−1)^{(a−1)(b−1)} [L,K]",
-              fixtures, antisymmetry)
+    mixed = (Kind.MIXED, (0, 1, _upto2))
 
-    def jacobi(A, rng):
-        ks = [run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-              for _ in range(3)]
-        a, b, c = (t.degree - 1 for t in ks)
-        residual = (
-            nr_bracket(nr_bracket(ks[0], ks[1]), ks[2])
-            * (-1 if (a * c) % 2 else 1)
-            + nr_bracket(nr_bracket(ks[1], ks[2]), ks[0])
-            * (-1 if (b * a) % 2 else 1)
-            + nr_bracket(nr_bracket(ks[2], ks[0]), ks[1])
-            * (-1 if (c * b) % 2 else 1))
-        return {"K": ks[0], "L": ks[1], "M": ks[2]}, residual
-
-    run.check("graded-jacobi", "graded Jacobi identity", fixtures, jacobi)
+    @run.declare("graded-jacobi", "graded Jacobi identity", fixtures,
+                 K=mixed, L=mixed, M=mixed)
+    def jacobi(A, K, L, M):
+        return _graded_jacobi(nr_bracket, K, L, M, shift=1)
 
 
 def _suite_theorem_4(run):
     """The Frölicher–Nijenhuis bracket: the Lie-differential operator
     identity and the graded Lie laws."""
     fixtures = run.algebroids()
+    mixed = (Kind.MIXED, (0, 1, _upto2))
 
-    def operator(A, rng):
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        omega = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-        sign = -1 if (k.degree * l.degree) % 2 else 1
-        residual = (lie_derivative(A, fn_bracket(A, k, l), omega)
-                    - lie_derivative(A, k, lie_derivative(A, l, omega))
-                    + lie_derivative(A, l, lie_derivative(A, k, omega)) * sign)
-        return {"K": k, "L": l, "omega": omega}, residual
+    @run.declare("operator-identity", "L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K",
+                 fixtures, K=mixed, L=(Kind.MIXED, (0, 1)),
+                 omega=(Kind.FORM, (1, _upto2)))
+    def operator(A, K, L, omega):
+        return (lie_derivative(A, fn_bracket(A, K, L), omega)
+                - lie_derivative(A, K, lie_derivative(A, L, omega))
+                + lie_derivative(A, L, lie_derivative(A, K, omega))
+                * _sign(K.degree * L.degree))
 
-    run.check("operator-identity", "L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K",
-              fixtures, operator)
+    @run.declare("antisymmetry", "[K,L] = −(−1)^{ab} [L,K]", fixtures,
+                 K=mixed, L=(Kind.MIXED, (0, 1)))
+    def antisymmetry(A, K, L):
+        return (fn_bracket(A, K, L)
+                + fn_bracket(A, L, K) * _sign(K.degree * L.degree))
 
-    def antisymmetry(A, rng):
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        sign = -1 if (k.degree * l.degree) % 2 else 1
-        return {"K": k, "L": l}, fn_bracket(A, k, l) + fn_bracket(A, l, k) * sign
-
-    run.check("antisymmetry", "[K,L] = −(−1)^{ab} [L,K]", fixtures, antisymmetry)
-
-    def jacobi(A, rng):
-        ks = [run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-              for _ in range(3)]
-        a, b, c = (t.degree for t in ks)
-        residual = (
-            fn_bracket(A, fn_bracket(A, ks[0], ks[1]), ks[2])
-            * (-1 if (a * c) % 2 else 1)
-            + fn_bracket(A, fn_bracket(A, ks[1], ks[2]), ks[0])
-            * (-1 if (b * a) % 2 else 1)
-            + fn_bracket(A, fn_bracket(A, ks[2], ks[0]), ks[1])
-            * (-1 if (c * b) % 2 else 1))
-        return {"K": ks[0], "L": ks[1], "M": ks[2]}, residual
-
-    run.check("graded-jacobi", "graded Jacobi identity", fixtures, jacobi)
+    @run.declare("graded-jacobi", "graded Jacobi identity", fixtures,
+                 K=mixed, L=mixed, M=mixed)
+    def jacobi(A, K, L, M):
+        return _graded_jacobi(partial(fn_bracket, A), K, L, M)
 
 
 def _suite_eq_1_12(run):
     """Insertion operators compose to the Nijenhuis–Richardson bracket."""
-    def operator(A, rng):
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        omega = run.draw(rng, A, Kind.FORM,
-                         rng.choice([1, min(2, A.rank), A.rank]))
-        sign = -1 if ((k.degree - 1) * (l.degree - 1)) % 2 else 1
-        residual = (contract_mixed(nr_bracket(k, l), omega)
-                    - contract_mixed(k, contract_mixed(l, omega))
-                    + contract_mixed(l, contract_mixed(k, omega)) * sign)
-        return {"K": k, "L": l, "omega": omega}, residual
+    mixed = (Kind.MIXED, (0, 1, _upto2))
 
-    run.check("insertion-identity",
-              "i_[K,L] = i_K∘i_L − (−1)^{(a−1)(b−1)} i_L∘i_K",
-              run.algebroids(), operator)
+    @run.declare("insertion-identity",
+                 "i_[K,L] = i_K∘i_L − (−1)^{(a−1)(b−1)} i_L∘i_K",
+                 run.algebroids(), K=mixed, L=mixed,
+                 omega=(Kind.FORM, (1, _upto2, _rank)))
+    def operator(A, K, L, omega):
+        return (contract_mixed(nr_bracket(K, L), omega)
+                - contract_mixed(K, contract_mixed(L, omega))
+                + contract_mixed(L, contract_mixed(K, omega))
+                * _sign((K.degree - 1) * (L.degree - 1)))
 
 
 # -- Poisson structures ------------------------------------------------------
@@ -522,17 +533,13 @@ def _suite_theorem_5(run):
     exactly over an invertible bundle map."""
     fixtures = run.poisson()
     per = run.share(len(fixtures))
+    form = (Kind.FORM, (0, 1, 2))
 
-    def homomorphism(ps, rng):
-        O = ps.owner
-        mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
-        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
-        residual = (lambda_p(ps, koszul_schouten(ps, mu, nu))
-                    - schouten(O, lambda_p(ps, mu), lambda_p(ps, nu)))
-        return {"mu": mu, "nu": nu}, residual
-
-    run.check("lambda-homomorphism", "Λ[mu,nu]_P = [Λmu, Λnu]",
-              fixtures, homomorphism)
+    @run.declare("lambda-homomorphism", "Λ[mu,nu]_P = [Λmu, Λnu]", fixtures,
+                 owner=_cotangent, mu=form, nu=form)
+    def homomorphism(ps, mu, nu):
+        return (lambda_p(ps, koszul_schouten(ps, mu, nu))
+                - schouten(ps.owner, lambda_p(ps, mu), lambda_p(ps, nu)))
 
     def inverse(rng):
         for name, ps in fixtures:
@@ -573,41 +580,27 @@ def _suite_theorem_6(run):
         ka, kb = rng.choice([0, 1, 2]), rng.choice([0, 1])
         mu = run.draw(rng, O, Kind.FORM, ka)
         nu = run.draw(rng, O, Kind.FORM, kb)
-        sign = -1 if (ka * kb) % 2 else 1
         residual = (extended_bracket(ps, mu, nu)
-                    + extended_bracket(ps, nu, mu) * sign)
+                    + extended_bracket(ps, nu, mu) * _sign(ka * kb))
         return {"mu": mu, "nu": nu}, residual
 
     run.check("antisymmetry", "graded antisymmetry of {,}_P",
               fixtures, antisymmetry)
 
-    def jacobi(ps, rng):
-        O = ps.owner
-        ms = [run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]), keys=1)
-              for _ in range(3)]
-        a, b, c = (t.degree for t in ms)
-        residual = (
-            extended_bracket(ps, ms[0], extended_bracket(ps, ms[1], ms[2]))
-            * (-1 if (a * c) % 2 else 1)
-            + extended_bracket(ps, ms[1], extended_bracket(ps, ms[2], ms[0]))
-            * (-1 if (b * a) % 2 else 1)
-            + extended_bracket(ps, ms[2], extended_bracket(ps, ms[0], ms[1]))
-            * (-1 if (c * b) % 2 else 1))
-        return {"mu": ms[0], "nu": ms[1], "rho": ms[2]}, residual
+    form = (Kind.FORM, (0, 1, 2), 1)
 
-    run.check("graded-jacobi", "graded Jacobi identity of {,}_P",
-              fixtures, jacobi)
+    @run.declare("graded-jacobi", "graded Jacobi identity of {,}_P", fixtures,
+                 owner=_cotangent, mu=form, nu=form, rho=form)
+    def jacobi(ps, mu, nu, rho):
+        return _graded_jacobi(partial(extended_bracket, ps), mu, nu, rho,
+                              right=True)
 
-    def d_compat(ps, rng):
-        O = ps.owner
-        mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
-        residual = (extended_bracket(ps, differential(O, mu), nu)
-                    - differential(O, extended_bracket(ps, mu, nu)))
-        return {"mu": mu, "nu": nu}, residual
-
-    run.check("d-compatibility", "{d mu, nu}_P = d{mu, nu}_P",
-              fixtures, d_compat)
+    @run.declare("d-compatibility", "{d mu, nu}_P = d{mu, nu}_P", fixtures,
+                 owner=_cotangent, mu=(Kind.FORM, (0, 1)),
+                 nu=(Kind.FORM, (0, 1, 2)))
+    def d_compat(ps, mu, nu):
+        return (extended_bracket(ps, differential(ps.owner, mu), nu)
+                - differential(ps.owner, extended_bracket(ps, mu, nu)))
 
     def term_expansion_01(ps, rng):
         O = ps.owner
@@ -655,56 +648,38 @@ def _suite_theorem_7(run):
     """d, H and G intertwine the extended bracket with the Koszul–Schouten,
     Frölicher–Nijenhuis and Schouten brackets."""
     fixtures = run.poisson()
+    low = (Kind.FORM, (0, 1))
 
-    def d_homomorphism(ps, rng):
+    @run.declare("d-homomorphism", "[d mu, d nu]_P = d{mu, nu}_P", fixtures,
+                 owner=_cotangent, mu=low, nu=low)
+    def d_homomorphism(ps, mu, nu):
         O = ps.owner
-        mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-        residual = (koszul_schouten(ps, differential(O, mu), differential(O, nu))
-                    - differential(O, extended_bracket(ps, mu, nu)))
-        return {"mu": mu, "nu": nu}, residual
+        return (koszul_schouten(ps, differential(O, mu), differential(O, nu))
+                - differential(O, extended_bracket(ps, mu, nu)))
 
-    run.check("d-homomorphism", "[d mu, d nu]_P = d{mu, nu}_P",
-              fixtures, d_homomorphism)
+    @run.declare("h-homomorphism", "H{mu,nu}_P = [H mu, H nu]^{F-N}", fixtures,
+                 owner=_cotangent, mu=low, nu=low)
+    def h_homomorphism(ps, mu, nu):
+        return (h_p(ps, extended_bracket(ps, mu, nu))
+                - fn_bracket(ps.owner, h_p(ps, mu), h_p(ps, nu)))
 
-    def h_homomorphism(ps, rng):
-        O = ps.owner
-        mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-        residual = (h_p(ps, extended_bracket(ps, mu, nu))
-                    - fn_bracket(O, h_p(ps, mu), h_p(ps, nu)))
-        return {"mu": mu, "nu": nu}, residual
-
-    run.check("h-homomorphism", "H{mu,nu}_P = [H mu, H nu]^{F-N}",
-              fixtures, h_homomorphism)
-
-    def g_homomorphism(ps, rng):
-        O = ps.owner
-        mu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
-        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1]))
-        residual = (g_p(ps, extended_bracket(ps, mu, nu))
-                    - schouten(O, g_p(ps, mu), g_p(ps, nu)))
-        return {"mu": mu, "nu": nu}, residual
-
-    run.check("g-homomorphism", "G{mu,nu}_P = [G mu, G nu]",
-              fixtures, g_homomorphism)
+    @run.declare("g-homomorphism", "G{mu,nu}_P = [G mu, G nu]", fixtures,
+                 owner=_cotangent, mu=(Kind.FORM, (0, 1, 2)), nu=low)
+    def g_homomorphism(ps, mu, nu):
+        return (g_p(ps, extended_bracket(ps, mu, nu))
+                - schouten(ps.owner, g_p(ps, mu), g_p(ps, nu)))
 
 
 def _suite_eq_2_6(run):
     """The Koszul–Schouten bracket agrees with its insertion/Lie expansion."""
-    def expansion(ps, rng):
-        O = ps.owner
-        ka = rng.choice([0, 1, 2])
-        mu = run.draw(rng, O, Kind.FORM, ka)
-        nu = run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]))
-        sign = -1 if ka % 2 else 1
-        residual = (koszul_schouten(ps, mu, nu)
-                    - contract_mixed(h_p(ps, mu), nu)
-                    + lie_derivative(O, r_p(ps, mu), nu) * sign)
-        return {"mu": mu, "nu": nu}, residual
+    form = (Kind.FORM, (0, 1, 2))
 
-    run.check("h-r-expansion", "[mu,nu]_P = i_{H mu} nu − (−1)^k L_{R mu} nu",
-              run.poisson(), expansion)
+    @run.declare("h-r-expansion", "[mu,nu]_P = i_{H mu} nu − (−1)^k L_{R mu} nu",
+                 run.poisson(), owner=_cotangent, mu=form, nu=form)
+    def expansion(ps, mu, nu):
+        return (koszul_schouten(ps, mu, nu)
+                - contract_mixed(h_p(ps, mu), nu)
+                + lie_derivative(ps.owner, r_p(ps, mu), nu) * _sign(mu.degree))
 
 
 # -- lifts to the tangent algebroid ------------------------------------------
@@ -745,25 +720,18 @@ def _suite_theorem_8(run):
 
 def _suite_theorem_9(run):
     """V and T form a Leibniz pair for wedge and symmetric products."""
-    fixtures = run.algebroids()
+    for item_id, kind, product, what in (
+            ("wedge-leibniz", Kind.MV, wedge, "multivector wedges"),
+            ("sym-leibniz", Kind.SYM, sym_product, "symmetric products"),
+            ("form-leibniz", Kind.FORM, wedge, "form wedges")):
+        low = (kind, (1, _upto2))
 
-    def products(kind, product, A, rng):
-        degrees = [1, min(2, A.rank)]
-        s = run.draw(rng, A, kind, rng.choice(degrees))
-        t = run.draw(rng, A, kind, rng.choice(degrees))
-        residual_v = (vertical_lift_V(A, product(s, t))
-                      - product(vertical_lift_V(A, s), vertical_lift_V(A, t)))
-        residual_t = (complete_lift_T(A, product(s, t))
-                      - product(complete_lift_T(A, s), vertical_lift_V(A, t))
-                      - product(vertical_lift_V(A, s), complete_lift_T(A, t)))
-        return {"s": s, "t": t}, (residual_v, residual_t)
-
-    run.check("wedge-leibniz", "V/T Leibniz pair on multivector wedges",
-              fixtures, partial(products, Kind.MV, wedge))
-    run.check("sym-leibniz", "V/T Leibniz pair on symmetric products",
-              fixtures, partial(products, Kind.SYM, sym_product))
-    run.check("form-leibniz", "V/T Leibniz pair on form wedges",
-              fixtures, partial(products, Kind.FORM, wedge))
+        @run.declare(item_id, f"V/T Leibniz pair on {what}", run.algebroids(),
+                     s=low, t=low)
+        def leibniz_pair(A, s, t, product=product):
+            V, T = partial(vertical_lift_V, A), partial(complete_lift_T, A)
+            return (V(product(s, t)) - product(V(s), V(t)),
+                    T(product(s, t)) - product(T(s), V(t)) - product(V(s), T(t)))
 
 
 def _suite_theorem_10(run):
@@ -774,106 +742,75 @@ def _suite_theorem_10(run):
         run.note("skipped over a point (no vector fields to lift): "
                  + ", ".join(skipped))
 
-    def anchor(A, rng):
+    @run.declare("anchor-intertwines",
+                 "anchor∘V = v_T∘anchor and anchor∘T = d_T∘anchor",
+                 fixtures, x=(Kind.MV, 1))
+    def anchor(A, x):
         TL = tangent_lift(A)
-        x = run.draw(rng, A, Kind.MV, 1)
-        residual_v = (anchor_apply(TL, vertical_lift_V(A, x))
-                      - classical_vertical_lift(anchor_apply(A, x)))
-        residual_t = (anchor_apply(TL, complete_lift_T(A, x))
-                      - classical_complete_lift(anchor_apply(A, x)))
-        return {"x": x}, (residual_v, residual_t)
-
-    run.check("anchor-intertwines",
-              "anchor∘V = v_T∘anchor and anchor∘T = d_T∘anchor",
-              fixtures, anchor)
+        return (anchor_apply(TL, vertical_lift_V(A, x))
+                - classical_vertical_lift(anchor_apply(A, x)),
+                anchor_apply(TL, complete_lift_T(A, x))
+                - classical_complete_lift(anchor_apply(A, x)))
 
 
 def _suite_theorem_11(run):
     """The V/T multiplication table for the Schouten brackets."""
     fixtures = run.algebroids()
+    mv, sym = (Kind.MV, (1, _upto2)), (Kind.SYM, (1, 2))
 
-    def table(A, rng):
-        x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
-        y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
-        return {"x": x, "y": y}, _vt_table(
-            partial(schouten, tangent_lift(A)), schouten(A, x, y), x, y,
-            partial(vertical_lift_V, A), partial(complete_lift_T, A))
+    @run.declare("schouten-table", "[VV]=0, [VT]=[TV]=V[,], [TT]=T[,]",
+                 fixtures, x=mv, y=mv)
+    def table(A, x, y):
+        return _lift_table(A, schouten, x, y)
 
-    run.check("schouten-table", "[VV]=0, [VT]=[TV]=V[,], [TT]=T[,]",
-              fixtures, table)
-
-    def sym_table(A, rng):
-        x = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
-        y = run.draw(rng, A, Kind.SYM, rng.choice([1, 2]))
-        return {"x": x, "y": y}, _vt_table(
-            partial(sym_schouten, tangent_lift(A)), sym_schouten(A, x, y), x, y,
-            partial(vertical_lift_V, A), partial(complete_lift_T, A))
-
-    run.check("sym-schouten-table", "the same table for the symmetric bracket",
-              fixtures, sym_table)
+    @run.declare("sym-schouten-table", "the same table for the symmetric bracket",
+                 fixtures, x=sym, y=sym)
+    def sym_table(A, x, y):
+        return _lift_table(A, sym_schouten, x, y)
 
 
 def _suite_theorem_12(run):
     """Contraction, differential and Lie derivative against V/T lifts."""
     fixtures = run.algebroids()
+    form = (Kind.FORM, (1, _upto2))
 
-    def contraction(A, rng):
-        x = run.draw(rng, A, Kind.MV, 1)
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-        return {"x": x, "mu": mu}, _vt_table(
-            contract, contract(x, mu), x, mu,
-            partial(vertical_lift_V, A), partial(complete_lift_T, A))
+    @run.declare("contraction-table", "i_{V/T} on V/T-lifted forms", fixtures,
+                 x=(Kind.MV, 1), mu=form)
+    def contraction(A, x, mu):
+        return _lift_table(A, contract, x, mu, owned=False)
 
-    run.check("contraction-table", "i_{V/T} on V/T-lifted forms",
-              fixtures, contraction)
-
-    def differential_table(A, rng):
+    @run.declare("differential-table", "d∘V = V∘d and d∘T = T∘d", fixtures,
+                 mu=(Kind.FORM, (0, 1, _upto2)))
+    def differential_table(A, mu):
         TL = tangent_lift(A)
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
         dmu = differential(A, mu)
-        return {"mu": mu}, (
-            differential(TL, vertical_lift_V(A, mu)) - vertical_lift_V(A, dmu),
-            differential(TL, complete_lift_T(A, mu)) - complete_lift_T(A, dmu))
+        return (differential(TL, vertical_lift_V(A, mu)) - vertical_lift_V(A, dmu),
+                differential(TL, complete_lift_T(A, mu)) - complete_lift_T(A, dmu))
 
-    run.check("differential-table", "d∘V = V∘d and d∘T = T∘d",
-              fixtures, differential_table)
-
-    def lie_table(A, rng):
-        x = run.draw(rng, A, Kind.MV, 1)
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-        return {"x": x, "mu": mu}, _vt_table(
-            partial(lie_derivative, tangent_lift(A)), lie_derivative(A, x, mu),
-            x, mu, partial(vertical_lift_V, A), partial(complete_lift_T, A))
-
-    run.check("lie-table", "L_{V/T} on V/T-lifted forms", fixtures, lie_table)
+    @run.declare("lie-table", "L_{V/T} on V/T-lifted forms", fixtures,
+                 x=(Kind.MV, 1), mu=form)
+    def lie_table(A, x, mu):
+        return _lift_table(A, lie_derivative, x, mu)
 
 
 def _suite_theorem_13(run):
     """The V/T table for the Nijenhuis–Richardson bracket."""
-    def table(A, rng):
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        return {"K": k, "L": l}, _vt_table(
-            nr_bracket, nr_bracket(k, l), k, l,
-            partial(vertical_lift_V, A), partial(complete_lift_T, A))
+    low = (Kind.MIXED, (0, 1))
 
-    run.check("nr-table", "the V/T table for the N-R bracket",
-              run.algebroids(), table)
+    @run.declare("nr-table", "the V/T table for the N-R bracket",
+                 run.algebroids(), K=low, L=low)
+    def table(A, K, L):
+        return _lift_table(A, nr_bracket, K, L, owned=False)
 
 
 def _suite_theorem_14(run):
     """The V/T table for the Frölicher–Nijenhuis bracket."""
-    fixtures = run.algebroids()
+    low = (Kind.MIXED, (0, 1))
 
-    def table(A, rng):
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        return {"K": k, "L": l}, _vt_table(
-            partial(fn_bracket, tangent_lift(A)), fn_bracket(A, k, l), k, l,
-            partial(vertical_lift_V, A), partial(complete_lift_T, A))
-
-    run.check("fn-table", "the V/T table for the F-N bracket", fixtures, table)
-
+    @run.declare("fn-table", "the V/T table for the F-N bracket",
+                 run.algebroids(), K=low, L=low)
+    def table(A, K, L):
+        return _lift_table(A, fn_bracket, K, L)
 
 
 # -- lifts to the dual bundle ------------------------------------------------
@@ -884,11 +821,9 @@ def _suite_theorem_15(run):
 
     def an_instance(A, rng):
         """Every item draws x, y, mu and nu, whichever of them it uses."""
-        x = run.draw(rng, A, Kind.MV, 1)
-        y = run.draw(rng, A, Kind.MV, 1)
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-        nu = run.draw(rng, A, Kind.FORM, 1)
-        return x, y, mu, nu
+        return run.arguments(rng, A, {
+            "x": (Kind.MV, 1), "y": (Kind.MV, 1),
+            "mu": (Kind.FORM, (1, _upto2)), "nu": (Kind.FORM, 1)}).values()
 
     def wedge_mult(A, rng):
         _, _, mu, nu = an_instance(A, rng)
@@ -970,42 +905,32 @@ def _suite_theorem_16(run):
     the two routes to G agree."""
     fixtures = run.algebroids()
 
-    def degree_zero(A, rng):
-        D = canonical_algebroid(dual_chart(A))
-        x = run.draw(rng, A, Kind.MV, 1)
+    @run.declare("degree-zero", "J(X) = −iota(X) and G(X) = G_vec(X)",
+                 fixtures, x=(Kind.MV, 1))
+    def degree_zero(A, x):
         k = mixed_from_vector(x)
-        return {"x": x}, (J_map(A, k) + D.fn(iota(A, x)),
-                          G_map(A, k) - cot_complete_G_vec(A, x))
+        return (J_map(A, k) + canonical_algebroid(dual_chart(A)).fn(iota(A, x)),
+                G_map(A, k) - cot_complete_G_vec(A, x))
 
-    run.check("degree-zero", "J(X) = −iota(X) and G(X) = G_vec(X)",
-              fixtures, degree_zero)
-
-    def dual_routes(A, rng):
+    @run.declare("dual-routes",
+                 "[P, J(K)] equals the product-rule expansion of G(K)",
+                 fixtures, K=(Kind.MIXED, (0, 1, _upto2)))
+    def dual_routes(A, K):
         ps = linear_poisson(A)
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        residual = (schouten(ps.owner, ps.bivector, J_map(A, k))
-                    - _g_expanded(A, k))
-        return {"K": k}, residual
-
-    run.check("dual-routes",
-              "[P, J(K)] equals the product-rule expansion of G(K)",
-              fixtures, dual_routes)
+        return schouten(ps.owner, ps.bivector, J_map(A, K)) - _g_expanded(A, K)
 
 
 def _suite_theorem_17(run):
     """J is an injective homomorphism of the N-R bracket."""
     fixtures = run.algebroids()
+    low = (Kind.MIXED, (0, 1))
 
-    def homomorphism(A, rng):
-        D = canonical_algebroid(dual_chart(A))
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        residual = (schouten(D, J_map(A, k), J_map(A, l))
-                    - J_map(A, nr_bracket(k, l)))
-        return {"K": k, "L": l}, residual
-
-    run.check("nr-homomorphism", "[J(K), J(L)] = J([K,L]^{N-R})",
-              fixtures, homomorphism)
+    @run.declare("nr-homomorphism", "[J(K), J(L)] = J([K,L]^{N-R})",
+                 fixtures, K=low, L=low)
+    def homomorphism(A, K, L):
+        return (schouten(canonical_algebroid(dual_chart(A)),
+                         J_map(A, K), J_map(A, L))
+                - J_map(A, nr_bracket(K, L)))
 
     def injectivity(rng):
         plane = next(((name, A) for name, A in fixtures
@@ -1034,16 +959,14 @@ def _suite_theorem_17(run):
 
 def _suite_theorem_18(run):
     """The dual complete lift G is a homomorphism of the F-N bracket."""
-    def homomorphism(A, rng):
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        residual = (schouten(canonical_algebroid(dual_chart(A)),
-                             G_map(A, k), G_map(A, l))
-                    - G_map(A, fn_bracket(A, k, l)))
-        return {"K": k, "L": l}, residual
+    low = (Kind.MIXED, (0, 1))
 
-    run.check("fn-homomorphism", "[G(K), G(L)] = G([K,L]^{F-N})",
-              run.algebroids(), homomorphism)
+    @run.declare("fn-homomorphism", "[G(K), G(L)] = G([K,L]^{F-N})",
+                 run.algebroids(), K=low, L=low)
+    def homomorphism(A, K, L):
+        return (schouten(canonical_algebroid(dual_chart(A)),
+                         G_map(A, K), G_map(A, L))
+                - G_map(A, fn_bracket(A, K, L)))
 
 
 # -- the canonical case ------------------------------------------------------
@@ -1069,10 +992,12 @@ def _direct_complete_vector(chart, x):
     return out
 
 
-def _direct_vertical_form(chart, mu):
-    target = canonical_algebroid(dotted_chart(chart))
-    return GradedTensor(target, Kind.FORM, mu.degree,
-                        {key: c.transport(target.base)
+def _pullback(owner, mu):
+    """The form ``mu`` with its coefficients transported onto the base of
+    ``owner``, keys unchanged: the direct vertical lift of a form on the
+    dotted chart, and the pullback to a dual chart."""
+    return GradedTensor(owner, Kind.FORM, mu.degree,
+                        {key: c.transport(owner.base)
                          for key, c in mu.terms.items()})
 
 
@@ -1123,16 +1048,13 @@ def _suite_theorem_19(run):
         run.note("no canonical algebroids in the model")
     per = run.share(len(fixtures))
 
-    def vectors(A, rng):
-        x = run.draw(rng, A, Kind.MV, 1)
-        return {"x": x}, (
-            canonical_transport("kappa", vertical_lift_V(A, x))
-            - _direct_vertical_vector(A.base, x),
-            canonical_transport("kappa", complete_lift_T(A, x))
-            - _direct_complete_vector(A.base, x))
-
-    run.check("vectors", "kappa∘V = v_T and kappa∘T = d_T on vector fields",
-              fixtures, vectors)
+    @run.declare("vectors", "kappa∘V = v_T and kappa∘T = d_T on vector fields",
+                 fixtures, x=(Kind.MV, 1))
+    def vectors(A, x):
+        return (canonical_transport("kappa", vertical_lift_V(A, x))
+                - _direct_vertical_vector(A.base, x),
+                canonical_transport("kappa", complete_lift_T(A, x))
+                - _direct_complete_vector(A.base, x))
 
     def bivectors(rng):
         for name, A in fixtures:
@@ -1149,27 +1071,21 @@ def _suite_theorem_19(run):
 
     run.identity("bivectors", "the same on bivectors", bivectors)
 
-    def forms(A, rng):
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
-        return {"mu": mu}, (
-            canonical_transport("alpha", vertical_lift_V(A, mu))
-            - _direct_vertical_form(A.base, mu),
-            canonical_transport("alpha", complete_lift_T(A, mu))
-            - _direct_complete_form(A.base, mu))
+    @run.declare("forms", "alpha∘V = v_T and alpha∘T = d_T on forms",
+                 fixtures, mu=(Kind.FORM, (1, _upto2)))
+    def forms(A, mu):
+        dotted = canonical_algebroid(dotted_chart(A.base))
+        return (canonical_transport("alpha", vertical_lift_V(A, mu))
+                - _pullback(dotted, mu),
+                canonical_transport("alpha", complete_lift_T(A, mu))
+                - _direct_complete_form(A.base, mu))
 
-    run.check("forms", "alpha∘V = v_T and alpha∘T = d_T on forms",
-              fixtures, forms)
-
-    def involution(A, rng):
-        TL = tangent_lift(A)
-        s = run.draw(rng, TL, Kind.MV, rng.choice([1, 2]))
-        mu = run.draw(rng, TL, Kind.FORM, rng.choice([1, 2]))
-        return {"s": s, "mu": mu}, (
-            canonical_transport("kappa", canonical_transport("kappa", s)) - s,
-            canonical_transport("alpha", canonical_transport("alpha", mu)) - mu)
-
-    run.check("involution", "kappa∘kappa = id and alpha∘alpha = id",
-              fixtures, involution)
+    @run.declare("involution", "kappa∘kappa = id and alpha∘alpha = id",
+                 fixtures, owner=tangent_lift, s=(Kind.MV, (1, 2)),
+                 mu=(Kind.FORM, (1, 2)))
+    def involution(A, s, mu):
+        return (canonical_transport("kappa", canonical_transport("kappa", s)) - s,
+                canonical_transport("alpha", canonical_transport("alpha", mu)) - mu)
 
 
 def _suite_theorem_20(run):
@@ -1177,27 +1093,18 @@ def _suite_theorem_20(run):
     two routes to the tangent Poisson structure agree."""
     fixtures = run.canonical()
 
-    def anchor(A, rng):
-        TL = tangent_lift(A)
-        s = run.draw(rng, TL, Kind.MV, 1)
-        return {"s": s}, anchor_apply(TL, s) - canonical_transport("kappa", s)
+    @run.declare("anchor-is-kappa", "the tangent-lift anchor is the flip",
+                 fixtures, owner=tangent_lift, s=(Kind.MV, 1))
+    def anchor(A, s):
+        return anchor_apply(tangent_lift(A), s) - canonical_transport("kappa", s)
 
-    run.check("anchor-is-kappa", "the tangent-lift anchor is the flip",
-              fixtures, anchor)
-
-    def bracket_iso(A, rng):
-        TL = tangent_lift(A)
-        target = canonical_algebroid(dotted_chart(A.base))
-        s = run.draw(rng, TL, Kind.MV, 1)
-        t = run.draw(rng, TL, Kind.MV, 1)
-        residual = (canonical_transport("kappa", section_bracket(TL, s, t))
-                    - section_bracket(target,
-                                      canonical_transport("kappa", s),
-                                      canonical_transport("kappa", t)))
-        return {"s": s, "t": t}, residual
-
-    run.check("bracket-isomorphism", "kappa intertwines the section brackets",
-              fixtures, bracket_iso)
+    @run.declare("bracket-isomorphism", "kappa intertwines the section brackets",
+                 fixtures, owner=tangent_lift, s=(Kind.MV, 1), t=(Kind.MV, 1))
+    def bracket_iso(A, s, t):
+        return (canonical_transport("kappa", section_bracket(tangent_lift(A), s, t))
+                - section_bracket(canonical_algebroid(dotted_chart(A.base)),
+                                  canonical_transport("kappa", s),
+                                  canonical_transport("kappa", t)))
 
     def poisson_routes(_rng):
         for name, A in run.algebroids():
@@ -1221,48 +1128,33 @@ def _suite_theorem_21(run):
     fixtures = run.canonical()
     V, T = classical_vertical_lift, classical_complete_lift
 
-    def schouten_table(A, rng):
+    @run.declare("schouten-table", "the v_T/d_T Schouten table", fixtures,
+                 x=(Kind.MV, (1, _upto2)), y=(Kind.MV, 1))
+    def schouten_table(A, x, y):
         target = canonical_algebroid(dotted_chart(A.base))
-        x = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
-        y = run.draw(rng, A, Kind.MV, 1)
-        return {"x": x, "y": y}, _vt_table(
-            partial(schouten, target), schouten(A, x, y), x, y, V, T)
+        return _vt_table(partial(schouten, target), schouten(A, x, y),
+                         x, y, V, T)
 
-    run.check("schouten-table", "the v_T/d_T Schouten table",
-              fixtures, schouten_table)
+    low = (Kind.MIXED, (0, 1))
 
-    def mixed_tables(A, rng):
+    @run.declare("mixed-tables", "the v_T/d_T tables for N-R and F-N",
+                 fixtures, K=low, L=low)
+    def mixed_tables(A, K, L):
         target = canonical_algebroid(dotted_chart(A.base))
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        return {"K": k, "L": l}, (
-            _vt_table(nr_bracket, nr_bracket(k, l), k, l, V, T)
-            + _vt_table(partial(fn_bracket, target), fn_bracket(A, k, l),
-                        k, l, V, T))
+        return (_vt_table(nr_bracket, nr_bracket(K, L), K, L, V, T)
+                + _vt_table(partial(fn_bracket, target), fn_bracket(A, K, L),
+                            K, L, V, T))
 
-    run.check("mixed-tables", "the v_T/d_T tables for N-R and F-N",
-              fixtures, mixed_tables)
-
-    def cartan_tables(A, rng):
+    @run.declare("cartan-tables", "the v_T/d_T tables for i, d and L",
+                 fixtures, x=(Kind.MV, 1), mu=(Kind.FORM, (1, _upto2)))
+    def cartan_tables(A, x, mu):
         target = canonical_algebroid(dotted_chart(A.base))
-        x = run.draw(rng, A, Kind.MV, 1)
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
         dmu = differential(A, mu)
-        return {"x": x, "mu": mu}, (
-            _vt_table(contract, contract(x, mu), x, mu, V, T)
-            + (differential(target, V(mu)) - V(dmu),
-               differential(target, T(mu)) - T(dmu))
-            + _vt_table(partial(lie_derivative, target),
-                        lie_derivative(A, x, mu), x, mu, V, T))
-
-    run.check("cartan-tables", "the v_T/d_T tables for i, d and L",
-              fixtures, cartan_tables)
-
-
-def _pullback(A, owner, mu):
-    return GradedTensor(owner, Kind.FORM, mu.degree,
-                        {key: c.transport(owner.base)
-                         for key, c in mu.terms.items()})
+        return (_vt_table(contract, contract(x, mu), x, mu, V, T)
+                + (differential(target, V(mu)) - V(dmu),
+                   differential(target, T(mu)) - T(dmu))
+                + _vt_table(partial(lie_derivative, target),
+                            lie_derivative(A, x, mu), x, mu, V, T))
 
 
 def _suite_theorem_22(run):
@@ -1270,56 +1162,41 @@ def _suite_theorem_22(run):
     recovers the dual lifts of forms and mixed tensors."""
     fixtures = run.canonical()
 
-    def pullbacks(A, rng):
+    @run.declare("pullbacks", "Λ*(pullback mu) = V_pi(mu)", fixtures,
+                 mu=(Kind.FORM, (0, 1, _upto2)))
+    def pullbacks(A, mu):
         ps = linear_poisson(A)
-        mu = run.draw(rng, A, Kind.FORM, rng.choice([0, 1, min(2, A.rank)]))
-        residual = (lambda_p(ps, _pullback(A, ps.owner, mu), "star")
-                    - vertical_pi(A, mu))
-        return {"mu": mu}, residual
+        return lambda_p(ps, _pullback(ps.owner, mu), "star") - vertical_pi(A, mu)
 
-    run.check("pullbacks", "Λ*(pullback mu) = V_pi(mu)", fixtures, pullbacks)
+    @run.declare("contracted-pullbacks", "Λ*(J*(K)) = −J(K)", fixtures,
+                 K=(Kind.MIXED, (0, 1, _upto2)))
+    def contracted(A, K):
+        return lambda_p(linear_poisson(A), Jstar(K), "star") + J_map(A, K)
 
-    def contracted(A, rng):
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        return {"K": k}, lambda_p(linear_poisson(A), Jstar(k), "star") + J_map(A, k)
-
-    run.check("contracted-pullbacks", "Λ*(J*(K)) = −J(K)",
-              fixtures, contracted)
-
-    def differentials(A, rng):
+    @run.declare("differentials", "Λ*(d J*(K)) = −G(K)", fixtures,
+                 K=(Kind.MIXED, (0, 1)))
+    def differentials(A, K):
         ps = linear_poisson(A)
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        residual = (lambda_p(ps, differential(ps.owner, Jstar(k)), "star")
-                    + G_map(A, k))
-        return {"K": k}, residual
+        return (lambda_p(ps, differential(ps.owner, Jstar(K)), "star")
+                + G_map(A, K))
 
-    run.check("differentials", "Λ*(d J*(K)) = −G(K)", fixtures, differentials)
-
-    def d_intertwine(A, rng):
+    @run.declare("d-intertwine", "Λ*(d nu) = [P, Λ*(nu)]", fixtures,
+                 owner=lambda A: linear_poisson(A).owner,
+                 nu=(Kind.FORM, (1, 2)))
+    def d_intertwine(A, nu):
         ps = linear_poisson(A)
-        D = ps.owner
-        nu = run.draw(rng, D, Kind.FORM, rng.choice([1, 2]))
-        residual = (lambda_p(ps, differential(D, nu), "star")
-                    - schouten(D, ps.bivector, lambda_p(ps, nu, "star")))
-        return {"nu": nu}, residual
-
-    run.check("d-intertwine", "Λ*(d nu) = [P, Λ*(nu)]", fixtures, d_intertwine)
+        return (lambda_p(ps, differential(ps.owner, nu), "star")
+                - schouten(ps.owner, ps.bivector, lambda_p(ps, nu, "star")))
 
 
 def _suite_theorem_23(run):
     """J* maps the F-N bracket to the extended bracket."""
-    fixtures = run.canonical()
-
-    def homomorphism(A, rng):
-        ps = linear_poisson(A)
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        residual = (extended_bracket(ps, Jstar(k), Jstar(l))
-                    - Jstar(fn_bracket(A, k, l)))
-        return {"K": k, "L": l}, residual
-
-    run.check("extended-homomorphism", "{J*K, J*L}_P = J*([K,L]^{F-N})",
-              fixtures, homomorphism)
+    @run.declare("extended-homomorphism", "{J*K, J*L}_P = J*([K,L]^{F-N})",
+                 run.canonical(), K=(Kind.MIXED, (0, 1)),
+                 L=(Kind.MIXED, (0, 1, _upto2)))
+    def homomorphism(A, K, L):
+        return (extended_bracket(linear_poisson(A), Jstar(K), Jstar(L))
+                - Jstar(fn_bracket(A, K, L)))
 
 
 def _literal_h(A, k):
@@ -1333,11 +1210,10 @@ def _literal_h(A, k):
         f = coeff.transport(chart)
         out = out + GradedTensor(D, Kind.MIXED, k.degree, {(form_key, a): f})
         for i, slot in enumerate(form_key, start=1):
-            sign = -1 if i % 2 else 1
             rest = form_key[:i - 1] + form_key[i:]
             out = out - GradedTensor(
                 D, Kind.MIXED, k.degree,
-                {((n + a,) + rest, n + slot): f * sign})
+                {((n + a,) + rest, n + slot): f * _sign(i)})
         momentum = chart.coordinate(chart.coords[n + a])
         for b, name in enumerate(A.base.coords):
             df = coeff.partial(name)
@@ -1347,11 +1223,10 @@ def _literal_h(A, k):
             out = out - GradedTensor(D, Kind.MIXED, k.degree,
                                      {(form_key, n + b): weight})
             for i, slot in enumerate(form_key, start=1):
-                sign = -1 if i % 2 else 1
                 rest = form_key[:i - 1] + form_key[i:]
                 out = out - GradedTensor(
                     D, Kind.MIXED, k.degree,
-                    {((b,) + rest, n + slot): weight * sign})
+                    {((b,) + rest, n + slot): weight * _sign(i)})
     return out
 
 
@@ -1384,33 +1259,23 @@ def _suite_theorem_24(run):
              "global sign of G is a consistent alternative and is recorded "
              "by the literal-expansion item")
     fixtures = run.canonical()
+    low, mixed = (Kind.MIXED, (0, 1)), (Kind.MIXED, (0, 1, _upto2))
 
-    def homomorphism(A, rng):
-        D = canonical_algebroid(dual_chart(A))
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1]))
-        residual = (fn_bracket(D, H_map(k), H_map(l))
-                    - H_map(fn_bracket(A, k, l)))
-        return {"K": k, "L": l}, residual
+    @run.declare("fn-homomorphism", "[H(K), H(L)]^{F-N} = H([K,L]^{F-N})",
+                 fixtures, K=low, L=low)
+    def homomorphism(A, K, L):
+        return (fn_bracket(canonical_algebroid(dual_chart(A)), H_map(K), H_map(L))
+                - H_map(fn_bracket(A, K, L)))
 
-    run.check("fn-homomorphism", "[H(K), H(L)]^{F-N} = H([K,L]^{F-N})",
-              fixtures, homomorphism)
+    @run.declare("h-expansion", "H agrees with its momentum expansion",
+                 fixtures, K=mixed)
+    def h_expansion(A, K):
+        return H_map(K) - _literal_h(A, K)
 
-    def h_expansion(A, rng):
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        return {"K": k}, H_map(k) - _literal_h(A, k)
-
-    run.check("h-expansion", "H agrees with its momentum expansion",
-              fixtures, h_expansion)
-
-    def g_expansion(A, rng):
-        k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
-        return {"K": k}, G_map(A, k) + _literal_g(A, k)
-
-    run.check("g-expansion",
-              "G agrees with its momentum expansion up to the recorded "
-              "global sign",
-              fixtures, g_expansion)
+    @run.declare("g-expansion", "G agrees with its momentum expansion up to "
+                 "the recorded global sign", fixtures, K=mixed)
+    def g_expansion(A, K):
+        return G_map(A, K) + _literal_g(A, K)
 
     def injectivity(rng):
         for name, A in fixtures:
@@ -1447,17 +1312,12 @@ def _suite_theorem_24(run):
 
 def _suite_eq_7_12(run):
     """The dual flip intertwines the two exterior derivatives."""
-    fixtures = run.canonical()
-
-    def intertwine(A, rng):
-        TL = tangent_lift(A)
+    @run.declare("alpha-d", "alpha∘d = d∘alpha", run.canonical(),
+                 owner=tangent_lift, mu=(Kind.FORM, (0, 1, 2)))
+    def intertwine(A, mu):
         target = canonical_algebroid(dotted_chart(A.base))
-        mu = run.draw(rng, TL, Kind.FORM, rng.choice([0, 1, 2]))
-        residual = (canonical_transport("alpha", differential(TL, mu))
-                    - differential(target, canonical_transport("alpha", mu)))
-        return {"mu": mu}, residual
-
-    run.check("alpha-d", "alpha∘d = d∘alpha", fixtures, intertwine)
+        return (canonical_transport("alpha", differential(tangent_lift(A), mu))
+                - differential(target, canonical_transport("alpha", mu)))
 
 
 def _tangent_anchor_map(A, s):
@@ -1497,15 +1357,11 @@ def _suite_eq_7_13(run):
         run.note("skipped over a point (the tangent of the base is trivial): "
                  + ", ".join(skipped))
 
-    def intertwine(A, rng):
-        TL = tangent_lift(A)
-        s = run.draw(rng, TL, Kind.MV, 1)
-        residual = (canonical_transport("kappa", anchor_apply(TL, s))
-                    - _tangent_anchor_map(A, s))
-        return {"s": s}, residual
-
-    run.check("kappa-anchor", "kappa∘(tangent-lift anchor) = T(anchor)",
-              fixtures, intertwine)
+    @run.declare("kappa-anchor", "kappa∘(tangent-lift anchor) = T(anchor)",
+                 fixtures, owner=tangent_lift, s=(Kind.MV, 1))
+    def intertwine(A, s):
+        return (canonical_transport("kappa", anchor_apply(tangent_lift(A), s))
+                - _tangent_anchor_map(A, s))
 
 
 # -- registry ----------------------------------------------------------------

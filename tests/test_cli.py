@@ -3,6 +3,7 @@ stdout, human summary on stderr, exit 0 / 1 / 2.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -126,6 +127,24 @@ def test_unreadable_model_is_an_input_error(tmp_path, case):
     assert report["error"]["type"] == "ParseError"
     assert str(path) in report["error"]["message"]
     assert "Traceback" not in proc.stderr
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    """The reader takes 20 bytes and closes the pipe, as ``| head -c 20``
+    does.  The pipe holds one page, so most of the report (about 20 KB) is
+    still unwritten when the reader closes, and writing it must fail."""
+    fcntl = pytest.importorskip("fcntl")
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    with open(read_end, "rb", buffering=0) as reader:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "algebroids", "suite", "--name", "all",
+             "--trials", "1"], stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
+        assert len(reader.read(20)) == 20
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err
 
 
 def test_oversized_model_is_an_input_error(tmp_path):

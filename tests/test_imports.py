@@ -10,7 +10,9 @@ package outside its own definition.  Only ``tensor.py``, which defines
 it, and the theorem-2 suite, which reports it, name the package-wide
 ``CONTRACTION_ORDER``: no other construction may depend on it.  In
 ``suites.py`` only the methods of the runner ``_Run`` call ``.rng(``: a
-stream receives its item's generator and never builds one.  In ``ring.py``
+stream receives its item's generator and never builds one.  A declared
+residual (decorated with ``run.declare(...)``) is a function of its drawn
+arguments alone: it names no generator and draws nothing.  In ``ring.py``
 one function adds monomial exponents (names ``operator.add``), so every
 product of polynomials goes through it.
 """
@@ -162,6 +164,55 @@ def test_a_stream_building_its_own_generator_is_reported():
         "\nSEED = _Run().rng('seed')\n"
     )
     assert _rng_callers(source) == {"_suite_x", None}
+
+
+#: What a declared residual may not name: the generator, and the draws that
+#: are the enumerator's alone.
+_DRAWS = {"rng", "draw", "random_tensor", "random_coefficient"}
+
+
+def _drawing_residuals(source):
+    """The functions of ``source`` decorated with a ``.declare(...)`` call
+    that name a generator or a draw (a name, an attribute or a parameter in
+    ``_DRAWS``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                        and d.func.attr == "declare" for d in node.decorator_list)):
+            continue
+        body = [sub for part in node.body for sub in ast.walk(part)]
+        names = ({sub.id for sub in body if isinstance(sub, ast.Name)}
+                 | {sub.attr for sub in body if isinstance(sub, ast.Attribute)}
+                 | {sub.arg for sub in ast.walk(node.args)
+                    if isinstance(sub, ast.arg)})
+        if names & _DRAWS:
+            found.add(node.name)
+    return found
+
+
+def test_declared_residuals_draw_nothing():
+    source = (PACKAGE / "suites.py").read_text(encoding="utf-8")
+    assert "@run.declare(" in source
+    assert _drawing_residuals(source) == set()
+
+
+def test_a_drawing_residual_is_reported():
+    source = (
+        "def _suite_x(run):\n"
+        "    @run.declare('a', 'a', [], x=(1, 1))\n"
+        "    def clean(A, x):\n        return x\n"
+        "    @run.declare('b', 'b', [], x=(1, 1))\n"
+        "    def draws(A, x):\n        return run.draw(None, A, 1, 1) - x\n"
+        "    @run.declare('c', 'c', [], x=(1, 1))\n"
+        "    def takes_rng(A, x, rng=None):\n        return x\n"
+        "    @run.declare('d', 'd', [], x=(1, 1))\n"
+        "    def coefficient(A, x):\n"
+        "        return x * random_coefficient(None, A.base)\n"
+        "    def instance(A, rng):\n"
+        "        return random_tensor(rng, A, 1, 1)\n"
+    )
+    assert _drawing_residuals(source) == {"draws", "takes_rng", "coefficient"}
 
 
 def _exponent_adders(source):

@@ -1,6 +1,7 @@
 """The identity suites: registry shape, determinism, vacuous-model behavior,
-and the failure path — a broken convention must surface as a witness that
-replays to the same nonzero values through a single ``eval`` command.
+the failure path — a broken convention must surface as a witness that
+replays to the same nonzero values through a single ``eval`` command — and
+the enumerator that draws the arguments of declared items.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from algebroids.fixtures import so3
 from algebroids.model import Model, builtin_model, loads_model
 from algebroids.ring import Chart
 from algebroids.suites import SUITE_NAMES, SUITES, run_all, run_suite
-from algebroids.tensor import GradedTensor
+from algebroids.tensor import GradedTensor, Kind
 
 EXPECTED_NAMES = tuple(f"theorem-{n}" for n in range(1, 25)) + (
     "eq-1-12", "eq-2-6", "eq-7-12", "eq-7-13")
@@ -177,3 +178,100 @@ def test_a_failing_predicate_stops_at_its_first_witness(monkeypatch):
     assert witness["fixture"] == "canonical-plane"
     replay = loads_model(json.dumps(witness["model"]))
     assert not replay.tensors["K"].is_zero()
+
+
+def _declarations(suite):
+    """{item id: (owner map, arguments)} of the declared items of a suite,
+    read by running it with a runner that records each declaration."""
+    found = {}
+
+    class Recording(suites._Run):
+        def declare(self, item_id, label, fixtures, owner=None, **args):
+            found[item_id] = (owner, args)
+            return lambda residual: residual
+
+    SUITES[suite][1](Recording(suite, "", builtin_model(), 0, 1, 2))
+    return found
+
+
+# Verbatim copies of the hand-written draws that four declarations replaced,
+# each a function of (run, owner, rng) returning {name: tensor}.
+
+def _lie_insertion_draws(run, A, rng):
+    mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
+    x = run.draw(rng, A, Kind.MV, 1)
+    y = run.draw(rng, A, Kind.MV, 1)
+    return {"x": x, "y": y, "mu": mu}
+
+
+def _adjoint_derivation_draws(run, A, rng):
+    a = rng.choice([1, 2])
+    x = run.draw(rng, A, Kind.MV, a)
+    y = run.draw(rng, A, Kind.MV, rng.choice([1, min(2, A.rank)]))
+    z = run.draw(rng, A, Kind.MV, 1)
+    return {"x": x, "y": y, "z": z}
+
+
+def _insertion_identity_draws(run, A, rng):
+    k = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+    l = run.draw(rng, A, Kind.MIXED, rng.choice([0, 1, min(2, A.rank)]))
+    omega = run.draw(rng, A, Kind.FORM,
+                     rng.choice([1, min(2, A.rank), A.rank]))
+    return {"K": k, "L": l, "omega": omega}
+
+
+def _extended_jacobi_draws(run, O, rng):
+    ms = [run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]), keys=1)
+          for _ in range(3)]
+    return {"mu": ms[0], "nu": ms[1], "rho": ms[2]}
+
+
+@pytest.mark.parametrize("suite, item, fixtures, verbatim", [
+    # an owner-dependent list, then two fixed degrees
+    ("theorem-1", "lie-insertion", ("canonical-line", "so3"),
+     _lie_insertion_draws),
+    # [1, 2] keeps both entries on rank 1
+    ("theorem-2", "adjoint-derivation", ("canonical-line", "canonical-space"),
+     _adjoint_derivation_draws),
+    # the entry ``rank``, and a list whose entries repeat on rank 1
+    ("eq-1-12", "insertion-identity", ("canonical-line", "so3"),
+     _insertion_identity_draws),
+    # keys=1, on the cotangent algebroid of a Poisson structure
+    ("theorem-6", "graded-jacobi", ("poisson-plane", "poisson-so3"),
+     _extended_jacobi_draws),
+])
+def test_declared_arguments_draw_as_the_hand_written_instances(
+        suite, item, fixtures, verbatim):
+    owner_map, args = _declarations(suite)[item]
+    model = builtin_model()
+    run = suites._Run(suite, "", model, 0, 1, model.suite.get("max_degree", 2))
+    for name in fixtures:
+        fixture = model.algebroids.get(name) or model.poisson[name]
+        owner = fixture if owner_map is None else owner_map(fixture)
+        for seed in range(40):
+            declared, by_hand = random.Random(seed), random.Random(seed)
+            drawn = run.arguments(declared, owner, args)
+            expected = verbatim(run, owner, by_hand)
+            assert declared.getstate() == by_hand.getstate(), (name, seed)
+            assert set(drawn) == set(expected)
+            for arg, tensor in drawn.items():
+                assert tensor.owner is expected[arg].owner
+                assert tensor.degree == expected[arg].degree, (name, seed, arg)
+                assert list(tensor.terms.items()) == \
+                    list(expected[arg].terms.items()), (name, seed, arg)
+
+
+def test_a_fixed_degree_draws_without_a_choice():
+    """With the tensor draws stubbed out, an int degree leaves the generator
+    untouched; a one-entry list is still a ``rng.choice`` and moves it."""
+    model = builtin_model()
+    run = suites._Run("t", "", model, 0, 1, 2)
+    run.draw = lambda rng, owner, kind, degree, keys=2: degree
+    A = model.algebroids["so3"]
+    rng = random.Random(0)
+    before = rng.getstate()
+    assert run.arguments(rng, A, {"x": (Kind.MV, 1),
+                                  "mu": (Kind.FORM, 2, 1)}) == {"x": 1, "mu": 2}
+    assert rng.getstate() == before
+    assert run.arguments(rng, A, {"x": (Kind.MV, (1,))}) == {"x": 1}
+    assert rng.getstate() != before
