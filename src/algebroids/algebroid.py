@@ -35,7 +35,8 @@ bivector on the dual bundle's chart, and ``cotangent_lift`` is the cotangent
 algebroid of that bivector, whose fibers are the coordinate differentials.
 Algebroids are immutable and hashable, so these lifts and the canonical
 algebroid of a chart are memoized on their (structurally compared) source,
-in LRU caches of :data:`CACHE_SIZE` entries each.
+in LRU caches of :data:`CACHE_SIZE` entries each; so is the dual chart, on
+the base coordinates and dual names.
 """
 
 from __future__ import annotations
@@ -178,16 +179,23 @@ def dotted_chart(chart: Chart) -> Chart:
     return Chart(chart.coords + tuple(f"{c}_dot" for c in chart.coords))
 
 
-def dual_chart(algebroid: Algebroid) -> Chart:
-    """The chart of the dual bundle: base coordinates then fiber-linear ones."""
-    return Chart(algebroid.base.coords + algebroid.dual_names)
-
-
 #: Entries kept by each construction cache.  A ``suite --name all`` round over
 #: both shipped models reaches 22 distinct keys in the largest one (charts).
 #: The three lifts are plain functions over cached builders, so a profiler or
 #: tracer wrapping a public name sees every call, cache hits included.
 CACHE_SIZE = 32
+
+
+def dual_chart(algebroid: Algebroid) -> Chart:
+    """The chart of the dual bundle: base coordinates then fiber-linear ones.
+    Memoized: algebroids with the same base coordinates and dual names
+    share one chart object."""
+    return _dual_chart(algebroid.base.coords, algebroid.dual_names)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _dual_chart(coords: Tuple[str, ...], dual_names: Tuple[str, ...]) -> Chart:
+    return Chart(coords + dual_names)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

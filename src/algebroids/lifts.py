@@ -37,8 +37,8 @@ from functools import reduce
 from operator import mul
 
 from .errors import ChartMismatch, KindMismatch, WrongProvenance
-from .ring import Chart, Poly, poly_sum
-from .tensor import GradedTensor, Kind, remap
+from .ring import Chart, Poly, accumulate, poly_sum
+from .tensor import GradedTensor, Kind, _sort_skew, remap
 from .algebroid import (
     Algebroid,
     canonical_algebroid,
@@ -106,10 +106,12 @@ def vertical_lift_V(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
     The result is a tensor over ``tangent_lift(algebroid)``."""
     _require_over(algebroid, s)
     target = tangent_lift(algebroid)
-    m = algebroid.rank
-    terms = [(_lifted_key(s.kind, key, m, None), coeff.transport(target.base))
-             for key, coeff in s.terms.items()]
-    return GradedTensor(target, s.kind, s.degree, terms)
+    m, base = algebroid.rank, target.base
+    # the all-barred relabelling preserves the order within each part of a
+    # key, so keys stay canonical and distinct
+    return GradedTensor._make(target, s.kind, s.degree, {
+        _lifted_key(s.kind, key, m, None): coeff.transport(base)
+        for key, coeff in s.terms.items()})
 
 
 def complete_lift_T(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
@@ -121,17 +123,33 @@ def complete_lift_T(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
     The result is a tensor over ``tangent_lift(algebroid)``."""
     _require_over(algebroid, s)
     target = tangent_lift(algebroid)
-    m = algebroid.rank
-    terms = []
+    m, base, kind = algebroid.rank, target.base, s.kind
+    terms = {}
     for key, coeff in s.terms.items():
-        drift = velocity_derivative(coeff, target.base)
-        if not drift.is_zero():
-            terms.append((_lifted_key(s.kind, key, m, None), drift))
-        pulled = coeff.transport(target.base)
-        slots = s.degree + (1 if s.kind is Kind.MIXED else 0)
+        drift = velocity_derivative(coeff, base)
+        if drift:
+            terms[_lifted_key(kind, key, m, None)] = drift
+        pulled = coeff.transport(base)
+        if kind is Kind.SYM:
+            # the dotted factor sorts last, and equal factors dot to one key
+            for r, i in enumerate(key):
+                if not r or key[r - 1] != i:
+                    count = key.count(i)
+                    terms[key[:r] + key[r + 1:] + (m + i,)] = (
+                        pulled * count if count > 1 else pulled)
+            continue
+        # a skew key is recovered from each of its single-dotted lifts, so
+        # no two of those collide
+        slots = s.degree + (1 if kind is Kind.MIXED else 0)
         for r in range(slots):
-            terms.append((_lifted_key(s.kind, key, m, r), pulled))
-    return GradedTensor(target, s.kind, s.degree, terms)
+            lifted = _lifted_key(kind, key, m, r)
+            if kind is Kind.MIXED:
+                form_key, sign = _sort_skew(lifted[0])
+                lifted = (form_key, lifted[1])
+            else:
+                lifted, sign = _sort_skew(lifted)
+            terms[lifted] = pulled if sign > 0 else -pulled
+    return GradedTensor._make(target, kind, s.degree, terms)
 
 
 # -- lifts to the dual chart ------------------------------------------------------
@@ -142,11 +160,11 @@ def vertical_pi(algebroid: Algebroid, mu) -> GradedTensor:
     if mu.kind is not Kind.FORM:
         raise KindMismatch(f"vertical_pi expects a form, got {mu.describe()}")
     _require_over(algebroid, mu)
-    target = canonical_algebroid(dual_chart(algebroid))
+    chart = dual_chart(algebroid)
     n = algebroid.base.dim
-    terms = [(tuple(n + i for i in key), coeff.transport(target.base))
-             for key, coeff in mu.terms.items()]
-    return GradedTensor(target, Kind.MV, mu.degree, terms)
+    return GradedTensor._make(canonical_algebroid(chart), Kind.MV, mu.degree, {
+        tuple(n + i for i in key): coeff.transport(chart)
+        for key, coeff in mu.terms.items()})
 
 
 def vertical_tau(algebroid: Algebroid, s) -> GradedTensor:
@@ -159,11 +177,10 @@ def vertical_tau(algebroid: Algebroid, s) -> GradedTensor:
     _require_over(algebroid, s)
     chart = Chart(algebroid.base.coords
                   + tuple(f"y_{f}" for f in algebroid.fiber_names))
-    target = canonical_algebroid(chart)
     n = algebroid.base.dim
-    terms = [(tuple(n + i for i in key), coeff.transport(chart))
-             for key, coeff in s.terms.items()]
-    return GradedTensor(target, s.kind, s.degree, terms)
+    return GradedTensor._make(canonical_algebroid(chart), s.kind, s.degree, {
+        tuple(n + i for i in key): coeff.transport(chart)
+        for key, coeff in s.terms.items()})
 
 
 def cot_complete_G_vec(algebroid: Algebroid, x) -> GradedTensor:
@@ -189,13 +206,20 @@ def J_map(algebroid: Algebroid, k) -> GradedTensor:
             f"J_map expects a vector-valued form, got {k.describe()}")
     _require_over(algebroid, k)
     chart = dual_chart(algebroid)
-    target = canonical_algebroid(chart)
     n = algebroid.base.dim
-    terms = []
+    # a form key shifted into the fiber block stays sorted
+    terms = accumulate((tuple(n + i for i in form_key), -weight)
+                       for form_key, weight in _weights(algebroid, chart, k))
+    return GradedTensor._make(canonical_algebroid(chart), Kind.MV, k.degree, terms)
+
+
+def _weights(algebroid: Algebroid, chart: Chart, k):
+    """The (form key, ξ_j·coefficient) pair of each term μ⊗e_j of a
+    vector-valued form, pulled back to the dual chart; terms that share a
+    form key are left for the caller to sum."""
     for (form_key, j), coeff in k.terms.items():
-        weight = coeff.transport(chart) * chart.coordinate(algebroid.dual_names[j])
-        terms.append((tuple(n + i for i in form_key), -weight))
-    return GradedTensor(target, Kind.MV, k.degree, terms)
+        yield form_key, coeff.transport(chart) * chart.coordinate(
+            algebroid.dual_names[j])
 
 
 def G_map(algebroid: Algebroid, k) -> GradedTensor:
@@ -252,8 +276,8 @@ def canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
     if (owner.provenance == "tangent-lift" and owner.parent is not None
             and owner.parent.is_canonical):
         target = canonical_algebroid(owner.base)
-    elif owner.is_canonical and _velocity_half(owner.base) is not None:
-        target = tangent_lift(canonical_algebroid(_velocity_half(owner.base)))
+    elif owner.is_canonical and (half_chart := _velocity_half(owner.base)) is not None:
+        target = tangent_lift(canonical_algebroid(half_chart))
     else:
         raise WrongProvenance(
             f"no canonical transport from {owner!r}: expected the tangent "
@@ -299,12 +323,8 @@ def Jstar(k) -> GradedTensor:
         raise WrongProvenance(
             f"Jstar acts over a canonical algebroid, got {algebroid!r}")
     chart = dual_chart(algebroid)
-    target = canonical_algebroid(chart)
-    terms = []
-    for (form_key, j), coeff in k.terms.items():
-        weight = coeff.transport(chart) * chart.coordinate(algebroid.dual_names[j])
-        terms.append((form_key, weight))
-    return GradedTensor(target, Kind.FORM, k.degree, terms)
+    return GradedTensor._make(canonical_algebroid(chart), Kind.FORM, k.degree,
+                              accumulate(_weights(algebroid, chart, k)))
 
 
 def H_map(k) -> GradedTensor:

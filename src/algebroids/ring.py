@@ -51,6 +51,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
@@ -385,9 +386,21 @@ class Poly:
         identity) to a coordinate of the new chart.  Used when pulling
         coefficients back along chart extensions (tangent lifts, dual-bundle
         charts) and when permuting coordinate order between equivalent charts.
+
+        The column of new indices comes from a bounded table, filled once per
+        (renamed coordinates, new chart).  Along a chart extension each
+        exponent gets zeros appended; an injective column moves the terms
+        without summing; only a merging rename (two coordinates onto one)
+        sums colliding terms with :func:`accumulate`.
         """
-        rename = rename or {}
-        column = [new_chart.index(rename.get(name, name)) for name in self.chart.coords]
+        names = self.chart.coords
+        if rename:
+            names = tuple(rename.get(name, name) for name in names)
+        column, pad, injective = _transport_column(names, new_chart)
+        if pad is not None:
+            # the new chart extends the old one: append zero exponents
+            return Poly._make(new_chart, {exp + pad: coeff
+                                          for exp, coeff in self.terms.items()})
         n = new_chart.dim
 
         def moved():
@@ -397,7 +410,26 @@ class Poly:
                     new_exp[j] += e
                 yield tuple(new_exp), coeff
 
-        return Poly._make(new_chart, accumulate(moved()))
+        # an injective column moves distinct exponents to distinct ones; a
+        # merging rename adds exponents up, so its terms may collide
+        return Poly._make(new_chart, dict(moved()) if injective else accumulate(moved()))
+
+
+#: Most (coordinate names, target chart) pairs whose transport column is
+#: kept.  A ``suite --name all`` round over both shipped models meets 31.
+_TRANSPORT_TABLE_SIZE = 64
+
+
+@lru_cache(maxsize=_TRANSPORT_TABLE_SIZE)
+def _transport_column(names: Tuple[str, ...], chart: Chart):
+    """The index in ``chart`` of each of ``names``; the zero exponents to
+    append when those indices are ``0, 1, …`` (``chart`` extends the named
+    chart), else None; and whether no two names share an index."""
+    column = tuple(chart.index(name) for name in names)
+    pad = None
+    if column == tuple(range(len(column))):
+        pad = (0,) * (chart.dim - len(column))
+    return column, pad, len(set(column)) == len(column)
 
 
 # -- the accumulation kernel ---------------------------------------------------

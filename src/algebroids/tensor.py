@@ -18,17 +18,23 @@ Chart), ``rank`` and ``fiber_names`` — in practice an
 ``Kind.SYM``
     symmetric multivector sections; keys are nondecreasing tuples.
 
-Keys are normalized on construction (skew kinds sort their indices and pick
-up the permutation sign, repeated indices vanish), coefficients go through
-:meth:`~algebroids.ring.Chart.coerce` of the owner's base, and every term map
-is summed by :func:`~algebroids.ring.accumulate`, which drops zero
-coefficients, so equality of term maps is equality of tensors.  The products
-(wedge, symmetric product, contractions) pair basis keys and hand each
-pair's two coefficients, with the key and its sign, to the product kernel
-:func:`~algebroids.ring.products`, which multiplies them into the result's
-term map without a polynomial per pair.  Skew keys are sorted through a
-bounded table (``_sort_skew``), filled as index tuples are met, since a run
-meets few distinct tuples many times each.
+Every term map is canonical: keys in normal form, no zero coefficient, each
+coefficient over the owner's base, so equality of term maps is equality of
+tensors.  The public constructor ``GradedTensor(...)`` makes it so: it
+normalizes keys (skew kinds sort their indices and pick up the permutation
+sign, repeated indices vanish), coerces coefficients with
+:meth:`~algebroids.ring.Chart.coerce` of the owner's base and sums the terms
+with :func:`~algebroids.ring.accumulate`, which drops zero coefficients.
+Internal builders (the products, ``zero``, ``function``, the kind coercions,
+:func:`remap` and the lifts of :mod:`algebroids.lifts`) build canonical maps
+themselves and pass them to ``GradedTensor._make``, which checks nothing.
+
+The products (wedge, symmetric product, contractions) pair basis keys and
+hand each pair's two coefficients, with the key and its sign, to the product
+kernel :func:`~algebroids.ring.products`, which multiplies them into the
+result's term map without a polynomial per pair.  Skew keys are sorted
+through a bounded table (``_sort_skew``), filled as index tuples are met,
+since a run meets few distinct tuples many times each.
 
 Contraction of a decomposable multivector ``X_1∧…∧X_k`` into a form composes
 the degree-1 insertions ``i_{X_r}`` in one of two orders.  The package-wide
@@ -175,7 +181,9 @@ class GradedTensor:
 
     @classmethod
     def zero(cls, owner, kind: Kind, degree: int) -> "GradedTensor":
-        return cls(owner, kind, degree, {})
+        if degree < 0:
+            raise KindMismatch(f"degree must be nonnegative, got {degree}")
+        return cls._make(owner, kind, degree, {})
 
     @classmethod
     def basis(cls, owner, kind: Kind, key) -> "GradedTensor":
@@ -188,7 +196,8 @@ class GradedTensor:
     @classmethod
     def function(cls, owner, value) -> "GradedTensor":
         """A degree-0 multivector (an element of the coefficient ring)."""
-        return cls(owner, Kind.MV, 0, {(): value})
+        value = owner.base.coerce(value)
+        return cls._make(owner, Kind.MV, 0, {(): value} if value else {})
 
     # -- queries --------------------------------------------------------------
 
@@ -365,7 +374,8 @@ def as_sym(t: GradedTensor) -> GradedTensor:
     if t.kind is Kind.SYM:
         return t
     if t.kind is Kind.MV and t.degree <= 1:
-        return GradedTensor(t.owner, Kind.SYM, t.degree, dict(t.terms))
+        # keys of length 0 or 1 are the same in both algebras
+        return GradedTensor._make(t.owner, Kind.SYM, t.degree, dict(t.terms))
     raise KindMismatch(f"cannot view {t.describe()} as a symmetric multivector")
 
 
@@ -373,14 +383,16 @@ def mixed_from_vector(x: GradedTensor) -> GradedTensor:
     """A section X, seen as the degree-0 vector-valued form 1⊗X."""
     if x.kind is not Kind.MV or x.degree != 1:
         raise KindMismatch(f"expected a degree-1 multivector, got {x.describe()}")
-    return GradedTensor(x.owner, Kind.MIXED, 0, {((), k[0]): c for k, c in x.terms.items()})
+    return GradedTensor._make(x.owner, Kind.MIXED, 0,
+                              {((), k[0]): c for k, c in x.terms.items()})
 
 
 def vector_from_mixed(k: GradedTensor) -> GradedTensor:
     """Inverse of :func:`mixed_from_vector` (degree-0 mixed tensors only)."""
     if k.kind is not Kind.MIXED or k.degree != 0:
         raise KindMismatch(f"expected a degree-0 mixed tensor, got {k.describe()}")
-    return GradedTensor(k.owner, Kind.MV, 1, {(key[1],): c for key, c in k.terms.items()})
+    return GradedTensor._make(k.owner, Kind.MV, 1,
+                              {(key[1],): c for key, c in k.terms.items()})
 
 
 # -- contraction --------------------------------------------------------------
@@ -484,19 +496,50 @@ def remap(t: GradedTensor, new_owner, fiber_map: Mapping[int, int],
           coord_map: Mapping[str, str] | None = None) -> GradedTensor:
     """Relabel a tensor onto another owner.
 
-    ``fiber_map`` sends old fiber indices to new ones (injectively on the
-    indices in use); coefficients are transported with ``coord_map`` (old
-    coordinate name → new name, identity by default).  Skew keys re-sort and
-    pick up signs as usual.
+    ``fiber_map`` sends old fiber indices to new ones; every index in use
+    must be mapped, into ``range(new_owner.rank)`` and injectively, or
+    ``DimensionMismatch`` is raised.  Coefficients are transported with
+    ``coord_map`` (old coordinate name → new name, identity by default).
+    Skew keys re-sort and pick up signs as usual.  Distinct keys stay
+    distinct, so only a coefficient that a merging ``coord_map`` cancels is
+    dropped.
     """
-    def moved(key):
+    moved = _fiber_image(t, fiber_map, new_owner.rank)
+    base = new_owner.base
+    terms = {}
+    for key, coeff in t.terms.items():
+        coeff = coeff.transport(base, coord_map)
+        if not coeff:
+            continue
         if t.kind is Kind.MIXED:
-            return (tuple(fiber_map[i] for i in key[0]), fiber_map[key[1]])
-        return tuple(fiber_map[i] for i in key)
+            form_key, sign = _sort_skew(tuple(moved[i] for i in key[0]))
+            key = (form_key, moved[key[1]])
+        elif t.kind is Kind.SYM:
+            key, sign = tuple(sorted(moved[i] for i in key)), 1
+        else:
+            key, sign = _sort_skew(tuple(moved[i] for i in key))
+        terms[key] = coeff if sign > 0 else -coeff
+    return GradedTensor._make(new_owner, t.kind, t.degree, terms)
 
-    return GradedTensor(new_owner, t.kind, t.degree,
-                        [(moved(key), coeff.transport(new_owner.base, coord_map))
-                         for key, coeff in t.terms.items()])
+
+def _fiber_image(t: GradedTensor, fiber_map: Mapping[int, int],
+                 rank: int) -> Dict[int, int]:
+    """``fiber_map`` restricted to the fiber indices of ``t``'s keys, checked
+    to send them injectively into ``range(rank)``."""
+    used = set()
+    for key in t.terms:
+        used.update(key[0] + (key[1],) if t.kind is Kind.MIXED else key)
+    image = {}
+    for i in sorted(used):
+        try:
+            image[i] = fiber_map[i]
+        except (KeyError, IndexError):
+            raise DimensionMismatch(f"the fiber map does not send index {i}") from None
+    _check_indices(tuple(image.values()), rank)
+    if len(set(image.values())) != len(image):
+        raise DimensionMismatch(f"the fiber map {image!r} is not injective "
+                                f"on the indices in use")
+    return image
 
 
 # -- enumeration / randomness -------------------------------------------------

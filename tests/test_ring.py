@@ -611,3 +611,73 @@ def test_transport_embeds_and_permutes():
     assert moved == parse_poly("x^2 + 2*y", big)
     renamed = q.transport(Chart(["u", "v"]), rename={"x": "u", "y": "v"})
     assert renamed == parse_poly("u^2 + 2*v", Chart(["u", "v"]))
+
+
+def _accumulated_transport(q, new_chart, rename=None):
+    """The transport as every call once ran it, kept as the reference: the
+    column rebuilt per call and every term summed by ``accumulate``."""
+    rename = rename or {}
+    column = [new_chart.index(rename.get(name, name)) for name in q.chart.coords]
+    n = new_chart.dim
+
+    def moved():
+        for exp, coeff in q.terms.items():
+            new_exp = [0] * n
+            for j, e in zip(column, exp):
+                new_exp[j] += e
+            yield tuple(new_exp), coeff
+
+    return Poly._make(new_chart, accumulate(moved()))
+
+
+#: (source chart, target chart, rename): an extension, an equal chart, a
+#: permutation into a larger chart, a rename, and two merging renames.
+_TRANSPORTS = {
+    "extension": (XY, Chart(["x", "y", "x_dot", "y_dot"]), None),
+    "equal-chart": (XY, Chart(["x", "y"]), None),
+    "permutation": (Chart(["x", "y", "z"]), Chart(["z", "w", "x", "y"]), None),
+    "rename": (XY, Chart(["v", "u"]), {"x": "u", "y": "v"}),
+    "merging-rename": (XY, Chart(["u"]), {"x": "u", "y": "u"}),
+    "partly-merging": (Chart(["x", "y", "z"]), Chart(["z", "u"]), {"x": "u", "y": "u"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRANSPORTS))
+def test_transport_matches_the_accumulated_reference(case):
+    from algebroids.tensor import random_coefficient
+
+    source, target, rename = _TRANSPORTS[case]
+    for seed in range(120):
+        q = random_coefficient(random.Random(seed), source, 3)
+        fast = q.transport(target, rename)
+        ref = _accumulated_transport(q, target, rename)
+        assert fast.chart == target
+        assert list(fast.terms.items()) == list(ref.terms.items()), seed
+        assert fast == ref
+
+
+def test_a_merging_rename_sums_and_cancels_terms():
+    U = Chart(["u"])
+    merge = {"x": "u", "y": "u"}
+    assert p("x + y").transport(U, merge) == parse_poly("2*u", U)
+    assert p("x - y").transport(U, merge) is U.zero()
+    assert p("x^2 - x*y + 3").transport(U, merge) == parse_poly("3", U)
+
+
+def test_transport_along_an_injective_column_accumulates_nothing(monkeypatch):
+    calls = []
+    original = algebroids.ring.accumulate
+
+    def counted(pairs, start=()):
+        calls.append(1)
+        return original(pairs, start)
+
+    q = p("x^2*y + 3*y - 1/2")
+    big, swapped = Chart(["x", "y", "x_dot", "y_dot"]), Chart(["y", "x"])
+    expected = [parse_poly("x^2*y + 3*y - 1/2", chart) for chart in (big, swapped)]
+    monkeypatch.setattr(algebroids.ring, "accumulate", counted)
+    assert [q.transport(big), q.transport(swapped)] == expected
+    assert calls == []
+    # only a merging rename sums its terms
+    q.transport(Chart(["u"]), {"x": "u", "y": "u"})
+    assert calls == [1]

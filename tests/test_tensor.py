@@ -255,6 +255,37 @@ def test_remap_permutes_and_renames():
     assert renamed == D.e(0) * "u"
 
 
+def test_remap_rejects_an_unmapped_index():
+    A = canonical_plane()
+    with pytest.raises(DimensionMismatch):
+        remap(A.e(0) * "x", A, {})
+    with pytest.raises(DimensionMismatch):
+        remap(wedge(A.e(0), A.e(1)), A, {0: 1})
+    # an index no key uses needs no image
+    assert remap(A.e(1), A, {1: 0}) == A.e(0)
+
+
+def test_remap_rejects_a_merging_fiber_map():
+    # {0: 0, 1: 0} would turn x*e_x + y*e_y into (x + y)*e_x
+    A = canonical_plane()
+    t = A.e(0) * "x" + A.e(1) * "y"
+    with pytest.raises(DimensionMismatch):
+        remap(t, A, {0: 0, 1: 0})
+    # the map need only be injective on the indices in use
+    assert remap(A.e(0), A, {0: 1, 1: 1}) == A.e(1)
+
+
+def test_remap_rejects_an_index_out_of_range():
+    A = canonical_plane()
+    t = A.e(0) * "x" + A.e(1) * "y"
+    with pytest.raises(DimensionMismatch):
+        remap(t, A, {0: 0, 1: 5})
+    with pytest.raises(DimensionMismatch):
+        remap(t, A, {0: -1, 1: 0})
+    with pytest.raises(DimensionMismatch):
+        remap(GradedTensor(A, Kind.MIXED, 1, {((0,), 1): 1}), A, {0: 0, 1: 2})
+
+
 def test_hash_ignores_term_order_and_prints_nothing(monkeypatch):
     from algebroids import ring
 
