@@ -114,7 +114,7 @@ def lie_derivative(algebroid: Algebroid, actor: GradedTensor,
     """
     _require_owner(algebroid, actor, mu)
     if mu.kind is Kind.MV and mu.degree == 0:
-        mu = GradedTensor(algebroid, Kind.FORM, 0, dict(mu.terms))
+        mu = GradedTensor._make(algebroid, Kind.FORM, 0, dict(mu.terms))
     if mu.kind is not Kind.FORM:
         raise KindMismatch(f"Lie differentials act on forms, got {mu.describe()}")
     sign = -1 if actor.degree % 2 else 1

@@ -156,6 +156,14 @@ def _decode_chart(name, body):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _violation(section, name, exc):
+    """The ``ValidationError`` of the structure ``name`` of a model section
+    that fails its axioms, carrying the violation's witness."""
+    err = ValidationError(f"{section} {name!r}: {exc}")
+    err.witness = dict(exc.witness)
+    return err
+
+
 def _decode_algebroid(name, body, charts):
     where = f"algebroids.{name}"
     body = _expect_object(body, where)
@@ -201,9 +209,7 @@ def _decode_algebroid(name, body, charts):
         return build_algebroid(chart, tuple(fibers), anchor=tuple(anchor),
                                structure=structure)
     except StructureViolation as exc:
-        err = ValidationError(f"algebroid {name!r}: {exc}")
-        err.witness = dict(exc.witness)
-        raise err from exc
+        raise _violation("algebroid", name, exc) from exc
     except AlgebroidError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -229,9 +235,7 @@ def _decode_poisson(name, body, charts):
     try:
         return build_poisson(chart, bivector)
     except StructureViolation as exc:
-        err = ValidationError(f"poisson {name!r}: {exc}")
-        err.witness = dict(exc.witness)
-        raise err from exc
+        raise _violation("poisson", name, exc) from exc
 
 
 def _decode_tensor(name, body, model):

@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 from .algebroid import Algebroid, build_algebroid, canonical_algebroid
 from .calculus import differential, lie_derivative, schouten
 from .errors import ChartMismatch, KindMismatch, NotInvertible, NotPoisson
-from .ring import Chart, Poly
+from .ring import Chart, Poly, accumulate
 from .tensor import GradedTensor, Kind, contract, pretty, tensor_sum, wedge
 
 
@@ -84,9 +84,9 @@ class PoissonStructure:
         if self._rows is None:
             mat = self.matrix()
             self._rows = tuple(
-                GradedTensor(self.owner, Kind.MV, 1,
-                             {(v,): c for v, c in enumerate(mat[u])
-                              if not c.is_zero()})
+                GradedTensor._make(self.owner, Kind.MV, 1,
+                                   {(v,): c for v, c in enumerate(mat[u])
+                                    if not c.is_zero()})
                 for u in range(self.chart.dim))
         return self._rows[u]
 
@@ -125,7 +125,7 @@ def _as_form(ps: PoissonStructure, t: GradedTensor) -> GradedTensor:
     if t.owner is not ps.owner and t.owner != ps.owner:
         raise ChartMismatch("tensor does not live over the Poisson chart")
     if t.kind is Kind.MV and t.degree == 0:
-        return GradedTensor(ps.owner, Kind.FORM, 0, dict(t.terms))
+        return GradedTensor._make(ps.owner, Kind.FORM, 0, dict(t.terms))
     if t.kind is not Kind.FORM:
         raise KindMismatch(f"expected a form, got {t.describe()}")
     return t
@@ -185,9 +185,9 @@ def koszul_schouten(ps: PoissonStructure, mu: GradedTensor,
     mu, nu = _as_form(ps, mu), _as_form(ps, nu)
     cot = cotangent_algebroid(ps)
     result = schouten(cot,
-                      GradedTensor(cot, Kind.MV, mu.degree, dict(mu.terms)),
-                      GradedTensor(cot, Kind.MV, nu.degree, dict(nu.terms)))
-    return GradedTensor(ps.owner, Kind.FORM, result.degree, dict(result.terms))
+                      GradedTensor._make(cot, Kind.MV, mu.degree, dict(mu.terms)),
+                      GradedTensor._make(cot, Kind.MV, nu.degree, dict(nu.terms)))
+    return GradedTensor._make(ps.owner, Kind.FORM, result.degree, dict(result.terms))
 
 
 # -- multiplicative and derivation extensions of P̃ ----------------------------------
@@ -236,7 +236,7 @@ def _factorwise(t: GradedTensor, kind: Kind, row) -> GradedTensor:
     basis factor is ``row(u)``."""
     pieces = []
     for key, coeff in t.terms.items():
-        piece = GradedTensor(t.owner, kind, 0, {(): coeff})
+        piece = GradedTensor._make(t.owner, kind, 0, {(): coeff})
         for u in key:
             piece = wedge(piece, row(u))
         pieces.append(piece)
@@ -293,7 +293,8 @@ def r_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
             signed = coeff if r % 2 == 0 else -coeff
             terms.extend(((rest, v), signed * weight)
                          for (v,), weight in ps.row(u).terms.items())
-    return GradedTensor(ps.owner, Kind.MIXED, k - 1, terms)
+    # two dropped factors can leave the same (rest, v) key, so sum the terms
+    return GradedTensor._make(ps.owner, Kind.MIXED, k - 1, accumulate(terms))
 
 
 def h_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:

@@ -21,21 +21,23 @@ deterministic for a given seed and independent of item order.  One loop,
 ``_Run._record``, records every item: it builds the item's generator, hands
 it to the item's instance stream, counts instances up to the first witness
 and appends the item.  ``_Run.identity`` and ``_Run.predicate`` are its two
-judges (a residual must vanish; a predicate must hold), and ``_Run.check``
-is ``identity`` over the standard stream: the trial share per fixture, in
-fixture order, each instance drawn by a function of ``(fixture, rng)``.
+judges (a residual must vanish; a predicate must hold).
 
 Most items are declared (``_Run.declare``): an id, a label, the fixtures,
-each argument as ``(kind, degrees[, keys])`` and a residual function of
-``(fixture, **arguments)`` that never sees the generator.  One enumerator,
-``_Run.arguments``, draws the arguments in declaration order: a degree
-chosen from the declared list (an int is taken as is), then the tensor.
-Items that draw random coefficients, theorem-6's antisymmetry (both
-degrees chosen before either draw) and theorem-15 (seven items over one
-shared instance) keep instance functions of ``(fixture, rng)``.  The few
-items whose draw count is not the share (several instances per draw, an
-invertibility probe, ``trials`` on one fixture, a skipped fixture) pass
-their own stream, a function of ``rng``.
+each argument as ``(kind, degrees[, keys])`` or ``FUNCTION``, and a residual
+function of ``(fixture, **arguments)`` that never sees the generator.  A
+declared item checks the standard stream: the trial share per fixture, in
+fixture order.  One enumerator, ``_Run.arguments``, draws the arguments in
+declaration order: a degree chosen from the declared list (an int is taken
+as is), then the tensor; ``FUNCTION`` is one random coefficient, handed
+over as a function on the owner.  Eight items pass their own stream, a
+function of ``rng``: theorem-6 ``antisymmetry`` (both degrees chosen before
+either draw), and seven whose draw count is not the share: theorem-2
+``operator-identity`` (a basis of forms per draw), theorem-5
+``lambda-inverse`` (an invertibility probe), theorem-17 and theorem-24
+``injectivity`` (``trials`` on one fixture), theorem-19 ``bivectors`` (a
+skipped fixture), theorem-20 ``poisson-routes`` and theorem-24
+``nijenhuis-instance`` (one instance per fixture, no draw).
 """
 
 from __future__ import annotations
@@ -183,6 +185,10 @@ def _witness(fixture, label, inputs, residual, rng):
     return payload
 
 
+#: The argument spec of one random function on the draw owner's base.
+FUNCTION = "function"
+
+
 class _Run:
     """Accumulates one suite's items."""
 
@@ -219,13 +225,20 @@ class _Run:
         self.notes.append(text)
 
     def arguments(self, rng, owner, args):
-        """The enumerator: draw ``args`` ({name: (kind, degrees[, keys])})
-        on ``owner`` in declaration order.  An int degree is drawn as is,
-        with no ``rng.choice``; a sequence is one ``rng.choice`` over its
-        entries exactly as listed, duplicates included, each entry an int
-        or a function of the owner (``_upto2``, ``_rank``)."""
+        """The enumerator: draw ``args`` ({name: spec}) on ``owner`` in
+        declaration order.  ``FUNCTION`` is one ``random_coefficient`` on
+        the owner's base, handed over as ``owner.fn(...)``.  Any other spec
+        is ``(kind, degrees[, keys])``: an int degree is drawn as is, with
+        no ``rng.choice``; a sequence is one ``rng.choice`` over its entries
+        exactly as listed, duplicates included, each entry an int or a
+        function of the owner (``_upto2``, ``_rank``)."""
         drawn = {}
-        for name, (kind, degrees, *keys) in args.items():
+        for name, spec in args.items():
+            if spec is FUNCTION:
+                drawn[name] = owner.fn(random_coefficient(
+                    rng, owner.base, self.coeff_degree))
+                continue
+            kind, degrees, *keys = spec
             if not isinstance(degrees, int):
                 degrees = rng.choice([d(owner) if callable(d) else d
                                       for d in degrees])
@@ -234,27 +247,23 @@ class _Run:
 
     def declare(self, item_id, label, fixtures, owner=None, **args):
         """Decorate ``residual(fixture, **args)`` into an item over the
-        standard stream: each instance draws ``args`` on ``owner(fixture)``
-        (the fixture itself by default) and returns the residual, or a
-        tuple of residuals, of them."""
-        def declared(residual):
-            def instance(fixture, rng):
-                on = fixture if owner is None else owner(fixture)
-                drawn = self.arguments(rng, on, args)
-                return drawn, residual(fixture, **drawn)
+        standard stream: ``share(len(fixtures))`` instances per fixture, in
+        the order given, each drawing ``args`` on ``owner(fixture)`` (the
+        fixture itself by default) and checking the residual, or the tuple
+        of residuals, of them."""
+        per = self.share(len(fixtures))
 
-            self.check(item_id, label, fixtures, instance)
+        def declared(residual):
+            def stream(rng):
+                for name, fixture in fixtures:
+                    on = fixture if owner is None else owner(fixture)
+                    for _ in range(per):
+                        drawn = self.arguments(rng, on, args)
+                        yield name, drawn, residual(fixture, **drawn)
+
+            self.identity(item_id, label, stream)
             return residual
         return declared
-
-    def check(self, item_id, label, fixtures, instance):
-        """The standard draw policy: ``share(len(fixtures))`` draws per
-        fixture, fixtures in the order given.  ``instance(fixture, rng)``
-        draws one instance and returns (inputs, residual)."""
-        per = self.share(len(fixtures))
-        self.identity(item_id, label, lambda rng: (
-            (name, *instance(fixture, rng))
-            for name, fixture in fixtures for _ in range(per)))
 
     def identity(self, item_id, label, stream):
         """``stream(rng)`` yields (fixture, inputs, residual) — or a tuple
@@ -319,8 +328,9 @@ def _upto2(owner):
 
 #: The degree entry ``rank`` of the draw owner.
 _rank = attrgetter("rank")
-#: A Poisson structure's cotangent algebroid, the owner its forms draw on.
-_cotangent = attrgetter("owner")
+#: A Poisson structure's owner, the canonical algebroid of its chart: its
+#: forms and functions draw there.
+_poisson_owner = attrgetter("owner")
 
 
 def _sign(n):
@@ -444,18 +454,14 @@ def _suite_theorem_2(run):
                  "L_Y∘i_X − (−1)^{a(b−1)} i_X∘L_Y = −i_[X,Y] on basis forms",
                  operator)
 
-    def on_functions(A, rng):
-        x = run.draw(rng, A, Kind.MV, 1)
-        f = random_coefficient(rng, A.base, run.coeff_degree)
-        fx = GradedTensor(A, Kind.MV, 0, {(): f})
-        applied = poly_sum(A.base, (c * A.anchor[i][a] * f.partial(coord)
+    @run.declare("bracket-on-functions", "[X, f] = anchor(X)(f)", fixtures,
+                 x=(Kind.MV, 1), f=FUNCTION)
+    def on_functions(A, x, f):
+        value = f.as_function()
+        applied = poly_sum(A.base, (c * A.anchor[i][a] * value.partial(coord)
                                     for (i,), c in x.terms.items()
                                     for a, coord in enumerate(A.base.coords)))
-        residual = schouten(A, x, fx) - GradedTensor(A, Kind.MV, 0, {(): applied})
-        return {"x": x, "f": fx}, residual
-
-    run.check("bracket-on-functions", "[X, f] = anchor(X)(f)",
-              fixtures, on_functions)
+        return schouten(A, x, f) - A.fn(applied)
 
     @run.declare("adjoint-derivation",
                  "[X, Y∧Z] = [X,Y]∧Z + (−1)^{(a−1)b} Y∧[X,Z]", fixtures,
@@ -536,7 +542,7 @@ def _suite_theorem_5(run):
     form = (Kind.FORM, (0, 1, 2))
 
     @run.declare("lambda-homomorphism", "Λ[mu,nu]_P = [Λmu, Λnu]", fixtures,
-                 owner=_cotangent, mu=form, nu=form)
+                 owner=_poisson_owner, mu=form, nu=form)
     def homomorphism(ps, mu, nu):
         return (lambda_p(ps, koszul_schouten(ps, mu, nu))
                 - schouten(ps.owner, lambda_p(ps, mu), lambda_p(ps, nu)))
@@ -562,65 +568,64 @@ def _suite_theorem_6(run):
     """The extended bracket is a graded Lie bracket restricting to the
     Poisson bracket on functions and compatible with d."""
     fixtures = run.poisson()
+    per = run.share(len(fixtures))
 
-    def on_functions(ps, rng):
-        O = ps.owner
-        f = random_coefficient(rng, ps.chart, run.coeff_degree)
-        g = random_coefficient(rng, ps.chart, run.coeff_degree)
-        residual = (extended_bracket(ps, O.fn(f), O.fn(g))
-                    - GradedTensor(O, Kind.FORM, 0,
-                                   {(): poisson_bracket(ps, f, g)}))
-        return {"f": O.fn(f), "g": O.fn(g)}, residual
+    @run.declare("poisson-on-functions", "{f, g}_P is the Poisson bracket",
+                 fixtures, owner=_poisson_owner, f=FUNCTION, g=FUNCTION)
+    def on_functions(ps, f, g):
+        bracket = poisson_bracket(ps, f.as_function(), g.as_function())
+        return (extended_bracket(ps, f, g)
+                - GradedTensor(ps.owner, Kind.FORM, 0, {(): bracket}))
 
-    run.check("poisson-on-functions", "{f, g}_P is the Poisson bracket",
-              fixtures, on_functions)
-
-    def antisymmetry(ps, rng):
-        O = ps.owner
-        ka, kb = rng.choice([0, 1, 2]), rng.choice([0, 1])
-        mu = run.draw(rng, O, Kind.FORM, ka)
-        nu = run.draw(rng, O, Kind.FORM, kb)
-        residual = (extended_bracket(ps, mu, nu)
+    def antisymmetry(rng):
+        for name, ps in fixtures:
+            O = ps.owner
+            for _ in range(per):
+                ka, kb = rng.choice([0, 1, 2]), rng.choice([0, 1])
+                mu = run.draw(rng, O, Kind.FORM, ka)
+                nu = run.draw(rng, O, Kind.FORM, kb)
+                yield name, {"mu": mu, "nu": nu}, (
+                    extended_bracket(ps, mu, nu)
                     + extended_bracket(ps, nu, mu) * _sign(ka * kb))
-        return {"mu": mu, "nu": nu}, residual
 
-    run.check("antisymmetry", "graded antisymmetry of {,}_P",
-              fixtures, antisymmetry)
+    run.identity("antisymmetry", "graded antisymmetry of {,}_P", antisymmetry)
 
     form = (Kind.FORM, (0, 1, 2), 1)
 
     @run.declare("graded-jacobi", "graded Jacobi identity of {,}_P", fixtures,
-                 owner=_cotangent, mu=form, nu=form, rho=form)
+                 owner=_poisson_owner, mu=form, nu=form, rho=form)
     def jacobi(ps, mu, nu, rho):
         return _graded_jacobi(partial(extended_bracket, ps), mu, nu, rho,
                               right=True)
 
     @run.declare("d-compatibility", "{d mu, nu}_P = d{mu, nu}_P", fixtures,
-                 owner=_cotangent, mu=(Kind.FORM, (0, 1)),
+                 owner=_poisson_owner, mu=(Kind.FORM, (0, 1)),
                  nu=(Kind.FORM, (0, 1, 2)))
     def d_compat(ps, mu, nu):
         return (extended_bracket(ps, differential(ps.owner, mu), nu)
                 - differential(ps.owner, extended_bracket(ps, mu, nu)))
 
-    def term_expansion_01(ps, rng):
+    @run.declare("term-expansion-0-1",
+                 "{g0, f0 df1}_P = {g0,f0} df1 + f0 d{g0,f1}", fixtures,
+                 owner=_poisson_owner, g0=FUNCTION, f0=FUNCTION, f1=FUNCTION)
+    def term_expansion_01(ps, g0, f0, f1):
         O = ps.owner
+        g0, f0, f1 = (f.as_function() for f in (g0, f0, f1))
 
         def d0(f):
             return differential(O, O.fn(f))
 
-        g0, f0, f1 = (random_coefficient(rng, ps.chart, run.coeff_degree)
-                      for _ in range(3))
         lhs = extended_bracket(ps, O.fn(g0), d0(f1) * f0)
         rhs = (d0(f1) * poisson_bracket(ps, g0, f0)
                + d0(poisson_bracket(ps, g0, f1)) * f0)
-        return {"g0": O.fn(g0), "f0": O.fn(f0), "f1": O.fn(f1)}, lhs - rhs
+        return lhs - rhs
 
-    run.check("term-expansion-0-1",
-              "{g0, f0 df1}_P = {g0,f0} df1 + f0 d{g0,f1}",
-              fixtures, term_expansion_01)
-
-    def term_expansion_11(ps, rng):
+    @run.declare("term-expansion-1-1", "six-term expansion of {g0 dg1, f0 df1}_P",
+                 fixtures, owner=_poisson_owner, g0=FUNCTION, g1=FUNCTION,
+                 f0=FUNCTION, f1=FUNCTION)
+    def term_expansion_11(ps, g0, g1, f0, f1):
         O = ps.owner
+        g0, g1, f0, f1 = (f.as_function() for f in (g0, g1, f0, f1))
 
         def d0(f):
             return differential(O, O.fn(f))
@@ -628,8 +633,6 @@ def _suite_theorem_6(run):
         def pb(a, b):
             return poisson_bracket(ps, a, b)
 
-        g0, g1, f0, f1 = (random_coefficient(rng, ps.chart, run.coeff_degree)
-                          for _ in range(4))
         lhs = extended_bracket(ps, d0(g1) * g0, d0(f1) * f0)
         rhs = (wedge(d0(g1), d0(f1)) * pb(g0, f0)
                + wedge(d0(pb(g1, f0)), d0(f1)) * g0
@@ -637,11 +640,7 @@ def _suite_theorem_6(run):
                - wedge(d0(pb(g0, f1)), d0(g1)) * f0
                + wedge(d0(pb(g1, f1)), d0(g0)) * f0
                - wedge(d0(g0), d0(f0)) * pb(g1, f1))
-        return {"g0": O.fn(g0), "g1": O.fn(g1),
-                "f0": O.fn(f0), "f1": O.fn(f1)}, lhs - rhs
-
-    run.check("term-expansion-1-1", "six-term expansion of {g0 dg1, f0 df1}_P",
-              fixtures, term_expansion_11)
+        return lhs - rhs
 
 
 def _suite_theorem_7(run):
@@ -651,20 +650,20 @@ def _suite_theorem_7(run):
     low = (Kind.FORM, (0, 1))
 
     @run.declare("d-homomorphism", "[d mu, d nu]_P = d{mu, nu}_P", fixtures,
-                 owner=_cotangent, mu=low, nu=low)
+                 owner=_poisson_owner, mu=low, nu=low)
     def d_homomorphism(ps, mu, nu):
         O = ps.owner
         return (koszul_schouten(ps, differential(O, mu), differential(O, nu))
                 - differential(O, extended_bracket(ps, mu, nu)))
 
     @run.declare("h-homomorphism", "H{mu,nu}_P = [H mu, H nu]^{F-N}", fixtures,
-                 owner=_cotangent, mu=low, nu=low)
+                 owner=_poisson_owner, mu=low, nu=low)
     def h_homomorphism(ps, mu, nu):
         return (h_p(ps, extended_bracket(ps, mu, nu))
                 - fn_bracket(ps.owner, h_p(ps, mu), h_p(ps, nu)))
 
     @run.declare("g-homomorphism", "G{mu,nu}_P = [G mu, G nu]", fixtures,
-                 owner=_cotangent, mu=(Kind.FORM, (0, 1, 2)), nu=low)
+                 owner=_poisson_owner, mu=(Kind.FORM, (0, 1, 2)), nu=low)
     def g_homomorphism(ps, mu, nu):
         return (g_p(ps, extended_bracket(ps, mu, nu))
                 - schouten(ps.owner, g_p(ps, mu), g_p(ps, nu)))
@@ -675,7 +674,7 @@ def _suite_eq_2_6(run):
     form = (Kind.FORM, (0, 1, 2))
 
     @run.declare("h-r-expansion", "[mu,nu]_P = i_{H mu} nu − (−1)^k L_{R mu} nu",
-                 run.poisson(), owner=_cotangent, mu=form, nu=form)
+                 run.poisson(), owner=_poisson_owner, mu=form, nu=form)
     def expansion(ps, mu, nu):
         return (koszul_schouten(ps, mu, nu)
                 - contract_mixed(h_p(ps, mu), nu)
@@ -688,34 +687,25 @@ def _suite_theorem_8(run):
     """Vertical and complete lifts: function laws and module structure."""
     fixtures = run.algebroids()
 
-    def function_laws(A, rng):
+    @run.declare("function-lifts",
+                 "V(f) is the pullback; T(f) is the velocity derivative",
+                 fixtures, f=FUNCTION)
+    def function_laws(A, f):
         TL = tangent_lift(A)
-        f = random_coefficient(rng, A.base, run.coeff_degree)
-        vf = vertical_lift_V(A, A.fn(f))
-        tf = complete_lift_T(A, A.fn(f))
-        pulled = GradedTensor(TL, Kind.MV, 0, {(): f.transport(TL.base)})
-        drift = GradedTensor(TL, Kind.MV, 0, {(): _velocity(f, A.base, TL.base)})
-        return {"V(f)": vf, "T(f)": tf}, (vf - pulled, tf - drift)
+        value = f.as_function()
+        return (vertical_lift_V(A, f) - TL.fn(value.transport(TL.base)),
+                complete_lift_T(A, f) - TL.fn(_velocity(value, A.base, TL.base)))
 
-    run.check("function-lifts",
-              "V(f) is the pullback; T(f) is the velocity derivative",
-              fixtures, function_laws)
-
-    def module_laws(A, rng):
-        f = random_coefficient(rng, A.base, run.coeff_degree)
-        x = run.draw(rng, A, Kind.MV, 1)
-        fx = x * f
-        vf = vertical_lift_V(A, A.fn(f)).as_function()
-        tf = complete_lift_T(A, A.fn(f)).as_function()
-        residual_v = vertical_lift_V(A, fx) - vertical_lift_V(A, x) * vf
-        residual_t = (complete_lift_T(A, fx)
-                      - vertical_lift_V(A, x) * tf
-                      - complete_lift_T(A, x) * vf)
-        return {"x": x}, (residual_v, residual_t)
-
-    run.check("module-laws",
-              "V(fX) = V(f)V(X) and T(fX) = T(f)V(X) + V(f)T(X)",
-              fixtures, module_laws)
+    @run.declare("module-laws",
+                 "V(fX) = V(f)V(X) and T(fX) = T(f)V(X) + V(f)T(X)",
+                 fixtures, f=FUNCTION, x=(Kind.MV, 1))
+    def module_laws(A, f, x):
+        fx = x * f.as_function()
+        vf = vertical_lift_V(A, f).as_function()
+        tf = complete_lift_T(A, f).as_function()
+        return (vertical_lift_V(A, fx) - vertical_lift_V(A, x) * vf,
+                complete_lift_T(A, fx) - vertical_lift_V(A, x) * tf
+                - complete_lift_T(A, x) * vf)
 
 
 def _suite_theorem_9(run):
@@ -818,75 +808,53 @@ def _suite_theorem_14(run):
 def _suite_theorem_15(run):
     """The dual-chart Schouten identities tying iota, V_pi and G together."""
     fixtures = run.algebroids()
+    # every item draws x, y, mu and nu, whichever of them it uses
+    instance = {"x": (Kind.MV, 1), "y": (Kind.MV, 1),
+                "mu": (Kind.FORM, (1, _upto2)), "nu": (Kind.FORM, 1)}
 
-    def an_instance(A, rng):
-        """Every item draws x, y, mu and nu, whichever of them it uses."""
-        return run.arguments(rng, A, {
-            "x": (Kind.MV, 1), "y": (Kind.MV, 1),
-            "mu": (Kind.FORM, (1, _upto2)), "nu": (Kind.FORM, 1)}).values()
+    @run.declare("a-multiplicative", "V_pi(mu∧nu) = V_pi(mu)∧V_pi(nu)",
+                 fixtures, **instance)
+    def wedge_mult(A, x, y, mu, nu):
+        return (vertical_pi(A, wedge(mu, nu))
+                - wedge(vertical_pi(A, mu), vertical_pi(A, nu)))
 
-    def wedge_mult(A, rng):
-        _, _, mu, nu = an_instance(A, rng)
-        residual = (vertical_pi(A, wedge(mu, nu))
-                    - wedge(vertical_pi(A, mu), vertical_pi(A, nu)))
-        return {"mu": mu, "nu": nu}, residual
-
-    run.check("a-multiplicative", "V_pi(mu∧nu) = V_pi(mu)∧V_pi(nu)",
-              fixtures, wedge_mult)
-
-    def commute(A, rng):
-        _, _, mu, nu = an_instance(A, rng)
+    @run.declare("b-commuting", "[V_pi mu, V_pi nu] = 0", fixtures, **instance)
+    def commute(A, x, y, mu, nu):
         D = linear_poisson(A).owner
-        return {"mu": mu, "nu": nu}, schouten(D, vertical_pi(A, mu),
-                                              vertical_pi(A, nu))
+        return schouten(D, vertical_pi(A, mu), vertical_pi(A, nu))
 
-    run.check("b-commuting", "[V_pi mu, V_pi nu] = 0", fixtures, commute)
-
-    def iota_bracket(A, rng):
-        x, _, mu, _ = an_instance(A, rng)
+    @run.declare("c-iota", "[iota(X), V_pi mu] = −V_pi(i_X mu)", fixtures,
+                 **instance)
+    def iota_bracket(A, x, y, mu, nu):
         D = linear_poisson(A).owner
-        residual = (schouten(D, D.fn(iota(A, x)), vertical_pi(A, mu))
-                    + vertical_pi(A, contract(x, mu)))
-        return {"x": x, "mu": mu}, residual
+        return (schouten(D, D.fn(iota(A, x)), vertical_pi(A, mu))
+                + vertical_pi(A, contract(x, mu)))
 
-    run.check("c-iota", "[iota(X), V_pi mu] = −V_pi(i_X mu)",
-              fixtures, iota_bracket)
-
-    def p_bracket(A, rng):
-        _, _, mu, _ = an_instance(A, rng)
+    @run.declare("d-differential", "[P, V_pi mu] = V_pi(d mu)", fixtures,
+                 **instance)
+    def p_bracket(A, x, y, mu, nu):
         ps = linear_poisson(A)
-        residual = (schouten(ps.owner, ps.bivector, vertical_pi(A, mu))
-                    - vertical_pi(A, differential(A, mu)))
-        return {"mu": mu}, residual
+        return (schouten(ps.owner, ps.bivector, vertical_pi(A, mu))
+                - vertical_pi(A, differential(A, mu)))
 
-    run.check("d-differential", "[P, V_pi mu] = V_pi(d mu)", fixtures, p_bracket)
-
-    def g_lie(A, rng):
-        x, _, mu, _ = an_instance(A, rng)
+    @run.declare("e-lie", "[G(X), V_pi mu] = V_pi(L_X mu)", fixtures, **instance)
+    def g_lie(A, x, y, mu, nu):
         D = linear_poisson(A).owner
-        residual = (schouten(D, cot_complete_G_vec(A, x), vertical_pi(A, mu))
-                    - vertical_pi(A, lie_derivative(A, x, mu)))
-        return {"x": x, "mu": mu}, residual
+        return (schouten(D, cot_complete_G_vec(A, x), vertical_pi(A, mu))
+                - vertical_pi(A, lie_derivative(A, x, mu)))
 
-    run.check("e-lie", "[G(X), V_pi mu] = V_pi(L_X mu)", fixtures, g_lie)
-
-    def g_g(A, rng):
-        x, y, _, _ = an_instance(A, rng)
+    @run.declare("f-bracket", "[G(X), G(Y)] = G([X, Y])", fixtures, **instance)
+    def g_g(A, x, y, mu, nu):
         D = linear_poisson(A).owner
-        residual = (schouten(D, cot_complete_G_vec(A, x), cot_complete_G_vec(A, y))
-                    - cot_complete_G_vec(A, section_bracket(A, x, y)))
-        return {"x": x, "y": y}, residual
+        return (schouten(D, cot_complete_G_vec(A, x), cot_complete_G_vec(A, y))
+                - cot_complete_G_vec(A, section_bracket(A, x, y)))
 
-    run.check("f-bracket", "[G(X), G(Y)] = G([X, Y])", fixtures, g_g)
-
-    def g_iota(A, rng):
-        x, y, _, _ = an_instance(A, rng)
+    @run.declare("g-iota", "[G(X), iota(Y)] = iota([X, Y])", fixtures,
+                 **instance)
+    def g_iota(A, x, y, mu, nu):
         D = linear_poisson(A).owner
-        residual = (schouten(D, cot_complete_G_vec(A, x), D.fn(iota(A, y)))
-                    - D.fn(iota(A, section_bracket(A, x, y))))
-        return {"x": x, "y": y}, residual
-
-    run.check("g-iota", "[G(X), iota(Y)] = iota([X, Y])", fixtures, g_iota)
+        return (schouten(D, cot_complete_G_vec(A, x), D.fn(iota(A, y)))
+                - D.fn(iota(A, section_bracket(A, x, y))))
 
 
 def _g_expanded(A, k):

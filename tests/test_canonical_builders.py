@@ -6,8 +6,12 @@ the public constructor ``GradedTensor(...)``, which normalizes every key,
 coerces every coefficient and sums the terms.  The fast paths must give the
 same term maps with the same key order, and the same term order inside each
 coefficient, over every shipped algebroid and its tangent and cotangent
-lifts, every kind and degrees 0 to 3.  The counting tests pin the fast
-paths: built from canonical input, the lifts and ``remap`` call the public
+lifts, every kind and degrees 0 to 3.  The Poisson builders (the
+bundle-map rows, the factorwise extension, ``R_P``, the Koszul–Schouten
+relabels and the function-to-form coercions) are held to the same over every
+shipped Poisson structure and the fiberwise-linear one of every shipped
+algebroid.  The counting tests pin the fast paths: built from canonical
+input, the lifts, ``remap`` and the Poisson builders call the public
 constructor zero times.
 """
 
@@ -20,10 +24,18 @@ from algebroids.algebroid import (
     canonical_algebroid,
     cotangent_lift,
     dual_chart,
+    linear_poisson,
     tangent_lift,
     velocity_derivative,
 )
-from algebroids.fixtures import ALGEBROIDS, canonical_plane, nonconstant_rank2
+from algebroids.calculus import lie_derivative, schouten
+from algebroids.fixtures import (
+    ALGEBROIDS,
+    POISSON,
+    canonical_plane,
+    nonconstant_rank2,
+    poisson_four,
+)
 from algebroids.lifts import (
     J_map,
     Jstar,
@@ -32,6 +44,14 @@ from algebroids.lifts import (
     vertical_lift_V,
     vertical_pi,
     vertical_tau,
+)
+from algebroids.poisson import (
+    _as_form,
+    _factorwise,
+    cotangent_algebroid,
+    koszul_schouten,
+    lambda_p,
+    r_p,
 )
 from algebroids.ring import Chart
 from algebroids.tensor import (
@@ -42,7 +62,9 @@ from algebroids.tensor import (
     random_coefficient,
     random_tensor,
     remap,
+    tensor_sum,
     vector_from_mixed,
+    wedge,
 )
 
 SEEDS = range(100)
@@ -145,6 +167,56 @@ def ref_Jstar(k):
     return GradedTensor(target, Kind.FORM, k.degree, terms)
 
 
+def ref_row(ps, u):
+    mat = ps.matrix()
+    return GradedTensor(ps.owner, Kind.MV, 1,
+                        {(v,): c for v, c in enumerate(mat[u])
+                         if not c.is_zero()})
+
+
+def ref_as_form(ps, t):
+    return GradedTensor(ps.owner, Kind.FORM, 0, dict(t.terms))
+
+
+def ref_koszul_schouten(ps, mu, nu):
+    mu, nu = _as_form(ps, mu), _as_form(ps, nu)
+    cot = cotangent_algebroid(ps)
+    result = schouten(cot,
+                      GradedTensor(cot, Kind.MV, mu.degree, dict(mu.terms)),
+                      GradedTensor(cot, Kind.MV, nu.degree, dict(nu.terms)))
+    return GradedTensor(ps.owner, Kind.FORM, result.degree, dict(result.terms))
+
+
+def ref_factorwise(t, kind, row):
+    pieces = []
+    for key, coeff in t.terms.items():
+        piece = GradedTensor(t.owner, kind, 0, {(): coeff})
+        for u in key:
+            piece = wedge(piece, row(u))
+        pieces.append(piece)
+    return tensor_sum(t.owner, kind, t.degree, pieces)
+
+
+def ref_r_p(ps, mu):
+    mu = _as_form(ps, mu)
+    k = mu.degree
+    if k == 0:
+        return GradedTensor.zero(ps.owner, Kind.MIXED, 0)
+    terms = []
+    for key, coeff in mu.terms.items():
+        for r, u in enumerate(key):
+            rest = key[:r] + key[r + 1:]
+            signed = coeff if r % 2 == 0 else -coeff
+            terms.extend(((rest, v), signed * weight)
+                         for (v,), weight in ps.row(u).terms.items())
+    return GradedTensor(ps.owner, Kind.MIXED, k - 1, terms)
+
+
+def ref_lie_derivative_of_function(algebroid, actor, mu):
+    mu = GradedTensor(algebroid, Kind.FORM, 0, dict(mu.terms))
+    return lie_derivative(algebroid, actor, mu)
+
+
 # -- comparison ---------------------------------------------------------------------
 
 def layout(t):
@@ -199,6 +271,38 @@ def test_lifts_and_remap_match_their_checked_forms(case):
                     assert_same(J_map(A, s), ref_J_map(A, s), context)
                     if A.is_canonical:
                         assert_same(Jstar(s), ref_Jstar(s), context)
+
+
+#: Every shipped Poisson structure, and the fiberwise-linear one of every
+#: shipped algebroid.
+STRUCTURES = dict(POISSON, **{
+    f"linear:{name}": (lambda build=build: linear_poisson(build()))
+    for name, build in ALGEBROIDS.items()})
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURES))
+def test_poisson_builders_match_their_checked_forms(case):
+    ps = STRUCTURES[case]()
+    O = ps.owner
+    for u in range(ps.chart.dim):
+        assert_same(ps.row(u), ref_row(ps, u), (case, u))
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        f = random_tensor(rng, O, Kind.MV, 0)
+        x = random_tensor(rng, O, Kind.MV, 1)
+        context = (case, seed)
+        assert_same(_as_form(ps, f), ref_as_form(ps, f), context)
+        assert_same(lie_derivative(O, x, f),
+                    ref_lie_derivative_of_function(O, x, f), context)
+        for degree in DEGREES:
+            mu = random_tensor(rng, O, Kind.FORM, degree)
+            nu = random_tensor(rng, O, Kind.FORM, rng.choice([0, 1]))
+            context = (case, seed, degree)
+            assert_same(r_p(ps, mu), ref_r_p(ps, mu), context)
+            assert_same(_factorwise(mu, Kind.MV, ps.row),
+                        ref_factorwise(mu, Kind.MV, ps.row), context)
+            assert_same(koszul_schouten(ps, mu, nu),
+                        ref_koszul_schouten(ps, mu, nu), context)
 
 
 @pytest.mark.parametrize("case", sorted(OWNERS))
@@ -273,6 +377,26 @@ def test_lifts_of_canonical_input_call_no_checked_constructor(counted_inits):
                GradedTensor.zero(A, Kind.FORM, 2),
                GradedTensor.function(A, 2)]
     assert all(not t.is_zero() for t in results[:-2])
+    assert counted_inits == []
+
+
+def test_poisson_builders_of_canonical_input_call_no_checked_constructor(
+        counted_inits):
+    ps = poisson_four()  # a new structure: its bundle-map rows are not built
+    O = ps.owner
+    cotangent_algebroid(ps)  # built, and validated, before counting
+    rng = random.Random(2)  # a nonconstant f, so no result below is zero
+    mu = random_tensor(rng, O, Kind.FORM, 2)
+    f = random_tensor(rng, O, Kind.MV, 0)
+    x = random_tensor(rng, O, Kind.MV, 1)
+    del counted_inits[:]
+    results = [ps.row(0),
+               _as_form(ps, f),
+               lambda_p(ps, mu),
+               r_p(ps, mu),
+               koszul_schouten(ps, mu, f),
+               lie_derivative(O, x, f)]
+    assert all(not t.is_zero() for t in results)
     assert counted_inits == []
 
 

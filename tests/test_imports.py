@@ -12,7 +12,9 @@ it, and the theorem-2 suite, which reports it, name the package-wide
 ``suites.py`` only the methods of the runner ``_Run`` call ``.rng(``: a
 stream receives its item's generator and never builds one.  A declared
 residual (decorated with ``run.declare(...)``) is a function of its drawn
-arguments alone: it names no generator and draws nothing.  In ``ring.py``
+arguments alone: it names no generator and draws nothing.  Only ``_Run``
+names ``random_coefficient`` there (besides the import), so every random
+function an item checks comes from the one enumerator.  In ``ring.py``
 one function adds monomial exponents (names ``operator.add``), so every
 product of polynomials goes through it.
 """
@@ -213,6 +215,43 @@ def test_a_drawing_residual_is_reported():
         "        return random_tensor(rng, A, 1, 1)\n"
     )
     assert _drawing_residuals(source) == {"draws", "takes_rng", "coefficient"}
+
+
+def _coefficient_drawers(source):
+    """The top-level definitions of ``source`` outside class ``_Run`` that
+    name ``random_coefficient`` (a name or an attribute), with ``None`` for
+    a use at module level other than an import."""
+    found = set()
+    for node in ast.parse(source).body:
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                or isinstance(node, ast.ClassDef) and node.name == "_Run"):
+            continue
+        if "random_coefficient" in _references(node):
+            found.add(getattr(node, "name", None))
+    return found
+
+
+def test_only_the_suite_runner_draws_coefficients():
+    source = (PACKAGE / "suites.py").read_text(encoding="utf-8")
+    assert "random_coefficient" in source
+    assert _coefficient_drawers(source) == set()
+
+
+def test_a_coefficient_drawn_outside_the_runner_is_reported():
+    source = (
+        "from .tensor import random_coefficient\n"
+        "from . import tensor\n"
+        "\nclass _Run:\n"
+        "    def arguments(self, rng, owner):\n"
+        "        return random_coefficient(rng, owner.base)\n"
+        "\ndef _suite_x(run):\n"
+        "    def instance(A, rng):\n"
+        "        return random_coefficient(rng, A.base)\n"
+        "\ndef _suite_y(run):\n"
+        "    return tensor.random_coefficient\n"
+        "\nONE = random_coefficient(None, None)\n"
+    )
+    assert _coefficient_drawers(source) == {"_suite_x", "_suite_y", None}
 
 
 def _exponent_adders(source):

@@ -77,6 +77,19 @@ def test_broken_fixture_files_fail_validation():
     assert err.value.witness["triple"] == ["1", "2", "3"]
 
 
+def test_a_structure_failing_its_axioms_names_itself_and_keeps_the_witness():
+    with pytest.raises(ValidationError) as err:
+        load_model("fixtures/broken_anchor.json")
+    assert str(err.value) == ("algebroid 'broken-anchor': anchor fails to "
+                              "intertwine brackets on (e1, e2)")
+    doc = {"charts": {"c": ["x", "y", "z"]},
+           "poisson": {"p": {"chart": "c", "bivector": {"1,2": "x", "2,3": "y"}}}}
+    with pytest.raises(ValidationError) as err:
+        loads_model(json.dumps(doc))
+    assert str(err.value) == "poisson 'p': the self-bracket [P, P] does not vanish"
+    assert err.value.witness == {"residual": "2*x*e_x∧e_y∧e_z"}
+
+
 #: The longest model file ``load_model`` reads, as README "Input limits" states.
 MODEL_BOUND = 1_000_000
 

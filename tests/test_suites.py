@@ -19,7 +19,7 @@ from algebroids.fixtures import so3
 from algebroids.model import Model, builtin_model, loads_model
 from algebroids.ring import Chart
 from algebroids.suites import SUITE_NAMES, SUITES, run_all, run_suite
-from algebroids.tensor import GradedTensor, Kind
+from algebroids.tensor import GradedTensor, Kind, random_coefficient
 
 EXPECTED_NAMES = tuple(f"theorem-{n}" for n in range(1, 25)) + (
     "eq-1-12", "eq-2-6", "eq-7-12", "eq-7-13")
@@ -194,8 +194,10 @@ def _declarations(suite):
     return found
 
 
-# Verbatim copies of the hand-written draws that four declarations replaced,
-# each a function of (run, owner, rng) returning {name: tensor}.
+# Verbatim copies of the hand-written draws that declarations replaced, each
+# a function of (run, owner, rng) returning {name: tensor}.  Where the old
+# draw named a Poisson structure's chart, ``ps.chart``, the copy names the
+# same chart as ``O.base``.
 
 def _lie_insertion_draws(run, A, rng):
     mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
@@ -226,6 +228,35 @@ def _extended_jacobi_draws(run, O, rng):
     return {"mu": ms[0], "nu": ms[1], "rho": ms[2]}
 
 
+def _bracket_on_functions_draws(run, A, rng):
+    x = run.draw(rng, A, Kind.MV, 1)
+    f = random_coefficient(rng, A.base, run.coeff_degree)
+    fx = GradedTensor(A, Kind.MV, 0, {(): f})
+    return {"x": x, "f": fx}
+
+
+def _term_expansion_11_draws(run, O, rng):
+    g0, g1, f0, f1 = (random_coefficient(rng, O.base, run.coeff_degree)
+                      for _ in range(4))
+    return {"g0": O.fn(g0), "g1": O.fn(g1),
+            "f0": O.fn(f0), "f1": O.fn(f1)}
+
+
+def _module_laws_draws(run, A, rng):
+    f = random_coefficient(rng, A.base, run.coeff_degree)
+    x = run.draw(rng, A, Kind.MV, 1)
+    return {"f": A.fn(f), "x": x}
+
+
+def _theorem_15_draws(run, A, rng):
+    # the shared instance, its (x, y, mu, nu) spec spelled out as draws
+    x = run.draw(rng, A, Kind.MV, 1)
+    y = run.draw(rng, A, Kind.MV, 1)
+    mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
+    nu = run.draw(rng, A, Kind.FORM, 1)
+    return {"x": x, "y": y, "mu": mu, "nu": nu}
+
+
 @pytest.mark.parametrize("suite, item, fixtures, verbatim", [
     # an owner-dependent list, then two fixed degrees
     ("theorem-1", "lie-insertion", ("canonical-line", "so3"),
@@ -239,6 +270,20 @@ def _extended_jacobi_draws(run, O, rng):
     # keys=1, on the cotangent algebroid of a Poisson structure
     ("theorem-6", "graded-jacobi", ("poisson-plane", "poisson-so3"),
      _extended_jacobi_draws),
+    # a tensor, then a function
+    ("theorem-2", "bracket-on-functions", ("canonical-line", "so3"),
+     _bracket_on_functions_draws),
+    # four functions on the owner of a Poisson structure
+    ("theorem-6", "term-expansion-1-1", ("poisson-plane", "poisson-nonconstant"),
+     _term_expansion_11_draws),
+    # a function before a tensor
+    ("theorem-8", "module-laws", ("nonconstant-rank2", "so3"),
+     _module_laws_draws),
+    # the first and the last of the seven items sharing one instance
+    ("theorem-15", "a-multiplicative", ("canonical-line", "so3"),
+     _theorem_15_draws),
+    ("theorem-15", "g-iota", ("canonical-space", "nonconstant-rank2"),
+     _theorem_15_draws),
 ])
 def test_declared_arguments_draw_as_the_hand_written_instances(
         suite, item, fixtures, verbatim):
@@ -275,3 +320,23 @@ def test_a_fixed_degree_draws_without_a_choice():
     assert rng.getstate() == before
     assert run.arguments(rng, A, {"x": (Kind.MV, (1,))}) == {"x": 1}
     assert rng.getstate() != before
+
+
+def test_a_function_argument_draws_one_coefficient():
+    """``FUNCTION`` moves the generator exactly as one ``random_coefficient``
+    on the owner's base does, and hands over that coefficient as a
+    function on the owner."""
+    model = builtin_model()
+    run = suites._Run("t", "", model, 0, 1, 2)
+    owners = [A for _, A in sorted(model.algebroids.items())]
+    owners += [ps.owner for _, ps in sorted(model.poisson.items())]
+    for A in owners:
+        for seed in range(20):
+            declared, by_hand = random.Random(seed), random.Random(seed)
+            drawn = run.arguments(declared, A, {"f": suites.FUNCTION})
+            value = random_coefficient(by_hand, A.base, 2)
+            assert declared.getstate() == by_hand.getstate(), (A, seed)
+            assert list(drawn) == ["f"]
+            assert drawn["f"].owner is A
+            assert (drawn["f"].kind, drawn["f"].degree) == (Kind.MV, 0)
+            assert drawn["f"].as_function() == value
