@@ -36,7 +36,11 @@ algebroid of that bivector, whose fibers are the coordinate differentials.
 Algebroids are immutable and hashable, so these lifts and the canonical
 algebroid of a chart are memoized on their (structurally compared) source,
 in LRU caches of :data:`CACHE_SIZE` entries each; so is the dual chart, on
-the base coordinates and dual names.
+the base coordinates and dual names.  Each algebroid also builds, on first
+use, read-only tables of its nonzero anchor entries by base coordinate and
+its nonzero structure functions by target fiber, with its
+:attr:`~Algebroid.is_canonical` flag (:func:`_tables_of`): the kernels read
+those instead of finding the nonzero entries again on every call.
 """
 
 from __future__ import annotations
@@ -67,11 +71,13 @@ class Algebroid:
     equal, and hash alike, when they have the same base chart, fiber names,
     anchor matrix, structure table and dual fiber names, regardless of how
     they were constructed (``provenance`` and ``parent`` are not compared).
-    ``structure`` and each of its columns are read-only mappings.
+    ``structure`` and each of its columns are read-only mappings.  The
+    tables of :func:`_tables_of` are built on first use into the
+    ``_tables`` slot, which, like ``_hash``, is not compared or hashed.
     """
 
     __slots__ = ("base", "rank", "fiber_names", "anchor", "structure",
-                 "dual_names", "provenance", "parent", "_hash")
+                 "dual_names", "provenance", "parent", "_tables", "_hash")
 
     def __init__(self, base: Chart, fiber_names: Sequence[str],
                  anchor: Sequence[Sequence[Poly]], structure: _StructureTable,
@@ -83,7 +89,7 @@ class Algebroid:
                 tuple(tuple(row) for row in anchor),
                 MappingProxyType({pair: MappingProxyType(dict(column))
                                   for pair, column in structure.items()}),
-                tuple(dual_names), provenance, parent, None)):
+                tuple(dual_names), provenance, parent, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -143,9 +149,7 @@ class Algebroid:
     def is_canonical(self) -> bool:
         """True for the tangent-style algebroid of a chart: fibers are the
         coordinates, the anchor is the identity, all brackets vanish."""
-        canonical = _vector_fields(self.base)
-        return (self.fiber_names == canonical.fiber_names and not self.structure
-                and self.anchor == canonical.anchor)
+        return _tables_of(self).canonical
 
     # -- section builders ----------------------------------------------------
 
@@ -170,6 +174,56 @@ class Algebroid:
                 raise DimensionMismatch(f"unknown fiber name {name!r}")
             terms[(index[name],)] = coeff
         return GradedTensor(self, Kind.MV, 1, terms)
+
+
+# -- read-only tables ------------------------------------------------------------
+
+class _Tables:
+    """The structure data as the kernels read it, zeros left out:
+    ``by_coordinate[a]`` holds the pairs (i, rho_i^a) with rho_i^a != 0,
+    ``by_target[k]`` the pairs ((i, j), c_ij^k) with i < j and
+    c_ij^k != 0, and ``canonical`` says whether the algebroid is the
+    canonical algebroid of its base.  (A plain slotted class: a
+    ``NamedTuple`` would cost its class creation at every import.)"""
+
+    __slots__ = ("by_coordinate", "by_target", "canonical")
+
+    def __init__(self, by_coordinate: Tuple[Tuple[Tuple[int, Poly], ...], ...],
+                 by_target: Tuple[Tuple[Tuple[Tuple[int, int], Poly], ...], ...],
+                 canonical: bool):
+        self.by_coordinate = by_coordinate
+        self.by_target = by_target
+        self.canonical = canonical
+
+
+def _tables_of(algebroid: Algebroid) -> _Tables:
+    """The tables of ``algebroid``, built on first use into its ``_tables``
+    slot.  Every kernel reads the anchor through them (:func:`anchor_terms`
+    and :func:`anchor_apply`), ``d`` reads its structure part from them,
+    and :attr:`Algebroid.is_canonical` is their flag."""
+    tables = algebroid._tables
+    if tables is None:
+        by_target = [[] for _ in range(algebroid.rank)]
+        for pair, column in algebroid.structure.items():
+            for k, c in column.items():
+                if c:
+                    by_target[k].append((pair, c))
+        rows = algebroid.anchor
+        tables = _Tables(
+            tuple(tuple((i, row[a]) for i, row in enumerate(rows) if row[a])
+                  for a in range(algebroid.base.dim)),
+            tuple(map(tuple, by_target)),
+            _canonical(algebroid.base, algebroid.fiber_names, rows, algebroid.structure))
+        object.__setattr__(algebroid, "_tables", tables)
+    return tables
+
+
+def _canonical(base: Chart, fiber_names: Tuple[str, ...],
+               anchor: Tuple[Tuple[Poly, ...], ...], structure: Mapping) -> bool:
+    """Whether this structure data is the canonical algebroid of ``base``."""
+    canonical = _vector_fields(base)
+    return (fiber_names == canonical.fiber_names and not structure
+            and anchor == canonical.anchor)
 
 
 # -- chart helpers -------------------------------------------------------------
@@ -274,9 +328,7 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
             table[(i, j)] = cleaned
 
     if dual_names is None:
-        probe = Algebroid(base, fiber_names, rows, table, [""] * rank)
-        prefix = "p_" if probe.is_canonical else "xi_"
-        dual_names = tuple(prefix + name for name in fiber_names)
+        dual_names = default_dual_names(base, fiber_names, tuple(rows), table)
     else:
         dual_names = tuple(dual_names)
         if len(dual_names) != rank or len(set(dual_names)) != rank:
@@ -287,6 +339,16 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
     if check:
         validate(result)
     return result
+
+
+def default_dual_names(base: Chart, fiber_names: Tuple[str, ...],
+                       anchor: Tuple[Tuple[Poly, ...], ...],
+                       structure: Mapping) -> Tuple[str, ...]:
+    """The dual fiber names :func:`build_algebroid` gives when none are
+    passed: ``p_<fiber>`` for the canonical algebroid of the base, else
+    ``xi_<fiber>``."""
+    prefix = "p_" if _canonical(base, fiber_names, anchor, structure) else "xi_"
+    return tuple(prefix + name for name in fiber_names)
 
 
 def validate(algebroid: Algebroid) -> None:
@@ -335,13 +397,15 @@ def validate(algebroid: Algebroid) -> None:
 
 # -- the bracket on sections ----------------------------------------------------
 
-def anchor_terms(algebroid: Algebroid, i: int,
-                 gradient: Sequence[Tuple[int, Poly]]) -> Iterable[Tuple[Poly, Poly]]:
-    """The factor pairs (anchor[i][a], d_a f) whose products sum to the
-    anchor of e_i applied to a function f with ``gradient`` ``f.gradient()``:
-    the one read of the anchor rows acting on functions."""
-    row = algebroid.anchor[i]
-    return ((row[a], d) for a, d in gradient if row[a])
+def anchor_terms(algebroid: Algebroid, gradient: Sequence[Tuple[int, Poly]]
+                 ) -> Iterable[Tuple[int, Poly, Poly]]:
+    """The triples (i, rho_i^a, d_a f), one per nonzero anchor entry rho_i^a
+    and nonzero partial d_a f of a function f with ``gradient``
+    ``f.gradient()``: summed per fiber i, their products rho_i^a d_a f are
+    the anchor of every e_i applied to f.  The one read of the anchor
+    acting on functions, from the coordinate table of :func:`_tables_of`."""
+    by_coordinate = _tables_of(algebroid).by_coordinate
+    return ((i, rho, d) for a, d in gradient for i, rho in by_coordinate[a])
 
 
 def anchor_derivative(algebroid: Algebroid, i: int, f: Poly,
@@ -352,8 +416,8 @@ def anchor_derivative(algebroid: Algebroid, i: int, f: Poly,
     if gradient is None:
         gradient = f.gradient()
     base = algebroid.base
-    return products(base, ((None, 1, r, d) for r, d in anchor_terms(
-        algebroid, i, gradient))).get(None, base.zero())
+    return products(base, ((None, 1, rho, d) for k, rho, d in anchor_terms(
+        algebroid, gradient) if k == i)).get(None, base.zero())
 
 
 def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
@@ -379,16 +443,20 @@ _Operand = Tuple[Kind, int, list]
 
 def _prepare(algebroid: Algebroid, t: GradedTensor, fibers: Collection[int]) -> _Operand:
     """``t`` as an operand of :func:`_bracket`: each term as (key,
-    coefficient, key less each factor, the anchor of each fiber in
-    ``fibers`` applied to the coefficient).  ``fibers`` must hold every
-    fiber of the other operand's keys.  Each coefficient is differentiated
-    here once, so an operand prepared once enters any number of brackets
-    without being differentiated again."""
+    coefficient, key less each factor, the nonzero anchors of the fibers
+    in ``fibers`` applied to the coefficient, keyed by fiber).  ``fibers``
+    must hold every fiber of the other operand's keys.  Each coefficient is
+    differentiated here once, and its anchors are summed in one pass of the
+    product kernel, so an operand prepared once enters any number of
+    brackets without being differentiated again."""
     terms = []
     for key, coeff in t.terms.items():
-        gradient = coeff.gradient() if fibers else ()
-        rho = {k: d for k in fibers if gradient
-               and (d := anchor_derivative(algebroid, k, coeff, gradient))}
+        rho = {}
+        if fibers and (gradient := coeff.gradient()):
+            items = [(i, 1, r, d) for i, r, d in anchor_terms(algebroid, gradient)
+                     if i in fibers]
+            if items:
+                rho = products(algebroid.base, items)
         terms.append((key, coeff, [key[:r] + key[r + 1:] for r in range(len(key))], rho))
     return t.kind, t.degree, terms
 
@@ -412,6 +480,9 @@ def _bracket(algebroid: Algebroid, x: _Operand, y: _Operand) -> GradedTensor:
     """
     kind, p, xs = x
     _, q, ys = y
+    degree = p + q - 1 if p + q else 0
+    if not xs or not ys:
+        return GradedTensor._make(algebroid, kind, degree, {})
     skew = kind is Kind.MV
     merge = _sort_skew if skew else (lambda key: (tuple(sorted(key)), 1))
 
@@ -440,8 +511,7 @@ def _bracket(algebroid: Algebroid, x: _Operand, y: _Operand) -> GradedTensor:
                     if (d := rho_f.get(l)) and (hit := merge(kx + rests_y[s])):
                         yield hit[0], -eps(s) * hit[1], g, d
 
-    return GradedTensor._make(algebroid, kind, p + q - 1 if p + q else 0,
-                              products(algebroid.base, items()))
+    return GradedTensor._make(algebroid, kind, degree, products(algebroid.base, items()))
 
 
 def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
@@ -453,9 +523,10 @@ def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
     if (x.owner is not algebroid and x.owner != algebroid
             or x.kind is not Kind.MV or x.degree != 1):
         raise KindMismatch(f"anchor_apply needs a section, got {x.describe()}")
-    items = (((a,), 1, f, entry)
-             for (i,), f in x.terms.items()
-             for a, entry in enumerate(algebroid.anchor[i]) if entry)
+    terms = x.terms
+    items = (((a,), 1, f, rho)
+             for a, column in enumerate(_tables_of(algebroid).by_coordinate)
+             for i, rho in column if (f := terms.get((i,))) is not None)
     return GradedTensor._make(_vector_fields(algebroid.base), Kind.MV, 1,
                               products(algebroid.base, items))
 
@@ -494,13 +565,11 @@ def _tangent_lift(A: Algebroid) -> Algebroid:
     duals = A.dual_names + tuple(f"{d}_dot" for d in A.dual_names)
     zero = base.zero()
 
-    anchor = []
-    for i in range(m):  # bar fibers: velocity directions only
-        anchor.append(tuple([zero] * n + [lift(A.anchor[i][a]) for a in range(n)]))
-    for i in range(m):  # dot fibers: base directions plus derivative correction
-        anchor.append(tuple([lift(A.anchor[i][a]) for a in range(n)]
-                            + [velocity_derivative(A.anchor[i][a], base)
-                               for a in range(n)]))
+    # bar fibers: velocity directions only
+    anchor = [tuple([zero] * n + [lift(entry) for entry in row]) for row in A.anchor]
+    for row in A.anchor:  # dot fibers: base directions plus derivative correction
+        anchor.append(tuple([lift(entry) for entry in row]
+                            + [velocity_derivative(entry, base) for entry in row]))
 
     structure: _StructureTable = {}
     for (i, j), entries in A.structure.items():
@@ -570,9 +639,8 @@ def _linear_poisson(A: Algebroid):
         acc = poly_sum(chart, (coeff.transport(chart) * xi[k] for k, coeff in table.items()))
         if not acc.is_zero():
             terms[(n + i, n + j)] = acc
-    for i in range(A.rank):
-        for a in range(n):
-            entry = A.anchor[i][a]
+    for i, row in enumerate(A.anchor):
+        for a, entry in enumerate(row):
             if not entry.is_zero():
                 # d/d xi_i ∧ d/d x^a stored on the sorted key (a, n+i)
                 terms[(a, n + i)] = -entry.transport(chart)

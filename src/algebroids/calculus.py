@@ -10,7 +10,10 @@ Everything here is generated by the structure data of the owning algebroid:
   its two coefficient factors (``rho_i^a`` and ``d_a f`` for the anchor
   part, ``c_ij^k`` and ``f`` for the structure part) into the product
   kernel :func:`~algebroids.ring.products`, so no polynomial is built per
-  term or per fiber;
+  term or per fiber.  Both parts are read from the algebroid's tables of
+  nonzero entries: the anchor entries of each coordinate with a nonzero
+  partial, and the structure functions c_ij^k of each fiber k of the key;
+  a zero form gives the zero of one degree higher at once;
 * every function is differentiated once: the anchors applied to it share
   its :meth:`~algebroids.ring.Poly.gradient`, which a polynomial keeps
   once taken, and a constant, whose gradient is empty, has no anchor
@@ -44,7 +47,7 @@ matching convention.
 
 from __future__ import annotations
 
-from .algebroid import Algebroid, _bracket_tensors, anchor_terms, section_bracket
+from .algebroid import Algebroid, _bracket_tensors, _tables_of, anchor_terms, section_bracket
 from .errors import ChartMismatch, KindMismatch
 from .ring import accumulate, products
 from .tensor import (
@@ -77,23 +80,26 @@ def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
     _require_owner(algebroid, mu)
     if mu.kind is not Kind.FORM and not (mu.kind is Kind.MV and mu.degree == 0):
         raise KindMismatch(f"cannot differentiate {mu.describe()}")
+    if not mu.terms:
+        return GradedTensor._make(algebroid, Kind.FORM, mu.degree + 1, {})
+    by_target = _tables_of(algebroid).by_target
 
     def items():
         # d(f e*_K) = df∧e*_K + f·sum_r (−1)^r e*_{K[:r]}∧d e*_{k_r}∧e*_{K[r+1:]}
         for key, coeff in mu.terms.items():
             gradient = coeff.gradient()  # empty, and df = 0, for a constant
-            for i in range(algebroid.rank) if gradient else ():
-                hit = _sort_skew((i,) + key)
-                if hit:
-                    # (anchor e_i)(f) = sum_a rho_i^a d_a f
-                    for rho, d in anchor_terms(algebroid, i, gradient):
+            if gradient:
+                # (anchor e_i)(f) = sum_a rho_i^a d_a f
+                for i, rho, d in anchor_terms(algebroid, gradient):
+                    hit = _sort_skew((i,) + key)
+                    if hit:
                         yield hit[0], hit[1], rho, d
             for r, k in enumerate(key):
-                for pair, column in algebroid.structure.items():
-                    # d e*_k = −sum_{i<j} c_ij^k e*_i∧e*_j
-                    hit = k in column and _sort_skew(key[:r] + pair + key[r + 1:])
+                # d e*_k = −sum_{i<j} c_ij^k e*_i∧e*_j
+                for pair, c in by_target[k]:
+                    hit = _sort_skew(key[:r] + pair + key[r + 1:])
                     if hit:
-                        yield hit[0], -hit[1] if r % 2 == 0 else hit[1], column[k], coeff
+                        yield hit[0], -hit[1] if r % 2 == 0 else hit[1], c, coeff
 
     return GradedTensor._make(algebroid, Kind.FORM, mu.degree + 1,
                               products(algebroid.base, items()))

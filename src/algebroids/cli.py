@@ -93,6 +93,8 @@ def _encode_structure(kind: str, value) -> dict:
     body["chart"] = list(value.base.coords if kind == "algebroid"
                          else value.chart.coords)
     if kind == "algebroid":
+        # the report names a lift by its chart and provenance, as it always has
+        body.pop("duals", None)
         body["provenance"] = value.provenance
     return body
 

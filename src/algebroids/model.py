@@ -8,7 +8,8 @@ omitted when empty)::
       "charts":     {name: [coord, ...]},
       "algebroids": {name: {"chart": name, "fibers": [name, ...],
                             "anchor": [[poly, ...], ...],
-                            "c": {"i,j": {"k": poly}}}},
+                            "c": {"i,j": {"k": poly}},
+                            "duals": [name, ...]}},
       "poisson":    {name: {"chart": name, "bivector": {"i,j": poly}}},
       "tensors":    {name: {"owner": name, "kind": "mv"|"form"|"mixed"|"sym",
                             "degree": int, "terms": {key: poly}}},
@@ -21,22 +22,34 @@ strings in the grammar of :func:`algebroids.ring.parse_poly` and are dumped in
 canonical form, so ``dumps_model(load_model(path))`` returns the text of a
 canonical file byte for byte.
 
+An algebroid's ``duals`` (the coordinate names of its dual bundle's
+fibers) are written only when they differ from the names
+:func:`~algebroids.algebroid.build_algebroid` would choose, as for a
+tangent or cotangent lift.
+
 A tensor's ``owner`` may name either an algebroid or a chart; a chart name
 stands for the canonical algebroid over that chart (which is how bivectors of
 Poisson structures are owned).
 
 ``load_model`` is strict: a path that cannot be read as UTF-8 text, a file
 longer than :data:`MAX_MODEL_CHARS` characters, malformed JSON or schema
-violations raise ``ParseError`` with a location; an algebroid or bivector
-that fails its axioms raises ``ValidationError`` carrying the structured
-witness.
+violations raise ``ParseError`` with a location; ``duals`` that are not
+one distinct coordinate name per fiber, and an algebroid or bivector that
+fails its axioms, raise ``ValidationError`` (the latter carrying the
+structured witness).
 """
 
 from __future__ import annotations
 
 import json
 
-from .algebroid import Algebroid, build_algebroid, canonical_algebroid, linear_poisson
+from .algebroid import (
+    Algebroid,
+    build_algebroid,
+    canonical_algebroid,
+    default_dual_names,
+    linear_poisson,
+)
 from .errors import AlgebroidError, ParseError, StructureViolation, UnknownName, ValidationError
 from .poisson import PoissonStructure, build_poisson
 from .ring import Chart, parse_poly
@@ -167,7 +180,7 @@ def _violation(section, name, exc):
 def _decode_algebroid(name, body, charts):
     where = f"algebroids.{name}"
     body = _expect_object(body, where)
-    unknown = set(body) - {"chart", "fibers", "anchor", "c"}
+    unknown = set(body) - {"chart", "fibers", "anchor", "c", "duals"}
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
     chart_name = body.get("chart")
@@ -205,13 +218,27 @@ def _decode_algebroid(name, body, charts):
                                  f"out of range")
             entry[k] = _decode_poly(poly, chart, f"{where}.c[{pair_key!r}][{k_key!r}]")
         structure[(i, j)] = entry
+    duals = _decode_duals(body["duals"], chart, rank, where) if "duals" in body else None
     try:
         return build_algebroid(chart, tuple(fibers), anchor=tuple(anchor),
-                               structure=structure)
+                               structure=structure, dual_names=duals)
     except StructureViolation as exc:
         raise _violation("algebroid", name, exc) from exc
     except AlgebroidError as exc:
         raise ParseError(f"{where}: {exc}") from exc
+
+
+def _decode_duals(duals, chart, rank, where):
+    """The ``duals`` list of an algebroid: one distinct coordinate name per
+    fiber, none of them a coordinate of the base ``chart``."""
+    if (not isinstance(duals, list) or len(duals) != rank
+            or not all(isinstance(d, str) for d in duals)):
+        raise ValidationError(f"{where}.duals: expected a list of {rank} names")
+    try:
+        Chart(chart.coords + tuple(duals))
+    except AlgebroidError as exc:
+        raise ValidationError(f"{where}.duals: {exc}") from exc
+    return tuple(duals)
 
 
 def _decode_poisson(name, body, charts):
@@ -376,6 +403,9 @@ def _encode_algebroid(model, name, algebroid):
             structure[f"{i + 1},{j + 1}"] = encoded
     if structure:
         out["c"] = structure
+    if algebroid.dual_names != default_dual_names(
+            algebroid.base, algebroid.fiber_names, algebroid.anchor, algebroid.structure):
+        out["duals"] = list(algebroid.dual_names)
     return out
 
 

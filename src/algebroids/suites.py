@@ -444,7 +444,7 @@ def _suite_theorem_2(run):
                 sign = _sign(a * (b - 1))
                 for degree in range(1, min(3, A.rank) + 1):
                     for key in basis_keys(A, Kind.FORM, degree):
-                        mu = GradedTensor(A, Kind.FORM, degree, {key: 1})
+                        mu = GradedTensor.basis(A, Kind.FORM, key)
                         residual = (lie_derivative(A, y, contract(x, mu))
                                     - contract(x, lie_derivative(A, y, mu)) * sign
                                     + contract(schouten(A, x, y), mu))

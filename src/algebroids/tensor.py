@@ -25,14 +25,17 @@ normalizes keys (skew kinds sort their indices and pick up the permutation
 sign, repeated indices vanish), coerces coefficients with
 :meth:`~algebroids.ring.Chart.coerce` of the owner's base and sums the terms
 with :func:`~algebroids.ring.accumulate`, which drops zero coefficients.
-Internal builders (the products, ``zero``, ``function``, the kind coercions,
-:func:`remap` and the lifts of :mod:`algebroids.lifts`) build canonical maps
-themselves and pass them to ``GradedTensor._make``, which checks nothing.
+Internal builders (the products, ``zero``, ``basis``, ``function``, the kind
+coercions, :func:`remap` and the lifts of :mod:`algebroids.lifts`) build
+canonical maps themselves and pass them to ``GradedTensor._make``, which
+checks nothing; ``basis`` still checks and normalizes its key.
 
 The products (wedge, symmetric product, contractions) pair basis keys and
 hand each pair's two coefficients, with the key and its sign, to the product
 kernel :func:`~algebroids.ring.products`, which multiplies them into the
-result's term map without a polynomial per pair.  Skew keys are sorted
+result's term map without a polynomial per pair; a zero operand gives the
+zero of the product's kind and degree without calling it, and scaling by
+the int 1 or -1 returns the tensor or its negation.  Skew keys are sorted
 through a bounded table (``_sort_skew``), filled as index tuples are met,
 since a run meets few distinct tuples many times each.
 
@@ -187,11 +190,16 @@ class GradedTensor:
 
     @classmethod
     def basis(cls, owner, kind: Kind, key) -> "GradedTensor":
-        if kind is Kind.MIXED:
-            degree = len(key[0])
-        else:
-            degree = len(key)
-        return cls(owner, kind, degree, {key: 1})
+        """The basis tensor of ``key``, checked and normalized as the
+        public constructor does (a skew key picks up its sign, a repeated
+        index gives zero), with the base's one as its coefficient."""
+        degree = len(key[0]) if kind is Kind.MIXED else len(key)
+        self = cls.zero(owner, kind, degree)
+        key, sign = self._normalize_key(key)
+        if key is not None:
+            one = owner.base.one()
+            self.terms[key] = one if sign > 0 else -one
+        return self
 
     @classmethod
     def function(cls, owner, value) -> "GradedTensor":
@@ -249,7 +257,10 @@ class GradedTensor:
     def __mul__(self, scalar) -> "GradedTensor":
         """Multiply by a coefficient over the owner's base (anything
         :meth:`~algebroids.ring.Chart.coerce` accepts).  The ring has no zero
-        divisors, so only a zero scalar gives zero products."""
+        divisors, so only a zero scalar gives zero products.  The int 1 or
+        -1 gives the tensor itself or its negation."""
+        if scalar.__class__ is int and (scalar == 1 or scalar == -1):
+            return self if scalar == 1 else -self
         scalar = self.owner.base.coerce(scalar)
         terms = ({key: coeff * scalar for key, coeff in self.terms.items()}
                  if scalar else {})
@@ -303,8 +314,12 @@ def _product(s: GradedTensor, t: GradedTensor, merge, kind: Kind,
 
     ``merge(ka, kb)`` returns the product key with its sign, or None when the
     basis product vanishes.  The coefficient products are summed by
-    :func:`~algebroids.ring.products`.
+    :func:`~algebroids.ring.products`.  A zero operand gives the zero of
+    ``kind`` and ``degree`` at once.
     """
+    if not s.terms or not t.terms:
+        return GradedTensor._make(s.owner, kind, degree, {})
+
     def items():
         for ka, ca in s.terms.items():
             for kb, cb in t.terms.items():
@@ -546,34 +561,47 @@ def _fiber_image(t: GradedTensor, fiber_map: Mapping[int, int],
 
 def basis_keys(owner, kind: Kind, degree: int) -> Sequence[Key]:
     """All canonical keys of the given kind and degree, in sorted order."""
-    rank = owner.rank
+    return list(_basis_table(owner.rank, kind, degree))
+
+
+#: Most (rank, kind, degree) triples whose basis keys are kept.  A
+#: ``suite --name all`` round over both shipped models draws from 40.
+_BASIS_TABLE_SIZE = 256
+
+
+@lru_cache(maxsize=_BASIS_TABLE_SIZE)
+def _basis_table(rank: int, kind: Kind, degree: int) -> Tuple[Key, ...]:
+    """The canonical keys of :func:`basis_keys`, kept per (rank, kind,
+    degree) for the draws."""
     if kind is Kind.SYM:
-        return list(combinations_with_replacement(range(rank), degree))
+        return tuple(combinations_with_replacement(range(rank), degree))
     if kind is Kind.MIXED:
-        return [(fk, j) for fk in combinations(range(rank), degree)
-                for j in range(rank)]
-    return list(combinations(range(rank), degree))
-
-
-#: The draws of :func:`random_coefficient`: how many monomials, and each
-#: monomial's integer coefficient.
-_TERM_COUNTS = range(1, 3)
-_COEFFICIENTS = range(-3, 4)
+        return tuple((fk, j) for fk in combinations(range(rank), degree)
+                     for j in range(rank))
+    return tuple(combinations(range(rank), degree))
 
 
 def random_coefficient(rng, chart: Chart, degree: int = 2) -> Poly:
     """A small random polynomial: one or two monomials of total degree at
-    most ``degree``, with integer coefficients in [-3, 3]."""
+    most ``degree``, with integer coefficients in [-3, 3].
+
+    Each draw is one ``rng._randbelow`` call, the one call that
+    ``choice``, ``randint`` and ``randrange`` each make for these ranges,
+    so the values and the generator's end state are theirs.  A negative
+    ``degree`` is an empty range, as for ``randint``."""
+    if degree < 0:
+        raise ValueError(f"empty range for a coefficient of degree {degree}")
+    below = rng._randbelow
     dim = chart.dim
     terms: Dict = {}
-    for _ in range(rng.choice(_TERM_COUNTS)):
+    for _ in range(1 + below(2)):  # choice(range(1, 3))
         exp = [0] * dim
-        for _ in range(rng.randint(0, degree)):
+        for _ in range(below(degree + 1)):  # randint(0, degree)
             if dim:
-                exp[rng.randrange(dim)] += 1
+                exp[below(dim)] += 1  # randrange(dim)
         exp = tuple(exp)
         # the two draws are ints, so their sum needs no accumulation kernel
-        coeff = terms.get(exp, 0) + rng.choice(_COEFFICIENTS)
+        coeff = terms.get(exp, 0) + below(7) - 3  # choice(range(-3, 4))
         if coeff:
             terms[exp] = coeff
         else:
@@ -584,12 +612,15 @@ def random_coefficient(rng, chart: Chart, degree: int = 2) -> Poly:
 def random_tensor(rng, owner, kind: Kind, degree: int, coeff_degree: int = 2,
                   max_keys: int = 3) -> GradedTensor:
     """A sparse random tensor with small exact coefficients (seeded rng)."""
-    keys = basis_keys(owner, kind, degree)
+    keys = _basis_table(owner.rank, kind, degree)
     if not keys:
         return GradedTensor.zero(owner, kind, degree)
+    if max_keys < 1:
+        raise ValueError(f"empty range for a tensor of at most {max_keys} keys")
     # basis keys are canonical and a sample holds each at most once, so the
-    # drawn terms need only their zero coefficients dropped
-    chosen = rng.sample(keys, min(len(keys), rng.randint(1, max_keys)))
+    # drawn terms need only their zero coefficients dropped; the count is
+    # randint(1, max_keys), drawn as in random_coefficient
+    chosen = rng.sample(keys, min(len(keys), 1 + rng._randbelow(max_keys)))
     terms = {}
     for key in chosen:
         coeff = random_coefficient(rng, owner.base, coeff_degree)

@@ -1,5 +1,7 @@
 """Algebroids are immutable and hashable, and the canonical algebroid of a
-chart and the three lifts are built once per source structure."""
+chart and the three lifts are built once per source structure.  The tables
+an algebroid builds on first use are not part of its equality or hash, and
+their slot cannot be assigned."""
 
 import pytest
 
@@ -141,3 +143,29 @@ def test_a_suite_validates_each_lift_once(validated):
     assert result["status"] == "pass"
     assert validated and len(validated) == len(set(validated))
     assert len(validated) <= len(model.algebroids)  # one tangent lift each
+
+
+def test_the_tables_change_neither_equality_nor_hash():
+    source = nonconstant_rank2()  # validating it built its tables
+    args = (source.base, source.fiber_names, source.anchor, source.structure)
+    A, B = (build_algebroid(*args, check=False) for _ in range(2))
+    before = hash(A)
+    assert A._tables is None and B._tables is None
+    assert not A.is_canonical  # builds A's tables, not B's
+    assert A._tables is not None and B._tables is None
+    assert A == B and B == A and hash(A) == hash(B) == before
+    assert A == source and hash(source) == before
+    assert len({A, B, source}) == 1
+
+
+def test_the_tables_slot_cannot_be_assigned():
+    A = so3()
+    with pytest.raises(AttributeError):
+        A._tables = None  # before the tables are built
+    assert not A.is_canonical
+    tables = A._tables
+    with pytest.raises(AttributeError):
+        A._tables = None
+    with pytest.raises(AttributeError):
+        del A._tables
+    assert A._tables is tables

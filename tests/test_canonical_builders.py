@@ -10,8 +10,10 @@ lifts, every kind and degrees 0 to 3.  The Poisson builders (the
 bundle-map rows, the factorwise extension, ``R_P``, the Koszul–Schouten
 relabels and the function-to-form coercions) are held to the same over every
 shipped Poisson structure and the fiberwise-linear one of every shipped
-algebroid.  The counting tests pin the fast paths: built from canonical
-input, the lifts, ``remap`` and the Poisson builders call the public
+algebroid.  ``GradedTensor.basis`` is held to the public constructor's
+``{key: 1}`` on every key, and on keys out of order, repeated or out of
+range.  The counting tests pin the fast paths: built from canonical input,
+the lifts, ``remap``, ``basis`` and the Poisson builders call the public
 constructor zero times.
 """
 
@@ -58,6 +60,7 @@ from algebroids.tensor import (
     GradedTensor,
     Kind,
     as_sym,
+    basis_keys,
     mixed_from_vector,
     random_coefficient,
     random_tensor,
@@ -75,6 +78,14 @@ DEGREES = range(4)
 
 def ref_zero(owner, kind, degree):
     return GradedTensor(owner, kind, degree, {})
+
+
+def ref_basis(owner, kind, key):
+    if kind is Kind.MIXED:
+        degree = len(key[0])
+    else:
+        degree = len(key)
+    return GradedTensor(owner, kind, degree, {key: 1})
 
 
 def ref_function(owner, value):
@@ -324,6 +335,27 @@ def test_coercions_match_their_checked_forms(case):
         assert_same(GradedTensor.function(A, value), ref_function(A, value), value)
 
 
+@pytest.mark.parametrize("case", sorted(OWNERS))
+def test_basis_matches_its_checked_form(case):
+    A = owner_of(case)
+    for kind in Kind:
+        for degree in DEGREES:
+            for key in basis_keys(A, kind, degree):
+                assert_same(GradedTensor.basis(A, kind, key),
+                            ref_basis(A, kind, key), (case, kind, key))
+    # keys out of order pick up their sign, and a repeated index vanishes
+    for kind, key in ((Kind.MV, (1, 0)), (Kind.FORM, (0, 0)), (Kind.SYM, (1, 0)),
+                      (Kind.MIXED, ((1, 0), 0)), (Kind.MIXED, ((0, 0), 0))):
+        if A.rank > 1:
+            assert_same(GradedTensor.basis(A, kind, key), ref_basis(A, kind, key), key)
+    for kind, key in ((Kind.FORM, (A.rank,)), (Kind.MV, (0.5,)),
+                      (Kind.MIXED, ((0,), A.rank)), (Kind.MIXED, (0,))):
+        with pytest.raises(Exception) as ref_error:
+            ref_basis(A, kind, key)
+        with pytest.raises(ref_error.type):
+            GradedTensor.basis(A, kind, key)
+
+
 def test_remap_with_a_merging_rename_matches_its_checked_form():
     # x and y both land on u, so coefficients collapse and some cancel
     A = canonical_plane()
@@ -377,6 +409,14 @@ def test_lifts_of_canonical_input_call_no_checked_constructor(counted_inits):
                GradedTensor.zero(A, Kind.FORM, 2),
                GradedTensor.function(A, 2)]
     assert all(not t.is_zero() for t in results[:-2])
+    assert counted_inits == []
+
+
+def test_basis_calls_no_checked_constructor(counted_inits):
+    A = canonical_plane()
+    tensors = [GradedTensor.basis(A, Kind.FORM, (0, 1)), GradedTensor.basis(A, Kind.MV, (1, 0)),
+               GradedTensor.basis(A, Kind.MIXED, ((0,), 1)), A.e(0), A.estar(1)]
+    assert all(not t.is_zero() for t in tensors)
     assert counted_inits == []
 
 

@@ -83,6 +83,20 @@ def test_broken_model_file_is_an_input_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("duals", [["a", "b"], ["a", "b", "a"], ["a", 2, "c"]],
+                         ids=["wrong-length", "duplicate", "not-a-string"])
+def test_hostile_dual_names_are_an_input_error(tmp_path, capsys, duals):
+    with open("fixtures/so3.json", encoding="utf-8") as handle:
+        document = json.load(handle)
+    document["algebroids"]["so3"]["duals"] = duals
+    path = tmp_path / "duals.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, report, _ = run_cli(capsys, "validate", "--model", str(path))
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "ValidationError"
+
+
 def test_nonpositive_trials_are_an_input_error(capsys):
     code, report, _ = run_cli(capsys, "suite", "--name", "theorem-24",
                               "--trials", "-5")

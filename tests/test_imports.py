@@ -16,7 +16,11 @@ arguments alone: it names no generator and draws nothing.  Only ``_Run``
 names ``random_coefficient`` there (besides the import), so every random
 function an item checks comes from the one enumerator.  In ``ring.py``
 one function adds monomial exponents (names ``operator.add``), so every
-product of polynomials goes through it.
+product of polynomials goes through it.  In ``algebroid.py`` and
+``calculus.py`` only the table builder ``_tables_of`` and ``anchor_terms``
+may subscript an ``.anchor`` matrix, so every kernel reads the anchor
+through the algebroid's tables (the suites' independent references, in
+``suites.py``, are not checked).
 """
 
 import ast
@@ -289,3 +293,42 @@ def test_a_second_exponent_adder_is_reported():
         "\nONE = add(0, 1)\n"
     )
     assert _exponent_adders(source) == {"Poly.__mul__", "shift", None}
+
+
+def _anchor_subscribers(source):
+    """The functions of ``source`` (methods as ``Class.method``) that
+    subscript an ``.anchor`` attribute, with ``None`` for a subscript at
+    module level."""
+    units = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            units += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                      if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        else:
+            units.append((getattr(node, "name", None), node))
+    return {name for name, node in units
+            if any(isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Attribute)
+                   and sub.value.attr == "anchor" for sub in ast.walk(node))}
+
+
+#: The one builder of the anchor tables and the one reader of them.
+_ANCHOR_READERS = {"_tables_of", "anchor_terms"}
+
+
+@pytest.mark.parametrize("module", ["algebroid.py", "calculus.py"])
+def test_only_the_tables_read_anchor_entries(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert _anchor_subscribers(source) <= _ANCHOR_READERS
+
+
+def test_a_second_anchor_reader_is_reported():
+    source = (
+        "def anchor_terms(algebroid, i):\n    return algebroid.anchor[i]\n"
+        "\nclass Algebroid:\n"
+        "    def entry(self, i, a):\n        return self.anchor[i][a]\n"
+        "    def rows(self):\n        return list(self.anchor)\n"
+        "\ndef apply(A, x):\n"
+        "    return [A.anchor[i] for (i,) in x.terms]\n"
+        "\nFIRST = so3().anchor[0]\n"
+    )
+    assert _anchor_subscribers(source) == {"anchor_terms", "Algebroid.entry", "apply", None}

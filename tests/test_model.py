@@ -6,9 +6,15 @@ import json
 
 import pytest
 
-from algebroids.algebroid import canonical_algebroid
+from algebroids.algebroid import (
+    canonical_algebroid,
+    cotangent_lift,
+    dual_chart,
+    linear_poisson,
+    tangent_lift,
+)
 from algebroids.errors import ParseError, UnknownName, ValidationError
-from algebroids.fixtures import broken_anchor, broken_jacobi, so3
+from algebroids.fixtures import ALGEBROIDS, broken_anchor, broken_jacobi, so3
 from algebroids.model import (
     Model,
     builtin_model,
@@ -193,3 +199,61 @@ def test_suite_defaults_survive_round_trip():
     assert model.suite == {"seed": 0, "trials": 50}
     again = loads_model(dumps_model(model))
     assert again.suite == model.suite
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBROIDS))
+def test_lifts_keep_their_dual_names_through_a_document(name):
+    A = ALGEBROIDS[name]()
+    lifts = {"T": tangent_lift(A), "C": cotangent_lift(A)}
+    model = Model(charts={"t": lifts["T"].base, "c": lifts["C"].base}, algebroids=lifts)
+    text = dumps_model(model)
+    back = loads_model(text)
+    for key, lift in lifts.items():
+        again = back.algebroids[key]
+        assert again == lift and again.dual_names == lift.dual_names
+        assert json.loads(text)["algebroids"][key]["duals"] == list(lift.dual_names)
+        assert dual_chart(again) is dual_chart(lift)
+        assert linear_poisson(again) is linear_poisson(lift)
+    assert dumps_model(back) == text
+
+
+def test_default_dual_names_are_not_written():
+    for path in ("fixtures/standard.json", "fixtures/so3.json"):
+        for body in json.loads(dumps_model(load_model(path)))["algebroids"].values():
+            assert "duals" not in body
+
+
+def so3_document(duals):
+    return json.dumps({"charts": {"point": []},
+                       "algebroids": {"so3": {
+                           "chart": "point", "fibers": ["1", "2", "3"],
+                           "anchor": [[], [], []],
+                           "c": {"1,2": {"3": "1"}, "1,3": {"2": "-1"}, "2,3": {"1": "1"}},
+                           "duals": duals}}})
+
+
+def test_written_duals_are_read_back():
+    A = loads_model(so3_document(["a", "b", "c"])).algebroids["so3"]
+    assert A.dual_names == ("a", "b", "c") and A != so3()
+    assert loads_model(so3_document(["xi_1", "xi_2", "xi_3"])).algebroids["so3"] == so3()
+
+
+#: ``duals`` that are not one distinct coordinate name per fiber.
+HOSTILE_DUALS = {
+    "short": ["a", "b"],
+    "long": ["a", "b", "c", "d"],
+    "duplicate": ["a", "b", "a"],
+    "not-a-string": ["a", 2, "c"],
+    "null-name": ["a", None, "c"],
+    "null": None,
+    "not-a-list": "abc",
+    "object": {"1": "a", "2": "b", "3": "c"},
+    "not-a-name": ["a", "b", "c d"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_DUALS))
+def test_hostile_duals_fail_closed(case):
+    with pytest.raises(ValidationError) as err:
+        loads_model(so3_document(HOSTILE_DUALS[case]))
+    assert str(err.value).startswith("algebroids.so3.duals: ")

@@ -1,14 +1,14 @@
 """Graded tensor arithmetic: normalization, products, contraction."""
 
 import random
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from algebroids import tensor
 from algebroids.algebroid import cotangent_lift, tangent_lift
 from algebroids.errors import ChartMismatch, DimensionMismatch, KindMismatch
-from algebroids.fixtures import ALGEBROIDS, canonical_plane, canonical_space, so3
+from algebroids.fixtures import ALGEBROIDS, POISSON, canonical_plane, canonical_space, so3
 from algebroids.ring import Chart, Poly, accumulate, parse_poly
 from algebroids.tensor import (
     GradedTensor,
@@ -21,6 +21,7 @@ from algebroids.tensor import (
     evaluate,
     mixed_from_vector,
     pretty,
+    random_coefficient,
     random_tensor,
     remap,
     sym_product,
@@ -385,3 +386,86 @@ def test_random_draws_match_their_earlier_form():
                     assert all(list(c.terms.items()) == list(r.terms[k].terms.items())
                                for k, c in t.terms.items())
             assert new.getstate() == old.getstate()
+
+
+# The two draws as they read when they called ``choice``, ``randint`` and
+# ``randrange`` and rebuilt the basis keys on every draw, kept verbatim.
+
+def listed_basis_keys(owner, kind, degree):
+    rank = owner.rank
+    if kind is Kind.SYM:
+        return list(combinations_with_replacement(range(rank), degree))
+    if kind is Kind.MIXED:
+        return [(fk, j) for fk in combinations(range(rank), degree)
+                for j in range(rank)]
+    return list(combinations(range(rank), degree))
+
+
+_TERM_COUNTS = range(1, 3)
+_COEFFICIENTS = range(-3, 4)
+
+
+def sampled_random_coefficient(rng, chart, degree=2):
+    dim = chart.dim
+    terms = {}
+    for _ in range(rng.choice(_TERM_COUNTS)):
+        exp = [0] * dim
+        for _ in range(rng.randint(0, degree)):
+            if dim:
+                exp[rng.randrange(dim)] += 1
+        exp = tuple(exp)
+        # the two draws are ints, so their sum needs no accumulation kernel
+        coeff = terms.get(exp, 0) + rng.choice(_COEFFICIENTS)
+        if coeff:
+            terms[exp] = coeff
+        else:
+            terms.pop(exp, None)
+    return Poly._make(chart, terms)
+
+
+def sampled_random_tensor(rng, owner, kind, degree, coeff_degree=2, max_keys=3):
+    keys = listed_basis_keys(owner, kind, degree)
+    if not keys:
+        return GradedTensor.zero(owner, kind, degree)
+    # basis keys are canonical and a sample holds each at most once, so the
+    # drawn terms need only their zero coefficients dropped
+    chosen = rng.sample(keys, min(len(keys), rng.randint(1, max_keys)))
+    terms = {}
+    for key in chosen:
+        coeff = sampled_random_coefficient(rng, owner.base, coeff_degree)
+        if coeff:
+            terms[key] = coeff
+    return GradedTensor._make(owner, kind, degree, terms)
+
+
+def test_draws_below_match_the_sampling_calls():
+    """One ``_randbelow`` per draw gives what ``choice``, ``randint`` and
+    ``randrange`` gave: equal tensors and coefficients, and the generator in
+    the same state, over every shipped owner, every kind, degrees 0-3 and
+    coefficient degrees 0-2."""
+    owners = [make() for make in ALGEBROIDS.values()]
+    owners += [make().owner for make in POISSON.values()]
+    for seed in range(200):
+        new, old = random.Random(seed), random.Random(seed)
+        for A in owners:
+            for coeff_degree in range(3):
+                assert (random_coefficient(new, A.base, coeff_degree)
+                        == sampled_random_coefficient(old, A.base, coeff_degree))
+                for kind in Kind:
+                    for degree in range(4):
+                        t = random_tensor(new, A, kind, degree, coeff_degree)
+                        r = sampled_random_tensor(old, A, kind, degree, coeff_degree)
+                        assert t == r and list(t.terms) == list(r.terms)
+                assert new.getstate() == old.getstate()
+    assert list(basis_keys(so3(), Kind.MIXED, 2)) == listed_basis_keys(so3(), Kind.MIXED, 2)
+
+
+def test_an_empty_draw_range_is_an_error():
+    A = so3()
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        random_coefficient(rng, A.base, -1)
+    with pytest.raises(ValueError):
+        random_tensor(rng, A, Kind.MV, 1, max_keys=0)
+    # no keys to draw from: the zero tensor, whatever the bound
+    assert random_tensor(rng, A, Kind.MV, 4, max_keys=0).is_zero()
