@@ -17,12 +17,14 @@ Schouten brackets of :mod:`algebroids.calculus` on higher degrees.
 such data an honest bracket geometry — the Jacobi identity on all basis
 triples and the anchor being a bracket morphism into vector fields — and the
 errors carry an explicit witness (which triple or pair failed, and the
-residual) so a failing model is diagnosable.  The morphism is checked with
-the same kernel: per basis pair, the section bracket of the vector fields
-``anchor_apply(e_i)`` and ``anchor_apply(e_j)`` minus
-``anchor_apply([e_i, e_j])``.  :func:`validate` prepares each anchor image,
-each structure column and each unit section for the kernel once, so each is
-differentiated once however many pairs and triples it enters.
+residual) so a failing model is diagnosable.  :func:`validate` checks both
+at once as d∘d = 0 on the generators (Vaintrob, "Lie algebroids and
+homological vector fields", 1997): d(d x^a) on each base coordinate holds
+the anchor-morphism residuals of every basis pair, and d(d e*_k) on each
+basis form the e_k components of the Jacobi residuals of every triple.  Its
+passes are memoized on the structurally compared algebroid, so an equal
+structure, say a reloaded document, is checked once; a failure is never
+memoized.
 
 A chart with no coordinates is allowed as a base: the anchor is then forced
 to vanish and the structure functions are rational constants (the classical
@@ -33,14 +35,15 @@ The lifts at the bottom of the module produce new algebroids from old:
 ``linear_poisson`` packages the structure data as a fiberwise-linear
 bivector on the dual bundle's chart, and ``cotangent_lift`` is the cotangent
 algebroid of that bivector, whose fibers are the coordinate differentials.
-Algebroids are immutable and hashable, so these lifts and the canonical
-algebroid of a chart are memoized on their (structurally compared) source,
-in LRU caches of :data:`CACHE_SIZE` entries each; so is the dual chart, on
-the base coordinates and dual names.  Each algebroid also builds, on first
-use, read-only tables of its nonzero anchor entries by base coordinate and
-its nonzero structure functions by target fiber, with its
-:attr:`~Algebroid.is_canonical` flag (:func:`_tables_of`): the kernels read
-those instead of finding the nonzero entries again on every call.
+Algebroids are immutable and hashable, so these lifts, the canonical
+algebroid of a chart and the passes of :func:`validate` are memoized on
+their (structurally compared) source, in LRU caches of :data:`CACHE_SIZE`
+entries each; so is the dual chart, on the base coordinates and dual names.
+Each algebroid also builds, on first use, read-only tables of its nonzero
+anchor entries by base coordinate and its nonzero structure functions by
+target fiber, with its :attr:`~Algebroid.is_canonical` flag
+(:func:`_tables_of`): the kernels read those instead of finding the nonzero
+entries again on every call.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .errors import (
     KindMismatch,
 )
 from .ring import Chart, Poly, poly_sum, products
-from .tensor import GradedTensor, Kind, _sort_skew, tensor_sum
+from .tensor import GradedTensor, Kind, _sort_skew
 
 _StructureTable = Dict[Tuple[int, int], Dict[int, Poly]]
 _NO_COLUMN: Mapping[int, Poly] = MappingProxyType({})
@@ -226,6 +229,14 @@ def _canonical(base: Chart, fiber_names: Tuple[str, ...],
             and anchor == canonical.anchor)
 
 
+def _require(value, kind: type, who: str) -> None:
+    """Raise :class:`KindMismatch` unless ``value`` is a ``kind``: the
+    structure entry points test their argument's type before it reaches an
+    attribute or a cache key."""
+    if not isinstance(value, kind):
+        raise KindMismatch(f"{who} needs a {kind.__name__}, got {type(value).__name__}")
+
+
 # -- chart helpers -------------------------------------------------------------
 
 def dotted_chart(chart: Chart) -> Chart:
@@ -270,6 +281,7 @@ def _vector_fields(chart: Chart) -> Algebroid:
 def canonical_algebroid(chart: Chart) -> Algebroid:
     """The tangent algebroid of a chart: sections are vector fields, the
     anchor is the identity, and the bracket is the commutator."""
+    _require(chart, Chart, "canonical_algebroid")
     if chart.dim == 0:
         raise EmptyChart("the canonical algebroid needs at least one coordinate")
     return _vector_fields(chart)
@@ -354,45 +366,73 @@ def default_dual_names(base: Chart, fiber_names: Tuple[str, ...],
 def validate(algebroid: Algebroid) -> None:
     """Check the anchor-morphism and Jacobi conditions; raise on failure.
 
-    Each anchor image, structure column and unit section is prepared for
-    the bracket kernel once, so its coefficients are differentiated once
-    however many pairs and triples it enters."""
-    base = algebroid.base
+    The check is d∘d on the generators: the structure data is a Lie
+    algebroid iff its differential squares to zero, and d∘d is a
+    derivation, so it vanishes iff it vanishes on every coordinate
+    function x^a and every basis form e*_k.  The pair (i, j) coefficient
+    of d(d x^a) is the anchor-morphism residual
+    [ρe_i, ρe_j](x^a) − ρ[e_i, e_j](x^a), and the triple (i, j, l)
+    coefficients of d(d e*_k), summed over k against e_k, are the Jacobi
+    residual [[e_i, e_j], e_l] + cyclic.  The witness is the first failing
+    pair in ``combinations`` order with its first failing coordinate, else
+    the first failing triple.
+
+    Passes are memoized on the (structurally compared) algebroid, in an
+    LRU cache of :data:`CACHE_SIZE` entries, so an equal structure loaded
+    again is not checked again; a failure is decided afresh on every call.
+    """
+    _require(algebroid, Algebroid, "validate")
+    _validated(algebroid)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _validated(algebroid: Algebroid) -> None:
+    """The check behind :func:`validate`.  ``lru_cache`` keeps no raised
+    exception, so only passes are recorded."""
+    from .calculus import differential
+
     m = algebroid.rank
+    if m < 2:  # no basis pairs, so d∘d has nothing of degree 2 or 3
+        return
     names = algebroid.fiber_names
-    # anchor is a bracket morphism: [anchor e_i, anchor e_j] = anchor [e_i, e_j],
-    # the left side the section bracket of the vector fields over the base
-    fields = _vector_fields(base)
-    images = [_prepare(fields, anchor_apply(algebroid, algebroid.e(i)), range(base.dim))
-              for i in range(m)]
-    for i, j in combinations(range(m), 2):
-        residual = (_bracket(fields, images[i], images[j])
-                    - anchor_apply(algebroid, algebroid.bracket_basis(i, j)))
-        if not residual.is_zero():
-            (b,) = min(residual.terms)
-            raise AnchorNotMorphism(
-                f"anchor fails to intertwine brackets on ({names[i]}, {names[j]})",
-                witness={"pair": [names[i], names[j]],
-                         "coordinate": base.coords[b],
-                         "residual": str(residual.terms[(b,)])})
+    tables = _tables_of(algebroid)
+
+    def dd(degree: int, first: Iterable[Tuple[Tuple[int, ...], Poly]]) -> Dict:
+        # d applied to the terms of the first d of a generator, read from the
+        # tables as d reads them: the stored entries are the coefficients, so
+        # each is differentiated on its own object, whose gradient it keeps
+        form = GradedTensor._make(algebroid, Kind.FORM, degree, dict(first))
+        return differential(algebroid, form).terms
+
+    # d x^a = sum_i rho_i^a e*_i
+    morphism = [dd(1, (((i,), rho) for i, rho in column))
+                for column in tables.by_coordinate]
+    if any(morphism):
+        coords = algebroid.base.coords
+        for i, j in combinations(range(m), 2):
+            for b, terms in enumerate(morphism):
+                residual = terms.get((i, j))
+                if residual is not None:
+                    raise AnchorNotMorphism(
+                        f"anchor fails to intertwine brackets on ({names[i]}, {names[j]})",
+                        witness={"pair": [names[i], names[j]],
+                                 "coordinate": coords[b],
+                                 "residual": str(residual)})
     if m < 3:  # no basis triples
         return
-    # Jacobi identity on basis triples, reading [[e_k, e_i], e_j] as
-    # -[[e_i, e_k], e_j] so that only the columns of pairs i < j are prepared
-    fibers = range(m)
-    columns = {(i, j): _prepare(algebroid, algebroid.bracket_basis(i, j), fibers)
-               for i, j in combinations(fibers, 2)}
-    units = [_prepare(algebroid, algebroid.e(r), fibers) for r in fibers]
-    for i, j, k in combinations(fibers, 3):
-        jac = tensor_sum(algebroid, Kind.MV, 1, (
-            _bracket(algebroid, columns[i, j], units[k]),
-            _bracket(algebroid, columns[j, k], units[i]),
-            -_bracket(algebroid, columns[i, k], units[j])))
-        if not jac.is_zero():
-            raise JacobiViolation(
-                f"Jacobi identity fails on ({names[i]}, {names[j]}, {names[k]})",
-                witness={"triple": [names[i], names[j], names[k]],
-                         "residual": str(jac)})
+    # d e*_k = -sum_{i<j} c_ij^k e*_i∧e*_j, so each entry below is minus the
+    # e_k component of the Jacobi residual
+    jacobi = [dd(2, pairs) for pairs in tables.by_target]
+    if any(jacobi):
+        for key in combinations(range(m), 3):
+            jac = {(k,): -terms[key] for k, terms in enumerate(jacobi) if key in terms}
+            if jac:
+                triple = [names[r] for r in key]
+                raise JacobiViolation(
+                    f"Jacobi identity fails on ({', '.join(triple)})",
+                    witness={"triple": triple,
+                             "residual": str(GradedTensor._make(
+                                 algebroid, Kind.MV, 1, jac))})
 
 
 # -- the bracket on sections ----------------------------------------------------
@@ -552,6 +592,7 @@ def tangent_lift(algebroid: Algebroid) -> Algebroid:
     original directions plus the derivative correction.  Memoized: equal
     sources share one lift, whose ``parent`` is the first of them lifted.
     """
+    _require(algebroid, Algebroid, "tangent_lift")
     return _tangent_lift(algebroid)
 
 
@@ -609,6 +650,7 @@ def cotangent_lift(algebroid: Algebroid) -> Algebroid:
     delta_i^a d/d x^a + c_ij^k xi_k d/d xi_j.  Memoized like
     :func:`tangent_lift`.
     """
+    _require(algebroid, Algebroid, "cotangent_lift")
     return _cotangent_lift(algebroid)
 
 
@@ -623,6 +665,7 @@ def linear_poisson(algebroid: Algebroid):
     """The fiberwise-linear bivector on the dual chart encoding the same
     structure data.  Returns a validated Poisson structure, memoized like
     :func:`tangent_lift`."""
+    _require(algebroid, Algebroid, "linear_poisson")
     return _linear_poisson(algebroid)
 
 

@@ -184,7 +184,7 @@ def _decode_algebroid(name, body, charts):
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
     chart_name = body.get("chart")
-    if chart_name not in charts:
+    if not isinstance(chart_name, str) or chart_name not in charts:
         raise ParseError(f"{where}: unknown chart {chart_name!r}")
     chart = charts[chart_name]
     fibers = body.get("fibers")
@@ -248,7 +248,7 @@ def _decode_poisson(name, body, charts):
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
     chart_name = body.get("chart")
-    if chart_name not in charts:
+    if not isinstance(chart_name, str) or chart_name not in charts:
         raise ParseError(f"{where}: unknown chart {chart_name!r}")
     chart = charts[chart_name]
     terms = {}
@@ -277,7 +277,7 @@ def _decode_tensor(name, body, model):
     except (UnknownName, TypeError):
         raise ParseError(f"{where}: unknown owner {owner_name!r}") from None
     kind_name = body.get("kind")
-    if kind_name not in _KINDS:
+    if not isinstance(kind_name, str) or kind_name not in _KINDS:
         raise ParseError(f"{where}: kind must be one of {sorted(_KINDS)}")
     kind = _KINDS[kind_name]
     degree = body.get("degree")
@@ -329,6 +329,8 @@ def loads_model(text: str) -> Model:
         raise ParseError(
             f"not valid JSON: {exc.msg} (line {exc.lineno} column {exc.colno})"
         ) from exc
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
     raw = _expect_object(raw, "model")
     unknown = set(raw) - {"charts", "algebroids", "poisson", "tensors", "suite"}
     if unknown:

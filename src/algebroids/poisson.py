@@ -30,9 +30,10 @@ extending P^ antisymmetrically, P̃(dz^u) = Σ_v P^{uv} ∂_v.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .algebroid import Algebroid, build_algebroid, canonical_algebroid
+from .algebroid import CACHE_SIZE, Algebroid, _require, build_algebroid, canonical_algebroid
 from .calculus import differential, lie_derivative, schouten
 from .errors import ChartMismatch, KindMismatch, NotInvertible, NotPoisson
 from .ring import Chart, Poly, accumulate
@@ -104,7 +105,13 @@ def build_poisson(chart: Chart, bivector: GradedTensor) -> PoissonStructure:
 
     The self-bracket [P, P] is computed exactly; if it does not vanish the
     :class:`NotPoisson` error carries the trivector residual as a witness.
+    Passes are memoized on the bivector, like those of
+    :func:`~algebroids.algebroid.validate`, in an LRU cache of
+    :data:`~algebroids.algebroid.CACHE_SIZE` entries; a failure is decided
+    afresh on every call.
     """
+    _require(chart, Chart, "build_poisson")
+    _require(bivector, GradedTensor, "build_poisson")
     owner = canonical_algebroid(chart)
     if bivector.owner is not owner and bivector.owner != owner:
         raise ChartMismatch(
@@ -113,11 +120,18 @@ def build_poisson(chart: Chart, bivector: GradedTensor) -> PoissonStructure:
         raise KindMismatch(
             f"a Poisson structure needs a degree-2 multivector, got "
             f"{bivector.describe()}")
+    _poisson_checked(bivector)
+    return PoissonStructure(bivector.owner, bivector)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _poisson_checked(bivector: GradedTensor) -> None:
+    """The [P, P] check behind :func:`build_poisson`.  ``lru_cache`` keeps
+    no raised exception, so only passes are recorded."""
     residual = schouten(bivector.owner, bivector, bivector)
     if not residual.is_zero():
         raise NotPoisson("the self-bracket [P, P] does not vanish",
                          witness={"residual": pretty(residual)})
-    return PoissonStructure(bivector.owner, bivector)
 
 
 def _as_form(ps: PoissonStructure, t: GradedTensor) -> GradedTensor:

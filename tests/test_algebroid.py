@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import algebroids.algebroid
 from algebroids.algebroid import (
     anchor_apply,
     build_algebroid,
@@ -259,6 +260,7 @@ def test_validate_differentiates_each_polynomial_once(case, monkeypatch):
         return gradient(self)
 
     monkeypatch.setattr(Poly, "gradient", counted)
+    algebroids.algebroid._validated.cache_clear()
     validate(A)
     assert calls
     repeated = Counter(id(p) for p in calls if not p.is_constant())
@@ -280,6 +282,7 @@ def test_a_polynomial_in_two_tangent_lift_columns_is_differentiated_once(monkeyp
         return partial(self, name)
 
     monkeypatch.setattr(Poly, "partial", counted)
+    algebroids.algebroid._validated.cache_clear()
     # built past the lift cache, so every polynomial of the lift is new
     lift = algebroids.algebroid._tangent_lift.__wrapped__(A)
     m = A.rank

@@ -1,11 +1,12 @@
 """Algebroids are immutable and hashable, and the canonical algebroid of a
 chart and the three lifts are built once per source structure.  The tables
 an algebroid builds on first use are not part of its equality or hash, and
-their slot cannot be assigned."""
+their slot cannot be assigned.  ``validate`` and ``build_poisson`` check an
+equal structure once and a failing one on every call."""
 
 import pytest
 
-from algebroids import algebroid
+from algebroids import algebroid, poisson
 from algebroids.algebroid import (
     CACHE_SIZE,
     build_algebroid,
@@ -14,14 +15,19 @@ from algebroids.algebroid import (
     dual_chart,
     linear_poisson,
     tangent_lift,
+    validate,
 )
-from algebroids.fixtures import nonconstant_rank2, so3
-from algebroids.model import builtin_model
+from algebroids.errors import AnchorNotMorphism, NotPoisson
+from algebroids.fixtures import broken_anchor, nonconstant_rank2, so3
+from algebroids.model import Model, builtin_model, dumps_model, loads_model
+from algebroids.poisson import build_poisson
 from algebroids.ring import Chart
 from algebroids.suites import run_suite
+from algebroids.tensor import GradedTensor, Kind
 
 CACHES = (algebroid._vector_fields, algebroid._tangent_lift,
-          algebroid._cotangent_lift, algebroid._linear_poisson)
+          algebroid._cotangent_lift, algebroid._linear_poisson,
+          algebroid._validated, poisson._poisson_checked)
 
 
 @pytest.fixture(autouse=True)
@@ -169,3 +175,49 @@ def test_the_tables_slot_cannot_be_assigned():
     with pytest.raises(AttributeError):
         del A._tables
     assert A._tables is tables
+
+
+def test_the_checks_are_bounded_by_the_cache_size():
+    for check in (algebroid._validated, poisson._poisson_checked):
+        assert check.cache_info().maxsize == CACHE_SIZE
+
+
+def test_an_equal_document_is_checked_once():
+    A = nonconstant_rank2()
+    ps = linear_poisson(A)
+    text = dumps_model(Model(charts={"line": A.base, "dual": ps.chart},
+                             algebroids={"A": A}, poisson={"P": ps}))
+    for check in (algebroid._validated, poisson._poisson_checked):
+        check.cache_clear()
+    first, second = loads_model(text), loads_model(text)
+    assert first.algebroids["A"] is not second.algebroids["A"]
+    assert first.algebroids["A"] == second.algebroids["A"] == A
+    for check in (algebroid._validated, poisson._poisson_checked):
+        info = check.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_a_failing_structure_is_checked_on_every_call():
+    A = broken_anchor()  # built unchecked
+    witnesses = []
+    for _ in range(3):
+        with pytest.raises(AnchorNotMorphism) as err:
+            validate(A)
+        witnesses.append(err.value.witness)
+    assert witnesses[0] and witnesses == [witnesses[0]] * 3
+    info = algebroid._validated.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 0, 0)
+
+
+def test_a_bivector_that_is_not_poisson_is_checked_on_every_call():
+    chart = Chart(("x", "y", "z"))
+    P = GradedTensor(canonical_algebroid(chart), Kind.MV, 2,
+                     {(0, 1): chart.one(), (0, 2): chart.coordinate("x")})
+    witnesses = []
+    for _ in range(3):
+        with pytest.raises(NotPoisson) as err:
+            build_poisson(chart, P)
+        witnesses.append(err.value.witness)
+    assert witnesses[0] and witnesses == [witnesses[0]] * 3
+    info = poisson._poisson_checked.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 0, 0)

@@ -2,9 +2,13 @@
 and the canonical-dump round trip.
 """
 
+import copy
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids.algebroid import (
     canonical_algebroid,
@@ -13,7 +17,7 @@ from algebroids.algebroid import (
     linear_poisson,
     tangent_lift,
 )
-from algebroids.errors import ParseError, UnknownName, ValidationError
+from algebroids.errors import AlgebroidError, ParseError, UnknownName, ValidationError
 from algebroids.fixtures import ALGEBROIDS, broken_anchor, broken_jacobi, so3
 from algebroids.model import (
     Model,
@@ -257,3 +261,113 @@ def test_hostile_duals_fail_closed(case):
     with pytest.raises(ValidationError) as err:
         loads_model(so3_document(HOSTILE_DUALS[case]))
     assert str(err.value).startswith("algebroids.so3.duals: ")
+
+
+# -- whole documents fail closed ------------------------------------------------
+
+_COORDS = ("x", "y", "z")
+
+
+@st.composite
+def _poly_texts(draw, coords):
+    """A polynomial string over ``coords``: up to three terms of degree at
+    most 3 with rational coefficients."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 3))):
+        coeff = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        factors = draw(st.lists(st.sampled_from(coords), max_size=3)) if coords else []
+        pieces.append("*".join([str(coeff)] + factors))
+    return " + ".join(pieces) or "0"
+
+
+def dumps_algebroid(A):
+    """The document body of one algebroid, as ``dumps_model`` writes it."""
+    return json.loads(dumps_model(Model(charts={"base": A.base},
+                                        algebroids={"A": A})))["algebroids"]["A"]
+
+
+@st.composite
+def _documents(draw):
+    """A model document of at most 3 coordinates and 3 fibers: a shipped
+    structure that small, or fresh entries, with a Poisson bivector over
+    charts of 2 or more coordinates."""
+    if draw(st.booleans()):
+        A = draw(st.sampled_from([make() for make in ALGEBROIDS.values()]))
+        coords = list(A.base.coords)
+        doc = {"charts": {"base": coords}, "algebroids": {"A": dumps_algebroid(A)}}
+        bivector = "1"
+    else:
+        coords = list(_COORDS[:draw(st.integers(0, 3))])
+        rank = draw(st.integers(1, 3))
+        poly = _poly_texts(coords)
+        pairs = [f"{i},{j}" for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
+        doc = {"charts": {"base": coords},
+               "algebroids": {"A": {
+                   "chart": "base", "fibers": [f"e{i + 1}" for i in range(rank)],
+                   "anchor": [[draw(poly) for _ in coords] for _ in range(rank)],
+                   "c": {pair: {str(draw(st.integers(1, rank))): draw(poly)}
+                         for pair in pairs if draw(st.booleans())}}}}
+        bivector = draw(poly)
+    if len(coords) > 1:
+        doc["poisson"] = {"P": {"chart": "base", "bivector": {"1,2": bivector}}}
+    return doc
+
+
+#: What a mutation puts in place of a value: floats, None, lists, wrong
+#: lengths, bad pair keys and other strings.
+_JUNK = st.sampled_from([1.5, float("nan"), None, [], [1], ["x"], [[]], {}, 0, -1,
+                         True, "", "x", "1,2", "2,1", "0,1", "1,2,3", "a,b",
+                         "x^", "1/0", {"1,2": {"1": "1"}}, {"9": "x"}])
+
+
+def _paths(node, path=()):
+    """Every path to a value inside a JSON document."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = draw(_documents())
+    coords = list(doc["charts"]["base"])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+        if not path:
+            continue
+        *outer, last = path
+        parent = doc
+        for step in outer:
+            parent = parent[step]
+        action = draw(st.sampled_from(["junk", "key", "drop", "grow", "perturb"]))
+        value = parent[last]
+        if action == "key" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(["0,1", "2,1", "1,1", "1,9", "1", "1,2,3",
+                                         "a,b", "", "-1,2", "x"]))] = parent.pop(last)
+        elif action == "drop" and isinstance(value, list) and value:
+            value.pop()
+        elif action == "grow" and isinstance(value, list):
+            value.append(copy.deepcopy(value[0]) if value else "1")
+        elif action == "perturb" and isinstance(value, str):
+            parent[last] = f"{value} + {draw(_poly_texts(coords))}"
+        else:
+            parent[last] = copy.deepcopy(draw(_JUNK))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_whole_documents_fail_closed(doc):
+    try:
+        loads_model(json.dumps(doc))
+    except AlgebroidError:
+        pass
+
+
+def test_json_nested_past_the_recursion_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        loads_model("[" * 100000 + "]" * 100000)
