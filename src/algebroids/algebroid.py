@@ -48,26 +48,21 @@ entries again on every call.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Collection, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from .errors import (
-    AnchorNotMorphism,
-    DimensionMismatch,
-    EmptyChart,
-    JacobiViolation,
-    KindMismatch,
-)
+from .errors import AnchorNotMorphism, DimensionMismatch, EmptyChart, JacobiViolation
 from .ring import Chart, Poly, poly_sum, products
-from .tensor import GradedTensor, Kind, _sort_skew
+from .tensor import _SECTION, Bundle, GradedTensor, Kind, _require, _sort_skew
 
 _StructureTable = Dict[Tuple[int, int], Dict[int, Poly]]
 _NO_COLUMN: Mapping[int, Poly] = MappingProxyType({})
 
 
-class Algebroid:
+class Algebroid(Bundle):
     """Structure data for an anchored bracket bundle.
 
     Instances are immutable and compare structurally: two algebroids are
@@ -229,18 +224,17 @@ def _canonical(base: Chart, fiber_names: Tuple[str, ...],
             and anchor == canonical.anchor)
 
 
-def _require(value, kind: type, who: str) -> None:
-    """Raise :class:`KindMismatch` unless ``value`` is a ``kind``: the
-    structure entry points test their argument's type before it reaches an
-    attribute or a cache key."""
-    if not isinstance(value, kind):
-        raise KindMismatch(f"{who} needs a {kind.__name__}, got {type(value).__name__}")
+def _names(names, who: str) -> Tuple[str, ...]:
+    """``names`` as a tuple, each of them a string."""
+    return tuple(_require(name, who, cls=str)
+                 for name in _require(names, who, cls=Iterable))
 
 
 # -- chart helpers -------------------------------------------------------------
 
 def dotted_chart(chart: Chart) -> Chart:
     """Adjoin a velocity coordinate ``c_dot`` for every coordinate ``c``."""
+    _require(chart, "dotted_chart", cls=Chart)
     return Chart(chart.coords + tuple(f"{c}_dot" for c in chart.coords))
 
 
@@ -255,6 +249,7 @@ def dual_chart(algebroid: Algebroid) -> Chart:
     """The chart of the dual bundle: base coordinates then fiber-linear ones.
     Memoized: algebroids with the same base coordinates and dual names
     share one chart object."""
+    _require(algebroid, "dual_chart", cls=Algebroid)
     return _dual_chart(algebroid.base.coords, algebroid.dual_names)
 
 
@@ -281,7 +276,7 @@ def _vector_fields(chart: Chart) -> Algebroid:
 def canonical_algebroid(chart: Chart) -> Algebroid:
     """The tangent algebroid of a chart: sections are vector fields, the
     anchor is the identity, and the bracket is the commutator."""
-    _require(chart, Chart, "canonical_algebroid")
+    _require(chart, "canonical_algebroid", cls=Chart)
     if chart.dim == 0:
         raise EmptyChart("the canonical algebroid needs at least one coordinate")
     return _vector_fields(chart)
@@ -306,7 +301,8 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
     a bracket morphism on every basis pair; failures raise
     :class:`JacobiViolation` / :class:`AnchorNotMorphism` with a witness.
     """
-    fiber_names = tuple(fiber_names)
+    _require(base, "build_algebroid", cls=Chart)
+    fiber_names = _names(fiber_names, "build_algebroid")
     rank = len(fiber_names)
     if rank < 1:
         raise DimensionMismatch("an algebroid needs at least one fiber generator")
@@ -315,22 +311,22 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
     if any(not name for name in fiber_names):
         raise DimensionMismatch("fiber names must be nonempty")
 
-    if len(anchor) != rank:
+    if len(_require(anchor, "build_algebroid", cls=Sequence)) != rank:
         raise DimensionMismatch(f"anchor has {len(anchor)} rows, expected {rank}")
     rows = []
     for row in anchor:
-        if len(row) != base.dim:
+        if len(_require(row, "build_algebroid", cls=Sequence)) != base.dim:
             raise DimensionMismatch(
                 f"anchor row has {len(row)} entries, expected {base.dim}")
         rows.append(tuple(base.coerce(v) for v in row))
 
     table: _StructureTable = {}
-    for (i, j), entries in (structure or {}).items():
+    for (i, j), entries in _require(structure or {}, "build_algebroid", cls=Mapping).items():
         if not 0 <= i < j < rank:
             raise DimensionMismatch(
                 f"structure key ({i}, {j}) must satisfy 0 <= i < j < {rank}")
         cleaned = {}
-        for k, value in entries.items():
+        for k, value in _require(entries, "build_algebroid", cls=Mapping).items():
             if not 0 <= k < rank:
                 raise DimensionMismatch(f"structure target {k} out of range")
             coeff = base.coerce(value)
@@ -342,7 +338,7 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
     if dual_names is None:
         dual_names = default_dual_names(base, fiber_names, tuple(rows), table)
     else:
-        dual_names = tuple(dual_names)
+        dual_names = _names(dual_names, "build_algebroid")
         if len(dual_names) != rank or len(set(dual_names)) != rank:
             raise DimensionMismatch("dual names must be distinct, one per fiber")
 
@@ -359,6 +355,8 @@ def default_dual_names(base: Chart, fiber_names: Tuple[str, ...],
     """The dual fiber names :func:`build_algebroid` gives when none are
     passed: ``p_<fiber>`` for the canonical algebroid of the base, else
     ``xi_<fiber>``."""
+    _require(base, "default_dual_names", cls=Chart)
+    fiber_names = _names(fiber_names, "default_dual_names")
     prefix = "p_" if _canonical(base, fiber_names, anchor, structure) else "xi_"
     return tuple(prefix + name for name in fiber_names)
 
@@ -381,8 +379,7 @@ def validate(algebroid: Algebroid) -> None:
     LRU cache of :data:`CACHE_SIZE` entries, so an equal structure loaded
     again is not checked again; a failure is decided afresh on every call.
     """
-    _require(algebroid, Algebroid, "validate")
-    _validated(algebroid)
+    _validated(_require(algebroid, "validate", cls=Algebroid))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -437,35 +434,31 @@ def _validated(algebroid: Algebroid) -> None:
 
 # -- the bracket on sections ----------------------------------------------------
 
-def anchor_terms(algebroid: Algebroid, gradient: Sequence[Tuple[int, Poly]]
+def anchor_terms(algebroid: Algebroid, gradient: list[Tuple[int, Poly]]
                  ) -> Iterable[Tuple[int, Poly, Poly]]:
     """The triples (i, rho_i^a, d_a f), one per nonzero anchor entry rho_i^a
-    and nonzero partial d_a f of a function f with ``gradient``
+    and nonzero partial d_a f of a function f whose ``gradient`` is the list
     ``f.gradient()``: summed per fiber i, their products rho_i^a d_a f are
     the anchor of every e_i applied to f.  The one read of the anchor
     acting on functions, from the coordinate table of :func:`_tables_of`."""
-    by_coordinate = _tables_of(algebroid).by_coordinate
+    by_coordinate = _tables_of(_require(algebroid, "anchor_terms", cls=Algebroid)).by_coordinate
+    _require(gradient, "anchor_terms", cls=list)
     return ((i, rho, d) for a, d in gradient for i, rho in by_coordinate[a])
 
 
-def anchor_derivative(algebroid: Algebroid, i: int, f: Poly,
-                      gradient: Optional[Sequence[Tuple[int, Poly]]] = None) -> Poly:
-    """The anchor of e_i applied to a function: sum_a anchor[i][a] d_a f.
-    ``gradient`` is ``f.gradient()``, passed by callers that apply several
-    anchors to the same ``f`` so its partials are taken once."""
-    if gradient is None:
-        gradient = f.gradient()
-    base = algebroid.base
+def anchor_derivative(algebroid: Algebroid, i: int, f: Poly) -> Poly:
+    """The anchor of e_i applied to a function over the base (anything
+    :meth:`~algebroids.ring.Chart.coerce` takes): sum_a anchor[i][a] d_a f."""
+    base = _require(algebroid, "anchor_derivative", cls=Algebroid).base
+    _require(i, "anchor_derivative", cls=int)
     return products(base, ((None, 1, rho, d) for k, rho, d in anchor_terms(
-        algebroid, gradient) if k == i)).get(None, base.zero())
+        algebroid, base.coerce(f).gradient()) if k == i)).get(None, base.zero())
 
 
 def section_bracket(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
     """The bracket of two sections (degree-1 multivectors over the algebroid)."""
-    for t in (x, y):
-        if (t.owner is not algebroid and t.owner != algebroid
-                or t.kind is not Kind.MV or t.degree != 1):
-            raise KindMismatch(f"section_bracket needs sections, got {t.describe()}")
+    _require(x, "section_bracket", algebroid, _SECTION)
+    _require(y, "section_bracket", algebroid, _SECTION)
     return _bracket_tensors(algebroid, x, y)
 
 
@@ -560,10 +553,7 @@ def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
     The result lives over the canonical algebroid of the base chart (the
     rank-0 version of it when the base chart is empty).
     """
-    if (x.owner is not algebroid and x.owner != algebroid
-            or x.kind is not Kind.MV or x.degree != 1):
-        raise KindMismatch(f"anchor_apply needs a section, got {x.describe()}")
-    terms = x.terms
+    terms = _require(x, "anchor_apply", algebroid, _SECTION).terms
     items = (((a,), 1, f, rho)
              for a, column in enumerate(_tables_of(algebroid).by_coordinate)
              for i, rho in column if (f := terms.get((i,))) is not None)
@@ -576,7 +566,8 @@ def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
 def velocity_derivative(coeff: Poly, target: Chart) -> Poly:
     """The velocity derivative sum_a (d_a f)·a_dot of a function f, on the
     velocity chart ``target`` that extends f's chart."""
-    names = coeff.chart.coords
+    names = _require(coeff, "velocity_derivative", cls=Poly).chart.coords
+    _require(target, "velocity_derivative", cls=Chart)
     return poly_sum(target, (d.transport(target) * target.coordinate(f"{names[a]}_dot")
                              for a, d in coeff.gradient()))
 
@@ -592,8 +583,7 @@ def tangent_lift(algebroid: Algebroid) -> Algebroid:
     original directions plus the derivative correction.  Memoized: equal
     sources share one lift, whose ``parent`` is the first of them lifted.
     """
-    _require(algebroid, Algebroid, "tangent_lift")
-    return _tangent_lift(algebroid)
+    return _tangent_lift(_require(algebroid, "tangent_lift", cls=Algebroid))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -650,8 +640,7 @@ def cotangent_lift(algebroid: Algebroid) -> Algebroid:
     delta_i^a d/d x^a + c_ij^k xi_k d/d xi_j.  Memoized like
     :func:`tangent_lift`.
     """
-    _require(algebroid, Algebroid, "cotangent_lift")
-    return _cotangent_lift(algebroid)
+    return _cotangent_lift(_require(algebroid, "cotangent_lift", cls=Algebroid))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -665,8 +654,7 @@ def linear_poisson(algebroid: Algebroid):
     """The fiberwise-linear bivector on the dual chart encoding the same
     structure data.  Returns a validated Poisson structure, memoized like
     :func:`tangent_lift`."""
-    _require(algebroid, Algebroid, "linear_poisson")
-    return _linear_poisson(algebroid)
+    return _linear_poisson(_require(algebroid, "linear_poisson", cls=Algebroid))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -48,27 +48,18 @@ matching convention.
 from __future__ import annotations
 
 from .algebroid import Algebroid, _bracket_tensors, _tables_of, anchor_terms, section_bracket
-from .errors import ChartMismatch, KindMismatch
 from .ring import accumulate, products
-from .tensor import (
-    GradedTensor,
-    Kind,
-    _insert_index,
-    _sort_skew,
-    as_sym,
-    contract,
-    contract_mixed,
-    mixed_from_vector,
-    tensor_sum,
-    vector_from_mixed,
-    wedge,
-)
+from .tensor import (_ANY, _FORM, _FORM_OR_FUNCTION, _MIXED, _MULTIVECTOR,
+                     _SECTION, _SYM_VIEW, GradedTensor, Kind, _insert_index,
+                     _require, _sort_skew, as_sym, contract, contract_mixed,
+                     mixed_from_vector, tensor_sum, vector_from_mixed, wedge)
 
-
-def _require_owner(algebroid: Algebroid, *tensors: GradedTensor) -> None:
-    for t in tensors:
-        if t.owner is not algebroid and t.owner != algebroid:
-            raise ChartMismatch("tensor does not live over the given algebroid")
+#: what a Lie differential is taken along: multivectors and vector-valued forms
+_ACTOR = {**_MULTIVECTOR, **_MIXED}
+#: a multivector, or a section seen as a degree-0 vector-valued form
+_MULTIVECTOR_LIKE = {Kind.MV: _ANY, Kind.MIXED: (0,)}
+#: a vector-valued form, or a section seen as one of degree 0
+_VECTOR_VALUED = {Kind.MIXED: _ANY, Kind.MV: (1,)}
 
 
 # -- exterior differential ------------------------------------------------------
@@ -77,10 +68,7 @@ def _require_owner(algebroid: Algebroid, *tensors: GradedTensor) -> None:
 def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
     """The exterior differential of a form (degree-0 multivectors count as
     forms of degree 0).  Squares to zero and is a graded derivation."""
-    _require_owner(algebroid, mu)
-    if mu.kind is not Kind.FORM and not (mu.kind is Kind.MV and mu.degree == 0):
-        raise KindMismatch(f"cannot differentiate {mu.describe()}")
-    if not mu.terms:
+    if not _require(mu, "differential", algebroid, _FORM_OR_FUNCTION).terms:
         return GradedTensor._make(algebroid, Kind.FORM, mu.degree + 1, {})
     by_target = _tables_of(algebroid).by_target
 
@@ -118,32 +106,25 @@ def lie_derivative(algebroid: Algebroid, actor: GradedTensor,
     The degree-1 multivector case is the classical Cartan formula; the two
     sign conventions agree there.
     """
-    _require_owner(algebroid, actor, mu)
-    if mu.kind is Kind.MV and mu.degree == 0:
+    _require(actor, "lie_derivative", algebroid, _ACTOR)
+    if _require(mu, "lie_derivative", algebroid, _FORM_OR_FUNCTION).kind is Kind.MV:
         mu = GradedTensor._make(algebroid, Kind.FORM, 0, dict(mu.terms))
-    if mu.kind is not Kind.FORM:
-        raise KindMismatch(f"Lie differentials act on forms, got {mu.describe()}")
     sign = -1 if actor.degree % 2 else 1
     if actor.kind is Kind.MV:
         first = contract(actor, differential(algebroid, mu))
         second = differential(algebroid, contract(actor, mu))
         return first - second * sign
-    if actor.kind is Kind.MIXED:
-        first = contract_mixed(actor, differential(algebroid, mu))
-        second = differential(algebroid, contract_mixed(actor, mu))
-        return first + second * sign
-    raise KindMismatch(f"cannot take a Lie differential along {actor.describe()}")
+    first = contract_mixed(actor, differential(algebroid, mu))
+    second = differential(algebroid, contract_mixed(actor, mu))
+    return first + second * sign
 
 
 # -- generalized Schouten bracket -------------------------------------------------
 
 
 def _as_multivector(t: GradedTensor) -> GradedTensor:
-    if t.kind is Kind.MV:
-        return t
-    if t.kind is Kind.MIXED and t.degree == 0:
-        return vector_from_mixed(t)
-    raise KindMismatch(f"expected a multivector, got {t.describe()}")
+    """A section seen as a degree-0 vector-valued form back as a section."""
+    return vector_from_mixed(t) if t.kind is Kind.MIXED else t
 
 
 def schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
@@ -161,7 +142,8 @@ def schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTe
     Antisymmetry and Jacobi hold in the shifted grading (degree a sits in
     slot a−1).
     """
-    _require_owner(algebroid, x, y)
+    _require(x, "schouten", algebroid, _MULTIVECTOR_LIKE)
+    _require(y, "schouten", algebroid, _MULTIVECTOR_LIKE)
     return _bracket_tensors(algebroid, _as_multivector(x), _as_multivector(y))
 
 
@@ -172,7 +154,8 @@ def sym_schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> Grad
     """The symmetric Schouten bracket: the same bracket kernel as the
     alternating one, on the symmetric algebra and with no signs.  An (ungraded) Lie bracket and a biderivation — the abstract
     Poisson algebra structure on symmetric multivectors."""
-    _require_owner(algebroid, x, y)
+    _require(x, "sym_schouten", algebroid, _SYM_VIEW)
+    _require(y, "sym_schouten", algebroid, _SYM_VIEW)
     return _bracket_tensors(algebroid, as_sym(x), as_sym(y))
 
 
@@ -180,11 +163,8 @@ def sym_schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> Grad
 
 
 def _as_mixed(t: GradedTensor) -> GradedTensor:
-    if t.kind is Kind.MIXED:
-        return t
-    if t.kind is Kind.MV and t.degree == 1:
-        return mixed_from_vector(t)
-    raise KindMismatch(f"expected a vector-valued form, got {t.describe()}")
+    """A section as the degree-0 vector-valued form 1⊗X."""
+    return mixed_from_vector(t) if t.kind is Kind.MV else t
 
 
 def nr_bracket(k: GradedTensor, l: GradedTensor) -> GradedTensor:
@@ -194,9 +174,9 @@ def nr_bracket(k: GradedTensor, l: GradedTensor) -> GradedTensor:
 
     with a, b the form degrees.  Purely algebraic — it never touches the
     anchor or the structure functions."""
+    _require(k, "nr_bracket", shapes=_VECTOR_VALUED)
+    _require(l, "nr_bracket", k.owner, _VECTOR_VALUED)
     k, l = _as_mixed(k), _as_mixed(l)
-    if k.owner is not l.owner and k.owner != l.owner:
-        raise ChartMismatch("bracket operands live over different owners")
     first = contract_mixed(k, l)
     second = contract_mixed(l, k)
     sign = -1 if ((k.degree - 1) * (l.degree - 1)) % 2 else 1
@@ -224,7 +204,8 @@ def fn_bracket_simple(algebroid: Algebroid, mu: GradedTensor, x: GradedTensor,
     The total is C∞-linear in each simple tensor even though individual
     terms are not; the well-definedness test exercises exactly that.
     """
-    _require_owner(algebroid, mu, x, nu, y)
+    for t, shapes in ((mu, _FORM), (x, _SECTION), (nu, _FORM), (y, _SECTION)):
+        _require(t, "fn_bracket_simple", algebroid, shapes)
     sign = -1 if mu.degree % 2 else 1
     return tensor_sum(algebroid, Kind.MIXED, mu.degree + nu.degree, (
         _tensor_form_section(wedge(mu, nu), section_bracket(algebroid, x, y)),
@@ -291,8 +272,7 @@ def fn_bracket(algebroid: Algebroid, k: GradedTensor, l: GradedTensor) -> Graded
     nu_j⊗e_j), with [e_i, e_j] read from the structure table.  Graded by raw
     form degree (no shift): antisymmetry and Jacobi use (−1)^{ab}, and
     L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K."""
-    _require_owner(algebroid, k, l)
-    k, l = _as_mixed(k), _as_mixed(l)
+    k, l = (_as_mixed(_require(t, "fn_bracket", algebroid, _VECTOR_VALUED)) for t in (k, l))
     k_split, l_split = _split(k), _split(l)
     k_forms = _prepare_forms(algebroid, k_split, k.degree, l_split)
     l_forms = _prepare_forms(algebroid, l_split, l.degree, k_split)

@@ -48,11 +48,22 @@ class DimensionMismatch(AlgebroidError):
 
 
 class ChartMismatch(AlgebroidError):
-    """Operands live over different charts or different algebroids."""
+    """Operands live over different charts or different algebroids.
+
+    Every public operation checks each operand's type, then its owner, then
+    its kind and degree; this is the owner step: a tensor over another
+    algebroid than the operation's (or its other operands'), or an algebroid
+    argument that does not own the tensors beside it.  Polynomials over
+    another chart raise it too."""
 
 
 class KindMismatch(AlgebroidError):
-    """A tensor of the wrong kind or degree was passed to an operation."""
+    """An operand of the wrong type, or a tensor of the wrong kind or degree.
+
+    Every public operation checks each operand's type, then its owner, then
+    its kind and degree; this is the type step (``None``, a number or a
+    string where a tensor, a chart, an algebroid, a Poisson structure, a
+    kind or a degree belongs) and the shape step."""
 
 
 class StructureViolation(AlgebroidError):

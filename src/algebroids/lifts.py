@@ -36,25 +36,19 @@ from __future__ import annotations
 from functools import reduce
 from operator import mul
 
-from .errors import ChartMismatch, KindMismatch, WrongProvenance
+from .errors import WrongProvenance
 from .ring import Chart, Poly, accumulate, poly_sum
-from .tensor import GradedTensor, Kind, _sort_skew, remap
-from .algebroid import (
-    Algebroid,
-    canonical_algebroid,
-    dual_chart,
-    linear_poisson,
-    tangent_lift,
-    velocity_derivative,
-)
+from .tensor import (_ANY, _FORM, _MIXED, _SECTION, GradedTensor, Kind,
+                     _require, _sort_skew, remap)
+from .algebroid import (Algebroid, canonical_algebroid, dual_chart,
+                         linear_poisson, tangent_lift, velocity_derivative)
 from .calculus import schouten
 from .poisson import h_p
 
-
-def _require_over(algebroid: Algebroid, s: GradedTensor) -> None:
-    if s.owner is not algebroid and s.owner != algebroid:
-        raise ChartMismatch(
-            f"section belongs to {s.owner!r}, not to {algebroid!r}")
+#: the vector-side kinds: multivectors and symmetric powers
+_VECTOR_SIDE = {Kind.MV: _ANY, Kind.SYM: _ANY}
+#: what pairs with the dual fibers: sections and symmetric powers
+_PAIRABLE = {**_SECTION, Kind.SYM: _ANY}
 
 
 # -- the fiberwise-linear function of a section ---------------------------------
@@ -66,16 +60,12 @@ def iota(algebroid: Algebroid, x) -> Poly:
     f^i ξ_i; a symmetric power becomes the product of its factors' functions
     (so degree k gives a fiberwise degree-k polynomial).
     """
-    _require_over(algebroid, x)
+    _require(x, "iota", algebroid, _PAIRABLE)
     chart = dual_chart(algebroid)
     xi = [chart.coordinate(name) for name in algebroid.dual_names]
-    if (x.kind is Kind.MV and x.degree == 1) or x.kind is Kind.SYM:
-        return poly_sum(chart, (
-            reduce(mul, (xi[i] for i in key), coeff.transport(chart))
-            for key, coeff in x.terms.items()))
-    raise KindMismatch(
-        f"iota expects a degree-1 multivector or a symmetric power, "
-        f"got {x.describe()}")
+    return poly_sum(chart, (
+        reduce(mul, (xi[i] for i in key), coeff.transport(chart))
+        for key, coeff in x.terms.items()))
 
 
 # -- lifts to the tangent-lift algebroid -----------------------------------------
@@ -104,7 +94,7 @@ def vertical_lift_V(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
     """The vertical lift: coefficients pulled back, every factor barred.
 
     The result is a tensor over ``tangent_lift(algebroid)``."""
-    _require_over(algebroid, s)
+    _require(s, "vertical_lift_V", algebroid)
     target = tangent_lift(algebroid)
     m, base = algebroid.rank, target.base
     # the all-barred relabelling preserves the order within each part of a
@@ -121,7 +111,7 @@ def complete_lift_T(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
     T(s⊗t) = T(s)⊗V(t) + V(s)⊗T(t) factor by factor.
 
     The result is a tensor over ``tangent_lift(algebroid)``."""
-    _require_over(algebroid, s)
+    _require(s, "complete_lift_T", algebroid)
     target = tangent_lift(algebroid)
     m, base, kind = algebroid.rank, target.base, s.kind
     terms = {}
@@ -157,9 +147,7 @@ def complete_lift_T(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
 def vertical_pi(algebroid: Algebroid, mu) -> GradedTensor:
     """The vertical lift of a form to a multivector on the dual chart:
     e*_i ↦ the fiber direction of ξ_i, coefficients pulled back."""
-    if mu.kind is not Kind.FORM:
-        raise KindMismatch(f"vertical_pi expects a form, got {mu.describe()}")
-    _require_over(algebroid, mu)
+    _require(mu, "vertical_pi", algebroid, _FORM)
     chart = dual_chart(algebroid)
     n = algebroid.base.dim
     return GradedTensor._make(canonical_algebroid(chart), Kind.MV, mu.degree, {
@@ -171,10 +159,7 @@ def vertical_tau(algebroid: Algebroid, s) -> GradedTensor:
     """The vertical lift to the bundle's own total space: e_j ↦ the fiber
     direction of y_j on the chart that adjoins one y-coordinate per fiber.
     Factor-wise, so it applies to plain and symmetric multivectors."""
-    if s.kind not in (Kind.MV, Kind.SYM):
-        raise KindMismatch(
-            f"vertical_tau lifts vector-side tensor powers, got {s.describe()}")
-    _require_over(algebroid, s)
+    _require(s, "vertical_tau", algebroid, _VECTOR_SIDE)
     chart = Chart(algebroid.base.coords
                   + tuple(f"y_{f}" for f in algebroid.fiber_names))
     n = algebroid.base.dim
@@ -187,11 +172,7 @@ def cot_complete_G_vec(algebroid: Algebroid, x) -> GradedTensor:
     """The complete lift of a degree-1 section to the dual chart: minus the
     bracket of the fiberwise-linear bivector with the section's function
     (the hamiltonian vector field of ``iota(x)``)."""
-    if x.kind is not Kind.MV or x.degree != 1:
-        raise KindMismatch(
-            f"cot_complete_G_vec expects a degree-1 multivector, "
-            f"got {x.describe()}")
-    _require_over(algebroid, x)
+    _require(x, "cot_complete_G_vec", algebroid, _SECTION)
     ps = linear_poisson(algebroid)
     return -schouten(ps.owner, ps.bivector, ps.owner.fn(iota(algebroid, x)))
 
@@ -201,10 +182,7 @@ def J_map(algebroid: Algebroid, k) -> GradedTensor:
     μ⊗X ↦ −iota(X)·vertical_pi(μ), extended by linearity.  The result on a
     basis term e*_{i_1}∧…∧e*_{i_k}⊗e_j is −ξ_j times the corresponding
     fiber-direction multivector, which makes the map injective."""
-    if k.kind is not Kind.MIXED:
-        raise KindMismatch(
-            f"J_map expects a vector-valued form, got {k.describe()}")
-    _require_over(algebroid, k)
+    _require(k, "J_map", algebroid, _MIXED)
     chart = dual_chart(algebroid)
     n = algebroid.base.dim
     # a form key shifted into the fiber block stays sorted
@@ -231,10 +209,7 @@ def G_map(algebroid: Algebroid, k) -> GradedTensor:
     bookkeeping drift; the theorem-16 ``dual-routes`` suite item checks that
     the two routes agree.
     """
-    if k.kind is not Kind.MIXED:
-        raise KindMismatch(
-            f"G_map expects a vector-valued form, got {k.describe()}")
-    _require_over(algebroid, k)
+    _require(k, "G_map", algebroid, _MIXED)
     ps = linear_poisson(algebroid)
     return schouten(ps.owner, ps.bivector, J_map(algebroid, k))
 
@@ -262,6 +237,7 @@ def canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
     and vector-valued forms).  Each direction detects which side its input
     lives on, so applying it twice returns the input.
     """
+    _require(tensor, "canonical_transport")
     if direction == "kappa":
         allowed = (Kind.MV, Kind.SYM)
     elif direction == "alpha":
@@ -291,13 +267,13 @@ def canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
 def classical_vertical_lift(t) -> GradedTensor:
     """The textbook vertical lift of a tensor on a bare chart, defined as the
     block-swap transport of the vertical lift over the canonical algebroid."""
-    return _classical(t, vertical_lift_V)
+    return _classical(_require(t, "classical_vertical_lift"), vertical_lift_V)
 
 
 def classical_complete_lift(t) -> GradedTensor:
     """The textbook complete lift of a tensor on a bare chart, defined as the
     block-swap transport of the complete lift over the canonical algebroid."""
-    return _classical(t, complete_lift_T)
+    return _classical(_require(t, "classical_complete_lift"), complete_lift_T)
 
 
 def _classical(tensor, lift) -> GradedTensor:
@@ -315,10 +291,7 @@ def Jstar(k) -> GradedTensor:
     """μ⊗X ↦ iota(X)·(pullback of μ): a vector-valued form over a canonical
     algebroid becomes a plain form on the dual chart, the form part pulled
     back and the vector part turned into its fiberwise-linear function."""
-    if k.kind is not Kind.MIXED:
-        raise KindMismatch(
-            f"Jstar expects a vector-valued form, got {k.describe()}")
-    algebroid = k.owner
+    algebroid = _require(k, "Jstar", shapes=_MIXED).owner
     if not algebroid.is_canonical:
         raise WrongProvenance(
             f"Jstar acts over a canonical algebroid, got {algebroid!r}")
@@ -332,10 +305,7 @@ def H_map(k) -> GradedTensor:
     algebroid: ``Jstar`` followed by the hamiltonian operator of the dual
     chart's canonical bivector.  Degree is preserved and the map is
     injective, embedding the source bracket geometry into the dual chart's."""
-    if k.kind is not Kind.MIXED:
-        raise KindMismatch(
-            f"H_map expects a vector-valued form, got {k.describe()}")
-    if not k.owner.is_canonical:
+    if not _require(k, "H_map", shapes=_MIXED).owner.is_canonical:
         raise WrongProvenance(
             f"H_map acts over a canonical algebroid, got {k.owner!r}")
     return h_p(linear_poisson(k.owner), Jstar(k))

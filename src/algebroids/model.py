@@ -42,6 +42,7 @@ structured witness).
 from __future__ import annotations
 
 import json
+import re
 
 from .algebroid import (
     Algebroid,
@@ -141,19 +142,23 @@ def _decode_poly(text, chart, where):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+#: A nonempty index key: 1-based indices in plain decimal, joined by commas.
+_INDEX_KEY = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
+
+
 def _decode_indices(text, where, *, expect=None):
-    """\"1,3\" (1-based) → (0, 2).  The empty string is the empty key."""
+    """\"1,3\" (1-based) → (0, 2).  The empty string is the empty key.  Only
+    this one spelling of a key is read (no sign, space, underscore or leading
+    zero), so two keys of one object never name the same indices."""
     if not isinstance(text, str):
         raise ParseError(f"{where}: index keys are strings")
-    if text == "":
-        out = ()
-    else:
-        try:
-            out = tuple(int(part) - 1 for part in text.split(","))
-        except ValueError:
-            raise ParseError(f"{where}: bad index key {text!r}") from None
-        if any(i < 0 for i in out):
-            raise ParseError(f"{where}: indices are 1-based, got {text!r}")
+    if text and not _INDEX_KEY.fullmatch(text):
+        raise ParseError(f"{where}: index keys are 1-based indices joined by "
+                         f"commas, like \"1,3\", not {text!r}")
+    try:
+        out = tuple(int(part) - 1 for part in text.split(",")) if text else ()
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise ParseError(f"{where}: bad index key {text!r}") from None
     if expect is not None and len(out) != expect:
         raise ParseError(f"{where}: key {text!r} should list {expect} indices")
     return out

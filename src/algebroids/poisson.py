@@ -33,11 +33,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .algebroid import CACHE_SIZE, Algebroid, _require, build_algebroid, canonical_algebroid
+from .algebroid import CACHE_SIZE, Algebroid, build_algebroid, canonical_algebroid
 from .calculus import differential, lie_derivative, schouten
-from .errors import ChartMismatch, KindMismatch, NotInvertible, NotPoisson
+from .errors import KindMismatch, NotInvertible, NotPoisson
 from .ring import Chart, Poly, accumulate
-from .tensor import GradedTensor, Kind, contract, pretty, tensor_sum, wedge
+from .tensor import (_FORM_OR_FUNCTION, _MULTIVECTOR, GradedTensor, Kind,
+                     _require, contract, pretty, tensor_sum, wedge)
 
 
 class PoissonStructure:
@@ -93,10 +94,7 @@ class PoissonStructure:
 
     def ptilde(self, mu: GradedTensor) -> GradedTensor:
         """The bundle map P̃ on a 1-form, fixed by ⟨P̃μ, ν⟩ = ⟨P, μ∧ν⟩."""
-        if mu.owner is not self.owner and mu.owner != self.owner:
-            raise ChartMismatch("form does not live over the Poisson chart")
-        if mu.kind is not Kind.FORM or mu.degree != 1:
-            raise KindMismatch(f"P̃ acts on 1-forms, got {mu.describe()}")
+        _require(mu, "PoissonStructure.ptilde", self.owner, {Kind.FORM: (1,)})
         return _factorwise(mu, Kind.MV, self.row)
 
 
@@ -110,16 +108,8 @@ def build_poisson(chart: Chart, bivector: GradedTensor) -> PoissonStructure:
     :data:`~algebroids.algebroid.CACHE_SIZE` entries; a failure is decided
     afresh on every call.
     """
-    _require(chart, Chart, "build_poisson")
-    _require(bivector, GradedTensor, "build_poisson")
-    owner = canonical_algebroid(chart)
-    if bivector.owner is not owner and bivector.owner != owner:
-        raise ChartMismatch(
-            "bivector does not live over the canonical algebroid of the chart")
-    if bivector.kind is not Kind.MV or bivector.degree != 2:
-        raise KindMismatch(
-            f"a Poisson structure needs a degree-2 multivector, got "
-            f"{bivector.describe()}")
+    _require(chart, "build_poisson", cls=Chart)
+    _require(bivector, "build_poisson", canonical_algebroid(chart), {Kind.MV: (2,)})
     _poisson_checked(bivector)
     return PoissonStructure(bivector.owner, bivector)
 
@@ -135,22 +125,17 @@ def _poisson_checked(bivector: GradedTensor) -> None:
 
 
 def _as_form(ps: PoissonStructure, t: GradedTensor) -> GradedTensor:
-    """Coerce functions (degree-0 multivectors) into degree-0 forms."""
-    if t.owner is not ps.owner and t.owner != ps.owner:
-        raise ChartMismatch("tensor does not live over the Poisson chart")
-    if t.kind is Kind.MV and t.degree == 0:
+    """A function (a degree-0 multivector) as a degree-0 form; a form as it is."""
+    if t.kind is Kind.MV:
         return GradedTensor._make(ps.owner, Kind.FORM, 0, dict(t.terms))
-    if t.kind is not Kind.FORM:
-        raise KindMismatch(f"expected a form, got {t.describe()}")
     return t
-
 
 # -- the function bracket ---------------------------------------------------------
 
 
 def poisson_bracket(ps: PoissonStructure, f, g) -> Poly:
     """{f, g} = i_P(df ∧ dg)."""
-    owner = ps.owner
+    owner = _require(ps, "poisson_bracket", cls=PoissonStructure).owner
     df = differential(owner, owner.fn(f))
     dg = differential(owner, owner.fn(g))
     return contract(ps.bivector, wedge(df, dg)).as_function()
@@ -186,7 +171,7 @@ def cotangent_algebroid(ps: PoissonStructure) -> Algebroid:
     coefficients (constant coefficients give vanishing brackets).  The result
     is validated like any other algebroid and memoized on ``ps``.
     """
-    if ps._cotangent is None:
+    if _require(ps, "cotangent_algebroid", cls=PoissonStructure)._cotangent is None:
         ps._cotangent = _cotangent_algebroid(ps, "cotangent-algebroid")
     return ps._cotangent
 
@@ -196,7 +181,9 @@ def koszul_schouten(ps: PoissonStructure, mu: GradedTensor,
     """The Koszul–Schouten bracket of forms: the generalized Schouten bracket
     of the cotangent algebroid, with a k-form read as one of its degree-k
     multivector sections (the index spaces coincide)."""
-    mu, nu = _as_form(ps, mu), _as_form(ps, nu)
+    _require(ps, "koszul_schouten", cls=PoissonStructure)
+    mu = _as_form(ps, _require(mu, "koszul_schouten", ps.owner, _FORM_OR_FUNCTION))
+    nu = _as_form(ps, _require(nu, "koszul_schouten", ps.owner, _FORM_OR_FUNCTION))
     cot = cotangent_algebroid(ps)
     result = schouten(cot,
                       GradedTensor._make(cot, Kind.MV, mu.degree, dict(mu.terms)),
@@ -257,17 +244,6 @@ def _factorwise(t: GradedTensor, kind: Kind, row) -> GradedTensor:
     return tensor_sum(t.owner, kind, t.degree, pieces)
 
 
-def _lambda_inverse(ps: PoissonStructure, x: GradedTensor) -> GradedTensor:
-    if x.owner is not ps.owner and x.owner != ps.owner:
-        raise ChartMismatch("tensor does not live over the Poisson chart")
-    if x.kind is not Kind.MV:
-        raise KindMismatch(f"inverse mode maps multivectors to forms, got "
-                           f"{x.describe()}")
-    rows = [GradedTensor(ps.owner, Kind.FORM, 1, {(v,): c for v, c in enumerate(row) if c})
-            for row in _inverse_matrix(ps)]
-    return _factorwise(x, Kind.FORM, rows.__getitem__)
-
-
 def lambda_p(ps: PoissonStructure, t: GradedTensor, mode: str = "plain") -> GradedTensor:
     """Λ_P: apply P̃ to every factor of a form.
 
@@ -276,11 +252,15 @@ def lambda_p(ps: PoissonStructure, t: GradedTensor, mode: str = "plain") -> Grad
     defined when the bivector matrix is constant and invertible over the
     rationals.
     """
+    _require(ps, "lambda_p", cls=PoissonStructure)
     if mode == "inverse":
-        return _lambda_inverse(ps, t)
+        _require(t, "lambda_p", ps.owner, _MULTIVECTOR)
+        rows = [GradedTensor(ps.owner, Kind.FORM, 1, {(v,): c for v, c in enumerate(row) if c})
+                for row in _inverse_matrix(ps)]
+        return _factorwise(t, Kind.FORM, rows.__getitem__)
     if mode not in ("plain", "star"):
         raise KindMismatch(f"unknown mode {mode!r} (plain, star or inverse)")
-    mu = _as_form(ps, t)
+    mu = _as_form(ps, _require(t, "lambda_p", ps.owner, _FORM_OR_FUNCTION))
     out = _factorwise(mu, Kind.MV, ps.row)
     if mode == "star" and mu.degree % 2:
         out = -out
@@ -296,10 +276,11 @@ def r_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
     (1-based i).  Applying it to coordinate factors is enough: the formula
     is multilinear, so the value does not depend on the decomposition.
     """
-    mu = _as_form(ps, mu)
+    _require(ps, "r_p", cls=PoissonStructure)
+    mu = _as_form(ps, _require(mu, "r_p", ps.owner, _FORM_OR_FUNCTION))
     k = mu.degree
     if k == 0:
-        return GradedTensor.zero(ps.owner, Kind.MIXED, 0)
+        return GradedTensor._make(ps.owner, Kind.MIXED, 0, {})
     terms = []
     for key, coeff in mu.terms.items():
         for r, u in enumerate(key):
@@ -314,12 +295,14 @@ def r_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
 def h_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
     """The hamiltonian map H_P = R_P ∘ d (a vector-valued k-form on degree k;
     on functions it is the hamiltonian vector field P̃(df))."""
-    return r_p(ps, differential(ps.owner, _as_form(ps, mu)))
+    _require(ps, "h_p", cls=PoissonStructure)
+    return r_p(ps, differential(ps.owner, _require(mu, "h_p", ps.owner, _FORM_OR_FUNCTION)))
 
 
 def g_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
     """The total hamiltonian map G_P = Λ_P ∘ d."""
-    return lambda_p(ps, differential(ps.owner, _as_form(ps, mu)))
+    _require(ps, "g_p", cls=PoissonStructure)
+    return lambda_p(ps, differential(ps.owner, _require(mu, "g_p", ps.owner, _FORM_OR_FUNCTION)))
 
 
 # -- the extended bracket -----------------------------------------------------------
@@ -332,7 +315,9 @@ def extended_bracket(ps: PoissonStructure, mu: GradedTensor,
     Degree-preserving in the raw form degree, restricts to the function
     bracket on degree 0, and satisfies {dμ, ν} = d{μ, ν}.
     """
-    mu, nu = _as_form(ps, mu), _as_form(ps, nu)
+    _require(ps, "extended_bracket", cls=PoissonStructure)
+    mu = _as_form(ps, _require(mu, "extended_bracket", ps.owner, _FORM_OR_FUNCTION))
+    nu = _as_form(ps, _require(nu, "extended_bracket", ps.owner, _FORM_OR_FUNCTION))
     owner = ps.owner
     first = lie_derivative(owner, h_p(ps, mu), nu)
     second = differential(owner, lie_derivative(owner, r_p(ps, mu), nu))
@@ -347,5 +332,6 @@ def tangent_poisson(ps: PoissonStructure) -> PoissonStructure:
     adjoined — again a Poisson structure, revalidated on construction."""
     from .lifts import classical_complete_lift
 
-    lifted = classical_complete_lift(ps.bivector)
+    lifted = classical_complete_lift(
+        _require(ps, "tangent_poisson", cls=PoissonStructure).bivector)
     return build_poisson(lifted.owner.base, lifted)

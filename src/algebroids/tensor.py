@@ -30,6 +30,10 @@ coercions, :func:`remap` and the lifts of :mod:`algebroids.lifts`) build
 canonical maps themselves and pass them to ``GradedTensor._make``, which
 checks nothing; ``basis`` still checks and normalizes its key.
 
+The public operations here and in the algebroid, calculus, lifts and poisson
+modules check each operand's type, owner, kind and degree first, with the one
+guard :func:`_require`; the kernels behind them (``_make``, the products) do not.
+
 The products (wedge, symmetric product, contractions) pair basis keys and
 hand each pair's two coefficients, with the key and its sign, to the product
 kernel :func:`~algebroids.ring.products`, which multiplies them into the
@@ -52,9 +56,12 @@ bracket conventions; only one of the two is compatible with them.
 from __future__ import annotations
 
 import enum
+import random
+import sys
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .errors import ChartMismatch, DimensionMismatch, KindMismatch
 from .ring import Chart, Poly, accumulate, products
@@ -72,6 +79,8 @@ class Kind(enum.Enum):
     FORM = "form"
     MIXED = "mixed"
     SYM = "sym"
+    #: The identity hash, in C (members are singletons): the guard hashes a kind per call.
+    __hash__ = object.__hash__
 
 
 #: Most index tuples the skew-merge table keeps.  A ``suite --name all``
@@ -107,14 +116,19 @@ def _check_indices(indices: Tuple[int, ...], rank: int) -> None:
             raise DimensionMismatch(f"index {i} out of range for rank {rank}")
 
 
+class Bundle:
+    """What a tensor lives over: an :class:`~algebroids.algebroid.Algebroid`."""
+
+    __slots__ = ()
+
+
 class GradedTensor:
     """A graded section with polynomial coefficients (see module docstring)."""
 
     __slots__ = ("owner", "kind", "degree", "terms", "_hash")
 
-    def __init__(self, owner, kind: Kind, degree: int, terms: Mapping = ()):
-        if degree < 0:
-            raise KindMismatch(f"degree must be nonnegative, got {degree}")
+    def __init__(self, owner: Bundle, kind: Kind, degree: int, terms: Mapping = ()):
+        _require_shape("GradedTensor", owner, kind, degree)
         self.owner = owner
         self.kind = kind
         self.degree = degree
@@ -183,18 +197,23 @@ class GradedTensor:
         return self
 
     @classmethod
-    def zero(cls, owner, kind: Kind, degree: int) -> "GradedTensor":
-        if degree < 0:
-            raise KindMismatch(f"degree must be nonnegative, got {degree}")
+    def zero(cls, owner: Bundle, kind: Kind, degree: int) -> "GradedTensor":
+        _require_shape("GradedTensor.zero", owner, kind, degree)
         return cls._make(owner, kind, degree, {})
 
     @classmethod
-    def basis(cls, owner, kind: Kind, key) -> "GradedTensor":
+    def basis(cls, owner: Bundle, kind: Kind, key) -> "GradedTensor":
         """The basis tensor of ``key``, checked and normalized as the
         public constructor does (a skew key picks up its sign, a repeated
         index gives zero), with the base's one as its coefficient."""
-        degree = len(key[0]) if kind is Kind.MIXED else len(key)
-        self = cls.zero(owner, kind, degree)
+        _require(owner, "GradedTensor.basis", cls=Bundle)
+        _require(kind, "GradedTensor.basis", cls=Kind)
+        try:
+            degree = len(key[0] if kind is Kind.MIXED else key)
+        except (TypeError, LookupError):
+            raise KindMismatch(f"a {kind.value} key is a tuple of fiber "
+                               f"indices, not {key!r}") from None
+        self = cls._make(owner, kind, degree, {})
         key, sign = self._normalize_key(key)
         if key is not None:
             one = owner.base.one()
@@ -202,9 +221,9 @@ class GradedTensor:
         return self
 
     @classmethod
-    def function(cls, owner, value) -> "GradedTensor":
+    def function(cls, owner: Bundle, value) -> "GradedTensor":
         """A degree-0 multivector (an element of the coefficient ring)."""
-        value = owner.base.coerce(value)
+        value = _require(owner, "GradedTensor.function", cls=Bundle).base.coerce(value)
         return cls._make(owner, Kind.MV, 0, {(): value} if value else {})
 
     # -- queries --------------------------------------------------------------
@@ -231,28 +250,24 @@ class GradedTensor:
 
     # -- linear structure -----------------------------------------------------
 
-    def _plus(self, other: "GradedTensor", pairs) -> "GradedTensor":
-        """``self`` plus ``pairs``, the (possibly negated) terms of a
-        compatible ``other``, in one pass of the accumulation kernel."""
-        if self.owner is not other.owner and self.owner != other.owner:
-            raise ChartMismatch("tensors live over different owners")
-        if self.kind is not other.kind:
-            raise KindMismatch(f"cannot combine {self.describe()} with {other.describe()}")
-        if self.degree != other.degree and self.terms and other.terms:
-            raise KindMismatch(f"cannot add degree {self.degree} to degree {other.degree}")
+    def _plus(self, who: str, other: "GradedTensor", sign: int) -> "GradedTensor":
+        """``self`` plus ``sign`` times ``other``, checked by :func:`_addend`,
+        in one pass of the accumulation kernel."""
+        _addend(who, other, self.owner, self.kind, self.degree if self.terms else None)
+        pairs = other.terms.items()
         degree = self.degree if self.terms or not other.terms else other.degree
-        return GradedTensor._make(self.owner, self.kind, degree,
-                                  accumulate(pairs, self.terms))
+        return GradedTensor._make(self.owner, self.kind, degree, accumulate(
+            pairs if sign > 0 else ((k, -c) for k, c in pairs), self.terms))
 
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
-        return self._plus(other, other.terms.items())
+        return self._plus("+", other, 1)
 
     def __neg__(self) -> "GradedTensor":
         return GradedTensor._make(self.owner, self.kind, self.degree,
                                   {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "GradedTensor") -> "GradedTensor":
-        return self._plus(other, ((k, -c) for k, c in other.terms.items()))
+        return self._plus("-", other, -1)
 
     def __mul__(self, scalar) -> "GradedTensor":
         """Multiply by a coefficient over the owner's base (anything
@@ -271,8 +286,7 @@ class GradedTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedTensor):
             return NotImplemented
-        if (self.owner is not other.owner and self.owner != other.owner
-                or self.kind is not other.kind):
+        if not _owned_by(self, other.owner) or self.kind is not other.kind:
             return False
         if self.degree != other.degree and self.terms and other.terms:
             return False
@@ -290,20 +304,86 @@ class GradedTensor:
         return f"<{self.describe()}: {pretty(self)}>"
 
 
+# -- the operand guard --------------------------------------------------------
+
+#: Shapes, {kind: allowed degrees}, that several operations take; the
+#: degrees ``_ANY`` allow every degree of their kind.
+_ANY = range(sys.maxsize)
+_MULTIVECTOR = {Kind.MV: _ANY}
+_SECTION = {Kind.MV: (1,)}
+_FORM = {Kind.FORM: _ANY}
+_MIXED = {Kind.MIXED: _ANY}
+#: a form, or a function (a degree-0 multivector) read as a 0-form
+_FORM_OR_FUNCTION = {Kind.FORM: _ANY, Kind.MV: (0,)}
+#: the form-side kinds: forms and vector-valued forms
+_FORM_SIDE = {Kind.FORM: _ANY, Kind.MIXED: _ANY}
+#: what views into the symmetric algebra: functions, sections and itself
+_SYM_VIEW = {Kind.SYM: _ANY, Kind.MV: (0, 1)}
+#: every degree of one kind, per kind
+_OF_KIND = {kind: {kind: _ANY} for kind in Kind}
+
+
+def _owned_by(t: GradedTensor, owner) -> bool:
+    """Whether ``t`` lives over ``owner``: the same object, else an equal one."""
+    return t.owner is owner or t.owner == owner
+
+
+#: The default owner of :func:`_require`, which checks no owner.
+_NO_OWNER = object()
+
+
+def _require(value, who: str, owner=_NO_OWNER, shapes=None, cls=GradedTensor):
+    """The operand guard of operation ``who``: ``value`` if it is a ``cls``
+    (else :class:`KindMismatch`), over ``owner`` unless none is passed (else
+    :class:`ChartMismatch`) and of a shape, {kind: degrees}, in ``shapes``
+    unless that is None (else :class:`KindMismatch`), tested in that order."""
+    if not isinstance(value, cls):
+        raise KindMismatch(f"{who} takes a {cls.__name__}, got {type(value).__name__}")
+    if owner is not _NO_OWNER and not _owned_by(value, owner):
+        raise ChartMismatch(f"{who}: an operand lives over {value.owner!r}, "
+                            f"not over {owner!r}")
+    if shapes is not None:
+        degrees = shapes.get(value.kind)
+        if degrees is None or value.degree not in degrees:
+            allowed = " or ".join(kind.value if ds is _ANY else f"{kind.value} "
+                                  f"degree {' or '.join(map(str, ds))}"
+                                  for kind, ds in shapes.items())
+            raise KindMismatch(f"{who} takes {allowed}, got {value.describe()}")
+    return value
+
+
+def _require_shape(who: str, owner, kind, degree) -> None:
+    """Guard the (owner, kind, degree) of a tensor to build or enumerate."""
+    _require(owner, who, cls=Bundle)
+    _require(kind, who, cls=Kind)
+    if _require(degree, who, cls=int) < 0:
+        raise KindMismatch(f"{who}: degree must be nonnegative, got {degree}")
+
+
+def _addend(who: str, t, owner, kind: Kind, degree) -> GradedTensor:
+    """Guard a term ``t`` of a sum of ``kind`` over ``owner``: a zero adds
+    to a sum of any degree, any other term must have ``degree`` (None: any)."""
+    _require(t, who, owner, _OF_KIND[kind])
+    if degree is not None and t.degree != degree and t.terms:
+        raise KindMismatch(f"{who}: cannot add degree {t.degree} to degree {degree}")
+    return t
+
+
 def equals(s: GradedTensor, t: GradedTensor) -> bool:
     """Exact equality; raises ChartMismatch when the owners differ."""
-    if s.owner is not t.owner and s.owner != t.owner:
-        raise ChartMismatch("tensors live over different owners")
-    return s == t
+    _require(s, "equals")
+    return s == _require(t, "equals", s.owner)
 
 
-def tensor_sum(owner, kind: Kind, degree: int,
+def tensor_sum(owner: Bundle, kind: Kind, degree: int,
                pieces: Iterable[GradedTensor]) -> GradedTensor:
-    """The sum of ``pieces``, all of ``kind`` and ``degree`` over ``owner``,
-    in one pass of the accumulation kernel (a chain of ``+`` re-walks the
-    running sum on every addition)."""
-    return GradedTensor._make(owner, kind, degree, accumulate(
-        chain.from_iterable(p.terms.items() for p in pieces)))
+    """The sum of ``pieces``, all of ``kind`` and ``degree`` (or zero) over
+    ``owner``, in one pass of the accumulation kernel (a chain of ``+``
+    re-walks the running sum on every addition)."""
+    _require_shape("tensor_sum", owner, kind, degree)
+    return GradedTensor._make(owner, kind, degree, accumulate(chain.from_iterable(
+        _addend("tensor_sum", p, owner, kind, degree).terms.items()
+        for p in _require(pieces, "tensor_sum", cls=Iterable))))
 
 
 # -- products -----------------------------------------------------------------
@@ -352,6 +432,10 @@ _WEDGES = {
     (Kind.FORM, Kind.MIXED): (_merge_form_mixed, Kind.MIXED),
     (Kind.MIXED, Kind.FORM): (_merge_mixed_form, Kind.MIXED),
 }
+#: the shapes of the right operand of a wedge, by the left operand's kind
+_WEDGE_PARTNERS = {left: {right: _ANY for other, right in _WEDGES if other is left}
+                   for left, _ in _WEDGES}
+_WEDGE_LEFT = dict.fromkeys(_WEDGE_PARTNERS, _ANY)
 
 
 def wedge(s: GradedTensor, t: GradedTensor) -> GradedTensor:
@@ -360,12 +444,9 @@ def wedge(s: GradedTensor, t: GradedTensor) -> GradedTensor:
     For the mixed cases the form parts are wedged in the order written and
     the bundle factor rides along: ``mu ∧ (theta⊗X) = (mu∧theta)⊗X``.
     """
-    if s.owner is not t.owner and s.owner != t.owner:
-        raise ChartMismatch("wedge operands live over different owners")
-    rule = _WEDGES.get((s.kind, t.kind))
-    if rule is None:
-        raise KindMismatch(f"cannot wedge {s.describe()} with {t.describe()}")
-    merge, kind = rule
+    _require(s, "wedge", shapes=_WEDGE_LEFT)
+    _require(t, "wedge", s.owner, _WEDGE_PARTNERS[s.kind])
+    merge, kind = _WEDGES[s.kind, t.kind]
     return _product(s, t, merge, kind, s.degree + t.degree)
 
 
@@ -376,9 +457,8 @@ def _merge_sym(a: Tuple[int, ...], b: Tuple[int, ...]):
 def sym_product(s: GradedTensor, t: GradedTensor) -> GradedTensor:
     """Symmetric product of symmetric multivectors (functions and sections
     coerce into the symmetric algebra first)."""
-    s, t = as_sym(s), as_sym(t)
-    if s.owner is not t.owner and s.owner != t.owner:
-        raise ChartMismatch("sym operands live over different owners")
+    s = as_sym(s)
+    t = as_sym(_require(t, "sym_product", s.owner))
     return _product(s, t, _merge_sym, Kind.SYM, s.degree + t.degree)
 
 
@@ -386,26 +466,22 @@ def sym_product(s: GradedTensor, t: GradedTensor) -> GradedTensor:
 
 def as_sym(t: GradedTensor) -> GradedTensor:
     """View a degree-0/1 multivector inside the symmetric algebra."""
-    if t.kind is Kind.SYM:
+    if _require(t, "as_sym", shapes=_SYM_VIEW).kind is Kind.SYM:
         return t
-    if t.kind is Kind.MV and t.degree <= 1:
-        # keys of length 0 or 1 are the same in both algebras
-        return GradedTensor._make(t.owner, Kind.SYM, t.degree, dict(t.terms))
-    raise KindMismatch(f"cannot view {t.describe()} as a symmetric multivector")
+    # keys of length 0 or 1 are the same in both algebras
+    return GradedTensor._make(t.owner, Kind.SYM, t.degree, dict(t.terms))
 
 
 def mixed_from_vector(x: GradedTensor) -> GradedTensor:
     """A section X, seen as the degree-0 vector-valued form 1⊗X."""
-    if x.kind is not Kind.MV or x.degree != 1:
-        raise KindMismatch(f"expected a degree-1 multivector, got {x.describe()}")
+    _require(x, "mixed_from_vector", shapes=_SECTION)
     return GradedTensor._make(x.owner, Kind.MIXED, 0,
                               {((), k[0]): c for k, c in x.terms.items()})
 
 
 def vector_from_mixed(k: GradedTensor) -> GradedTensor:
     """Inverse of :func:`mixed_from_vector` (degree-0 mixed tensors only)."""
-    if k.kind is not Kind.MIXED or k.degree != 0:
-        raise KindMismatch(f"expected a degree-0 mixed tensor, got {k.describe()}")
+    _require(k, "vector_from_mixed", shapes={Kind.MIXED: (0,)})
     return GradedTensor._make(k.owner, Kind.MV, 1,
                               {(key[1],): c for key, c in k.terms.items()})
 
@@ -444,16 +520,13 @@ def contract(x: GradedTensor, mu: GradedTensor) -> GradedTensor:
     Degree-0 multivectors multiply; when ``deg x > deg mu`` the result is the
     zero tensor.
     """
-    if x.kind is not Kind.MV or mu.kind is not Kind.FORM:
-        raise KindMismatch(f"contract needs (multivector, form), got "
-                           f"({x.describe()}, {mu.describe()})")
-    if x.owner is not mu.owner and x.owner != mu.owner:
-        raise ChartMismatch("contract operands live over different owners")
+    _require(x, "contract", shapes=_MULTIVECTOR)
+    _require(mu, "contract", x.owner, _FORM)
     order = CONTRACTION_ORDER
     if order not in _ORDERS:
         raise KindMismatch(f"unknown contraction order {order!r}")
     if x.degree > mu.degree:
-        return GradedTensor.zero(x.owner, Kind.FORM, 0)
+        return GradedTensor._make(x.owner, Kind.FORM, 0, {})
     return _product(x, mu, lambda kx, km: _contract_key(kx, km, order),
                     Kind.FORM, mu.degree - x.degree)
 
@@ -463,14 +536,10 @@ def contract_mixed(k: GradedTensor, t: GradedTensor) -> GradedTensor:
     ``i_{mu⊗X} nu = mu ∧ i_X nu``, extended to mixed targets on their form
     part.  Raises the target's form degree by ``deg k - 1``.
     """
-    if k.kind is not Kind.MIXED:
-        raise KindMismatch(f"expected a mixed tensor, got {k.describe()}")
-    if k.owner is not t.owner and k.owner != t.owner:
-        raise ChartMismatch("contract operands live over different owners")
-    if t.kind not in (Kind.FORM, Kind.MIXED):
-        raise KindMismatch(f"cannot contract a mixed tensor into {t.describe()}")
+    _require(k, "contract_mixed", shapes=_MIXED)
+    _require(t, "contract_mixed", k.owner, _FORM_SIDE)
     if t.degree == 0:
-        return GradedTensor.zero(t.owner, t.kind, 0)
+        return GradedTensor._make(t.owner, t.kind, 0, {})
     mixed_target = t.kind is Kind.MIXED
 
     def merge(kk, kt):
@@ -494,20 +563,17 @@ def evaluate(mu: GradedTensor, sections: Sequence[GradedTensor]) -> Poly:
     This is slot-by-slot insertion — ``mu(X_1, …, X_k)`` — and is the pairing
     that makes ``<e_{i_1}∧…∧e_{i_k}, e*_{j_1}∧…∧e*_{j_k}> = det[delta_ir,js]``.
     """
-    if mu.kind is not Kind.FORM or mu.degree != len(sections):
-        raise KindMismatch(
-            f"evaluate needs a degree-{len(sections)} form, got {mu.describe()}")
+    _require(sections, "evaluate", cls=Sequence)
+    _require(mu, "evaluate", shapes={Kind.FORM: (len(sections),)})
     current = mu
     for x in sections:
-        if x.kind is not Kind.MV or x.degree != 1:
-            raise KindMismatch(f"evaluate arguments must be sections, got {x.describe()}")
-        current = contract(x, current)
+        current = contract(_require(x, "evaluate", mu.owner, _SECTION), current)
     return current.as_function()
 
 
 # -- transport ----------------------------------------------------------------
 
-def remap(t: GradedTensor, new_owner, fiber_map: Mapping[int, int],
+def remap(t: GradedTensor, new_owner: Bundle, fiber_map: Mapping[int, int],
           coord_map: Mapping[str, str] | None = None) -> GradedTensor:
     """Relabel a tensor onto another owner.
 
@@ -519,6 +585,9 @@ def remap(t: GradedTensor, new_owner, fiber_map: Mapping[int, int],
     distinct, so only a coefficient that a merging ``coord_map`` cancels is
     dropped.
     """
+    _require(t, "remap")
+    _require(new_owner, "remap", cls=Bundle)
+    _require(coord_map or {}, "remap", cls=Mapping)
     moved = _fiber_image(t, fiber_map, new_owner.rank)
     base = new_owner.base
     terms = {}
@@ -548,7 +617,7 @@ def _fiber_image(t: GradedTensor, fiber_map: Mapping[int, int],
     for i in sorted(used):
         try:
             image[i] = fiber_map[i]
-        except (KeyError, IndexError):
+        except (LookupError, TypeError):
             raise DimensionMismatch(f"the fiber map does not send index {i}") from None
     _check_indices(tuple(image.values()), rank)
     if len(set(image.values())) != len(image):
@@ -559,8 +628,9 @@ def _fiber_image(t: GradedTensor, fiber_map: Mapping[int, int],
 
 # -- enumeration / randomness -------------------------------------------------
 
-def basis_keys(owner, kind: Kind, degree: int) -> Sequence[Key]:
+def basis_keys(owner: Bundle, kind: Kind, degree: int) -> Sequence[Key]:
     """All canonical keys of the given kind and degree, in sorted order."""
+    _require_shape("basis_keys", owner, kind, degree)
     return list(_basis_table(owner.rank, kind, degree))
 
 
@@ -589,7 +659,9 @@ def random_coefficient(rng, chart: Chart, degree: int = 2) -> Poly:
     ``choice``, ``randint`` and ``randrange`` each make for these ranges,
     so the values and the generator's end state are theirs.  A negative
     ``degree`` is an empty range, as for ``randint``."""
-    if degree < 0:
+    _require(rng, "random_coefficient", cls=random.Random)
+    _require(chart, "random_coefficient", cls=Chart)
+    if _require(degree, "random_coefficient", cls=int) < 0:
         raise ValueError(f"empty range for a coefficient of degree {degree}")
     below = rng._randbelow
     dim = chart.dim
@@ -609,13 +681,15 @@ def random_coefficient(rng, chart: Chart, degree: int = 2) -> Poly:
     return Poly._make(chart, terms)
 
 
-def random_tensor(rng, owner, kind: Kind, degree: int, coeff_degree: int = 2,
+def random_tensor(rng, owner: Bundle, kind: Kind, degree: int, coeff_degree: int = 2,
                   max_keys: int = 3) -> GradedTensor:
     """A sparse random tensor with small exact coefficients (seeded rng)."""
+    _require(rng, "random_tensor", cls=random.Random)
+    _require_shape("random_tensor", owner, kind, degree)
     keys = _basis_table(owner.rank, kind, degree)
     if not keys:
-        return GradedTensor.zero(owner, kind, degree)
-    if max_keys < 1:
+        return GradedTensor._make(owner, kind, degree, {})
+    if _require(max_keys, "random_tensor", cls=int) < 1:
         raise ValueError(f"empty range for a tensor of at most {max_keys} keys")
     # basis keys are canonical and a sample holds each at most once, so the
     # drawn terms need only their zero coefficients dropped; the count is
@@ -645,7 +719,7 @@ def _basis_label(owner, kind: Kind, key) -> str:
 
 def pretty(t: GradedTensor) -> str:
     """Human-readable rendering with deterministic term order."""
-    if not t.terms:
+    if not _require(t, "pretty").terms:
         return "0"
     pieces = []
     for key in sorted(t.terms, key=repr):

@@ -20,8 +20,8 @@ from algebroids.algebroid import (
     tangent_lift,
 )
 from algebroids.calculus import (
+    _VECTOR_VALUED,
     _as_mixed,
-    _require_owner,
     differential,
     fn_bracket,
     fn_bracket_simple,
@@ -43,6 +43,7 @@ from algebroids.fixtures import (
 from algebroids.tensor import (
     GradedTensor,
     Kind,
+    _require,
     as_sym,
     contract,
     evaluate,
@@ -687,7 +688,8 @@ def test_schouten_brackets_call_no_section_bracket(monkeypatch):
 def reference_fn_bracket(algebroid, k, l):
     """``fn_bracket`` as it was written before operands were split by bundle
     factor: ``fn_bracket_simple`` summed over every pair of terms."""
-    _require_owner(algebroid, k, l)
+    _require(k, "fn_bracket", algebroid, _VECTOR_VALUED)
+    _require(l, "fn_bracket", algebroid, _VECTOR_VALUED)
     k, l = _as_mixed(k), _as_mixed(l)
     pieces = []
     for (fk, i), ck in k.terms.items():

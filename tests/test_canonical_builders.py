@@ -31,6 +31,7 @@ from algebroids.algebroid import (
     velocity_derivative,
 )
 from algebroids.calculus import lie_derivative, schouten
+from algebroids.errors import KindMismatch
 from algebroids.fixtures import (
     ALGEBROIDS,
     POISSON,
@@ -81,10 +82,13 @@ def ref_zero(owner, kind, degree):
 
 
 def ref_basis(owner, kind, key):
-    if kind is Kind.MIXED:
-        degree = len(key[0])
-    else:
-        degree = len(key)
+    try:
+        if kind is Kind.MIXED:
+            degree = len(key[0])
+        else:
+            degree = len(key)
+    except TypeError:  # a key with no length is a wrong kind of key
+        raise KindMismatch(f"no degree for the key {key!r}") from None
     return GradedTensor(owner, kind, degree, {key: 1})
 
 

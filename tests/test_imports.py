@@ -20,7 +20,12 @@ product of polynomials goes through it.  In ``algebroid.py`` and
 ``calculus.py`` only the table builder ``_tables_of`` and ``anchor_terms``
 may subscript an ``.anchor`` matrix, so every kernel reads the anchor
 through the algebroid's tables (the suites' independent references, in
-``suites.py``, are not checked).
+``suites.py``, are not checked).  In ``tensor.py``, ``algebroid.py``,
+``calculus.py``, ``lifts.py`` and ``poisson.py`` only the guard's owner
+predicate ``_owned_by`` compares an ``.owner`` by identity or equality, and
+only the guard ``_require`` raises ``ChartMismatch``, so every operand check
+goes through the one guard (``ring.py``'s chart checks on polynomials are
+not operand checks).
 """
 
 import ast
@@ -332,3 +337,63 @@ def test_a_second_anchor_reader_is_reported():
         "\nFIRST = so3().anchor[0]\n"
     )
     assert _anchor_subscribers(source) == {"anchor_terms", "Algebroid.entry", "apply", None}
+
+
+#: The modules whose operations check their operands with the one guard.
+_GUARDED_MODULES = ["tensor.py", "algebroid.py", "calculus.py", "lifts.py", "poisson.py"]
+
+
+def _owner_checks(source):
+    """(function, "compare") for each ``.owner`` identity or equality
+    comparison and (function, "raise") for each ``raise ChartMismatch`` in
+    ``source``, the function dotted from its outermost definition (methods
+    as ``Class.method``), None at module level."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Compare):
+            if (any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops)
+                    and any(isinstance(side, ast.Attribute) and side.attr == "owner"
+                            for side in [node.left, *node.comparators])):
+                found.add((scope, "compare"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (isinstance(exc, ast.Name) and exc.id == "ChartMismatch"
+                    or isinstance(exc, ast.Attribute) and exc.attr == "ChartMismatch"):
+                found.add((scope, "raise"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_operand_owners_are_checked_only_by_the_guard():
+    found = {(module,) + check for module in _GUARDED_MODULES
+             for check in _owner_checks((PACKAGE / module).read_text(encoding="utf-8"))}
+    assert found == {("tensor.py", "_owned_by", "compare"),
+                     ("tensor.py", "_require", "raise")}
+
+
+def test_an_owner_check_outside_the_guard_is_reported():
+    source = (
+        "from . import errors\n"
+        "def _owned_by(t, owner):\n    return t.owner is owner or t.owner == owner\n"
+        "\nclass Structure:\n"
+        "    def ptilde(self, mu):\n"
+        "        if mu.owner != self.owner:\n"
+        "            raise ChartMismatch('elsewhere')\n"
+        "\ndef differential(A, mu):\n"
+        "    def items():\n"
+        "        return A is not mu.owner\n"
+        "    if mu.kind is not A.kind or mu.owner.base == A.base:\n"
+        "        raise errors.ChartMismatch\n"
+        "    return items\n"
+        "\nSAME = x.owner is y.owner\n"
+    )
+    assert _owner_checks(source) == {
+        ("_owned_by", "compare"), ("Structure.ptilde", "compare"),
+        ("Structure.ptilde", "raise"), ("differential.items", "compare"),
+        ("differential", "raise"), (None, "compare")}

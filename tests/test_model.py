@@ -198,6 +198,51 @@ def test_key_strings():
     assert tensor_key_string(Kind.MIXED, ((0, 1), 2)) == "1,2|3"
 
 
+#: One document per place that holds index keys, with one key marked
+#: ``KEY``, and the canonical key that makes it load.
+_SO3_TEMPLATE = ('{"charts": {"p": []}, "algebroids": {"so3": {"chart": "p", '
+                 '"fibers": ["1", "2", "3"], "anchor": [[], [], []], "c": {%s}}}}')
+KEYED_DOCUMENTS = {
+    "c-pair": ("1,2", _SO3_TEMPLATE % '"KEY": {"3": "1"}, "1,3": {"2": "-1"}, '
+               '"2,3": {"1": "1"}'),
+    "c-target": ("3", _SO3_TEMPLATE % '"1,2": {"KEY": "1"}, "1,3": {"2": "-1"}, '
+                 '"2,3": {"1": "1"}'),
+    "bivector": ("1,2", '{"charts": {"c": ["x", "p"]}, '
+                 '"poisson": {"P": {"chart": "c", "bivector": {"KEY": "1"}}}}'),
+    "tensor": ("1,2", '{"charts": {"c": ["x", "y"]}, "tensors": {"t": {"owner": "c", '
+               '"kind": "mv", "degree": 2, "terms": {"KEY": "x"}}}}'),
+    "mixed-tensor": ("1|2", '{"charts": {"c": ["x", "y"]}, "tensors": {"t": {"owner": '
+                     '"c", "kind": "mixed", "degree": 1, "terms": {"KEY": "x"}}}}'),
+}
+#: Spellings of each canonical key above that ``int()`` reads as it.
+OTHER_SPELLINGS = {"1,2": [" 1,+2", "1,0_2", "01,2"], "3": [" +3", "0_3", "03"],
+                   "1|2": ["01|2", "1| 2", "1|0_2"]}
+
+
+@pytest.mark.parametrize("place", sorted(KEYED_DOCUMENTS))
+def test_only_canonical_index_keys_are_read(place):
+    key, template = KEYED_DOCUMENTS[place]
+    loads_model(template.replace("KEY", key))
+    for spelling in OTHER_SPELLINGS[key]:
+        with pytest.raises(ParseError, match="1-based"):
+            loads_model(template.replace("KEY", spelling))
+
+
+@pytest.mark.parametrize("place", ["c-pair", "bivector", "tensor"])
+def test_two_spellings_of_one_key_are_a_parse_error(place):
+    """Read with ``int()``, both spellings named one pair, and the later
+    one's column, bivector entry or tensor term silently replaced the
+    earlier one's."""
+    key, template = KEYED_DOCUMENTS[place]
+    doc = json.loads(template.replace("KEY", key))
+    holder = {"c-pair": lambda d: d["algebroids"]["so3"]["c"],
+              "bivector": lambda d: d["poisson"]["P"]["bivector"],
+              "tensor": lambda d: d["tensors"]["t"]["terms"]}[place](doc)
+    holder["01,2"] = copy.deepcopy(holder["1,2"])
+    with pytest.raises(ParseError, match="1-based"):
+        loads_model(json.dumps(doc))
+
+
 def test_suite_defaults_survive_round_trip():
     model = builtin_model()
     assert model.suite == {"seed": 0, "trials": 50}

@@ -25,7 +25,7 @@ from algebroids.algebroid import (
     section_bracket,
     tangent_lift,
 )
-from algebroids.calculus import _require_owner, differential, schouten, sym_schouten
+from algebroids.calculus import differential, schouten, sym_schouten
 from algebroids.errors import KindMismatch
 from algebroids.fixtures import ALGEBROIDS, POISSON, nonconstant_rank2, so3
 from algebroids.poisson import cotangent_algebroid
@@ -33,6 +33,7 @@ from algebroids.ring import Chart, products
 from algebroids.tensor import (
     GradedTensor,
     Kind,
+    _require,
     _sort_skew,
     contract,
     contract_mixed,
@@ -71,7 +72,7 @@ def reference_prepare(algebroid, t, fibers):
 
 
 def reference_differential(algebroid, mu):
-    _require_owner(algebroid, mu)
+    _require(mu, "differential", algebroid)
     if mu.kind is not Kind.FORM and not (mu.kind is Kind.MV and mu.degree == 0):
         raise KindMismatch(f"cannot differentiate {mu.describe()}")
 

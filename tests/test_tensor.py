@@ -78,6 +78,23 @@ def test_malformed_terms_raise_kind_mismatch(kind, degree, terms):
         GradedTensor(so3(), kind, degree, terms)
 
 
+@pytest.mark.parametrize("call", [
+    lambda A: GradedTensor(A, "mv", 1, {(0,): 1}),
+    lambda A: GradedTensor(A, Kind.MV, "1"),
+    lambda A: GradedTensor(None, Kind.MV, 1),
+    lambda A: GradedTensor.basis(A, Kind.MV, 5),
+    lambda A: GradedTensor.zero(A, Kind.FORM, 1.0),
+    lambda A: basis_keys(A, Kind.MV, -1),
+    lambda A: basis_keys(A, "x", 1),
+    lambda A: random_tensor(random.Random(0), A, "form", 1),
+], ids=["kind-a-string", "degree-a-string", "owner-none", "basis-key-an-int",
+        "zero-degree-a-float", "negative-degree-keys", "keys-of-a-bogus-kind",
+        "random-tensor-of-a-bogus-kind"])
+def test_constructor_and_enumeration_arguments_are_type_checked(call):
+    with pytest.raises(KindMismatch):
+        call(so3())
+
+
 def test_linear_structure():
     A = canonical_plane()
     x = A.e(0) * "x"
