@@ -38,7 +38,11 @@ algebroid of that bivector, whose fibers are the coordinate differentials.
 Algebroids are immutable and hashable, so these lifts, the canonical
 algebroid of a chart and the passes of :func:`validate` are memoized on
 their (structurally compared) source, in LRU caches of :data:`CACHE_SIZE`
-entries each; so is the dual chart, on the base coordinates and dual names.
+entries each; so are the dual chart, on the base coordinates and dual
+names, and the velocity chart of :func:`dotted_chart`, on its chart.  Every
+derived name (velocities, barred and dotted fibers, dual names) comes from
+the one naming rule of :mod:`algebroids.ring`, which moves a name aside when
+it is taken, so every lift of a lift builds.
 Each algebroid also builds, on first use, read-only tables of its nonzero
 anchor entries by base coordinate and its nonzero structure functions by
 target fiber, with its :attr:`~Algebroid.is_canonical` flag
@@ -54,8 +58,9 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
-from .errors import AnchorNotMorphism, DimensionMismatch, EmptyChart, JacobiViolation
-from .ring import Chart, Poly, poly_sum, products
+from .errors import (AnchorNotMorphism, DimensionMismatch, EmptyChart, JacobiViolation,
+                     KindMismatch)
+from .ring import Chart, Poly, _derived_names, poly_sum, products
 from .tensor import _SECTION, Bundle, GradedTensor, Kind, _require, _sort_skew
 
 _StructureTable = Dict[Tuple[int, int], Dict[int, Poly]]
@@ -232,17 +237,25 @@ def _names(names, who: str) -> Tuple[str, ...]:
 
 # -- chart helpers -------------------------------------------------------------
 
-def dotted_chart(chart: Chart) -> Chart:
-    """Adjoin a velocity coordinate ``c_dot`` for every coordinate ``c``."""
-    _require(chart, "dotted_chart", cls=Chart)
-    return Chart(chart.coords + tuple(f"{c}_dot" for c in chart.coords))
-
-
 #: Entries kept by each construction cache.  A ``suite --name all`` round over
 #: both shipped models reaches 22 distinct keys in the largest one (charts).
 #: The three lifts are plain functions over cached builders, so a profiler or
 #: tracer wrapping a public name sees every call, cache hits included.
 CACHE_SIZE = 32
+
+
+def dotted_chart(chart: Chart) -> Chart:
+    """Adjoin a velocity coordinate ``c_dot`` for every coordinate ``c``,
+    named by the rule of :func:`~algebroids.ring._derived_names` (so
+    ``c_dot_2`` when the chart already holds ``c_dot``): coordinate a's
+    velocity is coordinate n + a of the result.  Memoized on the chart."""
+    return _dotted_chart(_require(chart, "dotted_chart", cls=Chart))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _dotted_chart(chart: Chart) -> Chart:
+    coords = chart.coords
+    return Chart(coords + _derived_names(coords, coords, "velocity"))
 
 
 def dual_chart(algebroid: Algebroid) -> Chart:
@@ -270,7 +283,8 @@ def _vector_fields(chart: Chart) -> Algebroid:
     one, zero = chart.one(), chart.zero()
     anchor = tuple(tuple(one if a == i else zero for a in range(n)) for i in range(n))
     return Algebroid(chart, chart.coords, anchor, {},
-                     tuple(f"p_{c}" for c in chart.coords), provenance="canonical")
+                     _derived_names(chart.coords, chart.coords, "momentum"),
+                     provenance="canonical")
 
 
 def canonical_algebroid(chart: Chart) -> Algebroid:
@@ -300,6 +314,8 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
     checks the Jacobi identity on every basis triple and that the anchor is
     a bracket morphism on every basis pair; failures raise
     :class:`JacobiViolation` / :class:`AnchorNotMorphism` with a witness.
+    ``dual_names``, :func:`default_dual_names` when None, must be distinct
+    and none of them a base coordinate, else :class:`DimensionMismatch`.
     """
     _require(base, "build_algebroid", cls=Chart)
     fiber_names = _names(fiber_names, "build_algebroid")
@@ -321,13 +337,17 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
         rows.append(tuple(base.coerce(v) for v in row))
 
     table: _StructureTable = {}
-    for (i, j), entries in _require(structure or {}, "build_algebroid", cls=Mapping).items():
+    for pair, entries in _require(structure or {}, "build_algebroid", cls=Mapping).items():
+        if len(_require(pair, "build_algebroid", cls=tuple)) != 2:
+            raise KindMismatch(f"build_algebroid: a structure key is a pair (i, j), "
+                               f"got {pair!r}")
+        i, j = (_require(index, "build_algebroid", cls=int) for index in pair)
         if not 0 <= i < j < rank:
             raise DimensionMismatch(
                 f"structure key ({i}, {j}) must satisfy 0 <= i < j < {rank}")
         cleaned = {}
         for k, value in _require(entries, "build_algebroid", cls=Mapping).items():
-            if not 0 <= k < rank:
+            if not 0 <= _require(k, "build_algebroid", cls=int) < rank:
                 raise DimensionMismatch(f"structure target {k} out of range")
             coeff = base.coerce(value)
             if not coeff.is_zero():
@@ -341,6 +361,10 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
         dual_names = _names(dual_names, "build_algebroid")
         if len(dual_names) != rank or len(set(dual_names)) != rank:
             raise DimensionMismatch("dual names must be distinct, one per fiber")
+        for name in dual_names:
+            if name in base:
+                raise DimensionMismatch(
+                    f"dual name {name!r} is a coordinate of the base {base.coords!r}")
 
     result = Algebroid(base, fiber_names, rows, table, dual_names,
                        provenance=provenance, parent=parent)
@@ -354,11 +378,12 @@ def default_dual_names(base: Chart, fiber_names: Tuple[str, ...],
                        structure: Mapping) -> Tuple[str, ...]:
     """The dual fiber names :func:`build_algebroid` gives when none are
     passed: ``p_<fiber>`` for the canonical algebroid of the base, else
-    ``xi_<fiber>``."""
+    ``xi_<fiber>``, each renamed by the rule of
+    :func:`~algebroids.ring._derived_names` when it is a base coordinate."""
     _require(base, "default_dual_names", cls=Chart)
     fiber_names = _names(fiber_names, "default_dual_names")
-    prefix = "p_" if _canonical(base, fiber_names, anchor, structure) else "xi_"
-    return tuple(prefix + name for name in fiber_names)
+    part = "momentum" if _canonical(base, fiber_names, anchor, structure) else "dual"
+    return _derived_names(fiber_names, base.coords, part)
 
 
 def validate(algebroid: Algebroid) -> None:
@@ -450,7 +475,9 @@ def anchor_derivative(algebroid: Algebroid, i: int, f: Poly) -> Poly:
     """The anchor of e_i applied to a function over the base (anything
     :meth:`~algebroids.ring.Chart.coerce` takes): sum_a anchor[i][a] d_a f."""
     base = _require(algebroid, "anchor_derivative", cls=Algebroid).base
-    _require(i, "anchor_derivative", cls=int)
+    if not 0 <= _require(i, "anchor_derivative", cls=int) < algebroid.rank:
+        raise DimensionMismatch(f"anchor_derivative: fiber {i} out of range "
+                                f"for rank {algebroid.rank}")
     return products(base, ((None, 1, rho, d) for k, rho, d in anchor_terms(
         algebroid, base.coerce(f).gradient()) if k == i)).get(None, base.zero())
 
@@ -565,10 +592,16 @@ def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
 
 def velocity_derivative(coeff: Poly, target: Chart) -> Poly:
     """The velocity derivative sum_a (d_a f)·a_dot of a function f, on the
-    velocity chart ``target`` that extends f's chart."""
+    velocity chart ``target`` that extends f's chart of n coordinates to
+    2n, as :func:`dotted_chart` does: the velocity of coordinate a is
+    coordinate n + a, whatever its name."""
     names = _require(coeff, "velocity_derivative", cls=Poly).chart.coords
-    _require(target, "velocity_derivative", cls=Chart)
-    return poly_sum(target, (d.transport(target) * target.coordinate(f"{names[a]}_dot")
+    n = len(names)
+    coords = _require(target, "velocity_derivative", cls=Chart).coords
+    if len(coords) != 2 * n or coords[:n] != names:
+        raise DimensionMismatch(f"velocity_derivative: {coords!r} does not extend "
+                                f"{names!r} by one velocity per coordinate")
+    return poly_sum(target, (d.transport(target) * target.coordinate(coords[n + a])
                              for a, d in coeff.gradient()))
 
 
@@ -591,9 +624,11 @@ def _tangent_lift(A: Algebroid) -> Algebroid:
     n, m = A.base.dim, A.rank
     base = dotted_chart(A.base)
     lift = lambda p: p.transport(base)  # noqa: E731 - tiny local embedding
-    fibers = tuple(f"{f}_bar" for f in A.fiber_names) + \
-        tuple(f"{f}_dot" for f in A.fiber_names)
-    duals = A.dual_names + tuple(f"{d}_dot" for d in A.dual_names)
+    fibers = _derived_names(A.fiber_names, (), "bar")
+    fibers += _derived_names(A.fiber_names, fibers, "velocity")
+    # the velocities may take a dual name, which then moves aside
+    duals = _derived_names(A.dual_names, base.coords)
+    duals += _derived_names(A.dual_names, base.coords + duals, "velocity")
     zero = base.zero()
 
     # bar fibers: velocity directions only

@@ -33,14 +33,14 @@ transports of V and T, which keeps a single source of sign conventions.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 
 from .errors import WrongProvenance
-from .ring import Chart, Poly, accumulate, poly_sum
+from .ring import Chart, Poly, _derived_names, accumulate, poly_sum
 from .tensor import (_ANY, _FORM, _MIXED, _SECTION, GradedTensor, Kind,
                      _require, _sort_skew, remap)
-from .algebroid import (Algebroid, canonical_algebroid, dual_chart,
+from .algebroid import (CACHE_SIZE, Algebroid, canonical_algebroid, dual_chart,
                          linear_poisson, tangent_lift, velocity_derivative)
 from .calculus import schouten
 from .poisson import h_p
@@ -160,8 +160,8 @@ def vertical_tau(algebroid: Algebroid, s) -> GradedTensor:
     direction of y_j on the chart that adjoins one y-coordinate per fiber.
     Factor-wise, so it applies to plain and symmetric multivectors."""
     _require(s, "vertical_tau", algebroid, _VECTOR_SIDE)
-    chart = Chart(algebroid.base.coords
-                  + tuple(f"y_{f}" for f in algebroid.fiber_names))
+    coords = algebroid.base.coords
+    chart = Chart(coords + _derived_names(algebroid.fiber_names, coords, "total"))
     n = algebroid.base.dim
     return GradedTensor._make(canonical_algebroid(chart), s.kind, s.degree, {
         tuple(n + i for i in key): coeff.transport(chart)
@@ -217,14 +217,30 @@ def G_map(algebroid: Algebroid, k) -> GradedTensor:
 # -- the canonical-chart transports ----------------------------------------------
 
 def _velocity_half(chart: Chart):
-    """The chart whose velocity extension this one is, or None."""
-    if chart.dim % 2:
-        return None
-    half = chart.dim // 2
+    """The coordinates whose velocity chart (:func:`dotted_chart`) this
+    chart is, or None: the naming rule run again on the first half."""
     names = chart.coords
-    if all(names[half + a] == f"{names[a]}_dot" for a in range(half)):
-        return Chart(names[:half])
-    return None
+    half = len(names) // 2
+    if not half or len(names) % 2:
+        return None
+    first = names[:half]
+    return first if _derived_names(first, first, "velocity") == names[half:] else None
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _transport_target(owner: Algebroid):
+    """The algebroid across the block swap from ``owner``, or None: the
+    canonical algebroid of the velocity chart from the tangent lift of a
+    canonical algebroid, and back.  Both are recognised by structure, so a
+    lift reloaded from a document transports like the lift itself.
+    Memoized on the owner."""
+    first = _velocity_half(owner.base)
+    if first is None:
+        return None
+    lift = tangent_lift(canonical_algebroid(Chart(first)))
+    if owner == lift:
+        return canonical_algebroid(owner.base)
+    return lift if owner.is_canonical else None
 
 
 def canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
@@ -249,12 +265,8 @@ def canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
             f"{direction} transports {' / '.join(k.value for k in allowed)} "
             f"sections, got {tensor.describe()}")
     owner = tensor.owner
-    if (owner.provenance == "tangent-lift" and owner.parent is not None
-            and owner.parent.is_canonical):
-        target = canonical_algebroid(owner.base)
-    elif owner.is_canonical and (half_chart := _velocity_half(owner.base)) is not None:
-        target = tangent_lift(canonical_algebroid(half_chart))
-    else:
+    target = _transport_target(owner)
+    if target is None:
         raise WrongProvenance(
             f"no canonical transport from {owner!r}: expected the tangent "
             f"lift of a canonical algebroid or the canonical algebroid of a "

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 from .algebroid import CACHE_SIZE, Algebroid, build_algebroid, canonical_algebroid
 from .calculus import differential, lie_derivative, schouten
 from .errors import KindMismatch, NotInvertible, NotPoisson
-from .ring import Chart, Poly, accumulate
+from .ring import Chart, Poly, _derived_names, accumulate
 from .tensor import (_FORM_OR_FUNCTION, _MULTIVECTOR, GradedTensor, Kind,
                      _require, contract, pretty, tensor_sum, wedge)
 
@@ -151,10 +151,10 @@ def _cotangent_algebroid(ps: PoissonStructure, provenance: str,
     chart = ps.chart
     return build_algebroid(
         chart,
-        tuple(f"d_{c}" for c in chart.coords),
+        _derived_names(chart.coords, (), "differential"),
         ps.matrix(),
         {pair: dict(coeff.gradient()) for pair, coeff in ps.bivector.terms.items()},
-        dual_names=tuple(f"{c}_dot" for c in chart.coords),
+        dual_names=_derived_names(chart.coords, chart.coords, "velocity"),
         provenance=provenance, parent=parent)
 
 

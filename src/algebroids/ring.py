@@ -24,7 +24,9 @@ signed products ``sign·a·b`` of polynomials, keyed by basis key, straight
 into one term map per key, with no polynomial built per product.  Monomial
 exponents are added in one private generator, which ``Poly.__mul__``
 shares.  :meth:`Poly.gradient` keeps its partials in a slot, so each
-polynomial object is differentiated once.
+polynomial object is differentiated once.  Beside :class:`Chart` sits the
+package's one naming rule for derived coordinate, fiber and dual names,
+which moves a name that is already taken aside instead of repeating it.
 
 Expression syntax accepted by :func:`parse_poly`::
 
@@ -168,6 +170,52 @@ class Chart:
         i = self.index(name)
         exp = tuple(1 if j == i else 0 for j in range(self.dim))
         return Poly._make(self, {exp: 1})
+
+
+#: The spelling of each derived name, as the (prefix, suffix) put around the
+#: name it derives from: the velocity of a coordinate, the barred fiber of a
+#: tangent lift, the momentum dual to a canonical fiber, the dual
+#: coordinate of any other fiber, the differential of a coordinate and the
+#: total-space coordinate of a fiber.
+_NAME_PARTS = {
+    "velocity": ("", "_dot"),
+    "bar": ("", "_bar"),
+    "momentum": ("p_", ""),
+    "dual": ("xi_", ""),
+    "differential": ("d_", ""),
+    "total": ("y_", ""),
+}
+
+
+def _derived_names(names: Iterable[str], taken: Iterable[str],
+                   part: str | None = None) -> Tuple[str, ...]:
+    """The one naming rule: ``names`` spelled by ``part`` of
+    :data:`_NAME_PARTS` (as they are when None), each kept if it is free and
+    otherwise renamed to the first free ``<name>_2``, ``<name>_3``, ….  A
+    name is free when it is not in ``taken`` and no other result is spelled
+    alike, so a name that is free keeps its spelling whatever else is
+    renamed.  A lift's names may already be taken by the names it derives
+    from (``x_dot`` on the chart ``(x, x_dot)``), which is what lets every
+    lift of a lift build."""
+    if part is not None:
+        prefix, suffix = _NAME_PARTS[part]
+        names = (prefix + name + suffix for name in names)
+    names = tuple(names)
+    taken = set(taken)
+    used = taken.union(names)
+    kept = set()
+    out = []
+    for name in names:
+        if name not in taken and name not in kept:
+            kept.add(name)
+        else:
+            count = 2
+            while f"{name}_{count}" in used:
+                count += 1
+            name = f"{name}_{count}"
+            used.add(name)
+        out.append(name)
+    return tuple(out)
 
 
 class Poly:

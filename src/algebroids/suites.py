@@ -65,7 +65,7 @@ from .calculus import (
     schouten,
     sym_schouten,
 )
-from .errors import NotInvertible, UnknownName, ValidationError
+from .errors import DimensionMismatch, NotInvertible, UnknownName, ValidationError
 from .lifts import (
     G_map,
     H_map,
@@ -368,11 +368,15 @@ def _lift_table(A, op, x, y, owned=True):
 
 
 def _velocity(coeff, source, target):
+    # the velocity of coordinate a is coordinate n + a of the velocity chart
+    n = source.dim
+    if target.dim != 2 * n or target.coords[:n] != source.coords:
+        raise DimensionMismatch(f"{target!r} is not the velocity chart of {source!r}")
     out = target.zero()
-    for name in source.coords:
+    for a, name in enumerate(source.coords):
         d = coeff.partial(name)
         if not d.is_zero():
-            out = out + d.transport(target) * target.coordinate(f"{name}_dot")
+            out = out + d.transport(target) * target.coordinate(target.coords[n + a])
     return out
 
 

@@ -663,6 +663,11 @@ def random_coefficient(rng, chart: Chart, degree: int = 2) -> Poly:
     _require(chart, "random_coefficient", cls=Chart)
     if _require(degree, "random_coefficient", cls=int) < 0:
         raise ValueError(f"empty range for a coefficient of degree {degree}")
+    return _draw_coefficient(rng, chart, degree)
+
+
+def _draw_coefficient(rng: random.Random, chart: Chart, degree: int) -> Poly:
+    """The draw of :func:`random_coefficient`, on arguments already checked."""
     below = rng._randbelow
     dim = chart.dim
     terms: Dict = {}
@@ -691,13 +696,15 @@ def random_tensor(rng, owner: Bundle, kind: Kind, degree: int, coeff_degree: int
         return GradedTensor._make(owner, kind, degree, {})
     if _require(max_keys, "random_tensor", cls=int) < 1:
         raise ValueError(f"empty range for a tensor of at most {max_keys} keys")
+    if _require(coeff_degree, "random_tensor", cls=int) < 0:
+        raise ValueError(f"empty range for a coefficient of degree {coeff_degree}")
     # basis keys are canonical and a sample holds each at most once, so the
     # drawn terms need only their zero coefficients dropped; the count is
     # randint(1, max_keys), drawn as in random_coefficient
     chosen = rng.sample(keys, min(len(keys), 1 + rng._randbelow(max_keys)))
     terms = {}
     for key in chosen:
-        coeff = random_coefficient(rng, owner.base, coeff_degree)
+        coeff = _draw_coefficient(rng, owner.base, coeff_degree)
         if coeff:
             terms[key] = coeff
     return GradedTensor._make(owner, kind, degree, terms)

@@ -447,7 +447,9 @@ def reference_cotangent_lift(A):
     zero = base.zero()
     fibers = tuple(f"d_{c}" for c in A.base.coords) + \
         tuple(f"d_{d}" for d in A.dual_names)
-    duals = tuple(f"{c}_dot" for c in base.coords)
+    # the names the naming rule gives a chart's velocities: on a tangent
+    # lift's dual chart a plain suffix would repeat base coordinates
+    duals = dotted_chart(base).coords[base.dim:]
 
     anchor = []
     for a in range(n):  # rows for dx^a

@@ -7,6 +7,9 @@ poisson modules fails closed on a bad argument.
 string and a tensor over another owner; the call must then return or raise
 an :class:`~algebroids.errors.AlgebroidError`, never another exception.  A
 self-test fails when a public function of those modules has no row.
+``NESTED`` holds calls whose bad value sits below the top level (a
+structure key or target, a fiber index out of range), each with the error
+it must raise.
 """
 
 import inspect
@@ -16,7 +19,7 @@ import random
 import pytest
 
 from algebroids import algebroid, calculus, lifts, poisson, tensor
-from algebroids.errors import AlgebroidError
+from algebroids.errors import AlgebroidError, DimensionMismatch, KindMismatch
 from algebroids.fixtures import canonical_plane, nonconstant_rank2, poisson_plane, so3
 from algebroids.ring import Chart, parse_poly
 from algebroids.tensor import GradedTensor, Kind, basis_keys
@@ -218,3 +221,31 @@ PROBES = {
 def test_probed_calls_raise_algebroid_errors(call):
     with pytest.raises(AlgebroidError):
         PROBES[call]()
+
+
+def _structure(table):
+    """A rank-2 algebroid over the line with structure data ``table``."""
+    return lambda: algebroid.build_algebroid(LINE, ("e", "f"), ((1,), (0,)), table)
+
+
+#: Calls with a bad argument below the top level, and the error each raises:
+#: structure data whose key is not a pair of ints or whose target is not an
+#: int, and a fiber index out of range.
+NESTED = {
+    "structure key ('a', 1)": (KindMismatch, _structure({("a", 1): {0: 1}})),
+    "structure key (0,)": (KindMismatch, _structure({(0,): {0: 1}})),
+    "structure key (0, 1, 2)": (KindMismatch, _structure({(0, 1, 2): {0: 1}})),
+    "structure key 'ab'": (KindMismatch, _structure({"ab": {0: 1}})),
+    "structure target 'k'": (KindMismatch, _structure({(0, 1): {"k": 1}})),
+    "anchor_derivative(A, 7, f)": (DimensionMismatch,
+                                   lambda: algebroid.anchor_derivative(A, 7, F)),
+    "anchor_derivative(A, -1, f)": (DimensionMismatch,
+                                    lambda: algebroid.anchor_derivative(A, -1, F)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NESTED))
+def test_nested_arguments_fail_closed(call):
+    error, probe = NESTED[call]
+    with pytest.raises(error):
+        probe()

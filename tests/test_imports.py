@@ -25,7 +25,11 @@ through the algebroid's tables (the suites' independent references, in
 predicate ``_owned_by`` compares an ``.owner`` by identity or equality, and
 only the guard ``_require`` raises ``ChartMismatch``, so every operand check
 goes through the one guard (``ring.py``'s chart checks on polynomials are
-not operand checks).
+not operand checks).  Only the naming rule's table ``_NAME_PARTS`` in
+``ring.py`` spells the parts of a derived name (``_dot``, ``_bar``,
+``p_``, ``xi_``, ``d_``, ``y_``): no other string constant of the package
+is one of them and no f-string's literal text starts or ends with one, so
+every derived name goes through the one rule.
 """
 
 import ast
@@ -397,3 +401,50 @@ def test_an_owner_check_outside_the_guard_is_reported():
         ("_owned_by", "compare"), ("Structure.ptilde", "compare"),
         ("Structure.ptilde", "raise"), ("differential.items", "compare"),
         ("differential", "raise"), (None, "compare")}
+
+
+#: The parts the naming rule puts around a name to spell a derived one.
+_NAME_PARTS = ("_dot", "_bar", "p_", "xi_", "d_", "y_")
+
+
+def _name_spellings(source, table=None):
+    """(line, text) for each string constant of ``source`` that is a name
+    part and each f-string literal piece that starts or ends with one,
+    outside the module-level assignment to ``table``."""
+    tree = ast.parse(source)
+    skip = {id(sub) for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == table for t in node.targets)
+            for sub in ast.walk(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.JoinedStr):
+            found.update((node.lineno, piece.value) for piece in node.values
+                         if isinstance(piece, ast.Constant)
+                         and (piece.value.startswith(_NAME_PARTS)
+                              or piece.value.endswith(_NAME_PARTS)))
+        elif isinstance(node, ast.Constant) and node.value in _NAME_PARTS:
+            found.add((node.lineno, node.value))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_naming_rule_spells_derived_names(path):
+    table = "_NAME_PARTS" if path.name == "ring.py" else None
+    assert _name_spellings(path.read_text(encoding="utf-8"), table) == []
+
+
+def test_a_derived_name_spelled_outside_the_rule_is_reported():
+    source = (
+        "_NAME_PARTS = {'velocity': ('', '_dot'), 'momentum': ('p_', '')}\n"
+        "\ndef dotted(coords):\n"
+        "    return [f'{c}_dot' for c in coords] + [c + '_bar' for c in coords]\n"
+        "\ndef duals(names, prefix='xi_'):\n"
+        "    return [f'd_{n}' for n in names]\n"
+        "\nCHART, LABEL = ('x', 'p_x'), 'd_T'\n"
+        "TOTAL = f'{CHART} y_'\n"
+    )
+    assert _name_spellings(source, "_NAME_PARTS") == [
+        (4, "_bar"), (4, "_dot"), (6, "xi_"), (7, "d_"), (10, " y_")]
+    assert (1, "_dot") in _name_spellings(source)

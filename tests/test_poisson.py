@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import algebroids.tensor
-from algebroids.algebroid import cotangent_lift, linear_poisson, tangent_lift
+from algebroids.algebroid import cotangent_lift, dotted_chart, linear_poisson, tangent_lift
 from algebroids.calculus import differential, fn_bracket, lie_derivative, schouten
 from algebroids.errors import (
     ChartMismatch,
@@ -191,7 +191,9 @@ def reference_cotangent_algebroid(ps):
         tuple(f"d_{c}" for c in chart.coords),
         ps.matrix(),
         structure,
-        dual_names=tuple(f"{c}_dot" for c in chart.coords),
+        # the naming rule's velocity names, which a plain suffix would
+        # make repeat base coordinates on a tangent lift's chart
+        dual_names=dotted_chart(chart).coords[chart.dim:],
         provenance="cotangent-algebroid",
         check=False)
 
