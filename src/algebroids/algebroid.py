@@ -59,9 +59,9 @@ from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
 from .errors import (AnchorNotMorphism, DimensionMismatch, EmptyChart, JacobiViolation,
-                     KindMismatch)
+                     KindMismatch, PolySyntaxError)
 from .ring import Chart, Poly, _derived_names, poly_sum, products
-from .tensor import _SECTION, Bundle, GradedTensor, Kind, _require, _sort_skew
+from .tensor import _CANONICAL, _SECTION, Bundle, GradedTensor, Kind, _require
 
 _StructureTable = Dict[Tuple[int, int], Dict[int, Poly]]
 _NO_COLUMN: Mapping[int, Poly] = MappingProxyType({})
@@ -314,8 +314,10 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
     checks the Jacobi identity on every basis triple and that the anchor is
     a bracket morphism on every basis pair; failures raise
     :class:`JacobiViolation` / :class:`AnchorNotMorphism` with a witness.
-    ``dual_names``, :func:`default_dual_names` when None, must be distinct
-    and none of them a base coordinate, else :class:`DimensionMismatch`.
+    ``dual_names``, :func:`default_dual_names` when None, must extend the
+    base coordinates to the chart of :func:`dual_chart`: one per fiber,
+    distinct coordinate names and none of them a base coordinate, else
+    :class:`DimensionMismatch`.
     """
     _require(base, "build_algebroid", cls=Chart)
     fiber_names = _names(fiber_names, "build_algebroid")
@@ -359,12 +361,13 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
         dual_names = default_dual_names(base, fiber_names, tuple(rows), table)
     else:
         dual_names = _names(dual_names, "build_algebroid")
-        if len(dual_names) != rank or len(set(dual_names)) != rank:
-            raise DimensionMismatch("dual names must be distinct, one per fiber")
-        for name in dual_names:
-            if name in base:
-                raise DimensionMismatch(
-                    f"dual name {name!r} is a coordinate of the base {base.coords!r}")
+        if len(dual_names) != rank:
+            raise DimensionMismatch(f"{len(dual_names)} dual names for {rank} fibers")
+    try:  # the chart every lift to the dual bundle builds, built once here
+        _dual_chart(base.coords, dual_names)
+    except PolySyntaxError as exc:
+        raise DimensionMismatch(f"dual names {dual_names!r} and the base "
+                                f"{base.coords!r} make no chart: {exc}") from None
 
     result = Algebroid(base, fiber_names, rows, table, dual_names,
                        provenance=provenance, parent=parent)
@@ -544,7 +547,7 @@ def _bracket(algebroid: Algebroid, x: _Operand, y: _Operand) -> GradedTensor:
     if not xs or not ys:
         return GradedTensor._make(algebroid, kind, degree, {})
     skew = kind is Kind.MV
-    merge = _sort_skew if skew else (lambda key: (tuple(sorted(key)), 1))
+    merge = _CANONICAL[kind]
 
     def eps(n: int) -> int:
         return -1 if skew and n % 2 else 1

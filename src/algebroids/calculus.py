@@ -49,26 +49,22 @@ from __future__ import annotations
 
 from .algebroid import Algebroid, _bracket_tensors, _tables_of, anchor_terms, section_bracket
 from .ring import accumulate, products
-from .tensor import (_ANY, _FORM, _FORM_OR_FUNCTION, _MIXED, _MULTIVECTOR,
-                     _SECTION, _SYM_VIEW, GradedTensor, Kind, _insert_index,
-                     _require, _sort_skew, as_sym, contract, contract_mixed,
-                     mixed_from_vector, tensor_sum, vector_from_mixed, wedge)
+from .tensor import (_FORM, _MIXED, _MULTIVECTOR, _NO_OWNER, _SECTION, GradedTensor,
+                     Kind, _insert_index, _require, _sort_skew, _view, contract,
+                     contract_mixed, tensor_sum, wedge)
 
 #: what a Lie differential is taken along: multivectors and vector-valued forms
 _ACTOR = {**_MULTIVECTOR, **_MIXED}
-#: a multivector, or a section seen as a degree-0 vector-valued form
-_MULTIVECTOR_LIKE = {Kind.MV: _ANY, Kind.MIXED: (0,)}
-#: a vector-valued form, or a section seen as one of degree 0
-_VECTOR_VALUED = {Kind.MIXED: _ANY, Kind.MV: (1,)}
 
 
 # -- exterior differential ------------------------------------------------------
 
 
 def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
-    """The exterior differential of a form (degree-0 multivectors count as
-    forms of degree 0).  Squares to zero and is a graded derivation."""
-    if not _require(mu, "differential", algebroid, _FORM_OR_FUNCTION).terms:
+    """The exterior differential of a form (a function reads as a 0-form).
+    Squares to zero and is a graded derivation."""
+    mu = _view(mu, "differential", algebroid, Kind.FORM)
+    if not mu.terms:
         return GradedTensor._make(algebroid, Kind.FORM, mu.degree + 1, {})
     by_target = _tables_of(algebroid).by_target
 
@@ -107,8 +103,7 @@ def lie_derivative(algebroid: Algebroid, actor: GradedTensor,
     sign conventions agree there.
     """
     _require(actor, "lie_derivative", algebroid, _ACTOR)
-    if _require(mu, "lie_derivative", algebroid, _FORM_OR_FUNCTION).kind is Kind.MV:
-        mu = GradedTensor._make(algebroid, Kind.FORM, 0, dict(mu.terms))
+    mu = _view(mu, "lie_derivative", algebroid, Kind.FORM)
     sign = -1 if actor.degree % 2 else 1
     if actor.kind is Kind.MV:
         first = contract(actor, differential(algebroid, mu))
@@ -120,11 +115,6 @@ def lie_derivative(algebroid: Algebroid, actor: GradedTensor,
 
 
 # -- generalized Schouten bracket -------------------------------------------------
-
-
-def _as_multivector(t: GradedTensor) -> GradedTensor:
-    """A section seen as a degree-0 vector-valued form back as a section."""
-    return vector_from_mixed(t) if t.kind is Kind.MIXED else t
 
 
 def schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
@@ -142,9 +132,8 @@ def schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTe
     Antisymmetry and Jacobi hold in the shifted grading (degree a sits in
     slot a−1).
     """
-    _require(x, "schouten", algebroid, _MULTIVECTOR_LIKE)
-    _require(y, "schouten", algebroid, _MULTIVECTOR_LIKE)
-    return _bracket_tensors(algebroid, _as_multivector(x), _as_multivector(y))
+    return _bracket_tensors(algebroid, _view(x, "schouten", algebroid, Kind.MV),
+                            _view(y, "schouten", algebroid, Kind.MV))
 
 
 # -- symmetric Schouten bracket ----------------------------------------------------
@@ -154,17 +143,11 @@ def sym_schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> Grad
     """The symmetric Schouten bracket: the same bracket kernel as the
     alternating one, on the symmetric algebra and with no signs.  An (ungraded) Lie bracket and a biderivation — the abstract
     Poisson algebra structure on symmetric multivectors."""
-    _require(x, "sym_schouten", algebroid, _SYM_VIEW)
-    _require(y, "sym_schouten", algebroid, _SYM_VIEW)
-    return _bracket_tensors(algebroid, as_sym(x), as_sym(y))
+    return _bracket_tensors(algebroid, _view(x, "sym_schouten", algebroid, Kind.SYM),
+                            _view(y, "sym_schouten", algebroid, Kind.SYM))
 
 
 # -- Nijenhuis–Richardson bracket ---------------------------------------------------
-
-
-def _as_mixed(t: GradedTensor) -> GradedTensor:
-    """A section as the degree-0 vector-valued form 1⊗X."""
-    return mixed_from_vector(t) if t.kind is Kind.MV else t
 
 
 def nr_bracket(k: GradedTensor, l: GradedTensor) -> GradedTensor:
@@ -174,9 +157,8 @@ def nr_bracket(k: GradedTensor, l: GradedTensor) -> GradedTensor:
 
     with a, b the form degrees.  Purely algebraic — it never touches the
     anchor or the structure functions."""
-    _require(k, "nr_bracket", shapes=_VECTOR_VALUED)
-    _require(l, "nr_bracket", k.owner, _VECTOR_VALUED)
-    k, l = _as_mixed(k), _as_mixed(l)
+    k = _view(k, "nr_bracket", _NO_OWNER, Kind.MIXED)
+    l = _view(l, "nr_bracket", k.owner, Kind.MIXED)
     first = contract_mixed(k, l)
     second = contract_mixed(l, k)
     sign = -1 if ((k.degree - 1) * (l.degree - 1)) % 2 else 1
@@ -272,7 +254,7 @@ def fn_bracket(algebroid: Algebroid, k: GradedTensor, l: GradedTensor) -> Graded
     nu_j⊗e_j), with [e_i, e_j] read from the structure table.  Graded by raw
     form degree (no shift): antisymmetry and Jacobi use (−1)^{ab}, and
     L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K."""
-    k, l = (_as_mixed(_require(t, "fn_bracket", algebroid, _VECTOR_VALUED)) for t in (k, l))
+    k, l = (_view(t, "fn_bracket", algebroid, Kind.MIXED) for t in (k, l))
     k_split, l_split = _split(k), _split(l)
     k_forms = _prepare_forms(algebroid, k_split, k.degree, l_split)
     l_forms = _prepare_forms(algebroid, l_split, l.degree, k_split)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .algebroid import (Algebroid, build_algebroid, canonical_algebroid,
                         linear_poisson)
+from .poisson import build_poisson
 from .ring import Chart
 from .tensor import GradedTensor, Kind
 
@@ -85,8 +86,6 @@ ALGEBROIDS = {
 
 def poisson_plane():
     """The canonical symplectic bivector d/dp∧d/dx on the chart (x, p)."""
-    from .poisson import build_poisson
-
     chart = Chart(("x", "p"))
     owner = canonical_algebroid(chart)
     return build_poisson(chart, GradedTensor(owner, Kind.MV, 2, {(0, 1): -1}))
@@ -94,8 +93,6 @@ def poisson_plane():
 
 def poisson_four():
     """The canonical symplectic bivector on (x, y, p_x, p_y)."""
-    from .poisson import build_poisson
-
     chart = Chart(("x", "y", "p_x", "p_y"))
     owner = canonical_algebroid(chart)
     return build_poisson(chart, GradedTensor(owner, Kind.MV, 2,

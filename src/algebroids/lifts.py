@@ -34,12 +34,12 @@ transports of V and T, which keeps a single source of sign conventions.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import mul
+from operator import add, mul
 
 from .errors import WrongProvenance
 from .ring import Chart, Poly, _derived_names, accumulate, poly_sum
-from .tensor import (_ANY, _FORM, _MIXED, _SECTION, GradedTensor, Kind,
-                     _require, _sort_skew, remap)
+from .tensor import (_ANY, _CANONICAL, _FORM, _MIXED, _SECTION, GradedTensor, Kind,
+                     _key, _require, _slot_offsets, _slots, remap)
 from .algebroid import (CACHE_SIZE, Algebroid, canonical_algebroid, dual_chart,
                          linear_poisson, tangent_lift, velocity_derivative)
 from .calculus import schouten
@@ -70,37 +70,18 @@ def iota(algebroid: Algebroid, x) -> Poly:
 
 # -- lifts to the tangent-lift algebroid -----------------------------------------
 
-def _lifted_key(kind: Kind, key, rank: int, dotted):
-    """Relabel a basis key into the doubled fiber range.
-
-    ``dotted`` names the slot whose factor crosses into the other block
-    (None for the all-vertical key).  Vector factors start barred (index
-    unchanged) and dot to ``rank + i``; form factors pair the opposite way
-    round, starting at ``rank + i`` and dotting back to ``i``.  A mixed key
-    counts its form slots first and its vector slot last.
-    """
-    if kind is Kind.MIXED:
-        form_key, fiber = key
-        new_form = tuple(
-            i if r == dotted else rank + i for r, i in enumerate(form_key))
-        new_fiber = rank + fiber if dotted == len(form_key) else fiber
-        return (new_form, new_fiber)
-    if kind is Kind.FORM:
-        return tuple(i if r == dotted else rank + i for r, i in enumerate(key))
-    return tuple(rank + i if r == dotted else i for r, i in enumerate(key))
-
-
 def vertical_lift_V(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
     """The vertical lift: coefficients pulled back, every factor barred.
 
     The result is a tensor over ``tangent_lift(algebroid)``."""
     _require(s, "vertical_lift_V", algebroid)
     target = tangent_lift(algebroid)
-    m, base = algebroid.rank, target.base
-    # the all-barred relabelling preserves the order within each part of a
-    # key, so keys stay canonical and distinct
-    return GradedTensor._make(target, s.kind, s.degree, {
-        _lifted_key(s.kind, key, m, None): coeff.transport(base)
+    base, kind = target.base, s.kind
+    # vector factors keep their index, form factors move to rank + i: the
+    # order within each part of a key holds, so keys stay canonical
+    barred = _slot_offsets(kind, s.degree, algebroid.rank, 0)
+    return GradedTensor._make(target, kind, s.degree, {
+        _key(kind, tuple(map(add, _slots(kind, key), barred))): coeff.transport(base)
         for key, coeff in s.terms.items()})
 
 
@@ -113,33 +94,26 @@ def complete_lift_T(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
     The result is a tensor over ``tangent_lift(algebroid)``."""
     _require(s, "complete_lift_T", algebroid)
     target = tangent_lift(algebroid)
-    m, base, kind = algebroid.rank, target.base, s.kind
-    terms = {}
+    base, kind, m = target.base, s.kind, algebroid.rank
+    # vector factors start barred (index unchanged) and dot to m + i; form
+    # factors pair the opposite way round, from m + i back to i
+    barred = _slot_offsets(kind, s.degree, m, 0)
+    dotted = _slot_offsets(kind, s.degree, 0, m)
+    canonical = _CANONICAL[kind]
+    terms = []
     for key, coeff in s.terms.items():
+        indices = _slots(kind, key)
+        bar = tuple(map(add, indices, barred))
         drift = velocity_derivative(coeff, base)
         if drift:
-            terms[_lifted_key(kind, key, m, None)] = drift
+            terms.append((_key(kind, bar), drift))
         pulled = coeff.transport(base)
-        if kind is Kind.SYM:
-            # the dotted factor sorts last, and equal factors dot to one key
-            for r, i in enumerate(key):
-                if not r or key[r - 1] != i:
-                    count = key.count(i)
-                    terms[key[:r] + key[r + 1:] + (m + i,)] = (
-                        pulled * count if count > 1 else pulled)
-            continue
         # a skew key is recovered from each of its single-dotted lifts, so
-        # no two of those collide
-        slots = s.degree + (1 if kind is Kind.MIXED else 0)
-        for r in range(slots):
-            lifted = _lifted_key(kind, key, m, r)
-            if kind is Kind.MIXED:
-                form_key, sign = _sort_skew(lifted[0])
-                lifted = (form_key, lifted[1])
-            else:
-                lifted, sign = _sort_skew(lifted)
-            terms[lifted] = pulled if sign > 0 else -pulled
-    return GradedTensor._make(target, kind, s.degree, terms)
+        # only the equal factors of a symmetric key dot to one key, and sum
+        for r, i in enumerate(indices):
+            lifted, sign = canonical(bar[:r] + (i + dotted[r],) + bar[r + 1:])
+            terms.append((lifted, pulled if sign > 0 else -pulled))
+    return GradedTensor._make(target, kind, s.degree, accumulate(terms))
 
 
 # -- lifts to the dual chart ------------------------------------------------------
@@ -293,7 +267,7 @@ def _classical(tensor, lift) -> GradedTensor:
         raise WrongProvenance(
             f"classical lifts act on sections over a canonical algebroid, "
             f"got {tensor.owner!r}")
-    direction = "kappa" if tensor.kind in (Kind.MV, Kind.SYM) else "alpha"
+    direction = "kappa" if tensor.kind in _VECTOR_SIDE else "alpha"
     return canonical_transport(direction, lift(tensor.owner, tensor))
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import re
 
+from . import fixtures
 from .algebroid import (
     Algebroid,
     build_algebroid,
@@ -477,8 +478,6 @@ def dumps_model(model: Model) -> str:
 def builtin_model() -> Model:
     """The fixture registry as a Model: what the CLI uses when no --model is
     given, and the content of the shipped standard file."""
-    from . import fixtures
-
     model = Model(suite={"seed": 0, "trials": 50})
     model.charts = {
         "point": Chart(()),
@@ -491,7 +490,8 @@ def builtin_model() -> Model:
         "nc-dual": Chart(("x", "xi_e1", "xi_e2")),
     }
     algebroids = model.algebroids = {name: make() for name, make in fixtures.ALGEBROIDS.items()}
-    # the linear fixtures reuse the algebroids above: new copies would be validated again
+    # the linear structures reuse the algebroids above: fixtures.POISSON would
+    # build and validate equal copies of them again
     model.poisson = {"poisson-plane": fixtures.poisson_plane(),
                      "poisson-four": fixtures.poisson_four(),
                      "poisson-so3": linear_poisson(algebroids["so3"]),

@@ -37,8 +37,8 @@ from .algebroid import CACHE_SIZE, Algebroid, build_algebroid, canonical_algebro
 from .calculus import differential, lie_derivative, schouten
 from .errors import KindMismatch, NotInvertible, NotPoisson
 from .ring import Chart, Poly, _derived_names, accumulate
-from .tensor import (_FORM_OR_FUNCTION, _MULTIVECTOR, GradedTensor, Kind,
-                     _require, contract, pretty, tensor_sum, wedge)
+from .tensor import (_MULTIVECTOR, GradedTensor, Kind, _require, _view, contract,
+                     pretty, tensor_sum, wedge)
 
 
 class PoissonStructure:
@@ -124,12 +124,6 @@ def _poisson_checked(bivector: GradedTensor) -> None:
                          witness={"residual": pretty(residual)})
 
 
-def _as_form(ps: PoissonStructure, t: GradedTensor) -> GradedTensor:
-    """A function (a degree-0 multivector) as a degree-0 form; a form as it is."""
-    if t.kind is Kind.MV:
-        return GradedTensor._make(ps.owner, Kind.FORM, 0, dict(t.terms))
-    return t
-
 # -- the function bracket ---------------------------------------------------------
 
 
@@ -182,8 +176,8 @@ def koszul_schouten(ps: PoissonStructure, mu: GradedTensor,
     of the cotangent algebroid, with a k-form read as one of its degree-k
     multivector sections (the index spaces coincide)."""
     _require(ps, "koszul_schouten", cls=PoissonStructure)
-    mu = _as_form(ps, _require(mu, "koszul_schouten", ps.owner, _FORM_OR_FUNCTION))
-    nu = _as_form(ps, _require(nu, "koszul_schouten", ps.owner, _FORM_OR_FUNCTION))
+    mu = _view(mu, "koszul_schouten", ps.owner, Kind.FORM)
+    nu = _view(nu, "koszul_schouten", ps.owner, Kind.FORM)
     cot = cotangent_algebroid(ps)
     result = schouten(cot,
                       GradedTensor._make(cot, Kind.MV, mu.degree, dict(mu.terms)),
@@ -260,7 +254,7 @@ def lambda_p(ps: PoissonStructure, t: GradedTensor, mode: str = "plain") -> Grad
         return _factorwise(t, Kind.FORM, rows.__getitem__)
     if mode not in ("plain", "star"):
         raise KindMismatch(f"unknown mode {mode!r} (plain, star or inverse)")
-    mu = _as_form(ps, _require(t, "lambda_p", ps.owner, _FORM_OR_FUNCTION))
+    mu = _view(t, "lambda_p", ps.owner, Kind.FORM)
     out = _factorwise(mu, Kind.MV, ps.row)
     if mode == "star" and mu.degree % 2:
         out = -out
@@ -277,7 +271,7 @@ def r_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
     is multilinear, so the value does not depend on the decomposition.
     """
     _require(ps, "r_p", cls=PoissonStructure)
-    mu = _as_form(ps, _require(mu, "r_p", ps.owner, _FORM_OR_FUNCTION))
+    mu = _view(mu, "r_p", ps.owner, Kind.FORM)
     k = mu.degree
     if k == 0:
         return GradedTensor._make(ps.owner, Kind.MIXED, 0, {})
@@ -296,13 +290,13 @@ def h_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
     """The hamiltonian map H_P = R_P ∘ d (a vector-valued k-form on degree k;
     on functions it is the hamiltonian vector field P̃(df))."""
     _require(ps, "h_p", cls=PoissonStructure)
-    return r_p(ps, differential(ps.owner, _require(mu, "h_p", ps.owner, _FORM_OR_FUNCTION)))
+    return r_p(ps, differential(ps.owner, _view(mu, "h_p", ps.owner, Kind.FORM)))
 
 
 def g_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
     """The total hamiltonian map G_P = Λ_P ∘ d."""
     _require(ps, "g_p", cls=PoissonStructure)
-    return lambda_p(ps, differential(ps.owner, _require(mu, "g_p", ps.owner, _FORM_OR_FUNCTION)))
+    return lambda_p(ps, differential(ps.owner, _view(mu, "g_p", ps.owner, Kind.FORM)))
 
 
 # -- the extended bracket -----------------------------------------------------------
@@ -316,8 +310,8 @@ def extended_bracket(ps: PoissonStructure, mu: GradedTensor,
     bracket on degree 0, and satisfies {dμ, ν} = d{μ, ν}.
     """
     _require(ps, "extended_bracket", cls=PoissonStructure)
-    mu = _as_form(ps, _require(mu, "extended_bracket", ps.owner, _FORM_OR_FUNCTION))
-    nu = _as_form(ps, _require(nu, "extended_bracket", ps.owner, _FORM_OR_FUNCTION))
+    mu = _view(mu, "extended_bracket", ps.owner, Kind.FORM)
+    nu = _view(nu, "extended_bracket", ps.owner, Kind.FORM)
     owner = ps.owner
     first = lie_derivative(owner, h_p(ps, mu), nu)
     second = differential(owner, lie_derivative(owner, r_p(ps, mu), nu))

@@ -95,12 +95,12 @@ from .ring import poly_sum
 from .tensor import (
     GradedTensor,
     Kind,
+    _draw_tensor,
     basis_keys,
     contract,
     contract_mixed,
     mixed_from_vector,
     random_coefficient,
-    random_tensor,
     remap,
     sym_product,
     wedge,
@@ -218,8 +218,8 @@ class _Run:
         return [(name, A) for name, A in self.algebroids() if A.is_canonical]
 
     def draw(self, rng, owner, kind, degree, keys=2):
-        return random_tensor(rng, owner, kind, degree,
-                             coeff_degree=self.coeff_degree, max_keys=keys)
+        # the settings were checked by run_suite, so the draw skips the guards
+        return _draw_tensor(rng, owner, kind, degree, self.coeff_degree, keys)
 
     def note(self, text):
         self.notes.append(text)
@@ -1393,9 +1393,12 @@ def run_suite(name, model=None, seed=None, trials=None) -> dict:
         seed = model.suite.get("seed", DEFAULT_SEED)
     if trials is None:
         trials = model.suite.get("trials", DEFAULT_TRIALS)
-    if trials < 1:
-        raise ValidationError(f"trials must be at least 1, got {trials}")
     coeff_degree = model.suite.get("max_degree", 2)
+    # checked before any draw: a draw of a negative degree never returns
+    for setting, value, minimum in (("trials", trials, 1), ("max_degree", coeff_degree, 0)):
+        if value.__class__ is not int or value < minimum:
+            raise ValidationError(f"{setting} must be an int of at least {minimum}, "
+                                  f"got {value!r}")
     title, runner = SUITES[name]
     run = _Run(name, title, model, seed, trials, coeff_degree)
     runner(run)

@@ -18,21 +18,33 @@ Chart), ``rank`` and ``fiber_names`` — in practice an
 ``Kind.SYM``
     symmetric multivector sections; keys are nondecreasing tuples.
 
+One key rule, kept here alone, makes these keys: ``_CANONICAL`` takes a
+basis element's fiber indices in slot order, a mixed key's bundle factor
+last, to the kind's canonical key and sign, or None when the element
+vanishes (skew indices sort with the permutation sign and vanish on a
+repeat).  The constructor, :func:`remap`, the symmetric products and
+brackets and the tangent lifts canonicalise through it and no other way.
+Some kinds read as others, as the table ``_VIEWS`` lists: a function is a
+0-form, a section X is the vector-valued form 1⊗X and 1⊗X is X, and
+functions and sections are symmetric multivectors.
+
 Every term map is canonical: keys in normal form, no zero coefficient, each
 coefficient over the owner's base, so equality of term maps is equality of
 tensors.  The public constructor ``GradedTensor(...)`` makes it so: it
-normalizes keys (skew kinds sort their indices and pick up the permutation
-sign, repeated indices vanish), coerces coefficients with
+normalizes keys by the key rule, coerces coefficients with
 :meth:`~algebroids.ring.Chart.coerce` of the owner's base and sums the terms
 with :func:`~algebroids.ring.accumulate`, which drops zero coefficients.
 Internal builders (the products, ``zero``, ``basis``, ``function``, the kind
-coercions, :func:`remap` and the lifts of :mod:`algebroids.lifts`) build
+views, :func:`remap` and the lifts of :mod:`algebroids.lifts`) build
 canonical maps themselves and pass them to ``GradedTensor._make``, which
 checks nothing; ``basis`` still checks and normalizes its key.
 
 The public operations here and in the algebroid, calculus, lifts and poisson
 modules check each operand's type, owner, kind and degree first, with the one
 guard :func:`_require`; the kernels behind them (``_make``, the products) do not.
+An operation that takes a view guards each operand with one call of
+``_view``, which checks it as ``_require`` does and returns it as the kind
+the operation computes in, each key's fiber indices kept in slot order.
 
 The products (wedge, symmetric product, contractions) pair basis keys and
 hand each pair's two coefficients, with the key and its sign, to the product
@@ -108,6 +120,41 @@ def _sort_skew(indices: Tuple[int, ...]):
     return tuple(idx), sign
 
 
+def _sort_sym(indices: Tuple[int, ...]):
+    """Sort a tuple of indices, returning (sorted, 1): nothing vanishes."""
+    return tuple(sorted(indices)), 1
+
+
+def _sort_mixed(indices: Tuple[int, ...]):
+    """Sort a mixed key's form indices (its bundle factor is last)."""
+    hit = _sort_skew(indices[:-1])
+    return hit and ((hit[0], indices[-1]), hit[1])
+
+
+#: The key rule (see module doc): per kind, a basis element's fiber indices
+#: in slot order to its canonical key and sign, or None when it vanishes.
+_CANONICAL = {Kind.MV: _sort_skew, Kind.FORM: _sort_skew,
+              Kind.MIXED: _sort_mixed, Kind.SYM: _sort_sym}
+
+
+def _slots(kind: Kind, key) -> Tuple[int, ...]:
+    """The fiber indices of a ``kind`` key in slot order."""
+    return key[0] + (key[1],) if kind is Kind.MIXED else key
+
+
+def _key(kind: Kind, indices: Tuple[int, ...]):
+    """The inverse of :func:`_slots`, for indices already in canonical order."""
+    return (indices[:-1], indices[-1]) if kind is Kind.MIXED else indices
+
+
+def _slot_offsets(kind: Kind, degree: int, form: int, vector: int) -> Tuple[int, ...]:
+    """Per slot of a ``kind`` key of ``degree``, in slot order: ``form`` for
+    a form factor, ``vector`` for a bundle factor."""
+    if kind is Kind.MIXED:
+        return (form,) * degree + (vector,)
+    return (form if kind is Kind.FORM else vector,) * degree
+
+
 def _check_indices(indices: Tuple[int, ...], rank: int) -> None:
     for i in indices:
         if i.__class__ is not int:
@@ -157,34 +204,26 @@ class GradedTensor:
                 yield key, (coeff if sign > 0 else -coeff)
 
     def _normalize_key(self, key):
-        rank = self.owner.rank
-        if self.kind is Kind.MIXED:
-            try:
-                form_key, fiber = key
-                form_key = tuple(form_key)
-            except (TypeError, ValueError):
-                raise KindMismatch(f"a mixed key is a (form key, fiber) pair, "
-                                   f"not {key!r}") from None
-            if len(form_key) != self.degree:
-                raise KindMismatch(
-                    f"mixed key {key!r} has form degree {len(form_key)}, expected {self.degree}"
-                )
-            _check_indices(form_key + (fiber,), rank)
-            sorted_key = _sort_skew(form_key)
-            if sorted_key is None:
-                return None, 1
-            return (sorted_key[0], fiber), sorted_key[1]
+        """``key`` checked against the kind, degree and rank, as its
+        canonical key and sign; (None, 1) when the basis element vanishes."""
+        mixed = self.kind is Kind.MIXED
         try:
-            key = tuple(key)
-        except TypeError:
-            raise KindMismatch(f"a {self.kind.value} key is a tuple of fiber "
-                               f"indices, not {key!r}") from None
-        if len(key) != self.degree:
-            raise KindMismatch(f"key {key!r} has length {len(key)}, expected degree {self.degree}")
-        _check_indices(key, rank)
-        if self.kind is Kind.SYM:
-            return tuple(sorted(key)), 1
-        return _sort_skew(key) or (None, 1)
+            if mixed:
+                form_key, fiber = key
+                indices = tuple(form_key) + (fiber,)
+            else:
+                indices = tuple(key)
+        except (TypeError, ValueError):
+            raise KindMismatch(f"a mixed key is a (form key, fiber) pair, not {key!r}"
+                               if mixed else f"a {self.kind.value} key is a tuple of "
+                               f"fiber indices, not {key!r}") from None
+        if len(indices) != self.degree + mixed:
+            raise KindMismatch(
+                f"mixed key {key!r} has form degree {len(indices) - 1}, expected {self.degree}"
+                if mixed else
+                f"key {key!r} has length {len(indices)}, expected degree {self.degree}")
+        _check_indices(indices, self.owner.rank)
+        return _CANONICAL[self.kind](indices) or (None, 1)
 
     # -- constructors ---------------------------------------------------------
 
@@ -313,12 +352,8 @@ _MULTIVECTOR = {Kind.MV: _ANY}
 _SECTION = {Kind.MV: (1,)}
 _FORM = {Kind.FORM: _ANY}
 _MIXED = {Kind.MIXED: _ANY}
-#: a form, or a function (a degree-0 multivector) read as a 0-form
-_FORM_OR_FUNCTION = {Kind.FORM: _ANY, Kind.MV: (0,)}
 #: the form-side kinds: forms and vector-valued forms
 _FORM_SIDE = {Kind.FORM: _ANY, Kind.MIXED: _ANY}
-#: what views into the symmetric algebra: functions, sections and itself
-_SYM_VIEW = {Kind.SYM: _ANY, Kind.MV: (0, 1)}
 #: every degree of one kind, per kind
 _OF_KIND = {kind: {kind: _ANY} for kind in Kind}
 
@@ -350,6 +385,31 @@ def _require(value, who: str, owner=_NO_OWNER, shapes=None, cls=GradedTensor):
                                   for kind, ds in shapes.items())
             raise KindMismatch(f"{who} takes {allowed}, got {value.describe()}")
     return value
+
+
+#: The views (see module doc): {kind an operation computes in: {kind:
+#: degrees of it that read as the first}}.
+_VIEWS = {
+    Kind.MV: {Kind.MIXED: (0,)},
+    Kind.FORM: {Kind.MV: (0,)},
+    Kind.MIXED: {Kind.MV: (1,)},
+    Kind.SYM: {Kind.MV: (0, 1)},
+}
+#: the shapes an operand computing in each kind may take
+_VIEW_SHAPES = {kind: {kind: _ANY, **views} for kind, views in _VIEWS.items()}
+
+
+def _view(value, who: str, owner, kind: Kind, shapes=None) -> GradedTensor:
+    """The operand guard of operation ``who``, which computes in ``kind``:
+    ``value`` checked by :func:`_require` over ``owner`` against ``shapes``
+    (by default ``kind`` and its views), returned as a tensor of ``kind``."""
+    t = _require(value, who, owner, shapes or _VIEW_SHAPES[kind])
+    if t.kind is kind:
+        return t
+    return GradedTensor._make(t.owner, kind,
+                              t.degree + (t.kind is Kind.MIXED) - (kind is Kind.MIXED),
+                              {_key(kind, _slots(t.kind, key)): coeff
+                               for key, coeff in t.terms.items()})
 
 
 def _require_shape(who: str, owner, kind, degree) -> None:
@@ -416,14 +476,12 @@ def _merge_skew(a: Tuple[int, ...], b: Tuple[int, ...]):
 
 def _merge_form_mixed(a, b):
     """mu ∧ (theta⊗X): the bundle factor of the right operand rides along."""
-    merged = _merge_skew(a, b[0])
-    return None if merged is None else ((merged[0], b[1]), merged[1])
+    return _sort_mixed(a + b[0] + (b[1],))
 
 
 def _merge_mixed_form(a, b):
     """(theta⊗X) ∧ mu: the bundle factor of the left operand rides along."""
-    merged = _merge_skew(a[0], b)
-    return None if merged is None else ((merged[0], a[1]), merged[1])
+    return _sort_mixed(a[0] + b + (a[1],))
 
 
 _WEDGES = {
@@ -450,40 +508,29 @@ def wedge(s: GradedTensor, t: GradedTensor) -> GradedTensor:
     return _product(s, t, merge, kind, s.degree + t.degree)
 
 
-def _merge_sym(a: Tuple[int, ...], b: Tuple[int, ...]):
-    return tuple(sorted(a + b)), 1
-
-
 def sym_product(s: GradedTensor, t: GradedTensor) -> GradedTensor:
     """Symmetric product of symmetric multivectors (functions and sections
-    coerce into the symmetric algebra first)."""
-    s = as_sym(s)
-    t = as_sym(_require(t, "sym_product", s.owner))
-    return _product(s, t, _merge_sym, Kind.SYM, s.degree + t.degree)
+    are read in the symmetric algebra)."""
+    s = _view(s, "sym_product", _NO_OWNER, Kind.SYM)
+    t = _view(t, "sym_product", s.owner, Kind.SYM)
+    return _product(s, t, lambda a, b: _sort_sym(a + b), Kind.SYM, s.degree + t.degree)
 
 
 # -- kind coercions -----------------------------------------------------------
 
 def as_sym(t: GradedTensor) -> GradedTensor:
     """View a degree-0/1 multivector inside the symmetric algebra."""
-    if _require(t, "as_sym", shapes=_SYM_VIEW).kind is Kind.SYM:
-        return t
-    # keys of length 0 or 1 are the same in both algebras
-    return GradedTensor._make(t.owner, Kind.SYM, t.degree, dict(t.terms))
+    return _view(t, "as_sym", _NO_OWNER, Kind.SYM)
 
 
 def mixed_from_vector(x: GradedTensor) -> GradedTensor:
     """A section X, seen as the degree-0 vector-valued form 1⊗X."""
-    _require(x, "mixed_from_vector", shapes=_SECTION)
-    return GradedTensor._make(x.owner, Kind.MIXED, 0,
-                              {((), k[0]): c for k, c in x.terms.items()})
+    return _view(x, "mixed_from_vector", _NO_OWNER, Kind.MIXED, _SECTION)
 
 
 def vector_from_mixed(k: GradedTensor) -> GradedTensor:
     """Inverse of :func:`mixed_from_vector` (degree-0 mixed tensors only)."""
-    _require(k, "vector_from_mixed", shapes={Kind.MIXED: (0,)})
-    return GradedTensor._make(k.owner, Kind.MV, 1,
-                              {(key[1],): c for key, c in k.terms.items()})
+    return _view(k, "vector_from_mixed", _NO_OWNER, Kind.MV, {Kind.MIXED: (0,)})
 
 
 # -- contraction --------------------------------------------------------------
@@ -540,19 +587,16 @@ def contract_mixed(k: GradedTensor, t: GradedTensor) -> GradedTensor:
     _require(t, "contract_mixed", k.owner, _FORM_SIDE)
     if t.degree == 0:
         return GradedTensor._make(t.owner, t.kind, 0, {})
-    mixed_target = t.kind is Kind.MIXED
+    canonical, form_slots = _CANONICAL[t.kind], t.degree
 
     def merge(kk, kt):
         km, fiber = kk
-        step = _insert_index(kt[0] if mixed_target else kt, fiber)
+        indices = _slots(t.kind, kt)
+        step = _insert_index(indices[:form_slots], fiber)
         if step is None:
             return None
-        reduced, s1 = step
-        merged = _merge_skew(km, reduced)
-        if merged is None:
-            return None
-        key, s2 = merged
-        return ((key, kt[1]) if mixed_target else key), s1 * s2
+        hit = canonical(km + step[0] + indices[form_slots:])
+        return hit and (hit[0], hit[1] * step[1])
 
     return _product(k, t, merge, t.kind, t.degree + k.degree - 1)
 
@@ -590,18 +634,13 @@ def remap(t: GradedTensor, new_owner: Bundle, fiber_map: Mapping[int, int],
     _require(coord_map or {}, "remap", cls=Mapping)
     moved = _fiber_image(t, fiber_map, new_owner.rank)
     base = new_owner.base
+    canonical = _CANONICAL[t.kind]
     terms = {}
     for key, coeff in t.terms.items():
         coeff = coeff.transport(base, coord_map)
         if not coeff:
             continue
-        if t.kind is Kind.MIXED:
-            form_key, sign = _sort_skew(tuple(moved[i] for i in key[0]))
-            key = (form_key, moved[key[1]])
-        elif t.kind is Kind.SYM:
-            key, sign = tuple(sorted(moved[i] for i in key)), 1
-        else:
-            key, sign = _sort_skew(tuple(moved[i] for i in key))
+        key, sign = canonical(tuple(moved[i] for i in _slots(t.kind, key)))
         terms[key] = coeff if sign > 0 else -coeff
     return GradedTensor._make(new_owner, t.kind, t.degree, terms)
 
@@ -612,7 +651,7 @@ def _fiber_image(t: GradedTensor, fiber_map: Mapping[int, int],
     to send them injectively into ``range(rank)``."""
     used = set()
     for key in t.terms:
-        used.update(key[0] + (key[1],) if t.kind is Kind.MIXED else key)
+        used.update(_slots(t.kind, key))
     image = {}
     for i in sorted(used):
         try:
@@ -691,13 +730,20 @@ def random_tensor(rng, owner: Bundle, kind: Kind, degree: int, coeff_degree: int
     """A sparse random tensor with small exact coefficients (seeded rng)."""
     _require(rng, "random_tensor", cls=random.Random)
     _require_shape("random_tensor", owner, kind, degree)
+    if _basis_table(owner.rank, kind, degree):  # else zero, whatever the bounds
+        if _require(max_keys, "random_tensor", cls=int) < 1:
+            raise ValueError(f"empty range for a tensor of at most {max_keys} keys")
+        if _require(coeff_degree, "random_tensor", cls=int) < 0:
+            raise ValueError(f"empty range for a coefficient of degree {coeff_degree}")
+    return _draw_tensor(rng, owner, kind, degree, coeff_degree, max_keys)
+
+
+def _draw_tensor(rng: random.Random, owner: Bundle, kind: Kind, degree: int,
+                 coeff_degree: int, max_keys: int) -> GradedTensor:
+    """The draw of :func:`random_tensor`, on arguments already checked."""
     keys = _basis_table(owner.rank, kind, degree)
     if not keys:
         return GradedTensor._make(owner, kind, degree, {})
-    if _require(max_keys, "random_tensor", cls=int) < 1:
-        raise ValueError(f"empty range for a tensor of at most {max_keys} keys")
-    if _require(coeff_degree, "random_tensor", cls=int) < 0:
-        raise ValueError(f"empty range for a coefficient of degree {coeff_degree}")
     # basis keys are canonical and a sample holds each at most once, so the
     # drawn terms need only their zero coefficients dropped; the count is
     # randint(1, max_keys), drawn as in random_coefficient

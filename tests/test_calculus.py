@@ -20,8 +20,6 @@ from algebroids.algebroid import (
     tangent_lift,
 )
 from algebroids.calculus import (
-    _VECTOR_VALUED,
-    _as_mixed,
     differential,
     fn_bracket,
     fn_bracket_simple,
@@ -41,6 +39,7 @@ from algebroids.fixtures import (
     so3,
 )
 from algebroids.tensor import (
+    _ANY,
     GradedTensor,
     Kind,
     _require,
@@ -685,6 +684,15 @@ def test_schouten_brackets_call_no_section_bracket(monkeypatch):
 # -- the Frölicher–Nijenhuis kernel against its earlier form ---------------------
 
 
+#: a vector-valued form, or a section seen as one of degree 0
+_VECTOR_VALUED = {Kind.MIXED: _ANY, Kind.MV: (1,)}
+
+
+def _as_mixed(t: GradedTensor) -> GradedTensor:
+    """A section as the degree-0 vector-valued form 1⊗X."""
+    return mixed_from_vector(t) if t.kind is Kind.MV else t
+
+
 def reference_fn_bracket(algebroid, k, l):
     """``fn_bracket`` as it was written before operands were split by bundle
     factor: ``fn_bracket_simple`` summed over every pair of terms."""
@@ -770,3 +778,31 @@ def test_fn_bracket_differentiates_each_form_once(case, monkeypatch):
         a = len({i for _, i in _as_mixed(k).terms})
         b = len({j for _, j in _as_mixed(l).terms})
         assert len(calls) <= a * (1 + b) + b * (1 + a)
+
+
+# -- the kind views ------------------------------------------------------------
+
+
+def test_each_view_computes_as_the_kind_it_reads_as():
+    A = nonconstant_rank2()
+    f = A.fn("x^2")
+    x, y = A.e(0) * "x" + A.e(1), A.e(1) * "x^2"
+    k = GradedTensor(A, Kind.MIXED, 1, {((0,), 1): "x"})
+    # a function is a 0-form
+    assert differential(A, f) == differential(A, GradedTensor(A, Kind.FORM, 0, {(): "x^2"}))
+    # a section X is 1⊗X
+    assert nr_bracket(x, k) == nr_bracket(mixed_from_vector(x), k)
+    assert nr_bracket(x, k).kind is Kind.MIXED
+    # 1⊗X is the section X
+    assert schouten(A, mixed_from_vector(x), y) == schouten(A, x, y)
+    assert schouten(A, mixed_from_vector(x), y).kind is Kind.MV
+    # functions and sections are symmetric multivectors
+    assert sym_schouten(A, x, f) == sym_schouten(A, as_sym(x), as_sym(f))
+    assert sym_schouten(A, x, f).kind is Kind.SYM
+
+
+def test_an_operand_with_no_view_names_every_shape_the_operation_takes():
+    A = nonconstant_rank2()
+    with pytest.raises(KindMismatch) as error:
+        schouten(A, A.e(0), A.estar(0))
+    assert str(error.value) == "schouten takes mv or mixed degree 0, got form degree 1"

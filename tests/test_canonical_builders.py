@@ -42,14 +42,12 @@ from algebroids.fixtures import (
 from algebroids.lifts import (
     J_map,
     Jstar,
-    _lifted_key,
     complete_lift_T,
     vertical_lift_V,
     vertical_pi,
     vertical_tau,
 )
 from algebroids.poisson import (
-    _as_form,
     _factorwise,
     cotangent_algebroid,
     koszul_schouten,
@@ -60,6 +58,7 @@ from algebroids.ring import Chart
 from algebroids.tensor import (
     GradedTensor,
     Kind,
+    _view,
     as_sym,
     basis_keys,
     mixed_from_vector,
@@ -117,6 +116,26 @@ def ref_remap(t, new_owner, fiber_map, coord_map=None):
     return GradedTensor(new_owner, t.kind, t.degree,
                         [(moved(key), coeff.transport(new_owner.base, coord_map))
                          for key, coeff in t.terms.items()])
+
+
+def _lifted_key(kind: Kind, key, rank: int, dotted):
+    """Relabel a basis key into the doubled fiber range.
+
+    ``dotted`` names the slot whose factor crosses into the other block
+    (None for the all-vertical key).  Vector factors start barred (index
+    unchanged) and dot to ``rank + i``; form factors pair the opposite way
+    round, starting at ``rank + i`` and dotting back to ``i``.  A mixed key
+    counts its form slots first and its vector slot last.
+    """
+    if kind is Kind.MIXED:
+        form_key, fiber = key
+        new_form = tuple(
+            i if r == dotted else rank + i for r, i in enumerate(form_key))
+        new_fiber = rank + fiber if dotted == len(form_key) else fiber
+        return (new_form, new_fiber)
+    if kind is Kind.FORM:
+        return tuple(i if r == dotted else rank + i for r, i in enumerate(key))
+    return tuple(rank + i if r == dotted else i for r, i in enumerate(key))
 
 
 def ref_vertical_lift_V(algebroid, s):
@@ -191,6 +210,13 @@ def ref_row(ps, u):
 
 def ref_as_form(ps, t):
     return GradedTensor(ps.owner, Kind.FORM, 0, dict(t.terms))
+
+
+def _as_form(ps, t):
+    """A function (a degree-0 multivector) as a degree-0 form; a form as it is."""
+    if t.kind is Kind.MV:
+        return GradedTensor._make(ps.owner, Kind.FORM, 0, dict(t.terms))
+    return t
 
 
 def ref_koszul_schouten(ps, mu, nu):
@@ -303,7 +329,7 @@ def test_poisson_builders_match_their_checked_forms(case):
         f = random_tensor(rng, O, Kind.MV, 0)
         x = random_tensor(rng, O, Kind.MV, 1)
         context = (case, seed)
-        assert_same(_as_form(ps, f), ref_as_form(ps, f), context)
+        assert_same(_view(f, "view", O, Kind.FORM), ref_as_form(ps, f), context)
         assert_same(lie_derivative(O, x, f),
                     ref_lie_derivative_of_function(O, x, f), context)
         for degree in DEGREES:
@@ -432,7 +458,7 @@ def test_poisson_builders_of_canonical_input_call_no_checked_constructor(
     x = random_tensor(rng, O, Kind.MV, 1)
     del counted_inits[:]
     results = [ps.row(0),
-               _as_form(ps, f),
+               _view(f, "view", O, Kind.FORM),
                lambda_p(ps, mu),
                r_p(ps, mu),
                koszul_schouten(ps, mu, f),

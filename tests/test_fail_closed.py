@@ -13,12 +13,14 @@ it must raise.
 """
 
 import inspect
+import json
 import operator
 import random
 
 import pytest
 
 from algebroids import algebroid, calculus, lifts, poisson, tensor
+from algebroids.cli import main
 from algebroids.errors import AlgebroidError, DimensionMismatch, KindMismatch
 from algebroids.fixtures import canonical_plane, nonconstant_rank2, poisson_plane, so3
 from algebroids.ring import Chart, parse_poly
@@ -230,7 +232,8 @@ def _structure(table):
 
 #: Calls with a bad argument below the top level, and the error each raises:
 #: structure data whose key is not a pair of ints or whose target is not an
-#: int, and a fiber index out of range.
+#: int, a fiber index out of range, and a dual name, given or derived from a
+#: fiber name, that is no coordinate name.
 NESTED = {
     "structure key ('a', 1)": (KindMismatch, _structure({("a", 1): {0: 1}})),
     "structure key (0,)": (KindMismatch, _structure({(0,): {0: 1}})),
@@ -241,6 +244,10 @@ NESTED = {
                                    lambda: algebroid.anchor_derivative(A, 7, F)),
     "anchor_derivative(A, -1, f)": (DimensionMismatch,
                                     lambda: algebroid.anchor_derivative(A, -1, F)),
+    "dual name '1 2'": (DimensionMismatch, lambda: algebroid.build_algebroid(
+        LINE, ("e",), ((1,),), dual_names=("1 2",))),
+    "fiber name 'e f'": (DimensionMismatch, lambda: algebroid.build_algebroid(
+        LINE, ("e f",), ((1,),))),
 }
 
 
@@ -249,3 +256,15 @@ def test_nested_arguments_fail_closed(call):
     error, probe = NESTED[call]
     with pytest.raises(error):
         probe()
+
+
+def test_a_model_whose_fiber_name_makes_no_dual_name_exits_2(tmp_path, capsys):
+    with open("fixtures/so3.json", encoding="utf-8") as handle:
+        document = json.load(handle)
+    document["algebroids"]["so3"]["fibers"][0] = "e f"
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert "xi_e f" in report["error"]["message"]

@@ -25,7 +25,10 @@ through the algebroid's tables (the suites' independent references, in
 predicate ``_owned_by`` compares an ``.owner`` by identity or equality, and
 only the guard ``_require`` raises ``ChartMismatch``, so every operand check
 goes through the one guard (``ring.py``'s chart checks on polynomials are
-not operand checks).  Only the naming rule's table ``_NAME_PARTS`` in
+not operand checks).  Keys are canonicalised only by the key rule of ``tensor.py``: neither a
+call of ``sorted`` nor a comparison with ``Kind.SYM`` appears in
+``algebroid.py``, ``calculus.py``, ``lifts.py`` or ``poisson.py``.
+Only the naming rule's table ``_NAME_PARTS`` in
 ``ring.py`` spells the parts of a derived name (``_dot``, ``_bar``,
 ``p_``, ``xi_``, ``d_``, ``y_``): no other string constant of the package
 is one of them and no f-string's literal text starts or ends with one, so
@@ -183,7 +186,7 @@ def test_a_stream_building_its_own_generator_is_reported():
 
 #: What a declared residual may not name: the generator, and the draws that
 #: are the enumerator's alone.
-_DRAWS = {"rng", "draw", "random_tensor", "random_coefficient"}
+_DRAWS = {"rng", "draw", "random_tensor", "_draw_tensor", "random_coefficient"}
 
 
 def _drawing_residuals(source):
@@ -401,6 +404,46 @@ def test_an_owner_check_outside_the_guard_is_reported():
         ("_owned_by", "compare"), ("Structure.ptilde", "compare"),
         ("Structure.ptilde", "raise"), ("differential.items", "compare"),
         ("differential", "raise"), (None, "compare")}
+
+
+#: The modules that build keys only through the key rule of ``tensor.py``.
+_KEY_RULE_MODULES = ["algebroid.py", "calculus.py", "lifts.py", "poisson.py"]
+
+
+def _own_key_rules(source):
+    """(line, what) for each call of ``sorted`` and each comparison that
+    names ``Kind.SYM`` in ``source``: a module sorting keys itself or
+    special-casing symmetric keys."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "sorted":
+            found.add((node.lineno, "sorted"))
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "SYM"
+                and isinstance(sub.value, ast.Name) and sub.value.id == "Kind"
+                for side in [node.left, *node.comparators] for sub in ast.walk(side)):
+            found.add((node.lineno, "Kind.SYM"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", _KEY_RULE_MODULES)
+def test_keys_are_canonicalised_only_by_the_key_rule(module):
+    assert _own_key_rules((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_a_key_rule_outside_tensor_is_reported():
+    source = (
+        "from .tensor import Kind, _CANONICAL\n"
+        "\ndef merge(kind, key):\n"
+        "    if kind is Kind.SYM:\n"
+        "        return tuple(sorted(key)), 1\n"
+        "    return _CANONICAL[kind](key)\n"
+        "\nSIDE = {Kind.MV: 1, Kind.SYM: 1}\n"
+        "VECTOR = t.kind in (Kind.MV, Kind.SYM)\n"
+        "SORTED = [k for k in keys if k != Kind.MV]\n"
+    )
+    assert _own_key_rules(source) == [(4, "Kind.SYM"), (5, "sorted"), (9, "Kind.SYM")]
 
 
 #: The parts the naming rule puts around a name to spell a derived one.

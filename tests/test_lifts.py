@@ -137,6 +137,12 @@ def test_complete_lift_examples():
     assert complete_lift_T(line, sym_product(e, e)) == GradedTensor(
         TL, Kind.SYM, 2, {(0, 1): 2}
     )
+    # each copy of a repeated factor dots to the same key, and the terms add up
+    plane = canonical_plane()
+    e1, e2 = (GradedTensor(plane, Kind.SYM, 1, {(i,): 1}) for i in (0, 1))
+    assert complete_lift_T(plane, sym_product(sym_product(e1, e1), e2) * "x") == GradedTensor(
+        tangent_lift(plane), Kind.SYM, 3, {(0, 0, 1): "x_dot", (0, 1, 2): "2*x", (0, 0, 3): "x"}
+    )
     # mixed: the velocity slot walks the form indices and the fiber slot
     assert complete_lift_T(
         line, GradedTensor(line, Kind.MIXED, 1, {((0,), 0): 1})

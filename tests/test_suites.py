@@ -14,7 +14,7 @@ from algebroids import suites
 from algebroids import tensor as tensor_conventions
 from algebroids.algebroid import canonical_algebroid, dual_chart
 from algebroids.cli import main as cli_main
-from algebroids.errors import UnknownName
+from algebroids.errors import UnknownName, ValidationError
 from algebroids.fixtures import so3
 from algebroids.model import Model, builtin_model, loads_model
 from algebroids.ring import Chart
@@ -33,6 +33,17 @@ def test_registry_names_and_order():
 def test_unknown_suite():
     with pytest.raises(UnknownName):
         run_suite("theorem-99")
+
+
+@pytest.mark.parametrize("suite, trials", [
+    ({"max_degree": -1}, None), ({"max_degree": "2"}, None), ({"max_degree": True}, None),
+    ({}, 0), ({}, "3"), ({}, 2.5)])
+def test_suite_settings_fail_closed_before_any_draw(suite, trials):
+    # a library-built model is not checked by the document parser; a draw
+    # of a negative coefficient degree would never return
+    model = Model(algebroids={"so3": so3()}, suite=suite)
+    with pytest.raises(ValidationError):
+        run_suite("theorem-1", model, trials=trials)
 
 
 def test_result_shape_and_determinism():
