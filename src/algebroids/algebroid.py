@@ -272,6 +272,12 @@ def _dual_chart(coords: Tuple[str, ...], dual_names: Tuple[str, ...]) -> Chart:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _total_chart(coords: Tuple[str, ...], fiber_names: Tuple[str, ...]) -> Chart:
+    """The chart of the bundle's total space: the base, then one y per fiber."""
+    return Chart(coords + _derived_names(fiber_names, coords, "total"))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _vector_fields(chart: Chart) -> Algebroid:
     """The canonical algebroid of a chart, allowing the empty chart (rank 0).
 
@@ -315,9 +321,10 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
     a bracket morphism on every basis pair; failures raise
     :class:`JacobiViolation` / :class:`AnchorNotMorphism` with a witness.
     ``dual_names``, :func:`default_dual_names` when None, must extend the
-    base coordinates to the chart of :func:`dual_chart`: one per fiber,
-    distinct coordinate names and none of them a base coordinate, else
-    :class:`DimensionMismatch`.
+    base coordinates to the chart of :func:`dual_chart` (one distinct
+    coordinate name per fiber, none a base coordinate), and the fiber names
+    to the chart of :func:`~algebroids.lifts.vertical_tau`, else
+    :class:`DimensionMismatch` naming the names.
     """
     _require(base, "build_algebroid", cls=Chart)
     fiber_names = _names(fiber_names, "build_algebroid")
@@ -363,11 +370,14 @@ def build_algebroid(base: Chart, fiber_names: Sequence[str],
         dual_names = _names(dual_names, "build_algebroid")
         if len(dual_names) != rank:
             raise DimensionMismatch(f"{len(dual_names)} dual names for {rank} fibers")
-    try:  # the chart every lift to the dual bundle builds, built once here
-        _dual_chart(base.coords, dual_names)
-    except PolySyntaxError as exc:
-        raise DimensionMismatch(f"dual names {dual_names!r} and the base "
-                                f"{base.coords!r} make no chart: {exc}") from None
+    # the charts that the lifts to the dual bundle and the total space build
+    for what, names, chart in (("dual names", dual_names, _dual_chart),
+                               ("fiber names", fiber_names, _total_chart)):
+        try:
+            chart(base.coords, names)
+        except PolySyntaxError as exc:
+            raise DimensionMismatch(f"{what} {names!r} and the base "
+                                    f"{base.coords!r} make no chart: {exc}") from None
 
     result = Algebroid(base, fiber_names, rows, table, dual_names,
                        provenance=provenance, parent=parent)

@@ -1,9 +1,12 @@
 """Reference structures used by the test suites, demos and shipped models.
 
-Everything here is built from scratch on each call so callers can't corrupt
-shared state.  The rotation algebra fixture and the canonical charts are the
-workhorses: between them they exercise constant structure functions over an
-empty chart, trivial structure over 1–3 coordinates, and (via
+Each call goes through the public constructors.  What it returns may be
+shared: algebroids are immutable, and canonical algebroids, lifts and
+linear Poisson structures are memos that every structurally equal source
+shares (an equal structure built again is not validated again).  The
+rotation algebra fixture and the canonical charts are the workhorses:
+between them they exercise constant structure functions over an empty
+chart, trivial structure over 1–3 coordinates, and (via
 ``nonconstant_rank2``) polynomial anchors with polynomial structure
 functions.  The two ``broken_*`` fixtures are deliberately invalid and are
 returned unvalidated; feeding them to ``validate`` must raise.

@@ -40,8 +40,8 @@ from .errors import WrongProvenance
 from .ring import Chart, Poly, _derived_names, accumulate, poly_sum
 from .tensor import (_ANY, _CANONICAL, _FORM, _MIXED, _SECTION, GradedTensor, Kind,
                      _key, _require, _slot_offsets, _slots, remap)
-from .algebroid import (CACHE_SIZE, Algebroid, canonical_algebroid, dual_chart,
-                         linear_poisson, tangent_lift, velocity_derivative)
+from .algebroid import (CACHE_SIZE, Algebroid, _total_chart, canonical_algebroid,
+                         dual_chart, linear_poisson, tangent_lift, velocity_derivative)
 from .calculus import schouten
 from .poisson import h_p
 
@@ -134,8 +134,7 @@ def vertical_tau(algebroid: Algebroid, s) -> GradedTensor:
     direction of y_j on the chart that adjoins one y-coordinate per fiber.
     Factor-wise, so it applies to plain and symmetric multivectors."""
     _require(s, "vertical_tau", algebroid, _VECTOR_SIDE)
-    coords = algebroid.base.coords
-    chart = Chart(coords + _derived_names(algebroid.fiber_names, coords, "total"))
+    chart = _total_chart(algebroid.base.coords, algebroid.fiber_names)
     n = algebroid.base.dim
     return GradedTensor._make(canonical_algebroid(chart), s.kind, s.degree, {
         tuple(n + i for i in key): coeff.transport(chart)

@@ -42,20 +42,23 @@ structured witness).
 from __future__ import annotations
 
 import json
+import os
 import re
 
 from . import fixtures
 from .algebroid import (
     Algebroid,
+    _dual_chart,
     build_algebroid,
     canonical_algebroid,
     default_dual_names,
     linear_poisson,
 )
-from .errors import AlgebroidError, ParseError, StructureViolation, UnknownName, ValidationError
+from .errors import (AlgebroidError, KindMismatch, ParseError, StructureViolation,
+                     UnknownName, ValidationError)
 from .poisson import PoissonStructure, build_poisson
 from .ring import Chart, parse_poly
-from .tensor import GradedTensor, Kind
+from .tensor import GradedTensor, Kind, _require
 
 _KINDS = {kind.value: kind for kind in Kind}
 _SUITE_KEYS = ("seed", "trials", "max_degree")
@@ -93,30 +96,36 @@ class Model:
     def algebroid(self, name: str) -> Algebroid:
         try:
             return self.algebroids[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownName(f"no algebroid named {name!r} in the model") from None
 
     def poisson_structure(self, name: str) -> PoissonStructure:
         try:
             return self.poisson[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownName(f"no poisson structure named {name!r} in the model") from None
 
     def owner_named(self, name: str) -> Algebroid:
         """Resolve an owner name: an algebroid, or the canonical algebroid
         over a named chart."""
-        if name in self.algebroids:
-            return self.algebroids[name]
-        if name in self.charts:
-            return canonical_algebroid(self.charts[name])
+        try:
+            if name in self.algebroids:
+                return self.algebroids[name]
+            if name in self.charts:
+                return canonical_algebroid(self.charts[name])
+        except TypeError:  # an unhashable name names nothing
+            pass
         raise UnknownName(f"{name!r} names neither an algebroid nor a chart")
 
     def tensor(self, name: str) -> GradedTensor:
         """A named tensor; Poisson entries expose their bivector here too."""
-        if name in self.tensors:
-            return self.tensors[name]
-        if name in self.poisson:
-            return self.poisson[name].bivector
+        try:
+            if name in self.tensors:
+                return self.tensors[name]
+            if name in self.poisson:
+                return self.poisson[name].bivector
+        except TypeError:  # an unhashable name names nothing
+            pass
         raise UnknownName(f"no tensor named {name!r} in the model")
 
 
@@ -241,7 +250,7 @@ def _decode_duals(duals, chart, rank, where):
             or not all(isinstance(d, str) for d in duals)):
         raise ValidationError(f"{where}.duals: expected a list of {rank} names")
     try:
-        Chart(chart.coords + tuple(duals))
+        _dual_chart(chart.coords, tuple(duals))
     except AlgebroidError as exc:
         raise ValidationError(f"{where}.duals: {exc}") from exc
     return tuple(duals)
@@ -280,7 +289,7 @@ def _decode_tensor(name, body, model):
     owner_name = body.get("owner")
     try:
         owner = model.owner_named(owner_name)
-    except (UnknownName, TypeError):
+    except UnknownName:
         raise ParseError(f"{where}: unknown owner {owner_name!r}") from None
     kind_name = body.get("kind")
     if not isinstance(kind_name, str) or kind_name not in _KINDS:
@@ -337,6 +346,8 @@ def loads_model(text: str) -> Model:
         ) from exc
     except RecursionError:
         raise ParseError("not valid JSON: nested too deeply") from None
+    except (TypeError, ValueError) as exc:  # not text, or past the int digit limit
+        raise ParseError(f"not valid JSON: {exc}") from None
     raw = _expect_object(raw, "model")
     unknown = set(raw) - {"charts", "algebroids", "poisson", "tensors", "suite"}
     if unknown:
@@ -362,11 +373,15 @@ def loads_model(text: str) -> Model:
 def load_model(path) -> Model:
     """Load a model file; see the module docstring for the schema.  A path
     that cannot be read as UTF-8 text, or whose text is longer than
-    :data:`MAX_MODEL_CHARS`, raises ``ParseError`` naming it."""
+    :data:`MAX_MODEL_CHARS`, raises ``ParseError`` naming it, as does a
+    path that is no ``str`` or ``os.PathLike`` (``open`` takes an int as a
+    file descriptor)."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ParseError(f"a model path is a str or os.PathLike, not {type(path).__name__}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read(MAX_MODEL_CHARS + 1)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL in the path
         raise ParseError(f"{path}: cannot read the model file: {exc}") from exc
     if len(text) > MAX_MODEL_CHARS:
         raise ParseError(f"{path}: the model file is longer than "
@@ -382,10 +397,13 @@ def _indices_key(key) -> str:
 
 def tensor_key_string(kind: Kind, key) -> str:
     """The schema's 1-based key string for one tensor term."""
-    if kind is Kind.MIXED:
-        form_key, fiber = key
-        return f"{_indices_key(form_key)}|{fiber + 1}"
-    return _indices_key(key)
+    try:
+        if _require(kind, "tensor_key_string", cls=Kind) is Kind.MIXED:
+            form_key, fiber = key
+            return f"{_indices_key(form_key)}|{fiber + 1}"
+        return _indices_key(key)
+    except (TypeError, ValueError):
+        raise KindMismatch(f"tensor_key_string: {key!r} is no {kind.value} key") from None
 
 
 def _chart_name_for(model: Model, chart: Chart, where: str) -> str:
@@ -447,6 +465,7 @@ def _encode_tensor(model, name, tensor):
 def model_document(model: Model) -> dict:
     """The JSON document of a model: sorted names, 1-based keys, canonical
     polynomials."""
+    _require(model, "model_document", cls=Model)
     doc = {}
     if model.charts:
         doc["charts"] = {name: list(model.charts[name].coords)

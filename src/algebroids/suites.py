@@ -38,6 +38,10 @@ either draw), and seven whose draw count is not the share: theorem-2
 ``injectivity`` (``trials`` on one fixture), theorem-19 ``bivectors`` (a
 skipped fixture), theorem-20 ``poisson-routes`` and theorem-24
 ``nijenhuis-instance`` (one instance per fixture, no draw).
+
+The written-out references (velocities, lifts on a chart, the tangent anchor,
+the expansions of H and G) sum their terms in one call of a library kernel
+(``GradedTensor``, ``poly_sum``, ``tensor_sum``) and call no map they check.
 """
 
 from __future__ import annotations
@@ -96,6 +100,7 @@ from .tensor import (
     GradedTensor,
     Kind,
     _draw_tensor,
+    _require,
     basis_keys,
     contract,
     contract_mixed,
@@ -103,6 +108,7 @@ from .tensor import (
     random_coefficient,
     remap,
     sym_product,
+    tensor_sum,
     wedge,
 )
 
@@ -372,12 +378,9 @@ def _velocity(coeff, source, target):
     n = source.dim
     if target.dim != 2 * n or target.coords[:n] != source.coords:
         raise DimensionMismatch(f"{target!r} is not the velocity chart of {source!r}")
-    out = target.zero()
-    for a, name in enumerate(source.coords):
-        d = coeff.partial(name)
-        if not d.is_zero():
-            out = out + d.transport(target) * target.coordinate(target.coords[n + a])
-    return out
+    return poly_sum(target, (
+        d.transport(target) * target.coordinate(target.coords[n + a])
+        for a, d in enumerate(map(coeff.partial, source.coords)) if not d.is_zero()))
 
 
 # -- exterior calculus -------------------------------------------------------
@@ -863,13 +866,12 @@ def _suite_theorem_15(run):
 
 def _g_expanded(A, k):
     """The product-rule branch of the dual complete lift of a mixed tensor."""
-    ps = linear_poisson(A)
-    out = GradedTensor.zero(ps.owner, Kind.MV, k.degree + 1)
+    pieces = []
     for (form_key, j), coeff in k.terms.items():
         mu = GradedTensor(A, Kind.FORM, k.degree, {form_key: coeff})
-        out = out + wedge(cot_complete_G_vec(A, A.e(j)), vertical_pi(A, mu)) \
-            - vertical_pi(A, differential(A, mu)) * iota(A, A.e(j))
-    return out
+        pieces += (wedge(cot_complete_G_vec(A, A.e(j)), vertical_pi(A, mu)),
+                   vertical_pi(A, differential(A, mu)) * -iota(A, A.e(j)))
+    return tensor_sum(linear_poisson(A).owner, Kind.MV, k.degree + 1, pieces)
 
 
 def _suite_theorem_16(run):
@@ -954,14 +956,10 @@ def _direct_vertical_vector(chart, x):
 def _direct_complete_vector(chart, x):
     target = canonical_algebroid(dotted_chart(chart))
     n = chart.dim
-    out = GradedTensor.zero(target, Kind.MV, 1)
-    for (a,), c in x.terms.items():
-        out = out + GradedTensor(target, Kind.MV, 1,
-                                 {(a,): c.transport(target.base)})
-        drift = _velocity(c, chart, target.base)
-        if not drift.is_zero():
-            out = out + GradedTensor(target, Kind.MV, 1, {(n + a,): drift})
-    return out
+    return GradedTensor(target, Kind.MV, 1, (
+        term for (a,), c in x.terms.items()
+        for term in (((a,), c.transport(target.base)),
+                     ((n + a,), _velocity(c, chart, target.base)))))
 
 
 def _pullback(owner, mu):
@@ -976,18 +974,12 @@ def _pullback(owner, mu):
 def _direct_complete_form(chart, mu):
     target = canonical_algebroid(dotted_chart(chart))
     n = chart.dim
-    out = GradedTensor.zero(target, Kind.FORM, mu.degree)
+    terms = []
     for key, c in mu.terms.items():
-        drift = _velocity(c, chart, target.base)
-        if not drift.is_zero():
-            out = out + GradedTensor(target, Kind.FORM, mu.degree, {key: drift})
-        for r in range(len(key)):
-            piece = GradedTensor(target, Kind.FORM, 0,
-                                 {(): c.transport(target.base)})
-            for s, idx in enumerate(key):
-                piece = wedge(piece, target.estar(n + idx if s == r else idx))
-            out = out + piece
-    return out
+        pulled = c.transport(target.base)
+        terms.append((key, _velocity(c, chart, target.base)))
+        terms += ((key[:r] + (n + key[r],) + key[r + 1:], pulled) for r in range(len(key)))
+    return GradedTensor(target, Kind.FORM, mu.degree, terms)
 
 
 def _direct_vertical_bivector(chart, p):
@@ -1001,15 +993,12 @@ def _direct_vertical_bivector(chart, p):
 def _direct_complete_bivector(chart, p):
     target = canonical_algebroid(dotted_chart(chart))
     n = chart.dim
-    out = GradedTensor.zero(target, Kind.MV, 2)
+    terms = []
     for (u, v), c in p.terms.items():
-        drift = _velocity(c, chart, target.base)
-        if not drift.is_zero():
-            out = out + wedge(target.e(n + u), target.e(n + v)) * drift
         pulled = c.transport(target.base)
-        out = out + (wedge(target.e(u), target.e(n + v))
-                     + wedge(target.e(n + u), target.e(v))) * pulled
-    return out
+        terms += (((n + u, n + v), _velocity(c, chart, target.base)),
+                  ((u, n + v), pulled), ((n + u, v), pulled))
+    return GradedTensor(target, Kind.MV, 2, terms)
 
 
 def _suite_theorem_19(run):
@@ -1177,29 +1166,24 @@ def _literal_h(A, k):
     D = canonical_algebroid(dual_chart(A))
     chart = D.base
     n = A.base.dim
-    out = GradedTensor.zero(D, Kind.MIXED, k.degree)
+    terms = []
     for (form_key, a), coeff in k.terms.items():
         f = coeff.transport(chart)
-        out = out + GradedTensor(D, Kind.MIXED, k.degree, {(form_key, a): f})
+        terms.append(((form_key, a), f))
         for i, slot in enumerate(form_key, start=1):
             rest = form_key[:i - 1] + form_key[i:]
-            out = out - GradedTensor(
-                D, Kind.MIXED, k.degree,
-                {((n + a,) + rest, n + slot): f * _sign(i)})
+            terms.append((((n + a,) + rest, n + slot), -f * _sign(i)))
         momentum = chart.coordinate(chart.coords[n + a])
         for b, name in enumerate(A.base.coords):
             df = coeff.partial(name)
             if df.is_zero():
                 continue
             weight = df.transport(chart) * momentum
-            out = out - GradedTensor(D, Kind.MIXED, k.degree,
-                                     {(form_key, n + b): weight})
+            terms.append(((form_key, n + b), -weight))
             for i, slot in enumerate(form_key, start=1):
                 rest = form_key[:i - 1] + form_key[i:]
-                out = out - GradedTensor(
-                    D, Kind.MIXED, k.degree,
-                    {((b,) + rest, n + slot): weight * _sign(i)})
-    return out
+                terms.append((((b,) + rest, n + slot), -weight * _sign(i)))
+    return GradedTensor(D, Kind.MIXED, k.degree, terms)
 
 
 def _literal_g(A, k):
@@ -1208,20 +1192,15 @@ def _literal_g(A, k):
     D = canonical_algebroid(dual_chart(A))
     chart = D.base
     n = A.base.dim
-    out = GradedTensor.zero(D, Kind.MV, k.degree + 1)
+    terms = []
     for (form_key, a), coeff in k.terms.items():
-        f = coeff.transport(chart)
-        key = (a,) + tuple(n + s for s in form_key)
-        out = out - GradedTensor(D, Kind.MV, k.degree + 1, {key: f})
+        lifted = tuple(n + s for s in form_key)
+        terms.append(((a,) + lifted, -coeff.transport(chart)))
         momentum = chart.coordinate(chart.coords[n + a])
-        for b, name in enumerate(A.base.coords):
-            df = coeff.partial(name)
-            if df.is_zero():
-                continue
-            key = (n + b,) + tuple(n + s for s in form_key)
-            out = out + GradedTensor(D, Kind.MV, k.degree + 1,
-                                     {key: df.transport(chart) * momentum})
-    return out
+        partials = map(coeff.partial, A.base.coords)
+        terms += (((n + b,) + lifted, df.transport(chart) * momentum)
+                  for b, df in enumerate(partials) if not df.is_zero())
+    return GradedTensor(D, Kind.MV, k.degree + 1, terms)
 
 
 def _suite_theorem_24(run):
@@ -1300,24 +1279,15 @@ def _tangent_anchor_map(A, s):
     n, m = A.base.dim, A.rank
     target = tangent_lift(canonical_algebroid(A.base))
     tb = target.base
-    out = GradedTensor.zero(target, Kind.MV, 1)
+    terms = []
     for (idx,), c in s.terms.items():
-        i = idx if idx < m else idx - m
-        for a in range(n):
-            rho = A.anchor[i][a]
-            if rho.is_zero():
-                continue
+        for a, rho in enumerate(A.anchor[idx % m]):
+            pulled = c * rho.transport(tb)
             if idx < m:
-                out = out + GradedTensor(target, Kind.MV, 1,
-                                         {(a,): c * rho.transport(tb)})
-            else:
-                out = out + GradedTensor(target, Kind.MV, 1,
-                                         {(n + a,): c * rho.transport(tb)})
-                drift = _velocity(rho, A.base, tb)
-                if not drift.is_zero():
-                    out = out + GradedTensor(target, Kind.MV, 1,
-                                             {(a,): c * drift})
-    return out
+                terms.append(((a,), pulled))
+            elif not pulled.is_zero():
+                terms += (((n + a,), pulled), ((a,), c * _velocity(rho, A.base, tb)))
+    return GradedTensor(target, Kind.MV, 1, terms)
 
 
 def _suite_eq_7_13(run):
@@ -1384,15 +1354,14 @@ SUITE_NAMES = tuple(SUITES)
 
 def run_suite(name, model=None, seed=None, trials=None) -> dict:
     """Run one named suite and return its structured result."""
-    if name not in SUITES:
+    if name.__class__ is not str or name not in SUITES:
         raise UnknownName(f"no suite named {name!r}; choose from "
                           f"{', '.join(SUITE_NAMES)}")
-    if model is None:
-        model = builtin_model()
-    if seed is None:
-        seed = model.suite.get("seed", DEFAULT_SEED)
-    if trials is None:
-        trials = model.suite.get("trials", DEFAULT_TRIALS)
+    model = builtin_model() if model is None else _require(model, "run_suite", cls=Model)
+    seed = model.suite.get("seed", DEFAULT_SEED) if seed is None else seed
+    if seed.__class__ is not int:
+        raise ValidationError(f"seed must be an int, got {seed!r}")
+    trials = model.suite.get("trials", DEFAULT_TRIALS) if trials is None else trials
     coeff_degree = model.suite.get("max_degree", 2)
     # checked before any draw: a draw of a negative degree never returns
     for setting, value, minimum in (("trials", trials, 1), ("max_degree", coeff_degree, 0)):
@@ -1407,4 +1376,5 @@ def run_suite(name, model=None, seed=None, trials=None) -> dict:
 
 def run_all(model=None, seed=None, trials=None) -> list:
     """Run every suite, in registry order."""
+    model = builtin_model() if model is None else model
     return [run_suite(name, model, seed, trials) for name in SUITE_NAMES]

@@ -96,7 +96,7 @@ class Kind(enum.Enum):
 
 
 #: Most index tuples the skew-merge table keeps.  A ``suite --name all``
-#: round over both shipped models sorts 366 distinct tuples.
+#: round over both shipped models sorts 365 distinct tuples.
 _SKEW_TABLE_SIZE = 4096
 
 

@@ -1,5 +1,5 @@
-"""Every public operation of the tensor, algebroid, calculus, lifts and
-poisson modules fails closed on a bad argument.
+"""Every public operation of the tensor, algebroid, calculus, lifts,
+poisson, model and suites modules fails closed on a bad argument.
 
 ``ROWS`` holds one valid call of every public module function, of the
 ``GradedTensor`` constructors and of the tensor operators ``+``, ``-`` and
@@ -8,8 +8,9 @@ string and a tensor over another owner; the call must then return or raise
 an :class:`~algebroids.errors.AlgebroidError`, never another exception.  A
 self-test fails when a public function of those modules has no row.
 ``NESTED`` holds calls whose bad value sits below the top level (a
-structure key or target, a fiber index out of range), each with the error
-it must raise.
+structure key or target, a fiber index out of range), or that the
+replacements above do not reach (an unhashable name, bytes that are not
+UTF-8), each with the error it must raise.
 """
 
 import inspect
@@ -19,14 +20,15 @@ import random
 
 import pytest
 
-from algebroids import algebroid, calculus, lifts, poisson, tensor
+from algebroids import algebroid, calculus, lifts, model, poisson, suites, tensor
 from algebroids.cli import main
-from algebroids.errors import AlgebroidError, DimensionMismatch, KindMismatch
+from algebroids.errors import (AlgebroidError, DimensionMismatch, KindMismatch, ParseError,
+                               UnknownName)
 from algebroids.fixtures import canonical_plane, nonconstant_rank2, poisson_plane, so3
 from algebroids.ring import Chart, parse_poly
 from algebroids.tensor import GradedTensor, Kind, basis_keys
 
-MODULES = (algebroid, calculus, lifts, poisson, tensor)
+MODULES = (algebroid, calculus, lifts, model, poisson, suites, tensor)
 
 A = nonconstant_rank2()
 X = A.e(0) * "x" + A.e(1)
@@ -48,6 +50,12 @@ MU_O = GradedTensor(O, Kind.FORM, 1, {(0,): "x"})
 F_O = O.fn("x")
 
 LINE = Chart(("x",))
+
+#: A one-algebroid model whose suites run one trial, so every suite row is fast.
+SMALL = model.Model(charts={"line": LINE},
+                    algebroids={"line": algebroid.canonical_algebroid(LINE)},
+                    suite={"trials": 1})
+BUILTIN = model.builtin_model()
 
 
 def _row(function, *args, **kwargs):
@@ -129,6 +137,14 @@ ROWS = {
     "poisson.g_p": _row(poisson.g_p, PS, F_O),
     "poisson.extended_bracket": _row(poisson.extended_bracket, PS, MU_O, F_O),
     "poisson.tangent_poisson": _row(poisson.tangent_poisson, PS),
+    "model.loads_model": _row(model.loads_model, '{"charts": {"line": ["x"]}}'),
+    "model.load_model": _row(model.load_model, "fixtures/so3.json"),
+    "model.tensor_key_string": _row(model.tensor_key_string, Kind.MIXED, ((0,), 1)),
+    "model.model_document": _row(model.model_document, SMALL),
+    "model.dumps_model": _row(model.dumps_model, SMALL),
+    "model.builtin_model": _row(model.builtin_model),
+    "suites.run_suite": _row(suites.run_suite, "eq-1-12", SMALL, 0, 1),
+    "suites.run_all": _row(suites.run_all, SMALL, 0, 1),
 }
 
 #: An operator dispatches on its left operand, so only its right one is replaced.
@@ -232,8 +248,10 @@ def _structure(table):
 
 #: Calls with a bad argument below the top level, and the error each raises:
 #: structure data whose key is not a pair of ints or whose target is not an
-#: int, a fiber index out of range, and a dual name, given or derived from a
-#: fiber name, that is no coordinate name.
+#: int, a fiber index out of range, and a dual or total-space name, given
+#: or derived from a fiber name, that is no coordinate name; then values the
+#: replacements do not try: unhashable names, bytes that are not UTF-8, an
+#: int past the digit limit and a NUL in a model path.
 NESTED = {
     "structure key ('a', 1)": (KindMismatch, _structure({("a", 1): {0: 1}})),
     "structure key (0,)": (KindMismatch, _structure({(0,): {0: 1}})),
@@ -248,6 +266,15 @@ NESTED = {
         LINE, ("e",), ((1,),), dual_names=("1 2",))),
     "fiber name 'e f'": (DimensionMismatch, lambda: algebroid.build_algebroid(
         LINE, ("e f",), ((1,),))),
+    "fiber name 'e f', dual names given": (DimensionMismatch, lambda: algebroid.build_algebroid(
+        LINE, ("e f",), ((1,),), dual_names=("xi",))),
+    "loads_model(b'\\xff')": (ParseError, lambda: model.loads_model(b"\xff")),
+    "loads_model('1' * 5000)": (ParseError, lambda: model.loads_model("1" * 5000)),
+    "load_model('a\\0b')": (ParseError, lambda: model.load_model("a\0b")),
+    "Model.owner_named([1])": (UnknownName, lambda: BUILTIN.owner_named([1])),
+    "Model.poisson_structure([1])": (UnknownName, lambda: BUILTIN.poisson_structure([1])),
+    "Model.tensor([1])": (UnknownName, lambda: BUILTIN.tensor([1])),
+    "run_suite([1])": (UnknownName, lambda: suites.run_suite([1], SMALL)),
 }
 
 
@@ -268,3 +295,18 @@ def test_a_model_whose_fiber_name_makes_no_dual_name_exits_2(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "error"
     assert "xi_e f" in report["error"]["message"]
+
+
+def test_a_model_whose_fiber_name_makes_no_total_space_name_exits_2(tmp_path, capsys):
+    with open("fixtures/so3.json", encoding="utf-8") as handle:
+        document = json.load(handle)
+    body = document["algebroids"]["so3"]
+    body["fibers"][0] = "e f"
+    body["duals"] = ["xi", "xi_2", "xi_3"]  # a valid dual chart
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert "y_e f" in report["error"]["message"]
+

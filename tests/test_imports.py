@@ -32,7 +32,14 @@ Only the naming rule's table ``_NAME_PARTS`` in
 ``ring.py`` spells the parts of a derived name (``_dot``, ``_bar``,
 ``p_``, ``xi_``, ``d_``, ``y_``): no other string constant of the package
 is one of them and no f-string's literal text starts or ends with one, so
-every derived name goes through the one rule.
+every derived name goes through the one rule.  No module of the package
+sums by rebinding (``out = out + term`` or ``out = out - term``): a sum is
+built in one call of the accumulation kernel (``ring.accumulate`` and its
+wrappers ``poly_sum``, ``tensor_sum`` and the checked constructors), since
+every ``+`` copies the running sum (augmented counters such as
+``checked += 1`` are not sums of terms and are not checked).  Each
+written-out reference of ``suites.py`` returns one call of such a sum and
+calls none of the library maps the suites compare it with.
 """
 
 import ast
@@ -491,3 +498,99 @@ def test_a_derived_name_spelled_outside_the_rule_is_reported():
     assert _name_spellings(source, "_NAME_PARTS") == [
         (4, "_bar"), (4, "_dot"), (6, "xi_"), (7, "d_"), (10, " y_")]
     assert (1, "_dot") in _name_spellings(source)
+
+
+def _rebinding_sums(source):
+    """(line, name) for each ``name = name + …`` or ``name = name - …``
+    in ``source``: the leftmost operand of a chain of ``+`` and ``-`` is
+    the name the assignment binds."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            continue
+        left = node.value
+        while isinstance(left, ast.BinOp) and isinstance(left.op, (ast.Add, ast.Sub)):
+            left = left.left
+        if left is not node.value and isinstance(left, ast.Name) \
+                and left.id == node.targets[0].id:
+            found.add((node.lineno, left.id))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_sum_is_built_by_rebinding(path):
+    assert _rebinding_sums(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_rebinding_sum_is_reported():
+    source = (
+        "def velocity(coeff, chart):\n"
+        "    out = chart.zero()\n"
+        "    for a, d in enumerate(coeff.gradient()):\n"
+        "        out = out + d * chart.coordinate(a)\n"
+        "    return out\n"
+        "\ndef literal(terms, out):\n"
+        "    out = out - terms[0] + terms[1]\n"
+        "    total = terms[0] + out\n"
+        "    count = 0\n"
+        "    count += 1\n"
+        "    out.terms = out.terms + terms\n"
+        "    return out, total, count\n"
+        "\nSUM = 0\nSUM = SUM + 1\n"
+    )
+    assert _rebinding_sums(source) == [(4, "out"), (8, "out"), (16, "SUM")]
+
+
+#: The written-out references of ``suites.py``, and the library maps that
+#: the suites compare them with.
+_REFERENCES = {"_velocity", "_direct_vertical_vector", "_direct_complete_vector",
+               "_pullback", "_direct_complete_form", "_direct_vertical_bivector",
+               "_direct_complete_bivector", "_g_expanded", "_literal_h", "_literal_g",
+               "_tangent_anchor_map"}
+_CHECKED_MAPS = {"complete_lift_T", "vertical_lift_V", "classical_vertical_lift",
+                 "classical_complete_lift", "velocity_derivative", "H_map", "G_map",
+                 "J_map", "anchor_apply", "canonical_transport"}
+_SUMS = {"GradedTensor", "poly_sum", "tensor_sum"}
+
+
+def _reference_faults(source):
+    """(reference, fault) for each reference of ``source`` whose last
+    statement is not ``return`` of one call in ``_SUMS`` ("return") or that
+    calls a map in ``_CHECKED_MAPS`` (the map's name)."""
+    found = set()
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in _REFERENCES):
+            continue
+        last = node.body[-1]
+        if not (isinstance(last, ast.Return) and isinstance(last.value, ast.Call)
+                and isinstance(last.value.func, ast.Name) and last.value.func.id in _SUMS):
+            found.add((node.name, "return"))
+        found.update((node.name, sub.func.id) for sub in ast.walk(node)
+                     if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                     and sub.func.id in _CHECKED_MAPS)
+    return sorted(found)
+
+
+def test_the_references_sum_once_and_call_no_checked_map():
+    source = (PACKAGE / "suites.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert _REFERENCES <= defined
+    assert _reference_faults(source) == []
+
+
+def test_a_reference_that_sums_twice_or_calls_its_map_is_reported():
+    source = (
+        "def _literal_h(A, k):\n"
+        "    return GradedTensor(A, Kind.MV, 1, {}) + H_map(k)\n"
+        "\ndef _velocity(coeff, source, target):\n"
+        "    return poly_sum(target, velocity_derivative(coeff, target).terms)\n"
+        "\ndef _pullback(owner, mu):\n"
+        "    out = GradedTensor(owner, Kind.FORM, mu.degree, mu.terms)\n"
+        "    return out\n"
+        "\ndef helper(A, x):\n    return complete_lift_T(A, x)\n"
+    )
+    assert _reference_faults(source) == [
+        ("_literal_h", "H_map"), ("_literal_h", "return"), ("_pullback", "return"),
+        ("_velocity", "velocity_derivative")]

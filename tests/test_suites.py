@@ -37,13 +37,17 @@ def test_unknown_suite():
 
 @pytest.mark.parametrize("suite, trials", [
     ({"max_degree": -1}, None), ({"max_degree": "2"}, None), ({"max_degree": True}, None),
-    ({}, 0), ({}, "3"), ({}, 2.5)])
+    ({}, 0), ({}, "3"), ({}, 2.5),
+    ({"seed": 1.5}, None), ({"seed": [1]}, None), ({"seed": True}, None), ({"seed": "0"}, None)])
 def test_suite_settings_fail_closed_before_any_draw(suite, trials):
     # a library-built model is not checked by the document parser; a draw
     # of a negative coefficient degree would never return
     model = Model(algebroids={"so3": so3()}, suite=suite)
     with pytest.raises(ValidationError):
         run_suite("theorem-1", model, trials=trials)
+    if "seed" in suite:  # the same seed passed as the argument
+        with pytest.raises(ValidationError):
+            run_suite("theorem-1", Model(algebroids={"so3": so3()}), seed=suite["seed"])
 
 
 def test_result_shape_and_determinism():
@@ -86,6 +90,17 @@ def test_run_all_passes():
     results = run_all(trials=3)
     assert [r["suite"] for r in results] == list(EXPECTED_NAMES)
     assert all(r["status"] == "pass" for r in results)
+
+
+def test_run_all_builds_the_builtin_model_once(monkeypatch):
+    built = []
+
+    def counted():
+        built.append(builtin_model())
+        return built[-1]
+    monkeypatch.setattr(suites, "builtin_model", counted)
+    assert len(run_all(trials=1)) == len(EXPECTED_NAMES)
+    assert len(built) == 1
 
 
 def test_broken_convention_yields_replayable_witness(tmp_path, capsys):
