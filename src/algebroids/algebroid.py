@@ -166,7 +166,7 @@ class Algebroid(Bundle):
 
     def fn(self, value) -> GradedTensor:
         """A function on the base, as a degree-0 multivector."""
-        return GradedTensor.function(self, value)
+        return GradedTensor._function(self, value)
 
     def section(self, coefficients: Mapping[str, object]) -> GradedTensor:
         """A section from a {fiber name: coefficient} mapping."""
@@ -239,8 +239,9 @@ def _names(names, who: str) -> Tuple[str, ...]:
 
 #: Entries kept by each construction cache.  A ``suite --name all`` round over
 #: both shipped models reaches 22 distinct keys in the largest one (charts).
-#: The three lifts are plain functions over cached builders, so a profiler or
-#: tracer wrapping a public name sees every call, cache hits included.
+#: The three lifts are guards over cached builders, their kernels, so a
+#: profiler or tracer wrapping a public name sees every call from outside
+#: the package, cache hits included.
 CACHE_SIZE = 32
 
 
@@ -424,7 +425,7 @@ def validate(algebroid: Algebroid) -> None:
 def _validated(algebroid: Algebroid) -> None:
     """The check behind :func:`validate`.  ``lru_cache`` keeps no raised
     exception, so only passes are recorded."""
-    from .calculus import differential
+    from .calculus import _differential
 
     m = algebroid.rank
     if m < 2:  # no basis pairs, so d∘d has nothing of degree 2 or 3
@@ -437,7 +438,7 @@ def _validated(algebroid: Algebroid) -> None:
         # tables as d reads them: the stored entries are the coefficients, so
         # each is differentiated on its own object, whose gradient it keeps
         form = GradedTensor._make(algebroid, Kind.FORM, degree, dict(first))
-        return differential(algebroid, form).terms
+        return _differential(algebroid, form).terms
 
     # d x^a = sum_i rho_i^a e*_i
     morphism = [dd(1, (((i,), rho) for i, rho in column))
@@ -479,8 +480,14 @@ def anchor_terms(algebroid: Algebroid, gradient: list[Tuple[int, Poly]]
     ``f.gradient()``: summed per fiber i, their products rho_i^a d_a f are
     the anchor of every e_i applied to f.  The one read of the anchor
     acting on functions, from the coordinate table of :func:`_tables_of`."""
-    by_coordinate = _tables_of(_require(algebroid, "anchor_terms", cls=Algebroid)).by_coordinate
+    _require(algebroid, "anchor_terms", cls=Algebroid)
     _require(gradient, "anchor_terms", cls=list)
+    return _anchor_terms(algebroid, gradient)
+
+
+def _anchor_terms(algebroid: Algebroid, gradient: list[Tuple[int, Poly]]
+                  ) -> Iterable[Tuple[int, Poly, Poly]]:
+    by_coordinate = _tables_of(algebroid).by_coordinate
     return ((i, rho, d) for a, d in gradient for i, rho in by_coordinate[a])
 
 
@@ -491,7 +498,7 @@ def anchor_derivative(algebroid: Algebroid, i: int, f: Poly) -> Poly:
     if not 0 <= _require(i, "anchor_derivative", cls=int) < algebroid.rank:
         raise DimensionMismatch(f"anchor_derivative: fiber {i} out of range "
                                 f"for rank {algebroid.rank}")
-    return products(base, ((None, 1, rho, d) for k, rho, d in anchor_terms(
+    return products(base, ((None, 1, rho, d) for k, rho, d in _anchor_terms(
         algebroid, base.coerce(f).gradient()) if k == i)).get(None, base.zero())
 
 
@@ -526,7 +533,7 @@ def _prepare(algebroid: Algebroid, t: GradedTensor, fibers: Collection[int]) -> 
     for key, coeff in t.terms.items():
         rho = {}
         if fibers and (gradient := coeff.gradient()):
-            items = [(i, 1, r, d) for i, r, d in anchor_terms(algebroid, gradient)
+            items = [(i, 1, r, d) for i, r, d in _anchor_terms(algebroid, gradient)
                      if i in fibers]
             if items:
                 rho = products(algebroid.base, items)
@@ -593,7 +600,12 @@ def anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
     The result lives over the canonical algebroid of the base chart (the
     rank-0 version of it when the base chart is empty).
     """
-    terms = _require(x, "anchor_apply", algebroid, _SECTION).terms
+    _require(x, "anchor_apply", algebroid, _SECTION)
+    return _anchor_apply(algebroid, x)
+
+
+def _anchor_apply(algebroid: Algebroid, x: GradedTensor) -> GradedTensor:
+    terms = x.terms
     items = (((a,), 1, f, rho)
              for a, column in enumerate(_tables_of(algebroid).by_coordinate)
              for i, rho in column if (f := terms.get((i,))) is not None)
@@ -614,6 +626,11 @@ def velocity_derivative(coeff: Poly, target: Chart) -> Poly:
     if len(coords) != 2 * n or coords[:n] != names:
         raise DimensionMismatch(f"velocity_derivative: {coords!r} does not extend "
                                 f"{names!r} by one velocity per coordinate")
+    return _velocity_derivative(coeff, target)
+
+
+def _velocity_derivative(coeff: Poly, target: Chart) -> Poly:
+    coords, n = target.coords, coeff.chart.dim
     return poly_sum(target, (d.transport(target) * target.coordinate(coords[n + a])
                              for a, d in coeff.gradient()))
 
@@ -635,7 +652,7 @@ def tangent_lift(algebroid: Algebroid) -> Algebroid:
 @lru_cache(maxsize=CACHE_SIZE)
 def _tangent_lift(A: Algebroid) -> Algebroid:
     n, m = A.base.dim, A.rank
-    base = dotted_chart(A.base)
+    base = _dotted_chart(A.base)
     lift = lambda p: p.transport(base)  # noqa: E731 - tiny local embedding
     fibers = _derived_names(A.fiber_names, (), "bar")
     fibers += _derived_names(A.fiber_names, fibers, "velocity")
@@ -648,7 +665,7 @@ def _tangent_lift(A: Algebroid) -> Algebroid:
     anchor = [tuple([zero] * n + [lift(entry) for entry in row]) for row in A.anchor]
     for row in A.anchor:  # dot fibers: base directions plus derivative correction
         anchor.append(tuple([lift(entry) for entry in row]
-                            + [velocity_derivative(entry, base) for entry in row]))
+                            + [_velocity_derivative(entry, base) for entry in row]))
 
     structure: _StructureTable = {}
     for (i, j), entries in A.structure.items():
@@ -660,7 +677,7 @@ def _tangent_lift(A: Algebroid) -> Algebroid:
             bar_dot[k] = up
             dot_bar[k] = -up
             dot_dot[m + k] = up
-            drift = velocity_derivative(coeff, base)
+            drift = _velocity_derivative(coeff, base)
             if drift:
                 dot_dot[k] = drift
         structure[(i, m + j)] = bar_dot
@@ -693,9 +710,9 @@ def cotangent_lift(algebroid: Algebroid) -> Algebroid:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _cotangent_lift(A: Algebroid) -> Algebroid:
-    from .poisson import _cotangent_algebroid
+    from .poisson import _build_cotangent
 
-    return _cotangent_algebroid(_linear_poisson(A), "cotangent-lift", parent=A)
+    return _build_cotangent(_linear_poisson(A), "cotangent-lift", parent=A)
 
 
 def linear_poisson(algebroid: Algebroid):
@@ -710,8 +727,8 @@ def _linear_poisson(A: Algebroid):
     from .poisson import build_poisson
 
     n = A.base.dim
-    chart = dual_chart(A)
-    owner = canonical_algebroid(chart)
+    chart = _dual_chart(A.base.coords, A.dual_names)
+    owner = _vector_fields(chart)
     xi = [chart.coordinate(name) for name in A.dual_names]
     terms: Dict[Tuple[int, int], Poly] = {}
     for (i, j), table in A.structure.items():

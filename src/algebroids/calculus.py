@@ -47,11 +47,11 @@ matching convention.
 
 from __future__ import annotations
 
-from .algebroid import Algebroid, _bracket_tensors, _tables_of, anchor_terms, section_bracket
+from .algebroid import Algebroid, _anchor_terms, _bracket_tensors, _tables_of
 from .ring import accumulate, products
 from .tensor import (_FORM, _MIXED, _MULTIVECTOR, _NO_OWNER, _SECTION, GradedTensor,
-                     Kind, _insert_index, _require, _sort_skew, _view, contract,
-                     contract_mixed, tensor_sum, wedge)
+                     Kind, _as_kind, _contract, _contract_mixed, _insert_index, _require,
+                     _sort_skew, _tensor_sum, _view, _wedge)
 
 #: what a Lie differential is taken along: multivectors and vector-valued forms
 _ACTOR = {**_MULTIVECTOR, **_MIXED}
@@ -64,6 +64,11 @@ def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
     """The exterior differential of a form (a function reads as a 0-form).
     Squares to zero and is a graded derivation."""
     mu = _view(mu, "differential", algebroid, Kind.FORM)
+    return _differential(algebroid, mu)
+
+
+def _differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
+    mu = _as_kind(mu, Kind.FORM)
     if not mu.terms:
         return GradedTensor._make(algebroid, Kind.FORM, mu.degree + 1, {})
     by_target = _tables_of(algebroid).by_target
@@ -74,7 +79,7 @@ def differential(algebroid: Algebroid, mu: GradedTensor) -> GradedTensor:
             gradient = coeff.gradient()  # empty, and df = 0, for a constant
             if gradient:
                 # (anchor e_i)(f) = sum_a rho_i^a d_a f
-                for i, rho, d in anchor_terms(algebroid, gradient):
+                for i, rho, d in _anchor_terms(algebroid, gradient):
                     hit = _sort_skew((i,) + key)
                     if hit:
                         yield hit[0], hit[1], rho, d
@@ -104,13 +109,19 @@ def lie_derivative(algebroid: Algebroid, actor: GradedTensor,
     """
     _require(actor, "lie_derivative", algebroid, _ACTOR)
     mu = _view(mu, "lie_derivative", algebroid, Kind.FORM)
+    return _lie_derivative(algebroid, actor, mu)
+
+
+def _lie_derivative(algebroid: Algebroid, actor: GradedTensor,
+                    mu: GradedTensor) -> GradedTensor:
+    mu = _as_kind(mu, Kind.FORM)
     sign = -1 if actor.degree % 2 else 1
     if actor.kind is Kind.MV:
-        first = contract(actor, differential(algebroid, mu))
-        second = differential(algebroid, contract(actor, mu))
+        first = _contract(actor, _differential(algebroid, mu))
+        second = _differential(algebroid, _contract(actor, mu))
         return first - second * sign
-    first = contract_mixed(actor, differential(algebroid, mu))
-    second = differential(algebroid, contract_mixed(actor, mu))
+    first = _contract_mixed(actor, _differential(algebroid, mu))
+    second = _differential(algebroid, _contract_mixed(actor, mu))
     return first + second * sign
 
 
@@ -132,8 +143,13 @@ def schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTe
     Antisymmetry and Jacobi hold in the shifted grading (degree a sits in
     slot a−1).
     """
-    return _bracket_tensors(algebroid, _view(x, "schouten", algebroid, Kind.MV),
-                            _view(y, "schouten", algebroid, Kind.MV))
+    x = _view(x, "schouten", algebroid, Kind.MV)
+    y = _view(y, "schouten", algebroid, Kind.MV)
+    return _schouten(algebroid, x, y)
+
+
+def _schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
+    return _bracket_tensors(algebroid, _as_kind(x, Kind.MV), _as_kind(y, Kind.MV))
 
 
 # -- symmetric Schouten bracket ----------------------------------------------------
@@ -141,10 +157,16 @@ def schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTe
 
 def sym_schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
     """The symmetric Schouten bracket: the same bracket kernel as the
-    alternating one, on the symmetric algebra and with no signs.  An (ungraded) Lie bracket and a biderivation — the abstract
-    Poisson algebra structure on symmetric multivectors."""
-    return _bracket_tensors(algebroid, _view(x, "sym_schouten", algebroid, Kind.SYM),
-                            _view(y, "sym_schouten", algebroid, Kind.SYM))
+    alternating one, on the symmetric algebra and with no signs.  An
+    (ungraded) Lie bracket and a biderivation — the abstract Poisson algebra
+    structure on symmetric multivectors."""
+    x = _view(x, "sym_schouten", algebroid, Kind.SYM)
+    y = _view(y, "sym_schouten", algebroid, Kind.SYM)
+    return _sym_schouten(algebroid, x, y)
+
+
+def _sym_schouten(algebroid: Algebroid, x: GradedTensor, y: GradedTensor) -> GradedTensor:
+    return _bracket_tensors(algebroid, _as_kind(x, Kind.SYM), _as_kind(y, Kind.SYM))
 
 
 # -- Nijenhuis–Richardson bracket ---------------------------------------------------
@@ -159,8 +181,13 @@ def nr_bracket(k: GradedTensor, l: GradedTensor) -> GradedTensor:
     anchor or the structure functions."""
     k = _view(k, "nr_bracket", _NO_OWNER, Kind.MIXED)
     l = _view(l, "nr_bracket", k.owner, Kind.MIXED)
-    first = contract_mixed(k, l)
-    second = contract_mixed(l, k)
+    return _nr_bracket(k, l)
+
+
+def _nr_bracket(k: GradedTensor, l: GradedTensor) -> GradedTensor:
+    k, l = _as_kind(k, Kind.MIXED), _as_kind(l, Kind.MIXED)
+    first = _contract_mixed(k, l)
+    second = _contract_mixed(l, k)
     sign = -1 if ((k.degree - 1) * (l.degree - 1)) % 2 else 1
     return first - second * sign
 
@@ -189,14 +216,14 @@ def fn_bracket_simple(algebroid: Algebroid, mu: GradedTensor, x: GradedTensor,
     for t, shapes in ((mu, _FORM), (x, _SECTION), (nu, _FORM), (y, _SECTION)):
         _require(t, "fn_bracket_simple", algebroid, shapes)
     sign = -1 if mu.degree % 2 else 1
-    return tensor_sum(algebroid, Kind.MIXED, mu.degree + nu.degree, (
-        _tensor_form_section(wedge(mu, nu), section_bracket(algebroid, x, y)),
-        _tensor_form_section(wedge(mu, lie_derivative(algebroid, x, nu)), y),
-        -_tensor_form_section(wedge(lie_derivative(algebroid, y, mu), nu), x),
+    return _tensor_sum(algebroid, Kind.MIXED, mu.degree + nu.degree, (
+        _tensor_form_section(_wedge(mu, nu), _bracket_tensors(algebroid, x, y)),
+        _tensor_form_section(_wedge(mu, _lie_derivative(algebroid, x, nu)), y),
+        -_tensor_form_section(_wedge(_lie_derivative(algebroid, y, mu), nu), x),
         _tensor_form_section(
-            wedge(differential(algebroid, mu), contract(x, nu)), y) * sign,
+            _wedge(_differential(algebroid, mu), _contract(x, nu)), y) * sign,
         _tensor_form_section(
-            wedge(contract(y, mu), differential(algebroid, nu)), x) * sign))
+            _wedge(_contract(y, mu), _differential(algebroid, nu)), x) * sign))
 
 
 def _split(t: GradedTensor):
@@ -224,7 +251,7 @@ def _prepare_forms(algebroid: Algebroid, split, degree: int, fibers):
     L_{e_j} mu_i = i_{e_j} d mu_i + d i_{e_j} mu_i, each differentiated once."""
     def d(terms, deg):
         form = GradedTensor._make(algebroid, Kind.FORM, deg, terms)
-        return differential(algebroid, form).terms
+        return _differential(algebroid, form).terms
 
     prepared = {}
     for i, mu in split.items():
@@ -255,6 +282,11 @@ def fn_bracket(algebroid: Algebroid, k: GradedTensor, l: GradedTensor) -> Graded
     form degree (no shift): antisymmetry and Jacobi use (−1)^{ab}, and
     L_[K,L] = L_K∘L_L − (−1)^{ab} L_L∘L_K."""
     k, l = (_view(t, "fn_bracket", algebroid, Kind.MIXED) for t in (k, l))
+    return _fn_bracket(algebroid, k, l)
+
+
+def _fn_bracket(algebroid: Algebroid, k: GradedTensor, l: GradedTensor) -> GradedTensor:
+    k, l = _as_kind(k, Kind.MIXED), _as_kind(l, Kind.MIXED)
     k_split, l_split = _split(k), _split(l)
     k_forms = _prepare_forms(algebroid, k_split, k.degree, l_split)
     l_forms = _prepare_forms(algebroid, l_split, l.degree, k_split)

@@ -39,11 +39,11 @@ from operator import add, mul
 from .errors import WrongProvenance
 from .ring import Chart, Poly, _derived_names, accumulate, poly_sum
 from .tensor import (_ANY, _CANONICAL, _FORM, _MIXED, _SECTION, GradedTensor, Kind,
-                     _key, _require, _slot_offsets, _slots, remap)
-from .algebroid import (CACHE_SIZE, Algebroid, _total_chart, canonical_algebroid,
-                         dual_chart, linear_poisson, tangent_lift, velocity_derivative)
-from .calculus import schouten
-from .poisson import h_p
+                     _key, _remap, _require, _slot_offsets, _slots)
+from .algebroid import (CACHE_SIZE, Algebroid, _dual_chart, _linear_poisson, _tangent_lift,
+                        _total_chart, _vector_fields, _velocity_derivative)
+from .calculus import _schouten
+from .poisson import _h_p
 
 #: the vector-side kinds: multivectors and symmetric powers
 _VECTOR_SIDE = {Kind.MV: _ANY, Kind.SYM: _ANY}
@@ -61,7 +61,11 @@ def iota(algebroid: Algebroid, x) -> Poly:
     (so degree k gives a fiberwise degree-k polynomial).
     """
     _require(x, "iota", algebroid, _PAIRABLE)
-    chart = dual_chart(algebroid)
+    return _iota(algebroid, x)
+
+
+def _iota(algebroid: Algebroid, x) -> Poly:
+    chart = _dual_chart(algebroid.base.coords, algebroid.dual_names)
     xi = [chart.coordinate(name) for name in algebroid.dual_names]
     return poly_sum(chart, (
         reduce(mul, (xi[i] for i in key), coeff.transport(chart))
@@ -75,7 +79,11 @@ def vertical_lift_V(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
 
     The result is a tensor over ``tangent_lift(algebroid)``."""
     _require(s, "vertical_lift_V", algebroid)
-    target = tangent_lift(algebroid)
+    return _vertical_lift_V(algebroid, s)
+
+
+def _vertical_lift_V(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
+    target = _tangent_lift(algebroid)
     base, kind = target.base, s.kind
     # vector factors keep their index, form factors move to rank + i: the
     # order within each part of a key holds, so keys stay canonical
@@ -93,7 +101,11 @@ def complete_lift_T(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
 
     The result is a tensor over ``tangent_lift(algebroid)``."""
     _require(s, "complete_lift_T", algebroid)
-    target = tangent_lift(algebroid)
+    return _complete_lift_T(algebroid, s)
+
+
+def _complete_lift_T(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
+    target = _tangent_lift(algebroid)
     base, kind, m = target.base, s.kind, algebroid.rank
     # vector factors start barred (index unchanged) and dot to m + i; form
     # factors pair the opposite way round, from m + i back to i
@@ -104,7 +116,7 @@ def complete_lift_T(algebroid: Algebroid, s: GradedTensor) -> GradedTensor:
     for key, coeff in s.terms.items():
         indices = _slots(kind, key)
         bar = tuple(map(add, indices, barred))
-        drift = velocity_derivative(coeff, base)
+        drift = _velocity_derivative(coeff, base)
         if drift:
             terms.append((_key(kind, bar), drift))
         pulled = coeff.transport(base)
@@ -122,9 +134,13 @@ def vertical_pi(algebroid: Algebroid, mu) -> GradedTensor:
     """The vertical lift of a form to a multivector on the dual chart:
     e*_i ↦ the fiber direction of ξ_i, coefficients pulled back."""
     _require(mu, "vertical_pi", algebroid, _FORM)
-    chart = dual_chart(algebroid)
+    return _vertical_pi(algebroid, mu)
+
+
+def _vertical_pi(algebroid: Algebroid, mu) -> GradedTensor:
+    chart = _dual_chart(algebroid.base.coords, algebroid.dual_names)
     n = algebroid.base.dim
-    return GradedTensor._make(canonical_algebroid(chart), Kind.MV, mu.degree, {
+    return GradedTensor._make(_vector_fields(chart), Kind.MV, mu.degree, {
         tuple(n + i for i in key): coeff.transport(chart)
         for key, coeff in mu.terms.items()})
 
@@ -136,7 +152,7 @@ def vertical_tau(algebroid: Algebroid, s) -> GradedTensor:
     _require(s, "vertical_tau", algebroid, _VECTOR_SIDE)
     chart = _total_chart(algebroid.base.coords, algebroid.fiber_names)
     n = algebroid.base.dim
-    return GradedTensor._make(canonical_algebroid(chart), s.kind, s.degree, {
+    return GradedTensor._make(_vector_fields(chart), s.kind, s.degree, {
         tuple(n + i for i in key): coeff.transport(chart)
         for key, coeff in s.terms.items()})
 
@@ -146,8 +162,12 @@ def cot_complete_G_vec(algebroid: Algebroid, x) -> GradedTensor:
     bracket of the fiberwise-linear bivector with the section's function
     (the hamiltonian vector field of ``iota(x)``)."""
     _require(x, "cot_complete_G_vec", algebroid, _SECTION)
-    ps = linear_poisson(algebroid)
-    return -schouten(ps.owner, ps.bivector, ps.owner.fn(iota(algebroid, x)))
+    return _cot_complete_G_vec(algebroid, x)
+
+
+def _cot_complete_G_vec(algebroid: Algebroid, x) -> GradedTensor:
+    ps = _linear_poisson(algebroid)
+    return -_schouten(ps.owner, ps.bivector, ps.owner.fn(_iota(algebroid, x)))
 
 
 def J_map(algebroid: Algebroid, k) -> GradedTensor:
@@ -156,12 +176,16 @@ def J_map(algebroid: Algebroid, k) -> GradedTensor:
     basis term e*_{i_1}∧…∧e*_{i_k}⊗e_j is −ξ_j times the corresponding
     fiber-direction multivector, which makes the map injective."""
     _require(k, "J_map", algebroid, _MIXED)
-    chart = dual_chart(algebroid)
+    return _J_map(algebroid, k)
+
+
+def _J_map(algebroid: Algebroid, k) -> GradedTensor:
+    chart = _dual_chart(algebroid.base.coords, algebroid.dual_names)
     n = algebroid.base.dim
     # a form key shifted into the fiber block stays sorted
     terms = accumulate((tuple(n + i for i in form_key), -weight)
                        for form_key, weight in _weights(algebroid, chart, k))
-    return GradedTensor._make(canonical_algebroid(chart), Kind.MV, k.degree, terms)
+    return GradedTensor._make(_vector_fields(chart), Kind.MV, k.degree, terms)
 
 
 def _weights(algebroid: Algebroid, chart: Chart, k):
@@ -183,8 +207,12 @@ def G_map(algebroid: Algebroid, k) -> GradedTensor:
     the two routes agree.
     """
     _require(k, "G_map", algebroid, _MIXED)
-    ps = linear_poisson(algebroid)
-    return schouten(ps.owner, ps.bivector, J_map(algebroid, k))
+    return _G_map(algebroid, k)
+
+
+def _G_map(algebroid: Algebroid, k) -> GradedTensor:
+    ps = _linear_poisson(algebroid)
+    return _schouten(ps.owner, ps.bivector, _J_map(algebroid, k))
 
 
 # -- the canonical-chart transports ----------------------------------------------
@@ -210,9 +238,9 @@ def _transport_target(owner: Algebroid):
     first = _velocity_half(owner.base)
     if first is None:
         return None
-    lift = tangent_lift(canonical_algebroid(Chart(first)))
+    lift = _tangent_lift(_vector_fields(Chart(first)))
     if owner == lift:
-        return canonical_algebroid(owner.base)
+        return _vector_fields(owner.base)
     return lift if owner.is_canonical else None
 
 
@@ -237,6 +265,10 @@ def canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
         raise WrongProvenance(
             f"{direction} transports {' / '.join(k.value for k in allowed)} "
             f"sections, got {tensor.describe()}")
+    return _canonical_transport(direction, tensor)
+
+
+def _canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
     owner = tensor.owner
     target = _transport_target(owner)
     if target is None:
@@ -246,28 +278,42 @@ def canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
             f"velocity chart")
     half = owner.rank // 2
     swap = {i: i + half if i < half else i - half for i in range(owner.rank)}
-    return remap(tensor, target, swap)
+    return _remap(tensor, target, swap)
 
 
 def classical_vertical_lift(t) -> GradedTensor:
     """The textbook vertical lift of a tensor on a bare chart, defined as the
     block-swap transport of the vertical lift over the canonical algebroid."""
-    return _classical(_require(t, "classical_vertical_lift"), vertical_lift_V)
+    return _classical_vertical_lift(_over_canonical(t, "classical_vertical_lift"))
 
 
 def classical_complete_lift(t) -> GradedTensor:
     """The textbook complete lift of a tensor on a bare chart, defined as the
     block-swap transport of the complete lift over the canonical algebroid."""
-    return _classical(_require(t, "classical_complete_lift"), complete_lift_T)
+    return _classical_complete_lift(_over_canonical(t, "classical_complete_lift"))
+
+
+def _over_canonical(t, who: str) -> GradedTensor:
+    """The guard of the classical lifts: ``t`` is a tensor over a canonical
+    algebroid."""
+    if not _require(t, who).owner.is_canonical:
+        raise WrongProvenance(
+            f"classical lifts act on sections over a canonical algebroid, "
+            f"got {t.owner!r}")
+    return t
+
+
+def _classical_vertical_lift(t) -> GradedTensor:
+    return _classical(t, _vertical_lift_V)
+
+
+def _classical_complete_lift(t) -> GradedTensor:
+    return _classical(t, _complete_lift_T)
 
 
 def _classical(tensor, lift) -> GradedTensor:
-    if not tensor.owner.is_canonical:
-        raise WrongProvenance(
-            f"classical lifts act on sections over a canonical algebroid, "
-            f"got {tensor.owner!r}")
     direction = "kappa" if tensor.kind in _VECTOR_SIDE else "alpha"
-    return canonical_transport(direction, lift(tensor.owner, tensor))
+    return _canonical_transport(direction, lift(tensor.owner, tensor))
 
 
 # -- canonical-case maps into the cotangent side ----------------------------------
@@ -276,12 +322,16 @@ def Jstar(k) -> GradedTensor:
     """μ⊗X ↦ iota(X)·(pullback of μ): a vector-valued form over a canonical
     algebroid becomes a plain form on the dual chart, the form part pulled
     back and the vector part turned into its fiberwise-linear function."""
-    algebroid = _require(k, "Jstar", shapes=_MIXED).owner
-    if not algebroid.is_canonical:
+    if not _require(k, "Jstar", shapes=_MIXED).owner.is_canonical:
         raise WrongProvenance(
-            f"Jstar acts over a canonical algebroid, got {algebroid!r}")
-    chart = dual_chart(algebroid)
-    return GradedTensor._make(canonical_algebroid(chart), Kind.FORM, k.degree,
+            f"Jstar acts over a canonical algebroid, got {k.owner!r}")
+    return _Jstar(k)
+
+
+def _Jstar(k) -> GradedTensor:
+    algebroid = k.owner
+    chart = _dual_chart(algebroid.base.coords, algebroid.dual_names)
+    return GradedTensor._make(_vector_fields(chart), Kind.FORM, k.degree,
                               accumulate(_weights(algebroid, chart, k)))
 
 
@@ -293,4 +343,8 @@ def H_map(k) -> GradedTensor:
     if not _require(k, "H_map", shapes=_MIXED).owner.is_canonical:
         raise WrongProvenance(
             f"H_map acts over a canonical algebroid, got {k.owner!r}")
-    return h_p(linear_poisson(k.owner), Jstar(k))
+    return _H_map(k)
+
+
+def _H_map(k) -> GradedTensor:
+    return _h_p(_linear_poisson(k.owner), _Jstar(k))

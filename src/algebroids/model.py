@@ -54,8 +54,8 @@ from .algebroid import (
     default_dual_names,
     linear_poisson,
 )
-from .errors import (AlgebroidError, KindMismatch, ParseError, StructureViolation,
-                     UnknownName, ValidationError)
+from .errors import (AlgebroidError, DimensionMismatch, KindMismatch, ParseError,
+                     StructureViolation, UnknownName, ValidationError)
 from .poisson import PoissonStructure, build_poisson
 from .ring import Chart, parse_poly
 from .tensor import GradedTensor, Kind, _require
@@ -396,14 +396,26 @@ def _indices_key(key) -> str:
 
 
 def tensor_key_string(kind: Kind, key) -> str:
-    """The schema's 1-based key string for one tensor term."""
+    """The schema's 1-based key string for one tensor term.  Each fiber index
+    of ``key`` is an int, not a bool (else :class:`KindMismatch`), and not
+    negative (else :class:`DimensionMismatch`)."""
+    mixed = _require(kind, "tensor_key_string", cls=Kind) is Kind.MIXED
     try:
-        if _require(kind, "tensor_key_string", cls=Kind) is Kind.MIXED:
+        if mixed:
             form_key, fiber = key
-            return f"{_indices_key(form_key)}|{fiber + 1}"
-        return _indices_key(key)
+            indices = (*form_key, fiber)
+        else:
+            indices = tuple(key)
     except (TypeError, ValueError):
         raise KindMismatch(f"tensor_key_string: {key!r} is no {kind.value} key") from None
+    for i in indices:
+        if i.__class__ is not int:
+            raise KindMismatch(f"tensor_key_string: a fiber index is an int, not {i!r}")
+        if i < 0:
+            raise DimensionMismatch(f"tensor_key_string: fiber index {i} is negative")
+    if mixed:
+        return f"{_indices_key(indices[:-1])}|{indices[-1] + 1}"
+    return _indices_key(indices)
 
 
 def _chart_name_for(model: Model, chart: Chart, where: str) -> str:
@@ -462,10 +474,45 @@ def _encode_tensor(model, name, tensor):
     }
 
 
+#: What each table of a :class:`Model` maps its (string) names to.
+_TABLE_TYPES = {"charts": Chart, "algebroids": Algebroid, "poisson": PoissonStructure,
+                "tensors": GradedTensor, "tensor_owners": str, "suite": int}
+
+
+def _check_model(model, who: str) -> Model:
+    """The model check of operation ``who``: ``model`` if it is a
+    :class:`Model` (else :class:`KindMismatch`) whose every table is a dict
+    from strings to the table's type of :data:`_TABLE_TYPES`, each Poisson
+    entry holding a tensor over an algebroid and each suite setting one of
+    ``seed``, ``trials`` and ``max_degree`` and an int that is not a bool
+    (else :class:`ValidationError` naming the entry).  A checked model is
+    one the suite runner trusts: it hands the model's structures to kernels
+    that check nothing."""
+    _require(model, who, cls=Model)
+    for table, cls in _TABLE_TYPES.items():
+        entries = getattr(model, table, None)
+        if not isinstance(entries, dict):
+            raise ValidationError(f"{who}: the model's {table} table is a dict, "
+                                  f"not a {type(entries).__name__}")
+        for name, value in entries.items():
+            if (not isinstance(name, str) or not isinstance(value, cls)
+                    or value.__class__ is bool):
+                raise ValidationError(f"{who}: the model's {table} entry {name!r} is "
+                                      f"a {type(value).__name__}, not a {cls.__name__}")
+    for name, ps in model.poisson.items():
+        if not (isinstance(ps.owner, Algebroid) and isinstance(ps.bivector, GradedTensor)):
+            raise ValidationError(f"{who}: the model's poisson entry {name!r} holds no "
+                                  f"bivector over an algebroid")
+    unknown = set(model.suite) - set(_SUITE_KEYS)
+    if unknown:
+        raise ValidationError(f"{who}: unknown suite settings {sorted(unknown)}")
+    return model
+
+
 def model_document(model: Model) -> dict:
     """The JSON document of a model: sorted names, 1-based keys, canonical
-    polynomials."""
-    _require(model, "model_document", cls=Model)
+    polynomials.  The model is checked as :func:`_check_model` says."""
+    _check_model(model, "model_document")
     doc = {}
     if model.charts:
         doc["charts"] = {name: list(model.charts[name].coords)

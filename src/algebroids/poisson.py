@@ -34,11 +34,11 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .algebroid import CACHE_SIZE, Algebroid, build_algebroid, canonical_algebroid
-from .calculus import differential, lie_derivative, schouten
+from .calculus import _differential, _lie_derivative, _schouten
 from .errors import KindMismatch, NotInvertible, NotPoisson
 from .ring import Chart, Poly, _derived_names, accumulate
-from .tensor import (_MULTIVECTOR, GradedTensor, Kind, _require, _view, contract,
-                     pretty, tensor_sum, wedge)
+from .tensor import (_MULTIVECTOR, GradedTensor, Kind, _as_kind, _contract, _pretty,
+                     _require, _tensor_sum, _view, _wedge)
 
 
 class PoissonStructure:
@@ -118,10 +118,10 @@ def build_poisson(chart: Chart, bivector: GradedTensor) -> PoissonStructure:
 def _poisson_checked(bivector: GradedTensor) -> None:
     """The [P, P] check behind :func:`build_poisson`.  ``lru_cache`` keeps
     no raised exception, so only passes are recorded."""
-    residual = schouten(bivector.owner, bivector, bivector)
+    residual = _schouten(bivector.owner, bivector, bivector)
     if not residual.is_zero():
         raise NotPoisson("the self-bracket [P, P] does not vanish",
-                         witness={"residual": pretty(residual)})
+                         witness={"residual": _pretty(residual)})
 
 
 # -- the function bracket ---------------------------------------------------------
@@ -129,17 +129,22 @@ def _poisson_checked(bivector: GradedTensor) -> None:
 
 def poisson_bracket(ps: PoissonStructure, f, g) -> Poly:
     """{f, g} = i_P(df ∧ dg)."""
-    owner = _require(ps, "poisson_bracket", cls=PoissonStructure).owner
-    df = differential(owner, owner.fn(f))
-    dg = differential(owner, owner.fn(g))
-    return contract(ps.bivector, wedge(df, dg)).as_function()
+    _require(ps, "poisson_bracket", cls=PoissonStructure)
+    return _poisson_bracket(ps, f, g)
+
+
+def _poisson_bracket(ps: PoissonStructure, f, g) -> Poly:
+    owner = ps.owner
+    df = _differential(owner, owner.fn(f))
+    dg = _differential(owner, owner.fn(g))
+    return _contract(ps.bivector, _wedge(df, dg)).as_function()
 
 
 # -- the cotangent algebroid and the Koszul–Schouten bracket ------------------------
 
 
-def _cotangent_algebroid(ps: PoissonStructure, provenance: str,
-                         parent: Optional[Algebroid] = None) -> Algebroid:
+def _build_cotangent(ps: PoissonStructure, provenance: str,
+                    parent: Optional[Algebroid] = None) -> Algebroid:
     """Build the cotangent algebroid of ``ps`` from its closed form
     [dz^u, dz^v] = d P^{uv}, validated like any other algebroid."""
     chart = ps.chart
@@ -165,8 +170,12 @@ def cotangent_algebroid(ps: PoissonStructure) -> Algebroid:
     coefficients (constant coefficients give vanishing brackets).  The result
     is validated like any other algebroid and memoized on ``ps``.
     """
-    if _require(ps, "cotangent_algebroid", cls=PoissonStructure)._cotangent is None:
-        ps._cotangent = _cotangent_algebroid(ps, "cotangent-algebroid")
+    return _cotangent_algebroid(_require(ps, "cotangent_algebroid", cls=PoissonStructure))
+
+
+def _cotangent_algebroid(ps: PoissonStructure) -> Algebroid:
+    if ps._cotangent is None:
+        ps._cotangent = _build_cotangent(ps, "cotangent-algebroid")
     return ps._cotangent
 
 
@@ -178,8 +187,14 @@ def koszul_schouten(ps: PoissonStructure, mu: GradedTensor,
     _require(ps, "koszul_schouten", cls=PoissonStructure)
     mu = _view(mu, "koszul_schouten", ps.owner, Kind.FORM)
     nu = _view(nu, "koszul_schouten", ps.owner, Kind.FORM)
-    cot = cotangent_algebroid(ps)
-    result = schouten(cot,
+    return _koszul_schouten(ps, mu, nu)
+
+
+def _koszul_schouten(ps: PoissonStructure, mu: GradedTensor,
+                     nu: GradedTensor) -> GradedTensor:
+    mu, nu = _as_kind(mu, Kind.FORM), _as_kind(nu, Kind.FORM)
+    cot = _cotangent_algebroid(ps)
+    result = _schouten(cot,
                       GradedTensor._make(cot, Kind.MV, mu.degree, dict(mu.terms)),
                       GradedTensor._make(cot, Kind.MV, nu.degree, dict(nu.terms)))
     return GradedTensor._make(ps.owner, Kind.FORM, result.degree, dict(result.terms))
@@ -233,9 +248,9 @@ def _factorwise(t: GradedTensor, kind: Kind, row) -> GradedTensor:
     for key, coeff in t.terms.items():
         piece = GradedTensor._make(t.owner, kind, 0, {(): coeff})
         for u in key:
-            piece = wedge(piece, row(u))
+            piece = _wedge(piece, row(u))
         pieces.append(piece)
-    return tensor_sum(t.owner, kind, t.degree, pieces)
+    return _tensor_sum(t.owner, kind, t.degree, pieces)
 
 
 def lambda_p(ps: PoissonStructure, t: GradedTensor, mode: str = "plain") -> GradedTensor:
@@ -249,12 +264,19 @@ def lambda_p(ps: PoissonStructure, t: GradedTensor, mode: str = "plain") -> Grad
     _require(ps, "lambda_p", cls=PoissonStructure)
     if mode == "inverse":
         _require(t, "lambda_p", ps.owner, _MULTIVECTOR)
+    elif mode in ("plain", "star"):
+        t = _view(t, "lambda_p", ps.owner, Kind.FORM)
+    else:
+        raise KindMismatch(f"unknown mode {mode!r} (plain, star or inverse)")
+    return _lambda_p(ps, t, mode)
+
+
+def _lambda_p(ps: PoissonStructure, t: GradedTensor, mode: str = "plain") -> GradedTensor:
+    if mode == "inverse":
         rows = [GradedTensor(ps.owner, Kind.FORM, 1, {(v,): c for v, c in enumerate(row) if c})
                 for row in _inverse_matrix(ps)]
         return _factorwise(t, Kind.FORM, rows.__getitem__)
-    if mode not in ("plain", "star"):
-        raise KindMismatch(f"unknown mode {mode!r} (plain, star or inverse)")
-    mu = _view(t, "lambda_p", ps.owner, Kind.FORM)
+    mu = _as_kind(t, Kind.FORM)
     out = _factorwise(mu, Kind.MV, ps.row)
     if mode == "star" and mu.degree % 2:
         out = -out
@@ -271,7 +293,11 @@ def r_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
     is multilinear, so the value does not depend on the decomposition.
     """
     _require(ps, "r_p", cls=PoissonStructure)
-    mu = _view(mu, "r_p", ps.owner, Kind.FORM)
+    return _r_p(ps, _view(mu, "r_p", ps.owner, Kind.FORM))
+
+
+def _r_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
+    mu = _as_kind(mu, Kind.FORM)
     k = mu.degree
     if k == 0:
         return GradedTensor._make(ps.owner, Kind.MIXED, 0, {})
@@ -290,13 +316,21 @@ def h_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
     """The hamiltonian map H_P = R_P ∘ d (a vector-valued k-form on degree k;
     on functions it is the hamiltonian vector field P̃(df))."""
     _require(ps, "h_p", cls=PoissonStructure)
-    return r_p(ps, differential(ps.owner, _view(mu, "h_p", ps.owner, Kind.FORM)))
+    return _h_p(ps, _view(mu, "h_p", ps.owner, Kind.FORM))
+
+
+def _h_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
+    return _r_p(ps, _differential(ps.owner, mu))
 
 
 def g_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
     """The total hamiltonian map G_P = Λ_P ∘ d."""
     _require(ps, "g_p", cls=PoissonStructure)
-    return lambda_p(ps, differential(ps.owner, _view(mu, "g_p", ps.owner, Kind.FORM)))
+    return _g_p(ps, _view(mu, "g_p", ps.owner, Kind.FORM))
+
+
+def _g_p(ps: PoissonStructure, mu: GradedTensor) -> GradedTensor:
+    return _lambda_p(ps, _differential(ps.owner, mu))
 
 
 # -- the extended bracket -----------------------------------------------------------
@@ -312,9 +346,14 @@ def extended_bracket(ps: PoissonStructure, mu: GradedTensor,
     _require(ps, "extended_bracket", cls=PoissonStructure)
     mu = _view(mu, "extended_bracket", ps.owner, Kind.FORM)
     nu = _view(nu, "extended_bracket", ps.owner, Kind.FORM)
+    return _extended_bracket(ps, mu, nu)
+
+
+def _extended_bracket(ps: PoissonStructure, mu: GradedTensor,
+                      nu: GradedTensor) -> GradedTensor:
     owner = ps.owner
-    first = lie_derivative(owner, h_p(ps, mu), nu)
-    second = differential(owner, lie_derivative(owner, r_p(ps, mu), nu))
+    first = _lie_derivative(owner, _h_p(ps, mu), nu)
+    second = _differential(owner, _lie_derivative(owner, _r_p(ps, mu), nu))
     return first + second
 
 
@@ -324,8 +363,11 @@ def extended_bracket(ps: PoissonStructure, mu: GradedTensor,
 def tangent_poisson(ps: PoissonStructure) -> PoissonStructure:
     """The complete lift of the bivector to the chart with velocities
     adjoined — again a Poisson structure, revalidated on construction."""
-    from .lifts import classical_complete_lift
+    return _tangent_poisson(_require(ps, "tangent_poisson", cls=PoissonStructure))
 
-    lifted = classical_complete_lift(
-        _require(ps, "tangent_poisson", cls=PoissonStructure).bivector)
+
+def _tangent_poisson(ps: PoissonStructure) -> PoissonStructure:
+    from .lifts import _classical_complete_lift
+
+    lifted = _classical_complete_lift(ps.bivector)
     return build_poisson(lifted.owner.base, lifted)

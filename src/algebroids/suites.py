@@ -39,9 +39,15 @@ either draw), and seven whose draw count is not the share: theorem-2
 skipped fixture), theorem-20 ``poisson-routes`` and theorem-24
 ``nijenhuis-instance`` (one instance per fixture, no draw).
 
+The suites call the library's guard-free kernels (``_differential`` for
+:func:`~algebroids.calculus.differential` and so on; see :mod:`algebroids.tensor`):
+``run_suite`` checks its model and settings once, and every tensor an item
+passes on was drawn by the runner, built by a kernel or built by a checked
+constructor.
+
 The written-out references (velocities, lifts on a chart, the tangent anchor,
 the expansions of H and G) sum their terms in one call of a library kernel
-(``GradedTensor``, ``poly_sum``, ``tensor_sum``) and call no map they check.
+(``GradedTensor``, ``poly_sum``, ``_tensor_sum``) and call no map they check.
 """
 
 from __future__ import annotations
@@ -53,63 +59,62 @@ from operator import attrgetter
 
 from . import tensor as _tensor_conventions
 from .algebroid import (
-    anchor_apply,
-    canonical_algebroid,
-    dotted_chart,
-    dual_chart,
-    linear_poisson,
-    section_bracket,
-    tangent_lift,
+    _anchor_apply,
+    _bracket_tensors,
+    _dotted_chart,
+    _dual_chart,
+    _linear_poisson,
+    _tangent_lift,
+    _vector_fields,
 )
 from .calculus import (
-    differential,
-    fn_bracket,
-    lie_derivative,
-    nr_bracket,
-    schouten,
-    sym_schouten,
+    _differential,
+    _fn_bracket,
+    _lie_derivative,
+    _nr_bracket,
+    _schouten,
+    _sym_schouten,
 )
 from .errors import DimensionMismatch, NotInvertible, UnknownName, ValidationError
 from .lifts import (
-    G_map,
-    H_map,
-    J_map,
-    Jstar,
-    canonical_transport,
-    classical_complete_lift,
-    classical_vertical_lift,
-    complete_lift_T,
-    cot_complete_G_vec,
-    iota,
-    vertical_lift_V,
-    vertical_pi,
+    _canonical_transport,
+    _classical_complete_lift,
+    _classical_vertical_lift,
+    _complete_lift_T,
+    _cot_complete_G_vec,
+    _G_map,
+    _H_map,
+    _iota,
+    _J_map,
+    _Jstar,
+    _vertical_lift_V,
+    _vertical_pi,
 )
-from .model import Model, builtin_model, model_document, tensor_key_string
+from .model import Model, _check_model, builtin_model, model_document, tensor_key_string
 from .poisson import (
-    extended_bracket,
-    g_p,
-    h_p,
-    koszul_schouten,
-    lambda_p,
-    poisson_bracket,
-    r_p,
-    tangent_poisson,
+    _extended_bracket,
+    _g_p,
+    _h_p,
+    _koszul_schouten,
+    _lambda_p,
+    _poisson_bracket,
+    _r_p,
+    _tangent_poisson,
 )
 from .ring import poly_sum
 from .tensor import (
     GradedTensor,
     Kind,
+    _as_kind,
+    _basis_table,
+    _contract,
+    _contract_mixed,
+    _draw_coefficient,
     _draw_tensor,
-    _require,
-    basis_keys,
-    contract,
-    contract_mixed,
-    mixed_from_vector,
-    random_coefficient,
-    remap,
-    sym_product,
-    tensor_sum,
-    wedge,
+    _remap,
+    _sym_product,
+    _tensor_sum,
+    _wedge,
 )
 
 DEFAULT_SEED = 0
@@ -232,8 +237,8 @@ class _Run:
 
     def arguments(self, rng, owner, args):
         """The enumerator: draw ``args`` ({name: spec}) on ``owner`` in
-        declaration order.  ``FUNCTION`` is one ``random_coefficient`` on
-        the owner's base, handed over as ``owner.fn(...)``.  Any other spec
+        declaration order.  ``FUNCTION`` is one random coefficient on the
+        owner's base, handed over as ``owner.fn(...)``.  Any other spec
         is ``(kind, degrees[, keys])``: an int degree is drawn as is, with
         no ``rng.choice``; a sequence is one ``rng.choice`` over its entries
         exactly as listed, duplicates included, each entry an int or a
@@ -241,7 +246,7 @@ class _Run:
         drawn = {}
         for name, spec in args.items():
             if spec is FUNCTION:
-                drawn[name] = owner.fn(random_coefficient(
+                drawn[name] = owner.fn(_draw_coefficient(
                     rng, owner.base, self.coeff_degree))
                 continue
             kind, degrees, *keys = spec
@@ -369,8 +374,13 @@ def _lift_table(A, op, x, y, owned=True):
     takes the owner first when ``owned``."""
     def on(owner):
         return partial(op, owner) if owned else op
-    return _vt_table(on(tangent_lift(A)), on(A)(x, y), x, y,
-                     partial(vertical_lift_V, A), partial(complete_lift_T, A))
+    return _vt_table(on(_tangent_lift(A)), on(A)(x, y), x, y,
+                     partial(_vertical_lift_V, A), partial(_complete_lift_T, A))
+
+
+def _dual_owner(A):
+    """The canonical algebroid of the dual chart of ``A``."""
+    return _vector_fields(_dual_chart(A.base.coords, A.dual_names))
 
 
 def _velocity(coeff, source, target):
@@ -392,44 +402,44 @@ def _suite_theorem_1(run):
     @run.declare("d-squared", "d∘d = 0", fixtures,
                  mu=(Kind.FORM, (0, 1, _upto2)))
     def d_squared(A, mu):
-        return differential(A, differential(A, mu))
+        return _differential(A, _differential(A, mu))
 
     @run.declare("d-leibniz", "d(mu∧nu) = d(mu)∧nu + (−1)^k mu∧d(nu)",
                  fixtures, mu=(Kind.FORM, (0, 1)), nu=(Kind.FORM, (0, 1)))
     def d_leibniz(A, mu, nu):
-        return (differential(A, wedge(mu, nu))
-                - wedge(differential(A, mu), nu)
-                - wedge(mu, differential(A, nu)) * _sign(mu.degree))
+        return (_differential(A, _wedge(mu, nu))
+                - _wedge(_differential(A, mu), nu)
+                - _wedge(mu, _differential(A, nu)) * _sign(mu.degree))
 
     @run.declare("i-leibniz", "i_X(mu∧nu) = i_X(mu)∧nu + (−1)^k mu∧i_X(nu)",
                  fixtures, mu=(Kind.FORM, (1, _upto2)),
                  nu=(Kind.FORM, (1, _upto2)), x=(Kind.MV, 1))
     def i_leibniz(A, mu, nu, x):
-        return (contract(x, wedge(mu, nu))
-                - wedge(contract(x, mu), nu)
-                - wedge(mu, contract(x, nu)) * _sign(mu.degree))
+        return (_contract(x, _wedge(mu, nu))
+                - _wedge(_contract(x, mu), nu)
+                - _wedge(mu, _contract(x, nu)) * _sign(mu.degree))
 
     @run.declare("lie-leibniz", "L_X(mu∧nu) = L_X(mu)∧nu + mu∧L_X(nu)",
                  fixtures, mu=(Kind.FORM, (0, 1)),
                  nu=(Kind.FORM, (0, 1, _upto2)), x=(Kind.MV, 1))
     def lie_leibniz(A, mu, nu, x):
-        return (lie_derivative(A, x, wedge(mu, nu))
-                - wedge(lie_derivative(A, x, mu), nu)
-                - wedge(mu, lie_derivative(A, x, nu)))
+        return (_lie_derivative(A, x, _wedge(mu, nu))
+                - _wedge(_lie_derivative(A, x, mu), nu)
+                - _wedge(mu, _lie_derivative(A, x, nu)))
 
     @run.declare("lie-commutator", "L_X∘L_Y − L_Y∘L_X = L_[X,Y]", fixtures,
                  mu=(Kind.FORM, (1, _upto2)), x=(Kind.MV, 1), y=(Kind.MV, 1))
     def lie_commutator(A, mu, x, y):
-        return (lie_derivative(A, x, lie_derivative(A, y, mu))
-                - lie_derivative(A, y, lie_derivative(A, x, mu))
-                - lie_derivative(A, section_bracket(A, x, y), mu))
+        return (_lie_derivative(A, x, _lie_derivative(A, y, mu))
+                - _lie_derivative(A, y, _lie_derivative(A, x, mu))
+                - _lie_derivative(A, _bracket_tensors(A, x, y), mu))
 
     @run.declare("lie-insertion", "L_X∘i_Y − i_Y∘L_X = i_[X,Y]", fixtures,
                  mu=(Kind.FORM, (1, _upto2)), x=(Kind.MV, 1), y=(Kind.MV, 1))
     def lie_insertion(A, mu, x, y):
-        return (lie_derivative(A, x, contract(y, mu))
-                - contract(y, lie_derivative(A, x, mu))
-                - contract(section_bracket(A, x, y), mu))
+        return (_lie_derivative(A, x, _contract(y, mu))
+                - _contract(y, _lie_derivative(A, x, mu))
+                - _contract(_bracket_tensors(A, x, y), mu))
 
 
 def _suite_theorem_2(run):
@@ -450,11 +460,11 @@ def _suite_theorem_2(run):
                 y = run.draw(rng, A, Kind.MV, b)
                 sign = _sign(a * (b - 1))
                 for degree in range(1, min(3, A.rank) + 1):
-                    for key in basis_keys(A, Kind.FORM, degree):
+                    for key in _basis_table(A.rank, Kind.FORM, degree):
                         mu = GradedTensor.basis(A, Kind.FORM, key)
-                        residual = (lie_derivative(A, y, contract(x, mu))
-                                    - contract(x, lie_derivative(A, y, mu)) * sign
-                                    + contract(schouten(A, x, y), mu))
+                        residual = (_lie_derivative(A, y, _contract(x, mu))
+                                    - _contract(x, _lie_derivative(A, y, mu)) * sign
+                                    + _contract(_schouten(A, x, y), mu))
                         yield name, {"x": x, "y": y, "mu": mu}, residual
 
     run.identity("operator-identity",
@@ -468,15 +478,15 @@ def _suite_theorem_2(run):
         applied = poly_sum(A.base, (c * A.anchor[i][a] * value.partial(coord)
                                     for (i,), c in x.terms.items()
                                     for a, coord in enumerate(A.base.coords)))
-        return schouten(A, x, f) - A.fn(applied)
+        return _schouten(A, x, f) - A.fn(applied)
 
     @run.declare("adjoint-derivation",
                  "[X, Y∧Z] = [X,Y]∧Z + (−1)^{(a−1)b} Y∧[X,Z]", fixtures,
                  x=(Kind.MV, (1, 2)), y=(Kind.MV, (1, _upto2)), z=(Kind.MV, 1))
     def derivation(A, x, y, z):
-        return (schouten(A, x, wedge(y, z))
-                - wedge(schouten(A, x, y), z)
-                - wedge(y, schouten(A, x, z)) * _sign((x.degree - 1) * y.degree))
+        return (_schouten(A, x, _wedge(y, z))
+                - _wedge(_schouten(A, x, y), z)
+                - _wedge(y, _schouten(A, x, z)) * _sign((x.degree - 1) * y.degree))
 
 
 def _suite_theorem_3(run):
@@ -486,15 +496,15 @@ def _suite_theorem_3(run):
     @run.declare("antisymmetry", "[K,L] = −(−1)^{(a−1)(b−1)} [L,K]", fixtures,
                  K=(Kind.MIXED, (0, 1, _upto2)), L=(Kind.MIXED, (0, 1)))
     def antisymmetry(A, K, L):
-        return (nr_bracket(K, L)
-                + nr_bracket(L, K) * _sign((K.degree - 1) * (L.degree - 1)))
+        return (_nr_bracket(K, L)
+                + _nr_bracket(L, K) * _sign((K.degree - 1) * (L.degree - 1)))
 
     mixed = (Kind.MIXED, (0, 1, _upto2))
 
     @run.declare("graded-jacobi", "graded Jacobi identity", fixtures,
                  K=mixed, L=mixed, M=mixed)
     def jacobi(A, K, L, M):
-        return _graded_jacobi(nr_bracket, K, L, M, shift=1)
+        return _graded_jacobi(_nr_bracket, K, L, M, shift=1)
 
 
 def _suite_theorem_4(run):
@@ -507,21 +517,21 @@ def _suite_theorem_4(run):
                  fixtures, K=mixed, L=(Kind.MIXED, (0, 1)),
                  omega=(Kind.FORM, (1, _upto2)))
     def operator(A, K, L, omega):
-        return (lie_derivative(A, fn_bracket(A, K, L), omega)
-                - lie_derivative(A, K, lie_derivative(A, L, omega))
-                + lie_derivative(A, L, lie_derivative(A, K, omega))
+        return (_lie_derivative(A, _fn_bracket(A, K, L), omega)
+                - _lie_derivative(A, K, _lie_derivative(A, L, omega))
+                + _lie_derivative(A, L, _lie_derivative(A, K, omega))
                 * _sign(K.degree * L.degree))
 
     @run.declare("antisymmetry", "[K,L] = −(−1)^{ab} [L,K]", fixtures,
                  K=mixed, L=(Kind.MIXED, (0, 1)))
     def antisymmetry(A, K, L):
-        return (fn_bracket(A, K, L)
-                + fn_bracket(A, L, K) * _sign(K.degree * L.degree))
+        return (_fn_bracket(A, K, L)
+                + _fn_bracket(A, L, K) * _sign(K.degree * L.degree))
 
     @run.declare("graded-jacobi", "graded Jacobi identity", fixtures,
                  K=mixed, L=mixed, M=mixed)
     def jacobi(A, K, L, M):
-        return _graded_jacobi(partial(fn_bracket, A), K, L, M)
+        return _graded_jacobi(partial(_fn_bracket, A), K, L, M)
 
 
 def _suite_eq_1_12(run):
@@ -533,9 +543,9 @@ def _suite_eq_1_12(run):
                  run.algebroids(), K=mixed, L=mixed,
                  omega=(Kind.FORM, (1, _upto2, _rank)))
     def operator(A, K, L, omega):
-        return (contract_mixed(nr_bracket(K, L), omega)
-                - contract_mixed(K, contract_mixed(L, omega))
-                + contract_mixed(L, contract_mixed(K, omega))
+        return (_contract_mixed(_nr_bracket(K, L), omega)
+                - _contract_mixed(K, _contract_mixed(L, omega))
+                + _contract_mixed(L, _contract_mixed(K, omega))
                 * _sign((K.degree - 1) * (L.degree - 1)))
 
 
@@ -551,20 +561,20 @@ def _suite_theorem_5(run):
     @run.declare("lambda-homomorphism", "Λ[mu,nu]_P = [Λmu, Λnu]", fixtures,
                  owner=_poisson_owner, mu=form, nu=form)
     def homomorphism(ps, mu, nu):
-        return (lambda_p(ps, koszul_schouten(ps, mu, nu))
-                - schouten(ps.owner, lambda_p(ps, mu), lambda_p(ps, nu)))
+        return (_lambda_p(ps, _koszul_schouten(ps, mu, nu))
+                - _schouten(ps.owner, _lambda_p(ps, mu), _lambda_p(ps, nu)))
 
     def inverse(rng):
         for name, ps in fixtures:
             O = ps.owner
             try:
-                lambda_p(ps, O.e(0), "inverse")
+                _lambda_p(ps, O.e(0), "inverse")
             except NotInvertible:
                 yield name, {}, True
                 continue
             for _ in range(per):
                 mu = run.draw(rng, O, Kind.FORM, rng.choice([1, 2]))
-                back = lambda_p(ps, lambda_p(ps, mu), "inverse")
+                back = _lambda_p(ps, _lambda_p(ps, mu), "inverse")
                 yield name, {"mu": mu}, back == mu
 
     run.predicate("lambda-inverse",
@@ -580,8 +590,8 @@ def _suite_theorem_6(run):
     @run.declare("poisson-on-functions", "{f, g}_P is the Poisson bracket",
                  fixtures, owner=_poisson_owner, f=FUNCTION, g=FUNCTION)
     def on_functions(ps, f, g):
-        bracket = poisson_bracket(ps, f.as_function(), g.as_function())
-        return (extended_bracket(ps, f, g)
+        bracket = _poisson_bracket(ps, f.as_function(), g.as_function())
+        return (_extended_bracket(ps, f, g)
                 - GradedTensor(ps.owner, Kind.FORM, 0, {(): bracket}))
 
     def antisymmetry(rng):
@@ -592,8 +602,8 @@ def _suite_theorem_6(run):
                 mu = run.draw(rng, O, Kind.FORM, ka)
                 nu = run.draw(rng, O, Kind.FORM, kb)
                 yield name, {"mu": mu, "nu": nu}, (
-                    extended_bracket(ps, mu, nu)
-                    + extended_bracket(ps, nu, mu) * _sign(ka * kb))
+                    _extended_bracket(ps, mu, nu)
+                    + _extended_bracket(ps, nu, mu) * _sign(ka * kb))
 
     run.identity("antisymmetry", "graded antisymmetry of {,}_P", antisymmetry)
 
@@ -602,15 +612,15 @@ def _suite_theorem_6(run):
     @run.declare("graded-jacobi", "graded Jacobi identity of {,}_P", fixtures,
                  owner=_poisson_owner, mu=form, nu=form, rho=form)
     def jacobi(ps, mu, nu, rho):
-        return _graded_jacobi(partial(extended_bracket, ps), mu, nu, rho,
+        return _graded_jacobi(partial(_extended_bracket, ps), mu, nu, rho,
                               right=True)
 
     @run.declare("d-compatibility", "{d mu, nu}_P = d{mu, nu}_P", fixtures,
                  owner=_poisson_owner, mu=(Kind.FORM, (0, 1)),
                  nu=(Kind.FORM, (0, 1, 2)))
     def d_compat(ps, mu, nu):
-        return (extended_bracket(ps, differential(ps.owner, mu), nu)
-                - differential(ps.owner, extended_bracket(ps, mu, nu)))
+        return (_extended_bracket(ps, _differential(ps.owner, mu), nu)
+                - _differential(ps.owner, _extended_bracket(ps, mu, nu)))
 
     @run.declare("term-expansion-0-1",
                  "{g0, f0 df1}_P = {g0,f0} df1 + f0 d{g0,f1}", fixtures,
@@ -620,11 +630,11 @@ def _suite_theorem_6(run):
         g0, f0, f1 = (f.as_function() for f in (g0, f0, f1))
 
         def d0(f):
-            return differential(O, O.fn(f))
+            return _differential(O, O.fn(f))
 
-        lhs = extended_bracket(ps, O.fn(g0), d0(f1) * f0)
-        rhs = (d0(f1) * poisson_bracket(ps, g0, f0)
-               + d0(poisson_bracket(ps, g0, f1)) * f0)
+        lhs = _extended_bracket(ps, O.fn(g0), d0(f1) * f0)
+        rhs = (d0(f1) * _poisson_bracket(ps, g0, f0)
+               + d0(_poisson_bracket(ps, g0, f1)) * f0)
         return lhs - rhs
 
     @run.declare("term-expansion-1-1", "six-term expansion of {g0 dg1, f0 df1}_P",
@@ -635,18 +645,18 @@ def _suite_theorem_6(run):
         g0, g1, f0, f1 = (f.as_function() for f in (g0, g1, f0, f1))
 
         def d0(f):
-            return differential(O, O.fn(f))
+            return _differential(O, O.fn(f))
 
         def pb(a, b):
-            return poisson_bracket(ps, a, b)
+            return _poisson_bracket(ps, a, b)
 
-        lhs = extended_bracket(ps, d0(g1) * g0, d0(f1) * f0)
-        rhs = (wedge(d0(g1), d0(f1)) * pb(g0, f0)
-               + wedge(d0(pb(g1, f0)), d0(f1)) * g0
-               - wedge(d0(pb(g1, f1)), d0(f0)) * g0
-               - wedge(d0(pb(g0, f1)), d0(g1)) * f0
-               + wedge(d0(pb(g1, f1)), d0(g0)) * f0
-               - wedge(d0(g0), d0(f0)) * pb(g1, f1))
+        lhs = _extended_bracket(ps, d0(g1) * g0, d0(f1) * f0)
+        rhs = (_wedge(d0(g1), d0(f1)) * pb(g0, f0)
+               + _wedge(d0(pb(g1, f0)), d0(f1)) * g0
+               - _wedge(d0(pb(g1, f1)), d0(f0)) * g0
+               - _wedge(d0(pb(g0, f1)), d0(g1)) * f0
+               + _wedge(d0(pb(g1, f1)), d0(g0)) * f0
+               - _wedge(d0(g0), d0(f0)) * pb(g1, f1))
         return lhs - rhs
 
 
@@ -660,20 +670,20 @@ def _suite_theorem_7(run):
                  owner=_poisson_owner, mu=low, nu=low)
     def d_homomorphism(ps, mu, nu):
         O = ps.owner
-        return (koszul_schouten(ps, differential(O, mu), differential(O, nu))
-                - differential(O, extended_bracket(ps, mu, nu)))
+        return (_koszul_schouten(ps, _differential(O, mu), _differential(O, nu))
+                - _differential(O, _extended_bracket(ps, mu, nu)))
 
     @run.declare("h-homomorphism", "H{mu,nu}_P = [H mu, H nu]^{F-N}", fixtures,
                  owner=_poisson_owner, mu=low, nu=low)
     def h_homomorphism(ps, mu, nu):
-        return (h_p(ps, extended_bracket(ps, mu, nu))
-                - fn_bracket(ps.owner, h_p(ps, mu), h_p(ps, nu)))
+        return (_h_p(ps, _extended_bracket(ps, mu, nu))
+                - _fn_bracket(ps.owner, _h_p(ps, mu), _h_p(ps, nu)))
 
     @run.declare("g-homomorphism", "G{mu,nu}_P = [G mu, G nu]", fixtures,
                  owner=_poisson_owner, mu=(Kind.FORM, (0, 1, 2)), nu=low)
     def g_homomorphism(ps, mu, nu):
-        return (g_p(ps, extended_bracket(ps, mu, nu))
-                - schouten(ps.owner, g_p(ps, mu), g_p(ps, nu)))
+        return (_g_p(ps, _extended_bracket(ps, mu, nu))
+                - _schouten(ps.owner, _g_p(ps, mu), _g_p(ps, nu)))
 
 
 def _suite_eq_2_6(run):
@@ -683,9 +693,9 @@ def _suite_eq_2_6(run):
     @run.declare("h-r-expansion", "[mu,nu]_P = i_{H mu} nu − (−1)^k L_{R mu} nu",
                  run.poisson(), owner=_poisson_owner, mu=form, nu=form)
     def expansion(ps, mu, nu):
-        return (koszul_schouten(ps, mu, nu)
-                - contract_mixed(h_p(ps, mu), nu)
-                + lie_derivative(ps.owner, r_p(ps, mu), nu) * _sign(mu.degree))
+        return (_koszul_schouten(ps, mu, nu)
+                - _contract_mixed(_h_p(ps, mu), nu)
+                + _lie_derivative(ps.owner, _r_p(ps, mu), nu) * _sign(mu.degree))
 
 
 # -- lifts to the tangent algebroid ------------------------------------------
@@ -698,35 +708,35 @@ def _suite_theorem_8(run):
                  "V(f) is the pullback; T(f) is the velocity derivative",
                  fixtures, f=FUNCTION)
     def function_laws(A, f):
-        TL = tangent_lift(A)
+        TL = _tangent_lift(A)
         value = f.as_function()
-        return (vertical_lift_V(A, f) - TL.fn(value.transport(TL.base)),
-                complete_lift_T(A, f) - TL.fn(_velocity(value, A.base, TL.base)))
+        return (_vertical_lift_V(A, f) - TL.fn(value.transport(TL.base)),
+                _complete_lift_T(A, f) - TL.fn(_velocity(value, A.base, TL.base)))
 
     @run.declare("module-laws",
                  "V(fX) = V(f)V(X) and T(fX) = T(f)V(X) + V(f)T(X)",
                  fixtures, f=FUNCTION, x=(Kind.MV, 1))
     def module_laws(A, f, x):
         fx = x * f.as_function()
-        vf = vertical_lift_V(A, f).as_function()
-        tf = complete_lift_T(A, f).as_function()
-        return (vertical_lift_V(A, fx) - vertical_lift_V(A, x) * vf,
-                complete_lift_T(A, fx) - vertical_lift_V(A, x) * tf
-                - complete_lift_T(A, x) * vf)
+        vf = _vertical_lift_V(A, f).as_function()
+        tf = _complete_lift_T(A, f).as_function()
+        return (_vertical_lift_V(A, fx) - _vertical_lift_V(A, x) * vf,
+                _complete_lift_T(A, fx) - _vertical_lift_V(A, x) * tf
+                - _complete_lift_T(A, x) * vf)
 
 
 def _suite_theorem_9(run):
     """V and T form a Leibniz pair for wedge and symmetric products."""
     for item_id, kind, product, what in (
-            ("wedge-leibniz", Kind.MV, wedge, "multivector wedges"),
-            ("sym-leibniz", Kind.SYM, sym_product, "symmetric products"),
-            ("form-leibniz", Kind.FORM, wedge, "form wedges")):
+            ("wedge-leibniz", Kind.MV, _wedge, "multivector wedges"),
+            ("sym-leibniz", Kind.SYM, _sym_product, "symmetric products"),
+            ("form-leibniz", Kind.FORM, _wedge, "form wedges")):
         low = (kind, (1, _upto2))
 
         @run.declare(item_id, f"V/T Leibniz pair on {what}", run.algebroids(),
                      s=low, t=low)
         def leibniz_pair(A, s, t, product=product):
-            V, T = partial(vertical_lift_V, A), partial(complete_lift_T, A)
+            V, T = partial(_vertical_lift_V, A), partial(_complete_lift_T, A)
             return (V(product(s, t)) - product(V(s), V(t)),
                     T(product(s, t)) - product(T(s), V(t)) - product(V(s), T(t)))
 
@@ -743,11 +753,11 @@ def _suite_theorem_10(run):
                  "anchor∘V = v_T∘anchor and anchor∘T = d_T∘anchor",
                  fixtures, x=(Kind.MV, 1))
     def anchor(A, x):
-        TL = tangent_lift(A)
-        return (anchor_apply(TL, vertical_lift_V(A, x))
-                - classical_vertical_lift(anchor_apply(A, x)),
-                anchor_apply(TL, complete_lift_T(A, x))
-                - classical_complete_lift(anchor_apply(A, x)))
+        TL = _tangent_lift(A)
+        return (_anchor_apply(TL, _vertical_lift_V(A, x))
+                - _classical_vertical_lift(_anchor_apply(A, x)),
+                _anchor_apply(TL, _complete_lift_T(A, x))
+                - _classical_complete_lift(_anchor_apply(A, x)))
 
 
 def _suite_theorem_11(run):
@@ -758,12 +768,12 @@ def _suite_theorem_11(run):
     @run.declare("schouten-table", "[VV]=0, [VT]=[TV]=V[,], [TT]=T[,]",
                  fixtures, x=mv, y=mv)
     def table(A, x, y):
-        return _lift_table(A, schouten, x, y)
+        return _lift_table(A, _schouten, x, y)
 
     @run.declare("sym-schouten-table", "the same table for the symmetric bracket",
                  fixtures, x=sym, y=sym)
     def sym_table(A, x, y):
-        return _lift_table(A, sym_schouten, x, y)
+        return _lift_table(A, _sym_schouten, x, y)
 
 
 def _suite_theorem_12(run):
@@ -774,20 +784,20 @@ def _suite_theorem_12(run):
     @run.declare("contraction-table", "i_{V/T} on V/T-lifted forms", fixtures,
                  x=(Kind.MV, 1), mu=form)
     def contraction(A, x, mu):
-        return _lift_table(A, contract, x, mu, owned=False)
+        return _lift_table(A, _contract, x, mu, owned=False)
 
     @run.declare("differential-table", "d∘V = V∘d and d∘T = T∘d", fixtures,
                  mu=(Kind.FORM, (0, 1, _upto2)))
     def differential_table(A, mu):
-        TL = tangent_lift(A)
-        dmu = differential(A, mu)
-        return (differential(TL, vertical_lift_V(A, mu)) - vertical_lift_V(A, dmu),
-                differential(TL, complete_lift_T(A, mu)) - complete_lift_T(A, dmu))
+        TL = _tangent_lift(A)
+        dmu = _differential(A, mu)
+        return (_differential(TL, _vertical_lift_V(A, mu)) - _vertical_lift_V(A, dmu),
+                _differential(TL, _complete_lift_T(A, mu)) - _complete_lift_T(A, dmu))
 
     @run.declare("lie-table", "L_{V/T} on V/T-lifted forms", fixtures,
                  x=(Kind.MV, 1), mu=form)
     def lie_table(A, x, mu):
-        return _lift_table(A, lie_derivative, x, mu)
+        return _lift_table(A, _lie_derivative, x, mu)
 
 
 def _suite_theorem_13(run):
@@ -797,7 +807,7 @@ def _suite_theorem_13(run):
     @run.declare("nr-table", "the V/T table for the N-R bracket",
                  run.algebroids(), K=low, L=low)
     def table(A, K, L):
-        return _lift_table(A, nr_bracket, K, L, owned=False)
+        return _lift_table(A, _nr_bracket, K, L, owned=False)
 
 
 def _suite_theorem_14(run):
@@ -807,7 +817,7 @@ def _suite_theorem_14(run):
     @run.declare("fn-table", "the V/T table for the F-N bracket",
                  run.algebroids(), K=low, L=low)
     def table(A, K, L):
-        return _lift_table(A, fn_bracket, K, L)
+        return _lift_table(A, _fn_bracket, K, L)
 
 
 # -- lifts to the dual bundle ------------------------------------------------
@@ -822,46 +832,46 @@ def _suite_theorem_15(run):
     @run.declare("a-multiplicative", "V_pi(mu∧nu) = V_pi(mu)∧V_pi(nu)",
                  fixtures, **instance)
     def wedge_mult(A, x, y, mu, nu):
-        return (vertical_pi(A, wedge(mu, nu))
-                - wedge(vertical_pi(A, mu), vertical_pi(A, nu)))
+        return (_vertical_pi(A, _wedge(mu, nu))
+                - _wedge(_vertical_pi(A, mu), _vertical_pi(A, nu)))
 
     @run.declare("b-commuting", "[V_pi mu, V_pi nu] = 0", fixtures, **instance)
     def commute(A, x, y, mu, nu):
-        D = linear_poisson(A).owner
-        return schouten(D, vertical_pi(A, mu), vertical_pi(A, nu))
+        D = _linear_poisson(A).owner
+        return _schouten(D, _vertical_pi(A, mu), _vertical_pi(A, nu))
 
     @run.declare("c-iota", "[iota(X), V_pi mu] = −V_pi(i_X mu)", fixtures,
                  **instance)
     def iota_bracket(A, x, y, mu, nu):
-        D = linear_poisson(A).owner
-        return (schouten(D, D.fn(iota(A, x)), vertical_pi(A, mu))
-                + vertical_pi(A, contract(x, mu)))
+        D = _linear_poisson(A).owner
+        return (_schouten(D, D.fn(_iota(A, x)), _vertical_pi(A, mu))
+                + _vertical_pi(A, _contract(x, mu)))
 
     @run.declare("d-differential", "[P, V_pi mu] = V_pi(d mu)", fixtures,
                  **instance)
     def p_bracket(A, x, y, mu, nu):
-        ps = linear_poisson(A)
-        return (schouten(ps.owner, ps.bivector, vertical_pi(A, mu))
-                - vertical_pi(A, differential(A, mu)))
+        ps = _linear_poisson(A)
+        return (_schouten(ps.owner, ps.bivector, _vertical_pi(A, mu))
+                - _vertical_pi(A, _differential(A, mu)))
 
     @run.declare("e-lie", "[G(X), V_pi mu] = V_pi(L_X mu)", fixtures, **instance)
     def g_lie(A, x, y, mu, nu):
-        D = linear_poisson(A).owner
-        return (schouten(D, cot_complete_G_vec(A, x), vertical_pi(A, mu))
-                - vertical_pi(A, lie_derivative(A, x, mu)))
+        D = _linear_poisson(A).owner
+        return (_schouten(D, _cot_complete_G_vec(A, x), _vertical_pi(A, mu))
+                - _vertical_pi(A, _lie_derivative(A, x, mu)))
 
     @run.declare("f-bracket", "[G(X), G(Y)] = G([X, Y])", fixtures, **instance)
     def g_g(A, x, y, mu, nu):
-        D = linear_poisson(A).owner
-        return (schouten(D, cot_complete_G_vec(A, x), cot_complete_G_vec(A, y))
-                - cot_complete_G_vec(A, section_bracket(A, x, y)))
+        D = _linear_poisson(A).owner
+        return (_schouten(D, _cot_complete_G_vec(A, x), _cot_complete_G_vec(A, y))
+                - _cot_complete_G_vec(A, _bracket_tensors(A, x, y)))
 
     @run.declare("g-iota", "[G(X), iota(Y)] = iota([X, Y])", fixtures,
                  **instance)
     def g_iota(A, x, y, mu, nu):
-        D = linear_poisson(A).owner
-        return (schouten(D, cot_complete_G_vec(A, x), D.fn(iota(A, y)))
-                - D.fn(iota(A, section_bracket(A, x, y))))
+        D = _linear_poisson(A).owner
+        return (_schouten(D, _cot_complete_G_vec(A, x), D.fn(_iota(A, y)))
+                - D.fn(_iota(A, _bracket_tensors(A, x, y))))
 
 
 def _g_expanded(A, k):
@@ -869,9 +879,9 @@ def _g_expanded(A, k):
     pieces = []
     for (form_key, j), coeff in k.terms.items():
         mu = GradedTensor(A, Kind.FORM, k.degree, {form_key: coeff})
-        pieces += (wedge(cot_complete_G_vec(A, A.e(j)), vertical_pi(A, mu)),
-                   vertical_pi(A, differential(A, mu)) * -iota(A, A.e(j)))
-    return tensor_sum(linear_poisson(A).owner, Kind.MV, k.degree + 1, pieces)
+        pieces += (_wedge(_cot_complete_G_vec(A, A.e(j)), _vertical_pi(A, mu)),
+                   _vertical_pi(A, _differential(A, mu)) * -_iota(A, A.e(j)))
+    return _tensor_sum(_linear_poisson(A).owner, Kind.MV, k.degree + 1, pieces)
 
 
 def _suite_theorem_16(run):
@@ -882,16 +892,16 @@ def _suite_theorem_16(run):
     @run.declare("degree-zero", "J(X) = −iota(X) and G(X) = G_vec(X)",
                  fixtures, x=(Kind.MV, 1))
     def degree_zero(A, x):
-        k = mixed_from_vector(x)
-        return (J_map(A, k) + canonical_algebroid(dual_chart(A)).fn(iota(A, x)),
-                G_map(A, k) - cot_complete_G_vec(A, x))
+        k = _as_kind(x, Kind.MIXED)
+        return (_J_map(A, k) + _dual_owner(A).fn(_iota(A, x)),
+                _G_map(A, k) - _cot_complete_G_vec(A, x))
 
     @run.declare("dual-routes",
                  "[P, J(K)] equals the product-rule expansion of G(K)",
                  fixtures, K=(Kind.MIXED, (0, 1, _upto2)))
     def dual_routes(A, K):
-        ps = linear_poisson(A)
-        return schouten(ps.owner, ps.bivector, J_map(A, K)) - _g_expanded(A, K)
+        ps = _linear_poisson(A)
+        return _schouten(ps.owner, ps.bivector, _J_map(A, K)) - _g_expanded(A, K)
 
 
 def _suite_theorem_17(run):
@@ -902,9 +912,9 @@ def _suite_theorem_17(run):
     @run.declare("nr-homomorphism", "[J(K), J(L)] = J([K,L]^{N-R})",
                  fixtures, K=low, L=low)
     def homomorphism(A, K, L):
-        return (schouten(canonical_algebroid(dual_chart(A)),
-                         J_map(A, K), J_map(A, L))
-                - J_map(A, nr_bracket(K, L)))
+        return (_schouten(_dual_owner(A),
+                         _J_map(A, K), _J_map(A, L))
+                - _J_map(A, _nr_bracket(K, L)))
 
     def injectivity(rng):
         plane = next(((name, A) for name, A in fixtures
@@ -913,7 +923,7 @@ def _suite_theorem_17(run):
             return
         name, A = plane
         slots = [(key, j) for degree in (0, 1, 2)
-                 for key in basis_keys(A, Kind.FORM, degree)
+                 for key in _basis_table(A.rank, Kind.FORM, degree)
                  for j in range(A.rank)]
         for _ in range(run.trials):
             terms = {}
@@ -924,7 +934,7 @@ def _suite_theorem_17(run):
                     if c:
                         terms[(key, j)] = c
             k = GradedTensor(A, Kind.MIXED, degree, terms)
-            yield name, {"K": k}, J_map(A, k).is_zero() == k.is_zero()
+            yield name, {"K": k}, _J_map(A, k).is_zero() == k.is_zero()
 
     run.predicate("injectivity",
                   "J(K) = 0 only for K = 0 on a spanning set of mixed "
@@ -938,15 +948,15 @@ def _suite_theorem_18(run):
     @run.declare("fn-homomorphism", "[G(K), G(L)] = G([K,L]^{F-N})",
                  run.algebroids(), K=low, L=low)
     def homomorphism(A, K, L):
-        return (schouten(canonical_algebroid(dual_chart(A)),
-                         G_map(A, K), G_map(A, L))
-                - G_map(A, fn_bracket(A, K, L)))
+        return (_schouten(_dual_owner(A),
+                         _G_map(A, K), _G_map(A, L))
+                - _G_map(A, _fn_bracket(A, K, L)))
 
 
 # -- the canonical case ------------------------------------------------------
 
 def _direct_vertical_vector(chart, x):
-    target = canonical_algebroid(dotted_chart(chart))
+    target = _vector_fields(_dotted_chart(chart))
     n = chart.dim
     return GradedTensor(target, Kind.MV, 1,
                         {(n + key[0],): c.transport(target.base)
@@ -954,7 +964,7 @@ def _direct_vertical_vector(chart, x):
 
 
 def _direct_complete_vector(chart, x):
-    target = canonical_algebroid(dotted_chart(chart))
+    target = _vector_fields(_dotted_chart(chart))
     n = chart.dim
     return GradedTensor(target, Kind.MV, 1, (
         term for (a,), c in x.terms.items()
@@ -972,7 +982,7 @@ def _pullback(owner, mu):
 
 
 def _direct_complete_form(chart, mu):
-    target = canonical_algebroid(dotted_chart(chart))
+    target = _vector_fields(_dotted_chart(chart))
     n = chart.dim
     terms = []
     for key, c in mu.terms.items():
@@ -983,7 +993,7 @@ def _direct_complete_form(chart, mu):
 
 
 def _direct_vertical_bivector(chart, p):
-    target = canonical_algebroid(dotted_chart(chart))
+    target = _vector_fields(_dotted_chart(chart))
     n = chart.dim
     return GradedTensor(target, Kind.MV, 2,
                         {(n + u, n + v): c.transport(target.base)
@@ -991,7 +1001,7 @@ def _direct_vertical_bivector(chart, p):
 
 
 def _direct_complete_bivector(chart, p):
-    target = canonical_algebroid(dotted_chart(chart))
+    target = _vector_fields(_dotted_chart(chart))
     n = chart.dim
     terms = []
     for (u, v), c in p.terms.items():
@@ -1012,9 +1022,9 @@ def _suite_theorem_19(run):
     @run.declare("vectors", "kappa∘V = v_T and kappa∘T = d_T on vector fields",
                  fixtures, x=(Kind.MV, 1))
     def vectors(A, x):
-        return (canonical_transport("kappa", vertical_lift_V(A, x))
+        return (_canonical_transport("kappa", _vertical_lift_V(A, x))
                 - _direct_vertical_vector(A.base, x),
-                canonical_transport("kappa", complete_lift_T(A, x))
+                _canonical_transport("kappa", _complete_lift_T(A, x))
                 - _direct_complete_vector(A.base, x))
 
     def bivectors(rng):
@@ -1025,9 +1035,9 @@ def _suite_theorem_19(run):
             for _ in range(per):
                 p = run.draw(rng, A, Kind.MV, 2)
                 yield name, {"p": p}, (
-                    canonical_transport("kappa", vertical_lift_V(A, p))
+                    _canonical_transport("kappa", _vertical_lift_V(A, p))
                     - _direct_vertical_bivector(chart, p),
-                    canonical_transport("kappa", complete_lift_T(A, p))
+                    _canonical_transport("kappa", _complete_lift_T(A, p))
                     - _direct_complete_bivector(chart, p))
 
     run.identity("bivectors", "the same on bivectors", bivectors)
@@ -1035,18 +1045,18 @@ def _suite_theorem_19(run):
     @run.declare("forms", "alpha∘V = v_T and alpha∘T = d_T on forms",
                  fixtures, mu=(Kind.FORM, (1, _upto2)))
     def forms(A, mu):
-        dotted = canonical_algebroid(dotted_chart(A.base))
-        return (canonical_transport("alpha", vertical_lift_V(A, mu))
+        dotted = _vector_fields(_dotted_chart(A.base))
+        return (_canonical_transport("alpha", _vertical_lift_V(A, mu))
                 - _pullback(dotted, mu),
-                canonical_transport("alpha", complete_lift_T(A, mu))
+                _canonical_transport("alpha", _complete_lift_T(A, mu))
                 - _direct_complete_form(A.base, mu))
 
     @run.declare("involution", "kappa∘kappa = id and alpha∘alpha = id",
-                 fixtures, owner=tangent_lift, s=(Kind.MV, (1, 2)),
+                 fixtures, owner=_tangent_lift, s=(Kind.MV, (1, 2)),
                  mu=(Kind.FORM, (1, 2)))
     def involution(A, s, mu):
-        return (canonical_transport("kappa", canonical_transport("kappa", s)) - s,
-                canonical_transport("alpha", canonical_transport("alpha", mu)) - mu)
+        return (_canonical_transport("kappa", _canonical_transport("kappa", s)) - s,
+                _canonical_transport("alpha", _canonical_transport("alpha", mu)) - mu)
 
 
 def _suite_theorem_20(run):
@@ -1055,26 +1065,26 @@ def _suite_theorem_20(run):
     fixtures = run.canonical()
 
     @run.declare("anchor-is-kappa", "the tangent-lift anchor is the flip",
-                 fixtures, owner=tangent_lift, s=(Kind.MV, 1))
+                 fixtures, owner=_tangent_lift, s=(Kind.MV, 1))
     def anchor(A, s):
-        return anchor_apply(tangent_lift(A), s) - canonical_transport("kappa", s)
+        return _anchor_apply(_tangent_lift(A), s) - _canonical_transport("kappa", s)
 
     @run.declare("bracket-isomorphism", "kappa intertwines the section brackets",
-                 fixtures, owner=tangent_lift, s=(Kind.MV, 1), t=(Kind.MV, 1))
+                 fixtures, owner=_tangent_lift, s=(Kind.MV, 1), t=(Kind.MV, 1))
     def bracket_iso(A, s, t):
-        return (canonical_transport("kappa", section_bracket(tangent_lift(A), s, t))
-                - section_bracket(canonical_algebroid(dotted_chart(A.base)),
-                                  canonical_transport("kappa", s),
-                                  canonical_transport("kappa", t)))
+        return (_canonical_transport("kappa", _bracket_tensors(_tangent_lift(A), s, t))
+                - _bracket_tensors(_vector_fields(_dotted_chart(A.base)),
+                                  _canonical_transport("kappa", s),
+                                  _canonical_transport("kappa", t)))
 
     def poisson_routes(_rng):
         for name, A in run.algebroids():
-            lifted = tangent_poisson(linear_poisson(A))
-            relinearized = linear_poisson(tangent_lift(A))
+            lifted = _tangent_poisson(_linear_poisson(A))
+            relinearized = _linear_poisson(_tangent_lift(A))
             position = {c: i for i, c in enumerate(relinearized.chart.coords)}
             fiber_map = {i: position[c]
                          for i, c in enumerate(lifted.chart.coords)}
-            residual = (remap(lifted.bivector, relinearized.owner, fiber_map)
+            residual = (_remap(lifted.bivector, relinearized.owner, fiber_map)
                         - relinearized.bivector)
             yield name, {"lifted": lifted.bivector,
                          "relinearized": relinearized.bivector}, residual
@@ -1087,13 +1097,13 @@ def _suite_theorem_20(run):
 def _suite_theorem_21(run):
     """The classical-lift tables on the canonical case."""
     fixtures = run.canonical()
-    V, T = classical_vertical_lift, classical_complete_lift
+    V, T = _classical_vertical_lift, _classical_complete_lift
 
     @run.declare("schouten-table", "the v_T/d_T Schouten table", fixtures,
                  x=(Kind.MV, (1, _upto2)), y=(Kind.MV, 1))
     def schouten_table(A, x, y):
-        target = canonical_algebroid(dotted_chart(A.base))
-        return _vt_table(partial(schouten, target), schouten(A, x, y),
+        target = _vector_fields(_dotted_chart(A.base))
+        return _vt_table(partial(_schouten, target), _schouten(A, x, y),
                          x, y, V, T)
 
     low = (Kind.MIXED, (0, 1))
@@ -1101,21 +1111,21 @@ def _suite_theorem_21(run):
     @run.declare("mixed-tables", "the v_T/d_T tables for N-R and F-N",
                  fixtures, K=low, L=low)
     def mixed_tables(A, K, L):
-        target = canonical_algebroid(dotted_chart(A.base))
-        return (_vt_table(nr_bracket, nr_bracket(K, L), K, L, V, T)
-                + _vt_table(partial(fn_bracket, target), fn_bracket(A, K, L),
+        target = _vector_fields(_dotted_chart(A.base))
+        return (_vt_table(_nr_bracket, _nr_bracket(K, L), K, L, V, T)
+                + _vt_table(partial(_fn_bracket, target), _fn_bracket(A, K, L),
                             K, L, V, T))
 
     @run.declare("cartan-tables", "the v_T/d_T tables for i, d and L",
                  fixtures, x=(Kind.MV, 1), mu=(Kind.FORM, (1, _upto2)))
     def cartan_tables(A, x, mu):
-        target = canonical_algebroid(dotted_chart(A.base))
-        dmu = differential(A, mu)
-        return (_vt_table(contract, contract(x, mu), x, mu, V, T)
-                + (differential(target, V(mu)) - V(dmu),
-                   differential(target, T(mu)) - T(dmu))
-                + _vt_table(partial(lie_derivative, target),
-                            lie_derivative(A, x, mu), x, mu, V, T))
+        target = _vector_fields(_dotted_chart(A.base))
+        dmu = _differential(A, mu)
+        return (_vt_table(_contract, _contract(x, mu), x, mu, V, T)
+                + (_differential(target, V(mu)) - V(dmu),
+                   _differential(target, T(mu)) - T(dmu))
+                + _vt_table(partial(_lie_derivative, target),
+                            _lie_derivative(A, x, mu), x, mu, V, T))
 
 
 def _suite_theorem_22(run):
@@ -1126,28 +1136,28 @@ def _suite_theorem_22(run):
     @run.declare("pullbacks", "Λ*(pullback mu) = V_pi(mu)", fixtures,
                  mu=(Kind.FORM, (0, 1, _upto2)))
     def pullbacks(A, mu):
-        ps = linear_poisson(A)
-        return lambda_p(ps, _pullback(ps.owner, mu), "star") - vertical_pi(A, mu)
+        ps = _linear_poisson(A)
+        return _lambda_p(ps, _pullback(ps.owner, mu), "star") - _vertical_pi(A, mu)
 
     @run.declare("contracted-pullbacks", "Λ*(J*(K)) = −J(K)", fixtures,
                  K=(Kind.MIXED, (0, 1, _upto2)))
     def contracted(A, K):
-        return lambda_p(linear_poisson(A), Jstar(K), "star") + J_map(A, K)
+        return _lambda_p(_linear_poisson(A), _Jstar(K), "star") + _J_map(A, K)
 
     @run.declare("differentials", "Λ*(d J*(K)) = −G(K)", fixtures,
                  K=(Kind.MIXED, (0, 1)))
     def differentials(A, K):
-        ps = linear_poisson(A)
-        return (lambda_p(ps, differential(ps.owner, Jstar(K)), "star")
-                + G_map(A, K))
+        ps = _linear_poisson(A)
+        return (_lambda_p(ps, _differential(ps.owner, _Jstar(K)), "star")
+                + _G_map(A, K))
 
     @run.declare("d-intertwine", "Λ*(d nu) = [P, Λ*(nu)]", fixtures,
-                 owner=lambda A: linear_poisson(A).owner,
+                 owner=lambda A: _linear_poisson(A).owner,
                  nu=(Kind.FORM, (1, 2)))
     def d_intertwine(A, nu):
-        ps = linear_poisson(A)
-        return (lambda_p(ps, differential(ps.owner, nu), "star")
-                - schouten(ps.owner, ps.bivector, lambda_p(ps, nu, "star")))
+        ps = _linear_poisson(A)
+        return (_lambda_p(ps, _differential(ps.owner, nu), "star")
+                - _schouten(ps.owner, ps.bivector, _lambda_p(ps, nu, "star")))
 
 
 def _suite_theorem_23(run):
@@ -1156,14 +1166,14 @@ def _suite_theorem_23(run):
                  run.canonical(), K=(Kind.MIXED, (0, 1)),
                  L=(Kind.MIXED, (0, 1, _upto2)))
     def homomorphism(A, K, L):
-        return (extended_bracket(linear_poisson(A), Jstar(K), Jstar(L))
-                - Jstar(fn_bracket(A, K, L)))
+        return (_extended_bracket(_linear_poisson(A), _Jstar(K), _Jstar(L))
+                - _Jstar(_fn_bracket(A, K, L)))
 
 
 def _literal_h(A, k):
     """The slot-by-slot momentum expansion of H on a canonical algebroid,
     written out independently of the Hamiltonian-map route."""
-    D = canonical_algebroid(dual_chart(A))
+    D = _dual_owner(A)
     chart = D.base
     n = A.base.dim
     terms = []
@@ -1189,7 +1199,7 @@ def _literal_h(A, k):
 def _literal_g(A, k):
     """The momentum expansion of G on a canonical algebroid (the orientation
     opposite to the shipped calibration)."""
-    D = canonical_algebroid(dual_chart(A))
+    D = _dual_owner(A)
     chart = D.base
     n = A.base.dim
     terms = []
@@ -1215,24 +1225,24 @@ def _suite_theorem_24(run):
     @run.declare("fn-homomorphism", "[H(K), H(L)]^{F-N} = H([K,L]^{F-N})",
                  fixtures, K=low, L=low)
     def homomorphism(A, K, L):
-        return (fn_bracket(canonical_algebroid(dual_chart(A)), H_map(K), H_map(L))
-                - H_map(fn_bracket(A, K, L)))
+        return (_fn_bracket(_dual_owner(A), _H_map(K), _H_map(L))
+                - _H_map(_fn_bracket(A, K, L)))
 
     @run.declare("h-expansion", "H agrees with its momentum expansion",
                  fixtures, K=mixed)
     def h_expansion(A, K):
-        return H_map(K) - _literal_h(A, K)
+        return _H_map(K) - _literal_h(A, K)
 
     @run.declare("g-expansion", "G agrees with its momentum expansion up to "
                  "the recorded global sign", fixtures, K=mixed)
     def g_expansion(A, K):
-        return G_map(A, K) + _literal_g(A, K)
+        return _G_map(A, K) + _literal_g(A, K)
 
     def injectivity(rng):
         for name, A in fixtures:
             if A.rank != 2:
                 continue
-            slots = [(key, j) for key in basis_keys(A, Kind.FORM, 1)
+            slots = [(key, j) for key in _basis_table(A.rank, Kind.FORM, 1)
                      for j in range(A.rank)]
             for _ in range(run.trials):
                 terms = {}
@@ -1241,7 +1251,7 @@ def _suite_theorem_24(run):
                     if c:
                         terms[(key, j)] = c
                 k = GradedTensor(A, Kind.MIXED, 1, terms)
-                yield name, {"K": k}, H_map(k).is_zero() == k.is_zero()
+                yield name, {"K": k}, _H_map(k).is_zero() == k.is_zero()
 
     run.predicate("injectivity", "H(K) = 0 only for K = 0 on basis sums",
                   injectivity)
@@ -1251,9 +1261,9 @@ def _suite_theorem_24(run):
             if A.rank != 1:
                 continue
             N = GradedTensor(A, Kind.MIXED, 1, {((0,), 0): 1})
-            D = canonical_algebroid(dual_chart(A))
-            fn_zero = fn_bracket(A, N, N).is_zero()
-            g_zero = schouten(D, G_map(A, N), G_map(A, N)).is_zero()
+            D = _dual_owner(A)
+            fn_zero = _fn_bracket(A, N, N).is_zero()
+            g_zero = _schouten(D, _G_map(A, N), _G_map(A, N)).is_zero()
             yield name, {"N": N}, fn_zero and g_zero
 
     run.predicate("nijenhuis-instance",
@@ -1264,11 +1274,11 @@ def _suite_theorem_24(run):
 def _suite_eq_7_12(run):
     """The dual flip intertwines the two exterior derivatives."""
     @run.declare("alpha-d", "alpha∘d = d∘alpha", run.canonical(),
-                 owner=tangent_lift, mu=(Kind.FORM, (0, 1, 2)))
+                 owner=_tangent_lift, mu=(Kind.FORM, (0, 1, 2)))
     def intertwine(A, mu):
-        target = canonical_algebroid(dotted_chart(A.base))
-        return (canonical_transport("alpha", differential(tangent_lift(A), mu))
-                - differential(target, canonical_transport("alpha", mu)))
+        target = _vector_fields(_dotted_chart(A.base))
+        return (_canonical_transport("alpha", _differential(_tangent_lift(A), mu))
+                - _differential(target, _canonical_transport("alpha", mu)))
 
 
 def _tangent_anchor_map(A, s):
@@ -1277,7 +1287,7 @@ def _tangent_anchor_map(A, s):
     dotted components carry them on the dotted block and pick up the
     velocity derivative of the entries on the barred block."""
     n, m = A.base.dim, A.rank
-    target = tangent_lift(canonical_algebroid(A.base))
+    target = _tangent_lift(_vector_fields(A.base))
     tb = target.base
     terms = []
     for (idx,), c in s.terms.items():
@@ -1300,9 +1310,9 @@ def _suite_eq_7_13(run):
                  + ", ".join(skipped))
 
     @run.declare("kappa-anchor", "kappa∘(tangent-lift anchor) = T(anchor)",
-                 fixtures, owner=tangent_lift, s=(Kind.MV, 1))
+                 fixtures, owner=_tangent_lift, s=(Kind.MV, 1))
     def intertwine(A, s):
-        return (canonical_transport("kappa", anchor_apply(tangent_lift(A), s))
+        return (_canonical_transport("kappa", _anchor_apply(_tangent_lift(A), s))
                 - _tangent_anchor_map(A, s))
 
 
@@ -1357,7 +1367,7 @@ def run_suite(name, model=None, seed=None, trials=None) -> dict:
     if name.__class__ is not str or name not in SUITES:
         raise UnknownName(f"no suite named {name!r}; choose from "
                           f"{', '.join(SUITE_NAMES)}")
-    model = builtin_model() if model is None else _require(model, "run_suite", cls=Model)
+    model = builtin_model() if model is None else _check_model(model, "run_suite")
     seed = model.suite.get("seed", DEFAULT_SEED) if seed is None else seed
     if seed.__class__ is not int:
         raise ValidationError(f"seed must be an int, got {seed!r}")
@@ -1376,5 +1386,5 @@ def run_suite(name, model=None, seed=None, trials=None) -> dict:
 
 def run_all(model=None, seed=None, trials=None) -> list:
     """Run every suite, in registry order."""
-    model = builtin_model() if model is None else model
+    model = builtin_model() if model is None else _check_model(model, "run_all")
     return [run_suite(name, model, seed, trials) for name in SUITE_NAMES]

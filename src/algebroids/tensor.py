@@ -39,12 +39,20 @@ views, :func:`remap` and the lifts of :mod:`algebroids.lifts`) build
 canonical maps themselves and pass them to ``GradedTensor._make``, which
 checks nothing; ``basis`` still checks and normalizes its key.
 
-The public operations here and in the algebroid, calculus, lifts and poisson
-modules check each operand's type, owner, kind and degree first, with the one
-guard :func:`_require`; the kernels behind them (``_make``, the products) do not.
-An operation that takes a view guards each operand with one call of
-``_view``, which checks it as ``_require`` does and returns it as the kind
-the operation computes in, each key's fiber indices kept in slot order.
+A public operation, here and in the algebroid, calculus, lifts and poisson
+modules, is a guard plus a kernel.  The guard is the public ``def``: it checks
+each operand's type, owner, kind and degree with the one guard
+:func:`_require` (or ``_view``, which checks an operand as ``_require`` does
+and returns it as the kind the operation computes in) and returns one call of
+the operation's private kernel, ``_wedge`` for :func:`wedge` and so on, which
+checks nothing.  A kernel takes what its guard passes, views included, and
+reads a view as its own kind with the guard-free ``_as_kind``, each key's
+fiber indices kept in slot order.  Library code and the suite runner call
+kernels, on tensors that a kernel or a checked constructor built; the
+user-facing ``cli`` and ``model`` modules never do, so every value from
+outside the package meets a guard once.  The ``+`` and ``-`` operators, the
+constructor ``GradedTensor(...)``, ``basis`` and the suite entry points keep
+their guards.
 
 The products (wedge, symmetric product, contractions) pair basis keys and
 hand each pair's two coefficients, with the key and its sign, to the product
@@ -262,7 +270,11 @@ class GradedTensor:
     @classmethod
     def function(cls, owner: Bundle, value) -> "GradedTensor":
         """A degree-0 multivector (an element of the coefficient ring)."""
-        value = _require(owner, "GradedTensor.function", cls=Bundle).base.coerce(value)
+        return cls._function(_require(owner, "GradedTensor.function", cls=Bundle), value)
+
+    @classmethod
+    def _function(cls, owner: Bundle, value) -> "GradedTensor":
+        value = owner.base.coerce(value)
         return cls._make(owner, Kind.MV, 0, {(): value} if value else {})
 
     # -- queries --------------------------------------------------------------
@@ -337,10 +349,10 @@ class GradedTensor:
         return self._hash
 
     def __str__(self) -> str:
-        return pretty(self)
+        return _pretty(self)
 
     def __repr__(self) -> str:
-        return f"<{self.describe()}: {pretty(self)}>"
+        return f"<{self.describe()}: {_pretty(self)}>"
 
 
 # -- the operand guard --------------------------------------------------------
@@ -403,7 +415,12 @@ def _view(value, who: str, owner, kind: Kind, shapes=None) -> GradedTensor:
     """The operand guard of operation ``who``, which computes in ``kind``:
     ``value`` checked by :func:`_require` over ``owner`` against ``shapes``
     (by default ``kind`` and its views), returned as a tensor of ``kind``."""
-    t = _require(value, who, owner, shapes or _VIEW_SHAPES[kind])
+    return _as_kind(_require(value, who, owner, shapes or _VIEW_SHAPES[kind]), kind)
+
+
+def _as_kind(t: GradedTensor, kind: Kind) -> GradedTensor:
+    """``t``, of ``kind`` or of a view of it, read as a tensor of ``kind``:
+    the guard-free conversion of :func:`_view`."""
     if t.kind is kind:
         return t
     return GradedTensor._make(t.owner, kind,
@@ -441,9 +458,15 @@ def tensor_sum(owner: Bundle, kind: Kind, degree: int,
     ``owner``, in one pass of the accumulation kernel (a chain of ``+``
     re-walks the running sum on every addition)."""
     _require_shape("tensor_sum", owner, kind, degree)
+    return _tensor_sum(owner, kind, degree, [
+        _addend("tensor_sum", p, owner, kind, degree)
+        for p in _require(pieces, "tensor_sum", cls=Iterable)])
+
+
+def _tensor_sum(owner: Bundle, kind: Kind, degree: int,
+                pieces: Iterable[GradedTensor]) -> GradedTensor:
     return GradedTensor._make(owner, kind, degree, accumulate(chain.from_iterable(
-        _addend("tensor_sum", p, owner, kind, degree).terms.items()
-        for p in _require(pieces, "tensor_sum", cls=Iterable))))
+        p.terms.items() for p in pieces)))
 
 
 # -- products -----------------------------------------------------------------
@@ -504,6 +527,10 @@ def wedge(s: GradedTensor, t: GradedTensor) -> GradedTensor:
     """
     _require(s, "wedge", shapes=_WEDGE_LEFT)
     _require(t, "wedge", s.owner, _WEDGE_PARTNERS[s.kind])
+    return _wedge(s, t)
+
+
+def _wedge(s: GradedTensor, t: GradedTensor) -> GradedTensor:
     merge, kind = _WEDGES[s.kind, t.kind]
     return _product(s, t, merge, kind, s.degree + t.degree)
 
@@ -513,6 +540,11 @@ def sym_product(s: GradedTensor, t: GradedTensor) -> GradedTensor:
     are read in the symmetric algebra)."""
     s = _view(s, "sym_product", _NO_OWNER, Kind.SYM)
     t = _view(t, "sym_product", s.owner, Kind.SYM)
+    return _sym_product(s, t)
+
+
+def _sym_product(s: GradedTensor, t: GradedTensor) -> GradedTensor:
+    s, t = _as_kind(s, Kind.SYM), _as_kind(t, Kind.SYM)
     return _product(s, t, lambda a, b: _sort_sym(a + b), Kind.SYM, s.degree + t.degree)
 
 
@@ -569,7 +601,11 @@ def contract(x: GradedTensor, mu: GradedTensor) -> GradedTensor:
     """
     _require(x, "contract", shapes=_MULTIVECTOR)
     _require(mu, "contract", x.owner, _FORM)
-    order = CONTRACTION_ORDER
+    return _contract(x, mu)
+
+
+def _contract(x: GradedTensor, mu: GradedTensor) -> GradedTensor:
+    order = CONTRACTION_ORDER  # read per call: a calibration check flips it
     if order not in _ORDERS:
         raise KindMismatch(f"unknown contraction order {order!r}")
     if x.degree > mu.degree:
@@ -585,6 +621,10 @@ def contract_mixed(k: GradedTensor, t: GradedTensor) -> GradedTensor:
     """
     _require(k, "contract_mixed", shapes=_MIXED)
     _require(t, "contract_mixed", k.owner, _FORM_SIDE)
+    return _contract_mixed(k, t)
+
+
+def _contract_mixed(k: GradedTensor, t: GradedTensor) -> GradedTensor:
     if t.degree == 0:
         return GradedTensor._make(t.owner, t.kind, 0, {})
     canonical, form_slots = _CANONICAL[t.kind], t.degree
@@ -611,7 +651,7 @@ def evaluate(mu: GradedTensor, sections: Sequence[GradedTensor]) -> Poly:
     _require(mu, "evaluate", shapes={Kind.FORM: (len(sections),)})
     current = mu
     for x in sections:
-        current = contract(_require(x, "evaluate", mu.owner, _SECTION), current)
+        current = _contract(_require(x, "evaluate", mu.owner, _SECTION), current)
     return current.as_function()
 
 
@@ -632,6 +672,11 @@ def remap(t: GradedTensor, new_owner: Bundle, fiber_map: Mapping[int, int],
     _require(t, "remap")
     _require(new_owner, "remap", cls=Bundle)
     _require(coord_map or {}, "remap", cls=Mapping)
+    return _remap(t, new_owner, fiber_map, coord_map)
+
+
+def _remap(t: GradedTensor, new_owner: Bundle, fiber_map: Mapping[int, int],
+           coord_map: Mapping[str, str] | None = None) -> GradedTensor:
     moved = _fiber_image(t, fiber_map, new_owner.rank)
     base = new_owner.base
     canonical = _CANONICAL[t.kind]
@@ -772,7 +817,11 @@ def _basis_label(owner, kind: Kind, key) -> str:
 
 def pretty(t: GradedTensor) -> str:
     """Human-readable rendering with deterministic term order."""
-    if not _require(t, "pretty").terms:
+    return _pretty(_require(t, "pretty"))
+
+
+def _pretty(t: GradedTensor) -> str:
+    if not t.terms:
         return "0"
     pieces = []
     for key in sorted(t.terms, key=repr):

@@ -232,6 +232,10 @@ PROBES = {
     "anchor_apply(A, None)": lambda: algebroid.anchor_apply(A, None),
     "Jstar(None)": lambda: lifts.Jstar(None),
     "r_p(ps, None)": lambda: poisson.r_p(PS, None),
+    "run_suite('theorem-1', Model(algebroids={'x': 3}))":
+        lambda: suites.run_suite("theorem-1", model.Model(algebroids={"x": 3}), trials=1),
+    "dumps_model(Model(tensors={'t': 3}))":
+        lambda: model.dumps_model(model.Model(tensors={"t": 3})),
 }
 
 
@@ -251,7 +255,8 @@ def _structure(table):
 #: int, a fiber index out of range, and a dual or total-space name, given
 #: or derived from a fiber name, that is no coordinate name; then values the
 #: replacements do not try: unhashable names, bytes that are not UTF-8, an
-#: int past the digit limit and a NUL in a model path.
+#: int past the digit limit and a NUL in a model path; key strings of
+#: indices that are no fiber index (a float, a bool, a negative int).
 NESTED = {
     "structure key ('a', 1)": (KindMismatch, _structure({("a", 1): {0: 1}})),
     "structure key (0,)": (KindMismatch, _structure({(0,): {0: 1}})),
@@ -275,6 +280,14 @@ NESTED = {
     "Model.poisson_structure([1])": (UnknownName, lambda: BUILTIN.poisson_structure([1])),
     "Model.tensor([1])": (UnknownName, lambda: BUILTIN.tensor([1])),
     "run_suite([1])": (UnknownName, lambda: suites.run_suite([1], SMALL)),
+    "tensor_key_string(MV, (1.5,))": (KindMismatch,
+                                      lambda: model.tensor_key_string(Kind.MV, (1.5,))),
+    "tensor_key_string(MV, (True,))": (KindMismatch,
+                                       lambda: model.tensor_key_string(Kind.MV, (True,))),
+    "tensor_key_string(MV, (-1,))": (DimensionMismatch,
+                                     lambda: model.tensor_key_string(Kind.MV, (-1,))),
+    "tensor_key_string(MIXED, ((0,), -1))": (DimensionMismatch, lambda: model.tensor_key_string(
+        Kind.MIXED, ((0,), -1))),
 }
 
 

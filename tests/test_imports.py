@@ -13,8 +13,9 @@ it, and the theorem-2 suite, which reports it, name the package-wide
 stream receives its item's generator and never builds one.  A declared
 residual (decorated with ``run.declare(...)``) is a function of its drawn
 arguments alone: it names no generator and draws nothing.  Only ``_Run``
-names ``random_coefficient`` there (besides the import), so every random
-function an item checks comes from the one enumerator.  In ``ring.py``
+names ``random_coefficient`` or its kernel ``_draw_coefficient`` there
+(besides the import), so every random function an item checks comes from
+the one enumerator.  In ``ring.py``
 one function adds monomial exponents (names ``operator.add``), so every
 product of polynomials goes through it.  In ``algebroid.py`` and
 ``calculus.py`` only the table builder ``_tables_of`` and ``anchor_terms``
@@ -39,7 +40,12 @@ wrappers ``poly_sum``, ``tensor_sum`` and the checked constructors), since
 every ``+`` copies the running sum (augmented counters such as
 ``checked += 1`` are not sums of terms and are not checked).  Each
 written-out reference of ``suites.py`` returns one call of such a sum and
-calls none of the library maps the suites compare it with.
+calls none of the library maps the suites compare it with, public or its
+guard-free kernel (``complete_lift_T`` or ``_complete_lift_T``).  The
+user-facing modules ``cli.py`` and ``model.py`` call no kernel: they import
+no private name of another package module, and take none as an attribute of
+one, beyond the guard ``_require`` and the dual-chart memo ``_dual_chart``,
+so every value they pass on meets a guard.
 """
 
 import ast
@@ -193,7 +199,8 @@ def test_a_stream_building_its_own_generator_is_reported():
 
 #: What a declared residual may not name: the generator, and the draws that
 #: are the enumerator's alone.
-_DRAWS = {"rng", "draw", "random_tensor", "_draw_tensor", "random_coefficient"}
+_DRAWS = {"rng", "draw", "random_tensor", "_draw_tensor", "random_coefficient",
+          "_draw_coefficient"}
 
 
 def _drawing_residuals(source):
@@ -234,29 +241,36 @@ def test_a_drawing_residual_is_reported():
         "    @run.declare('d', 'd', [], x=(1, 1))\n"
         "    def coefficient(A, x):\n"
         "        return x * random_coefficient(None, A.base)\n"
+        "    @run.declare('e', 'e', [], x=(1, 1))\n"
+        "    def kernel(A, x):\n"
+        "        return x * _draw_coefficient(None, A.base, 2)\n"
         "    def instance(A, rng):\n"
         "        return random_tensor(rng, A, 1, 1)\n"
     )
-    assert _drawing_residuals(source) == {"draws", "takes_rng", "coefficient"}
+    assert _drawing_residuals(source) == {"draws", "takes_rng", "coefficient", "kernel"}
+
+
+#: The coefficient draw and its guard-free kernel.
+_COEFFICIENT_DRAWS = {"random_coefficient", "_draw_coefficient"}
 
 
 def _coefficient_drawers(source):
     """The top-level definitions of ``source`` outside class ``_Run`` that
-    name ``random_coefficient`` (a name or an attribute), with ``None`` for
-    a use at module level other than an import."""
+    name a draw of ``_COEFFICIENT_DRAWS`` (a name or an attribute), with
+    ``None`` for a use at module level other than an import."""
     found = set()
     for node in ast.parse(source).body:
         if (isinstance(node, (ast.Import, ast.ImportFrom))
                 or isinstance(node, ast.ClassDef) and node.name == "_Run"):
             continue
-        if "random_coefficient" in _references(node):
+        if _COEFFICIENT_DRAWS & set(_references(node)):
             found.add(getattr(node, "name", None))
     return found
 
 
 def test_only_the_suite_runner_draws_coefficients():
     source = (PACKAGE / "suites.py").read_text(encoding="utf-8")
-    assert "random_coefficient" in source
+    assert "_draw_coefficient" in source
     assert _coefficient_drawers(source) == set()
 
 
@@ -272,9 +286,11 @@ def test_a_coefficient_drawn_outside_the_runner_is_reported():
         "        return random_coefficient(rng, A.base)\n"
         "\ndef _suite_y(run):\n"
         "    return tensor.random_coefficient\n"
+        "\ndef _suite_z(run):\n"
+        "    return tensor._draw_coefficient(None, None, 2)\n"
         "\nONE = random_coefficient(None, None)\n"
     )
-    assert _coefficient_drawers(source) == {"_suite_x", "_suite_y", None}
+    assert _coefficient_drawers(source) == {"_suite_x", "_suite_y", "_suite_z", None}
 
 
 def _exponent_adders(source):
@@ -548,10 +564,11 @@ _REFERENCES = {"_velocity", "_direct_vertical_vector", "_direct_complete_vector"
                "_pullback", "_direct_complete_form", "_direct_vertical_bivector",
                "_direct_complete_bivector", "_g_expanded", "_literal_h", "_literal_g",
                "_tangent_anchor_map"}
-_CHECKED_MAPS = {"complete_lift_T", "vertical_lift_V", "classical_vertical_lift",
-                 "classical_complete_lift", "velocity_derivative", "H_map", "G_map",
-                 "J_map", "anchor_apply", "canonical_transport"}
-_SUMS = {"GradedTensor", "poly_sum", "tensor_sum"}
+_CHECKED_MAPS = {name for public in (
+    "complete_lift_T", "vertical_lift_V", "classical_vertical_lift",
+    "classical_complete_lift", "velocity_derivative", "H_map", "G_map", "J_map",
+    "anchor_apply", "canonical_transport") for name in (public, f"_{public}")}
+_SUMS = {"GradedTensor", "poly_sum", "tensor_sum", "_tensor_sum"}
 
 
 def _reference_faults(source):
@@ -589,8 +606,60 @@ def test_a_reference_that_sums_twice_or_calls_its_map_is_reported():
         "\ndef _pullback(owner, mu):\n"
         "    out = GradedTensor(owner, Kind.FORM, mu.degree, mu.terms)\n"
         "    return out\n"
+        "\ndef _g_expanded(A, k):\n"
+        "    return _tensor_sum(A, Kind.MV, 1, [_G_map(A, k)])\n"
+        "\ndef _direct_complete_form(chart, mu):\n"
+        "    return GradedTensor(chart, Kind.FORM, 1, _complete_lift_T(chart, mu).terms)\n"
         "\ndef helper(A, x):\n    return complete_lift_T(A, x)\n"
     )
     assert _reference_faults(source) == [
+        ("_direct_complete_form", "_complete_lift_T"), ("_g_expanded", "_G_map"),
         ("_literal_h", "H_map"), ("_literal_h", "return"), ("_pullback", "return"),
         ("_velocity", "velocity_derivative")]
+
+
+#: The private names the user-facing modules may take from another package
+#: module: the operand guard and the dual-chart memo.
+_USER_FACING_PRIVATE = {"_require", "_dual_chart"}
+
+
+def _private_imports(source):
+    """(line, name) for each private name ``source`` imports from a package
+    module (``from .m import _x``) or takes as an attribute of a module it
+    imported from the package (``from . import m`` then ``m._x``), outside
+    ``_USER_FACING_PRIVATE``."""
+    tree = ast.parse(source)
+    modules = set()
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.add((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.add((node.lineno, node.attr))
+    return sorted((line, name) for line, name in found
+                  if name not in _USER_FACING_PRIVATE)
+
+
+@pytest.mark.parametrize("module", ["cli.py", "model.py"])
+def test_user_facing_modules_call_no_kernel(module):
+    assert _private_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_a_kernel_called_from_a_user_facing_module_is_reported():
+    source = (
+        "from . import fixtures, lifts as L\n"
+        "from .algebroid import _dual_chart, _tangent_lift, build_algebroid\n"
+        "from .tensor import _require, _contract\n"
+        "\ndef run(A, x):\n"
+        "    _require(x, 'run')\n"
+        "    return L._J_map(A, x), fixtures.ALGEBROIDS, L.J_map(A, x), x.__class__\n"
+    )
+    assert _private_imports(source) == [(2, "_tangent_lift"), (3, "_contract"),
+                                        (7, "_J_map")]

@@ -25,9 +25,12 @@ from algebroids.model import (
     dumps_model,
     load_model,
     loads_model,
+    model_document,
     tensor_key_string,
 )
+from algebroids.poisson import PoissonStructure
 from algebroids.ring import Chart
+from algebroids.suites import run_all, run_suite
 from algebroids.tensor import GradedTensor, Kind, pretty
 
 MINIMAL = """
@@ -196,6 +199,39 @@ def test_key_strings():
     assert tensor_key_string(Kind.MV, (0, 2)) == "1,3"
     assert tensor_key_string(Kind.FORM, ()) == ""
     assert tensor_key_string(Kind.MIXED, ((0, 1), 2)) == "1,2|3"
+
+
+#: A library-built model with one table entry of the wrong type, per table.
+WRONG_ENTRIES = {
+    "charts": lambda: Model(charts={"c": ("x",)}),
+    "algebroids": lambda: Model(algebroids={"x": 3}),
+    "algebroid name": lambda: Model(algebroids={1: so3()}),
+    "poisson": lambda: Model(poisson={"P": so3()}),
+    "poisson parts": lambda: Model(poisson={"P": PoissonStructure(3, None)}),
+    "tensors": lambda: Model(tensors={"t": 3}),
+    "tensor_owners": lambda: Model(tensor_owners={"t": None}),
+    "suite value": lambda: Model(suite={"trials": True}),
+    "suite key": lambda: Model(suite={"trails": 3}),
+    "table": lambda: _with(Model(), charts=[]),
+}
+
+
+def _with(model, **tables):
+    for name, value in tables.items():
+        setattr(model, name, value)
+    return model
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_ENTRIES))
+def test_a_wrong_table_entry_is_a_validation_error(case):
+    """The model check of the suite entry points and the dump: a library
+    caller gets a ValidationError, not an AttributeError from a kernel."""
+    model = WRONG_ENTRIES[case]()
+    for call in (lambda: run_suite("theorem-1", model, trials=1),
+                 lambda: run_all(model, trials=1),
+                 lambda: model_document(model), lambda: dumps_model(model)):
+        with pytest.raises(ValidationError):
+            call()
 
 
 #: One document per place that holds index keys, with one key marked

@@ -157,7 +157,7 @@ def test_model_suite_block_supplies_defaults():
 def test_witness_names_the_nonzero_component(monkeypatch):
     """theorem-8 function-lifts checks (V(f) - pullback, T(f) - velocity
     derivative); a T that is really V breaks the second component only."""
-    monkeypatch.setattr(suites, "complete_lift_T", suites.vertical_lift_V)
+    monkeypatch.setattr(suites, "_complete_lift_T", suites._vertical_lift_V)
     result = run_suite("theorem-8", trials=4)
     item = next(i for i in result["items"] if i["id"] == "function-lifts")
     assert item["status"] == "fail"
@@ -193,7 +193,7 @@ def test_a_failing_predicate_stops_at_its_first_witness(monkeypatch):
         owner = canonical_algebroid(dual_chart(k.owner))
         return GradedTensor.zero(owner, k.kind, k.degree)
 
-    monkeypatch.setattr(suites, "H_map", zero_h)
+    monkeypatch.setattr(suites, "_H_map", zero_h)
     result = run_suite("theorem-24", seed=787, trials=5)
     item = next(i for i in result["items"] if i["id"] == "injectivity")
     assert item["status"] == "fail"
