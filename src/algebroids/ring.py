@@ -23,7 +23,19 @@ bilinear operations (wedge, contraction, the brackets, ``d``): it sums
 signed products ``sign·a·b`` of polynomials, keyed by basis key, straight
 into one term map per key, with no polynomial built per product.  Monomial
 exponents are added in one private generator, which ``Poly.__mul__``
-shares.  :meth:`Poly.gradient` keeps its partials in a slot, so each
+shares.  Coefficient products are summed as integers: the items whose two
+factors are integral are summed as ints, and those with a non-integral
+factor are summed, in the same kernel, as integer numerators over one
+common denominator per call, each sum divided by it once at the end;
+``Poly.__mul__`` of two non-constant polynomials does the same.  For that
+each polynomial keeps, in its ``_den`` slot, the lcm of its coefficient
+denominators.  It is set at construction where it is known: 1 for a
+coordinate, the shared zero, a ``+``, ``-`` or ``*`` of integral
+polynomials, a kernel output of a call with no non-integral item and the
+draws of :func:`~algebroids.tensor.random_coefficient`, and the
+denominator of a constant.  Negation and transport pass it on, as does a
+partial of an integral polynomial; otherwise it is taken on first use.
+:meth:`Poly.gradient` keeps its partials in a slot, so each
 polynomial object is differentiated once.  Beside :class:`Chart` sits the
 package's one naming rule for derived coordinate, fiber and dual names,
 which moves a name that is already taken aside instead of repeating it.
@@ -103,6 +115,7 @@ class Chart:
         self._origin = (0,) * len(coords)
         zero = object.__new__(Poly)  # Poly._make of no terms returns this one
         zero.chart, zero.terms, zero._hash, zero._gradient = self, {}, None, ()
+        zero._den = 1
         self._zero = zero
 
     @property
@@ -157,7 +170,7 @@ class Chart:
         if isinstance(value, (int, Fraction)):
             if not value:
                 return self._zero
-            return Poly._make(self, {self._origin: _exact(value)})
+            return Poly._make(self, {self._origin: _exact(value)}, value.denominator)
         if isinstance(value, str):
             return parse_poly(value, self)
         raise PolySyntaxError(
@@ -169,7 +182,7 @@ class Chart:
     def coordinate(self, name: str) -> "Poly":
         i = self.index(name)
         exp = tuple(1 if j == i else 0 for j in range(self.dim))
-        return Poly._make(self, {exp: 1})
+        return Poly._make(self, {exp: 1}, 1)
 
 
 #: The spelling of each derived name, as the (prefix, suffix) put around the
@@ -221,7 +234,7 @@ def _derived_names(names: Iterable[str], taken: Iterable[str],
 class Poly:
     """A polynomial over a fixed chart, with exact rational coefficients."""
 
-    __slots__ = ("chart", "terms", "_hash", "_gradient")
+    __slots__ = ("chart", "terms", "_hash", "_gradient", "_den")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, object] | Iterable):
         """The sum of ``coefficient * x^exponent`` over ``terms`` (a mapping
@@ -256,20 +269,31 @@ class Poly:
                 yield from _monomial_products({exp: 1}, chart.coerce(coeff).terms)
         self.chart = chart
         self.terms = accumulate(shifted())
-        self._hash = self._gradient = None
+        self._hash = self._gradient = self._den = None
 
     @classmethod
-    def _make(cls, chart: Chart, terms: Dict[Exponent, Scalar]) -> "Poly":
+    def _make(cls, chart: Chart, terms: Dict[Exponent, Scalar],
+              den: int | None = None) -> "Poly":
         # Internal fast path: `terms` must already be normalized (nonzero
-        # coefficients, each integral one an int).  No terms is the chart's
-        # shared zero.
+        # coefficients, each integral one an int), and `den`, when given,
+        # is the lcm of their denominators.  No terms is the chart's shared
+        # zero.
         if not terms:
             return chart._zero
         self = object.__new__(cls)
         self.chart = chart
         self.terms = terms
         self._hash = self._gradient = None
+        self._den = den
         return self
+
+    def _denominator(self) -> int:
+        """The lcm of the coefficient denominators (1 when every coefficient
+        is an int), taken on the first call unless it was known at
+        construction, and kept in a slot."""
+        if self._den is None:
+            self._den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return self._den
 
     # -- basic queries -------------------------------------------------------
 
@@ -302,19 +326,22 @@ class Poly:
             return self
         if not self.terms:
             return other
-        return Poly._make(self.chart, accumulate(other.terms.items(), self.terms))
+        # a sum of integral polynomials is integral
+        return Poly._make(self.chart, accumulate(other.terms.items(), self.terms),
+                          1 if self._den == 1 == other._den else None)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.chart, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.chart, {e: -c for e, c in self.terms.items()}, self._den)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return Poly._make(self.chart, accumulate(
-            ((e, -c) for e, c in other.terms.items()), self.terms))
+            ((e, -c) for e, c in other.terms.items()), self.terms),
+            1 if self._den == 1 == other._den else None)
 
     def __rsub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -324,18 +351,27 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
+        p, q = self, other
+        if not p.terms or not q.terms:
             return self.chart._zero
         origin = self.chart._origin
-        # `a` is the constant side if there is one, else the shorter side
-        if len(a) > len(b) or len(b) == 1 and origin in b:
-            a, b = b, a
+        # `p` is the constant side if there is one, else the shorter side
+        if len(p.terms) > len(q.terms) or len(q.terms) == 1 and origin in q.terms:
+            p, q = q, p
+        a, b = p.terms, q.terms
         if len(a) == 1 and origin in a:
             # scaling by a nonzero constant keeps every term and every key
             c = a[origin]
-            return Poly._make(self.chart, {e: _exact(v * c) for e, v in b.items()})
-        return Poly._make(self.chart, accumulate(_monomial_products(a, b)))
+            return Poly._make(self.chart, {e: _exact(v * c) for e, v in b.items()},
+                              1 if p._den == 1 == q._den else None)
+        if p._den != 1 or q._den != 1:  # not known integral: look
+            dp, dq = p._denominator(), q._denominator()
+            if dp * dq != 1:
+                # a non-integral factor: multiply the integer numerators once
+                # cleared, and divide each sum once
+                return Poly._make(self.chart, _over(
+                    (_cleared(p, dp) * _cleared(q, dq)).terms, dp * dq))
+        return Poly._make(self.chart, accumulate(_monomial_products(a, b)), 1)
 
     __rmul__ = __mul__
 
@@ -382,7 +418,7 @@ class Poly:
         # c * e is never zero there, so nothing needs accumulating
         return Poly._make(self.chart, {
             exp[:i] + (exp[i] - 1,) + exp[i + 1:]: _exact(coeff * exp[i])
-            for exp, coeff in self.terms.items() if exp[i]})
+            for exp, coeff in self.terms.items() if exp[i]}, 1 if self._den == 1 else None)
 
     def gradient(self) -> List[Tuple[int, "Poly"]]:
         """The nonzero first partials, as (coordinate index, partial) pairs:
@@ -448,7 +484,7 @@ class Poly:
         if pad is not None:
             # the new chart extends the old one: append zero exponents
             return Poly._make(new_chart, {exp + pad: coeff
-                                          for exp, coeff in self.terms.items()})
+                                          for exp, coeff in self.terms.items()}, self._den)
         n = new_chart.dim
 
         def moved():
@@ -460,7 +496,9 @@ class Poly:
 
         # an injective column moves distinct exponents to distinct ones; a
         # merging rename adds exponents up, so its terms may collide
-        return Poly._make(new_chart, dict(moved()) if injective else accumulate(moved()))
+        if injective:
+            return Poly._make(new_chart, dict(moved()), self._den)
+        return Poly._make(new_chart, accumulate(moved()), 1 if self._den == 1 else None)
 
 
 #: Most (coordinate names, target chart) pairs whose transport column is
@@ -485,6 +523,26 @@ def _transport_column(names: Tuple[str, ...], chart: Chart):
 def _exact(c: Scalar) -> Scalar:
     """A rational in the stored form: an integral one as an ``int``."""
     return c.numerator if c.denominator == 1 else c
+
+
+def _cleared(p: Poly, den: int) -> Poly:
+    """The integral polynomial ``den·p``, for a multiple ``den`` of the
+    denominator of ``p``: its coefficients are those of ``p`` brought to
+    the common denominator ``den``, numerators only."""
+    if den == 1:  # an integral polynomial is its own numerators
+        return p
+    terms = {}
+    for e, c in p.terms.items():
+        n, d = c.as_integer_ratio()
+        terms[e] = n * (den // d)
+    return Poly._make(p.chart, terms, 1)
+
+
+def _over(sums: Mapping, den: int) -> Dict:
+    """The integer sums of a term map, each divided by ``den`` once, in the
+    stored form: an ``int`` when ``den`` divides it, else a ``Fraction``."""
+    return {key: c // den if not c % den else Fraction(c, den)
+            for key, c in sums.items()}
 
 
 def accumulate(pairs: Iterable[Tuple[object, object]],
@@ -518,21 +576,28 @@ def _monomial_products(a: Mapping[Exponent, Scalar], b: Mapping[Exponent, Scalar
             for ea, ca in a.items() for eb, cb in b.items())
 
 
-def _signed_products(items: Iterable[Tuple[object, int, Poly, Poly]], origin: Exponent):
+def _signed_products(items: Iterable[Tuple[object, int, Poly, Poly]], origin: Exponent,
+                     aside: List):
     """The ((key, exponent), coefficient) pairs of every ``sign·a·b`` over
-    :func:`products` items, unsummed."""
+    :func:`products` items with two integral factors, unsummed; ``sign`` is
+    any nonzero int.  Each item with a non-integral factor is appended to
+    ``aside`` instead."""
     for key, sign, a, b in items:
+        # an item not known integral is looked at, and keeps both denominators
+        if (a._den != 1 or b._den != 1) and a._denominator() * b._denominator() != 1:
+            aside.append((key, sign, a, b))
+            continue
         a, b = a.terms, b.terms
         # `a` is the constant side if there is one, as in Poly.__mul__
         if len(a) > len(b) or len(b) == 1 and origin in b:
             a, b = b, a
         if len(a) == 1 and origin in a:
-            c = a[origin] if sign > 0 else -a[origin]
+            c = a[origin] * sign
             for e, v in b.items():
                 yield (key, e), v * c
         else:
-            if sign < 0:  # negate the shorter factor, once
-                a = {e: -c for e, c in a.items()}
+            if sign != 1:  # scale the shorter factor, once
+                a = {e: c * sign for e, c in a.items()}
             for e, v in _monomial_products(a, b):
                 yield (key, e), v
 
@@ -543,17 +608,33 @@ def products(chart: Chart, items: Iterable[Tuple[object, int, Poly, Poly]]) -> D
 
     Every monomial product is summed straight into the result, keyed by
     (key, exponent), in one pass of :func:`accumulate` and then grouped by
-    key: no polynomial is built per item.  A key whose products cancel is
-    left out, so the result is a canonical tensor term map."""
+    key: no polynomial is built per item.  The items with two integral
+    factors are summed as ints.  Those with a non-integral factor are set
+    aside and then summed, in a second pass that starts from the first,
+    as integer numerators over one common denominator ``den`` (the lcm of
+    their factors' denominator products); each sum is divided by ``den``
+    once at the end.  A key whose products cancel is left out, so the
+    result is a canonical tensor term map."""
+    aside: List = []
+    sums = accumulate(_signed_products(items, chart._origin, aside))
+    integral = 1
+    if aside:  # every factor set aside has its denominator in its slot
+        den = math.lcm(*(a._den * b._den for _, _, a, b in aside))
+        cleared = ((key, sign * (den // (a._den * b._den)), _cleared(a, a._den),
+                    _cleared(b, b._den)) for key, sign, a, b in aside)
+        # the cleared factors are integral: this pass appends nothing to aside
+        sums = _over(accumulate(_signed_products(cleared, chart._origin, aside),
+                                {k: c * den for k, c in sums.items()}), den)
+        integral = None
     grouped: Dict = {}
-    for (key, e), c in accumulate(_signed_products(items, chart._origin)).items():
+    for (key, e), c in sums.items():
         terms = grouped.get(key)
         if terms is None:
             grouped[key] = {e: c}
         else:
             terms[e] = c
     for key, terms in grouped.items():  # replaces values only: no resize
-        grouped[key] = Poly._make(chart, terms)
+        grouped[key] = Poly._make(chart, terms, integral)
     return grouped
 
 

@@ -767,7 +767,7 @@ def _draw_coefficient(rng: random.Random, chart: Chart, degree: int) -> Poly:
             terms[exp] = coeff
         else:
             terms.pop(exp, None)
-    return Poly._make(chart, terms)
+    return Poly._make(chart, terms, 1)
 
 
 def random_tensor(rng, owner: Bundle, kind: Kind, degree: int, coeff_degree: int = 2,

@@ -3,6 +3,7 @@ and the canonical-dump round trip.
 """
 
 import copy
+import hashlib
 import json
 from fractions import Fraction
 
@@ -452,3 +453,34 @@ def test_whole_documents_fail_closed(doc):
 def test_json_nested_past_the_recursion_limit_is_a_parse_error():
     with pytest.raises(ParseError, match="nested too deeply"):
         loads_model("[" * 100000 + "]" * 100000)
+
+
+#: The so(3) basis rescaled to e_i' = λ_i e_i with λ = (1/2, 2/3, 3), so
+#: that c'_ij^k = λ_i λ_j / λ_k c_ij^k: structure constants 1/9, -9/4 and 4.
+#: No shipped fixture has a non-integral coefficient.
+_RESCALED = (Fraction(1, 2), Fraction(2, 3), Fraction(3))
+
+#: SHA-256 of ``run_all`` over the rescaled so(3) at seed 0 and 50 trials,
+#: serialized as the CLI prints a report.  Recorded before the product kernel
+#: summed non-integral products over a common denominator, so it pins that
+#: route to the reports of the per-term ``Fraction`` arithmetic it replaced.
+RATIONAL_REPORT_DIGEST = "ca5293cc338e5be59eaa4b4a1c2fd601967cbeb6a1163f12aa28a1ffcf76eca1"
+
+
+def test_a_rescaled_rational_model_keeps_its_recorded_report():
+    lam = _RESCALED
+    c = {f"{i + 1},{j + 1}": {str(k + 1): str(sign * lam[i] * lam[j] / lam[k])}
+         for (i, j), (k, sign) in {(0, 1): (2, 1), (0, 2): (1, -1),
+                                   (1, 2): (0, 1)}.items()}
+    assert c == {"1,2": {"3": "1/9"}, "1,3": {"2": "-9/4"}, "2,3": {"1": "4"}}
+    model = loads_model(json.dumps({
+        "charts": {"point": []},
+        "algebroids": {"so3": {"chart": "point", "fibers": ["1", "2", "3"],
+                               "anchor": [[], [], []], "c": c}},
+        "suite": {"seed": 0, "trials": 50}}))
+    results = run_all(model)
+    assert all(item["status"] == "pass" for result in results
+               for item in result["items"])
+    assert [result["status"] for result in results] == ["pass"] * len(results)
+    text = json.dumps(results, indent=2, ensure_ascii=False)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RATIONAL_REPORT_DIGEST

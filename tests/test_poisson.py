@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+import algebroids.calculus
+import algebroids.poisson
 import algebroids.tensor
 from algebroids.algebroid import cotangent_lift, dotted_chart, linear_poisson, tangent_lift
 from algebroids.calculus import differential, fn_bracket, lie_derivative, schouten
@@ -515,6 +517,57 @@ def test_extended_graded_jacobi():
                      + extended_bracket(ps, nu, extended_bracket(ps, th, mu)) * s2
                      + extended_bracket(ps, th, extended_bracket(ps, mu, nu)) * s3)
             assert total.is_zero()
+
+
+def reference_extended_bracket(ps, mu, nu):
+    """{μ, ν} = L_{H_μ}ν + d L_{R_μ}ν, as defined, from the public maps."""
+    O = ps.owner
+    return (lie_derivative(O, h_p(ps, mu), nu)
+            + differential(O, lie_derivative(O, r_p(ps, mu), nu)))
+
+
+def _extended_operands(ps, rng, count):
+    """``count`` pairs of random forms of degrees 0–2 over ``ps``'s chart."""
+    O = ps.owner
+    for _ in range(count):
+        ka, kb = rng.choice([0, 1, 2]), rng.choice([0, 1, 2])
+        yield (random_tensor(rng, O, Kind.FORM, ka, max_keys=2),
+               random_tensor(rng, O, Kind.FORM, kb, max_keys=2))
+
+
+@pytest.mark.parametrize("name", sorted(POISSON))
+def test_extended_bracket_matches_its_definition(name):
+    ps = POISSON[name]()
+    rng = random.Random(f"extended-definition/{name}")
+    for mu, nu in _extended_operands(ps, rng, 12):
+        assert extended_bracket(ps, mu, nu) == reference_extended_bracket(ps, mu, nu)
+
+
+@pytest.mark.parametrize("name", sorted(POISSON))
+def test_extended_bracket_takes_four_differentials(name, monkeypatch):
+    """dμ (inside H_μ), dν once, d i_{H_μ}ν and d i_{R_μ}dν: the exact
+    d d i_{R_μ}ν of d L_{R_μ}ν is never formed."""
+    ps = POISSON[name]()
+    rng = random.Random(f"extended-count/{name}")
+    pairs = [(mu, nu) for mu, nu in _extended_operands(ps, rng, 12)
+             if mu.terms and nu.terms]
+    expected = [reference_extended_bracket(ps, mu, nu) for mu, nu in pairs]
+    calls = []
+    kernel = algebroids.calculus._differential
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    # both bindings of the kernel, so a differential taken through a Lie
+    # derivative is counted too
+    monkeypatch.setattr(algebroids.calculus, "_differential", counted)
+    monkeypatch.setattr(algebroids.poisson, "_differential", counted)
+    assert pairs
+    for (mu, nu), value in zip(pairs, expected):
+        calls.clear()
+        assert extended_bracket(ps, mu, nu) == value
+        assert len(calls) == 4
 
 
 # -- homomorphisms out of the extended bracket -----------------------------------------

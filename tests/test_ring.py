@@ -1,6 +1,8 @@
 """Ring layer: chart/polynomial arithmetic, the expression grammar, printing."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -488,6 +490,136 @@ def test_product_kernel_cancels_and_demotes_like_the_ring():
 
     A = build_algebroid(XY, ["e"], [["y", "-1*x"]])
     assert anchor_derivative(A, 0, p("x^2 + y^2")) is XY.zero()
+
+
+# --- the rational route of the product kernel ---------------------------------
+
+def _fraction_reference(items):
+    """``{key: {exponent: coefficient}}`` of the items' signed products, each
+    monomial product formed and summed as its own ``Fraction``: the per-term
+    route that the common denominator replaces."""
+    sums = {}
+    for key, sign, a, b in items:
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                at = (key, tuple(i + j for i, j in zip(ea, eb)))
+                sums[at] = sums.get(at, Fraction(0)) + sign * Fraction(ca) * Fraction(cb)
+    grouped = {}
+    for (key, e), c in sums.items():
+        if c:
+            grouped.setdefault(key, {})[e] = c
+    return grouped
+
+
+def _true_den(q):
+    return math.lcm(*(Fraction(c).denominator for c in q.terms.values()))
+
+
+def _den_is_right(q):
+    """The slot is unknown (None) or the lcm of the denominators, and the
+    lcm is what :meth:`Poly._denominator` returns."""
+    return q._den in (None, _true_den(q)) and q._denominator() == _true_den(q)
+
+
+#: Coefficients of either stored type with denominators up to 12, of both
+#: signs, so that products of different items often cancel.
+_MIXED = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(2, 12)),
+)
+_MIXED_MAPS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              _MIXED, max_size=4)
+_MIXED_ITEMS = st.lists(st.tuples(st.sampled_from(["a", "b", (0, 1)]),
+                                  st.sampled_from([1, -1]),
+                                  _MIXED_MAPS, _MIXED_MAPS), max_size=8)
+
+
+def _factor(terms, known):
+    """The polynomial of ``terms``, its denominator left unknown or known."""
+    q = Poly(XY, terms)
+    if known:
+        q._denominator()
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MIXED_ITEMS, st.lists(st.booleans(), min_size=16, max_size=16))
+def test_rational_products_match_the_per_term_fraction_route(items, known):
+    items = [(key, sign, _factor(a, known[2 * i]), _factor(b, known[2 * i + 1]))
+             for i, (key, sign, a, b) in enumerate(items)]
+    result = products(XY, iter(items))
+    assert {key: q.terms for key, q in result.items()} == _fraction_reference(items)
+    for q in result.values():
+        assert q.terms and q.chart is XY and _stored_exactly(q) and _den_is_right(q)
+        assert all((type(c) is int) == (Fraction(c).denominator == 1)
+                   for c in q.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MIXED_MAPS, _MIXED_MAPS, st.booleans())
+def test_poly_mul_matches_the_per_term_fraction_route(a, b, known):
+    pa, pb = _factor(a, known), _factor(b, not known)
+    expected = _fraction_reference([("k", 1, pa, pb)]).get("k", {})
+    product = pa * pb
+    assert product.terms == expected
+    assert _stored_exactly(product) and _den_is_right(product)
+    assert product == pb * pa
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MIXED_MAPS, st.booleans())
+def test_a_known_denominator_is_the_true_one(terms, known):
+    q = _factor(terms, known)
+    x, y = XY.coordinate("x"), XY.coordinate("y")
+    xyz = Chart(["x", "y", "z"])
+    derived = [q, -q, q.partial("x"), q.partial("y"), q.transport(xyz),
+               q.transport(Chart(["y", "x"])), q.transport(X, {"y": "x"}),
+               q * x, q * y * Fraction(1, 3), q + q, q - x,
+               *(d for _, d in q.gradient()),
+               *products(XY, [("k", 1, q, q), ("j", -1, q, x + y)]).values()]
+    for r in derived:
+        assert _den_is_right(r) and _stored_exactly(r)
+    # integral polynomials built from known-integral ones say so in the slot
+    integral = x * y + 2 * x
+    for r in (integral, -integral, integral.partial("x"), integral.transport(xyz),
+              integral.transport(X, {"y": "x"}), integral + x, integral - y,
+              *products(XY, [("k", -1, integral, x)]).values(), XY.zero(),
+              XY.coerce(3), XY.coordinate("y")):
+        assert r._den == 1
+
+
+def test_a_cancelling_rational_sum_drops_its_key():
+    x, y = XY.coordinate("x"), XY.coordinate("y")
+    half_x, two = XY.coerce(Fraction(1, 2)) * x, XY.coerce(2)
+    # ½x·2 − x·1, by the constant branch and by the monomial products
+    assert products(XY, [("k", 1, half_x, two), ("k", -1, x, XY.one())]) == {}
+    assert products(XY, [("k", 1, half_x, 2 * y), ("k", -1, x, y),
+                         ("j", 1, half_x, y)]) == {"j": half_x * y}
+    # an integral item and a rational one cancel across the two passes
+    assert products(XY, [("k", -1, x, y), ("k", 1, half_x * 3, y * Fraction(2, 3))]) == {}
+
+
+def test_an_empty_item_stream_gives_no_terms():
+    assert products(XY, iter(())) == {}
+    assert products(POINT, []) == {}
+
+
+def test_distinct_prime_denominators_take_no_pathological_time():
+    """Two 60-term polynomials whose 120 coefficients have distinct prime
+    denominators: the common denominator is the product of all 120 primes,
+    and the sums still match the per-term route well inside a second."""
+    primes = [n for n in range(2, 700) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    a = Poly(XY, {(i, 59 - i): Fraction(1 + i, primes[i]) for i in range(60)})
+    b = Poly(XY, {(j, 59 - j): Fraction(-1 - j, primes[60 + j]) for j in range(60)})
+    items = [("k", 1, a, b), ("k", -1, a, XY.coordinate("x")), ("j", 1, b, b)]
+    started = time.perf_counter()
+    result = products(XY, items)
+    product = a * b
+    elapsed = time.perf_counter() - started
+    expected = _fraction_reference(items)
+    assert {key: q.terms for key, q in result.items()} == expected
+    assert product.terms == _fraction_reference([("k", 1, a, b)])["k"]
+    assert elapsed < 1.0
 
 
 def test_partials_commute():
