@@ -20,13 +20,15 @@ fiberwise-linear bivector with ``J_map``, and the theorem-16 ``dual-routes``
 suite item checks it against its product-rule expansion.
 
 ``vertical_tau`` lifts vector-side tensor powers to the total space of the
-bundle itself, one ``y``-coordinate per fiber.
+bundle itself, one ``y``-coordinate per fiber; it and ``vertical_pi`` are
+one shift of fiber indices onto adjoined coordinates (``_fiber_shift``).
 
 Finally, when the algebroid is canonical its tangent lift is isomorphic to
 the canonical algebroid of the velocity chart, by the block swap
 ``canonical_transport``: barred generators cross to velocity directions and
 dotted generators to base directions ("kappa" for vector-side kinds, "alpha"
-for form-side kinds, each its own inverse).  The classical vertical and
+for form-side kinds, each its own inverse); the swap is the same on every
+kind, so its kernel takes the tensor alone.  The classical vertical and
 complete lifts of tensors on a bare chart are *defined* here as the
 transports of V and T, which keeps a single source of sign conventions.
 """
@@ -138,11 +140,8 @@ def vertical_pi(algebroid: Algebroid, mu) -> GradedTensor:
 
 
 def _vertical_pi(algebroid: Algebroid, mu) -> GradedTensor:
-    chart = _dual_chart(algebroid.base.coords, algebroid.dual_names)
-    n = algebroid.base.dim
-    return GradedTensor._make(_vector_fields(chart), Kind.MV, mu.degree, {
-        tuple(n + i for i in key): coeff.transport(chart)
-        for key, coeff in mu.terms.items()})
+    return _fiber_shift(_dual_chart(algebroid.base.coords, algebroid.dual_names),
+                        Kind.MV, mu)
 
 
 def vertical_tau(algebroid: Algebroid, s) -> GradedTensor:
@@ -150,11 +149,19 @@ def vertical_tau(algebroid: Algebroid, s) -> GradedTensor:
     direction of y_j on the chart that adjoins one y-coordinate per fiber.
     Factor-wise, so it applies to plain and symmetric multivectors."""
     _require(s, "vertical_tau", algebroid, _VECTOR_SIDE)
-    chart = _total_chart(algebroid.base.coords, algebroid.fiber_names)
-    n = algebroid.base.dim
-    return GradedTensor._make(_vector_fields(chart), s.kind, s.degree, {
+    return _fiber_shift(_total_chart(algebroid.base.coords, algebroid.fiber_names),
+                        s.kind, s)
+
+
+def _fiber_shift(chart: Chart, kind: Kind, t) -> GradedTensor:
+    """``t`` as a tensor of ``kind`` over the canonical algebroid of
+    ``chart``, which adjoins one coordinate per fiber to the base of ``t``:
+    each index shifted by the base dimension onto its coordinate's
+    direction, coefficients pulled back.  A shift keeps a key sorted."""
+    n = t.owner.base.dim
+    return GradedTensor._make(_vector_fields(chart), kind, t.degree, {
         tuple(n + i for i in key): coeff.transport(chart)
-        for key, coeff in s.terms.items()})
+        for key, coeff in t.terms.items()})
 
 
 def cot_complete_G_vec(algebroid: Algebroid, x) -> GradedTensor:
@@ -265,10 +272,10 @@ def canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
         raise WrongProvenance(
             f"{direction} transports {' / '.join(k.value for k in allowed)} "
             f"sections, got {tensor.describe()}")
-    return _canonical_transport(direction, tensor)
+    return _canonical_transport(tensor)
 
 
-def _canonical_transport(direction: str, tensor: GradedTensor) -> GradedTensor:
+def _canonical_transport(tensor: GradedTensor) -> GradedTensor:
     owner = tensor.owner
     target = _transport_target(owner)
     if target is None:
@@ -293,27 +300,21 @@ def classical_complete_lift(t) -> GradedTensor:
     return _classical_complete_lift(_over_canonical(t, "classical_complete_lift"))
 
 
-def _over_canonical(t, who: str) -> GradedTensor:
-    """The guard of the classical lifts: ``t`` is a tensor over a canonical
-    algebroid."""
-    if not _require(t, who).owner.is_canonical:
-        raise WrongProvenance(
-            f"classical lifts act on sections over a canonical algebroid, "
-            f"got {t.owner!r}")
+def _over_canonical(t, who: str, shapes=None) -> GradedTensor:
+    """The guard of the maps of the canonical case: ``t`` is a tensor of a
+    shape in ``shapes`` (any when None), as :func:`_require` reads it, over
+    a canonical algebroid."""
+    if not _require(t, who, shapes=shapes).owner.is_canonical:
+        raise WrongProvenance(f"{who} acts over a canonical algebroid, got {t.owner!r}")
     return t
 
 
 def _classical_vertical_lift(t) -> GradedTensor:
-    return _classical(t, _vertical_lift_V)
+    return _canonical_transport(_vertical_lift_V(t.owner, t))
 
 
 def _classical_complete_lift(t) -> GradedTensor:
-    return _classical(t, _complete_lift_T)
-
-
-def _classical(tensor, lift) -> GradedTensor:
-    direction = "kappa" if tensor.kind in _VECTOR_SIDE else "alpha"
-    return _canonical_transport(direction, lift(tensor.owner, tensor))
+    return _canonical_transport(_complete_lift_T(t.owner, t))
 
 
 # -- canonical-case maps into the cotangent side ----------------------------------
@@ -322,10 +323,7 @@ def Jstar(k) -> GradedTensor:
     """μ⊗X ↦ iota(X)·(pullback of μ): a vector-valued form over a canonical
     algebroid becomes a plain form on the dual chart, the form part pulled
     back and the vector part turned into its fiberwise-linear function."""
-    if not _require(k, "Jstar", shapes=_MIXED).owner.is_canonical:
-        raise WrongProvenance(
-            f"Jstar acts over a canonical algebroid, got {k.owner!r}")
-    return _Jstar(k)
+    return _Jstar(_over_canonical(k, "Jstar", _MIXED))
 
 
 def _Jstar(k) -> GradedTensor:
@@ -340,10 +338,7 @@ def H_map(k) -> GradedTensor:
     algebroid: ``Jstar`` followed by the hamiltonian operator of the dual
     chart's canonical bivector.  Degree is preserved and the map is
     injective, embedding the source bracket geometry into the dual chart's."""
-    if not _require(k, "H_map", shapes=_MIXED).owner.is_canonical:
-        raise WrongProvenance(
-            f"H_map acts over a canonical algebroid, got {k.owner!r}")
-    return _H_map(k)
+    return _H_map(_over_canonical(k, "H_map", _MIXED))
 
 
 def _H_map(k) -> GradedTensor:

@@ -21,19 +21,21 @@ A product with a constant or the zero, and a sum with the zero, take no
 pass of the kernel.  :func:`products` is the one product kernel of the
 bilinear operations (wedge, contraction, the brackets, ``d``): it sums
 signed products ``sign·a·b`` of polynomials, keyed by basis key, straight
-into one term map per key, with no polynomial built per product.  Monomial
-exponents are added in one private generator, which ``Poly.__mul__``
-shares.  Coefficient products are summed as integers: the items whose two
-factors are integral are summed as ints, and those with a non-integral
-factor are summed, in the same kernel, as integer numerators over one
-common denominator per call, each sum divided by it once at the end;
-``Poly.__mul__`` of two non-constant polynomials does the same.  For that
-each polynomial keeps, in its ``_den`` slot, the lcm of its coefficient
-denominators.  It is set at construction where it is known: 1 for a
-coordinate, the shared zero, a ``+``, ``-`` or ``*`` of integral
-polynomials, a kernel output of a call with no non-integral item and the
-draws of :func:`~algebroids.tensor.random_coefficient`, and the
-denominator of a constant.  Negation and transport pass it on, as does a
+into one term map per key, with no polynomial built per product.  A
+product of two non-constant polynomials, ``Poly.__mul__`` included, is one
+item of it.  Monomial exponents are added in one private generator, which
+the kernel and the :class:`Poly` constructor share.  Coefficient products
+are summed as integers: the items whose two factors are integral are summed
+as ints, and those with a non-integral factor are summed, in the same
+kernel, as integer numerators over one common denominator per call, each
+sum divided by it once at the end: the kernel is the one place
+denominators are cleared.  For that each polynomial keeps, in its
+``_den`` slot, the lcm of its coefficient denominators.  It is set at
+construction where it is known: 1 for a coordinate, the shared zero, a
+``+``, ``-`` or ``*`` of integral polynomials, a kernel output of a call
+with no non-integral item and the draws of
+:func:`~algebroids.tensor.random_coefficient`, and the denominator of a
+constant.  Negation and transport pass it on, as does a
 partial of an integral polynomial; otherwise it is taken on first use.
 :meth:`Poly.gradient` keeps its partials in a slot, so each
 polynomial object is differentiated once.  Beside :class:`Chart` sits the
@@ -364,14 +366,7 @@ class Poly:
             c = a[origin]
             return Poly._make(self.chart, {e: _exact(v * c) for e, v in b.items()},
                               1 if p._den == 1 == q._den else None)
-        if p._den != 1 or q._den != 1:  # not known integral: look
-            dp, dq = p._denominator(), q._denominator()
-            if dp * dq != 1:
-                # a non-integral factor: multiply the integer numerators once
-                # cleared, and divide each sum once
-                return Poly._make(self.chart, _over(
-                    (_cleared(p, dp) * _cleared(q, dq)).terms, dp * dq))
-        return Poly._make(self.chart, accumulate(_monomial_products(a, b)), 1)
+        return products(self.chart, ((None, 1, p, q),)).get(None, self.chart._zero)
 
     __rmul__ = __mul__
 

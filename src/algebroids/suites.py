@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import partial
-from operator import attrgetter
+from operator import add, attrgetter
 
 from . import tensor as _tensor_conventions
 from .algebroid import (
@@ -111,7 +111,10 @@ from .tensor import (
     _contract_mixed,
     _draw_coefficient,
     _draw_tensor,
+    _key,
     _remap,
+    _slot_offsets,
+    _slots,
     _sym_product,
     _tensor_sum,
     _wedge,
@@ -955,60 +958,45 @@ def _suite_theorem_18(run):
 
 # -- the canonical case ------------------------------------------------------
 
-def _direct_vertical_vector(chart, x):
+def _direct_vertical(chart, t):
+    """The classical vertical lift of ``t``, a tensor over the canonical
+    algebroid of ``chart``, on that of its velocity chart: each vector
+    factor moves to the velocity block (index ``n + a`` for ``a``), each
+    form factor stays, and every coefficient is pulled back."""
     target = _vector_fields(_dotted_chart(chart))
-    n = chart.dim
-    return GradedTensor(target, Kind.MV, 1,
-                        {(n + key[0],): c.transport(target.base)
-                         for key, c in x.terms.items()})
+    up = _slot_offsets(t.kind, t.degree, 0, chart.dim)
+    return GradedTensor(target, t.kind, t.degree,
+                        {_key(t.kind, tuple(map(add, _slots(t.kind, key), up))):
+                         c.transport(target.base) for key, c in t.terms.items()})
 
 
-def _direct_complete_vector(chart, x):
+def _direct_complete(chart, t):
+    """The classical complete lift of ``t``, as in :func:`_direct_vertical`:
+    the velocity of each coefficient on its vertical key, and the pulled-back
+    coefficient on each key that has one factor moved across the two blocks
+    (a vector factor back to the base block, a form factor to the velocity
+    block)."""
     target = _vector_fields(_dotted_chart(chart))
     n = chart.dim
-    return GradedTensor(target, Kind.MV, 1, (
-        term for (a,), c in x.terms.items()
-        for term in (((a,), c.transport(target.base)),
-                     ((n + a,), _velocity(c, chart, target.base)))))
+    up = _slot_offsets(t.kind, t.degree, 0, n)
+    terms = []
+    for key, c in t.terms.items():
+        indices = _slots(t.kind, key)
+        vertical = tuple(map(add, indices, up))
+        pulled = c.transport(target.base)
+        terms.append((_key(t.kind, vertical), _velocity(c, chart, target.base)))
+        terms += ((_key(t.kind, vertical[:r] + (i + n - up[r],) + vertical[r + 1:]), pulled)
+                  for r, i in enumerate(indices))
+    return GradedTensor(target, t.kind, t.degree, terms)
 
 
 def _pullback(owner, mu):
     """The form ``mu`` with its coefficients transported onto the base of
-    ``owner``, keys unchanged: the direct vertical lift of a form on the
-    dotted chart, and the pullback to a dual chart."""
+    ``owner``, a dual chart's canonical algebroid, keys unchanged: the
+    pullback of a form to the dual chart."""
     return GradedTensor(owner, Kind.FORM, mu.degree,
                         {key: c.transport(owner.base)
                          for key, c in mu.terms.items()})
-
-
-def _direct_complete_form(chart, mu):
-    target = _vector_fields(_dotted_chart(chart))
-    n = chart.dim
-    terms = []
-    for key, c in mu.terms.items():
-        pulled = c.transport(target.base)
-        terms.append((key, _velocity(c, chart, target.base)))
-        terms += ((key[:r] + (n + key[r],) + key[r + 1:], pulled) for r in range(len(key)))
-    return GradedTensor(target, Kind.FORM, mu.degree, terms)
-
-
-def _direct_vertical_bivector(chart, p):
-    target = _vector_fields(_dotted_chart(chart))
-    n = chart.dim
-    return GradedTensor(target, Kind.MV, 2,
-                        {(n + u, n + v): c.transport(target.base)
-                         for (u, v), c in p.terms.items()})
-
-
-def _direct_complete_bivector(chart, p):
-    target = _vector_fields(_dotted_chart(chart))
-    n = chart.dim
-    terms = []
-    for (u, v), c in p.terms.items():
-        pulled = c.transport(target.base)
-        terms += (((n + u, n + v), _velocity(c, chart, target.base)),
-                  ((u, n + v), pulled), ((n + u, v), pulled))
-    return GradedTensor(target, Kind.MV, 2, terms)
 
 
 def _suite_theorem_19(run):
@@ -1019,44 +1007,37 @@ def _suite_theorem_19(run):
         run.note("no canonical algebroids in the model")
     per = run.share(len(fixtures))
 
+    def lifted(A, t):
+        """The transported V and T of ``t`` against the written-out lifts."""
+        return (_canonical_transport(_vertical_lift_V(A, t)) - _direct_vertical(A.base, t),
+                _canonical_transport(_complete_lift_T(A, t)) - _direct_complete(A.base, t))
+
     @run.declare("vectors", "kappa∘V = v_T and kappa∘T = d_T on vector fields",
                  fixtures, x=(Kind.MV, 1))
     def vectors(A, x):
-        return (_canonical_transport("kappa", _vertical_lift_V(A, x))
-                - _direct_vertical_vector(A.base, x),
-                _canonical_transport("kappa", _complete_lift_T(A, x))
-                - _direct_complete_vector(A.base, x))
+        return lifted(A, x)
 
     def bivectors(rng):
         for name, A in fixtures:
-            chart = A.base
             if A.rank < 2:
                 continue
             for _ in range(per):
                 p = run.draw(rng, A, Kind.MV, 2)
-                yield name, {"p": p}, (
-                    _canonical_transport("kappa", _vertical_lift_V(A, p))
-                    - _direct_vertical_bivector(chart, p),
-                    _canonical_transport("kappa", _complete_lift_T(A, p))
-                    - _direct_complete_bivector(chart, p))
+                yield name, {"p": p}, lifted(A, p)
 
     run.identity("bivectors", "the same on bivectors", bivectors)
 
     @run.declare("forms", "alpha∘V = v_T and alpha∘T = d_T on forms",
                  fixtures, mu=(Kind.FORM, (1, _upto2)))
     def forms(A, mu):
-        dotted = _vector_fields(_dotted_chart(A.base))
-        return (_canonical_transport("alpha", _vertical_lift_V(A, mu))
-                - _pullback(dotted, mu),
-                _canonical_transport("alpha", _complete_lift_T(A, mu))
-                - _direct_complete_form(A.base, mu))
+        return lifted(A, mu)
 
     @run.declare("involution", "kappa∘kappa = id and alpha∘alpha = id",
                  fixtures, owner=_tangent_lift, s=(Kind.MV, (1, 2)),
                  mu=(Kind.FORM, (1, 2)))
     def involution(A, s, mu):
-        return (_canonical_transport("kappa", _canonical_transport("kappa", s)) - s,
-                _canonical_transport("alpha", _canonical_transport("alpha", mu)) - mu)
+        return (_canonical_transport(_canonical_transport(s)) - s,
+                _canonical_transport(_canonical_transport(mu)) - mu)
 
 
 def _suite_theorem_20(run):
@@ -1067,15 +1048,15 @@ def _suite_theorem_20(run):
     @run.declare("anchor-is-kappa", "the tangent-lift anchor is the flip",
                  fixtures, owner=_tangent_lift, s=(Kind.MV, 1))
     def anchor(A, s):
-        return _anchor_apply(_tangent_lift(A), s) - _canonical_transport("kappa", s)
+        return _anchor_apply(_tangent_lift(A), s) - _canonical_transport(s)
 
     @run.declare("bracket-isomorphism", "kappa intertwines the section brackets",
                  fixtures, owner=_tangent_lift, s=(Kind.MV, 1), t=(Kind.MV, 1))
     def bracket_iso(A, s, t):
-        return (_canonical_transport("kappa", _bracket_tensors(_tangent_lift(A), s, t))
+        return (_canonical_transport(_bracket_tensors(_tangent_lift(A), s, t))
                 - _bracket_tensors(_vector_fields(_dotted_chart(A.base)),
-                                  _canonical_transport("kappa", s),
-                                  _canonical_transport("kappa", t)))
+                                  _canonical_transport(s),
+                                  _canonical_transport(t)))
 
     def poisson_routes(_rng):
         for name, A in run.algebroids():
@@ -1277,8 +1258,8 @@ def _suite_eq_7_12(run):
                  owner=_tangent_lift, mu=(Kind.FORM, (0, 1, 2)))
     def intertwine(A, mu):
         target = _vector_fields(_dotted_chart(A.base))
-        return (_canonical_transport("alpha", _differential(_tangent_lift(A), mu))
-                - _differential(target, _canonical_transport("alpha", mu)))
+        return (_canonical_transport(_differential(_tangent_lift(A), mu))
+                - _differential(target, _canonical_transport(mu)))
 
 
 def _tangent_anchor_map(A, s):
@@ -1312,7 +1293,7 @@ def _suite_eq_7_13(run):
     @run.declare("kappa-anchor", "kappa∘(tangent-lift anchor) = T(anchor)",
                  fixtures, owner=_tangent_lift, s=(Kind.MV, 1))
     def intertwine(A, s):
-        return (_canonical_transport("kappa", _anchor_apply(_tangent_lift(A), s))
+        return (_canonical_transport(_anchor_apply(_tangent_lift(A), s))
                 - _tangent_anchor_map(A, s))
 
 

@@ -381,10 +381,11 @@ _NO_OWNER = object()
 
 def _require(value, who: str, owner=_NO_OWNER, shapes=None, cls=GradedTensor):
     """The operand guard of operation ``who``: ``value`` if it is a ``cls``
-    (else :class:`KindMismatch`), over ``owner`` unless none is passed (else
-    :class:`ChartMismatch`) and of a shape, {kind: degrees}, in ``shapes``
-    unless that is None (else :class:`KindMismatch`), tested in that order."""
-    if not isinstance(value, cls):
+    (else :class:`KindMismatch`; a ``bool`` is no ``int`` here), over
+    ``owner`` unless none is passed (else :class:`ChartMismatch`) and of a
+    shape, {kind: degrees}, in ``shapes`` unless that is None (else
+    :class:`KindMismatch`), tested in that order."""
+    if not isinstance(value, cls) or cls is int and value.__class__ is bool:
         raise KindMismatch(f"{who} takes a {cls.__name__}, got {type(value).__name__}")
     if owner is not _NO_OWNER and not _owned_by(value, owner):
         raise ChartMismatch(f"{who}: an operand lives over {value.owner!r}, "

@@ -256,9 +256,19 @@ def _structure(table):
 #: or derived from a fiber name, that is no coordinate name; then values the
 #: replacements do not try: unhashable names, bytes that are not UTF-8, an
 #: int past the digit limit and a NUL in a model path; key strings of
-#: indices that are no fiber index (a float, a bool, a negative int).
+#: indices that are no fiber index (a float, a bool, a negative int); and a
+#: bool where an int is asked for (a degree, a fiber, a structure index).
 NESTED = {
     "structure key ('a', 1)": (KindMismatch, _structure({("a", 1): {0: 1}})),
+    "structure key (False, True)": (KindMismatch, _structure({(False, True): {0: 1}})),
+    "structure target True": (KindMismatch, _structure({(0, 1): {True: 1}})),
+    "GradedTensor(A, MV, True, ...)": (KindMismatch, lambda: GradedTensor(
+        A, Kind.MV, True, {(0,): 1})),
+    "basis_keys(A, MV, True)": (KindMismatch, lambda: basis_keys(A, Kind.MV, True)),
+    "tensor_sum(A, MV, True, [x])": (KindMismatch, lambda: tensor.tensor_sum(
+        A, Kind.MV, True, [X])),
+    "anchor_derivative(A, True, f)": (KindMismatch,
+                                      lambda: algebroid.anchor_derivative(A, True, F)),
     "structure key (0,)": (KindMismatch, _structure({(0,): {0: 1}})),
     "structure key (0, 1, 2)": (KindMismatch, _structure({(0, 1, 2): {0: 1}})),
     "structure key 'ab'": (KindMismatch, _structure({"ab": {0: 1}})),

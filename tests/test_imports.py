@@ -293,11 +293,10 @@ def test_a_coefficient_drawn_outside_the_runner_is_reported():
     assert _coefficient_drawers(source) == {"_suite_x", "_suite_y", "_suite_z", None}
 
 
-def _exponent_adders(source):
-    """The functions of ``source`` (methods as ``Class.method``) that name
-    ``operator.add`` or a bare ``add``, the elementwise addition of exponent
-    tuples that multiplies monomials, with ``None`` for a use at module
-    level."""
+def _units(source):
+    """(name, node) for each top-level statement of ``source``: a function
+    by its name, each method of a class as ``Class.method``, anything else
+    as ``None``."""
     units = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
@@ -305,7 +304,15 @@ def _exponent_adders(source):
                       if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
         else:
             units.append((getattr(node, "name", None), node))
-    return {name for name, node in units
+    return units
+
+
+def _exponent_adders(source):
+    """The functions of ``source`` (methods as ``Class.method``) that name
+    ``operator.add`` or a bare ``add``, the elementwise addition of exponent
+    tuples that multiplies monomials, with ``None`` for a use at module
+    level."""
+    return {name for name, node in _units(source)
             if any(isinstance(sub, ast.Name) and sub.id == "add"
                    or isinstance(sub, ast.Attribute) and sub.attr == "add"
                    and isinstance(sub.value, ast.Name) and sub.value.id == "operator"
@@ -330,18 +337,52 @@ def test_a_second_exponent_adder_is_reported():
     assert _exponent_adders(source) == {"Poly.__mul__", "shift", None}
 
 
+def _callers(source, names):
+    """(name, caller) for each call of a function in ``names`` in
+    ``source``, the caller being the outermost definition around it
+    (methods as ``Class.method``), ``None`` at module level."""
+    return {(sub.func.id, name) for name, node in _units(source) for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+            and sub.func.id in names}
+
+
+def test_denominators_are_cleared_only_in_the_product_kernel():
+    source = (PACKAGE / "ring.py").read_text(encoding="utf-8")
+    assert _callers(source, {"_cleared", "_over"}) == {
+        ("_cleared", "products"), ("_over", "products")}
+
+
+def test_monomials_are_multiplied_only_by_the_kernel_and_the_constructor():
+    source = (PACKAGE / "ring.py").read_text(encoding="utf-8")
+    assert {caller for _, caller in _callers(source, {"_monomial_products"})} == {
+        "_signed_products", "Poly.__init__"}
+
+
+def test_a_second_clearing_or_multiplying_route_is_reported():
+    source = (
+        "class Poly:\n"
+        "    def __init__(self, chart, terms):\n"
+        "        def shifted():\n"
+        "            yield from _monomial_products({}, terms)\n"
+        "        self.terms = shifted()\n"
+        "    def __mul__(self, other):\n"
+        "        q = _cleared(self, 2) * _cleared(other, 3)\n"
+        "        return _over(accumulate(_monomial_products(q.terms, {})), 6)\n"
+        "\ndef products(chart, items):\n"
+        "    return _over({k: _cleared(a, 1) for k, a in items}, 1)\n"
+        "\nTERMS = _over({}, 1)\n"
+    )
+    assert _callers(source, {"_cleared", "_over", "_monomial_products"}) == {
+        ("_monomial_products", "Poly.__init__"), ("_cleared", "Poly.__mul__"),
+        ("_over", "Poly.__mul__"), ("_monomial_products", "Poly.__mul__"),
+        ("_cleared", "products"), ("_over", "products"), ("_over", None)}
+
+
 def _anchor_subscribers(source):
     """The functions of ``source`` (methods as ``Class.method``) that
     subscript an ``.anchor`` attribute, with ``None`` for a subscript at
     module level."""
-    units = []
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.ClassDef):
-            units += [(f"{node.name}.{sub.name}", sub) for sub in node.body
-                      if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        else:
-            units.append((getattr(node, "name", None), node))
-    return {name for name, node in units
+    return {name for name, node in _units(source)
             if any(isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Attribute)
                    and sub.value.attr == "anchor" for sub in ast.walk(node))}
 
@@ -560,10 +601,8 @@ def test_a_rebinding_sum_is_reported():
 
 #: The written-out references of ``suites.py``, and the library maps that
 #: the suites compare them with.
-_REFERENCES = {"_velocity", "_direct_vertical_vector", "_direct_complete_vector",
-               "_pullback", "_direct_complete_form", "_direct_vertical_bivector",
-               "_direct_complete_bivector", "_g_expanded", "_literal_h", "_literal_g",
-               "_tangent_anchor_map"}
+_REFERENCES = {"_velocity", "_direct_vertical", "_direct_complete", "_pullback",
+               "_g_expanded", "_literal_h", "_literal_g", "_tangent_anchor_map"}
 _CHECKED_MAPS = {name for public in (
     "complete_lift_T", "vertical_lift_V", "classical_vertical_lift",
     "classical_complete_lift", "velocity_derivative", "H_map", "G_map", "J_map",
@@ -608,12 +647,12 @@ def test_a_reference_that_sums_twice_or_calls_its_map_is_reported():
         "    return out\n"
         "\ndef _g_expanded(A, k):\n"
         "    return _tensor_sum(A, Kind.MV, 1, [_G_map(A, k)])\n"
-        "\ndef _direct_complete_form(chart, mu):\n"
-        "    return GradedTensor(chart, Kind.FORM, 1, _complete_lift_T(chart, mu).terms)\n"
+        "\ndef _direct_complete(chart, t):\n"
+        "    return GradedTensor(chart, t.kind, 1, _complete_lift_T(chart, t).terms)\n"
         "\ndef helper(A, x):\n    return complete_lift_T(A, x)\n"
     )
     assert _reference_faults(source) == [
-        ("_direct_complete_form", "_complete_lift_T"), ("_g_expanded", "_G_map"),
+        ("_direct_complete", "_complete_lift_T"), ("_g_expanded", "_G_map"),
         ("_literal_h", "H_map"), ("_literal_h", "return"), ("_pullback", "return"),
         ("_velocity", "velocity_derivative")]
 

@@ -266,24 +266,32 @@ def test_kernel_results_without_terms_are_the_shared_zero():
 
 
 def test_constant_products_and_zero_sums_take_no_accumulate_pass(monkeypatch):
+    """A product with a constant or the zero and a sum with the zero take
+    no pass of the kernel; a product of two non-constant polynomials is
+    one call of the product kernel."""
     q = p("x^2 + 3*x*y - 1/2")
     triple, minus_half = p("3*x^2 + 9*x*y - 3/2"), p("-1/2*x^2 - 3/2*x*y + 1/4")
-    calls = []
-    original = algebroids.ring.accumulate
+    square = p("x^4 + 6*x^3*y + 9*x^2*y^2 - x^2 - 3*x*y + 1/4")
+    calls, product_calls = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(original, log):
+        def call(*args):
+            log.append(args)
+            return original(*args)
+        return call
 
-    monkeypatch.setattr(algebroids.ring, "accumulate", counted)
+    monkeypatch.setattr(algebroids.ring, "accumulate",
+                        counted(algebroids.ring.accumulate, calls))
+    monkeypatch.setattr(algebroids.ring, "products",
+                        counted(algebroids.ring.products, product_calls))
     zero = XY.zero()
     assert q * 3 == 3 * q == q * XY.coerce(3) == XY.coerce(3) * q == triple
     assert q * Fraction(-1, 2) == minus_half
     assert q * 0 is zero and zero * q is zero and q * zero is zero
     assert q + zero is q and zero + q is q and q + 0 is q and 0 + q is q
-    assert calls == []
-    q * q
-    assert len(calls) == 1
+    assert calls == [] and product_calls == []
+    assert q * q == square
+    assert len(product_calls) == 1
 
 
 #: A coefficient of either stored type: a nonzero int, or a Fraction whose

@@ -15,11 +15,12 @@ from algebroids import tensor as tensor_conventions
 from algebroids.algebroid import canonical_algebroid, dual_chart
 from algebroids.cli import main as cli_main
 from algebroids.errors import UnknownName, ValidationError
-from algebroids.fixtures import so3
+from algebroids.fixtures import canonical_line, canonical_space, so3
+from algebroids.lifts import classical_complete_lift, classical_vertical_lift
 from algebroids.model import Model, builtin_model, loads_model
 from algebroids.ring import Chart
 from algebroids.suites import SUITE_NAMES, SUITES, run_all, run_suite
-from algebroids.tensor import GradedTensor, Kind, random_coefficient
+from algebroids.tensor import GradedTensor, Kind, random_coefficient, random_tensor
 
 EXPECTED_NAMES = tuple(f"theorem-{n}" for n in range(1, 25)) + (
     "eq-1-12", "eq-2-6", "eq-7-12", "eq-7-13")
@@ -366,3 +367,20 @@ def test_a_function_argument_draws_one_coefficient():
             assert drawn["f"].owner is A
             assert (drawn["f"].kind, drawn["f"].degree) == (Kind.MV, 0)
             assert drawn["f"].as_function() == value
+
+
+@pytest.mark.parametrize("fixture", [canonical_line, canonical_space],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", [Kind.MV, Kind.SYM, Kind.FORM, Kind.MIXED],
+                         ids=lambda k: k.value)
+def test_the_written_out_classical_lifts_match_the_library(fixture, kind):
+    """theorem-19's two references, one per lift for every kind, agree with
+    the library's classical lifts at every degree 0–3, past the degrees the
+    suites draw."""
+    A = fixture()
+    rng = random.Random(19)
+    for degree in range(4):
+        for _ in range(4):
+            t = random_tensor(rng, A, kind, degree, max_keys=20)
+            assert suites._direct_vertical(A.base, t) == classical_vertical_lift(t)
+            assert suites._direct_complete(A.base, t) == classical_complete_lift(t)
