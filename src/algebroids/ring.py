@@ -56,9 +56,22 @@ integer literal, so ``-x`` must be written ``-1*x`` (the canonical printer
 does exactly that).  Digits are ASCII only, parentheses nest at most
 :data:`MAX_NESTING_DEPTH` deep, and the bounds :data:`MAX_EXPONENT`,
 :data:`MAX_TERMS`, :data:`MAX_EXPANSION` and :data:`MAX_COEFFICIENT_BITS`
-stop a short expression from expanding into a huge polynomial.
-:func:`poly_to_string` emits a canonical form that :func:`parse_poly` maps
-back to the identical term dict.
+stop a short expression from expanding into a huge polynomial.  An integer
+literal longer than ``int()`` reads (4,300 digits by default) is a
+``PolySyntaxError`` at its position; an exponent literal with more
+significant digits than :data:`MAX_EXPONENT` is refused before it is read.
+
+The reader makes one pass over the text: one regex pass turns it into a
+list of tokens, which a recursive-descent parser reads by index.  A term
+multiplies its single factors (rational literals, coordinates and their
+powers) into one coefficient, kept as an integer numerator and
+denominator, and one exponent list, with no polynomial built per factor;
+only a parenthesised sum is a :class:`Poly`, multiplied in with ``*`` and
+``**`` after the bounds are checked.  An expression sums its terms in one
+:func:`accumulate` call.  :func:`poly_to_string` writes one pass over the
+sorted terms, reading each sign and magnitude off ``str`` of the
+coefficient; it emits a canonical form that :func:`parse_poly` maps back
+to the identical term dict.
 """
 
 from __future__ import annotations
@@ -373,15 +386,14 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise NegativeExponent(f"polynomial power must be a nonnegative int, got {n!r}")
-        result = self.chart.one()
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return self.chart.one() if result is None else result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -681,58 +693,68 @@ MAX_EXPANSION = 2000
 MAX_COEFFICIENT_BITS = 10000
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
-)
+    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)|(?P<bad>.))", re.S)
+
+#: Most significant digits an exponent literal can have and still be at
+#: most :data:`MAX_EXPONENT`.
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> List[Tuple[str | None, str | None, int]]:
+    """The (kind, value, position) tokens of ``text`` in one regex pass,
+    ending in the sentinel ``(None, None, len(text))``.  An operator is its
+    own value, which no literal or identifier equals."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise PolySyntaxError(
-                f"unexpected character {stripped[0]!r}", position=pos
-            )
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "end":
+            break
+        if kind == "bad":
+            raise PolySyntaxError(f"unexpected character {m[kind]!r}", position=m.start())
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append((None, None, len(text)))
     return tokens
 
 
+def _integer(value: str, at: int) -> int:
+    """The integer literal ``value`` at position ``at``; one longer than
+    ``int()`` reads raises ``PolySyntaxError`` there."""
+    try:
+        return int(value)
+    except ValueError:
+        raise PolySyntaxError(f"integer literal of {len(value)} digits is too long",
+                              position=at) from None
+
+
+def _check_bits(e: int, bits: int, at: int) -> None:
+    """Refuse, at position ``at``, the power ``e`` of a base whose largest
+    numerator or denominator has ``bits`` bits if it would pass
+    :data:`MAX_COEFFICIENT_BITS`."""
+    if e * bits > MAX_COEFFICIENT_BITS:
+        raise PolySyntaxError(
+            f"power may grow a coefficient past {MAX_COEFFICIENT_BITS} "
+            f"bits", position=at)
+
+
 class _Parser:
-    """Recursive-descent parser for the expression grammar in the module doc."""
+    """Recursive-descent reader of the expression grammar in the module doc.
+
+    The tokens are read by index.  A term keeps its single factors
+    (rational literals, coordinates and their powers) as one numerator, one
+    denominator and one exponent list; only a parenthesised sum is a
+    :class:`Poly`, multiplied in with ``*`` and ``**``.  An expression sums
+    its terms in one :func:`accumulate` call."""
+
+    __slots__ = ("text", "chart", "tokens", "i", "depth", "expansion")
 
     def __init__(self, text: str, chart: Chart):
         self.text = text
         self.chart = chart
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.i = 0
         self.depth = 0
         self.expansion = 0
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, None, len(self.text))
-
-    def advance(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, at = self.peek()
-        if kind != "op" or value != op:
-            raise PolySyntaxError(f"expected {op!r}", position=at)
-        self.advance()
 
     def charge(self, terms: int, at: int) -> None:
         """Count ``terms`` against the expression's :data:`MAX_EXPANSION`."""
@@ -744,122 +766,176 @@ class _Parser:
                 f"expression may expand to more than {MAX_EXPANSION} terms in "
                 f"all", position=at)
 
-    def at_op(self, *ops: str) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "op" and value in ops
-
     def parse(self) -> Poly:
         result = self.expr()
-        kind, value, at = self.peek()
-        if kind is not None:
+        _, value, at = self.tokens[self.i]
+        if value is not None:
             raise PolySyntaxError(f"unexpected trailing {value!r}", position=at)
         return result
 
     def expr(self) -> Poly:
-        pieces = [self.term()]
-        while self.at_op("+", "-"):
-            op = self.advance()[1]
-            rhs = self.term()
-            pieces.append(rhs if op == "+" else -rhs)
-        return poly_sum(self.chart, pieces)
+        pairs: List = []
+        tokens = self.tokens
+        sign = 1
+        while True:
+            self.term(pairs, sign)
+            value = tokens[self.i][1]
+            if value == "+":
+                sign = 1
+            elif value == "-":
+                sign = -1
+            else:  # a single term is already summed
+                return Poly._make(self.chart, accumulate(pairs) if len(pairs) > 1
+                                  else dict(pairs))
+            self.i += 1
 
-    def term(self) -> Poly:
-        result = self.factor()
-        while self.at_op("*"):
-            at = self.advance()[2]
-            rhs = self.factor()
-            terms = len(result.terms) * len(rhs.terms)
-            if terms > MAX_TERMS:
-                raise PolySyntaxError(
-                    f"product may expand to more than {MAX_TERMS} terms",
-                    position=at)
-            self.charge(terms, at)
-            result = result * rhs
-        return result
-
-    def factor(self) -> Poly:
-        base = self.base()
-        if self.at_op("^"):
-            self.advance()
-            kind, value, at = self.peek()
-            if kind == "op" and value == "-":
-                raise NegativeExponent(
-                    f"negative exponent at position {at} in {self.text!r}"
-                )
-            if kind != "num":
-                raise PolySyntaxError("expected a nonnegative integer exponent", position=at)
-            self.advance()
-            return self.power(base, int(value), at)
-        return base
-
-    def power(self, base: Poly, e: int, at: int) -> Poly:
+    def exponent(self, i: int) -> Tuple[int, int]:
+        """The exponent literal of token ``i``, after a ``^``, and its
+        position."""
+        kind, value, at = self.tokens[i]
+        if value == "-":
+            raise NegativeExponent(
+                f"negative exponent at position {at} in {self.text!r}"
+            )
+        if kind != "num":
+            raise PolySyntaxError("expected a nonnegative integer exponent", position=at)
+        digits = value.lstrip("0")
+        if len(digits) > _EXPONENT_DIGITS:
+            raise PolySyntaxError(f"exponent of {len(digits)} digits exceeds "
+                                  f"{MAX_EXPONENT}", position=at)
+        e = int(digits or "0")
         if e > MAX_EXPONENT:
             raise PolySyntaxError(
                 f"exponent {e} exceeds {MAX_EXPONENT}", position=at)
+        return e, at
+
+    def term(self, pairs: List, sign: int) -> None:
+        """Append to ``pairs`` the (exponent, coefficient) pairs of the next
+        term times ``sign``."""
+        tokens, chart = self.tokens, self.chart
+        i = self.i
+        num, den = sign, 1
+        exps = None  # the exponent list, made at the first coordinate
+        poly = None  # the product of the parenthesised factors, if any
+        star = None  # the position of the '*' before the factor being read
+        while True:
+            kind, value, at = tokens[i]
+            i += 1
+            if kind == "num" or value == "-":
+                if value == "-":  # a sign may open a rational literal, nothing else
+                    kind, value, at = tokens[i]
+                    if kind != "num":
+                        raise PolySyntaxError(
+                            "'-' must be followed by an integer literal here "
+                            "(write -1*x for a negated coordinate)",
+                            position=at,
+                        )
+                    i += 1
+                    n = -_integer(value, at)
+                else:
+                    n = _integer(value, at)
+                d = 1
+                if tokens[i][1] == "/":
+                    kind, value, at = tokens[i + 1]
+                    if kind != "num":
+                        raise PolySyntaxError("expected an integer denominator", position=at)
+                    i += 2
+                    d = _integer(value, at)
+                    if d == 0:
+                        raise PolySyntaxError("denominator must be positive", position=at)
+                    g = math.gcd(n, d)
+                    if g != 1:
+                        n, d = n // g, d // g
+                if tokens[i][1] == "^":
+                    e, at = self.exponent(i + 1)
+                    i += 2
+                    _check_bits(e, max(n.bit_length(), d.bit_length()) if n else 0, at)
+                    n, d = n ** e, d ** e
+                factor, count = None, 1 if n else 0
+            elif kind == "ident":
+                index = chart._index.get(value)
+                if index is None:
+                    raise UnknownVariable(
+                        f"{value!r} is not a coordinate of chart {chart.coords!r}"
+                    )
+                n = d = 1
+                if exps is None:
+                    exps = list(chart._origin)
+                if tokens[i][1] == "^":
+                    exps[index] += self.exponent(i + 1)[0]
+                    i += 2
+                else:
+                    exps[index] += 1
+                factor, count = None, 1
+            elif value == "(":
+                if self.depth == MAX_NESTING_DEPTH:
+                    raise PolySyntaxError(
+                        f"parentheses nest deeper than {MAX_NESTING_DEPTH}", position=at)
+                self.depth += 1
+                self.i = i
+                factor = self.expr()
+                _, value, at = tokens[self.i]
+                if value != ")":
+                    raise PolySyntaxError("expected ')'", position=at)
+                self.depth -= 1
+                i = self.i + 1
+                if tokens[i][1] == "^":
+                    e, at = self.exponent(i + 1)
+                    i += 2
+                    factor = self.power(factor, e, at)
+                n = d = 1
+                count = len(factor.terms)
+            else:
+                raise PolySyntaxError("expected a rational, coordinate, or '('",
+                                      position=at)
+            # the checks and charges of multiplying the product so far by
+            # this factor: free unless a parenthesised factor takes part
+            if star is not None and (poly is not None or factor is not None):
+                terms = (len(poly.terms) if poly is not None else 1) * count if num else 0
+                if terms > MAX_TERMS:
+                    raise PolySyntaxError(
+                        f"product may expand to more than {MAX_TERMS} terms",
+                        position=star)
+                self.charge(terms, star)
+            if num:
+                num *= n
+                den *= d
+                if factor is not None:
+                    poly = factor if poly is None else poly * factor
+                    if not poly.terms:
+                        num = 0
+            _, value, star = tokens[i]
+            if value != "*":
+                break
+            i += 1
+        self.i = i
+        if not num:
+            return
+        if den == 1:
+            coeff = num
+        else:
+            q, r = divmod(num, den)
+            coeff = q if not r else Fraction(num, den)
+        # a constant keeps the chart's one zero exponent, as Chart.coerce does
+        key = chart._origin if exps is None else tuple(exps)
+        if poly is None:
+            pairs.append((key, coeff))
+            return
+        if coeff != 1 or exps is not None:
+            poly = poly * Poly._make(chart, {key: coeff})
+        pairs.extend(poly.terms.items())
+
+    def power(self, base: Poly, e: int, at: int) -> Poly:
+        """``base ** e`` for a parenthesised ``base``, checked and charged."""
         t = max(1, len(base.terms))
         terms = math.comb(e + t - 1, t - 1)
         if terms > MAX_TERMS:
             raise PolySyntaxError(
                 f"power may expand to more than {MAX_TERMS} terms", position=at)
-        bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                    for c in base.terms.values()), default=0)
-        if e * bits > MAX_COEFFICIENT_BITS:
-            raise PolySyntaxError(
-                f"power may grow a coefficient past {MAX_COEFFICIENT_BITS} "
-                f"bits", position=at)
+        _check_bits(e, max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                            for c in base.terms.values()), default=0), at)
         self.charge(terms, at)
         return base ** e
-
-    def base(self) -> Poly:
-        kind, value, at = self.peek()
-        if kind == "op" and value == "-":
-            # A sign may open a rational literal, nothing else.
-            self.advance()
-            kind, value, at = self.peek()
-            if kind != "num":
-                raise PolySyntaxError(
-                    "'-' must be followed by an integer literal here "
-                    "(write -1*x for a negated coordinate)",
-                    position=at,
-                )
-            return -self.rational()
-        if kind == "num":
-            return self.rational()
-        if kind == "ident":
-            self.advance()
-            if value not in self.chart:
-                raise UnknownVariable(
-                    f"{value!r} is not a coordinate of chart {self.chart.coords!r}"
-                )
-            return self.chart.coordinate(value)
-        if kind == "op" and value == "(":
-            if self.depth == MAX_NESTING_DEPTH:
-                raise PolySyntaxError(
-                    f"parentheses nest deeper than {MAX_NESTING_DEPTH}", position=at)
-            self.depth += 1
-            self.advance()
-            inner = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return inner
-        raise PolySyntaxError("expected a rational, coordinate, or '('", position=at)
-
-    def rational(self) -> Poly:
-        kind, value, at = self.peek()
-        if kind != "num":
-            raise PolySyntaxError("expected an integer literal", position=at)
-        self.advance()
-        numerator = int(value)
-        if self.at_op("/"):
-            self.advance()
-            kind, value, at = self.peek()
-            if kind != "num":
-                raise PolySyntaxError("expected an integer denominator", position=at)
-            self.advance()
-            if int(value) == 0:
-                raise PolySyntaxError("denominator must be positive", position=at)
-            return self.chart.const(Fraction(numerator, int(value)))
-        return self.chart.const(numerator)
 
 
 def parse_poly(text: str, chart: Chart) -> Poly:
@@ -869,38 +945,32 @@ def parse_poly(text: str, chart: Chart) -> Poly:
 
 # -- canonical printing ------------------------------------------------------
 
-def _monomial_string(chart: Chart, exp: Exponent) -> str:
-    parts = []
-    for name, e in zip(chart.coords, exp):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
 def poly_to_string(p: Poly) -> str:
     """Canonical string form: descending lexicographic monomial order, and
     grammar-safe signs (a leading negative term prints its coefficient, e.g.
-    ``-1*x``, because bare ``-x`` is not in the grammar)."""
-    if not p.terms:
+    ``-1*x``, because bare ``-x`` is not in the grammar).  Each term's sign
+    and magnitude are read off ``str`` of its coefficient, which spells an
+    ``int`` and a ``Fraction`` of one value alike."""
+    terms = p.terms
+    if not terms:
         return "0"
+    names = p.chart.coords
     pieces = []
-    for exp in sorted(p.terms, reverse=True):
-        coeff = p.terms[exp]
-        mono = _monomial_string(p.chart, exp)
-        first = not pieces
-        mag = -coeff if coeff < 0 else coeff
-        if mono:
-            body = mono if mag == 1 else f"{mag}*{mono}"
+    for exp in sorted(terms, reverse=True):
+        mag = str(terms[exp])
+        negative = mag[0] == "-"
+        if negative:
+            mag = mag[1:]
+        mono = "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, e in zip(names, exp) if e])
+        if not mono:
+            body = mag
+        elif mag == "1" and (pieces or not negative):
+            body = mono  # "-x" is not parseable; "-1*x" is
         else:
-            body = str(mag)
-        if first:
-            if coeff < 0:
-                # "-x" is not parseable; "-1*x" and "-3/2" are.
-                pieces.append(f"-{mag}*{mono}" if mono else f"-{mag}")
-            else:
-                pieces.append(body)
+            body = f"{mag}*{mono}"
+        if pieces:
+            pieces.append(f" - {body}" if negative else f" + {body}")
         else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+            pieces.append(f"-{body}" if negative else body)
     return "".join(pieces)

@@ -110,7 +110,9 @@ def test_nonpositive_trials_are_an_input_error(capsys):
     ("(" * 3000 + "x" + ")" * 3000, None),
     # JSON nested past the interpreter's recursion limit
     (None, "[" * 100000 + "]" * 100000),
-], ids=["polynomial", "json"])
+    # an integer literal longer than int() reads
+    ("1" * 5000, None),
+], ids=["polynomial", "json", "long-literal"])
 def test_deep_nesting_is_an_input_error(tmp_path, anchor, document):
     if document is None:
         document = json.dumps({

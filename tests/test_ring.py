@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebroids.ring
+import ring_reference
 from algebroids.errors import (
     AlgebroidError,
     BadPoint,
@@ -142,6 +143,27 @@ def test_expansion_is_bounded():
     assert p(poly_to_string(big)) == big
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1" * 5000, 0),
+    ("1/" + "1" * 5000, 2),
+    ("x^" + "1" * 5000, 2),
+], ids=["numerator", "denominator", "exponent"])
+def test_an_integer_literal_longer_than_int_reads_is_a_syntax_error(text, position):
+    """A literal past the interpreter's int-to-str digit limit (4,300
+    digits by default) is refused at its position, not with a bare
+    ``ValueError``."""
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly(text, X)
+    assert err.value.position == position
+
+
+def test_an_exponent_literal_is_read_by_its_significant_digits():
+    assert p("x^0002") == p("x^2") and p("x^" + "0" * 5000) == 1
+    with pytest.raises(PolySyntaxError) as err:
+        p("x^0" + "1" * 4)
+    assert err.value.position == 2
+
+
 #: Pieces of the expression alphabet: integer literals up to 10^7 (so
 #: exponents and coefficients can be large), coordinates of XY, one
 #: identifier that is not, whitespace and every operator.
@@ -150,9 +172,13 @@ _PIECES = st.one_of(
     st.sampled_from(["x", "y", "q", " ", "+", "-", "*", "/", "^", "(", ")"]),
 )
 
+#: Runs of one digit longer than the 4,300 digits ``int()`` reads by default.
+_LONG_DIGIT_RUNS = st.builds(lambda digit, n: digit * n,
+                             st.sampled_from("0123456789"), st.integers(4301, 4400))
+
 
 @settings(max_examples=300, deadline=5000)
-@given(st.lists(_PIECES, max_size=40).map("".join))
+@given(st.lists(st.one_of(_PIECES, _LONG_DIGIT_RUNS), max_size=40).map("".join))
 def test_parse_fails_closed(text):
     try:
         result = parse_poly(text, XY)
@@ -265,6 +291,14 @@ def test_kernel_results_without_terms_are_the_shared_zero():
     assert not zero.terms and zero == 0
 
 
+def _counted(original, log):
+    """``original``, logging the arguments of each call to ``log``."""
+    def call(*args):
+        log.append(args)
+        return original(*args)
+    return call
+
+
 def test_constant_products_and_zero_sums_take_no_accumulate_pass(monkeypatch):
     """A product with a constant or the zero and a sum with the zero take
     no pass of the kernel; a product of two non-constant polynomials is
@@ -274,16 +308,10 @@ def test_constant_products_and_zero_sums_take_no_accumulate_pass(monkeypatch):
     square = p("x^4 + 6*x^3*y + 9*x^2*y^2 - x^2 - 3*x*y + 1/4")
     calls, product_calls = [], []
 
-    def counted(original, log):
-        def call(*args):
-            log.append(args)
-            return original(*args)
-        return call
-
     monkeypatch.setattr(algebroids.ring, "accumulate",
-                        counted(algebroids.ring.accumulate, calls))
+                        _counted(algebroids.ring.accumulate, calls))
     monkeypatch.setattr(algebroids.ring, "products",
-                        counted(algebroids.ring.products, product_calls))
+                        _counted(algebroids.ring.products, product_calls))
     zero = XY.zero()
     assert q * 3 == 3 * q == q * XY.coerce(3) == XY.coerce(3) * q == triple
     assert q * Fraction(-1, 2) == minus_half
@@ -292,6 +320,28 @@ def test_constant_products_and_zero_sums_take_no_accumulate_pass(monkeypatch):
     assert calls == [] and product_calls == []
     assert q * q == square
     assert len(product_calls) == 1
+
+
+def test_a_printed_sum_of_monomials_is_read_in_one_accumulate_pass(monkeypatch):
+    """A sum of products of single factors (rational literals, coordinates
+    and their powers) is read with no product kernel call and summed in one
+    pass of the accumulation kernel."""
+    q = Poly(XY, {(3, 1): Fraction(-3, 2), (2, 0): 1, (0, 4): -1, (1, 1): 7,
+                  (0, 0): Fraction(5, 6)})
+    text = poly_to_string(q)
+    assert text == "-3/2*x^3*y + x^2 + 7*x*y - y^4 + 5/6"
+    calls, product_calls = [], []
+
+    monkeypatch.setattr(algebroids.ring, "accumulate",
+                        _counted(algebroids.ring.accumulate, calls))
+    monkeypatch.setattr(algebroids.ring, "products",
+                        _counted(algebroids.ring.products, product_calls))
+    assert parse_poly(text, XY).terms == q.terms
+    assert product_calls == [] and len(calls) == 1
+    # factors of one term are multiplied into one monomial in any order
+    assert parse_poly("2*x*3/4*y^2*x - 1/2*y*y + 7", XY).terms == \
+        {(2, 2): Fraction(3, 2), (0, 2): Fraction(-1, 2), (0, 0): 7}
+    assert product_calls == [] and len(calls) == 2
 
 
 #: A coefficient of either stored type: a nonzero int, or a Fraction whose
@@ -740,6 +790,48 @@ def test_print_is_deterministic_and_canonical():
     a = p("x*y + x^2")
     b = p("x^2 + x*y")
     assert poly_to_string(a) == poly_to_string(b)
+
+
+# --- the reader and the printer against their reference ------------------------
+
+#: Pieces that reach the product and power bounds: sums whose products and
+#: powers are checked and charged, a sum that cancels, and single factors.
+_BOUNDED_PIECES = st.sampled_from(
+    ["(x+y+1)^30", "(x+y+1)^20*", "(x-x)*", "(x+1/2)", "0*", "2/3*x*"])
+
+
+def _read(reader, text):
+    """The terms ``reader`` gives for ``text``, each with its stored type,
+    or the class and position of the error it raises."""
+    try:
+        q = reader(text, XY)
+    except AlgebroidError as exc:
+        return type(exc), getattr(exc, "position", None)
+    return sorted((e, c, type(c)) for e, c in q.terms.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_PIECES, _BOUNDED_PIECES), max_size=40).map("".join))
+def test_the_reader_matches_its_reference_on_any_text(text):
+    assert _read(parse_poly, text) == _read(ring_reference.parse_poly, text)
+
+
+#: A coefficient of either stored type, or 1 or -1 as an int or as a
+#: ``Fraction`` (the printer reads sign and magnitude off ``str``, which
+#: spells both types of one value alike).
+_PRINTED_COEFFICIENTS = st.one_of(
+    _COEFFICIENTS, st.sampled_from([1, -1, Fraction(1), Fraction(-1)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                       _PRINTED_COEFFICIENTS, max_size=8))
+def test_the_printer_and_the_reader_match_their_reference(terms):
+    q = Poly._make(XY, terms)
+    text = poly_to_string(q)
+    assert text == ring_reference.poly_to_string(q)
+    assert _read(parse_poly, text) == _read(ring_reference.parse_poly, text) \
+        == _read(lambda _, chart: Poly(chart, terms), None)
 
 
 # --- transport --------------------------------------------------------------
