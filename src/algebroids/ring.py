@@ -19,23 +19,26 @@ term map, of a polynomial or a tensor, is summed by it) and
 :meth:`Chart.coerce` its one rule for turning a value into a coefficient.
 A product with a constant or the zero, and a sum with the zero, take no
 pass of the kernel.  :func:`products` is the one product kernel of the
-bilinear operations (wedge, contraction, the brackets, ``d``): it sums
-signed products ``sign·a·b`` of polynomials, keyed by basis key, straight
-into one term map per key, with no polynomial built per product.  A
-product of two non-constant polynomials, ``Poly.__mul__`` included, is one
-item of it.  Monomial exponents are added in one private generator, which
-the kernel and the :class:`Poly` constructor share.  Coefficient products
-are summed as integers: the items whose two factors are integral are summed
-as ints, and those with a non-integral factor are summed, in the same
-kernel, as integer numerators over one common denominator per call, each
-sum divided by it once at the end: the kernel is the one place
-denominators are cleared.  For that each polynomial keeps, in its
-``_den`` slot, the lcm of its coefficient denominators.  It is set at
-construction where it is known: 1 for a coordinate, the shared zero, a
-``+``, ``-`` or ``*`` of integral polynomials, a kernel output of a call
-with no non-integral item and the draws of
-:func:`~algebroids.tensor.random_coefficient`, and the denominator of a
-constant.  Negation and transport pass it on, as does a
+bilinear operations (wedge, contraction, the brackets, ``d``): in one pass
+over its items it sums each signed product ``sign·a·b`` of polynomials
+straight into the term map of the item's basis key, with no polynomial
+built per product.  A product of two non-constant polynomials,
+``Poly.__mul__`` included, is one item of it.  Monomial exponents are
+added in one private function, which multiplies two term maps into a
+target map and which the kernel and the :class:`Poly` constructor share.
+Coefficient products are summed as integers: each polynomial takes the
+integer numerators of its coefficients over their common denominator
+once and keeps them in its ``_num`` slot (``terms`` itself when every
+coefficient is an int), and the kernel sums them over one running common
+denominator per call, rescaling its partial sums in the rare case that
+an item's denominator does not divide it, and divides each sum by it
+once at the end: the kernel is the one place denominators are cleared.
+For that each polynomial keeps, in its ``_den`` slot, the lcm of its
+coefficient denominators.  It is set at construction where it is known:
+1 for a coordinate, the shared zero, a ``+``, ``-`` or ``*`` of integral
+polynomials, a kernel output of a call with no non-integral item and the
+draws of :func:`~algebroids.tensor.random_coefficient`, and the
+denominator of a constant.  Negation and transport pass it on, as does a
 partial of an integral polynomial; otherwise it is taken on first use.
 :meth:`Poly.gradient` keeps its partials in a slot, so each
 polynomial object is differentiated once.  Beside :class:`Chart` sits the
@@ -130,7 +133,7 @@ class Chart:
         self._origin = (0,) * len(coords)
         zero = object.__new__(Poly)  # Poly._make of no terms returns this one
         zero.chart, zero.terms, zero._hash, zero._gradient = self, {}, None, ()
-        zero._den = 1
+        zero._den, zero._num = 1, zero.terms
         self._zero = zero
 
     @property
@@ -249,7 +252,7 @@ def _derived_names(names: Iterable[str], taken: Iterable[str],
 class Poly:
     """A polynomial over a fixed chart, with exact rational coefficients."""
 
-    __slots__ = ("chart", "terms", "_hash", "_gradient", "_den")
+    __slots__ = ("chart", "terms", "_hash", "_gradient", "_den", "_num")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, object] | Iterable):
         """The sum of ``coefficient * x^exponent`` over ``terms`` (a mapping
@@ -262,29 +265,28 @@ class Poly:
             raise PolySyntaxError(f"polynomial terms are a mapping or (exponent, "
                                   f"coefficient) pairs, not a "
                                   f"{type(terms).__name__}") from None
-
-        def shifted():
-            for term in items:
-                try:
-                    exp, coeff = term
-                    exp = tuple(exp)
-                except (TypeError, ValueError):
-                    raise PolySyntaxError(f"a polynomial term is an (exponent "
-                                          f"tuple, coefficient) pair, not "
-                                          f"{term!r}") from None
-                if len(exp) != chart.dim:
-                    raise PolySyntaxError(
-                        f"exponent tuple {exp!r} has wrong length for chart {chart.coords!r}"
-                    )
-                if not all(isinstance(e, int) for e in exp):
-                    raise PolySyntaxError(f"exponent tuple {exp!r} has an entry "
-                                          f"that is not an int")
-                if any(e < 0 for e in exp):
-                    raise NegativeExponent(f"negative exponent in {exp!r}")
-                yield from _monomial_products({exp: 1}, chart.coerce(coeff).terms)
+        sums: Dict = {}
+        for term in items:
+            try:
+                exp, coeff = term
+                exp = tuple(exp)
+            except (TypeError, ValueError):
+                raise PolySyntaxError(f"a polynomial term is an (exponent "
+                                      f"tuple, coefficient) pair, not "
+                                      f"{term!r}") from None
+            if len(exp) != chart.dim:
+                raise PolySyntaxError(
+                    f"exponent tuple {exp!r} has wrong length for chart {chart.coords!r}"
+                )
+            if not all(isinstance(e, int) for e in exp):
+                raise PolySyntaxError(f"exponent tuple {exp!r} has an entry "
+                                      f"that is not an int")
+            if any(e < 0 for e in exp):
+                raise NegativeExponent(f"negative exponent in {exp!r}")
+            _monomial_products(sums, {exp: 1}, chart.coerce(coeff).terms, 1)
         self.chart = chart
-        self.terms = accumulate(shifted())
-        self._hash = self._gradient = self._den = None
+        self.terms = {e: _exact(c) for e, c in sums.items()}
+        self._hash = self._gradient = self._den = self._num = None
 
     @classmethod
     def _make(cls, chart: Chart, terms: Dict[Exponent, Scalar],
@@ -300,6 +302,7 @@ class Poly:
         self.terms = terms
         self._hash = self._gradient = None
         self._den = den
+        self._num = terms if den == 1 else None
         return self
 
     def _denominator(self) -> int:
@@ -309,6 +312,22 @@ class Poly:
         if self._den is None:
             self._den = math.lcm(*(c.denominator for c in self.terms.values()))
         return self._den
+
+    def _numerators(self) -> Dict[Exponent, int]:
+        """The coefficients brought to the common denominator
+        :meth:`_denominator`, numerators only: ``terms`` itself when every
+        coefficient is an int.  Taken on the first call and kept in a
+        slot, so a factor of many products is cleared once."""
+        if self._num is None:
+            den = self._denominator()
+            if den == 1:
+                self._num = self.terms
+            else:
+                self._num = num = {}
+                for e, c in self.terms.items():
+                    n, d = c.as_integer_ratio()
+                    num[e] = n * (den // d)
+        return self._num
 
     # -- basic queries -------------------------------------------------------
 
@@ -532,19 +551,6 @@ def _exact(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def _cleared(p: Poly, den: int) -> Poly:
-    """The integral polynomial ``den·p``, for a multiple ``den`` of the
-    denominator of ``p``: its coefficients are those of ``p`` brought to
-    the common denominator ``den``, numerators only."""
-    if den == 1:  # an integral polynomial is its own numerators
-        return p
-    terms = {}
-    for e, c in p.terms.items():
-        n, d = c.as_integer_ratio()
-        terms[e] = n * (den // d)
-    return Poly._make(p.chart, terms, 1)
-
-
 def _over(sums: Mapping, den: int) -> Dict:
     """The integer sums of a term map, each divided by ``den`` once, in the
     stored form: an ``int`` when ``den`` divides it, else a ``Fraction``."""
@@ -574,75 +580,65 @@ def accumulate(pairs: Iterable[Tuple[object, object]],
     return acc
 
 
-def _monomial_products(a: Mapping[Exponent, Scalar], b: Mapping[Exponent, Scalar]):
-    """The (exponent, coefficient) pairs of the term-by-term product of the
-    term maps ``a`` and ``b``, unsummed: the one place monomial exponents
-    are added."""
-    add = operator.add
-    return ((tuple(map(add, ea, eb)), ca * cb)
-            for ea, ca in a.items() for eb, cb in b.items())
-
-
-def _signed_products(items: Iterable[Tuple[object, int, Poly, Poly]], origin: Exponent,
-                     aside: List):
-    """The ((key, exponent), coefficient) pairs of every ``sign·a·b`` over
-    :func:`products` items with two integral factors, unsummed; ``sign`` is
-    any nonzero int.  Each item with a non-integral factor is appended to
-    ``aside`` instead."""
-    for key, sign, a, b in items:
-        # an item not known integral is looked at, and keeps both denominators
-        if (a._den != 1 or b._den != 1) and a._denominator() * b._denominator() != 1:
-            aside.append((key, sign, a, b))
-            continue
-        a, b = a.terms, b.terms
-        # `a` is the constant side if there is one, as in Poly.__mul__
-        if len(a) > len(b) or len(b) == 1 and origin in b:
-            a, b = b, a
-        if len(a) == 1 and origin in a:
-            c = a[origin] * sign
-            for e, v in b.items():
-                yield (key, e), v * c
-        else:
-            if sign != 1:  # scale the shorter factor, once
-                a = {e: c * sign for e, c in a.items()}
-            for e, v in _monomial_products(a, b):
-                yield (key, e), v
+def _monomial_products(target: Dict[Exponent, Scalar], a: Mapping[Exponent, Scalar],
+                       b: Mapping[Exponent, Scalar], sign: int) -> None:
+    """Add ``sign`` times the product of the term maps ``a`` and ``b`` into
+    the term map ``target``, term by term, dropping every exponent whose
+    sum cancels: the one place monomial exponents are added.  A constant
+    term keeps the other factor's exponents, so a constant factor adds
+    none."""
+    if len(a) > len(b):  # the shorter factor is the outer loop
+        a, b = b, a
+    add, get = operator.add, target.get
+    for ea, ca in a.items():
+        ca *= sign
+        shift = any(ea)
+        for e, cb in b.items():
+            if shift:
+                e = tuple(map(add, ea, e))
+            c = get(e, 0) + ca * cb
+            if c:
+                target[e] = c
+            else:  # every coefficient is nonzero, so `e` was there
+                del target[e]
 
 
 def products(chart: Chart, items: Iterable[Tuple[object, int, Poly, Poly]]) -> Dict:
     """The term map ``{key: sum of sign·a·b}`` over ``(key, sign, a, b)``
-    items, ``a`` and ``b`` polynomials over ``chart`` and ``sign`` ±1.
+    items, ``a`` and ``b`` polynomials over ``chart`` and ``sign`` a
+    nonzero int.
 
-    Every monomial product is summed straight into the result, keyed by
-    (key, exponent), in one pass of :func:`accumulate` and then grouped by
-    key: no polynomial is built per item.  The items with two integral
-    factors are summed as ints.  Those with a non-integral factor are set
-    aside and then summed, in a second pass that starts from the first,
-    as integer numerators over one common denominator ``den`` (the lcm of
-    their factors' denominator products); each sum is divided by ``den``
-    once at the end.  A key whose products cancel is left out, so the
-    result is a canonical tensor term map."""
-    aside: List = []
-    sums = accumulate(_signed_products(items, chart._origin, aside))
-    integral = 1
-    if aside:  # every factor set aside has its denominator in its slot
-        den = math.lcm(*(a._den * b._den for _, _, a, b in aside))
-        cleared = ((key, sign * (den // (a._den * b._den)), _cleared(a, a._den),
-                    _cleared(b, b._den)) for key, sign, a, b in aside)
-        # the cleared factors are integral: this pass appends nothing to aside
-        sums = _over(accumulate(_signed_products(cleared, chart._origin, aside),
-                                {k: c * den for k, c in sums.items()}), den)
-        integral = None
+    One pass over the items sums each item's monomial products straight
+    into the term map of its key, with no polynomial built per item.  The
+    sums are integer numerators over one running common denominator
+    ``den``: each factor gives its numerators over its own denominator
+    (:meth:`Poly._numerators`, taken once per polynomial), an item whose
+    denominator product divides ``den`` is scaled up to it, and one that
+    does not first rescales the partial sums to the lcm.  Each sum is
+    divided by ``den`` once at the end, so a call whose factors are all
+    integral builds no ``Fraction``.  A key whose products cancel is left
+    out, so the result is a canonical tensor term map."""
     grouped: Dict = {}
-    for (key, e), c in sums.items():
+    den = 1
+    for key, sign, a, b in items:
+        na, nb = a._numerators(), b._numerators()
+        d = a._den * b._den
+        if d != den:
+            if den % d:  # rare: bring the partial sums to the new lcm
+                scale = d // math.gcd(den, d)
+                den *= scale
+                for terms in grouped.values():
+                    for e in terms:
+                        terms[e] *= scale
+            sign *= den // d
         terms = grouped.get(key)
         if terms is None:
-            grouped[key] = {e: c}
-        else:
-            terms[e] = c
-    for key, terms in grouped.items():  # replaces values only: no resize
-        grouped[key] = Poly._make(chart, terms, integral)
-    return grouped
+            terms = grouped[key] = {}
+        _monomial_products(terms, na, nb, sign)
+    if den == 1:
+        return {key: Poly._make(chart, terms, 1) for key, terms in grouped.items() if terms}
+    return {key: Poly._make(chart, _over(terms, den))
+            for key, terms in grouped.items() if terms}
 
 
 def poly_sum(chart: Chart, pieces: Iterable[Poly]) -> Poly:
@@ -746,10 +742,9 @@ class _Parser:
     :class:`Poly`, multiplied in with ``*`` and ``**``.  An expression sums
     its terms in one :func:`accumulate` call."""
 
-    __slots__ = ("text", "chart", "tokens", "i", "depth", "expansion")
+    __slots__ = ("chart", "tokens", "i", "depth", "expansion")
 
     def __init__(self, text: str, chart: Chart):
-        self.text = text
         self.chart = chart
         self.tokens = _tokenize(text)
         self.i = 0
@@ -794,9 +789,7 @@ class _Parser:
         position."""
         kind, value, at = self.tokens[i]
         if value == "-":
-            raise NegativeExponent(
-                f"negative exponent at position {at} in {self.text!r}"
-            )
+            raise NegativeExponent(f"negative exponent at position {at}")
         if kind != "num":
             raise PolySyntaxError("expected a nonnegative integer exponent", position=at)
         digits = value.lstrip("0")

@@ -1,11 +1,14 @@
 """The expression reader and canonical printer of ``algebroids.ring`` as
-they were before the reader and the printer became one-pass, kept verbatim
-below the imports as the reference of ``tests/test_ring.py``'s differential
+they were before the reader and the printer became one-pass, and its
+product kernel as it was before it became one pass, kept verbatim below
+the imports as the reference of ``tests/test_ring.py``'s differential
 tests.  Only the tests import it."""
 
 import math
+import operator
 import re
 from fractions import Fraction
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from algebroids.errors import NegativeExponent, PolySyntaxError, UnknownVariable
 from algebroids.ring import (
@@ -17,6 +20,8 @@ from algebroids.ring import (
     Chart,
     Exponent,
     Poly,
+    Scalar,
+    accumulate,
     poly_sum,
 )
 
@@ -244,3 +249,96 @@ def poly_to_string(p: Poly) -> str:
         else:
             pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
     return "".join(pieces)
+
+
+# -- the product kernel ---------------------------------------------------------
+
+def _cleared(p: Poly, den: int) -> Poly:
+    """The integral polynomial ``den·p``, for a multiple ``den`` of the
+    denominator of ``p``: its coefficients are those of ``p`` brought to
+    the common denominator ``den``, numerators only."""
+    if den == 1:  # an integral polynomial is its own numerators
+        return p
+    terms = {}
+    for e, c in p.terms.items():
+        n, d = c.as_integer_ratio()
+        terms[e] = n * (den // d)
+    return Poly._make(p.chart, terms, 1)
+
+
+def _over(sums: Mapping, den: int) -> Dict:
+    """The integer sums of a term map, each divided by ``den`` once, in the
+    stored form: an ``int`` when ``den`` divides it, else a ``Fraction``."""
+    return {key: c // den if not c % den else Fraction(c, den)
+            for key, c in sums.items()}
+
+
+def _monomial_products(a: Mapping[Exponent, Scalar], b: Mapping[Exponent, Scalar]):
+    """The (exponent, coefficient) pairs of the term-by-term product of the
+    term maps ``a`` and ``b``, unsummed: the one place monomial exponents
+    are added."""
+    add = operator.add
+    return ((tuple(map(add, ea, eb)), ca * cb)
+            for ea, ca in a.items() for eb, cb in b.items())
+
+
+def _signed_products(items: Iterable[Tuple[object, int, Poly, Poly]], origin: Exponent,
+                     aside: List):
+    """The ((key, exponent), coefficient) pairs of every ``sign·a·b`` over
+    :func:`products` items with two integral factors, unsummed; ``sign`` is
+    any nonzero int.  Each item with a non-integral factor is appended to
+    ``aside`` instead."""
+    for key, sign, a, b in items:
+        # an item not known integral is looked at, and keeps both denominators
+        if (a._den != 1 or b._den != 1) and a._denominator() * b._denominator() != 1:
+            aside.append((key, sign, a, b))
+            continue
+        a, b = a.terms, b.terms
+        # `a` is the constant side if there is one, as in Poly.__mul__
+        if len(a) > len(b) or len(b) == 1 and origin in b:
+            a, b = b, a
+        if len(a) == 1 and origin in a:
+            c = a[origin] * sign
+            for e, v in b.items():
+                yield (key, e), v * c
+        else:
+            if sign != 1:  # scale the shorter factor, once
+                a = {e: c * sign for e, c in a.items()}
+            for e, v in _monomial_products(a, b):
+                yield (key, e), v
+
+
+def products(chart: Chart, items: Iterable[Tuple[object, int, Poly, Poly]]) -> Dict:
+    """The term map ``{key: sum of sign·a·b}`` over ``(key, sign, a, b)``
+    items, ``a`` and ``b`` polynomials over ``chart`` and ``sign`` ±1.
+
+    Every monomial product is summed straight into the result, keyed by
+    (key, exponent), in one pass of :func:`accumulate` and then grouped by
+    key: no polynomial is built per item.  The items with two integral
+    factors are summed as ints.  Those with a non-integral factor are set
+    aside and then summed, in a second pass that starts from the first,
+    as integer numerators over one common denominator ``den`` (the lcm of
+    their factors' denominator products); each sum is divided by ``den``
+    once at the end.  A key whose products cancel is left out, so the
+    result is a canonical tensor term map."""
+    aside: List = []
+    sums = accumulate(_signed_products(items, chart._origin, aside))
+    integral = 1
+    if aside:  # every factor set aside has its denominator in its slot
+        den = math.lcm(*(a._den * b._den for _, _, a, b in aside))
+        cleared = ((key, sign * (den // (a._den * b._den)), _cleared(a, a._den),
+                    _cleared(b, b._den)) for key, sign, a, b in aside)
+        # the cleared factors are integral: this pass appends nothing to aside
+        sums = _over(accumulate(_signed_products(cleared, chart._origin, aside),
+                                {k: c * den for k, c in sums.items()}), den)
+        integral = None
+    grouped: Dict = {}
+    for (key, e), c in sums.items():
+        terms = grouped.get(key)
+        if terms is None:
+            grouped[key] = {e: c}
+        else:
+            terms[e] = c
+    for key, terms in grouped.items():  # replaces values only: no resize
+        grouped[key] = Poly._make(chart, terms, integral)
+    return grouped

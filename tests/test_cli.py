@@ -129,6 +129,28 @@ def test_deep_nesting_is_an_input_error(tmp_path, anchor, document):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_negative_exponent_report_does_not_echo_the_entry(tmp_path):
+    """An anchor entry of 200,000 terms (about 800 KB, under the model
+    size bound) with a negative exponent at its start: the error report
+    names the position, not the text."""
+    anchor = "x^-1" + " + x" * 199_999
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({
+        "charts": {"line": ["x"]},
+        "algebroids": {"long": {"chart": "line", "fibers": ["e1"],
+                                "anchor": [[anchor]]}}}), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroids", "validate", "--model", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["message"].endswith("negative exponent at position 2")
+    assert len(proc.stdout) < 4096 and len(proc.stderr) < 4096
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
 def test_unreadable_model_is_an_input_error(tmp_path, case):
     path = tmp_path if case == "directory" else tmp_path / "model.json"

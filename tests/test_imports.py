@@ -339,43 +339,44 @@ def test_a_second_exponent_adder_is_reported():
 
 def _callers(source, names):
     """(name, caller) for each call of a function in ``names`` in
-    ``source``, the caller being the outermost definition around it
-    (methods as ``Class.method``), ``None`` at module level."""
-    return {(sub.func.id, name) for name, node in _units(source) for sub in ast.walk(node)
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-            and sub.func.id in names}
+    ``source``, by name or as a method (``p._numerators()``), the caller
+    being the outermost definition around it (methods as
+    ``Class.method``), ``None`` at module level."""
+    return {(called, name) for name, node in _units(source) for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+            and (called := getattr(sub.func, "id", getattr(sub.func, "attr", None))) in names}
 
 
 def test_denominators_are_cleared_only_in_the_product_kernel():
     source = (PACKAGE / "ring.py").read_text(encoding="utf-8")
-    assert _callers(source, {"_cleared", "_over"}) == {
-        ("_cleared", "products"), ("_over", "products")}
+    assert _callers(source, {"_numerators", "_over"}) == {
+        ("_numerators", "products"), ("_over", "products")}
 
 
 def test_monomials_are_multiplied_only_by_the_kernel_and_the_constructor():
     source = (PACKAGE / "ring.py").read_text(encoding="utf-8")
     assert {caller for _, caller in _callers(source, {"_monomial_products"})} == {
-        "_signed_products", "Poly.__init__"}
+        "products", "Poly.__init__"}
 
 
 def test_a_second_clearing_or_multiplying_route_is_reported():
     source = (
         "class Poly:\n"
         "    def __init__(self, chart, terms):\n"
-        "        def shifted():\n"
-        "            yield from _monomial_products({}, terms)\n"
-        "        self.terms = shifted()\n"
+        "        _monomial_products(self.terms, {}, terms, 1)\n"
         "    def __mul__(self, other):\n"
-        "        q = _cleared(self, 2) * _cleared(other, 3)\n"
-        "        return _over(accumulate(_monomial_products(q.terms, {})), 6)\n"
+        "        target = {}\n"
+        "        _monomial_products(target, self._numerators(), other.terms, 1)\n"
+        "        return _over(target, 6)\n"
         "\ndef products(chart, items):\n"
-        "    return _over({k: _cleared(a, 1) for k, a in items}, 1)\n"
-        "\nTERMS = _over({}, 1)\n"
+        "    return _over({k: a._numerators() for k, a in items}, 1)\n"
+        "\nTERMS = _over(ONE._numerators(), 1)\n"
     )
-    assert _callers(source, {"_cleared", "_over", "_monomial_products"}) == {
-        ("_monomial_products", "Poly.__init__"), ("_cleared", "Poly.__mul__"),
+    assert _callers(source, {"_numerators", "_over", "_monomial_products"}) == {
+        ("_monomial_products", "Poly.__init__"), ("_numerators", "Poly.__mul__"),
         ("_over", "Poly.__mul__"), ("_monomial_products", "Poly.__mul__"),
-        ("_cleared", "products"), ("_over", "products"), ("_over", None)}
+        ("_numerators", "products"), ("_over", "products"), ("_over", None),
+        ("_numerators", None)}
 
 
 def _anchor_subscribers(source):

@@ -653,7 +653,7 @@ def test_a_cancelling_rational_sum_drops_its_key():
     assert products(XY, [("k", 1, half_x, two), ("k", -1, x, XY.one())]) == {}
     assert products(XY, [("k", 1, half_x, 2 * y), ("k", -1, x, y),
                          ("j", 1, half_x, y)]) == {"j": half_x * y}
-    # an integral item and a rational one cancel across the two passes
+    # an integral item and a rational one cancel over the common denominator
     assert products(XY, [("k", -1, x, y), ("k", 1, half_x * 3, y * Fraction(2, 3))]) == {}
 
 
@@ -678,6 +678,103 @@ def test_distinct_prime_denominators_take_no_pathological_time():
     assert {key: q.terms for key, q in result.items()} == expected
     assert product.terms == _fraction_reference([("k", 1, a, b)])["k"]
     assert elapsed < 1.0
+
+
+# --- the product kernel against its reference ---------------------------------
+
+#: Coefficients by call kind: integral, rational (an integral one is
+#: stored as an ``int``) and mixed, of both signs; denominators up to 12
+#: often do not divide one another, which makes the kernel rescale its
+#: partial sums.
+_KERNEL_COEFFICIENTS = {
+    "integral": st.integers(-5, 5).filter(bool),
+    "rational": st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(2, 12)),
+    "mixed": _MIXED,
+}
+_MONOMIALS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def _kernel_factors(draw, kind):
+    """Term maps of factors of ``kind``: general ones, constants and the
+    zero."""
+    coefficient = _KERNEL_COEFFICIENTS[kind]
+    return draw(st.lists(st.one_of(
+        st.dictionaries(_MONOMIALS, coefficient, max_size=4),
+        st.dictionaries(st.just((0, 0)), coefficient, min_size=1, max_size=1)),
+        min_size=1, max_size=5))
+
+
+def _kernel_result(result):
+    """Each key's terms with their stored types, and whether its ``_den``
+    slot says integral."""
+    return {key: (sorted((e, c, type(c)) for e, c in q.terms.items()), q._den == 1)
+            for key, q in result.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_product_kernel_matches_its_reference(data):
+    kind = data.draw(st.sampled_from(sorted(_KERNEL_COEFFICIENTS)))
+    factors = _kernel_factors(data.draw, kind)
+    known = data.draw(st.lists(st.booleans(), min_size=len(factors),
+                               max_size=len(factors)))
+    picks = data.draw(st.lists(st.tuples(
+        st.sampled_from(["a", "b", (0, 1)]), st.sampled_from([1, -1, 2, -3]),
+        st.integers(0, len(factors) - 1), st.integers(0, len(factors) - 1)),
+        max_size=8))
+    if data.draw(st.booleans()):  # each item mirrored: every key cancels
+        picks += [(key, -sign, j, i) for key, sign, i, j in picks]
+    results = []
+    for kernel in (ring_reference.products, products):
+        # each kernel gets its own polynomials, with empty slots
+        polys = [_factor(terms, k) for terms, k in zip(factors, known)]
+        results.append(_kernel_result(kernel(XY, iter(
+            [(key, sign, polys[i], polys[j]) for key, sign, i, j in picks]))))
+    assert results[1] == results[0]
+
+
+def test_a_factor_is_cleared_once_and_integral_calls_build_no_fraction(monkeypatch):
+    ratios = []
+    ratio = Fraction.as_integer_ratio
+
+    def counted_ratio(c):
+        ratios.append(c)
+        return ratio(c)
+
+    monkeypatch.setattr(Fraction, "as_integer_ratio", counted_ratio)
+    q = Poly(XY, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3), (0, 0): Fraction(5, 4)})
+    x, y = XY.coordinate("x"), XY.coordinate("y")
+    first = products(XY, [("a", 1, q, x), ("b", -1, y, q), ("a", 2, q, q)])
+    second = products(XY, [("c", 1, q, q)])
+    assert q * x + 2 * second["c"] == first["a"]
+    assert len(ratios) == 3  # one per term of q, over three calls
+
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    integral = p("x^2 - 3*x*y + 2")
+    result = products(XY, [("a", 1, integral, x), ("a", -2, y, integral),
+                           ("b", 3, integral, integral), ("b", 1, XY.coerce(4), y)])
+    assert made == [] and all(r._den == 1 for r in result.values())
+    assert integral._numerators() is integral.terms  # shared, not copied
+    products(XY, [("a", 1, q, x)])
+    assert made  # a rational call divides by its denominator
+
+    built = []
+    make = Poly._make.__func__
+
+    def counted_make(cls, *args):
+        built.append(args)
+        return make(cls, *args)
+
+    monkeypatch.setattr(Poly, "_make", classmethod(counted_make))
+    assert products(XY, []) == {} and products(XY, iter(())) == {}
+    assert built == []
 
 
 def test_partials_commute():
