@@ -17,27 +17,29 @@ term values at that point, and the one-line ``eval`` command that reproduces
 them.
 
 Instances are drawn from a per-(seed, suite, item) generator, so results are
-deterministic for a given seed and independent of item order.  One loop,
-``_Run._record``, records every item: it builds the item's generator, hands
-it to the item's instance stream, counts instances up to the first witness
-and appends the item.  ``_Run.identity`` and ``_Run.predicate`` are its two
-judges (a residual must vanish; a predicate must hold).
+deterministic for a given seed and independent of item order.  Every item
+names its fixtures, and one loop, ``_Run._record``, is the only loop over
+them: it builds the item's generator, runs the item's check on each fixture,
+counts instances up to the first witness and appends the item.
 
-Most items are declared (``_Run.declare``): an id, a label, the fixtures,
-each argument as ``(kind, degrees[, keys])`` or ``FUNCTION``, and a residual
-function of ``(fixture, **arguments)`` that never sees the generator.  A
-declared item checks the standard stream: the trial share per fixture, in
-fixture order.  One enumerator, ``_Run.arguments``, draws the arguments in
-declaration order: a degree chosen from the declared list (an int is taken
-as is), then the tensor; ``FUNCTION`` is one random coefficient, handed
-over as a function on the owner.  Eight items pass their own stream, a
-function of ``rng``: theorem-6 ``antisymmetry`` (both degrees chosen before
-either draw), and seven whose draw count is not the share: theorem-2
-``operator-identity`` (a basis of forms per draw), theorem-5
-``lambda-inverse`` (an invertibility probe), theorem-17 and theorem-24
-``injectivity`` (``trials`` on one fixture), theorem-19 ``bivectors`` (a
-skipped fixture), theorem-20 ``poisson-routes`` and theorem-24
-``nijenhuis-instance`` (one instance per fixture, no draw).
+A residual item is declared (``_Run.declare``): an id, a label, the
+fixtures, the arguments and a residual function of ``(fixture,
+**arguments)`` that never sees the generator and must vanish.  It checks the
+trial share per fixture, or one instance when it has no arguments
+(theorem-20 ``poisson-routes``), and skips a fixture where a tensor argument
+of a fixed int degree has no basis keys (theorem-19 ``bivectors``).  One
+enumerator, ``_Run.arguments``, draws the arguments in declaration order: a
+tensor ``(kind, degrees[, keys])`` (a degree chosen from the list, an int
+taken as is, a str naming an earlier degree argument); a degree argument, a
+list or a function of the owner giving one, chosen once and passed as an
+int (theorem-6 ``antisymmetry``); ``FUNCTION``, one random coefficient as a
+function on the owner.  A ``BASIS`` tensor is not drawn: each draw checks
+every basis tensor of the listed degrees (theorem-2 ``operator-identity``).
+A predicate item (``_Run.predicate``) decorates ``check(rng, fixture)``,
+which yields ``(inputs, ok)``: theorem-5 ``lambda-inverse`` (Poisson
+structures, an invertibility probe first), theorem-17 ``injectivity`` (the
+first canonical fixture of rank 2), theorem-24 ``injectivity`` (the
+canonical fixtures of rank 2) and ``nijenhuis-instance`` (those of rank 1).
 
 The suites call the library's guard-free kernels (``_differential`` for
 :func:`~algebroids.calculus.differential` and so on; see :mod:`algebroids.tensor`):
@@ -151,8 +153,9 @@ def _witness_point(residual, rng):
 
 
 def _witness_model(tensors):
-    """A self-contained model holding the named input tensors (and the
-    residual), inventing names for their charts and owners."""
+    """A self-contained model holding the named inputs that are tensors (and
+    the residual), inventing names for their charts and owners; a degree
+    argument, an int, is left out."""
     model = Model()
     charts = {}      # Chart -> name
     owners = {}      # Algebroid -> name
@@ -173,8 +176,9 @@ def _witness_model(tensors):
         return owners[owner]
 
     for name, tensor in tensors.items():
-        model.tensors[name] = tensor
-        model.tensor_owners[name] = owner_name(tensor.owner)
+        if isinstance(tensor, GradedTensor):
+            model.tensors[name] = tensor
+            model.tensor_owners[name] = owner_name(tensor.owner)
     return model
 
 
@@ -201,6 +205,22 @@ def _witness(fixture, label, inputs, residual, rng):
 
 #: The argument spec of one random function on the draw owner's base.
 FUNCTION = "function"
+#: The keys entry of a tensor argument that is not drawn: each draw checks
+#: one instance per basis tensor of the listed degrees.
+BASIS = "basis"
+
+
+def _is_tensor(spec):
+    """Whether an argument spec is a tensor's, ``(kind, degrees[, keys])``."""
+    return isinstance(spec, tuple) and isinstance(spec[0], Kind)
+
+
+def _degrees(owner, degrees):
+    """The degree list of a spec on ``owner``: a function of the owner that
+    returns it, or entries each an int or a function of the owner."""
+    if callable(degrees):
+        return degrees(owner)
+    return [d(owner) if callable(d) else d for d in degrees]
 
 
 class _Run:
@@ -241,50 +261,51 @@ class _Run:
     def arguments(self, rng, owner, args):
         """The enumerator: draw ``args`` ({name: spec}) on ``owner`` in
         declaration order.  ``FUNCTION`` is one random coefficient on the
-        owner's base, handed over as ``owner.fn(...)``.  Any other spec
-        is ``(kind, degrees[, keys])``: an int degree is drawn as is, with
-        no ``rng.choice``; a sequence is one ``rng.choice`` over its entries
-        exactly as listed, duplicates included, each entry an int or a
-        function of the owner (``_upto2``, ``_rank``)."""
+        owner's base, handed over as ``owner.fn(...)``.  A tensor is ``(kind,
+        degrees[, keys])``: an int degree is taken as is, with no
+        ``rng.choice``; a str is the value of an earlier degree argument; a
+        sequence is one ``rng.choice`` over its entries exactly as listed,
+        duplicates included.  With keys ``BASIS`` the value is the list of
+        basis tensors of each listed degree, for ``declare`` to expand.  Any
+        other spec is a degree argument: one ``rng.choice`` of an int.  A
+        degree list is a sequence of ints and functions of the owner
+        (``_upto2``, ``_rank``), or one function of it (``_upto3``)."""
         drawn = {}
         for name, spec in args.items():
             if spec is FUNCTION:
                 drawn[name] = owner.fn(_draw_coefficient(
                     rng, owner.base, self.coeff_degree))
-                continue
-            kind, degrees, *keys = spec
-            if not isinstance(degrees, int):
-                degrees = rng.choice([d(owner) if callable(d) else d
-                                      for d in degrees])
-            drawn[name] = self.draw(rng, owner, kind, degrees, *keys)
+            elif not _is_tensor(spec):
+                drawn[name] = rng.choice(_degrees(owner, spec))
+            elif spec[2:] == (BASIS,):
+                kind, degrees, _ = spec
+                drawn[name] = [GradedTensor.basis(owner, kind, key)
+                               for degree in _degrees(owner, degrees)
+                               for key in _basis_table(owner.rank, kind, degree)]
+            else:
+                kind, degrees, *keys = spec
+                if isinstance(degrees, str):
+                    degrees = drawn[degrees]
+                elif not isinstance(degrees, int):
+                    degrees = rng.choice(_degrees(owner, degrees))
+                drawn[name] = self.draw(rng, owner, kind, degrees, *keys)
         return drawn
 
     def declare(self, item_id, label, fixtures, owner=None, **args):
-        """Decorate ``residual(fixture, **args)`` into an item over the
-        standard stream: ``share(len(fixtures))`` instances per fixture, in
-        the order given, each drawing ``args`` on ``owner(fixture)`` (the
-        fixture itself by default) and checking the residual, or the tuple
-        of residuals, of them."""
-        per = self.share(len(fixtures))
+        """Decorate ``residual(fixture, **args)`` into an item: on each of
+        ``fixtures`` in turn, ``share(len(fixtures))`` draws of ``args`` on
+        ``owner(fixture)`` (the fixture itself by default), or one instance
+        with no arguments; a draw with a ``BASIS`` argument is one instance
+        per basis tensor.  A fixture where a tensor of a fixed int degree
+        has no basis keys is skipped.  The residual, or each of a tuple of
+        them, must vanish; the witness of the first nonzero one carries its
+        1-based position as ``component``."""
+        per = self.share(len(fixtures)) if args else 1
+        basis = [name for name, spec in args.items()
+                 if _is_tensor(spec) and spec[2:] == (BASIS,)]
+        fixed = [spec[:2] for spec in args.values()
+                 if _is_tensor(spec) and isinstance(spec[1], int)]
 
-        def declared(residual):
-            def stream(rng):
-                for name, fixture in fixtures:
-                    on = fixture if owner is None else owner(fixture)
-                    for _ in range(per):
-                        drawn = self.arguments(rng, on, args)
-                        yield name, drawn, residual(fixture, **drawn)
-
-            self.identity(item_id, label, stream)
-            return residual
-        return declared
-
-    def identity(self, item_id, label, stream):
-        """``stream(rng)`` yields (fixture, inputs, residual) — or a tuple
-        of residuals, the components of one identity, each of which must
-        vanish on its own.  The witness of the first nonzero residual
-        carries its 1-based position as ``component`` (1 for a single
-        residual)."""
         def witness(fixture, inputs, residual):
             residuals = residual if isinstance(residual, tuple) else (residual,)
             for component, nonzero in enumerate(residuals, 1):
@@ -295,31 +316,49 @@ class _Run:
                     return found
             return None
 
-        self._record(item_id, label, stream, witness)
+        def declared(residual):
+            def check(rng, fixture):
+                on = fixture if owner is None else owner(fixture)
+                if any(not _basis_table(on.rank, kind, degree)
+                       for kind, degree in fixed):
+                    return
+                for _ in range(per):
+                    drawn = self.arguments(rng, on, args)
+                    for chosen in itertools.product(*(drawn[name] for name in basis)):
+                        inputs = {**drawn, **dict(zip(basis, chosen))}
+                        yield inputs, residual(fixture, **inputs)
 
-    def predicate(self, item_id, label, stream):
-        """``stream(rng)`` yields (fixture, inputs, ok) for checks that are
-        not residual-shaped (injectivity, error paths); the witness of the
-        first false ``ok`` holds the inputs that are tensors."""
+            self._record(item_id, label, fixtures, check, witness)
+            return residual
+        return declared
+
+    def predicate(self, item_id, label, fixtures):
+        """Decorate ``check(rng, fixture)``, yielding (inputs, ok) for a check
+        that is not residual-shaped, into an item over ``fixtures``; the
+        witness of the first false ``ok`` holds the inputs that are tensors."""
         def witness(fixture, inputs, ok):
             if ok:
                 return None
-            named = {name: t for name, t in inputs.items()
-                     if isinstance(t, GradedTensor)}
             return {"fixture": fixture, "identity": label,
-                    "model": model_document(_witness_model(named))}
+                    "model": model_document(_witness_model(inputs))}
 
-        self._record(item_id, label, stream, witness)
+        def predicated(check):
+            self._record(item_id, label, fixtures, check, witness)
+            return check
+        return predicated
 
-    def _record(self, item_id, label, stream, witness):
-        """The one recording loop: run ``stream`` on the item's own
-        generator, count instances up to the first one ``witness`` turns
-        into a witness, and append the item."""
+    def _record(self, item_id, label, fixtures, check, witness):
+        """The one fixture loop: run ``check(rng, fixture)`` on each of
+        ``fixtures`` in turn on the item's one generator, count instances up
+        to the first one ``witness`` turns into a witness; append the item."""
+        rng = self.rng(item_id)
+        instances = ((name, inputs, outcome) for name, fixture in fixtures
+                     for inputs, outcome in check(rng, fixture))
         checked = 0
         found = None
-        for fixture, inputs, outcome in stream(self.rng(item_id)):
+        for name, inputs, outcome in instances:
             checked += 1
-            found = witness(fixture, inputs, outcome)
+            found = witness(name, inputs, outcome)
             if found is not None:
                 break
         item = {"id": item_id, "label": label,
@@ -338,6 +377,11 @@ class _Run:
 def _upto2(owner):
     """The degree entry ``min(2, rank)`` of the draw owner."""
     return min(2, owner.rank)
+
+
+def _upto3(owner):
+    """The degrees 1 to ``min(3, rank)`` of the draw owner."""
+    return range(1, min(3, owner.rank) + 1)
 
 
 #: The degree entry ``rank`` of the draw owner.
@@ -451,28 +495,15 @@ def _suite_theorem_2(run):
     run.note("active contraction order: "
              + _tensor_conventions.CONTRACTION_ORDER)
     fixtures = run.algebroids()
-    draws = run.share(len(fixtures))
 
-    def operator(rng):
-        for name, A in fixtures:
-            degrees = range(1, min(3, A.rank) + 1)
-            for _ in range(draws):
-                a = rng.choice(list(degrees))
-                b = rng.choice(list(degrees))
-                x = run.draw(rng, A, Kind.MV, a)
-                y = run.draw(rng, A, Kind.MV, b)
-                sign = _sign(a * (b - 1))
-                for degree in range(1, min(3, A.rank) + 1):
-                    for key in _basis_table(A.rank, Kind.FORM, degree):
-                        mu = GradedTensor.basis(A, Kind.FORM, key)
-                        residual = (_lie_derivative(A, y, _contract(x, mu))
-                                    - _contract(x, _lie_derivative(A, y, mu)) * sign
-                                    + _contract(_schouten(A, x, y), mu))
-                        yield name, {"x": x, "y": y, "mu": mu}, residual
-
-    run.identity("operator-identity",
+    @run.declare("operator-identity",
                  "L_Y∘i_X − (−1)^{a(b−1)} i_X∘L_Y = −i_[X,Y] on basis forms",
-                 operator)
+                 fixtures, a=_upto3, b=_upto3, x=(Kind.MV, "a"),
+                 y=(Kind.MV, "b"), mu=(Kind.FORM, _upto3, BASIS))
+    def operator(A, a, b, x, y, mu):
+        return (_lie_derivative(A, y, _contract(x, mu))
+                - _contract(x, _lie_derivative(A, y, mu)) * _sign(a * (b - 1))
+                + _contract(_schouten(A, x, y), mu))
 
     @run.declare("bracket-on-functions", "[X, f] = anchor(X)(f)", fixtures,
                  x=(Kind.MV, 1), f=FUNCTION)
@@ -558,7 +589,6 @@ def _suite_theorem_5(run):
     """Λ maps the Koszul–Schouten bracket to the Schouten bracket; it inverts
     exactly over an invertible bundle map."""
     fixtures = run.poisson()
-    per = run.share(len(fixtures))
     form = (Kind.FORM, (0, 1, 2))
 
     @run.declare("lambda-homomorphism", "Λ[mu,nu]_P = [Λmu, Λnu]", fixtures,
@@ -567,28 +597,27 @@ def _suite_theorem_5(run):
         return (_lambda_p(ps, _koszul_schouten(ps, mu, nu))
                 - _schouten(ps.owner, _lambda_p(ps, mu), _lambda_p(ps, nu)))
 
-    def inverse(rng):
-        for name, ps in fixtures:
-            O = ps.owner
-            try:
-                _lambda_p(ps, O.e(0), "inverse")
-            except NotInvertible:
-                yield name, {}, True
-                continue
-            for _ in range(per):
-                mu = run.draw(rng, O, Kind.FORM, rng.choice([1, 2]))
-                back = _lambda_p(ps, _lambda_p(ps, mu), "inverse")
-                yield name, {"mu": mu}, back == mu
+    per = run.share(len(fixtures))
 
-    run.predicate("lambda-inverse",
-                  "Λ⁻¹∘Λ = id wherever the bundle map inverts", inverse)
+    @run.predicate("lambda-inverse",
+                   "Λ⁻¹∘Λ = id wherever the bundle map inverts", fixtures)
+    def inverse(rng, ps):
+        O = ps.owner
+        try:
+            _lambda_p(ps, O.e(0), "inverse")
+        except NotInvertible:
+            yield {}, True
+            return
+        for _ in range(per):
+            mu = run.draw(rng, O, Kind.FORM, rng.choice([1, 2]))
+            back = _lambda_p(ps, _lambda_p(ps, mu), "inverse")
+            yield {"mu": mu}, back == mu
 
 
 def _suite_theorem_6(run):
     """The extended bracket is a graded Lie bracket restricting to the
     Poisson bracket on functions and compatible with d."""
     fixtures = run.poisson()
-    per = run.share(len(fixtures))
 
     @run.declare("poisson-on-functions", "{f, g}_P is the Poisson bracket",
                  fixtures, owner=_poisson_owner, f=FUNCTION, g=FUNCTION)
@@ -597,18 +626,12 @@ def _suite_theorem_6(run):
         return (_extended_bracket(ps, f, g)
                 - GradedTensor(ps.owner, Kind.FORM, 0, {(): bracket}))
 
-    def antisymmetry(rng):
-        for name, ps in fixtures:
-            O = ps.owner
-            for _ in range(per):
-                ka, kb = rng.choice([0, 1, 2]), rng.choice([0, 1])
-                mu = run.draw(rng, O, Kind.FORM, ka)
-                nu = run.draw(rng, O, Kind.FORM, kb)
-                yield name, {"mu": mu, "nu": nu}, (
-                    _extended_bracket(ps, mu, nu)
-                    + _extended_bracket(ps, nu, mu) * _sign(ka * kb))
-
-    run.identity("antisymmetry", "graded antisymmetry of {,}_P", antisymmetry)
+    @run.declare("antisymmetry", "graded antisymmetry of {,}_P", fixtures,
+                 owner=_poisson_owner, ka=(0, 1, 2), kb=(0, 1),
+                 mu=(Kind.FORM, "ka"), nu=(Kind.FORM, "kb"))
+    def antisymmetry(ps, ka, kb, mu, nu):
+        return (_extended_bracket(ps, mu, nu)
+                + _extended_bracket(ps, nu, mu) * _sign(ka * kb))
 
     form = (Kind.FORM, (0, 1, 2), 1)
 
@@ -919,12 +942,11 @@ def _suite_theorem_17(run):
                          _J_map(A, K), _J_map(A, L))
                 - _J_map(A, _nr_bracket(K, L)))
 
-    def injectivity(rng):
-        plane = next(((name, A) for name, A in fixtures
-                      if A.is_canonical and A.rank == 2), None)
-        if plane is None:
-            return
-        name, A = plane
+    @run.predicate("injectivity",
+                   "J(K) = 0 only for K = 0 on a spanning set of mixed "
+                   "tensors of form degree ≤ 2",
+                   [(name, A) for name, A in run.canonical() if A.rank == 2][:1])
+    def injectivity(rng, A):
         slots = [(key, j) for degree in (0, 1, 2)
                  for key in _basis_table(A.rank, Kind.FORM, degree)
                  for j in range(A.rank)]
@@ -937,11 +959,7 @@ def _suite_theorem_17(run):
                     if c:
                         terms[(key, j)] = c
             k = GradedTensor(A, Kind.MIXED, degree, terms)
-            yield name, {"K": k}, _J_map(A, k).is_zero() == k.is_zero()
-
-    run.predicate("injectivity",
-                  "J(K) = 0 only for K = 0 on a spanning set of mixed "
-                  "tensors of form degree ≤ 2", injectivity)
+            yield {"K": k}, _J_map(A, k).is_zero() == k.is_zero()
 
 
 def _suite_theorem_18(run):
@@ -1005,7 +1023,6 @@ def _suite_theorem_19(run):
     fixtures = run.canonical()
     if not fixtures:
         run.note("no canonical algebroids in the model")
-    per = run.share(len(fixtures))
 
     def lifted(A, t):
         """The transported V and T of ``t`` against the written-out lifts."""
@@ -1017,15 +1034,10 @@ def _suite_theorem_19(run):
     def vectors(A, x):
         return lifted(A, x)
 
-    def bivectors(rng):
-        for name, A in fixtures:
-            if A.rank < 2:
-                continue
-            for _ in range(per):
-                p = run.draw(rng, A, Kind.MV, 2)
-                yield name, {"p": p}, lifted(A, p)
-
-    run.identity("bivectors", "the same on bivectors", bivectors)
+    @run.declare("bivectors", "the same on bivectors", fixtures,
+                 p=(Kind.MV, 2))
+    def bivectors(A, p):
+        return lifted(A, p)
 
     @run.declare("forms", "alpha∘V = v_T and alpha∘T = d_T on forms",
                  fixtures, mu=(Kind.FORM, (1, _upto2)))
@@ -1058,21 +1070,16 @@ def _suite_theorem_20(run):
                                   _canonical_transport(s),
                                   _canonical_transport(t)))
 
-    def poisson_routes(_rng):
-        for name, A in run.algebroids():
-            lifted = _tangent_poisson(_linear_poisson(A))
-            relinearized = _linear_poisson(_tangent_lift(A))
-            position = {c: i for i, c in enumerate(relinearized.chart.coords)}
-            fiber_map = {i: position[c]
-                         for i, c in enumerate(lifted.chart.coords)}
-            residual = (_remap(lifted.bivector, relinearized.owner, fiber_map)
-                        - relinearized.bivector)
-            yield name, {"lifted": lifted.bivector,
-                         "relinearized": relinearized.bivector}, residual
-
-    run.identity("poisson-routes",
+    @run.declare("poisson-routes",
                  "lifting the fiberwise-linear bivector matches linearizing "
-                 "the tangent lift", poisson_routes)
+                 "the tangent lift", run.algebroids())
+    def poisson_routes(A):
+        lifted = _tangent_poisson(_linear_poisson(A))
+        relinearized = _linear_poisson(_tangent_lift(A))
+        position = {c: i for i, c in enumerate(relinearized.chart.coords)}
+        fiber_map = {i: position[c] for i, c in enumerate(lifted.chart.coords)}
+        return (_remap(lifted.bivector, relinearized.owner, fiber_map)
+                - relinearized.bivector)
 
 
 def _suite_theorem_21(run):
@@ -1219,37 +1226,29 @@ def _suite_theorem_24(run):
     def g_expansion(A, K):
         return _G_map(A, K) + _literal_g(A, K)
 
-    def injectivity(rng):
-        for name, A in fixtures:
-            if A.rank != 2:
-                continue
-            slots = [(key, j) for key in _basis_table(A.rank, Kind.FORM, 1)
-                     for j in range(A.rank)]
-            for _ in range(run.trials):
-                terms = {}
-                for key, j in slots:
-                    c = rng.randint(-2, 2)
-                    if c:
-                        terms[(key, j)] = c
-                k = GradedTensor(A, Kind.MIXED, 1, terms)
-                yield name, {"K": k}, _H_map(k).is_zero() == k.is_zero()
+    @run.predicate("injectivity", "H(K) = 0 only for K = 0 on basis sums",
+                   [(name, A) for name, A in fixtures if A.rank == 2])
+    def injectivity(rng, A):
+        slots = [(key, j) for key in _basis_table(A.rank, Kind.FORM, 1)
+                 for j in range(A.rank)]
+        for _ in range(run.trials):
+            terms = {}
+            for key, j in slots:
+                c = rng.randint(-2, 2)
+                if c:
+                    terms[(key, j)] = c
+            k = GradedTensor(A, Kind.MIXED, 1, terms)
+            yield {"K": k}, _H_map(k).is_zero() == k.is_zero()
 
-    run.predicate("injectivity", "H(K) = 0 only for K = 0 on basis sums",
-                  injectivity)
-
-    def nijenhuis(_rng):
-        for name, A in fixtures:
-            if A.rank != 1:
-                continue
-            N = GradedTensor(A, Kind.MIXED, 1, {((0,), 0): 1})
-            D = _dual_owner(A)
-            fn_zero = _fn_bracket(A, N, N).is_zero()
-            g_zero = _schouten(D, _G_map(A, N), _G_map(A, N)).is_zero()
-            yield name, {"N": N}, fn_zero and g_zero
-
-    run.predicate("nijenhuis-instance",
-                  "[N,N]^{F-N} = 0 and [G(N), G(N)] = 0 for N = dx⊗e_x",
-                  nijenhuis)
+    @run.predicate("nijenhuis-instance",
+                   "[N,N]^{F-N} = 0 and [G(N), G(N)] = 0 for N = dx⊗e_x",
+                   [(name, A) for name, A in fixtures if A.rank == 1])
+    def nijenhuis(rng, A):
+        N = GradedTensor(A, Kind.MIXED, 1, {((0,), 0): 1})
+        D = _dual_owner(A)
+        fn_zero = _fn_bracket(A, N, N).is_zero()
+        g_zero = _schouten(D, _G_map(A, N), _G_map(A, N)).is_zero()
+        yield {"N": N}, fn_zero and g_zero
 
 
 def _suite_eq_7_12(run):

@@ -9,8 +9,12 @@ the top level of any package module must be named by some code of the
 package outside its own definition.  Only ``tensor.py``, which defines
 it, and the theorem-2 suite, which reports it, name the package-wide
 ``CONTRACTION_ORDER``: no other construction may depend on it.  In
-``suites.py`` only the methods of the runner ``_Run`` call ``.rng(``: a
-stream receives its item's generator and never builds one.  A declared
+``suites.py`` only the methods of the runner ``_Run`` call ``.rng(``: an
+item's check receives its item's generator and never builds one.  Outside
+``_Run``, ``.draw(`` is called only inside a function decorated with
+``.predicate(...)``, every ``.declare(`` and ``.predicate(`` call is a
+decorator, and nothing calls ``.identity(``, so each item is written one of
+the two declared ways and ``_Run._record`` is its one fixture loop.  A declared
 residual (decorated with ``run.declare(...)``) is a function of its drawn
 arguments alone: it names no generator and draws nothing.  Only ``_Run``
 names ``random_coefficient`` or its kernel ``_draw_coefficient`` there
@@ -189,12 +193,74 @@ def test_a_stream_building_its_own_generator_is_reported():
         "    def rng(self, item_id):\n        return item_id\n"
         "    def check(self, item_id):\n        return self.rng(item_id)\n"
         "\ndef _suite_x(run):\n"
-        "    def stream(item_id):\n        rng = run.rng(item_id)\n"
-        "        yield rng.random()\n"
-        "    run.identity('x', 'x', stream('x'))\n"
+        "    @run.predicate('x', 'x', [])\n"
+        "    def check(_rng, fixture):\n        rng = run.rng(fixture)\n"
+        "        yield {}, rng.random() < 1\n"
         "\nSEED = _Run().rng('seed')\n"
     )
     assert _rng_callers(source) == {"_suite_x", None}
+
+
+def _method(node):
+    """The method name of a call ``x.name(...)``, else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
+
+
+def _runner_misuses(source):
+    """(method, top-level definition) for each runner call of ``source``
+    that goes round the two item forms, with ``None`` for module level:
+    outside class ``_Run``, a ``.draw(`` call outside a function decorated
+    with ``.predicate(...)`` and a ``.declare(`` or ``.predicate(`` call that
+    is not a decorator; and anywhere, an ``.identity(`` call."""
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    decorators = {id(d) for f in functions for d in f.decorator_list}
+    in_predicates = {id(sub) for f in functions
+                     if "predicate" in map(_method, f.decorator_list)
+                     for part in f.body for sub in ast.walk(part)}
+    found = set()
+    for node in tree.body:
+        runner = isinstance(node, ast.ClassDef) and node.name == "_Run"
+        for sub in ast.walk(node):
+            method = _method(sub)
+            if method == "identity" or not runner and (
+                    method == "draw" and id(sub) not in in_predicates
+                    or method in ("declare", "predicate") and id(sub) not in decorators):
+                found.add((method, getattr(node, "name", None)))
+    return found
+
+
+def test_items_are_written_only_through_the_runner_decorators():
+    source = (PACKAGE / "suites.py").read_text(encoding="utf-8")
+    assert "@run.predicate(" in source and "run.draw(" in source
+    assert _runner_misuses(source) == set()
+
+
+def test_a_runner_misuse_is_reported():
+    source = (
+        "class _Run:\n"
+        "    def arguments(self, rng, owner):\n"
+        "        return self.draw(rng, owner, 1, 1)\n"
+        "    def declare(self, item_id):\n        return self.identity(item_id)\n"
+        "\ndef _suite_x(run):\n"
+        "    @run.predicate('a', 'a', [])\n"
+        "    def check(rng, A):\n        yield {}, run.draw(rng, A, 1, 1) == 0\n"
+        "    @run.declare('b', 'b', [], x=(1, 1))\n"
+        "    def clean(A, x):\n        return x\n"
+        "\ndef _suite_y(run):\n"
+        "    def stream(rng, A):\n        yield {}, run.draw(rng, A, 1, 1) == 0\n"
+        "    run.predicate('c', 'c', [])(stream)\n"
+        "\ndef _suite_z(run):\n"
+        "    run.declare('d', 'd', [])(lambda A: A)\n"
+        "    run.identity('e', 'e', lambda rng: iter(()))\n"
+        "\nSAMPLE = _Run().draw(None, None, 1, 1)\n"
+    )
+    assert _runner_misuses(source) == {
+        ("identity", "_Run"), ("draw", "_suite_y"), ("predicate", "_suite_y"),
+        ("declare", "_suite_z"), ("identity", "_suite_z"), ("draw", None)}
 
 
 #: What a declared residual may not name: the generator, and the draws that

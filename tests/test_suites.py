@@ -14,12 +14,17 @@ from algebroids import suites
 from algebroids import tensor as tensor_conventions
 from algebroids.algebroid import canonical_algebroid, dual_chart
 from algebroids.cli import main as cli_main
-from algebroids.errors import UnknownName, ValidationError
+from algebroids.errors import NotInvertible, UnknownName, ValidationError
 from algebroids.fixtures import canonical_line, canonical_space, so3
 from algebroids.lifts import classical_complete_lift, classical_vertical_lift
-from algebroids.model import Model, builtin_model, loads_model
+from algebroids.model import Model, builtin_model, load_model, loads_model
 from algebroids.ring import Chart
-from algebroids.suites import SUITE_NAMES, SUITES, run_all, run_suite
+from algebroids.suites import (
+    SUITE_NAMES, SUITES, _basis_table, _canonical_transport, _complete_lift_T,
+    _contract, _direct_complete, _direct_vertical, _dual_owner,
+    _extended_bracket, _fn_bracket, _G_map, _H_map, _J_map, _lambda_p,
+    _lie_derivative, _linear_poisson, _remap, _schouten, _sign, _tangent_lift,
+    _tangent_poisson, _vertical_lift_V, run_all, run_suite)
 from algebroids.tensor import GradedTensor, Kind, random_coefficient, random_tensor
 
 EXPECTED_NAMES = tuple(f"theorem-{n}" for n in range(1, 25)) + (
@@ -122,18 +127,20 @@ def test_broken_convention_yields_replayable_witness(tmp_path, capsys):
     assert witness["point"], "a nonzero residual must evaluate somewhere"
     assert any(v != "0" for v in witness["residual_at_point"].values())
     assert "eval" in witness["replay"]
+    _assert_replays(witness, tmp_path, capsys)
 
-    # the witness model is a loadable document containing the residual
+
+def _assert_replays(witness, tmp_path, capsys):
+    """The witness model is a loadable document containing the residual, and
+    the ``eval`` command of its replay line reproduces the recorded values."""
     text = json.dumps(witness["model"])
-    replay_model = loads_model(text)
-    assert "residual" in replay_model.tensors
-
-    # ... and the advertised eval command reproduces the recorded values
+    assert "residual" in loads_model(text).tensors
     path = tmp_path / "witness.json"
     path.write_text(text)
-    at = ",".join(f"{k}={v}" for k, v in witness["point"].items())
-    code = cli_main(["eval", "--model", str(path), "--tensor", "residual",
-                     "--at", at])
+    command = witness["replay"].split("then: ")[1].split()
+    assert command[:2] == ["algebroids", "eval"]
+    code = cli_main([str(path) if arg == "witness.json" else arg
+                     for arg in command[1:]])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     values = report["items"][0]["result"]["values"]
@@ -163,6 +170,44 @@ def test_witness_names_the_nonzero_component(monkeypatch):
     item = next(i for i in result["items"] if i["id"] == "function-lifts")
     assert item["status"] == "fail"
     assert item["witness"]["component"] == 2
+
+
+def test_a_degree_argument_stays_out_of_the_witness(tmp_path, capsys):
+    """theorem-2 ``operator-identity`` declares its degrees ``a`` and ``b``
+    as arguments, ints that the witness model leaves out.  Under the flipped
+    contraction order it fails on so3 at its 63rd instance, with the
+    witness the hand-written stream gave: x, y, the basis form mu and the
+    residual, replaying through ``eval``."""
+    tensor_conventions.CONTRACTION_ORDER = "last-factor-innermost"
+    try:
+        result = run_suite("theorem-2", trials=20)
+    finally:
+        tensor_conventions.CONTRACTION_ORDER = "first-factor-innermost"
+    item = next(i for i in result["items"] if i["id"] == "operator-identity")
+    assert (item["status"], item["checked"]) == ("fail", 63)
+    witness = item["witness"]
+    assert witness["fixture"] == "so3" and witness["component"] == 1
+    assert set(witness["model"]["tensors"]) == {"mu", "residual", "x", "y"}
+    _assert_replays(witness, tmp_path, capsys)
+
+
+def test_an_item_without_arguments_witnesses_the_residual_alone(
+        monkeypatch, tmp_path, capsys):
+    """theorem-20 ``poisson-routes`` declares no arguments: one instance per
+    fixture, and a failing witness holds the residual only (the two routes'
+    bivectors are derived from the fixture).  With the remap doubled it
+    fails on the first fixture, canonical-line."""
+    def doubled(*args, **kwargs):
+        return tensor_conventions._remap(*args, **kwargs) * 2
+
+    monkeypatch.setattr(suites, "_remap", doubled)
+    result = run_suite("theorem-20", trials=4)
+    item = next(i for i in result["items"] if i["id"] == "poisson-routes")
+    assert (item["status"], item["checked"]) == ("fail", 1)
+    witness = item["witness"]
+    assert witness["fixture"] == "canonical-line" and witness["component"] == 1
+    assert set(witness["model"]["tensors"]) == {"residual"}
+    _assert_replays(witness, tmp_path, capsys)
 
 
 def test_single_residual_witness_is_component_one():
@@ -249,6 +294,13 @@ def _insertion_identity_draws(run, A, rng):
     return {"K": k, "L": l, "omega": omega}
 
 
+def _extended_antisymmetry_draws(run, O, rng):
+    ka, kb = rng.choice([0, 1, 2]), rng.choice([0, 1])
+    mu = run.draw(rng, O, Kind.FORM, ka)
+    nu = run.draw(rng, O, Kind.FORM, kb)
+    return {"ka": ka, "kb": kb, "mu": mu, "nu": nu}
+
+
 def _extended_jacobi_draws(run, O, rng):
     ms = [run.draw(rng, O, Kind.FORM, rng.choice([0, 1, 2]), keys=1)
           for _ in range(3)]
@@ -294,6 +346,9 @@ def _theorem_15_draws(run, A, rng):
     # the entry ``rank``, and a list whose entries repeat on rank 1
     ("eq-1-12", "insertion-identity", ("canonical-line", "so3"),
      _insertion_identity_draws),
+    # two degree arguments, each named by the tensor drawn after both
+    ("theorem-6", "antisymmetry", ("poisson-plane", "poisson-so3"),
+     _extended_antisymmetry_draws),
     # keys=1, on the cotangent algebroid of a Poisson structure
     ("theorem-6", "graded-jacobi", ("poisson-plane", "poisson-so3"),
      _extended_jacobi_draws),
@@ -327,10 +382,240 @@ def test_declared_arguments_draw_as_the_hand_written_instances(
             assert declared.getstate() == by_hand.getstate(), (name, seed)
             assert set(drawn) == set(expected)
             for arg, tensor in drawn.items():
+                if isinstance(tensor, int):  # a degree argument
+                    assert tensor == expected[arg], (name, seed, arg)
+                    continue
                 assert tensor.owner is expected[arg].owner
                 assert tensor.degree == expected[arg].degree, (name, seed, arg)
                 assert list(tensor.terms.items()) == \
                     list(expected[arg].terms.items()), (name, seed, arg)
+
+
+# Verbatim copies of the eight streams that each wrote its own instances
+# before every item named its fixtures: four residual items, then the four
+# predicates.  Each factory sets up what the stream closed over and returns
+# the stream, a function of ``rng`` yielding (fixture, inputs, outcome).
+
+def _operator_identity_stream(run):
+    fixtures = run.algebroids()
+    draws = run.share(len(fixtures))
+
+    def operator(rng):
+        for name, A in fixtures:
+            degrees = range(1, min(3, A.rank) + 1)
+            for _ in range(draws):
+                a = rng.choice(list(degrees))
+                b = rng.choice(list(degrees))
+                x = run.draw(rng, A, Kind.MV, a)
+                y = run.draw(rng, A, Kind.MV, b)
+                sign = _sign(a * (b - 1))
+                for degree in range(1, min(3, A.rank) + 1):
+                    for key in _basis_table(A.rank, Kind.FORM, degree):
+                        mu = GradedTensor.basis(A, Kind.FORM, key)
+                        residual = (_lie_derivative(A, y, _contract(x, mu))
+                                    - _contract(x, _lie_derivative(A, y, mu)) * sign
+                                    + _contract(_schouten(A, x, y), mu))
+                        yield name, {"x": x, "y": y, "mu": mu}, residual
+    return operator
+
+
+def _antisymmetry_stream(run):
+    fixtures = run.poisson()
+    per = run.share(len(fixtures))
+
+    def antisymmetry(rng):
+        for name, ps in fixtures:
+            O = ps.owner
+            for _ in range(per):
+                ka, kb = rng.choice([0, 1, 2]), rng.choice([0, 1])
+                mu = run.draw(rng, O, Kind.FORM, ka)
+                nu = run.draw(rng, O, Kind.FORM, kb)
+                yield name, {"mu": mu, "nu": nu}, (
+                    _extended_bracket(ps, mu, nu)
+                    + _extended_bracket(ps, nu, mu) * _sign(ka * kb))
+    return antisymmetry
+
+
+def _bivectors_stream(run):
+    fixtures = run.canonical()
+    per = run.share(len(fixtures))
+
+    def lifted(A, t):
+        """The transported V and T of ``t`` against the written-out lifts."""
+        return (_canonical_transport(_vertical_lift_V(A, t)) - _direct_vertical(A.base, t),
+                _canonical_transport(_complete_lift_T(A, t)) - _direct_complete(A.base, t))
+
+    def bivectors(rng):
+        for name, A in fixtures:
+            if A.rank < 2:
+                continue
+            for _ in range(per):
+                p = run.draw(rng, A, Kind.MV, 2)
+                yield name, {"p": p}, lifted(A, p)
+    return bivectors
+
+
+def _poisson_routes_stream(run):
+    def poisson_routes(_rng):
+        for name, A in run.algebroids():
+            lifted = _tangent_poisson(_linear_poisson(A))
+            relinearized = _linear_poisson(_tangent_lift(A))
+            position = {c: i for i, c in enumerate(relinearized.chart.coords)}
+            fiber_map = {i: position[c]
+                         for i, c in enumerate(lifted.chart.coords)}
+            residual = (_remap(lifted.bivector, relinearized.owner, fiber_map)
+                        - relinearized.bivector)
+            yield name, {"lifted": lifted.bivector,
+                         "relinearized": relinearized.bivector}, residual
+    return poisson_routes
+
+
+def _lambda_inverse_stream(run):
+    fixtures = run.poisson()
+    per = run.share(len(fixtures))
+
+    def inverse(rng):
+        for name, ps in fixtures:
+            O = ps.owner
+            try:
+                _lambda_p(ps, O.e(0), "inverse")
+            except NotInvertible:
+                yield name, {}, True
+                continue
+            for _ in range(per):
+                mu = run.draw(rng, O, Kind.FORM, rng.choice([1, 2]))
+                back = _lambda_p(ps, _lambda_p(ps, mu), "inverse")
+                yield name, {"mu": mu}, back == mu
+    return inverse
+
+
+def _j_injectivity_stream(run):
+    fixtures = run.algebroids()
+
+    def injectivity(rng):
+        plane = next(((name, A) for name, A in fixtures
+                      if A.is_canonical and A.rank == 2), None)
+        if plane is None:
+            return
+        name, A = plane
+        slots = [(key, j) for degree in (0, 1, 2)
+                 for key in _basis_table(A.rank, Kind.FORM, degree)
+                 for j in range(A.rank)]
+        for _ in range(run.trials):
+            terms = {}
+            degree = rng.choice([0, 1, 2])
+            for key, j in slots:
+                if len(key) == degree and rng.random() < 0.5:
+                    c = rng.randint(-2, 2)
+                    if c:
+                        terms[(key, j)] = c
+            k = GradedTensor(A, Kind.MIXED, degree, terms)
+            yield name, {"K": k}, _J_map(A, k).is_zero() == k.is_zero()
+    return injectivity
+
+
+def _h_injectivity_stream(run):
+    fixtures = run.canonical()
+
+    def injectivity(rng):
+        for name, A in fixtures:
+            if A.rank != 2:
+                continue
+            slots = [(key, j) for key in _basis_table(A.rank, Kind.FORM, 1)
+                     for j in range(A.rank)]
+            for _ in range(run.trials):
+                terms = {}
+                for key, j in slots:
+                    c = rng.randint(-2, 2)
+                    if c:
+                        terms[(key, j)] = c
+                k = GradedTensor(A, Kind.MIXED, 1, terms)
+                yield name, {"K": k}, _H_map(k).is_zero() == k.is_zero()
+    return injectivity
+
+
+def _nijenhuis_stream(run):
+    fixtures = run.canonical()
+
+    def nijenhuis(_rng):
+        for name, A in fixtures:
+            if A.rank != 1:
+                continue
+            N = GradedTensor(A, Kind.MIXED, 1, {((0,), 0): 1})
+            D = _dual_owner(A)
+            fn_zero = _fn_bracket(A, N, N).is_zero()
+            g_zero = _schouten(D, _G_map(A, N), _G_map(A, N)).is_zero()
+            yield name, {"N": N}, fn_zero and g_zero
+    return nijenhuis
+
+
+def _view(value):
+    """A comparable view of an outcome, a tensor or a tuple of them."""
+    if isinstance(value, tuple):
+        return tuple(map(_view, value))
+    if isinstance(value, GradedTensor):
+        return (value.owner, value.kind, value.degree, list(value.terms.items()))
+    return value
+
+
+def _tensor_inputs(inputs, narrowed=()):
+    """The inputs a witness model holds: the tensors, by name, in order."""
+    return [(name, _view(t)) for name, t in inputs.items()
+            if isinstance(t, GradedTensor) and name not in narrowed]
+
+
+class _Capturing(suites._Run):
+    """A runner that keeps each item's fixtures and check instead of
+    recording the item."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.captured = {}
+
+    def _record(self, item_id, label, fixtures, check, witness):
+        self.captured[item_id] = (fixtures, check)
+
+
+#: (suite, item, the verbatim stream, the inputs its witness no longer holds)
+_STREAMS = [
+    ("theorem-2", "operator-identity", _operator_identity_stream, ()),
+    ("theorem-6", "antisymmetry", _antisymmetry_stream, ()),
+    ("theorem-19", "bivectors", _bivectors_stream, ()),
+    # the witness holds the residual alone: both bivectors are derived from
+    # the fixture
+    ("theorem-20", "poisson-routes", _poisson_routes_stream,
+     ("lifted", "relinearized")),
+    ("theorem-5", "lambda-inverse", _lambda_inverse_stream, ()),
+    ("theorem-17", "injectivity", _j_injectivity_stream, ()),
+    ("theorem-24", "injectivity", _h_injectivity_stream, ()),
+    ("theorem-24", "nijenhuis-instance", _nijenhuis_stream, ()),
+]
+
+
+@pytest.mark.parametrize("model_path", [None, "fixtures/so3.json"],
+                         ids=["builtin", "so3"])
+@pytest.mark.parametrize("suite, item, stream, narrowed", _STREAMS,
+                         ids=[f"{suite}-{item}" for suite, item, *_ in _STREAMS])
+def test_declared_fixtures_yield_the_hand_written_streams(
+        model_path, suite, item, stream, narrowed):
+    """Each item that once wrote its own stream checks the same fixtures,
+    inputs and outcomes in the same order, and leaves its generator in the
+    same state, for seeds 0-9 at 1, 7 and 50 trials."""
+    model = builtin_model() if model_path is None else load_model(model_path)
+    coeff_degree = model.suite.get("max_degree", 2)
+    for trials in (1, 7, 50):
+        for seed in range(10):
+            run = _Capturing(suite, "", model, seed, trials, coeff_degree)
+            SUITES[suite][1](run)
+            fixtures, check = run.captured[item]
+            declared, by_hand = run.rng(item), run.rng(item)
+            got = [(name, _tensor_inputs(inputs), _view(outcome))
+                   for name, fixture in fixtures
+                   for inputs, outcome in check(declared, fixture)]
+            expected = [(name, _tensor_inputs(inputs, narrowed), _view(outcome))
+                        for name, inputs, outcome in stream(run)(by_hand)]
+            assert got == expected, (trials, seed)
+            assert declared.getstate() == by_hand.getstate(), (trials, seed)
 
 
 def test_a_fixed_degree_draws_without_a_choice():
