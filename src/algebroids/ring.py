@@ -1,18 +1,26 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A :class:`Chart` is an ordered tuple of coordinate names.  A :class:`Poly`
-over a chart is stored sparsely as a dictionary mapping exponent tuples (one
-nonnegative int per coordinate, in chart order) to nonzero coefficients.  A
-coefficient is a nonzero ``int`` or a non-integral ``Fraction``: an integral
-value is always stored as an ``int``, so the common case costs no ``Fraction``
-arithmetic.  The two types compare and hash alike, so equality and hashing
-do not see the split.  The empty dict is the zero polynomial, and each chart
-holds one shared zero, which every kernel result without terms (a sum that
-cancels, a partial that vanishes) returns.  Because coefficients are exact
-rationals and the representation is canonical (no zero terms, exponent
-tuples fully determined by the chart), structural equality of the term maps
-decides equality of polynomials — which is what makes "this bracket is
-literally zero" a decidable statement everywhere else in the package.
+over a chart is a sparse map from exponent tuples (one nonnegative int per
+coordinate, in chart order) to nonzero rational coefficients, stored as
+integer numerators over one common denominator, the representation of
+FLINT's ``fmpq_poly``: the ``_num`` slot maps each exponent to a nonzero
+``int`` and the ``_den`` slot holds the lcm of the coefficient
+denominators, with ``gcd(_den, *_num.values()) == 1``.  The ``terms`` map
+of coefficients reads each one as a nonzero ``int`` when it is integral
+and a ``Fraction`` otherwise (the two types compare and hash alike).  For
+an integral polynomial ``_den`` is 1 and ``terms`` is ``_num`` itself, so
+the common case costs no ``Fraction`` and no division.  A non-integral
+result of an operation is made without ``terms``: its ``Fraction``
+coefficients are built on the first read of ``terms`` and then kept.  The
+empty map is the zero polynomial, and each chart holds one shared zero,
+which every result without terms (a sum that cancels, a partial that
+vanishes) returns.  Because the representation is canonical (no zero
+terms, numerators in lowest terms against the denominator, exponent
+tuples fully determined by the chart), structural equality of ``_num`` and
+``_den`` decides equality of polynomials — which is what makes "this
+bracket is literally zero" a decidable statement everywhere else in the
+package.
 
 :func:`accumulate` is the package's one accumulate-and-drop-zero loop (every
 term map, of a polynomial or a tensor, is summed by it) and
@@ -26,21 +34,16 @@ built per product.  A product of two non-constant polynomials,
 ``Poly.__mul__`` included, is one item of it.  Monomial exponents are
 added in one private function, which multiplies two term maps into a
 target map and which the kernel and the :class:`Poly` constructor share.
-Coefficient products are summed as integers: each polynomial takes the
-integer numerators of its coefficients over their common denominator
-once and keeps them in its ``_num`` slot (``terms`` itself when every
-coefficient is an int), and the kernel sums them over one running common
-denominator per call, rescaling its partial sums in the rare case that
-an item's denominator does not divide it, and divides each sum by it
-once at the end: the kernel is the one place denominators are cleared.
-For that each polynomial keeps, in its ``_den`` slot, the lcm of its
-coefficient denominators.  It is set at construction where it is known:
-1 for a coordinate, the shared zero, a ``+``, ``-`` or ``*`` of integral
-polynomials, a kernel output of a call with no non-integral item and the
-draws of :func:`~algebroids.tensor.random_coefficient`, and the
-denominator of a constant.  Negation and transport pass it on, as does a
-partial of an integral polynomial; otherwise it is taken on first use.
-:meth:`Poly.gradient` keeps its partials in a slot, so each
+The kernel sums the numerators over one running common denominator per
+call, rescaling its partial sums in the rare case that an item's
+denominator does not divide it.  Sums, differences, negation, scaling by a
+constant, partials and transport likewise work on ``_num`` and ``_den``
+and build no ``Fraction``.  Every such result goes through one internal
+constructor, which divides numerators and denominator by their gcd: the
+one place a denominator is reduced.  Only the readers of values (the
+printer, :meth:`Poly.eval_at`, :meth:`Poly.constant_value` and callers
+outside this module) read ``terms``.  :meth:`Poly.gradient` keeps its
+partials in a slot, so each
 polynomial object is differentiated once.  Beside :class:`Chart` sits the
 package's one naming rule for derived coordinate, fiber and dual names,
 which moves a name that is already taken aside instead of repeating it.
@@ -71,7 +74,9 @@ powers) into one coefficient, kept as an integer numerator and
 denominator, and one exponent list, with no polynomial built per factor;
 only a parenthesised sum is a :class:`Poly`, multiplied in with ``*`` and
 ``**`` after the bounds are checked.  An expression sums its terms in one
-:func:`accumulate` call.  :func:`poly_to_string` writes one pass over the
+:func:`accumulate` call; the reader still forms one ``Fraction`` per
+non-integral term, and its result keeps those terms as read beside the
+numerators cleared from them.  :func:`poly_to_string` writes one pass over the
 sorted terms, reading each sign and magnitude off ``str`` of the
 coefficient; it emits a canonical form that :func:`parse_poly` maps back
 to the identical term dict.
@@ -188,7 +193,9 @@ class Chart:
         if isinstance(value, (int, Fraction)):
             if not value:
                 return self._zero
-            return Poly._make(self, {self._origin: _exact(value)}, value.denominator)
+            if value.denominator == 1:
+                return Poly._make(self, {self._origin: value.numerator})
+            return Poly._of_terms(self, {self._origin: value})
         if isinstance(value, str):
             return parse_poly(value, self)
         raise PolySyntaxError(
@@ -200,7 +207,7 @@ class Chart:
     def coordinate(self, name: str) -> "Poly":
         i = self.index(name)
         exp = tuple(1 if j == i else 0 for j in range(self.dim))
-        return Poly._make(self, {exp: 1}, 1)
+        return Poly._make(self, {exp: 1})
 
 
 #: The spelling of each derived name, as the (prefix, suffix) put around the
@@ -284,58 +291,58 @@ class Poly:
             if any(e < 0 for e in exp):
                 raise NegativeExponent(f"negative exponent in {exp!r}")
             _monomial_products(sums, {exp: 1}, chart.coerce(coeff).terms, 1)
-        self.chart = chart
-        self.terms = {e: _exact(c) for e, c in sums.items()}
-        self._hash = self._gradient = self._den = self._num = None
+        self._store(chart, {e: _exact(c) for e, c in sums.items()})
 
-    @classmethod
-    def _make(cls, chart: Chart, terms: Dict[Exponent, Scalar],
-              den: int | None = None) -> "Poly":
-        # Internal fast path: `terms` must already be normalized (nonzero
-        # coefficients, each integral one an int), and `den`, when given,
-        # is the lcm of their denominators.  No terms is the chart's shared
-        # zero.
-        if not terms:
-            return chart._zero
-        self = object.__new__(cls)
-        self.chart = chart
-        self.terms = terms
+    def _store(self, chart: Chart, terms: Dict[Exponent, Scalar]) -> "Poly":
+        """Fill the slots from the normalized term map ``terms`` (nonzero
+        coefficients, each integral one an int), kept as read: its
+        numerators over the lcm of its denominators, ``terms`` itself when
+        that is 1."""
+        den = math.lcm(*[c.denominator for c in terms.values()])
+        self.chart, self.terms, self._den = chart, terms, den
+        self._num = terms if den == 1 else {
+            e: c.numerator * (den // c.denominator) for e, c in terms.items()}
         self._hash = self._gradient = None
-        self._den = den
-        self._num = terms if den == 1 else None
         return self
 
-    def _denominator(self) -> int:
-        """The lcm of the coefficient denominators (1 when every coefficient
-        is an int), taken on the first call unless it was known at
-        construction, and kept in a slot."""
-        if self._den is None:
-            self._den = math.lcm(*(c.denominator for c in self.terms.values()))
-        return self._den
+    @classmethod
+    def _of_terms(cls, chart: Chart, terms: Dict[Exponent, Scalar]) -> "Poly":
+        # Internal: the polynomial of the normalized term map `terms`, kept
+        # as read.  No terms is the chart's shared zero.
+        return object.__new__(cls)._store(chart, terms) if terms else chart._zero
 
-    def _numerators(self) -> Dict[Exponent, int]:
-        """The coefficients brought to the common denominator
-        :meth:`_denominator`, numerators only: ``terms`` itself when every
-        coefficient is an int.  Taken on the first call and kept in a
-        slot, so a factor of many products is cleared once."""
-        if self._num is None:
-            den = self._denominator()
-            if den == 1:
-                self._num = self.terms
-            else:
-                self._num = num = {}
-                for e, c in self.terms.items():
-                    n, d = c.as_integer_ratio()
-                    num[e] = n * (den // d)
-        return self._num
+    @classmethod
+    def _make(cls, chart: Chart, num: Dict[Exponent, int], den: int = 1) -> "Poly":
+        # Internal fast path: the polynomial of the nonzero integer
+        # numerators `num` over the positive denominator `den`.  The one
+        # place a denominator is reduced: numerators and denominator are
+        # divided by their gcd.  An integral result has `num` as its terms;
+        # a non-integral one builds its terms on the first read (_Unread).
+        # No terms is the chart's shared zero.
+        if not num:
+            return chart._zero
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: n // g for e, n in num.items()}
+        if den == 1:
+            self = object.__new__(cls)
+            self.terms = num
+        else:
+            self = object.__new__(_Unread)
+        self.chart = chart
+        self._num, self._den = num, den
+        self._hash = self._gradient = None
+        return self
 
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return not any(map(any, self.terms))
+        return not any(map(any, self._num))
 
     def constant_value(self) -> Scalar:
         """The coefficient of the constant monomial: an ``int`` when it is
@@ -354,50 +361,51 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        # a sum of integral polynomials is integral
-        return Poly._make(self.chart, accumulate(other.terms.items(), self.terms),
-                          1 if self._den == 1 == other._den else None)
+        return NotImplemented if other is NotImplemented else self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.chart, {e: -c for e, c in self.terms.items()}, self._den)
+        return Poly._make(self.chart, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Poly._make(self.chart, accumulate(
-            ((e, -c) for e, c in other.terms.items()), self.terms),
-            1 if self._den == 1 == other._den else None)
+        return NotImplemented if other is NotImplemented else self._plus(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         other = self._coerce(other)
         return NotImplemented if other is NotImplemented else other - self
+
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """``self + sign·other``, ``sign`` ±1: the numerators brought to the
+        lcm of the two denominators and summed by :func:`accumulate`."""
+        if not other._num:
+            return self
+        if not self._num and sign == 1:
+            return other
+        da, db = self._den, other._den
+        den = da if da == db else math.lcm(da, db)
+        start = self._num if den == da else dict(_scaled(self, den // da))
+        return Poly._make(self.chart, accumulate(_scaled(other, sign * (den // db)),
+                                                 start), den)
 
     def __mul__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         p, q = self, other
-        if not p.terms or not q.terms:
+        if not p._num or not q._num:
             return self.chart._zero
         origin = self.chart._origin
         # `p` is the constant side if there is one, else the shorter side
-        if len(p.terms) > len(q.terms) or len(q.terms) == 1 and origin in q.terms:
+        if len(p._num) > len(q._num) or len(q._num) == 1 and origin in q._num:
             p, q = q, p
-        a, b = p.terms, q.terms
+        a = p._num
         if len(a) == 1 and origin in a:
             # scaling by a nonzero constant keeps every term and every key
             c = a[origin]
-            return Poly._make(self.chart, {e: _exact(v * c) for e, v in b.items()},
-                              1 if p._den == 1 == q._den else None)
+            return Poly._make(self.chart, {e: v * c for e, v in q._num.items()},
+                              p._den * q._den)
         return products(self.chart, ((None, 1, p, q),)).get(None, self.chart._zero)
 
     __rmul__ = __mul__
@@ -419,15 +427,17 @@ class Poly:
             other = self.chart.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return (self.chart == other.chart and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.chart.coords, tuple(sorted(self.terms.items()))))
+            self._hash = hash((self.chart.coords, self._den,
+                               tuple(sorted(self._num.items()))))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __str__(self) -> str:
         return poly_to_string(self)
@@ -441,10 +451,10 @@ class Poly:
         """Formal partial derivative with respect to a chart coordinate."""
         i = self.chart.index(name)
         # lowering one exponent is injective on the terms it keeps, and
-        # c * e is never zero there, so nothing needs accumulating
+        # n * e is never zero there, so nothing needs accumulating
         return Poly._make(self.chart, {
-            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: _exact(coeff * exp[i])
-            for exp, coeff in self.terms.items() if exp[i]}, 1 if self._den == 1 else None)
+            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: n * exp[i]
+            for exp, n in self._num.items() if exp[i]}, self._den)
 
     def gradient(self) -> List[Tuple[int, "Poly"]]:
         """The nonzero first partials, as (coordinate index, partial) pairs:
@@ -509,22 +519,44 @@ class Poly:
         column, pad, injective = _transport_column(names, new_chart)
         if pad is not None:
             # the new chart extends the old one: append zero exponents
-            return Poly._make(new_chart, {exp + pad: coeff
-                                          for exp, coeff in self.terms.items()}, self._den)
-        n = new_chart.dim
+            return Poly._make(new_chart, {exp + pad: n
+                                          for exp, n in self._num.items()}, self._den)
+        dim = new_chart.dim
 
         def moved():
-            for exp, coeff in self.terms.items():
-                new_exp = [0] * n
+            for exp, n in self._num.items():
+                new_exp = [0] * dim
                 for j, e in zip(column, exp):
                     new_exp[j] += e
-                yield tuple(new_exp), coeff
+                yield tuple(new_exp), n
 
         # an injective column moves distinct exponents to distinct ones; a
         # merging rename adds exponents up, so its terms may collide
-        if injective:
-            return Poly._make(new_chart, dict(moved()), self._den)
-        return Poly._make(new_chart, accumulate(moved()), 1 if self._den == 1 else None)
+        return Poly._make(new_chart, dict(moved()) if injective else accumulate(moved()),
+                          self._den)
+
+
+class _Unread(Poly):
+    """A non-integral polynomial whose ``terms`` have not been read.  The
+    first read builds them from ``_num`` and ``_den``, keeps them in the
+    slot and makes the object a plain :class:`Poly`.  The read hook lives
+    on this subclass only, so the class of every integral polynomial has
+    none and its attribute reads stay plain slot reads."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(f"'Poly' object has no attribute {name!r}",
+                                 name=name, obj=self)
+        den = self._den
+        terms = {}
+        for e, n in self._num.items():
+            q, r = divmod(n, den)
+            terms[e] = Fraction(n, den) if r else q
+        self.terms = terms
+        self.__class__ = Poly
+        return terms
 
 
 #: Most (coordinate names, target chart) pairs whose transport column is
@@ -551,11 +583,12 @@ def _exact(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def _over(sums: Mapping, den: int) -> Dict:
-    """The integer sums of a term map, each divided by ``den`` once, in the
-    stored form: an ``int`` when ``den`` divides it, else a ``Fraction``."""
-    return {key: c // den if not c % den else Fraction(c, den)
-            for key, c in sums.items()}
+def _scaled(p: Poly, scale: int):
+    """The (exponent, numerator) pairs of ``p``, each numerator times
+    ``scale``."""
+    if scale == 1:
+        return p._num.items()
+    return ((e, n * scale) for e, n in p._num.items())
 
 
 def accumulate(pairs: Iterable[Tuple[object, object]],
@@ -612,16 +645,16 @@ def products(chart: Chart, items: Iterable[Tuple[object, int, Poly, Poly]]) -> D
     into the term map of its key, with no polynomial built per item.  The
     sums are integer numerators over one running common denominator
     ``den``: each factor gives its numerators over its own denominator
-    (:meth:`Poly._numerators`, taken once per polynomial), an item whose
-    denominator product divides ``den`` is scaled up to it, and one that
-    does not first rescales the partial sums to the lcm.  Each sum is
-    divided by ``den`` once at the end, so a call whose factors are all
-    integral builds no ``Fraction``.  A key whose products cancel is left
-    out, so the result is a canonical tensor term map."""
+    (``_num`` and ``_den``), an item whose denominator product divides
+    ``den`` is scaled up to it, and one that does not first rescales the
+    partial sums to the lcm.  Each key's sums are reduced against ``den``
+    by one gcd at the end, and no call builds a ``Fraction``.  A key whose
+    products cancel is left out, so the result is a canonical tensor term
+    map."""
     grouped: Dict = {}
     den = 1
     for key, sign, a, b in items:
-        na, nb = a._numerators(), b._numerators()
+        na, nb = a._num, b._num
         d = a._den * b._den
         if d != den:
             if den % d:  # rare: bring the partial sums to the new lcm
@@ -635,18 +668,18 @@ def products(chart: Chart, items: Iterable[Tuple[object, int, Poly, Poly]]) -> D
         if terms is None:
             terms = grouped[key] = {}
         _monomial_products(terms, na, nb, sign)
-    if den == 1:
-        return {key: Poly._make(chart, terms, 1) for key, terms in grouped.items() if terms}
-    return {key: Poly._make(chart, _over(terms, den))
-            for key, terms in grouped.items() if terms}
+    return {key: Poly._make(chart, terms, den) for key, terms in grouped.items() if terms}
 
 
 def poly_sum(chart: Chart, pieces: Iterable[Poly]) -> Poly:
     """The sum of ``pieces``, all over ``chart``, in one pass of the
     accumulation kernel (a chain of ``+`` copies the running sum on every
-    addition)."""
-    return Poly._make(chart, accumulate(
-        chain.from_iterable(p.terms.items() for p in pieces)))
+    addition), their numerators brought to the lcm of their
+    denominators."""
+    pieces = list(pieces)
+    den = math.lcm(*[p._den for p in pieces])
+    return Poly._make(chart, accumulate(chain.from_iterable(
+        _scaled(p, den // p._den) for p in pieces)), den)
 
 
 # -- function spellings of Poly.partial and Poly.eval_at ----------------------
@@ -780,8 +813,8 @@ class _Parser:
             elif value == "-":
                 sign = -1
             else:  # a single term is already summed
-                return Poly._make(self.chart, accumulate(pairs) if len(pairs) > 1
-                                  else dict(pairs))
+                return Poly._of_terms(self.chart, accumulate(pairs) if len(pairs) > 1
+                                      else dict(pairs))
             self.i += 1
 
     def exponent(self, i: int) -> Tuple[int, int]:
@@ -915,7 +948,7 @@ class _Parser:
             pairs.append((key, coeff))
             return
         if coeff != 1 or exps is not None:
-            poly = poly * Poly._make(chart, {key: coeff})
+            poly = poly * Poly._make(chart, {key: num}, den)
         pairs.extend(poly.terms.items())
 
     def power(self, base: Poly, e: int, at: int) -> Poly:

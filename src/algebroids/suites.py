@@ -28,13 +28,15 @@ fixtures, the arguments and a residual function of ``(fixture,
 trial share per fixture, or one instance when it has no arguments
 (theorem-20 ``poisson-routes``), and skips a fixture where a tensor argument
 of a fixed int degree has no basis keys (theorem-19 ``bivectors``).  One
-enumerator, ``_Run.arguments``, draws the arguments in declaration order: a
-tensor ``(kind, degrees[, keys])`` (a degree chosen from the list, an int
-taken as is, a str naming an earlier degree argument); a degree argument, a
-list or a function of the owner giving one, chosen once and passed as an
-int (theorem-6 ``antisymmetry``); ``FUNCTION``, one random coefficient as a
-function on the owner.  A ``BASIS`` tensor is not drawn: each draw checks
-every basis tensor of the listed degrees (theorem-2 ``operator-identity``).
+enumerator, ``_Run.arguments``, draws the arguments in declaration order,
+each spec read once by ``declare`` and its degree lists resolved once per
+fixture: a tensor ``(kind, degrees[, keys])`` (a degree chosen from the
+list, an int taken as is, a str naming an earlier degree argument); a
+degree argument, a list or a function of the owner giving one, chosen once
+and passed as an int (theorem-6 ``antisymmetry``); ``FUNCTION``, one random
+coefficient as a function on the owner.  A ``BASIS`` tensor is not drawn:
+each draw checks every basis tensor of the listed degrees (theorem-2
+``operator-identity``).
 A predicate item (``_Run.predicate``) decorates ``check(rng, fixture)``,
 which yields ``(inputs, ok)``: theorem-5 ``lambda-inverse`` (Poisson
 structures, an invertibility probe first), theorem-17 ``injectivity`` (the
@@ -210,9 +212,11 @@ FUNCTION = "function"
 BASIS = "basis"
 
 
-def _is_tensor(spec):
-    """Whether an argument spec is a tensor's, ``(kind, degrees[, keys])``."""
-    return isinstance(spec, tuple) and isinstance(spec[0], Kind)
+#: The forms of a tensor argument that is drawn, by its degrees: a str
+#: naming an earlier degree argument, an int, or a degree list.  A degree
+#: argument has the form ``_DEGREE``; ``FUNCTION`` and ``BASIS`` are their
+#: own forms.
+_DEGREE, _NAMED, _FIXED, _CHOICE = "degree", "named", "fixed", "choice"
 
 
 def _degrees(owner, degrees):
@@ -221,6 +225,50 @@ def _degrees(owner, degrees):
     if callable(degrees):
         return degrees(owner)
     return [d(owner) if callable(d) else d for d in degrees]
+
+
+def _read_specs(args):
+    """The argument specs ``args`` ({name: spec}) of a declaration, each
+    read once, in declaration order, as ``(name, form, kind, degrees,
+    keys)``: ``FUNCTION``; a degree argument, form ``_DEGREE`` with its
+    degree list; a tensor ``(kind, degrees[, keys])``, form ``BASIS`` with
+    keys ``BASIS``, else ``_NAMED``, ``_FIXED`` or ``_CHOICE`` by its
+    degrees, its keys 2 unless given."""
+    read = []
+    for name, spec in args.items():
+        if spec is FUNCTION:
+            read.append((name, FUNCTION, None, None, None))
+        elif not (isinstance(spec, tuple) and isinstance(spec[0], Kind)):
+            read.append((name, _DEGREE, None, spec, None))
+        else:
+            kind, degrees, *keys = spec
+            keys = keys[0] if keys else 2
+            if keys == BASIS:
+                form = BASIS
+            elif isinstance(degrees, str):
+                form = _NAMED
+            elif isinstance(degrees, int):
+                form = _FIXED
+            else:
+                form = _CHOICE
+            read.append((name, form, kind, degrees, keys))
+    return tuple(read)
+
+
+def _bound_specs(specs, owner):
+    """Read ``specs`` with every degree list resolved on ``owner``, and a
+    ``BASIS`` tensor's degrees replaced by the list of basis tensors of
+    each listed degree: what every draw on ``owner`` reads."""
+    bound = []
+    for name, form, kind, degrees, keys in specs:
+        if form is _DEGREE or form is _CHOICE:
+            degrees = _degrees(owner, degrees)
+        elif form is BASIS:
+            degrees = [GradedTensor.basis(owner, kind, key)
+                       for degree in _degrees(owner, degrees)
+                       for key in _basis_table(owner.rank, kind, degree)]
+        bound.append((name, form, kind, degrees, keys))
+    return bound
 
 
 class _Run:
@@ -258,37 +306,34 @@ class _Run:
     def note(self, text):
         self.notes.append(text)
 
-    def arguments(self, rng, owner, args):
-        """The enumerator: draw ``args`` ({name: spec}) on ``owner`` in
-        declaration order.  ``FUNCTION`` is one random coefficient on the
-        owner's base, handed over as ``owner.fn(...)``.  A tensor is ``(kind,
-        degrees[, keys])``: an int degree is taken as is, with no
-        ``rng.choice``; a str is the value of an earlier degree argument; a
-        sequence is one ``rng.choice`` over its entries exactly as listed,
-        duplicates included.  With keys ``BASIS`` the value is the list of
-        basis tensors of each listed degree, for ``declare`` to expand.  Any
-        other spec is a degree argument: one ``rng.choice`` of an int.  A
-        degree list is a sequence of ints and functions of the owner
-        (``_upto2``, ``_rank``), or one function of it (``_upto3``)."""
+    def arguments(self, rng, owner, specs):
+        """The enumerator: draw the arguments of ``specs``, read by
+        :func:`_read_specs` and bound to ``owner`` by :func:`_bound_specs`,
+        in declaration order.  ``FUNCTION`` is one random coefficient on the
+        owner's base, handed over as ``owner.fn(...)``.  A tensor of an int
+        degree takes it as is, with no ``rng.choice``; one of a str degree
+        takes the value of that earlier degree argument; one of a degree
+        list makes one ``rng.choice`` over its entries exactly as listed,
+        duplicates included.  A ``BASIS`` tensor's value is the list of
+        basis tensors, for ``declare`` to expand.  A degree argument is one
+        ``rng.choice`` of an int.  A degree list is a sequence of ints and
+        functions of the owner (``_upto2``, ``_rank``), or one function of
+        it (``_upto3``)."""
         drawn = {}
-        for name, spec in args.items():
-            if spec is FUNCTION:
+        for name, form, kind, degrees, keys in specs:
+            if form is FUNCTION:
                 drawn[name] = owner.fn(_draw_coefficient(
                     rng, owner.base, self.coeff_degree))
-            elif not _is_tensor(spec):
-                drawn[name] = rng.choice(_degrees(owner, spec))
-            elif spec[2:] == (BASIS,):
-                kind, degrees, _ = spec
-                drawn[name] = [GradedTensor.basis(owner, kind, key)
-                               for degree in _degrees(owner, degrees)
-                               for key in _basis_table(owner.rank, kind, degree)]
+            elif form is _DEGREE:
+                drawn[name] = rng.choice(degrees)
+            elif form is BASIS:
+                drawn[name] = degrees
             else:
-                kind, degrees, *keys = spec
-                if isinstance(degrees, str):
+                if form is _NAMED:
                     degrees = drawn[degrees]
-                elif not isinstance(degrees, int):
-                    degrees = rng.choice(_degrees(owner, degrees))
-                drawn[name] = self.draw(rng, owner, kind, degrees, *keys)
+                elif form is _CHOICE:
+                    degrees = rng.choice(degrees)
+                drawn[name] = self.draw(rng, owner, kind, degrees, keys)
         return drawn
 
     def declare(self, item_id, label, fixtures, owner=None, **args):
@@ -301,10 +346,9 @@ class _Run:
         them, must vanish; the witness of the first nonzero one carries its
         1-based position as ``component``."""
         per = self.share(len(fixtures)) if args else 1
-        basis = [name for name, spec in args.items()
-                 if _is_tensor(spec) and spec[2:] == (BASIS,)]
-        fixed = [spec[:2] for spec in args.values()
-                 if _is_tensor(spec) and isinstance(spec[1], int)]
+        specs = _read_specs(args)
+        basis = [name for name, form, *_ in specs if form is BASIS]
+        fixed = [(kind, degree) for _, form, kind, degree, _ in specs if form is _FIXED]
 
         def witness(fixture, inputs, residual):
             residuals = residual if isinstance(residual, tuple) else (residual,)
@@ -322,8 +366,12 @@ class _Run:
                 if any(not _basis_table(on.rank, kind, degree)
                        for kind, degree in fixed):
                     return
+                bound = _bound_specs(specs, on)
                 for _ in range(per):
-                    drawn = self.arguments(rng, on, args)
+                    drawn = self.arguments(rng, on, bound)
+                    if not basis:
+                        yield drawn, residual(fixture, **drawn)
+                        continue
                     for chosen in itertools.product(*(drawn[name] for name in basis)):
                         inputs = {**drawn, **dict(zip(basis, chosen))}
                         yield inputs, residual(fixture, **inputs)

@@ -2,7 +2,9 @@
 they were before the reader and the printer became one-pass, and its
 product kernel as it was before it became one pass, kept verbatim below
 the imports as the reference of ``tests/test_ring.py``'s differential
-tests.  Only the tests import it."""
+tests.  Only the tests import it.  Since polynomials store their
+numerators over one denominator, the kernel reads each factor's ``_den``
+slot, always set, and builds each result with the public constructor."""
 
 import math
 import operator
@@ -289,8 +291,7 @@ def _signed_products(items: Iterable[Tuple[object, int, Poly, Poly]], origin: Ex
     any nonzero int.  Each item with a non-integral factor is appended to
     ``aside`` instead."""
     for key, sign, a, b in items:
-        # an item not known integral is looked at, and keeps both denominators
-        if (a._den != 1 or b._den != 1) and a._denominator() * b._denominator() != 1:
+        if a._den * b._den != 1:
             aside.append((key, sign, a, b))
             continue
         a, b = a.terms, b.terms
@@ -323,7 +324,6 @@ def products(chart: Chart, items: Iterable[Tuple[object, int, Poly, Poly]]) -> D
     result is a canonical tensor term map."""
     aside: List = []
     sums = accumulate(_signed_products(items, chart._origin, aside))
-    integral = 1
     if aside:  # every factor set aside has its denominator in its slot
         den = math.lcm(*(a._den * b._den for _, _, a, b in aside))
         cleared = ((key, sign * (den // (a._den * b._den)), _cleared(a, a._den),
@@ -331,7 +331,6 @@ def products(chart: Chart, items: Iterable[Tuple[object, int, Poly, Poly]]) -> D
         # the cleared factors are integral: this pass appends nothing to aside
         sums = _over(accumulate(_signed_products(cleared, chart._origin, aside),
                                 {k: c * den for k, c in sums.items()}), den)
-        integral = None
     grouped: Dict = {}
     for (key, e), c in sums.items():
         terms = grouped.get(key)
@@ -340,5 +339,5 @@ def products(chart: Chart, items: Iterable[Tuple[object, int, Poly, Poly]]) -> D
         else:
             terms[e] = c
     for key, terms in grouped.items():  # replaces values only: no resize
-        grouped[key] = Poly._make(chart, terms, integral)
+        grouped[key] = Poly(chart, terms)
     return grouped

@@ -405,7 +405,7 @@ def test_a_second_exponent_adder_is_reported():
 
 def _callers(source, names):
     """(name, caller) for each call of a function in ``names`` in
-    ``source``, by name or as a method (``p._numerators()``), the caller
+    ``source``, by name or as a method (``p._store(...)``), the caller
     being the outermost definition around it (methods as
     ``Class.method``), ``None`` at module level."""
     return {(called, name) for name, node in _units(source) for sub in ast.walk(node)
@@ -413,10 +413,24 @@ def _callers(source, names):
             and (called := getattr(sub.func, "id", getattr(sub.func, "attr", None))) in names}
 
 
-def test_denominators_are_cleared_only_in_the_product_kernel():
+def _reducers(source):
+    """The functions of ``source`` (methods as ``Class.method``) that call
+    ``gcd`` with a starred argument, ``gcd(den, *numerators)``: a
+    denominator reduced against a whole map of numerators, with ``None``
+    for a call at module level."""
+    return {name for name, node in _units(source) for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+            and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == "gcd"
+            and any(isinstance(arg, ast.Starred) for arg in sub.args)}
+
+
+def test_denominators_are_reduced_in_one_constructor():
     source = (PACKAGE / "ring.py").read_text(encoding="utf-8")
-    assert _callers(source, {"_numerators", "_over"}) == {
-        ("_numerators", "products"), ("_over", "products")}
+    assert _reducers(source) == {"Poly._make"}
+    # coefficients are cleared to numerators only where a term map is read in
+    assert _callers(source, {"_store", "_of_terms"}) == {
+        ("_store", "Poly.__init__"), ("_store", "Poly._of_terms"),
+        ("_of_terms", "Chart.coerce"), ("_of_terms", "_Parser.expr")}
 
 
 def test_monomials_are_multiplied_only_by_the_kernel_and_the_constructor():
@@ -427,22 +441,25 @@ def test_monomials_are_multiplied_only_by_the_kernel_and_the_constructor():
 
 def test_a_second_clearing_or_multiplying_route_is_reported():
     source = (
+        "import math\nfrom math import gcd\n\n"
         "class Poly:\n"
         "    def __init__(self, chart, terms):\n"
         "        _monomial_products(self.terms, {}, terms, 1)\n"
+        "        self._store(chart, terms)\n"
         "    def __mul__(self, other):\n"
         "        target = {}\n"
-        "        _monomial_products(target, self._numerators(), other.terms, 1)\n"
-        "        return _over(target, 6)\n"
+        "        _monomial_products(target, self._num, other._num, 1)\n"
+        "        return math.gcd(self._den, *target.values())\n"
+        "    def __neg__(self):\n"
+        "        return math.gcd(self._den, 2)\n"
         "\ndef products(chart, items):\n"
-        "    return _over({k: a._numerators() for k, a in items}, 1)\n"
-        "\nTERMS = _over(ONE._numerators(), 1)\n"
+        "    return {k: gcd(6, *a._num.values()) for k, a in items}\n"
+        "\nONE = gcd(1, *ONE._num.values())\nTWO = ONE._store(None, {})\n"
     )
-    assert _callers(source, {"_numerators", "_over", "_monomial_products"}) == {
-        ("_monomial_products", "Poly.__init__"), ("_numerators", "Poly.__mul__"),
-        ("_over", "Poly.__mul__"), ("_monomial_products", "Poly.__mul__"),
-        ("_numerators", "products"), ("_over", "products"), ("_over", None),
-        ("_numerators", None)}
+    assert _reducers(source) == {"Poly.__mul__", "products", None}
+    assert _callers(source, {"_store", "_monomial_products"}) == {
+        ("_monomial_products", "Poly.__init__"), ("_store", "Poly.__init__"),
+        ("_monomial_products", "Poly.__mul__"), ("_store", None)}
 
 
 def _anchor_subscribers(source):

@@ -288,6 +288,7 @@ def test_kernel_results_without_terms_are_the_shared_zero():
     assert -zero is zero and zero.transport(XY) is zero
     assert (p("x + y") * p("x - y") - p("x^2 - y^2")) is zero
     assert X.zero().transport(XY) is zero
+    assert p("1/2*x - 1/2*x") is zero and p("x - x") is zero
     assert not zero.terms and zero == 0
 
 
@@ -574,9 +575,12 @@ def _true_den(q):
 
 
 def _den_is_right(q):
-    """The slot is unknown (None) or the lcm of the denominators, and the
-    lcm is what :meth:`Poly._denominator` returns."""
-    return q._den in (None, _true_den(q)) and q._denominator() == _true_den(q)
+    """The stored form: ``_den`` is the lcm of the denominators of
+    ``terms``, the numerators are in lowest terms against it, and each
+    coefficient is its numerator over it."""
+    return (q._den == _true_den(q) and math.gcd(q._den, *q._num.values()) == 1
+            and q._num.keys() == q.terms.keys()
+            and all(c * q._den == q._num[e] for e, c in q.terms.items()))
 
 
 #: Coefficients of either stored type with denominators up to 12, of both
@@ -592,18 +596,17 @@ _MIXED_ITEMS = st.lists(st.tuples(st.sampled_from(["a", "b", (0, 1)]),
                                   _MIXED_MAPS, _MIXED_MAPS), max_size=8)
 
 
-def _factor(terms, known):
-    """The polynomial of ``terms``, its denominator left unknown or known."""
+def _factor(terms, read):
+    """The polynomial of ``terms``, its ``terms`` map read, or built from
+    its numerators and not yet read."""
     q = Poly(XY, terms)
-    if known:
-        q._denominator()
-    return q
+    return q if read else Poly._make(XY, dict(q._num), q._den)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_MIXED_ITEMS, st.lists(st.booleans(), min_size=16, max_size=16))
-def test_rational_products_match_the_per_term_fraction_route(items, known):
-    items = [(key, sign, _factor(a, known[2 * i]), _factor(b, known[2 * i + 1]))
+def test_rational_products_match_the_per_term_fraction_route(items, read):
+    items = [(key, sign, _factor(a, read[2 * i]), _factor(b, read[2 * i + 1]))
              for i, (key, sign, a, b) in enumerate(items)]
     result = products(XY, iter(items))
     assert {key: q.terms for key, q in result.items()} == _fraction_reference(items)
@@ -615,8 +618,8 @@ def test_rational_products_match_the_per_term_fraction_route(items, known):
 
 @settings(max_examples=300, deadline=None)
 @given(_MIXED_MAPS, _MIXED_MAPS, st.booleans())
-def test_poly_mul_matches_the_per_term_fraction_route(a, b, known):
-    pa, pb = _factor(a, known), _factor(b, not known)
+def test_poly_mul_matches_the_per_term_fraction_route(a, b, read):
+    pa, pb = _factor(a, read), _factor(b, not read)
     expected = _fraction_reference([("k", 1, pa, pb)]).get("k", {})
     product = pa * pb
     assert product.terms == expected
@@ -626,8 +629,8 @@ def test_poly_mul_matches_the_per_term_fraction_route(a, b, known):
 
 @settings(max_examples=200, deadline=None)
 @given(_MIXED_MAPS, st.booleans())
-def test_a_known_denominator_is_the_true_one(terms, known):
-    q = _factor(terms, known)
+def test_a_known_denominator_is_the_true_one(terms, read):
+    q = _factor(terms, read)
     x, y = XY.coordinate("x"), XY.coordinate("y")
     xyz = Chart(["x", "y", "z"])
     derived = [q, -q, q.partial("x"), q.partial("y"), q.transport(xyz),
@@ -637,13 +640,61 @@ def test_a_known_denominator_is_the_true_one(terms, known):
                *products(XY, [("k", 1, q, q), ("j", -1, q, x + y)]).values()]
     for r in derived:
         assert _den_is_right(r) and _stored_exactly(r)
-    # integral polynomials built from known-integral ones say so in the slot
+    # integral polynomials built from integral ones have the denominator 1
     integral = x * y + 2 * x
     for r in (integral, -integral, integral.partial("x"), integral.transport(xyz),
               integral.transport(X, {"y": "x"}), integral + x, integral - y,
               *products(XY, [("k", -1, integral, x)]).values(), XY.zero(),
               XY.coerce(3), XY.coordinate("y")):
         assert r._den == 1
+
+
+def _routes(a, b):
+    """(route, build) for a rational polynomial made from the term maps
+    ``a`` and ``b`` by every route of the ring."""
+    pa, pb = Poly(XY, a), _factor(b, False)
+    xyz, yx = Chart(["x", "y", "z"]), Chart(["y", "x"])
+    return [
+        ("constructor", lambda: Poly(XY, a)),
+        ("parser", lambda: p(poly_to_string(pa))),
+        ("kernel", lambda: products(XY, [("k", 1, pa, pb), ("k", -1, pb, pb)]).get(
+            "k", XY.zero())),
+        ("mul", lambda: pa * pb),
+        ("add", lambda: pa + pb),
+        ("sub", lambda: pa - pb),
+        ("neg", lambda: -pb),
+        ("scale", lambda: pb * Fraction(6, 5)),
+        ("scale-to-integral", lambda: pb * pb._den),
+        ("pow", lambda: pb ** 2),
+        ("partial", lambda: pb.partial("x")),
+        ("transport-extend", lambda: pb.transport(xyz)),
+        ("transport-permute", lambda: pb.transport(yx)),
+        ("transport-merge", lambda: pb.transport(X, {"y": "x"})),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MIXED_MAPS, _MIXED_MAPS)
+def test_every_route_keeps_the_stored_form(a, b):
+    for route, build in _routes(a, b):
+        with pytest.raises(AttributeError):
+            build().no_such_slot  # unread, and not a recursion
+        r = build()
+        assert _den_is_right(r), route
+        assert all(type(c) is int or c.denominator != 1 for c in r.terms.values()), route
+        for twin in (parse_poly(poly_to_string(r), r.chart), Poly(r.chart, r.terms)):
+            assert twin == r and hash(twin) == hash(r), route
+
+
+def test_a_rational_result_is_unread_until_its_terms_are():
+    half_x = p("1/2*x")
+    for r in (half_x * p("x + 1/3*y"), half_x + p("1/3*y"), -half_x,
+              half_x.partial("x") * Fraction(1, 5), half_x.transport(X, {"y": "x"})):
+        assert type(r) is algebroids.ring._Unread
+        with pytest.raises(AttributeError, match="no_such_slot"):
+            r.no_such_slot
+        terms = r.terms
+        assert type(r) is Poly and r.terms is terms and _den_is_right(r)
 
 
 def test_a_cancelling_rational_sum_drops_its_key():
@@ -705,9 +756,10 @@ def _kernel_factors(draw, kind):
 
 
 def _kernel_result(result):
-    """Each key's terms with their stored types, and whether its ``_den``
-    slot says integral."""
-    return {key: (sorted((e, c, type(c)) for e, c in q.terms.items()), q._den == 1)
+    """Each key's terms with their stored types, and its ``_den`` and
+    ``_num`` slots."""
+    return {key: (sorted((e, c, type(c)) for e, c in q.terms.items()), q._den,
+                  sorted(q._num.items()))
             for key, q in result.items()}
 
 
@@ -716,8 +768,8 @@ def _kernel_result(result):
 def test_the_product_kernel_matches_its_reference(data):
     kind = data.draw(st.sampled_from(sorted(_KERNEL_COEFFICIENTS)))
     factors = _kernel_factors(data.draw, kind)
-    known = data.draw(st.lists(st.booleans(), min_size=len(factors),
-                               max_size=len(factors)))
+    read = data.draw(st.lists(st.booleans(), min_size=len(factors),
+                              max_size=len(factors)))
     picks = data.draw(st.lists(st.tuples(
         st.sampled_from(["a", "b", (0, 1)]), st.sampled_from([1, -1, 2, -3]),
         st.integers(0, len(factors) - 1), st.integers(0, len(factors) - 1)),
@@ -726,28 +778,19 @@ def test_the_product_kernel_matches_its_reference(data):
         picks += [(key, -sign, j, i) for key, sign, i, j in picks]
     results = []
     for kernel in (ring_reference.products, products):
-        # each kernel gets its own polynomials, with empty slots
-        polys = [_factor(terms, k) for terms, k in zip(factors, known)]
+        # each kernel gets its own polynomials, read or unread as drawn
+        polys = [_factor(terms, k) for terms, k in zip(factors, read)]
         results.append(_kernel_result(kernel(XY, iter(
             [(key, sign, polys[i], polys[j]) for key, sign, i, j in picks]))))
     assert results[1] == results[0]
 
 
 def test_a_factor_is_cleared_once_and_integral_calls_build_no_fraction(monkeypatch):
-    ratios = []
-    ratio = Fraction.as_integer_ratio
-
-    def counted_ratio(c):
-        ratios.append(c)
-        return ratio(c)
-
-    monkeypatch.setattr(Fraction, "as_integer_ratio", counted_ratio)
     q = Poly(XY, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3), (0, 0): Fraction(5, 4)})
+    num = q._num  # cleared once, by the constructor
+    assert (q._den, num) == (12, {(1, 0): 6, (0, 1): -8, (0, 0): 15})
     x, y = XY.coordinate("x"), XY.coordinate("y")
-    first = products(XY, [("a", 1, q, x), ("b", -1, y, q), ("a", 2, q, q)])
-    second = products(XY, [("c", 1, q, q)])
-    assert q * x + 2 * second["c"] == first["a"]
-    assert len(ratios) == 3  # one per term of q, over three calls
+    two_thirds = Fraction(2, 3)
 
     made = []
     new = Fraction.__new__
@@ -757,13 +800,22 @@ def test_a_factor_is_cleared_once_and_integral_calls_build_no_fraction(monkeypat
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted_new)
+    first = products(XY, [("a", 1, q, x), ("b", -1, y, q), ("a", 2, q, q)])
+    second = products(XY, [("c", 1, q, q)])
+    assert q * x + 2 * second["c"] == first["a"]
+    # neither the kernel nor the ring operations on numerators build one
+    derived = [-q, q - x, q + first["b"], q * two_thirds, q.partial("x"),
+               first["b"].partial("y"), first["a"].transport(Chart(["y", "x"]))]
+    assert made == [] and q._num is num
+
     integral = p("x^2 - 3*x*y + 2")
     result = products(XY, [("a", 1, integral, x), ("a", -2, y, integral),
                            ("b", 3, integral, integral), ("b", 1, XY.coerce(4), y)])
     assert made == [] and all(r._den == 1 for r in result.values())
-    assert integral._numerators() is integral.terms  # shared, not copied
-    products(XY, [("a", 1, q, x)])
-    assert made  # a rational call divides by its denominator
+    assert integral._num is integral.terms  # shared, not copied
+    assert all(r.terms is r._num for r in result.values())
+    assert all(_den_is_right(r) for r in derived)
+    assert made  # reading a non-integral result's terms builds its Fractions
 
     built = []
     make = Poly._make.__func__

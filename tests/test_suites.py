@@ -271,6 +271,12 @@ def _declarations(suite):
 # draw named a Poisson structure's chart, ``ps.chart``, the copy names the
 # same chart as ``O.base``.
 
+def _arguments(run, rng, owner, args):
+    """``run``'s draw of the declared arguments ``args`` on ``owner``, their
+    specs read and bound as ``declare`` does."""
+    return run.arguments(rng, owner, suites._bound_specs(suites._read_specs(args), owner))
+
+
 def _lie_insertion_draws(run, A, rng):
     mu = run.draw(rng, A, Kind.FORM, rng.choice([1, min(2, A.rank)]))
     x = run.draw(rng, A, Kind.MV, 1)
@@ -377,7 +383,7 @@ def test_declared_arguments_draw_as_the_hand_written_instances(
         owner = fixture if owner_map is None else owner_map(fixture)
         for seed in range(40):
             declared, by_hand = random.Random(seed), random.Random(seed)
-            drawn = run.arguments(declared, owner, args)
+            drawn = _arguments(run, declared, owner, args)
             expected = verbatim(run, owner, by_hand)
             assert declared.getstate() == by_hand.getstate(), (name, seed)
             assert set(drawn) == set(expected)
@@ -627,10 +633,10 @@ def test_a_fixed_degree_draws_without_a_choice():
     A = model.algebroids["so3"]
     rng = random.Random(0)
     before = rng.getstate()
-    assert run.arguments(rng, A, {"x": (Kind.MV, 1),
-                                  "mu": (Kind.FORM, 2, 1)}) == {"x": 1, "mu": 2}
+    assert _arguments(run, rng, A, {"x": (Kind.MV, 1),
+                                    "mu": (Kind.FORM, 2, 1)}) == {"x": 1, "mu": 2}
     assert rng.getstate() == before
-    assert run.arguments(rng, A, {"x": (Kind.MV, (1,))}) == {"x": 1}
+    assert _arguments(run, rng, A, {"x": (Kind.MV, (1,))}) == {"x": 1}
     assert rng.getstate() != before
 
 
@@ -645,7 +651,7 @@ def test_a_function_argument_draws_one_coefficient():
     for A in owners:
         for seed in range(20):
             declared, by_hand = random.Random(seed), random.Random(seed)
-            drawn = run.arguments(declared, A, {"f": suites.FUNCTION})
+            drawn = _arguments(run, declared, A, {"f": suites.FUNCTION})
             value = random_coefficient(by_hand, A.base, 2)
             assert declared.getstate() == by_hand.getstate(), (A, seed)
             assert list(drawn) == ["f"]
