@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from json.encoder import encode_basestring
 
 from . import fixtures
 from .algebroid import (
@@ -137,9 +138,20 @@ def _expect_object(value, where):
     return value
 
 
+def _encodable(name: str) -> bool:
+    """Whether ``name`` can be written as UTF-8 (a lone surrogate cannot)."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _expect_name(name, where):
     if not isinstance(name, str) or not name:
         raise ParseError(f"{where}: names must be non-empty strings")
+    if not _encodable(name):
+        raise ParseError(f"{where}: the name {name!r} cannot be written as UTF-8")
     return name
 
 
@@ -353,14 +365,16 @@ def loads_model(text: str) -> Model:
     if unknown:
         raise ParseError(f"model: unknown sections {sorted(unknown)}")
     model = Model()
+    # each name is checked before its body, whose errors name it
     for name, body in _expect_object(raw.get("charts", {}), "charts").items():
-        model.charts[_expect_name(name, "charts")] = _decode_chart(name, body)
+        name = _expect_name(name, "charts")
+        model.charts[name] = _decode_chart(name, body)
     for name, body in _expect_object(raw.get("algebroids", {}), "algebroids").items():
-        model.algebroids[_expect_name(name, "algebroids")] = \
-            _decode_algebroid(name, body, model.charts)
+        name = _expect_name(name, "algebroids")
+        model.algebroids[name] = _decode_algebroid(name, body, model.charts)
     for name, body in _expect_object(raw.get("poisson", {}), "poisson").items():
-        model.poisson[_expect_name(name, "poisson")] = \
-            _decode_poisson(name, body, model.charts)
+        name = _expect_name(name, "poisson")
+        model.poisson[name] = _decode_poisson(name, body, model.charts)
     for name, body in _expect_object(raw.get("tensors", {}), "tensors").items():
         owner_name, tensor = _decode_tensor(_expect_name(name, "tensors"), body, model)
         model.tensors[name] = tensor
@@ -482,12 +496,13 @@ _TABLE_TYPES = {"charts": Chart, "algebroids": Algebroid, "poisson": PoissonStru
 def _check_model(model, who: str) -> Model:
     """The model check of operation ``who``: ``model`` if it is a
     :class:`Model` (else :class:`KindMismatch`) whose every table is a dict
-    from strings to the table's type of :data:`_TABLE_TYPES`, each Poisson
-    entry holding a tensor over an algebroid and each suite setting one of
-    ``seed``, ``trials`` and ``max_degree`` and an int that is not a bool
-    (else :class:`ValidationError` naming the entry).  A checked model is
-    one the suite runner trusts: it hands the model's structures to kernels
-    that check nothing."""
+    from strings to the table's type of :data:`_TABLE_TYPES`, every name
+    (and every owner name of ``tensor_owners``) one that can be written as
+    UTF-8, each Poisson entry holding a tensor over an algebroid and each
+    suite setting one of ``seed``, ``trials`` and ``max_degree`` and an int
+    that is not a bool (else :class:`ValidationError` naming the entry).  A
+    checked model is one the suite runner trusts: it hands the model's
+    structures to kernels that check nothing."""
     _require(model, who, cls=Model)
     for table, cls in _TABLE_TYPES.items():
         entries = getattr(model, table, None)
@@ -499,6 +514,10 @@ def _check_model(model, who: str) -> Model:
                     or value.__class__ is bool):
                 raise ValidationError(f"{who}: the model's {table} entry {name!r} is "
                                       f"a {type(value).__name__}, not a {cls.__name__}")
+            for text in (name, value) if cls is str else (name,):
+                if not _encodable(text):
+                    raise ValidationError(f"{who}: the name {text!r} in the model's "
+                                          f"{table} table cannot be written as UTF-8")
     for name, ps in model.poisson.items():
         if not (isinstance(ps.owner, Algebroid) and isinstance(ps.bivector, GradedTensor)):
             raise ValidationError(f"{who}: the model's poisson entry {name!r} holds no "
@@ -533,10 +552,49 @@ def model_document(model: Model) -> dict:
     return doc
 
 
+def _write_json(value, indent: str, out: list) -> None:
+    """Append to ``out`` the pieces of the text ``json.dumps(value,
+    indent=2, ensure_ascii=False)`` gives for ``value``, a dict, list, str
+    or int of a model document, nested at ``indent``.  With an indent set,
+    ``json.dumps`` runs its pure-Python encoder; this writer covers only
+    the four types a document holds, and quotes strings with the function
+    that encoder uses."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(f"{sep}{encode_basestring(key)}: ")
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(int.__repr__(value))
+
+
 def dumps_model(model: Model) -> str:
     """Canonical JSON text: :func:`model_document` with a two-space indent
-    and a trailing newline."""
-    return json.dumps(model_document(model), indent=2, ensure_ascii=False) + "\n"
+    and a trailing newline, as ``json.dumps(..., indent=2,
+    ensure_ascii=False)`` writes it."""
+    out = []
+    _write_json(model_document(model), "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 # -- the built-in model ------------------------------------------------------

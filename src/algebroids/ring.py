@@ -40,9 +40,9 @@ denominator does not divide it.  Sums, differences, negation, scaling by a
 constant, partials and transport likewise work on ``_num`` and ``_den``
 and build no ``Fraction``.  Every such result goes through one internal
 constructor, which divides numerators and denominator by their gcd: the
-one place a denominator is reduced.  Only the readers of values (the
-printer, :meth:`Poly.eval_at`, :meth:`Poly.constant_value` and callers
-outside this module) read ``terms``.  :meth:`Poly.gradient` keeps its
+one place a denominator is reduced.  Only the readers of values
+(:meth:`Poly.eval_at`, :meth:`Poly.constant_value` and callers outside
+this module) read ``terms``.  :meth:`Poly.gradient` keeps its
 partials in a slot, so each
 polynomial object is differentiated once.  Beside :class:`Chart` sits the
 package's one naming rule for derived coordinate, fiber and dual names,
@@ -73,13 +73,16 @@ multiplies its single factors (rational literals, coordinates and their
 powers) into one coefficient, kept as an integer numerator and
 denominator, and one exponent list, with no polynomial built per factor;
 only a parenthesised sum is a :class:`Poly`, multiplied in with ``*`` and
-``**`` after the bounds are checked.  An expression sums its terms in one
-:func:`accumulate` call; the reader still forms one ``Fraction`` per
-non-integral term, and its result keeps those terms as read beside the
-numerators cleared from them.  :func:`poly_to_string` writes one pass over the
-sorted terms, reading each sign and magnitude off ``str`` of the
-coefficient; it emits a canonical form that :func:`parse_poly` maps back
-to the identical term dict.
+``**`` after the bounds are checked.  An expression brings its terms'
+numerators to the lcm of their denominators and sums them in one
+:func:`accumulate` call, so reading builds no ``Fraction``.
+:func:`poly_to_string` writes one pass over the sorted numerators, reading
+each sign and magnitude off the numerator and ``_den`` with one gcd per
+term; it emits a canonical form that :func:`parse_poly` maps back to the
+identical term dict.  The public constructor likewise sums its
+coefficients' numerators over the lcm of their denominators, so a
+``Fraction`` is built only when a non-integral polynomial's ``terms`` are
+read or by :meth:`Poly.eval_at`.
 """
 
 from __future__ import annotations
@@ -193,9 +196,7 @@ class Chart:
         if isinstance(value, (int, Fraction)):
             if not value:
                 return self._zero
-            if value.denominator == 1:
-                return Poly._make(self, {self._origin: value.numerator})
-            return Poly._of_terms(self, {self._origin: value})
+            return Poly._make(self, {self._origin: value.numerator}, value.denominator)
         if isinstance(value, str):
             return parse_poly(value, self)
         raise PolySyntaxError(
@@ -264,7 +265,8 @@ class Poly:
     def __init__(self, chart: Chart, terms: Mapping[Exponent, object] | Iterable):
         """The sum of ``coefficient * x^exponent`` over ``terms`` (a mapping
         or (exponent, coefficient) pairs); each coefficient goes through
-        :meth:`Chart.coerce`."""
+        :meth:`Chart.coerce`, and their numerators are summed over the lcm
+        of their denominators."""
         items = terms.items() if hasattr(terms, "items") else terms
         try:
             items = iter(items)
@@ -272,7 +274,7 @@ class Poly:
             raise PolySyntaxError(f"polynomial terms are a mapping or (exponent, "
                                   f"coefficient) pairs, not a "
                                   f"{type(terms).__name__}") from None
-        sums: Dict = {}
+        coeffs = []
         for term in items:
             try:
                 exp, coeff = term
@@ -290,26 +292,19 @@ class Poly:
                                       f"that is not an int")
             if any(e < 0 for e in exp):
                 raise NegativeExponent(f"negative exponent in {exp!r}")
-            _monomial_products(sums, {exp: 1}, chart.coerce(coeff).terms, 1)
-        self._store(chart, {e: _exact(c) for e, c in sums.items()})
-
-    def _store(self, chart: Chart, terms: Dict[Exponent, Scalar]) -> "Poly":
-        """Fill the slots from the normalized term map ``terms`` (nonzero
-        coefficients, each integral one an int), kept as read: its
-        numerators over the lcm of its denominators, ``terms`` itself when
-        that is 1."""
-        den = math.lcm(*[c.denominator for c in terms.values()])
-        self.chart, self.terms, self._den = chart, terms, den
-        self._num = terms if den == 1 else {
-            e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+            coeffs.append((exp, chart.coerce(coeff)))
+        den = math.lcm(*[c._den for _, c in coeffs])
+        sums: Dict = {}
+        for exp, c in coeffs:
+            _monomial_products(sums, {exp: den // c._den}, c._num, 1)
+        # take the slots of the one constructor's result, and its class:
+        # _Unread when the sum is not integral
+        made = Poly._make(chart, sums, den)
+        self.__class__ = made.__class__
+        self.chart, self._num, self._den = chart, made._num, made._den
+        if made._den == 1:
+            self.terms = made._num
         self._hash = self._gradient = None
-        return self
-
-    @classmethod
-    def _of_terms(cls, chart: Chart, terms: Dict[Exponent, Scalar]) -> "Poly":
-        # Internal: the polynomial of the normalized term map `terms`, kept
-        # as read.  No terms is the chart's shared zero.
-        return object.__new__(cls)._store(chart, terms) if terms else chart._zero
 
     @classmethod
     def _make(cls, chart: Chart, num: Dict[Exponent, int], den: int = 1) -> "Poly":
@@ -578,11 +573,6 @@ def _transport_column(names: Tuple[str, ...], chart: Chart):
 
 # -- the accumulation kernel ---------------------------------------------------
 
-def _exact(c: Scalar) -> Scalar:
-    """A rational in the stored form: an integral one as an ``int``."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _scaled(p: Poly, scale: int):
     """The (exponent, numerator) pairs of ``p``, each numerator times
     ``scale``."""
@@ -595,18 +585,16 @@ def accumulate(pairs: Iterable[Tuple[object, object]],
                start: Mapping = ()) -> Dict:
     """Sum (key, coefficient) pairs into a copy of the term map ``start``,
     dropping every key whose coefficients cancel to zero.  The one
-    accumulation loop of the package: coefficients are ``int`` or
-    ``Fraction`` (the terms of a polynomial; an integral ``Fraction`` is
-    stored as its ``int``) or ``Poly`` (the terms of a tensor), and all are
-    falsy exactly at zero."""
+    accumulation loop of the package: coefficients are ``int`` (the
+    numerators of a polynomial, over a denominator the caller keeps) or
+    ``Poly`` (the terms of a tensor), and both are falsy exactly at
+    zero."""
     acc = dict(start)
     for key, coeff in pairs:
         prev = acc.get(key)
         if prev is not None:
             coeff = prev + coeff
         if coeff:
-            if coeff.__class__ is Fraction:
-                coeff = _exact(coeff)
             acc[key] = coeff
         else:
             acc.pop(key, None)
@@ -773,7 +761,8 @@ class _Parser:
     (rational literals, coordinates and their powers) as one numerator, one
     denominator and one exponent list; only a parenthesised sum is a
     :class:`Poly`, multiplied in with ``*`` and ``**``.  An expression sums
-    its terms in one :func:`accumulate` call."""
+    its terms' numerators over the lcm of their denominators in one
+    :func:`accumulate` call."""
 
     __slots__ = ("chart", "tokens", "i", "depth", "expansion")
 
@@ -802,20 +791,26 @@ class _Parser:
         return result
 
     def expr(self) -> Poly:
-        pairs: List = []
+        items: List = []
         tokens = self.tokens
         sign = 1
         while True:
-            self.term(pairs, sign)
+            self.term(items, sign)
             value = tokens[self.i][1]
             if value == "+":
                 sign = 1
             elif value == "-":
                 sign = -1
-            else:  # a single term is already summed
-                return Poly._of_terms(self.chart, accumulate(pairs) if len(pairs) > 1
-                                      else dict(pairs))
+            else:
+                break
             self.i += 1
+        if len(items) == 1:  # a single term is already summed
+            key, n, d = items[0]
+            return Poly._make(self.chart, {key: n}, d)
+        den = math.lcm(*[d for _, _, d in items])
+        return Poly._make(self.chart, accumulate(
+            [(key, n) for key, n, _ in items] if den == 1
+            else [(key, n * (den // d)) for key, n, d in items]), den)
 
     def exponent(self, i: int) -> Tuple[int, int]:
         """The exponent literal of token ``i``, after a ``^``, and its
@@ -835,9 +830,9 @@ class _Parser:
                 f"exponent {e} exceeds {MAX_EXPONENT}", position=at)
         return e, at
 
-    def term(self, pairs: List, sign: int) -> None:
-        """Append to ``pairs`` the (exponent, coefficient) pairs of the next
-        term times ``sign``."""
+    def term(self, items: List, sign: int) -> None:
+        """Append to ``items`` the (exponent, numerator, denominator) triples
+        of the next term times ``sign``."""
         tokens, chart = self.tokens, self.chart
         i = self.i
         num, den = sign, 1
@@ -910,14 +905,14 @@ class _Parser:
                     i += 2
                     factor = self.power(factor, e, at)
                 n = d = 1
-                count = len(factor.terms)
+                count = len(factor._num)
             else:
                 raise PolySyntaxError("expected a rational, coordinate, or '('",
                                       position=at)
             # the checks and charges of multiplying the product so far by
             # this factor: free unless a parenthesised factor takes part
             if star is not None and (poly is not None or factor is not None):
-                terms = (len(poly.terms) if poly is not None else 1) * count if num else 0
+                terms = (len(poly._num) if poly is not None else 1) * count if num else 0
                 if terms > MAX_TERMS:
                     raise PolySyntaxError(
                         f"product may expand to more than {MAX_TERMS} terms",
@@ -928,7 +923,7 @@ class _Parser:
                 den *= d
                 if factor is not None:
                     poly = factor if poly is None else poly * factor
-                    if not poly.terms:
+                    if not poly._num:
                         num = 0
             _, value, star = tokens[i]
             if value != "*":
@@ -937,29 +932,28 @@ class _Parser:
         self.i = i
         if not num:
             return
-        if den == 1:
-            coeff = num
-        else:
-            q, r = divmod(num, den)
-            coeff = q if not r else Fraction(num, den)
         # a constant keeps the chart's one zero exponent, as Chart.coerce does
         key = chart._origin if exps is None else tuple(exps)
         if poly is None:
-            pairs.append((key, coeff))
+            items.append((key, num, den))
             return
-        if coeff != 1 or exps is not None:
+        if num != den or exps is not None:
             poly = poly * Poly._make(chart, {key: num}, den)
-        pairs.extend(poly.terms.items())
+        den = poly._den
+        items.extend([(e, n, den) for e, n in poly._num.items()])
 
     def power(self, base: Poly, e: int, at: int) -> Poly:
         """``base ** e`` for a parenthesised ``base``, checked and charged."""
-        t = max(1, len(base.terms))
+        t = max(1, len(base._num))
         terms = math.comb(e + t - 1, t - 1)
         if terms > MAX_TERMS:
             raise PolySyntaxError(
                 f"power may expand to more than {MAX_TERMS} terms", position=at)
-        _check_bits(e, max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                            for c in base.terms.values()), default=0), at)
+        den, bits = base._den, 0
+        for n in base._num.values():
+            g = math.gcd(n, den)  # the coefficient n/den in lowest terms
+            bits = max(bits, (n // g).bit_length(), (den // g).bit_length())
+        _check_bits(e, bits, at)
         self.charge(terms, at)
         return base ** e
 
@@ -974,19 +968,25 @@ def parse_poly(text: str, chart: Chart) -> Poly:
 def poly_to_string(p: Poly) -> str:
     """Canonical string form: descending lexicographic monomial order, and
     grammar-safe signs (a leading negative term prints its coefficient, e.g.
-    ``-1*x``, because bare ``-x`` is not in the grammar).  Each term's sign
-    and magnitude are read off ``str`` of its coefficient, which spells an
-    ``int`` and a ``Fraction`` of one value alike."""
-    terms = p.terms
-    if not terms:
+    ``-1*x``, because bare ``-x`` is not in the grammar).  Each term's
+    magnitude is read off its numerator and ``_den`` with one gcd, spelled
+    as ``str`` spells the coefficient's ``int`` or ``Fraction``."""
+    num = p._num
+    if not num:
         return "0"
+    den = p._den
     names = p.chart.coords
     pieces = []
-    for exp in sorted(terms, reverse=True):
-        mag = str(terms[exp])
-        negative = mag[0] == "-"
+    for exp in sorted(num, reverse=True):
+        n = num[exp]
+        negative = n < 0
         if negative:
-            mag = mag[1:]
+            n = -n
+        if den == 1:
+            mag = str(n)
+        else:
+            g = math.gcd(n, den)
+            mag = str(n // g) if g == den else f"{n // g}/{den // g}"
         mono = "*".join([name if e == 1 else f"{name}^{e}"
                          for name, e in zip(names, exp) if e])
         if not mono:

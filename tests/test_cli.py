@@ -167,6 +167,30 @@ def test_unreadable_model_is_an_input_error(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("table", ["charts", "algebroids", "tensors"])
+def test_a_name_utf8_cannot_hold_is_an_input_error(tmp_path, table):
+    """A lone surrogate is valid JSON (the escape \\ud800) but no UTF-8
+    text: a model naming one is refused with a report that can be written,
+    not a UnicodeEncodeError traceback from writing one that names it."""
+    with open("fixtures/so3.json", encoding="utf-8") as handle:
+        document = json.load(handle)
+    document["tensors"] = {"t": {"owner": "so3", "kind": "mv", "degree": 1,
+                                 "terms": {"1": "1"}}}
+    (body,) = document[table].values()
+    document[table] = {"\ud800": body}
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroids", "validate", "--model", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "ParseError"
+    assert report["error"]["message"].startswith(f"{table}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_a_closed_stdout_exits_2_without_a_traceback():
     """The reader takes 20 bytes and closes the pipe, as ``| head -c 20``
     does.  The pipe holds one page, so most of the report (about 20 KB) is

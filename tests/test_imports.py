@@ -427,10 +427,12 @@ def _reducers(source):
 def test_denominators_are_reduced_in_one_constructor():
     source = (PACKAGE / "ring.py").read_text(encoding="utf-8")
     assert _reducers(source) == {"Poly._make"}
-    # coefficients are cleared to numerators only where a term map is read in
-    assert _callers(source, {"_store", "_of_terms"}) == {
-        ("_store", "Poly.__init__"), ("_store", "Poly._of_terms"),
-        ("_of_terms", "Chart.coerce"), ("_of_terms", "_Parser.expr")}
+    # every polynomial is built from numerators: the constructors that
+    # cleared a map of Fraction terms, and the rule that stored an integral
+    # Fraction as an int, are gone, neither defined nor named
+    gone = {"_store", "_of_terms", "_exact"}
+    assert not gone & {name.rpartition(".")[2] for name, _ in _units(source) if name}
+    assert not gone & set(_references(ast.parse(source)))
 
 
 def test_monomials_are_multiplied_only_by_the_kernel_and_the_constructor():

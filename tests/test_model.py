@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from algebroids.model import (
     model_document,
     tensor_key_string,
 )
-from algebroids.poisson import PoissonStructure
+from algebroids.poisson import PoissonStructure, build_poisson
 from algebroids.ring import Chart
 from algebroids.suites import run_all, run_suite
 from algebroids.tensor import GradedTensor, Kind, pretty
@@ -484,3 +485,147 @@ def test_a_rescaled_rational_model_keeps_its_recorded_report():
     assert [result["status"] for result in results] == ["pass"] * len(results)
     text = json.dumps(results, indent=2, ensure_ascii=False)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RATIONAL_REPORT_DIGEST
+
+
+# -- the document writer against the stdlib encoder ------------------------------
+
+def _stdlib_text(model):
+    """The text ``dumps_model`` must equal: the stdlib encoder's."""
+    return json.dumps(model_document(model), indent=2, ensure_ascii=False) + "\n"
+
+
+#: Every shipped fixture file as a model: the valid ones as loaded, the
+#: broken ones as their unvalidated builders (which dump to those files).
+FIXTURE_MODELS = {
+    "standard.json": lambda: load_model("fixtures/standard.json"),
+    "so3.json": lambda: load_model("fixtures/so3.json"),
+    "broken_anchor.json": lambda: Model(charts={"line": Chart(("x",))},
+                                        algebroids={"broken-anchor": broken_anchor()}),
+    "broken_jacobi.json": lambda: Model(charts={"base": Chart(())},
+                                        algebroids={"broken-jacobi": broken_jacobi()}),
+}
+
+
+def test_every_fixture_file_has_a_model():
+    assert sorted(FIXTURE_MODELS) == sorted(p.name for p in Path("fixtures").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_MODELS))
+def test_the_writer_matches_the_stdlib_on_the_fixtures(name):
+    model = FIXTURE_MODELS[name]()
+    text = dumps_model(model)
+    assert text == _stdlib_text(model)
+    with open(f"fixtures/{name}", encoding="utf-8") as handle:
+        assert text == handle.read()
+
+
+def test_the_writer_matches_the_stdlib_on_the_builtin_model():
+    model = builtin_model()
+    assert dumps_model(model) == _stdlib_text(model)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBROIDS))
+def test_the_writer_matches_the_stdlib_on_the_lifted_models(name):
+    A = ALGEBROIDS[name]()
+    tangent, cotangent = tangent_lift(A), cotangent_lift(A)
+    lifted = Model(charts={"base": A.base, "tangent": tangent.base,
+                           "dual": cotangent.base},
+                   algebroids={"tangent": tangent, "cotangent": cotangent},
+                   poisson={"linear": linear_poisson(A)})
+    assert dumps_model(lifted) == _stdlib_text(lifted)
+
+
+#: Names that need quoting: quotes, backslashes, control characters
+#: (escaped by JSON) and non-ASCII characters (written as they are), but
+#: no lone surrogate, which no model may name.
+_NAMES = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é∧😀 a'),
+                           st.characters(blacklist_categories=("Cs",))),
+                 min_size=1, max_size=6)
+
+_PLANE = Chart(("x", "y"))
+
+
+@st.composite
+def _named_models(draw):
+    """A model whose every name is drawn from :data:`_NAMES`: charts of no
+    coordinate (an empty list) and of two, an algebroid with an empty
+    structure table, a Poisson structure with an empty bivector, a tensor
+    and suite ints of any size."""
+    plane, point, algebroid, poisson, tensor = draw(
+        st.lists(_NAMES, min_size=5, max_size=5, unique=True))
+    owner = canonical_algebroid(_PLANE)
+    zero = GradedTensor(owner, Kind.MV, 2, {})
+    terms = {(0,): "1/2*x - y", (1,): "x^2"} if draw(st.booleans()) else {}
+    ints = st.integers(-10**30, 10**30)
+    return Model(charts={plane: _PLANE, point: Chart(())},
+                 algebroids={algebroid: owner},
+                 poisson={poisson: build_poisson(_PLANE, zero)},
+                 tensors={tensor: GradedTensor(owner, Kind.FORM, 1, terms)},
+                 tensor_owners={tensor: draw(st.sampled_from([plane, algebroid]))},
+                 suite=draw(st.dictionaries(st.sampled_from(["seed", "trials", "max_degree"]),
+                                            ints)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_named_models())
+def test_the_writer_matches_the_stdlib_on_any_names(model):
+    text = dumps_model(model)
+    assert text == _stdlib_text(model)
+    text.encode("utf-8")
+
+
+# -- names that UTF-8 cannot hold -------------------------------------------------
+
+#: A lone surrogate: JSON reads the escape ``"\\ud800"`` as it, but no UTF-8
+#: text can hold it, so a report or document naming it could not be written.
+_SURROGATE = "\ud800"
+
+#: One entry per table of a document, each valid.
+_ONE_OF_EACH = {
+    "charts": {"plane": ["x", "y"]},
+    "algebroids": {"A": {"chart": "plane", "fibers": ["e"], "anchor": [["1", "0"]]}},
+    "poisson": {"P": {"chart": "plane", "bivector": {"1,2": "1"}}},
+    "tensors": {"t": {"owner": "plane", "kind": "mv", "degree": 1,
+                      "terms": {"1": "x"}}},
+}
+
+
+def test_the_document_with_one_entry_per_table_loads():
+    assert dumps_model(loads_model(json.dumps(_ONE_OF_EACH)))
+
+
+@pytest.mark.parametrize("table", sorted(_ONE_OF_EACH))
+def test_a_name_utf8_cannot_hold_is_a_parse_error(table):
+    doc = copy.deepcopy(_ONE_OF_EACH)
+    (body,) = doc[table].values()
+    doc[table] = {_SURROGATE: body}
+    with pytest.raises(ParseError) as err:
+        loads_model(json.dumps(doc))
+    message = str(err.value)
+    assert message.startswith(f"{table}: ") and "UTF-8" in message
+    message.encode("utf-8")  # the report can be written
+
+
+#: A library-built model naming a lone surrogate in each place a name is
+#: written: a table key, or the owner name of a tensor.
+_SURROGATE_MODELS = {
+    "chart": lambda: Model(charts={_SURROGATE: _PLANE}),
+    "algebroid": lambda: Model(charts={"plane": _PLANE},
+                               algebroids={_SURROGATE: canonical_algebroid(_PLANE)}),
+    "tensor": lambda: Model(charts={"plane": _PLANE}, tensors={
+        _SURROGATE: GradedTensor(canonical_algebroid(_PLANE), Kind.MV, 1, {})}),
+    "tensor owner": lambda: Model(charts={"plane": _PLANE}, tensors={
+        "t": GradedTensor(canonical_algebroid(_PLANE), Kind.MV, 1, {})},
+        tensor_owners={"t": _SURROGATE}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SURROGATE_MODELS))
+def test_a_hand_built_name_utf8_cannot_hold_is_a_validation_error(case):
+    model = _SURROGATE_MODELS[case]()
+    for call in (lambda: run_suite("theorem-1", model, trials=1),
+                 lambda: model_document(model), lambda: dumps_model(model)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert "UTF-8" in str(err.value)
+        str(err.value).encode("utf-8")

@@ -1,5 +1,6 @@
 """Ring layer: chart/polynomial arithmetic, the expression grammar, printing."""
 
+import json
 import math
 import random
 import time
@@ -20,6 +21,7 @@ from algebroids.errors import (
     PolySyntaxError,
     UnknownVariable,
 )
+from algebroids.model import dumps_model, loads_model
 from algebroids.ring import (
     MAX_EXPANSION,
     MAX_EXPONENT,
@@ -785,12 +787,25 @@ def test_the_product_kernel_matches_its_reference(data):
     assert results[1] == results[0]
 
 
+#: A model document with rational entries of every table, one of them
+#: read from a parenthesised power.
+_RATIONAL_DOCUMENT = json.dumps({
+    "charts": {"plane": ["x", "y"]},
+    "algebroids": {"A": {"chart": "plane", "fibers": ["e", "f"],
+                         "anchor": [["1/2*x", "0"], ["0", "2/3*y"]]}},
+    "poisson": {"P": {"chart": "plane", "bivector": {"1,2": "5/7*x*y"}}},
+    "tensors": {"t": {"owner": "A", "kind": "form", "degree": 1,
+                      "terms": {"1": "1/2*x^2 - 3/4*y", "2": "(1/2*x + y)^2"}}},
+})
+
+
 def test_a_factor_is_cleared_once_and_integral_calls_build_no_fraction(monkeypatch):
     q = Poly(XY, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3), (0, 0): Fraction(5, 4)})
     num = q._num  # cleared once, by the constructor
     assert (q._den, num) == (12, {(1, 0): 6, (0, 1): -8, (0, 0): 15})
     x, y = XY.coordinate("x"), XY.coordinate("y")
-    two_thirds = Fraction(2, 3)
+    two_thirds, minus_half = Fraction(2, 3), Fraction(-1, 2)
+    text = dumps_model(loads_model(_RATIONAL_DOCUMENT))
 
     made = []
     new = Fraction.__new__
@@ -807,6 +822,18 @@ def test_a_factor_is_cleared_once_and_integral_calls_build_no_fraction(monkeypat
     derived = [-q, q - x, q + first["b"], q * two_thirds, q.partial("x"),
                first["b"].partial("y"), first["a"].transport(Chart(["y", "x"]))]
     assert made == [] and q._num is num
+
+    # nor does the text layer: the reader, the constructor, coerce, the
+    # printer of an unread product, and a model document's round trip
+    read = [p("1/2*x^2 - 2/3*x*y + 5/6"), p("(1/2*x + 2/3*y)^2*x - 1/3*(x - y)"),
+            Poly(XY, {(1, 0): minus_half, (0, 1): two_thirds, (0, 0): 2}),
+            XY.coerce(two_thirds)]
+    printed = poly_to_string(read[0] * read[1])
+    assert dumps_model(loads_model(text)) == text
+    assert made == [] and all(r._den != 1 for r in read)
+    assert printed == poly_to_string(Poly(XY, (read[0] * read[1]).terms))
+    assert "(1/2*x + y)^2" not in text and '"1/4*x^2 + x*y + y^2"' in text
+    made.clear()
 
     integral = p("x^2 - 3*x*y + 2")
     result = products(XY, [("a", 1, integral, x), ("a", -2, y, integral),
