@@ -356,10 +356,19 @@ def _summarize(report, stream):
           f"({report['timing']['seconds']}s)", file=stream)
 
 
+#: A surrogate code point: what the interpreter decodes each byte of an
+#: argument that is not UTF-8 to, and what no UTF-8 text can hold.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
 def _write_report(report) -> bool:
-    """Print ``report`` on stdout; False when the reader has closed it."""
+    """Print ``report`` on stdout as JSON text that UTF-8 can hold:
+    non-ASCII characters as they are and each surrogate as its ``\\uXXXX``
+    escape, which ``json.loads`` reads back.  False when the reader has
+    closed stdout."""
     try:
-        print(json.dumps(report, indent=2, ensure_ascii=False))
+        print(_SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}",
+                             json.dumps(report, indent=2, ensure_ascii=False)))
         sys.stdout.flush()
     except BrokenPipeError:
         # what is still buffered goes to devnull, so the flush at exit is quiet

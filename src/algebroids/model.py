@@ -20,7 +20,9 @@ Index keys are comma-joined and 1-based ("1,3"); a mixed-tensor key appends
 its fiber index after a bar ("1,2|3", degree zero is "|3").  Polynomials are
 strings in the grammar of :func:`algebroids.ring.parse_poly` and are dumped in
 canonical form, so ``dumps_model(load_model(path))`` returns the text of a
-canonical file byte for byte.
+canonical file byte for byte.  One load reads each distinct entry text of a
+chart once: equal entries over one chart object share one immutable
+``Poly``, while nothing is kept from one document to the next.
 
 An algebroid's ``duals`` (the coordinate names of its dual bundle's
 fibers) are written only when they differ from the names
@@ -155,13 +157,24 @@ def _expect_name(name, where):
     return name
 
 
-def _decode_poly(text, chart, where):
+def _decode_poly(text, chart, where, polys):
+    """The polynomial of the entry ``text`` over ``chart``.  ``polys`` holds
+    the entries one document has read, keyed by the chart's identity and
+    the text, so each distinct entry of a chart is parsed once and equal
+    entries share one (immutable) ``Poly``.  A stored ``Poly`` holds its
+    chart, so no key's ``id`` is reused while ``polys`` lives.  A text that
+    fails to parse is not stored: the first bad entry raises, naming
+    itself."""
     if not isinstance(text, str):
         raise ParseError(f"{where}: polynomials are strings, got {type(text).__name__}")
-    try:
-        return parse_poly(text, chart)
-    except AlgebroidError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    key = (id(chart), text)
+    poly = polys.get(key)
+    if poly is None:
+        try:
+            poly = polys[key] = parse_poly(text, chart)
+        except AlgebroidError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+    return poly
 
 
 #: A nonempty index key: 1-based indices in plain decimal, joined by commas.
@@ -204,7 +217,7 @@ def _violation(section, name, exc):
     return err
 
 
-def _decode_algebroid(name, body, charts):
+def _decode_algebroid(name, body, charts, polys):
     where = f"algebroids.{name}"
     body = _expect_object(body, where)
     unknown = set(body) - {"chart", "fibers", "anchor", "c", "duals"}
@@ -228,7 +241,7 @@ def _decode_algebroid(name, body, charts):
             raise ParseError(
                 f"{where}.anchor[{i + 1}]: expected {chart.dim} entries")
         anchor.append(tuple(
-            _decode_poly(entry, chart, f"{where}.anchor[{i + 1}][{a + 1}]")
+            _decode_poly(entry, chart, f"{where}.anchor[{i + 1}][{a + 1}]", polys)
             for a, entry in enumerate(row)))
     structure = {}
     for pair_key, column in _expect_object(body.get("c", {}), f"{where}.c").items():
@@ -243,7 +256,8 @@ def _decode_algebroid(name, body, charts):
             if k >= rank:
                 raise ParseError(f"{where}.c[{pair_key!r}]: fiber {k_key!r} "
                                  f"out of range")
-            entry[k] = _decode_poly(poly, chart, f"{where}.c[{pair_key!r}][{k_key!r}]")
+            entry[k] = _decode_poly(poly, chart, f"{where}.c[{pair_key!r}][{k_key!r}]",
+                                    polys)
         structure[(i, j)] = entry
     duals = _decode_duals(body["duals"], chart, rank, where) if "duals" in body else None
     try:
@@ -268,7 +282,7 @@ def _decode_duals(duals, chart, rank, where):
     return tuple(duals)
 
 
-def _decode_poisson(name, body, charts):
+def _decode_poisson(name, body, charts, polys):
     where = f"poisson.{name}"
     body = _expect_object(body, where)
     unknown = set(body) - {"chart", "bivector"}
@@ -284,7 +298,7 @@ def _decode_poisson(name, body, charts):
         if not i < j < chart.dim:
             raise ParseError(f"{where}.bivector: key {key!r} is not an "
                              f"ordered coordinate pair")
-        terms[(i, j)] = _decode_poly(poly, chart, f"{where}.bivector[{key!r}]")
+        terms[(i, j)] = _decode_poly(poly, chart, f"{where}.bivector[{key!r}]", polys)
     bivector = GradedTensor(canonical_algebroid(chart), Kind.MV, 2, terms)
     try:
         return build_poisson(chart, bivector)
@@ -292,7 +306,7 @@ def _decode_poisson(name, body, charts):
         raise _violation("poisson", name, exc) from exc
 
 
-def _decode_tensor(name, body, model):
+def _decode_tensor(name, body, model, polys):
     where = f"tensors.{name}"
     body = _expect_object(body, where)
     unknown = set(body) - {"owner", "kind", "degree", "terms"}
@@ -322,7 +336,8 @@ def _decode_tensor(name, body, model):
             key = (form_key, fiber)
         else:
             key = _decode_indices(key_text, f"{where}.terms", expect=degree)
-        terms[key] = _decode_poly(poly, owner.base, f"{where}.terms[{key_text!r}]")
+        terms[key] = _decode_poly(poly, owner.base, f"{where}.terms[{key_text!r}]",
+                                  polys)
     try:
         return owner_name, GradedTensor(owner, kind, degree, terms)
     except AlgebroidError as exc:
@@ -365,18 +380,20 @@ def loads_model(text: str) -> Model:
     if unknown:
         raise ParseError(f"model: unknown sections {sorted(unknown)}")
     model = Model()
+    polys = {}  # this document's entries read so far: see _decode_poly
     # each name is checked before its body, whose errors name it
     for name, body in _expect_object(raw.get("charts", {}), "charts").items():
         name = _expect_name(name, "charts")
         model.charts[name] = _decode_chart(name, body)
     for name, body in _expect_object(raw.get("algebroids", {}), "algebroids").items():
         name = _expect_name(name, "algebroids")
-        model.algebroids[name] = _decode_algebroid(name, body, model.charts)
+        model.algebroids[name] = _decode_algebroid(name, body, model.charts, polys)
     for name, body in _expect_object(raw.get("poisson", {}), "poisson").items():
         name = _expect_name(name, "poisson")
-        model.poisson[name] = _decode_poisson(name, body, model.charts)
+        model.poisson[name] = _decode_poisson(name, body, model.charts, polys)
     for name, body in _expect_object(raw.get("tensors", {}), "tensors").items():
-        owner_name, tensor = _decode_tensor(_expect_name(name, "tensors"), body, model)
+        owner_name, tensor = _decode_tensor(_expect_name(name, "tensors"), body, model,
+                                           polys)
         model.tensors[name] = tensor
         model.tensor_owners[name] = owner_name
     if "suite" in raw:

@@ -191,6 +191,24 @@ def test_a_name_utf8_cannot_hold_is_an_input_error(tmp_path, table):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_path_that_is_not_utf8_gives_a_utf8_report(tmp_path):
+    """The byte 0xff of a path argument decodes to the lone surrogate
+    U+DCFF, which the report writes as its JSON escape, not as the raw
+    byte: stdout is UTF-8 and reads back as the argument."""
+    path = os.fsencode(tmp_path) + b"/\xff.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroids", "validate", "--model", path],
+        capture_output=True, timeout=120)
+    assert proc.returncode == 2
+    text = proc.stdout.decode("utf-8")
+    assert "\\udcff" in text
+    report = json.loads(text)
+    assert report["status"] == "error"
+    assert report["command"] == ["validate", "--model", os.fsdecode(path)]
+    assert os.fsdecode(path) in report["error"]["message"]
+    assert b"Traceback" not in proc.stderr
+
+
 def test_a_closed_stdout_exits_2_without_a_traceback():
     """The reader takes 20 bytes and closes the pipe, as ``| head -c 20``
     does.  The pipe holds one page, so most of the report (about 20 KB) is

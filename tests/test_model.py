@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebroids import model as model_module
 from algebroids.algebroid import (
+    build_algebroid,
     canonical_algebroid,
     cotangent_lift,
     dual_chart,
@@ -31,7 +33,7 @@ from algebroids.model import (
     tensor_key_string,
 )
 from algebroids.poisson import PoissonStructure, build_poisson
-from algebroids.ring import Chart
+from algebroids.ring import Chart, parse_poly
 from algebroids.suites import run_all, run_suite
 from algebroids.tensor import GradedTensor, Kind, pretty
 
@@ -629,3 +631,128 @@ def test_a_hand_built_name_utf8_cannot_hold_is_a_validation_error(case):
             call()
         assert "UTF-8" in str(err.value)
         str(err.value).encode("utf-8")
+
+
+# -- each distinct entry of a document is read once per chart ---------------------
+
+def _rotation():
+    """so(3) acting on space by its rotation fields, in coordinates
+    translated by (1/3, -2, 5/7), with the basis rescaled by
+    :data:`_RESCALED`: a rational document whose anchor is mostly zero."""
+    lam = _RESCALED
+    translated = ("(x + 1/3)", "(y - 2)", "(z + 5/7)")
+    # R_1 = (0, z, -y), R_2 = (-z, 0, x), R_3 = (y, -x, 0): {(i, a): (b, sign)}
+    # says component a of R_i is sign times coordinate b
+    shape = {(0, 1): (2, 1), (0, 2): (1, -1), (1, 0): (2, -1), (1, 2): (0, 1),
+             (2, 0): (1, 1), (2, 1): (0, -1)}
+    anchor = [["0"] * 3 for _ in range(3)]
+    for (i, a), (b, sign) in shape.items():
+        anchor[i][a] = f"{sign * lam[i]}*{translated[b]}"
+    structure = {(i, j): {k: sign * lam[i] * lam[j] / lam[k]}
+                 for (i, j), (k, sign) in {(0, 1): (2, 1), (0, 2): (1, -1),
+                                           (1, 2): (0, 1)}.items()}
+    return build_algebroid(Chart(("x", "y", "z")), ("r1", "r2", "r3"), anchor, structure)
+
+
+def _lifted_text(A):
+    """The document of ``A`` with its tangent and cotangent lifts and its
+    linear Poisson structure."""
+    tangent, cotangent = tangent_lift(A), cotangent_lift(A)
+    return dumps_model(Model(charts={"base": A.base, "tangent": tangent.base,
+                                     "dual": cotangent.base},
+                             algebroids={"A": A, "tangent": tangent,
+                                         "cotangent": cotangent},
+                             poisson={"linear": linear_poisson(A)}))
+
+
+def _entries(doc):
+    """Every polynomial entry of a document as (chart name, text)."""
+    for body in doc.get("algebroids", {}).values():
+        for row in body["anchor"]:
+            yield from ((body["chart"], text) for text in row)
+        for column in body.get("c", {}).values():
+            yield from ((body["chart"], text) for text in column.values())
+    for body in doc.get("poisson", {}).values():
+        yield from ((body["chart"], text) for text in body["bivector"].values())
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The (chart, text) pairs ``loads_model`` hands the parser, in order."""
+    calls = []
+
+    def counting(text, chart):
+        calls.append((chart, text))
+        return parse_poly(text, chart)
+
+    monkeypatch.setattr(model_module, "parse_poly", counting)
+    return calls
+
+
+def test_each_distinct_entry_of_a_chart_is_parsed_once(parses):
+    text = _lifted_text(_rotation())
+    model = loads_model(text)
+    names = {id(chart): name for name, chart in model.charts.items()}
+    read = [(names[id(chart)], entry) for chart, entry in parses]
+    entries = list(_entries(json.loads(text)))
+    assert sorted(read) == sorted(set(entries))
+    assert len(read) < len(entries)  # 57 texts for 111 entries: "0" and the lifted rows
+
+
+def test_equal_entries_of_one_chart_are_one_object():
+    model = loads_model(_lifted_text(_rotation()))
+    seen = {}
+    for A in model.algebroids.values():
+        polys = [p for row in A.anchor for p in row]
+        polys += [p for column in A.structure.values() for p in column.values()]
+        for p in polys:
+            assert seen.setdefault((id(p.chart), str(p)), p) is p
+    # the tangent lift prints each anchor entry of A twice, once per half
+    anchor = model.algebroids["tangent"].anchor
+    assert str(anchor[0][4]) == "1/2*z + 5/14" and anchor[0][4] is anchor[3][1]
+
+
+def test_equal_charts_of_two_names_keep_their_own_entries():
+    model = loads_model(json.dumps({
+        "charts": {"a": ["x"], "b": ["x"]},
+        "algebroids": {name: {"chart": chart, "fibers": ["e"], "anchor": [["1/2*x"]]}
+                       for name, chart in (("A", "a"), ("B", "b"))}}))
+    a, b = model.charts["a"], model.charts["b"]
+    assert a == b and a is not b
+    p, q = (model.algebroids[name].anchor[0][0] for name in "AB")
+    assert p == q and p is not q
+    assert p.chart is a and q.chart is b
+
+
+def test_no_entry_is_kept_from_one_document_to_the_next(parses):
+    text = _lifted_text(_rotation())
+    first = loads_model(text)
+    calls = len(parses)
+    second = loads_model(text)
+    assert len(parses) == 2 * calls
+    assert first.algebroids["A"].anchor[0][1] is not second.algebroids["A"].anchor[0][1]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("x^", "expected a nonnegative integer exponent (at position 2)"),
+    ("1/0", "denominator must be positive (at position 2)"),
+])
+def test_a_repeated_bad_entry_names_its_first_place(bad, message):
+    doc = {"charts": {"line": ["x"]},
+           "algebroids": {"A": {"chart": "line", "fibers": ["e", "f"],
+                                "anchor": [["x"], [bad]], "c": {"1,2": {"1": bad}}}}}
+    with pytest.raises(ParseError) as err:
+        loads_model(json.dumps(doc))
+    assert str(err.value) == f"algebroids.A.anchor[2][1]: {message}"
+
+
+#: The lifted document of each fixture algebroid and of the rotation one
+#: (the shipped files and the built-in model read back in
+#: test_shipped_files_round_trip and test_round_trip_is_byte_identical).
+_LIFTED = {"rotation": _rotation, **ALGEBROIDS}
+
+
+@pytest.mark.parametrize("name", sorted(_LIFTED))
+def test_a_lifted_document_reads_back_to_its_text(name):
+    text = _lifted_text(_LIFTED[name]())
+    assert dumps_model(loads_model(text)) == text
