@@ -631,8 +631,9 @@ def builtin_model() -> Model:
         "nc-dual": Chart(("x", "xi_e1", "xi_e2")),
     }
     algebroids = model.algebroids = {name: make() for name, make in fixtures.ALGEBROIDS.items()}
-    # the linear structures reuse the algebroids above: fixtures.POISSON would
-    # build and validate equal copies of them again
+    # the linear structures reuse the algebroids above: fixtures.POISSON
+    # would build each algebroid again and pass it to validate once more (a
+    # memo hit), only to reach the same memoized linear structure
     model.poisson = {"poisson-plane": fixtures.poisson_plane(),
                      "poisson-four": fixtures.poisson_four(),
                      "poisson-so3": linear_poisson(algebroids["so3"]),

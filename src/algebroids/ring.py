@@ -6,21 +6,21 @@ coordinate, in chart order) to nonzero rational coefficients, stored as
 integer numerators over one common denominator, the representation of
 FLINT's ``fmpq_poly``: the ``_num`` slot maps each exponent to a nonzero
 ``int`` and the ``_den`` slot holds the lcm of the coefficient
-denominators, with ``gcd(_den, *_num.values()) == 1``.  The ``terms`` map
-of coefficients reads each one as a nonzero ``int`` when it is integral
-and a ``Fraction`` otherwise (the two types compare and hash alike).  For
-an integral polynomial ``_den`` is 1 and ``terms`` is ``_num`` itself, so
-the common case costs no ``Fraction`` and no division.  A non-integral
-result of an operation is made without ``terms``: its ``Fraction``
-coefficients are built on the first read of ``terms`` and then kept.  The
-empty map is the zero polynomial, and each chart holds one shared zero,
-which every result without terms (a sum that cancels, a partial that
-vanishes) returns.  Because the representation is canonical (no zero
-terms, numerators in lowest terms against the denominator, exponent
-tuples fully determined by the chart), structural equality of ``_num`` and
-``_den`` decides equality of polynomials — which is what makes "this
-bracket is literally zero" a decidable statement everywhere else in the
-package.
+denominators, with ``gcd(_den, *_num.values()) == 1``.  That is the one
+stored form: no ``Fraction`` is stored.  The read-only ``terms`` map of
+coefficients is a view of it, which reads each coefficient as a nonzero
+``int`` when it is integral and a ``Fraction`` otherwise (the two types
+compare and hash alike).  For an integral polynomial ``_den`` is 1 and
+``terms`` is ``_num`` itself, so the common case costs no ``Fraction`` and
+no division; for any other, each read builds a new map from ``_num`` and
+``_den``.  The empty map is the zero polynomial, and each chart holds one
+shared zero, which every result without terms (a sum that cancels, a
+partial that vanishes, the constructor given none) returns.  Because the
+representation is canonical (no zero terms, numerators in lowest terms
+against the denominator, exponent tuples fully determined by the chart),
+structural equality of ``_num`` and ``_den`` decides equality of
+polynomials — which is what makes "this bracket is literally zero" a
+decidable statement everywhere else in the package.
 
 :func:`accumulate` is the package's one accumulate-and-drop-zero loop (every
 term map, of a polynomial or a tensor, is summed by it) and
@@ -41,13 +41,14 @@ Sums, differences, negation, scaling by a constant, partials and
 transport likewise work on ``_num`` and ``_den`` and build no
 ``Fraction``.  Every such result goes through one internal
 constructor, which divides numerators and denominator by their gcd: the
-one place a denominator is reduced.  Only the readers of values
-(:meth:`Poly.eval_at`, :meth:`Poly.constant_value` and callers outside
-this module) read ``terms``.  :meth:`Poly.gradient` keeps its
-partials in a slot, so each
-polynomial object is differentiated once.  Beside :class:`Chart` sits the
-package's one naming rule for derived coordinate, fiber and dual names,
-which moves a name that is already taken aside instead of repeating it.
+one place a denominator is reduced.  Only callers outside this module
+read ``terms``: :meth:`Poly.eval_at` sums the numerators at the point and
+divides by ``_den`` once, and :meth:`Poly.constant_value` reads one
+numerator over ``_den``.  :meth:`Poly.gradient` keeps its partials in a
+slot, so each polynomial object is differentiated once.  Beside
+:class:`Chart` sits the package's one naming rule for derived coordinate,
+fiber and dual names, which moves a name that is already taken aside
+instead of repeating it.
 
 Expression syntax accepted by :func:`parse_poly`::
 
@@ -141,8 +142,7 @@ class Chart:
         self._index = {name: i for i, name in enumerate(coords)}
         self._origin = (0,) * len(coords)
         zero = object.__new__(Poly)  # Poly._make of no terms returns this one
-        zero.chart, zero.terms, zero._hash, zero._gradient = self, {}, None, ()
-        zero._den, zero._num = 1, zero.terms
+        zero.chart, zero._num, zero._den, zero._hash, zero._gradient = self, {}, 1, None, ()
         self._zero = zero
 
     @property
@@ -152,7 +152,7 @@ class Chart:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownVariable(
                 f"{name!r} is not a coordinate of chart {self.coords!r}"
             ) from None
@@ -261,9 +261,9 @@ def _derived_names(names: Iterable[str], taken: Iterable[str],
 class Poly:
     """A polynomial over a fixed chart, with exact rational coefficients."""
 
-    __slots__ = ("chart", "terms", "_hash", "_gradient", "_den", "_num")
+    __slots__ = ("chart", "_hash", "_gradient", "_den", "_num")
 
-    def __init__(self, chart: Chart, terms: Mapping[Exponent, object] | Iterable):
+    def __new__(cls, chart: Chart, terms: Mapping[Exponent, object] | Iterable):
         """The sum of ``coefficient * x^exponent`` over ``terms`` (a mapping
         or (exponent, coefficient) pairs); each coefficient goes through
         :meth:`Chart.coerce`, and their numerators are summed over the lcm
@@ -298,23 +298,14 @@ class Poly:
         sums: Dict = {}
         for exp, c in coeffs:
             _monomial_products(sums, {exp: den // c._den}, c._num, 1)
-        # take the slots of the one constructor's result, and its class:
-        # _Unread when the sum is not integral
-        made = Poly._make(chart, sums, den)
-        self.__class__ = made.__class__
-        self.chart, self._num, self._den = chart, made._num, made._den
-        if made._den == 1:
-            self.terms = made._num
-        self._hash = self._gradient = None
+        return cls._make(chart, sums, den)
 
     @classmethod
     def _make(cls, chart: Chart, num: Dict[Exponent, int], den: int = 1) -> "Poly":
         # Internal fast path: the polynomial of the nonzero integer
         # numerators `num` over the positive denominator `den`.  The one
         # place a denominator is reduced: numerators and denominator are
-        # divided by their gcd.  An integral result has `num` as its terms;
-        # a non-integral one builds its terms on the first read (_Unread).
-        # No terms is the chart's shared zero.
+        # divided by their gcd.  No terms is the chart's shared zero.
         if not num:
             return chart._zero
         if den != 1:
@@ -322,17 +313,25 @@ class Poly:
             if g != 1:
                 den //= g
                 num = {e: n // g for e, n in num.items()}
-        if den == 1:
-            self = object.__new__(cls)
-            self.terms = num
-        else:
-            self = object.__new__(_Unread)
+        self = object.__new__(cls)
         self.chart = chart
         self._num, self._den = num, den
         self._hash = self._gradient = None
         return self
 
     # -- basic queries -------------------------------------------------------
+
+    @property
+    def terms(self) -> Dict[Exponent, Scalar]:
+        """The coefficients, ``{exponent: c}``, each ``c`` an ``int`` when
+        it is integral and a ``Fraction`` otherwise: the numerator map
+        itself when the polynomial is integral, else a new map built from
+        the numerators on each read.  Never write into it: an integral
+        polynomial's is its stored numerator map."""
+        den = self._den
+        if den == 1:
+            return self._num
+        return {e: _coefficient(n, den) for e, n in self._num.items()}
 
     def is_zero(self) -> bool:
         return not self._num
@@ -343,7 +342,7 @@ class Poly:
     def constant_value(self) -> Scalar:
         """The coefficient of the constant monomial: an ``int`` when it is
         integral (``0`` when there is none), otherwise a ``Fraction``."""
-        return self.terms.get(self.chart._origin, 0)
+        return _coefficient(self._num.get(self.chart._origin, 0), self._den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -407,7 +406,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or n.__class__ is bool or n < 0:
             raise NegativeExponent(f"polynomial power must be a nonnegative int, got {n!r}")
         result, base = None, self
         while n:
@@ -485,13 +484,12 @@ class Poly:
                                f"not an int or a Fraction")
             values.append(Fraction(value))
         total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            term = coeff
+        for exp, term in self._num.items():
             for v, e in zip(values, exp):
                 if e:
                     term *= v ** e
             total += term
-        return total
+        return total / self._den
 
     # -- chart transport ------------------------------------------------------
 
@@ -512,6 +510,10 @@ class Poly:
         names = self.chart.coords
         if rename:
             names = tuple(rename.get(name, name) for name in names)
+            for name in names:
+                if not isinstance(name, str):
+                    # no coordinate: raise before the table hashes the name
+                    new_chart.index(name)
         column, pad, injective = _transport_column(names, new_chart)
         if pad is not None:
             # the new chart extends the old one: append zero exponents
@@ -532,27 +534,11 @@ class Poly:
                           self._den)
 
 
-class _Unread(Poly):
-    """A non-integral polynomial whose ``terms`` have not been read.  The
-    first read builds them from ``_num`` and ``_den``, keeps them in the
-    slot and makes the object a plain :class:`Poly`.  The read hook lives
-    on this subclass only, so the class of every integral polynomial has
-    none and its attribute reads stay plain slot reads."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name != "terms":
-            raise AttributeError(f"'Poly' object has no attribute {name!r}",
-                                 name=name, obj=self)
-        den = self._den
-        terms = {}
-        for e, n in self._num.items():
-            q, r = divmod(n, den)
-            terms[e] = Fraction(n, den) if r else q
-        self.terms = terms
-        self.__class__ = Poly
-        return terms
+def _coefficient(n: int, den: int) -> Scalar:
+    """The coefficient ``n/den``: an ``int`` when ``den`` divides ``n``,
+    otherwise a ``Fraction``."""
+    q, r = divmod(n, den)
+    return Fraction(n, den) if r else q
 
 
 #: Most (coordinate names, target chart) pairs whose transport column is

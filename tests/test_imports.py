@@ -21,7 +21,10 @@ names ``random_coefficient`` or its kernel ``_draw_coefficient`` there
 (besides the import), so every random function an item checks comes from
 the one enumerator.  In ``ring.py``
 one function adds monomial exponents (names ``operator.add``), so every
-product of polynomials goes through it.  In ``algebroid.py`` and
+product of polynomials goes through it, and a polynomial has one stored
+form: no ``__getattr__`` fills an attribute on first read, no object's
+``__class__`` is reassigned and ``Poly.__slots__`` keeps no ``terms``
+beside the numerators.  In ``algebroid.py`` and
 ``calculus.py`` only the table builder ``_tables_of`` and ``anchor_terms``
 may subscript an ``.anchor`` matrix, so every kernel reads the anchor
 through the algebroid's tables (the suites' independent references, in
@@ -438,7 +441,7 @@ def test_denominators_are_reduced_in_one_constructor():
 def test_monomials_are_multiplied_only_by_the_kernel_and_the_constructor():
     source = (PACKAGE / "ring.py").read_text(encoding="utf-8")
     assert {caller for _, caller in _callers(source, {"_monomial_products"})} == {
-        "products", "Poly.__init__"}
+        "products", "Poly.__new__"}
 
 
 def test_a_second_clearing_or_multiplying_route_is_reported():
@@ -462,6 +465,56 @@ def test_a_second_clearing_or_multiplying_route_is_reported():
     assert _callers(source, {"_store", "_monomial_products"}) == {
         ("_monomial_products", "Poly.__init__"), ("_store", "Poly.__init__"),
         ("_monomial_products", "Poly.__mul__"), ("_store", None)}
+
+
+def _second_forms(source):
+    """(what, line) for each thing in ``source`` that would keep a second
+    form of a polynomial beside its numerators: a ``__getattr__`` defined
+    (an attribute filled on first read), a ``__class__`` assigned, by
+    assignment or ``setattr`` (an object that changes its class once
+    filled), and ``terms`` among the ``__slots__`` of a class ``Poly``
+    (coefficients stored beside the numerators)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name == "__getattr__":
+            found.add(("__getattr__", node.lineno))
+        elif (isinstance(node, ast.Attribute) and node.attr == "__class__"
+              and isinstance(node.ctx, ast.Store)
+              or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
+              and any(isinstance(arg, ast.Constant) and arg.value == "__class__"
+                      for arg in node.args)):
+            found.add(("__class__", node.lineno))
+        elif isinstance(node, ast.ClassDef) and node.name == "Poly":
+            found |= {("terms", stmt.lineno) for stmt in node.body
+                      if isinstance(stmt, ast.Assign)
+                      and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)
+                      and any(isinstance(c, ast.Constant) and c.value == "terms"
+                              for c in ast.walk(stmt.value))}
+    return found
+
+
+def test_a_polynomial_has_one_stored_form():
+    source = (PACKAGE / "ring.py").read_text(encoding="utf-8")
+    assert _second_forms(source) == set()
+
+
+def test_a_second_stored_form_is_reported():
+    source = (
+        "class Poly:\n"
+        "    __slots__ = ('chart', 'terms', '_num')\n"
+        "    def __init__(self, made):\n"
+        "        self.__class__, self._num = made.__class__, made._num\n"
+        "\nclass _Unread(Poly):\n"
+        "    def __getattr__(self, name):\n"
+        "        setattr(self, '__class__', Poly)\n"
+        "\nclass Tensor:\n"
+        "    __slots__ = ('terms',)\n"
+        "    def kind(self):\n"
+        "        return self.__class__\n"
+    )
+    assert _second_forms(source) == {("terms", 2), ("__class__", 4),
+                                     ("__getattr__", 7), ("__class__", 8)}
 
 
 def _anchor_subscribers(source):

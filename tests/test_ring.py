@@ -219,6 +219,25 @@ def test_a_coordinate_name_that_is_not_a_string_is_rejected(name):
         Chart(["x", name])
 
 
+@pytest.mark.parametrize("name", [["x"], {"x"}, {"x": 0}])
+def test_an_unhashable_name_is_no_coordinate(name):
+    """Looking up a name that cannot be hashed is an ``UnknownVariable``, as
+    for any other name outside the chart, and not the ``TypeError`` of
+    hashing it."""
+    q = p("x^2*y")
+    for lookup in (lambda: XY.index(name), lambda: XY.coordinate(name),
+                   lambda: q.partial(name), lambda: q.transport(XY, {"x": name}),
+                   lambda: q.transport(Chart(["u", "y"]), {"x": name})):
+        with pytest.raises(UnknownVariable):
+            lookup()
+
+
+@pytest.mark.parametrize("exponent", [True, False, -1, 1.0, Fraction(2), "2"])
+def test_a_power_is_a_nonnegative_int_and_not_a_bool(exponent):
+    with pytest.raises(NegativeExponent):
+        p("x + 1") ** exponent
+
+
 @pytest.mark.parametrize("exponent", [(1.5, 0), (1, "a"), (None, 0), (1, 1.0)])
 def test_an_exponent_that_is_not_an_int_is_rejected(exponent):
     """Non-integer exponents would print as x^1.5, which the parser rejects;
@@ -282,7 +301,8 @@ def test_each_chart_has_one_zero():
 
 def test_kernel_results_without_terms_are_the_shared_zero():
     """A sum that cancels, a vanishing partial, the negated or transported
-    zero and an empty product all return the chart's one zero object."""
+    zero, an empty product and the constructor given no terms, or terms
+    that cancel, all return the chart's one zero object."""
     zero, q = XY.zero(), p("x^2 + 3*x*y - 1/2")
     y_only = p("y^2 - 1")
     assert q - q is zero and q + (-q) is zero
@@ -291,6 +311,7 @@ def test_kernel_results_without_terms_are_the_shared_zero():
     assert (p("x + y") * p("x - y") - p("x^2 - y^2")) is zero
     assert X.zero().transport(XY) is zero
     assert p("1/2*x - 1/2*x") is zero and p("x - x") is zero
+    assert Poly(XY, {}) is zero and Poly(XY, [((1, 0), 1), ((1, 0), -1)]) is zero
     assert not zero.terms and zero == 0
 
 
@@ -598,18 +619,10 @@ _MIXED_ITEMS = st.lists(st.tuples(st.sampled_from(["a", "b", (0, 1)]),
                                   _MIXED_MAPS, _MIXED_MAPS), max_size=8)
 
 
-def _factor(terms, read):
-    """The polynomial of ``terms``, its ``terms`` map read, or built from
-    its numerators and not yet read."""
-    q = Poly(XY, terms)
-    return q if read else Poly._make(XY, dict(q._num), q._den)
-
-
 @settings(max_examples=300, deadline=None)
-@given(_MIXED_ITEMS, st.lists(st.booleans(), min_size=16, max_size=16))
-def test_rational_products_match_the_per_term_fraction_route(items, read):
-    items = [(key, sign, _factor(a, read[2 * i]), _factor(b, read[2 * i + 1]))
-             for i, (key, sign, a, b) in enumerate(items)]
+@given(_MIXED_ITEMS)
+def test_rational_products_match_the_per_term_fraction_route(items):
+    items = [(key, sign, Poly(XY, a), Poly(XY, b)) for key, sign, a, b in items]
     result = products(XY, iter(items))
     assert {key: q.terms for key, q in result.items()} == _fraction_reference(items)
     for q in result.values():
@@ -619,9 +632,9 @@ def test_rational_products_match_the_per_term_fraction_route(items, read):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_MIXED_MAPS, _MIXED_MAPS, st.booleans())
-def test_poly_mul_matches_the_per_term_fraction_route(a, b, read):
-    pa, pb = _factor(a, read), _factor(b, not read)
+@given(_MIXED_MAPS, _MIXED_MAPS)
+def test_poly_mul_matches_the_per_term_fraction_route(a, b):
+    pa, pb = Poly(XY, a), Poly(XY, b)
     expected = _fraction_reference([("k", 1, pa, pb)]).get("k", {})
     product = pa * pb
     assert product.terms == expected
@@ -630,9 +643,9 @@ def test_poly_mul_matches_the_per_term_fraction_route(a, b, read):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_MIXED_MAPS, st.booleans())
-def test_a_known_denominator_is_the_true_one(terms, read):
-    q = _factor(terms, read)
+@given(_MIXED_MAPS)
+def test_a_known_denominator_is_the_true_one(terms):
+    q = Poly(XY, terms)
     x, y = XY.coordinate("x"), XY.coordinate("y")
     xyz = Chart(["x", "y", "z"])
     derived = [q, -q, q.partial("x"), q.partial("y"), q.transport(xyz),
@@ -654,7 +667,7 @@ def test_a_known_denominator_is_the_true_one(terms, read):
 def _routes(a, b):
     """(route, build) for a rational polynomial made from the term maps
     ``a`` and ``b`` by every route of the ring."""
-    pa, pb = Poly(XY, a), _factor(b, False)
+    pa, pb = Poly(XY, a), Poly(XY, b)
     xyz, yx = Chart(["x", "y", "z"]), Chart(["y", "x"])
     return [
         ("constructor", lambda: Poly(XY, a)),
@@ -680,7 +693,7 @@ def _routes(a, b):
 def test_every_route_keeps_the_stored_form(a, b):
     for route, build in _routes(a, b):
         with pytest.raises(AttributeError):
-            build().no_such_slot  # unread, and not a recursion
+            build().no_such_slot
         r = build()
         assert _den_is_right(r), route
         assert all(type(c) is int or c.denominator != 1 for c in r.terms.values()), route
@@ -688,15 +701,40 @@ def test_every_route_keeps_the_stored_form(a, b):
             assert twin == r and hash(twin) == hash(r), route
 
 
-def test_a_rational_result_is_unread_until_its_terms_are():
-    half_x = p("1/2*x")
-    for r in (half_x * p("x + 1/3*y"), half_x + p("1/3*y"), -half_x,
-              half_x.partial("x") * Fraction(1, 5), half_x.transport(X, {"y": "x"})):
-        assert type(r) is algebroids.ring._Unread
-        with pytest.raises(AttributeError, match="no_such_slot"):
-            r.no_such_slot
+def _counted_fractions(monkeypatch):
+    """A list that gets the arguments of every ``Fraction`` built from now
+    on."""
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    return made
+
+
+def test_terms_are_a_view_of_the_numerators(monkeypatch):
+    """Building and combining rational polynomials builds no ``Fraction``;
+    each read of a non-integral polynomial's ``terms`` builds an equal new
+    map, and an integral polynomial's ``terms`` is its ``_num``."""
+    half_x, third_y = p("1/2*x"), p("x + 1/3*y")
+    fifth, two = Fraction(1, 5), Fraction(4, 2)
+    made = _counted_fractions(monkeypatch)
+    rational = [half_x * third_y, half_x + third_y, -half_x,
+                half_x.partial("x") * fifth, half_x.transport(X, {"y": "x"}),
+                Poly(XY, {(1, 0): fifth})]
+    integral = [half_x * 2, Poly(XY, {(0, 1): two}), third_y * 3]
+    assert made == [] and all(r._den != 1 for r in rational)
+    for r in rational:
         terms = r.terms
-        assert type(r) is Poly and r.terms is terms and _den_is_right(r)
+        assert made and terms and r.terms == terms and r.terms is not terms
+        assert _den_is_right(r) and type(r) is Poly
+        with pytest.raises(AttributeError):
+            r.terms = terms
+    for r in integral:
+        assert r._den == 1 and r.terms is r._num and _den_is_right(r)
 
 
 def test_a_cancelling_rational_sum_drops_its_key():
@@ -758,7 +796,7 @@ def _kernel_factors(draw, kind):
 
 
 def _kernel_result(result):
-    """Each key's terms with their stored types, and its ``_den`` and
+    """Each key's terms with the types they read as, and its ``_den`` and
     ``_num`` slots."""
     return {key: (sorted((e, c, type(c)) for e, c in q.terms.items()), q._den,
                   sorted(q._num.items()))
@@ -770,21 +808,16 @@ def _kernel_result(result):
 def test_the_product_kernel_matches_its_reference(data):
     kind = data.draw(st.sampled_from(sorted(_KERNEL_COEFFICIENTS)))
     factors = _kernel_factors(data.draw, kind)
-    read = data.draw(st.lists(st.booleans(), min_size=len(factors),
-                              max_size=len(factors)))
     picks = data.draw(st.lists(st.tuples(
         st.sampled_from(["a", "b", (0, 1)]), st.sampled_from([1, -1, 2, -3]),
         st.integers(0, len(factors) - 1), st.integers(0, len(factors) - 1)),
         max_size=8))
     if data.draw(st.booleans()):  # each item mirrored: every key cancels
         picks += [(key, -sign, j, i) for key, sign, i, j in picks]
-    results = []
-    for kernel in (ring_reference.products, products):
-        # each kernel gets its own polynomials, read or unread as drawn
-        polys = [_factor(terms, k) for terms, k in zip(factors, read)]
-        results.append(_kernel_result(kernel(XY, iter(
-            [(key, sign, polys[i], polys[j]) for key, sign, i, j in picks]))))
-    assert results[1] == results[0]
+    polys = [Poly(XY, terms) for terms in factors]
+    items = [(key, sign, polys[i], polys[j]) for key, sign, i, j in picks]
+    assert _kernel_result(products(XY, iter(items))) == _kernel_result(
+        ring_reference.products(XY, iter(items)))
 
 
 #: A model document with rational entries of every table, one of them
@@ -807,14 +840,7 @@ def test_a_factor_is_cleared_once_and_integral_calls_build_no_fraction(monkeypat
     two_thirds, minus_half = Fraction(2, 3), Fraction(-1, 2)
     text = dumps_model(loads_model(_RATIONAL_DOCUMENT))
 
-    made = []
-    new = Fraction.__new__
-
-    def counted_new(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    made = _counted_fractions(monkeypatch)
     first = products(XY, [("a", 1, q, x), ("b", -1, y, q), ("a", 2, q, q)])
     second = products(XY, [("c", 1, q, q)])
     assert q * x + 2 * second["c"] == first["a"]
@@ -824,7 +850,7 @@ def test_a_factor_is_cleared_once_and_integral_calls_build_no_fraction(monkeypat
     assert made == [] and q._num is num
 
     # nor does the text layer: the reader, the constructor, coerce, the
-    # printer of an unread product, and a model document's round trip
+    # printer of a rational product, and a model document's round trip
     read = [p("1/2*x^2 - 2/3*x*y + 5/6"), p("(1/2*x + 2/3*y)^2*x - 1/3*(x - y)"),
             Poly(XY, {(1, 0): minus_half, (0, 1): two_thirds, (0, 0): 2}),
             XY.coerce(two_thirds)]
@@ -879,6 +905,19 @@ def test_eval_requires_full_point():
         eval_at(p("x + y"), {"x": 1})
     # Extra coordinates are tolerated so one point serves several charts.
     assert eval_at(parse_poly("x^2", X), {"x": 2, "zz": 9}) == 4
+
+
+def test_the_constant_value_is_the_constant_coefficient():
+    """An ``int`` when the constant coefficient is integral, though the
+    polynomial need not be, a ``Fraction`` otherwise, and ``0`` when there
+    is no constant term; and a value at a point is always a ``Fraction``."""
+    for q, expected in [(p("2 + 1/2*x"), 2), (p("1/3 + 1/2*x"), Fraction(1, 3)),
+                        (p("x - 1/2*y"), 0), (XY.zero(), 0), (p("-4"), -4)]:
+        value = q.constant_value()
+        assert value == expected and type(value) is type(expected), q
+    value = eval_at(p("x^2 - 3*y + 2"), {"x": 2, "y": 1})
+    assert value == 3 and type(value) is Fraction
+    assert type(eval_at(XY.zero(), {"x": 1, "y": 1})) is Fraction
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0", "1/2", None, [1], 0.1, 1.5,
