@@ -109,8 +109,8 @@ class UnknownName(AlgebroidError):
 class BadPoint(AlgebroidError):
     """A malformed point: on the command line (``eval --at``), not a list
     of ``coord=rational`` pairs with bounded ASCII rationals; in the library
-    (:meth:`~algebroids.ring.Poly.eval_at`), a coordinate value that is not
-    an ``int`` or a ``Fraction``."""
+    (:meth:`~algebroids.ring.Poly.eval_at`), a point that is not a mapping
+    or a coordinate value that is not an ``int`` or a ``Fraction``."""
 
 
 class ValidationError(AlgebroidError):

@@ -100,6 +100,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple, Union
 from .errors import (
     BadPoint,
     ChartMismatch,
+    KindMismatch,
     MissingCoordinate,
     NegativeExponent,
     PolySyntaxError,
@@ -158,7 +159,10 @@ class Chart:
             ) from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        try:
+            return name in self._index
+        except TypeError:  # an unhashable name is no coordinate
+            return False
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Chart) and self.coords == other.coords
@@ -268,6 +272,7 @@ class Poly:
         or (exponent, coefficient) pairs); each coefficient goes through
         :meth:`Chart.coerce`, and their numerators are summed over the lcm
         of their denominators."""
+        _require_chart(chart, "a polynomial")
         items = terms.items() if hasattr(terms, "items") else terms
         try:
             items = iter(items)
@@ -467,11 +472,15 @@ class Poly:
         """Evaluate at a rational point given as ``{coordinate: value}``; the
         value is always a ``Fraction``, integral or not.
 
-        Every chart coordinate must be present (``MissingCoordinate``
-        otherwise) and its value an ``int`` or a ``Fraction``, the scalars
-        of :meth:`Chart.coerce` (``BadPoint`` otherwise); extra keys are
+        The point must be a mapping and every chart coordinate present
+        (``BadPoint`` and ``MissingCoordinate`` otherwise), its value an
+        ``int`` or a ``Fraction``, the scalars of :meth:`Chart.coerce`
+        (``BadPoint`` otherwise); extra keys are
         ignored so a point on a larger chart can be reused on its subcharts.
         """
+        if not isinstance(point, Mapping):
+            raise BadPoint(f"a point is a mapping of coordinates to values, not a "
+                           f"{type(point).__name__}")
         values = []
         for name in self.chart.coords:
             if name not in point:
@@ -507,8 +516,12 @@ class Poly:
         without summing; only a merging rename (two coordinates onto one)
         sums colliding terms with :func:`accumulate`.
         """
+        _require_chart(new_chart, "a transport")
         names = self.chart.coords
         if rename:
+            if not isinstance(rename, Mapping):
+                raise KindMismatch(f"a rename is a mapping of coordinate names, not a "
+                                   f"{type(rename).__name__}")
             names = tuple(rename.get(name, name) for name in names)
             for name in names:
                 if not isinstance(name, str):
@@ -532,6 +545,14 @@ class Poly:
         # merging rename adds exponents up, so its terms may collide
         return Poly._make(new_chart, dict(moved()) if injective else accumulate(moved()),
                           self._den)
+
+
+def _require_chart(chart, what: str) -> None:
+    """Raise ``KindMismatch`` unless ``chart``, the chart of ``what``, is a
+    :class:`Chart`."""
+    if not isinstance(chart, Chart):
+        raise KindMismatch(f"the chart of {what} is a Chart, not a "
+                           f"{type(chart).__name__}")
 
 
 def _coefficient(n: int, den: int) -> Scalar:
@@ -951,6 +972,9 @@ class _Parser:
 
 def parse_poly(text: str, chart: Chart) -> Poly:
     """Parse an expression string into a canonical :class:`Poly`."""
+    if not isinstance(text, str):
+        raise PolySyntaxError(f"an expression is a str, not a {type(text).__name__}")
+    _require_chart(chart, "an expression")
     return _Parser(text, chart).parse()
 
 
@@ -962,6 +986,8 @@ def poly_to_string(p: Poly) -> str:
     ``-1*x``, because bare ``-x`` is not in the grammar).  Each term's
     magnitude is read off its numerator and ``_den`` with one gcd, spelled
     as ``str`` spells the coefficient's ``int`` or ``Fraction``."""
+    if not isinstance(p, Poly):
+        raise KindMismatch(f"only a Poly is printed, not a {type(p).__name__}")
     num = p._num
     if not num:
         return "0"

@@ -105,7 +105,7 @@ from .poisson import (
     _r_p,
     _tangent_poisson,
 )
-from .ring import poly_sum
+from .ring import MAX_EXPONENT, poly_sum
 from .tensor import (
     GradedTensor,
     Kind,
@@ -1401,7 +1401,12 @@ def run_suite(name, model=None, seed=None, trials=None) -> dict:
         raise ValidationError(f"seed must be an int, got {seed!r}")
     trials = model.suite.get("trials", DEFAULT_TRIALS) if trials is None else trials
     coeff_degree = model.suite.get("max_degree", 2)
-    # checked before any draw: a draw of a negative degree never returns
+    # checked before any draw: a draw of a negative degree never returns, and
+    # a drawn exponent above MAX_EXPONENT could not be read back by the
+    # item's own witness replay
+    if coeff_degree.__class__ is int and coeff_degree > MAX_EXPONENT:
+        raise ValidationError(f"max_degree must be at most {MAX_EXPONENT}, "
+                              f"got {coeff_degree!r}")
     for setting, value, minimum in (("trials", trials, 1), ("max_degree", coeff_degree, 0)):
         if value.__class__ is not int or value < minimum:
             raise ValidationError(f"{setting} must be an int of at least {minimum}, "

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -94,6 +95,21 @@ def test_hostile_dual_names_are_an_input_error(tmp_path, capsys, duals):
     code, report, _ = run_cli(capsys, "validate", "--model", str(path))
     assert code == 2
     assert report["status"] == "error"
+    assert report["error"]["type"] == "ValidationError"
+
+
+def test_an_unbounded_coefficient_degree_is_an_input_error(tmp_path, capsys):
+    """A rank-1, one-trial model whose draws may reach degree 10^8 is
+    refused before any draw, not drawn for minutes."""
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps({
+        "charts": {"line": ["x"]},
+        "algebroids": {"line": {"chart": "line", "fibers": ["e"], "anchor": [["1"]]}},
+        "suite": {"trials": 1, "max_degree": 10 ** 8}}), encoding="utf-8")
+    started = time.perf_counter()
+    code, report, _ = run_cli(capsys, "suite", "--name", "theorem-1", "--model", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
     assert report["error"]["type"] == "ValidationError"
 
 

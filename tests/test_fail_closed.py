@@ -25,7 +25,7 @@ from algebroids.cli import main
 from algebroids.errors import (AlgebroidError, DimensionMismatch, KindMismatch, ParseError,
                                UnknownName)
 from algebroids.fixtures import canonical_plane, nonconstant_rank2, poisson_plane, so3
-from algebroids.ring import Chart, parse_poly
+from algebroids.ring import Chart, Poly, parse_poly, poly_to_string
 from algebroids.tensor import GradedTensor, Kind, basis_keys
 
 MODULES = (algebroid, calculus, lifts, model, poisson, suites, tensor)
@@ -216,7 +216,8 @@ def test_each_argument_fails_closed(name):
                             f"raised {type(exc).__name__}: {exc}")
 
 
-#: Calls that raised ``AttributeError`` before every operand was guarded.
+#: Calls that raised a bare ``AttributeError`` or ``TypeError`` before their
+#: operands were checked, the public entries of ``algebroids.ring`` among them.
 PROBES = {
     "differential(A, None)": lambda: calculus.differential(A, None),
     "wedge(x, 3)": lambda: tensor.wedge(X, 3),
@@ -236,6 +237,13 @@ PROBES = {
         lambda: suites.run_suite("theorem-1", model.Model(algebroids={"x": 3}), trials=1),
     "dumps_model(Model(tensors={'t': 3}))":
         lambda: model.dumps_model(model.Model(tensors={"t": 3})),
+    "Poly(None, {})": lambda: Poly(None, {}),
+    "parse_poly(None, chart)": lambda: parse_poly(None, LINE),
+    "parse_poly('x', None)": lambda: parse_poly("x", None),
+    "poly_to_string(5)": lambda: poly_to_string(5),
+    "f.transport(None)": lambda: F.transport(None),
+    "f.transport(chart, 5)": lambda: F.transport(A.base, 5),
+    "f.eval_at(None)": lambda: F.eval_at(None),
 }
 
 
@@ -243,6 +251,10 @@ PROBES = {
 def test_probed_calls_raise_algebroid_errors(call):
     with pytest.raises(AlgebroidError):
         PROBES[call]()
+
+
+def test_an_unhashable_name_is_not_in_a_chart():
+    assert ["x"] not in LINE and {"x": 0} not in LINE and "x" in LINE
 
 
 def _structure(table):

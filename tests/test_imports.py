@@ -52,7 +52,10 @@ guard-free kernel (``complete_lift_T`` or ``_complete_lift_T``).  The
 user-facing modules ``cli.py`` and ``model.py`` call no kernel: they import
 no private name of another package module, and take none as an attribute of
 one, beyond the guard ``_require`` and the dual-chart memo ``_dual_chart``,
-so every value they pass on meets a guard.
+so every value they pass on meets a guard.  Of the repository's Python
+files, only ``tests/test_oracle.py`` imports ``sympy``: the package needs
+nothing beyond the standard library, and the ring has one independent
+reference.
 """
 
 import ast
@@ -61,7 +64,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "algebroids"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "algebroids"
 
 
 def _unused_imports(source: str):
@@ -841,3 +845,37 @@ def test_a_kernel_called_from_a_user_facing_module_is_reported():
     )
     assert _private_imports(source) == [(2, "_tangent_lift"), (3, "_contract"),
                                         (7, "_J_map")]
+
+
+def _sympy_importers(sources):
+    """The modules of ``sources`` ({module: source}) that import ``sympy`` or
+    a submodule of it."""
+    importers = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "sympy" for name in names):
+                importers.add(module)
+    return importers
+
+
+def test_only_the_oracle_imports_sympy():
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "demos", "perfbench")
+               for path in (ROOT / folder).rglob("*.py")}
+    assert "tests/test_ring.py" in sources
+    assert _sympy_importers(sources) == {"tests/test_oracle.py"}
+
+
+def test_a_second_sympy_importer_is_reported():
+    sources = {
+        "tests/test_oracle.py": "from sympy import QQ\n",
+        "tests/test_x.py": "def check():\n    import sympy.polys as polys\n",
+        "src/algebroids/ring.py": "from .sympy import QQ\nimport sympyx\n",
+    }
+    assert _sympy_importers(sources) == {"tests/test_oracle.py", "tests/test_x.py"}

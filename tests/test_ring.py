@@ -1,8 +1,20 @@
-"""Ring layer: chart/polynomial arithmetic, the expression grammar, printing."""
+"""Ring layer: chart/polynomial arithmetic, the expression grammar, printing.
+
+The stored form (numerators over one denominator, ``int`` coefficients
+exactly when integral, one shared zero per chart) is asserted on every
+route that builds a polynomial, and the reader's refusals are pinned in one
+table of error class and position, one row per raise site.  Laws, exact
+forms and counts are checked here; that products, partials, the printer
+and the reader are *right* is checked against an independent engine in
+``tests/test_oracle.py``, which imports the strategies and the stored-form
+predicates of this module; the timing test of distinct prime denominators
+borrows that module's oracle in turn.
+"""
 
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -11,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebroids.ring
-import ring_reference
 from algebroids.errors import (
     AlgebroidError,
     BadPoint,
@@ -49,6 +60,9 @@ def p(text, chart=XY):
 # --- parsing ----------------------------------------------------------------
 
 def test_parse_basic_forms():
+    # a sign or a '/' before a literal belongs to it, also under a power
+    # (where sympy reads -9, 2/9 and 5)
+    assert p("-3^2") == 9 and p("2/3^2") == Fraction(4, 9) and p("1 - -2^2") == -3
     assert p("0").is_zero()
     assert p("3/2") == Fraction(3, 2)
     assert p("-3/2") == Fraction(-3, 2)
@@ -84,55 +98,75 @@ def test_parse_rejects_bare_negated_variable():
     assert p("0 - x") == -p("x")
 
 
+#: The error class and position of each refusal of the reader over XY, one
+#: row per raise site of ``_tokenize`` and ``_Parser`` (a ``NegativeExponent``
+#: names its position in its message, an ``UnknownVariable`` none).
+_REFUSALS = {
+    # the tokenizer
+    "x+$": (PolySyntaxError, 2),
+    "٣*x": (PolySyntaxError, 0),  # digits are ASCII only
+    # integer literals longer than int() reads
+    "1" * 5000: (PolySyntaxError, 0),
+    "-" + "1" * 5000: (PolySyntaxError, 1),
+    "1/" + "1" * 5000: (PolySyntaxError, 2),
+    # exponents
+    "x^-1": (NegativeExponent, 2),
+    "(x+1)^-2": (NegativeExponent, 6),
+    "x^(2)": (PolySyntaxError, 2),
+    "x^": (PolySyntaxError, 2),
+    "x^" + "1" * 5000: (PolySyntaxError, 2),  # by its digits, before it is read
+    "9^1000000": (PolySyntaxError, 2),
+    f"x^{MAX_EXPONENT + 1}": (PolySyntaxError, 2),
+    # literals and coordinates
+    "-x": (PolySyntaxError, 1),  # '-' opens a literal only
+    "x + 2*-y": (PolySyntaxError, 7),
+    "1/x": (PolySyntaxError, 2),
+    "x/2": (PolySyntaxError, 1),  # '/' only joins integer literals
+    "1/0": (PolySyntaxError, 2),
+    "x + z": (UnknownVariable, None),
+    # structure
+    "": (PolySyntaxError, 0),
+    "x +": (PolySyntaxError, 3),
+    "x + + y": (PolySyntaxError, 4),
+    "(x": (PolySyntaxError, 2),
+    "x)": (PolySyntaxError, 1),
+    "(" * 3000 + "x" + ")" * 3000: (PolySyntaxError, MAX_NESTING_DEPTH),
+    # the bounds: MAX_TERMS and MAX_EXPANSION of a product at its '*', of a
+    # power at its exponent, and the coefficient bits of a power
+    "(x+y+1)^20*(x+y+1)^20": (PolySyntaxError, 10),   # 231 * 231 terms
+    " + ".join(["(x+y+1)^20*(x+1)"] * 3): (PolySyntaxError, 48),  # the third '*'
+    "(x+y+1)^31": (PolySyntaxError, 8),               # comb(33, 2) terms
+    # 496 terms a power: the fifth power passes the expression's budget
+    "+".join(["(x+y+1)^30"] * 20): (PolySyntaxError, 4 * 11 + 8),
+    f"{10 ** 40}^100": (PolySyntaxError, 42),         # 133 bits a literal
+    "((9^100)^100)^100": (PolySyntaxError, 9),        # bits, not terms
+}
+
+
+def _refusal(text):
+    """The class of the error reading ``text`` over XY raises, and the
+    position it names."""
+    with pytest.raises(AlgebroidError) as err:
+        p(text)
+    position = getattr(err.value, "position", None)
+    if position is None and (named := re.search(r"position (\d+)", str(err.value))):
+        position = int(named[1])
+    return type(err.value), position
+
+
 def test_parse_error_classes():
-    with pytest.raises(UnknownVariable):
-        p("z")
-    with pytest.raises(NegativeExponent):
-        p("x^-1")
-    with pytest.raises(PolySyntaxError):
-        p("x^(2)")
-    with pytest.raises(PolySyntaxError):
-        p("x +")
-    with pytest.raises(PolySyntaxError):
-        p("x + + y")
-    with pytest.raises(PolySyntaxError):
-        p("(x")
-    with pytest.raises(PolySyntaxError):
-        p("x)")
-    with pytest.raises(PolySyntaxError):
-        p("1/0")
-    with pytest.raises(PolySyntaxError):
-        p("x/2")  # '/' only joins integer literals
-    with pytest.raises(PolySyntaxError):
-        p("")
-    with pytest.raises(PolySyntaxError):
-        p("٣*x", X)  # digits are ASCII only
+    assert {text: _refusal(text) for text in _REFUSALS} == _REFUSALS
 
 
 def test_parenthesis_nesting_is_bounded():
     deep = MAX_NESTING_DEPTH
     assert p("(" * deep + "x" + ")" * deep) == p("x")
-    with pytest.raises(PolySyntaxError) as err:
-        p("(" * 3000 + "x" + ")" * 3000)
-    assert err.value.position == deep
+    assert _refusal("(" * (deep + 1) + "x" + ")" * (deep + 1)) == (PolySyntaxError, deep)
 
 
 def test_expansion_is_bounded():
     # "(x+y+1)^30" expands to 496 terms, "(x+y+1)^31" to 528
     assert len(p("(x+y+1)^30").terms) == 496 <= MAX_TERMS
-    cases = {
-        "(x+y+1)^31": 8,              # comb(33, 2) terms
-        f"x^{MAX_EXPONENT + 1}": 2,   # the exponent literal alone
-        "9^1000000": 2,
-        "((9^100)^100)^100": 9,       # coefficient bits, not terms
-        "(x+y+1)^20*(x+y+1)^20": 10,  # 231 * 231 product terms
-        # 496 terms a power: the fifth power passes the expression's budget
-        "+".join(["(x+y+1)^30"] * 20): 4 * 11 + 8,
-    }
-    for text, position in cases.items():
-        with pytest.raises(PolySyntaxError) as err:
-            p(text)
-        assert err.value.position == position, text
     with pytest.raises(PolySyntaxError):
         parse_poly("(x+y+z+1)^20", Chart(["x", "y", "z"]))
     assert 4 * 496 <= MAX_EXPANSION < 5 * 496
@@ -523,34 +557,6 @@ def test_a_second_gradient_takes_no_partials(monkeypatch):
     assert calls == ["x", "y", "x", "y"]
 
 
-#: Product items over XY: a basis key, a sign and two term maps with small
-#: coefficients, so that products of different items often cancel.
-_SMALL = st.one_of(
-    st.integers(-3, 3).filter(bool),
-    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3)),
-)
-_SMALL_MAPS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                              _SMALL, max_size=3)
-_PRODUCT_ITEMS = st.lists(st.tuples(st.sampled_from(["a", "b", (0, 1)]),
-                                    st.sampled_from([1, -1]),
-                                    _SMALL_MAPS, _SMALL_MAPS), max_size=8)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_PRODUCT_ITEMS)
-def test_product_kernel_is_the_sum_of_the_signed_products(items):
-    items = [(key, sign, Poly(XY, a), Poly(XY, b)) for key, sign, a, b in items]
-    # each item mirrored with the other sign: every key cancels
-    mirrored = items + [(key, -sign, b, a) for key, sign, a, b in items]
-    assert products(XY, mirrored) == {}
-    expected = accumulate((key, a * b if sign > 0 else -(a * b))
-                          for key, sign, a, b in items)
-    result = products(XY, iter(items))
-    assert result == expected
-    assert all(q.terms and q.chart is XY and _stored_exactly(q)
-               for q in result.values())
-
-
 def test_product_kernel_cancels_and_demotes_like_the_ring():
     x, y = XY.coordinate("x"), XY.coordinate("y")
     half, third = XY.coerce(Fraction(1, 2)), XY.coerce(Fraction(1, 3))
@@ -574,24 +580,7 @@ def test_product_kernel_cancels_and_demotes_like_the_ring():
     assert anchor_derivative(A, 0, p("x^2 + y^2")) is XY.zero()
 
 
-# --- the rational route of the product kernel ---------------------------------
-
-def _fraction_reference(items):
-    """``{key: {exponent: coefficient}}`` of the items' signed products, each
-    monomial product formed and summed as its own ``Fraction``: the per-term
-    route that the common denominator replaces."""
-    sums = {}
-    for key, sign, a, b in items:
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                at = (key, tuple(i + j for i, j in zip(ea, eb)))
-                sums[at] = sums.get(at, Fraction(0)) + sign * Fraction(ca) * Fraction(cb)
-    grouped = {}
-    for (key, e), c in sums.items():
-        if c:
-            grouped.setdefault(key, {})[e] = c
-    return grouped
-
+# --- the stored form of rational polynomials ---------------------------------
 
 def _true_den(q):
     return math.lcm(*(Fraction(c).denominator for c in q.terms.values()))
@@ -614,32 +603,6 @@ _MIXED = st.one_of(
 )
 _MIXED_MAPS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                               _MIXED, max_size=4)
-_MIXED_ITEMS = st.lists(st.tuples(st.sampled_from(["a", "b", (0, 1)]),
-                                  st.sampled_from([1, -1]),
-                                  _MIXED_MAPS, _MIXED_MAPS), max_size=8)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_MIXED_ITEMS)
-def test_rational_products_match_the_per_term_fraction_route(items):
-    items = [(key, sign, Poly(XY, a), Poly(XY, b)) for key, sign, a, b in items]
-    result = products(XY, iter(items))
-    assert {key: q.terms for key, q in result.items()} == _fraction_reference(items)
-    for q in result.values():
-        assert q.terms and q.chart is XY and _stored_exactly(q) and _den_is_right(q)
-        assert all((type(c) is int) == (Fraction(c).denominator == 1)
-                   for c in q.terms.values())
-
-
-@settings(max_examples=300, deadline=None)
-@given(_MIXED_MAPS, _MIXED_MAPS)
-def test_poly_mul_matches_the_per_term_fraction_route(a, b):
-    pa, pb = Poly(XY, a), Poly(XY, b)
-    expected = _fraction_reference([("k", 1, pa, pb)]).get("k", {})
-    product = pa * pb
-    assert product.terms == expected
-    assert _stored_exactly(product) and _den_is_right(product)
-    assert product == pb * pa
 
 
 @settings(max_examples=200, deadline=None)
@@ -756,68 +719,23 @@ def test_an_empty_item_stream_gives_no_terms():
 def test_distinct_prime_denominators_take_no_pathological_time():
     """Two 60-term polynomials whose 120 coefficients have distinct prime
     denominators: the common denominator is the product of all 120 primes,
-    and the sums still match the per-term route well inside a second."""
+    and the sums still match the oracle of ``tests/test_oracle.py`` well
+    inside a second."""
+    from test_oracle import SX, _assert_matches, _sums, _sympy  # the one sympy importer
+
     primes = [n for n in range(2, 700) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
-    a = Poly(XY, {(i, 59 - i): Fraction(1 + i, primes[i]) for i in range(60)})
-    b = Poly(XY, {(j, 59 - j): Fraction(-1 - j, primes[60 + j]) for j in range(60)})
-    items = [("k", 1, a, b), ("k", -1, a, XY.coordinate("x")), ("j", 1, b, b)]
+    a = {(i, 59 - i): Fraction(1 + i, primes[i]) for i in range(60)}
+    b = {(j, 59 - j): Fraction(-1 - j, primes[60 + j]) for j in range(60)}
+    pa, pb = Poly(XY, a), Poly(XY, b)
+    items = [("k", 1, pa, pb), ("k", -1, pa, XY.coordinate("x")), ("j", 1, pb, pb)]
     started = time.perf_counter()
     result = products(XY, items)
-    product = a * b
+    product = pa * pb
     elapsed = time.perf_counter() - started
-    expected = _fraction_reference(items)
-    assert {key: q.terms for key, q in result.items()} == expected
-    assert product.terms == _fraction_reference([("k", 1, a, b)])["k"]
+    sa, sb = _sympy(a), _sympy(b)
+    _assert_matches(result, _sums([("k", 1, sa, sb), ("k", -1, sa, SX), ("j", 1, sb, sb)]))
+    assert _sympy(product.terms) == sa * sb
     assert elapsed < 1.0
-
-
-# --- the product kernel against its reference ---------------------------------
-
-#: Coefficients by call kind: integral, rational (an integral one is
-#: stored as an ``int``) and mixed, of both signs; denominators up to 12
-#: often do not divide one another, which makes the kernel rescale its
-#: partial sums.
-_KERNEL_COEFFICIENTS = {
-    "integral": st.integers(-5, 5).filter(bool),
-    "rational": st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(2, 12)),
-    "mixed": _MIXED,
-}
-_MONOMIALS = st.tuples(st.integers(0, 2), st.integers(0, 2))
-
-
-def _kernel_factors(draw, kind):
-    """Term maps of factors of ``kind``: general ones, constants and the
-    zero."""
-    coefficient = _KERNEL_COEFFICIENTS[kind]
-    return draw(st.lists(st.one_of(
-        st.dictionaries(_MONOMIALS, coefficient, max_size=4),
-        st.dictionaries(st.just((0, 0)), coefficient, min_size=1, max_size=1)),
-        min_size=1, max_size=5))
-
-
-def _kernel_result(result):
-    """Each key's terms with the types they read as, and its ``_den`` and
-    ``_num`` slots."""
-    return {key: (sorted((e, c, type(c)) for e, c in q.terms.items()), q._den,
-                  sorted(q._num.items()))
-            for key, q in result.items()}
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_the_product_kernel_matches_its_reference(data):
-    kind = data.draw(st.sampled_from(sorted(_KERNEL_COEFFICIENTS)))
-    factors = _kernel_factors(data.draw, kind)
-    picks = data.draw(st.lists(st.tuples(
-        st.sampled_from(["a", "b", (0, 1)]), st.sampled_from([1, -1, 2, -3]),
-        st.integers(0, len(factors) - 1), st.integers(0, len(factors) - 1)),
-        max_size=8))
-    if data.draw(st.booleans()):  # each item mirrored: every key cancels
-        picks += [(key, -sign, j, i) for key, sign, i, j in picks]
-    polys = [Poly(XY, terms) for terms in factors]
-    items = [(key, sign, polys[i], polys[j]) for key, sign, i, j in picks]
-    assert _kernel_result(products(XY, iter(items))) == _kernel_result(
-        ring_reference.products(XY, iter(items)))
 
 
 #: A model document with rational entries of every table, one of them
@@ -1005,48 +923,6 @@ def test_print_is_deterministic_and_canonical():
     a = p("x*y + x^2")
     b = p("x^2 + x*y")
     assert poly_to_string(a) == poly_to_string(b)
-
-
-# --- the reader and the printer against their reference ------------------------
-
-#: Pieces that reach the product and power bounds: sums whose products and
-#: powers are checked and charged, a sum that cancels, and single factors.
-_BOUNDED_PIECES = st.sampled_from(
-    ["(x+y+1)^30", "(x+y+1)^20*", "(x-x)*", "(x+1/2)", "0*", "2/3*x*"])
-
-
-def _read(reader, text):
-    """The terms ``reader`` gives for ``text``, each with its stored type,
-    or the class and position of the error it raises."""
-    try:
-        q = reader(text, XY)
-    except AlgebroidError as exc:
-        return type(exc), getattr(exc, "position", None)
-    return sorted((e, c, type(c)) for e, c in q.terms.items())
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.lists(st.one_of(_PIECES, _BOUNDED_PIECES), max_size=40).map("".join))
-def test_the_reader_matches_its_reference_on_any_text(text):
-    assert _read(parse_poly, text) == _read(ring_reference.parse_poly, text)
-
-
-#: A coefficient of either stored type, or 1 or -1 as an int or as a
-#: ``Fraction`` (the printer reads sign and magnitude off ``str``, which
-#: spells both types of one value alike).
-_PRINTED_COEFFICIENTS = st.one_of(
-    _COEFFICIENTS, st.sampled_from([1, -1, Fraction(1), Fraction(-1)]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                       _PRINTED_COEFFICIENTS, max_size=8))
-def test_the_printer_and_the_reader_match_their_reference(terms):
-    q = Poly._make(XY, terms)
-    text = poly_to_string(q)
-    assert text == ring_reference.poly_to_string(q)
-    assert _read(parse_poly, text) == _read(ring_reference.parse_poly, text) \
-        == _read(lambda _, chart: Poly(chart, terms), None)
 
 
 # --- transport --------------------------------------------------------------

@@ -18,7 +18,7 @@ from algebroids.errors import NotInvertible, UnknownName, ValidationError
 from algebroids.fixtures import canonical_line, canonical_space, so3
 from algebroids.lifts import classical_complete_lift, classical_vertical_lift
 from algebroids.model import Model, builtin_model, load_model, loads_model
-from algebroids.ring import Chart
+from algebroids.ring import MAX_EXPONENT, Chart
 from algebroids.suites import (
     SUITE_NAMES, SUITES, _basis_table, _canonical_transport, _complete_lift_T,
     _contract, _direct_complete, _direct_vertical, _dual_owner,
@@ -44,10 +44,12 @@ def test_unknown_suite():
 @pytest.mark.parametrize("suite, trials", [
     ({"max_degree": -1}, None), ({"max_degree": "2"}, None), ({"max_degree": True}, None),
     ({}, 0), ({}, "3"), ({}, 2.5),
-    ({"seed": 1.5}, None), ({"seed": [1]}, None), ({"seed": True}, None), ({"seed": "0"}, None)])
+    ({"seed": 1.5}, None), ({"seed": [1]}, None), ({"seed": True}, None), ({"seed": "0"}, None),
+    ({"max_degree": MAX_EXPONENT + 1}, None)])
 def test_suite_settings_fail_closed_before_any_draw(suite, trials):
     # a library-built model is not checked by the document parser; a draw
-    # of a negative coefficient degree would never return
+    # of a negative coefficient degree would never return, and one past
+    # MAX_EXPONENT could not be read back by its witness replay
     model = Model(algebroids={"so3": so3()}, suite=suite)
     with pytest.raises(ValidationError):
         run_suite("theorem-1", model, trials=trials)
