@@ -28,7 +28,9 @@ from sympy.parsing.sympy_parser import auto_number, convert_xor, parse_expr
 from sympy.polys.rings import ring
 
 from algebroids.ring import Poly, parse_poly, poly_to_string, products
-from test_ring import _COEFFICIENTS, _MIXED, _MIXED_MAPS, XY, _den_is_right, _stored_exactly
+from test_ring import (
+    _COEFFICIENTS, _MIXED, _MIXED_ITEMS, _MIXED_MAPS, XY, _den_is_right, _stored_exactly,
+)
 
 R, SX, SY = ring("x,y", QQ)
 
@@ -108,11 +110,6 @@ def test_the_product_kernel_matches_the_oracle(data):
                                 for key, sign, i, j in picks]))
     _assert_matches(result, _sums([(key, sign, oracle[i], oracle[j])
                                    for key, sign, i, j in picks]))
-
-
-_MIXED_ITEMS = st.lists(st.tuples(st.sampled_from(["a", "b", (0, 1)]),
-                                  st.sampled_from([1, -1]),
-                                  _MIXED_MAPS, _MIXED_MAPS), max_size=8)
 
 
 @settings(max_examples=300, deadline=None)

@@ -557,6 +557,34 @@ def test_a_second_gradient_takes_no_partials(monkeypatch):
     assert calls == ["x", "y", "x", "y"]
 
 
+#: Product items over XY: a basis key, a sign and two term maps with small
+#: coefficients, so that products of different items often cancel.
+_SMALL = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3)),
+)
+_SMALL_MAPS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              _SMALL, max_size=3)
+_PRODUCT_ITEMS = st.lists(st.tuples(st.sampled_from(["a", "b", (0, 1)]),
+                                    st.sampled_from([1, -1]),
+                                    _SMALL_MAPS, _SMALL_MAPS), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PRODUCT_ITEMS)
+def test_product_kernel_is_the_sum_of_the_signed_products(items):
+    items = [(key, sign, Poly(XY, a), Poly(XY, b)) for key, sign, a, b in items]
+    # each item mirrored with the other sign: every key cancels
+    mirrored = items + [(key, -sign, b, a) for key, sign, a, b in items]
+    assert products(XY, mirrored) == {}
+    expected = accumulate((key, a * b if sign > 0 else -(a * b))
+                          for key, sign, a, b in items)
+    result = products(XY, iter(items))
+    assert result == expected
+    assert all(q.terms and q.chart is XY and _stored_exactly(q)
+               for q in result.values())
+
+
 def test_product_kernel_cancels_and_demotes_like_the_ring():
     x, y = XY.coordinate("x"), XY.coordinate("y")
     half, third = XY.coerce(Fraction(1, 2)), XY.coerce(Fraction(1, 3))
@@ -603,6 +631,38 @@ _MIXED = st.one_of(
 )
 _MIXED_MAPS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                               _MIXED, max_size=4)
+_MIXED_ITEMS = st.lists(st.tuples(st.sampled_from(["a", "b", (0, 1)]),
+                                  st.sampled_from([1, -1]),
+                                  _MIXED_MAPS, _MIXED_MAPS), max_size=8)
+
+
+def _fraction_reference(items):
+    """``{key: {exponent: coefficient}}`` of the items' signed products, each
+    monomial product formed and summed as its own ``Fraction``: the per-term
+    route that the common denominator replaces."""
+    sums = {}
+    for key, sign, a, b in items:
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                at = (key, tuple(i + j for i, j in zip(ea, eb)))
+                sums[at] = sums.get(at, Fraction(0)) + sign * Fraction(ca) * Fraction(cb)
+    grouped = {}
+    for (key, e), c in sums.items():
+        if c:
+            grouped.setdefault(key, {})[e] = c
+    return grouped
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MIXED_ITEMS)
+def test_rational_products_match_the_per_term_fraction_route(items):
+    items = [(key, sign, Poly(XY, a), Poly(XY, b)) for key, sign, a, b in items]
+    result = products(XY, iter(items))
+    assert {key: q.terms for key, q in result.items()} == _fraction_reference(items)
+    for q in result.values():
+        assert q.terms and q.chart is XY and _stored_exactly(q) and _den_is_right(q)
+        assert all((type(c) is int) == (Fraction(c).denominator == 1)
+                   for c in q.terms.values())
 
 
 @settings(max_examples=200, deadline=None)
