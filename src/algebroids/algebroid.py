@@ -131,20 +131,31 @@ class Algebroid(Bundle):
     def column(self, i: int, j: int) -> Tuple[Mapping[int, Poly], int]:
         """The stored structure column {k: c^k} of the pair (i, j) and the
         sign (±1) that turns it into c_ij^k; an empty column when i == j or
-        the pair's bracket vanishes.  0-based."""
+        the pair's bracket vanishes.  0-based.  The kernels' hot read, so it
+        checks nothing: an index that is no fiber index reads as an empty
+        column."""
         if i > j:
             return self.structure.get((j, i), _NO_COLUMN), -1
         return self.structure.get((i, j), _NO_COLUMN), 1
 
+    def _fiber(self, index, who: str) -> int:
+        """``index`` if it is a fiber index of this algebroid (else
+        :class:`KindMismatch` for a non-int, :class:`DimensionMismatch` for
+        one out of range)."""
+        if not 0 <= _require(index, who, cls=int) < self.rank:
+            raise DimensionMismatch(f"{who}: fiber {index} out of range for rank {self.rank}")
+        return index
+
     def c(self, i: int, j: int, k: int) -> Poly:
         """Structure function c_ij^k, antisymmetric in (i, j); 0-based."""
-        column, sign = self.column(i, j)
-        coeff = column.get(k, self.base.zero())
+        column, sign = self.column(self._fiber(i, "c"), self._fiber(j, "c"))
+        coeff = column.get(self._fiber(k, "c"), self.base.zero())
         return coeff if sign > 0 else -coeff
 
     def bracket_basis(self, i: int, j: int) -> GradedTensor:
         """The bracket [e_i, e_j] of two basis sections."""
-        column, sign = self.column(i, j)
+        column, sign = self.column(self._fiber(i, "bracket_basis"),
+                                   self._fiber(j, "bracket_basis"))
         return GradedTensor._make(self, Kind.MV, 1, {
             (k,): c if sign > 0 else -c for k, c in column.items()})
 
@@ -495,9 +506,7 @@ def anchor_derivative(algebroid: Algebroid, i: int, f: Poly) -> Poly:
     """The anchor of e_i applied to a function over the base (anything
     :meth:`~algebroids.ring.Chart.coerce` takes): sum_a anchor[i][a] d_a f."""
     base = _require(algebroid, "anchor_derivative", cls=Algebroid).base
-    if not 0 <= _require(i, "anchor_derivative", cls=int) < algebroid.rank:
-        raise DimensionMismatch(f"anchor_derivative: fiber {i} out of range "
-                                f"for rank {algebroid.rank}")
+    algebroid._fiber(i, "anchor_derivative")
     return products(base, ((None, 1, rho, d) for k, rho, d in _anchor_terms(
         algebroid, base.coerce(f).gradient()) if k == i)).get(None, base.zero())
 

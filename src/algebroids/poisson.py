@@ -42,12 +42,10 @@ from .tensor import (_MULTIVECTOR, GradedTensor, Kind, _as_kind, _contract,
 
 
 class PoissonStructure:
-    """A validated Poisson bivector over the canonical algebroid of a chart."""
+    """A validated Poisson bivector over the canonical algebroid of a chart:
+    only :func:`build_poisson` constructs one, after checking [P, P] = 0."""
 
     __slots__ = ("owner", "bivector", "_rows", "_cotangent")
-
-    #: Only :func:`build_poisson` constructs one, after checking [P, P] = 0.
-    validated = True
 
     def __init__(self, owner: Algebroid, bivector: GradedTensor):
         self.owner = owner

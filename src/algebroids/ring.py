@@ -740,7 +740,7 @@ def _tokenize(text: str) -> List[Tuple[str | None, str | None, int]]:
         if kind == "end":
             break
         if kind == "bad":
-            raise PolySyntaxError(f"unexpected character {m[kind]!r}", position=m.start())
+            raise PolySyntaxError(f"unexpected character {m[kind]!r}", position=m.start(kind))
         tokens.append((kind, m[kind], m.start(kind)))
     tokens.append((None, None, len(text)))
     return tokens

@@ -69,7 +69,8 @@ def test_criterion_01_algebroid_axioms():
     for make in ALGEBROIDS.values():
         validate(make())
     for make in POISSON.values():
-        assert make().validated
+        ps = make()
+        assert schouten(ps.owner, ps.bivector, ps.bivector).is_zero()
     with pytest.raises(AnchorNotMorphism) as err:
         validate(broken_anchor())
     assert err.value.witness["pair"] == ["e1", "e2"]
@@ -203,7 +204,6 @@ def test_criterion_09_tangent_poisson():
     started = time.perf_counter()
     for make in POISSON.values():
         lifted = tangent_poisson(make())
-        assert lifted.validated
         residual = schouten(lifted.owner, lifted.bivector, lifted.bivector)
         assert residual.is_zero()
     for make in ALGEBROIDS.values():
@@ -248,8 +248,10 @@ def test_criterion_11_dual_route_lift():
 
 #: SHA-256 of each shipped model's `suite --name all` report with its
 #: `timing` field removed, re-serialized the way the CLI prints it.  A change
-#: that alters any suite's items, labels, counts or draws changes a digest;
-#: record new digests only for a deliberate change to the reports.
+#: that alters any suite's items, labels, statuses or counts changes a digest;
+#: record new digests only for a deliberate change to the reports.  A passing
+#: report holds no drawn value, so the draws are pinned apart, by
+#: `tests/test_suites.py::STREAM_DIGESTS`.
 REPORT_DIGESTS = {
     "fixtures/standard.json":
         "f1c23520804e38521bb6a68cffcf575682c02193897a82099797cec963bde758",

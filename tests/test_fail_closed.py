@@ -269,7 +269,8 @@ def _structure(table):
 #: replacements do not try: unhashable names, bytes that are not UTF-8, an
 #: int past the digit limit and a NUL in a model path; key strings of
 #: indices that are no fiber index (a float, a bool, a negative int); and a
-#: bool where an int is asked for (a degree, a fiber, a structure index).
+#: bool where an int is asked for (a degree, a fiber, a structure index); and
+#: the structure reads ``c`` and ``bracket_basis`` of so3 past its rank 3.
 NESTED = {
     "structure key ('a', 1)": (KindMismatch, _structure({("a", 1): {0: 1}})),
     "structure key (False, True)": (KindMismatch, _structure({(False, True): {0: 1}})),
@@ -289,6 +290,13 @@ NESTED = {
                                    lambda: algebroid.anchor_derivative(A, 7, F)),
     "anchor_derivative(A, -1, f)": (DimensionMismatch,
                                     lambda: algebroid.anchor_derivative(A, -1, F)),
+    "A.c(5, 7, 9)": (DimensionMismatch, lambda: FOREIGN.c(5, 7, 9)),
+    "A.c(-1, 0, 2)": (DimensionMismatch, lambda: FOREIGN.c(-1, 0, 2)),
+    "A.c(0, 1, 3)": (DimensionMismatch, lambda: FOREIGN.c(0, 1, 3)),
+    "A.c('a', 1, 2)": (KindMismatch, lambda: FOREIGN.c("a", 1, 2)),
+    "A.c(0, True, 2)": (KindMismatch, lambda: FOREIGN.c(0, True, 2)),
+    "A.bracket_basis(0, 9)": (DimensionMismatch, lambda: FOREIGN.bracket_basis(0, 9)),
+    "A.bracket_basis(None, 1)": (KindMismatch, lambda: FOREIGN.bracket_basis(None, 1)),
     "dual name '1 2'": (DimensionMismatch, lambda: algebroid.build_algebroid(
         LINE, ("e",), ((1,),), dual_names=("1 2",))),
     "fiber name 'e f'": (DimensionMismatch, lambda: algebroid.build_algebroid(

@@ -104,6 +104,9 @@ def test_parse_rejects_bare_negated_variable():
 _REFUSALS = {
     # the tokenizer
     "x+$": (PolySyntaxError, 2),
+    "x + $": (PolySyntaxError, 4),  # at the character, not the space before it
+    "x +   $": (PolySyntaxError, 6),
+    "  $": (PolySyntaxError, 2),
     "٣*x": (PolySyntaxError, 0),  # digits are ASCII only
     # integer literals longer than int() reads
     "1" * 5000: (PolySyntaxError, 0),
