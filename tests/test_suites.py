@@ -1,9 +1,10 @@
 """The identity suites: registry shape, determinism, vacuous-model behavior,
 the failure path — a broken convention must surface as a witness that
 replays to the same nonzero values through a single ``eval`` command — the
-enumerator that draws the arguments of declared items, and one recorded
-digest per (model, suite) of every item's draws, so a report or a witness
-replays only while they stay fixed.
+enumerator that draws the arguments of declared items, and recorded digests
+of the draws, one per (model, suite) over every item and one per item whose
+draws were once written by hand, so a report or a witness replays only while
+they stay fixed.
 """
 
 import hashlib
@@ -308,12 +309,13 @@ _ZERO = GradedTensor.zero(so3(), Kind.MV, 0)
 class _Hashing(suites._Run):
     """A runner that draws every item as ``run_suite`` does but decides no
     identity: each declared residual is the zero and predicates run as they
-    are.  ``digest`` takes each instance's fixture name and named inputs in
-    draw order, then the item generator's end state."""
+    are.  ``digest``, and ``by_item[item_id]`` for the item alone, take each
+    instance's fixture name and named inputs in draw order, then the item
+    generator's end state."""
 
-    def __init__(self, digest, *args):
+    def __init__(self, digest, by_item, *args):
         super().__init__(*args)
-        self.digest = digest
+        self.digest, self.by_item = digest, by_item
 
     def rng(self, item_id):
         self.generator = super().rng(item_id)
@@ -328,15 +330,34 @@ class _Hashing(suites._Run):
         return zeroed
 
     def _record(self, item_id, label, fixtures, check, witness):
+        item = self.by_item.setdefault(item_id, hashlib.sha256())
+
+        def add(data):
+            self.digest.update(data)
+            item.update(data)
+
         def teed(rng, named):
             for inputs, outcome in check(rng, named[1]):
-                self.digest.update(repr((named[0], [
+                add(repr((named[0], [
                     (arg, _input(value)) for arg, value in inputs.items()])).encode())
                 yield inputs, outcome
 
         super()._record(item_id, label, [(name, (name, f)) for name, f in fixtures],
                         teed, witness)
-        self.digest.update(repr(self.generator.getstate()).encode())
+        add(repr(self.generator.getstate()).encode())
+
+
+_MODELS = {"builtin": builtin_model, "so3": lambda: load_model("fixtures/so3.json")}
+
+
+def _hash_suite(suite, model, by_item=None):
+    """``suite``'s draw digest on ``model`` for seeds 0-9 at 1, 7 and 50
+    trials; ``by_item`` collects each item's own digest over the same grid."""
+    digest, by_item = hashlib.sha256(), {} if by_item is None else by_item
+    for trials, seed in itertools.product((1, 7, 50), range(10)):
+        SUITES[suite][1](_Hashing(digest, by_item, suite, "", model, seed, trials,
+                                  model.suite.get("max_degree", 2)))
+    return digest.hexdigest()[:16]
 
 
 def test_every_item_draws_its_pinned_stream():
@@ -344,17 +365,114 @@ def test_every_item_draws_its_pinned_stream():
     :data:`STREAM_DIGESTS` was recorded, for seeds 0-9 at 1, 7 and 50 trials
     on both shipped models.  Record new digests only for a deliberate change
     of draws."""
-    models = {"builtin": builtin_model(), "so3": load_model("fixtures/so3.json")}
-    moved = []
-    for suite, pinned in STREAM_DIGESTS.items():
-        for (name, model), expected in zip(models.items(), pinned):
-            digest = hashlib.sha256()
-            for trials, seed in itertools.product((1, 7, 50), range(10)):
-                SUITES[suite][1](_Hashing(digest, suite, "", model, seed, trials,
-                                          model.suite.get("max_degree", 2)))
-            if digest.hexdigest()[:16] != expected:
-                moved.append((suite, name, digest.hexdigest()[:16]))
+    models = [make() for make in _MODELS.values()]
+    moved = [(suite, name, got) for suite, pinned in STREAM_DIGESTS.items()
+             for name, model, expected in zip(_MODELS, models, pinned)
+             if (got := _hash_suite(suite, model)) != expected]
     assert list(STREAM_DIGESTS) == list(SUITE_NAMES) and not moved, moved
+
+
+#: (suite, item, the first 16 hex digits of its own draw digest on the
+#: built-in model and on ``fixtures/so3.json``), for the items that once
+#: wrote their own streams by hand; recorded where those hand-written
+#: streams still passed, so each pins the fixtures, inputs and generator
+#: state that its copy did.
+_ITEM_STREAMS = [
+    ("theorem-2", "operator-identity", ("e604e26d4e54c7b7", "17ae3d05c1a56113")),
+    ("theorem-6", "antisymmetry", ("7bf4972557f54f1d", "dec450bbbb21da7e")),
+    ("theorem-19", "bivectors", ("2d04138e29a79875", "e060c684d42022fb")),
+    ("theorem-20", "poisson-routes", ("3c9f457aa770c65f", "adb2274e443934f9")),
+    ("theorem-5", "lambda-inverse", ("812188922584be96", "55aadb3e65a192ea")),
+    ("theorem-17", "injectivity", ("9bf7985c2dd6a45d", "8581d50953e0de2f")),
+    ("theorem-24", "injectivity", ("1a29a4b5b099d70d", "71dd838b683e459a")),
+    ("theorem-24", "nijenhuis-instance", ("e3524b308286c7a4", "7c5ee21e77df676f")),
+]
+
+
+@pytest.mark.parametrize("model_name", list(_MODELS))
+@pytest.mark.parametrize("suite, item, pinned", _ITEM_STREAMS,
+                         ids=[f"{suite}-{item}" for suite, item, _ in _ITEM_STREAMS])
+def test_declared_fixtures_yield_the_hand_written_streams(model_name, suite, item, pinned):
+    """The item checks the fixtures and draws the inputs, in order, and
+    leaves its generator in the state, that its hand-written stream did, for
+    seeds 0-9 at 1, 7 and 50 trials.  A failure names the item whose draws
+    moved, where :data:`STREAM_DIGESTS` names only its suite."""
+    by_item = {}
+    _hash_suite(suite, _MODELS[model_name](), by_item)
+    got = by_item[item].hexdigest()[:16]
+    assert got == pinned[list(_MODELS).index(model_name)], got
+
+
+def _declarations(suite):
+    """{item id: (owner map, arguments)} of the declared items of a suite,
+    read by running it with a runner that records each declaration."""
+    found = {}
+
+    class Recording(suites._Run):
+        def declare(self, item_id, label, fixtures, owner=None, **args):
+            found[item_id] = (owner, args)
+            return lambda residual: residual
+
+    SUITES[suite][1](Recording(suite, "", builtin_model(), 0, 1, 2))
+    return found
+
+
+#: (suite, item, fixtures of the built-in model, the first 16 hex digits of
+#: the digest of its declared arguments' draws on them at seeds 0-39), for
+#: items whose instances were once drawn by hand; recorded where those
+#: hand-written draws still passed, so each pins what its copy drew.
+_ARGUMENT_DRAWS = [
+    # an owner-dependent list, then two fixed degrees
+    ("theorem-1", "lie-insertion", ("canonical-line", "so3"), "50ee8fa21649c2c0"),
+    # [1, 2] keeps both entries on rank 1
+    ("theorem-2", "adjoint-derivation", ("canonical-line", "canonical-space"),
+     "c5b0fcdf33ba4128"),
+    # the entry ``rank``, and a list whose entries repeat on rank 1
+    ("eq-1-12", "insertion-identity", ("canonical-line", "so3"), "887e2af6cc36dead"),
+    # two degree arguments, each named by the tensor drawn after both
+    ("theorem-6", "antisymmetry", ("poisson-plane", "poisson-so3"), "4f03dbfec262fd4b"),
+    # keys=1, on the cotangent algebroid of a Poisson structure
+    ("theorem-6", "graded-jacobi", ("poisson-plane", "poisson-so3"), "4e4fe068f0c14208"),
+    # a tensor, then a function
+    ("theorem-2", "bracket-on-functions", ("canonical-line", "so3"), "7c2990822227f35c"),
+    # four functions on the owner of a Poisson structure
+    ("theorem-6", "term-expansion-1-1", ("poisson-plane", "poisson-nonconstant"),
+     "03079d13af7cbf5d"),
+    # a function before a tensor
+    ("theorem-8", "module-laws", ("nonconstant-rank2", "so3"), "9ab610fda1d7e032"),
+    # the first and the last of the seven items sharing one instance
+    ("theorem-15", "a-multiplicative", ("canonical-line", "so3"), "fb411b8d7e011e7b"),
+    ("theorem-15", "g-iota", ("canonical-space", "nonconstant-rank2"), "eb64072cdaf59dab"),
+]
+
+
+# the ids these cases were first collected under, when each compared its
+# draws with a hand-written copy named in the last part
+@pytest.mark.parametrize("suite, item, fixtures, pinned", _ARGUMENT_DRAWS, ids=[
+    f"{suite}-{item}-fixtures{n}-{copy}" for n, ((suite, item, *_), copy) in enumerate(zip(
+        _ARGUMENT_DRAWS, ["_lie_insertion_draws", "_adjoint_derivation_draws",
+                          "_insertion_identity_draws", "_extended_antisymmetry_draws",
+                          "_extended_jacobi_draws", "_bracket_on_functions_draws",
+                          "_term_expansion_11_draws", "_module_laws_draws",
+                          "_theorem_15_draws", "_theorem_15_draws"]))])
+def test_declared_arguments_draw_as_the_hand_written_instances(
+        suite, item, fixtures, pinned):
+    """The item's declared arguments draw, on each listed fixture at seeds
+    0-39, the inputs in order and the generator state that its hand-written
+    instance did."""
+    owner_map, args = _declarations(suite)[item]
+    model = builtin_model()
+    run = suites._Run(suite, "", model, 0, 1, model.suite.get("max_degree", 2))
+    digest = hashlib.sha256()
+    for name in fixtures:
+        fixture = model.algebroids.get(name) or model.poisson[name]
+        owner = fixture if owner_map is None else owner_map(fixture)
+        for seed in range(40):
+            rng = random.Random(seed)
+            drawn = _arguments(run, rng, owner, args)
+            digest.update(repr((name, seed, [(arg, _input(v)) for arg, v in drawn.items()],
+                                rng.getstate())).encode())
+    assert digest.hexdigest()[:16] == pinned, digest.hexdigest()[:16]
 
 
 def test_a_fixed_degree_draws_without_a_choice():

@@ -1,5 +1,5 @@
-"""Graded tensor arithmetic: normalization, products, contraction, and one
-recorded digest of the random draws that the suites' instances are made of."""
+"""Graded tensor arithmetic: normalization, products, contraction, and two
+recorded digests of the random draws that the suites' instances are made of."""
 
 import hashlib
 import random
@@ -365,37 +365,55 @@ def test_the_skew_table_answers_as_the_insertion_sort():
             [reference_sort_skew(t) for t in tuples]
 
 
-def test_random_draws_are_pinned():
-    """``random_tensor`` and ``random_coefficient`` draw the keys, in stored
-    order, and the coefficients they drew when the digest was recorded, and
-    leave the generator in the same state after each seed.  Record a new
-    digest only for a deliberate change of draws."""
+def _draw_digest(add, rng, owner, coeff_degree=2):
+    """Feed ``add`` every kind at degrees 0-3 on ``owner``: each drawn key in
+    stored order with its coefficient's terms."""
+    for kind, degree in product(Kind, range(4)):
+        t = random_tensor(rng, owner, kind, degree, coeff_degree)
+        add([(key, list(c.terms.items())) for key, c in t.terms.items()])
+
+
+def _digest():
     digest = hashlib.sha256()
+    return digest, lambda value: digest.update(repr(value).encode())
 
-    def add(value):
-        digest.update(repr(value).encode())
 
-    def draws(rng, owner, coeff_degree=2):
-        for kind, degree in product(Kind, range(4)):
-            t = random_tensor(rng, owner, kind, degree, coeff_degree)
-            add([(key, list(c.terms.items())) for key, c in t.terms.items()])
+# Each digest below was recorded where the hand-written draws it replaced
+# still passed, so it pins the draws those copies pinned.  Record a new one
+# only for a deliberate change of draws.
 
-    builtins = [make() for make in ALGEBROIDS.values()]
-    lifted = builtins + [lift(A) for lift in (tangent_lift, cotangent_lift) for A in builtins]
+def test_random_draws_match_their_earlier_form():
+    """``random_tensor`` draws the keys, in stored order, and coefficients it
+    drew when the digest was recorded, and leaves the generator in the same
+    state, over the built-in algebroids and their lifts, every kind and
+    degrees 0-3, at 300 seeds."""
+    digest, add = _digest()
+    owners = [make() for make in ALGEBROIDS.values()]
+    owners += [lift(A) for lift in (tangent_lift, cotangent_lift) for A in owners]
     for seed in range(300):
         rng = random.Random(seed)
-        for A in lifted:
-            draws(rng, A)
+        for A in owners:
+            _draw_digest(add, rng, A)
         add(rng.getstate())
-    owners = builtins + [make().owner for make in POISSON.values()]
+    assert digest.hexdigest() == \
+        "5131f1eaf6616265741948f1f5f6fef84165b3e761cf80ce4d893fd1191d7ed2", digest.hexdigest()
+
+
+def test_draws_below_match_the_sampling_calls():
+    """``random_coefficient`` and ``random_tensor`` draw what they drew when
+    the digest was recorded, over every shipped owner, coefficient degrees
+    0-2, every kind and degrees 0-3, at 200 seeds."""
+    digest, add = _digest()
+    owners = [make() for make in ALGEBROIDS.values()]
+    owners += [make().owner for make in POISSON.values()]
     for seed in range(200):
         rng = random.Random(seed)
         for A, coeff_degree in product(owners, range(3)):
             add(list(random_coefficient(rng, A.base, coeff_degree).terms.items()))
-            draws(rng, A, coeff_degree)
+            _draw_digest(add, rng, A, coeff_degree)
         add(rng.getstate())
     assert digest.hexdigest() == \
-        "a430bbf31a90fd641c5b40ebbe0ff70aafabd76265b78db7d5b0c08530a3b9f4"
+        "7f8ba98bdae0ce5c76b64aa0572604250b33e672e77e4de66c220563edf6ad55", digest.hexdigest()
 
 
 def test_an_empty_draw_range_is_an_error():
